@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import sympy
 
-from sdharm import geometry as geo, jets
+from sdharm import constructions as con, geometry as geo, jets
 from sdharm.errors import DegenerateMetricError, DimensionError, DomainError
 
 from _fieldgen import random_field
@@ -162,6 +163,47 @@ def test_riemann_symmetries_bianchi_weyl(g):
         assert rep.weyl_norm ** 2 == pytest.approx(
             rep.w_plus_norm ** 2 + rep.w_minus_norm ** 2,
             rel=1e-9, abs=1e-12)
+
+
+def _symbolic_metric_derivatives(g, monkeypatch):
+    """Exact (dg, ddg) of a metric field as a function of the point, by sympy.
+
+    The field closure runs on sympy symbols with the jet elementary functions
+    swapped for sympy's, so no jet arithmetic is involved.
+    """
+    for name in ("sin", "cos", "exp", "log", "sqrt"):
+        monkeypatch.setattr(jets, name, getattr(sympy, name))
+    monkeypatch.setattr(jets, "powc", lambda a, p: a ** p)
+    d = g.chart.dim
+    xs = sympy.symbols(f"x0:{d}")
+    M = [[sympy.sympify(e) for e in row] for row in g.fn(list(xs))]
+    dg = [[[sympy.diff(M[a][b], xs[c]) for c in range(d)] for b in range(d)]
+          for a in range(d)]
+    ddg = [[[[sympy.diff(dg[a][b][c], xs[e]) for e in range(d)] for c in range(d)]
+            for b in range(d)] for a in range(d)]
+    f = sympy.lambdify(xs, [dg, ddg], "math")
+    return lambda pt: tuple(np.array(t, dtype=float) for t in f(*pt))
+
+
+@pytest.mark.parametrize("g", [bumpy4(seed=3), round_s4(), con.berger_s3(0.8),
+                               con.constant_curvature3(-1.0)], ids=lambda g: g.name)
+def test_riemann_vs_symbolic_oracle(g, monkeypatch):
+    # R_abcd = 1/2 (g_ad,bc + g_bc,ad - g_ac,bd - g_bd,ac)
+    #          + g_ef (G^e_bc G^f_ad - G^e_bd G^f_ac),
+    # which needs neither d Gamma nor d g^-1.
+    points = sample_points(g.chart, 3, seed=17)
+    gvals = [g.values(pt) for pt in points]
+    R_pipe = [geo.riemann(g, pt)[1] for pt in points]
+    derivs = _symbolic_metric_derivatives(g, monkeypatch)
+    for pt, gv, R in zip(points, gvals, R_pipe):
+        dg, ddg = derivs(pt)                   # dg[a,b,c] = d_c g_ab
+        low = 0.5 * (np.einsum("ecb->ebc", dg) + dg - np.einsum("bce->ebc", dg))
+        G = np.einsum("ae,ebc->abc", np.linalg.inv(gv), low)
+        R_sym = (0.5 * (np.einsum("adbc->abcd", ddg) + np.einsum("bcad->abcd", ddg)
+                        - np.einsum("acbd->abcd", ddg) - np.einsum("bdac->abcd", ddg))
+                 + np.einsum("ef,ebc,fad->abcd", gv, G, G)
+                 - np.einsum("ef,ebd,fac->abcd", gv, G, G))
+        assert np.max(np.abs(R - R_sym)) <= 1e-10 * (1.0 + np.max(np.abs(R_sym)))
 
 
 @pytest.mark.parametrize("g", CURVED, ids=lambda g: g.name)
