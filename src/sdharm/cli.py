@@ -14,10 +14,12 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import hashlib
 import io
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -283,11 +285,13 @@ class ResolvedScene:
 # ---------------------------------------------------------------------------
 
 class _PointCache:
-    """Per-point curvature scale shared by all checks at that point."""
+    """Per-point curvature scales of the total space and the base, shared by
+    all checks at that point."""
 
     def __init__(self, resolved):
         self.r = resolved
         self.reports = {}
+        self.base_scales = {}
 
     def report(self, point):
         if point not in self.reports:
@@ -297,6 +301,16 @@ class _PointCache:
 
     def scale(self, point):
         return self.report(point).riemann_norm
+
+    def base_scale(self, base_point):
+        if base_point not in self.base_scales:
+            self.base_scales[base_point] = geo.curvature_report(
+                self.r.h, base_point).riemann_norm
+        return self.base_scales[base_point]
+
+    @functools.cached_property
+    def base_weyl(self):
+        return _base_weyl_structure(self.r)
 
 
 def _base_weyl_structure(resolved):
@@ -345,8 +359,8 @@ def evaluate_check(name, resolved, setup, cache, point):
         return mor.pullback_sd_residual(setup, u, A, point), cache.scale(point)
 
     base_point = tuple(point[1:]) if fm is not None else tuple(point)
-    w = _base_weyl_structure(resolved)
-    h_scale = geo.curvature_report(resolved.h, base_point).riemann_norm
+    w = cache.base_weyl
+    h_scale = cache.base_scale(base_point)
     if name == "einstein_weyl":
         return weyl3.einstein_weyl_residual(w, base_point), h_scale
     if name == "beltrami":
@@ -540,9 +554,13 @@ def cmd_classify(args):
     points, seed = resolved.sample_points()
     setup = mor.SubmersionSetup(resolved.fm)
     results = []
-    for point in points:
-        samples = mor.fibre_samples_about(resolved.fm, point, 4)
-        cls = mor.classify_type(setup, samples)
+    domain_errors = []
+    for idx, point in enumerate(points):
+        try:
+            cls = mor.classify_type(setup, mor.fibre_samples_about(resolved.fm, point, 4))
+        except (DomainError, GeometryError) as exc:
+            domain_errors.append({"index": idx, "point": list(point), "error": str(exc)})
+            continue
         results.append({"point": list(point), "label": cls.label,
                         "recovered_c": cls.recovered_c,
                         "evidence": _jsonable(cls.evidence)})
@@ -556,7 +574,11 @@ def cmd_classify(args):
         "label": overall,
         "results": results,
     }
+    if domain_errors:
+        out["domain_errors"] = domain_errors
     _emit(canonical_json(out) + "\n", args.out)
+    if domain_errors:
+        return EXIT_DOMAIN
     return EXIT_OK if overall != "nonstandard" else EXIT_RESIDUAL
 
 
@@ -664,6 +686,12 @@ def cmd_catalog(args):
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A value starting with a minus and a digit, such as the sweep range
+        # "-1:1", is a value, not an unknown flag.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
 

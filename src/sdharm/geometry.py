@@ -1,10 +1,12 @@
 """Single-chart curvature pipeline.
 
-Metric components are evaluated in jet arithmetic, so Christoffel symbols come
-out carrying one valid derivative order and the full Riemann tensor needs no
-finite differencing anywhere.  Pointwise norms are taken in an orthonormalized
-frame (Cholesky of the metric), which makes every reported residual a
-chart-independent scalar.
+Metric components are evaluated once in order-2 jet arithmetic and read into
+plain arrays g, dg, ddg (``metric_arrays``).  Everything else is closed-form
+array algebra: d(g^-1) = -g^-1 dg g^-1, the Christoffel symbols and their
+derivatives from g^-1, dg and ddg, and the Riemann tensor from those, so no
+finite differencing happens anywhere.  Pointwise norms are taken in an
+orthonormalized frame (Cholesky of the metric), which makes every reported
+residual a chart-independent scalar.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "TwoFormField",
     "MetricField",
     "metric_jets",
+    "metric_arrays",
     "jet_matrix_inverse",
     "christoffel_jets",
     "christoffel",
@@ -228,114 +231,76 @@ def metric_jets(g, point):
 
 
 # ---------------------------------------------------------------------------
-# jet linear algebra
+# metric arrays and curvature
 # ---------------------------------------------------------------------------
-
-def jet_matrix_inverse(mat, point=None):
-    """Gauss-Jordan inverse of a small matrix of jets (partial pivoting on values)."""
-    n = len(mat)
-    dim = mat[0][0].dim
-    aug = [[mat[i][j] for j in range(n)]
-           + [jets.constant(1.0 if i == j else 0.0, dim) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(aug[r][col].value))
-        if abs(aug[piv][col].value) < 1e-14:
-            raise DegenerateMetricError("singular matrix in jet inverse", point=point)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = aug[col][col].reciprocal()
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r != col:
-                f = aug[r][col]
-                if f.value != 0.0 or np.any(f._grad) or np.any(f._hess):
-                    aug[r] = [aug[r][j] - f * aug[col][j] for j in range(2 * n)]
-    return [[aug[i][n + j] for j in range(n)] for i in range(n)]
-
 
 def jet_values(mat):
     return np.array([[m.value for m in row] for row in mat])
 
 
-def christoffel_jets(gj, ginv=None, point=None):
-    """Levi-Civita Christoffel symbols as order-1 jets, Gamma[a][b][c] symmetric in (b,c)."""
-    d = len(gj)
-    if ginv is None:
-        ginv = jet_matrix_inverse(gj, point=point)
-    dg = [[[gj[a][b].deriv(c) for c in range(d)] for b in range(d)] for a in range(d)]
-    gamma = [[[None] * d for _ in range(d)] for _ in range(d)]
-    for b in range(d):
-        for c in range(b, d):
-            low = [dg[e][c][b] + dg[e][b][c] - dg[b][c][e] for e in range(d)]
-            for a in range(d):
-                acc = ginv[a][0] * low[0]
-                for e in range(1, d):
-                    acc = acc + ginv[a][e] * low[e]
-                val = acc * 0.5
-                gamma[a][b][c] = val
-                gamma[a][c][b] = val
-    return gamma
-
-
-# ---------------------------------------------------------------------------
-# curvature
-# ---------------------------------------------------------------------------
-
-def _gamma_arrays(gamma):
-    d = len(gamma)
-    G = np.empty((d, d, d))
-    dG = np.empty((d, d, d, d))       # dG[e,a,b,c] = d_e Gamma^a_{bc}
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                G[a, b, c] = gamma[a][b][c].value
-                dG[:, a, b, c] = gamma[a][b][c].grad
-    return G, dG
-
-
-def christoffel(g, point):
-    """Christoffel symbols Gamma^a_{bc} of the Levi-Civita connection as floats."""
-    gj = g.jets(point)
-    det = np.linalg.det(jet_values(gj))
-    if abs(det) < 1e-14:
-        raise DegenerateMetricError("metric is singular", point=point, det=det)
-    gamma = christoffel_jets(gj, point=point)
-    G, _ = _gamma_arrays(gamma)
-    return G
-
-
-def riemann_from_gamma(gamma):
-    """(R^a_bcd, dGamma consumed) from order-1 Christoffel jets."""
-    G, dG = _gamma_arrays(gamma)
-    # R^a_{bcd} = d_c G^a_{db} - d_d G^a_{cb} + G^a_{ce} G^e_{db} - G^a_{de} G^e_{cb}
-    term1 = np.einsum("cadb->abcd", dG)
-    term2 = np.einsum("dacb->abcd", dG)
-    term3 = np.einsum("ace,edb->abcd", G, G)
-    term4 = np.einsum("ade,ecb->abcd", G, G)
-    return term1 - term2 + term3 - term4
-
-
-def riemann(g, point):
-    """(R^a_bcd, R_abcd, Ric_ab, scalar) with the unit round sphere positive."""
-    gj = g.jets(point)
+def metric_arrays(gj, point=None):
+    """(g, dg, ddg) from order-2 metric jets: dg[a,b,c] = d_c g_ab and
+    ddg[a,b,c,d] = d_c d_d g_ab.  Raises on a singular metric."""
     gv = jet_values(gj)
     det = np.linalg.det(gv)
     if abs(det) < 1e-14:
         raise DegenerateMetricError("metric is singular", point=point, det=det)
-    ginv_j = jet_matrix_inverse(gj, point=point)
-    gamma = christoffel_jets(gj, ginv_j, point=point)
-    R_up = riemann_from_gamma(gamma)
+    dg = np.array([[m.grad for m in row] for row in gj])
+    ddg = np.array([[m.hess for m in row] for row in gj])
+    return gv, dg, ddg
+
+
+def jet_matrix_inverse(g, dg):
+    """(g^-1, dginv) with dginv[a,b,c] = d_c g^ab = -g^ae (d_c g_ef) g^fb, the
+    first-order Taylor rule of the matrix inverse (Griewank & Walther,
+    *Evaluating Derivatives*, ch. 13)."""
+    ginv = np.linalg.inv(g)
+    return ginv, -np.einsum("ae,efc,fb->abc", ginv, dg, ginv)
+
+
+def christoffel_jets(ginv, dginv, dg, ddg):
+    """Levi-Civita (Gamma, dGamma): Gamma[a,b,c] = Gamma^a_bc and
+    dGamma[a,b,c,d] = d_d Gamma^a_bc, exact from the metric arrays."""
+    # low[e,b,c] = Gamma_ebc = 1/2 (d_b g_ec + d_c g_eb - d_e g_bc)
+    low = 0.5 * (np.einsum("ecb->ebc", dg) + dg - np.einsum("bce->ebc", dg))
+    dlow = 0.5 * (np.einsum("ecbd->ebcd", ddg) + ddg - np.einsum("bced->ebcd", ddg))
+    G = np.einsum("ae,ebc->abc", ginv, low)
+    dG = np.einsum("aed,ebc->abcd", dginv, low) + np.einsum("ae,ebcd->abcd", ginv, dlow)
+    return G, dG
+
+
+def riemann_from_gamma(G, dG):
+    """R^a_bcd = d_c G^a_db - d_d G^a_cb + G^a_ce G^e_db - G^a_de G^e_cb."""
+    return (np.einsum("adbc->abcd", dG) - np.einsum("acbd->abcd", dG)
+            + np.einsum("ace,edb->abcd", G, G) - np.einsum("ade,ecb->abcd", G, G))
+
+
+def _curvature(g, point):
+    """(g, g^-1, Gamma, R^a_bcd, R_abcd, Ric_ab, scalar) from one metric evaluation."""
+    gv, dg, ddg = metric_arrays(g.jets(point), point)
+    ginv, dginv = jet_matrix_inverse(gv, dg)
+    G, dG = christoffel_jets(ginv, dginv, dg, ddg)
+    R_up = riemann_from_gamma(G, dG)
     if not np.all(np.isfinite(R_up)):
         raise SingularEvaluationError("curvature evaluation produced non-finite values",
                                       point=point)
     R_low = np.einsum("ae,ebcd->abcd", gv, R_up)
     ric = np.einsum("abad->bd", R_up)
-    ginv = jet_values(ginv_j)
-    scal = np.einsum("bd,bd->", ginv, ric)
-    return R_up, R_low, ric, scal
+    scal = float(np.einsum("bd,bd->", ginv, ric))
+    return gv, ginv, G, R_up, R_low, ric, scal
 
 
-def schouten(gv, ginv, ric, scal, n):
+def christoffel(g, point):
+    """Christoffel symbols Gamma^a_{bc} of the Levi-Civita connection as floats."""
+    return _curvature(g, point)[2]
+
+
+def riemann(g, point):
+    """(R^a_bcd, R_abcd, Ric_ab, scalar) with the unit round sphere positive."""
+    return _curvature(g, point)[3:]
+
+
+def schouten(gv, ric, scal, n):
     return (ric - scal / (2.0 * (n - 1.0)) * gv) / (n - 2.0)
 
 
@@ -344,17 +309,17 @@ def kulkarni_nomizu(A, B):
             - np.einsum("ad,bc->abcd", A, B) - np.einsum("bc,ad->abcd", A, B))
 
 
+def _weyl_low(gv, R_low, ric, scal):
+    return R_low - kulkarni_nomizu(schouten(gv, ric, scal, 4), gv)
+
+
 def weyl(g, point):
     """Weyl tensor W_abcd on a 4-chart (trace-free part of the curvature)."""
     if g.chart.dim != 4:
         raise DimensionError("Weyl tensor computed only on 4-charts; it vanishes "
                              "identically in dimension 3")
-    gj = g.jets(point)
-    gv = jet_values(gj)
-    ginv = np.linalg.inv(gv)
-    _, R_low, ric, scal = riemann(g, point)
-    S = schouten(gv, ginv, ric, scal, 4)
-    return R_low - kulkarni_nomizu(S, gv)
+    gv, _, _, _, R_low, ric, scal = _curvature(g, point)
+    return _weyl_low(gv, R_low, ric, scal)
 
 
 # ---------------------------------------------------------------------------
@@ -581,11 +546,10 @@ def sectional_curvature(g, point, X, Y):
     """Sectional curvature of span(X, Y); unit round spheres give +k."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    gv = g.values(point)
+    gv, _, _, _, R_low, _, _ = _curvature(g, point)
     gram = (X @ gv @ X) * (Y @ gv @ Y) - (X @ gv @ Y) ** 2
     if gram < 1e-14:
         raise ValueError("plane spanned by X, Y is degenerate")
-    _, R_low, _, _ = riemann(g, point)
     num = np.einsum("abcd,a,b,c,d->", R_low, X, Y, X, Y)
     return float(num / gram)
 
@@ -627,22 +591,7 @@ def curvature_report(g, point, orientation=None):
     n = g.chart.dim
     if orientation is None:
         orientation = g.chart.orientation
-    gj = g.jets(point)
-    gv = jet_values(gj)
-    det = np.linalg.det(gv)
-    if abs(det) < 1e-14:
-        raise DegenerateMetricError("metric is singular", point=point, det=det)
-    ginv_j = jet_matrix_inverse(gj, point=point)
-    gamma = christoffel_jets(gj, ginv_j, point=point)
-    G, _ = _gamma_arrays(gamma)
-    R_up = riemann_from_gamma(gamma)
-    if not np.all(np.isfinite(R_up)):
-        raise SingularEvaluationError("curvature evaluation produced non-finite values",
-                                      point=point)
-    R_low = np.einsum("ae,ebcd->abcd", gv, R_up)
-    ric = np.einsum("abad->bd", R_up)
-    ginv = jet_values(ginv_j)
-    scal = float(np.einsum("bd,bd->", ginv, ric))
+    gv, _, G, R_up, R_low, ric, scal = _curvature(g, point)
 
     riem_norm = tensor_norm(R_low, gv)
     ric_norm = tensor_norm(ric, gv)
@@ -654,8 +603,7 @@ def curvature_report(g, point, orientation=None):
         riemann_norm=riem_norm, ricci_norm=ric_norm, einstein_residual_norm=einstein,
     )
     if n == 4:
-        S = schouten(gv, ginv, ric, scal, 4)
-        W = R_low - kulkarni_nomizu(S, gv)
+        W = _weyl_low(gv, R_low, ric, scal)
         _, _, wp, wm = sd_asd_split(W, gv, orientation, point=point)
         report.weyl_low = W
         report.weyl_norm = float(np.linalg.norm(

@@ -57,6 +57,15 @@ class SubmersionSetup:
         return _Ctx(self.fm, point)
 
 
+def _order1_jets(values, derivs):
+    """Nested lists of order-1 jets: values from ``values``, gradients from the
+    trailing axis of ``derivs``."""
+    zero = np.zeros((derivs.shape[-1],) * 2)
+    if values.ndim == 0:
+        return jets.Jet(values, derivs, zero, order=1)
+    return [_order1_jets(v, d) for v, d in zip(values, derivs)]
+
+
 class _Ctx:
     """All jet-level data of one metric at one point.
 
@@ -72,10 +81,12 @@ class _Ctx:
         self.point = tuple(float(x) for x in point)
         self.base_point = tuple(point[1:])
         self.gj = fm.g.jets(point)
-        self.gv = geo.jet_values(self.gj)
-        self.ginv_j = geo.jet_matrix_inverse(self.gj, point=point)
-        self.ginv = geo.jet_values(self.ginv_j)
-        self.gamma = geo.christoffel_jets(self.gj, self.ginv_j, point=point)
+        self.gv, dg, ddg = geo.metric_arrays(self.gj, point)
+        self.ginv, dginv = geo.jet_matrix_inverse(self.gv, dg)
+        G, dG = geo.christoffel_jets(self.ginv, dginv, dg, ddg)
+        # order-1 jet views for the trace forms, whose d sigma needs one derivative
+        self.ginv_j = _order1_jets(self.ginv, dginv)
+        self.gamma = _order1_jets(G, dG)
         self.hv = fm.h.values(self.base_point)
         self.hinv = np.linalg.inv(self.hv)
         self.lam_j = fm.dilation_sq_inv.jet(point)       # lam^-2 as a jet
@@ -272,23 +283,15 @@ def fundamental_eq_residual(setup, point):
     """
     ctx = setup.ctx(point)
     dilation(setup, point)      # raises if the conformality certificate fails
-    tv, _ = ctx.vertical_trace_form_jets()
-    gl = ctx.grad_log_lambda_jets()
-    drop = np.array([tv[i].value + gl[i].value for i in range(1, 4)])
+    drop = _harmonicity_defect(ctx)
     return float(np.sqrt(max(0.0, drop @ ctx.hv @ drop)))
 
 
-def _harmonicity_defect_base_components(ctx):
-    """The base one-form dphi(trace Bv + grad log lam) lowered by h.
-
-    Scaled by lam^-2: in that weighting the form is constant along fibres
-    exactly when the metric is a basic conformal rescale of a harmonic
-    morphism, which is the gauge freedom the classifier must ignore.
-    """
+def _harmonicity_defect(ctx):
+    """dphi(trace Bv + grad log lam) in base coordinate components."""
     tv, _ = ctx.vertical_trace_form_jets()
     gl = ctx.grad_log_lambda_jets()
-    drop = np.array([tv[i].value + gl[i].value for i in range(1, 4)])
-    return (ctx.hv @ drop) * ctx.lam_j.value
+    return np.array([tv[i].value + gl[i].value for i in range(1, 4)])
 
 
 def induced_lee_form(setup, point):
@@ -470,7 +473,10 @@ def classify_type(setup, samples, pass_tol=1e-8, branch_tol=1e-6):
     evidence["twistorial_sd"] = sd_res
     evidence["twistorial_basic"] = basic_res
 
-    defect = np.array([_harmonicity_defect_base_components(c) for c in ctxs])
+    # The defect lowered by h and scaled by lam^-2: in that weighting it is
+    # constant along fibres exactly when the metric is a basic conformal
+    # rescale of a harmonic morphism, the gauge freedom to ignore here.
+    defect = np.array([(c.hv @ _harmonicity_defect(c)) * c.lam_j.value for c in ctxs])
     defect_spread = float(np.max(defect.max(axis=0) - defect.min(axis=0))) \
         if len(defect) else 0.0
     evidence["harmonicity_defect_spread"] = defect_spread

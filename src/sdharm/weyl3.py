@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from . import jets
 from .errors import DimensionError
 
 __all__ = [
@@ -43,45 +42,34 @@ class WeylStructure3:
             raise DimensionError("Weyl structures live on 3-charts")
 
 
-def _correction_jets(hj, hinv, aj):
-    """C^a_{bc} = delta^a_b alpha_c + delta^a_c alpha_b - h_{bc} alpha^a (jets)."""
-    d = 3
-    a_up = [sum((hinv[a][b] * aj[b] for b in range(1, d)), hinv[a][0] * aj[0])
-            for a in range(d)]
-    C = [[[None] * d for _ in range(d)] for _ in range(d)]
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                term = -1.0 * hj[b][c] * a_up[a]
-                if a == b:
-                    term = term + aj[c]
-                if a == c:
-                    term = term + aj[b]
-                C[a][b][c] = term
-    return C
-
-
 def weyl_connection_coeffs(w: WeylStructure3, point):
-    """Connection coefficients of D as order-1 jets, Gamma[a][b][c]."""
-    hj = w.h.jets(point)
-    hinv = geo.jet_matrix_inverse(hj, point=point)
-    gamma = geo.christoffel_jets(hj, hinv, point=point)
-    C = _correction_jets(hj, hinv, w.alpha.jets(point))
-    return [[[gamma[a][b][c] + C[a][b][c] for c in range(3)] for b in range(3)]
-            for a in range(3)]
+    """(Gamma, dGamma) of D as arrays: Gamma[a,b,c] = Gamma^a_bc and
+    dGamma[a,b,c,d] = d_d Gamma^a_bc.
+
+    D = Levi-Civita + C with C^a_bc = delta^a_b alpha_c + delta^a_c alpha_b
+    - h_bc alpha^a, which is linear in alpha and so differentiates in closed form.
+    """
+    hv, dh, ddh = geo.metric_arrays(w.h.jets(point), point)
+    hinv, dhinv = geo.jet_matrix_inverse(hv, dh)
+    G, dG = geo.christoffel_jets(hinv, dhinv, dh, ddh)
+    aj = w.alpha.jets(point)
+    av = np.array([a.value for a in aj])
+    da = np.array([a.grad for a in aj])                   # da[b,d] = d_d alpha_b
+    a_up = hinv @ av
+    da_up = np.einsum("abd,b->ad", dhinv, av) + hinv @ da
+    delta = np.eye(3)
+    C = (np.einsum("ab,c->abc", delta, av) + np.einsum("ac,b->abc", delta, av)
+         - np.einsum("bc,a->abc", hv, a_up))
+    dC = (np.einsum("ab,cd->abcd", delta, da) + np.einsum("ac,bd->abcd", delta, da)
+          - np.einsum("bcd,a->abcd", dh, a_up) - np.einsum("bc,ad->abcd", hv, da_up))
+    return G + C, dG + dC
 
 
 def weyl_covariant_metric_residual(w: WeylStructure3, point):
     """Norm of D h + 2 alpha (x) h, the defining property of the connection."""
-    hj = w.h.jets(point)
-    hv = geo.jet_values(hj)
-    aj = w.alpha.jets(point)
-    av = np.array([a.value for a in aj])
-    gamma = weyl_connection_coeffs(w, point)
-    G = np.array([[[gamma[a][b][c].value for c in range(3)] for b in range(3)]
-                  for a in range(3)])
-    dh = np.array([[[hj[a][b].grad[c] for c in range(3)] for b in range(3)]
-                   for a in range(3)])          # dh[a,b,c] = d_c h_ab
+    hv, dh, _ = geo.metric_arrays(w.h.jets(point), point)    # dh[a,b,c] = d_c h_ab
+    av = w.alpha.values(point)
+    G, _ = weyl_connection_coeffs(w, point)
     Dh = (np.einsum("abc->cab", dh)
           - np.einsum("eca,eb->cab", G, hv)
           - np.einsum("ecb,ae->cab", G, hv))
@@ -91,14 +79,7 @@ def weyl_covariant_metric_residual(w: WeylStructure3, point):
 
 def einstein_weyl_residual(w: WeylStructure3, point):
     """Norm of the trace-free symmetrized Ricci tensor of D at the point."""
-    gamma = weyl_connection_coeffs(w, point)
-    G = np.array([[[gamma[a][b][c].value for c in range(3)] for b in range(3)]
-                  for a in range(3)])
-    dG = np.array([[[[gamma[a][b][c].grad[e] for c in range(3)] for b in range(3)]
-                    for a in range(3)] for e in range(3)])
-    R_up = (np.einsum("cadb->abcd", dG) - np.einsum("dacb->abcd", dG)
-            + np.einsum("ace,edb->abcd", G, G) - np.einsum("ade,ecb->abcd", G, G))
-    ric = np.einsum("abad->bd", R_up)
+    ric = np.einsum("abad->bd", geo.riemann_from_gamma(*weyl_connection_coeffs(w, point)))
     sym = 0.5 * (ric + ric.T)
     hv = w.h.values(point)
     hinv = np.linalg.inv(hv)

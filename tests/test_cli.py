@@ -111,6 +111,33 @@ def test_classify_type4_recovers_c(capsys):
     assert rep["results"][0]["recovered_c"] == pytest.approx(1.6, abs=1e-6)
 
 
+def test_classify_records_bad_point_and_keeps_going(capsys, tmp_path):
+    with open(scene_path("type4_berger_ew.json")) as fh:
+        scene = json.load(fh)
+    scene["samples"] = {"points": [[1, 1.2, 2, 3], [1, 2.99, 2, 3]]}
+    p = tmp_path / "bad_point.json"
+    p.write_text(json.dumps(scene))
+    code, out = run_cli(["classify", str(p)], capsys)
+    assert code == 2
+    rep = json.loads(out)
+    assert [e["index"] for e in rep["domain_errors"]] == [1]
+    assert "outside chart domain" in rep["domain_errors"][0]["error"]
+    assert [r["point"] for r in rep["results"]] == [[1.0, 1.2, 2.0, 3.0]]
+    assert rep["label"] == rep["results"][0]["label"] == "type4"
+
+
+def test_sweep_negative_range_bound(capsys):
+    outs = []
+    for range_args in (["--range", "-1:1"], ["--range=-1:1"]):
+        code, out = run_cli(["sweep", scene_path("berger_ew_sweep.json"),
+                             "--param", "alpha.params.scale", *range_args,
+                             "--steps", "3", "--checks", "einstein_weyl"], capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert [float(l.split(",")[0]) for l in outs[0].splitlines()[1:]] == [-1.0, 0.0, 1.0]
+
+
 def test_sweep_locates_einstein_weyl_zero(capsys):
     code, out = run_cli(["sweep", scene_path("berger_ew_sweep.json"),
                          "--param", "alpha.params.scale", "--range", "0.5:1.4",
