@@ -276,7 +276,7 @@ def riemann_from_gamma(G, dG):
 
 
 def _curvature(g, point):
-    """(g, g^-1, Gamma, R^a_bcd, R_abcd, Ric_ab, scalar) from one metric evaluation."""
+    """(g, Gamma, R^a_bcd, R_abcd, Ric_ab, scalar) from one metric evaluation."""
     gv, dg, ddg = metric_arrays(g.jets(point), point)
     ginv, dginv = jet_matrix_inverse(gv, dg)
     G, dG = christoffel_jets(ginv, dginv, dg, ddg)
@@ -287,17 +287,17 @@ def _curvature(g, point):
     R_low = np.einsum("ae,ebcd->abcd", gv, R_up)
     ric = np.einsum("abad->bd", R_up)
     scal = float(np.einsum("bd,bd->", ginv, ric))
-    return gv, ginv, G, R_up, R_low, ric, scal
+    return gv, G, R_up, R_low, ric, scal
 
 
 def christoffel(g, point):
     """Christoffel symbols Gamma^a_{bc} of the Levi-Civita connection as floats."""
-    return _curvature(g, point)[2]
+    return _curvature(g, point)[1]
 
 
 def riemann(g, point):
     """(R^a_bcd, R_abcd, Ric_ab, scalar) with the unit round sphere positive."""
-    return _curvature(g, point)[3:]
+    return _curvature(g, point)[2:]
 
 
 def schouten(gv, ric, scal, n):
@@ -318,7 +318,7 @@ def weyl(g, point):
     if g.chart.dim != 4:
         raise DimensionError("Weyl tensor computed only on 4-charts; it vanishes "
                              "identically in dimension 3")
-    gv, _, _, _, R_low, ric, scal = _curvature(g, point)
+    gv, _, _, R_low, ric, scal = _curvature(g, point)
     return _weyl_low(gv, R_low, ric, scal)
 
 
@@ -546,7 +546,7 @@ def sectional_curvature(g, point, X, Y):
     """Sectional curvature of span(X, Y); unit round spheres give +k."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    gv, _, _, _, R_low, _, _ = _curvature(g, point)
+    gv, _, _, R_low, _, _ = _curvature(g, point)
     gram = (X @ gv @ X) * (Y @ gv @ Y) - (X @ gv @ Y) ** 2
     if gram < 1e-14:
         raise ValueError("plane spanned by X, Y is degenerate")
@@ -591,7 +591,7 @@ def curvature_report(g, point, orientation=None):
     n = g.chart.dim
     if orientation is None:
         orientation = g.chart.orientation
-    gv, _, G, R_up, R_low, ric, scal = _curvature(g, point)
+    gv, G, R_up, R_low, ric, scal = _curvature(g, point)
 
     riem_norm = tensor_norm(R_low, gv)
     ric_norm = tensor_norm(ric, gv)
