@@ -12,12 +12,14 @@ Exit codes: 0 all checks pass, 1 residual failure, 2 domain error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import functools
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -285,22 +287,12 @@ class ResolvedScene:
 # ---------------------------------------------------------------------------
 
 class _PointCache:
-    """Per-point curvature scales of the total space and the base, shared by
-    all checks at that point."""
+    """Base curvature scales and the base Weyl structure, shared by all checks.
+    The total-space scale comes from the point's ``PointEval``."""
 
     def __init__(self, resolved):
         self.r = resolved
-        self.reports = {}
         self.base_scales = {}
-
-    def report(self, point):
-        if point not in self.reports:
-            metric = self.r.fm.g if self.r.fm is not None else self.r.h
-            self.reports[point] = geo.curvature_report(metric, point)
-        return self.reports[point]
-
-    def scale(self, point):
-        return self.report(point).riemann_norm
 
     def base_scale(self, base_point):
         if base_point not in self.base_scales:
@@ -334,6 +326,19 @@ def _monopole_A(resolved):
     return resolved.family_A
 
 
+def _scale(setup, point):
+    """Riemann norm of the total space, read from the point's shared evaluation."""
+    return setup.ctx(point).riemann_norm
+
+
+def _checks_at(point, checks, resolved, setup, cache):
+    """{name: (raw, scale)} at one sample point.  All checks there share one
+    ``PointEval`` per distinct point, dropped when the point is done."""
+    with setup.sharing() if setup is not None else contextlib.nullcontext():
+        return {name: evaluate_check(name, resolved, setup, cache, point)
+                for name in checks}
+
+
 def evaluate_check(name, resolved, setup, cache, point):
     """Return (raw, scale) for one named check at one sample point."""
     fm = resolved.fm
@@ -342,21 +347,21 @@ def evaluate_check(name, resolved, setup, cache, point):
         raise UsageError(f"check {name!r} needs a construction in the scene")
 
     if name == "fundamental_eq":
-        return mor.fundamental_eq_residual(setup, point), cache.scale(point)
+        return mor.fundamental_eq_residual(setup, point), _scale(setup, point)
     if name == "twistorial_basic":
         samples = mor.fibre_samples_about(fm, point, 3)
-        return mor.twistorial_basic_residual(setup, samples), cache.scale(point)
+        return mor.twistorial_basic_residual(setup, samples), _scale(setup, point)
     if name == "twistorial_sd":
-        return mor.twistorial_sd_residual(setup, point), cache.scale(point)
+        return mor.twistorial_sd_residual(setup, point), _scale(setup, point)
     if name == "monopole":
         alpha = resolved.family_alpha or resolved.alpha
-        return mor.monopole_eq_residual(setup, alpha, point), cache.scale(point)
+        return mor.monopole_eq_residual(setup, alpha, point), _scale(setup, point)
     if name == "pullback_sd":
         u, A = _monopole_u(resolved), _monopole_A(resolved)
         if u is None:
             raise UsageError("check 'pullback_sd' needs a monopole pair "
                              "(scene 'pair' or a type1 construction)")
-        return mor.pullback_sd_residual(setup, u, A, point), cache.scale(point)
+        return mor.pullback_sd_residual(setup, u, A, point), _scale(setup, point)
 
     base_point = tuple(point[1:]) if fm is not None else tuple(point)
     w = cache.base_weyl
@@ -492,10 +497,10 @@ def cmd_report(args):
             raise UsageError(f"report check {name!r} is not a curvature scalar; "
                              f"choose from {', '.join(REPORT_SCALARS)}")
     points, seed = resolved.sample_points()
-    cache = _PointCache(resolved)
+    metric = resolved.fm.g if resolved.fm is not None else resolved.h
 
     def evaluator(point):
-        rep = cache.report(point)
+        rep = geo.curvature_report(metric, point)
         raw = rep.raw()
         out = {}
         for name in REPORT_SCALARS:
@@ -533,11 +538,9 @@ def cmd_verify(args):
     cache = _PointCache(resolved)
 
     def evaluator(point):
-        out = {}
-        for name in checks:
-            raw, scale = evaluate_check(name, resolved, setup, cache, point)
-            out[name] = _record_entry(raw, scale, resolved.tolerance_for(name))
-        return out
+        return {name: _record_entry(raw, scale, resolved.tolerance_for(name))
+                for name, (raw, scale) in
+                _checks_at(point, checks, resolved, setup, cache).items()}
 
     report = build_report(resolved, points, seed, checks, evaluator)
     text = (canonical_json(report) + "\n" if args.format == "json"
@@ -627,27 +630,36 @@ def cmd_sweep(args):
     if not checks:
         raise UsageError("sweep needs checks (scene 'checks' or --checks)")
 
-    def run_at(value):
+    def run_at(value, errors):
+        """Each check's maximum over the good points at one parameter value
+        (empty if no point is good); bad points go to ``errors``."""
         trial = copy.deepcopy(scene)
         _set_path(trial, args.param, value)
         resolved = ResolvedScene(validate_scene(trial))
         points, _ = resolved.sample_points()
         setup = mor.SubmersionSetup(resolved.fm) if resolved.fm is not None else None
         cache = _PointCache(resolved)
-        out = {}
-        for name in checks:
-            vals = [evaluate_check(name, resolved, setup, cache, p) for p in points]
-            out[name] = max(abs(raw) / (1.0 + scale) for raw, scale in vals)
-        return out
+        good = []
+        for idx, p in enumerate(points):
+            try:
+                good.append(_checks_at(p, checks, resolved, setup, cache))
+            except (DomainError, GeometryError) as exc:
+                errors.append((value, idx, p, str(exc)))
+        return {name: max(abs(raw) / (1.0 + scale) for raw, scale in
+                          (vals[name] for vals in good)) for name in checks} if good else {}
 
     values = np.linspace(lo, hi, args.steps) if args.steps > 1 else np.array([lo])
-    rows = [(float(v), run_at(float(v))) for v in values]
+    errors = []
+    rows = [(float(v), run_at(float(v), errors)) for v in values]
+    rows = [row for row in rows if row[1]]       # a step with no good point has no row
 
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow([args.param] + [f"{c}_max_normalized" for c in checks])
     for v, res in rows:
         writer.writerow([repr(v)] + [repr(res[c]) for c in checks])
+    for value, idx, point, error in errors:
+        writer.writerow(["# domain_error", repr(value), idx, " ".join(map(str, point)), error])
 
     if args.locate:
         if args.locate not in checks:
@@ -656,11 +668,11 @@ def cmd_sweep(args):
         for i in range(1, len(series) - 1):
             if series[i] <= series[i - 1] and series[i] <= series[i + 1]:
                 x, fx = weyl3.locate_residual_minimum(
-                    lambda t: run_at(t)[args.locate], rows[i - 1][0], rows[i + 1][0],
-                    tol=1e-8)
+                    lambda t: run_at(t, []).get(args.locate, math.inf),
+                    rows[i - 1][0], rows[i + 1][0], tol=1e-8)
                 buf.write(f"# minimum,{args.locate},{float(x)!r},{float(fx)!r}\n")
     _emit(buf.getvalue(), args.out)
-    return EXIT_OK
+    return EXIT_DOMAIN if errors else EXIT_OK
 
 
 def cmd_catalog(args):

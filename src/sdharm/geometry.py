@@ -34,6 +34,7 @@ __all__ = [
     "metric_arrays",
     "jet_matrix_inverse",
     "christoffel_jets",
+    "curvature_from_gamma",
     "christoffel",
     "riemann",
     "weyl",
@@ -280,6 +281,11 @@ def _curvature(g, point):
     gv, dg, ddg = metric_arrays(g.jets(point), point)
     ginv, dginv = jet_matrix_inverse(gv, dg)
     G, dG = christoffel_jets(ginv, dginv, dg, ddg)
+    return (gv, G) + curvature_from_gamma(gv, ginv, G, dG, point)
+
+
+def curvature_from_gamma(gv, ginv, G, dG, point=None):
+    """(R^a_bcd, R_abcd, Ric_ab, scalar) from the metric arrays and (Gamma, dGamma)."""
     R_up = riemann_from_gamma(G, dG)
     if not np.all(np.isfinite(R_up)):
         raise SingularEvaluationError("curvature evaluation produced non-finite values",
@@ -287,7 +293,7 @@ def _curvature(g, point):
     R_low = np.einsum("ae,ebcd->abcd", gv, R_up)
     ric = np.einsum("abad->bd", R_up)
     scal = float(np.einsum("bd,bd->", ginv, ric))
-    return gv, G, R_up, R_low, ric, scal
+    return R_up, R_low, ric, scal
 
 
 def christoffel(g, point):

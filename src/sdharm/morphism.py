@@ -7,12 +7,20 @@ residual, the induced Lee forms, both twistoriality certificates, the
 monopole compatibility residual, pulled-back connections, and the fibre-wise
 family classifier.
 
+All of it reads one :class:`PointEval` per point, which holds g, dg, ddg,
+g^-1 and (Gamma, dGamma) and fills in the rest on first use.  The trace
+forms are (value, derivative) arrays, by the product rule through einsum.
+Inside ``SubmersionSetup.sharing()`` the checks at one sample point share one
+``PointEval`` per distinct point; the classifier passes its fibre's own.
+
 The fibre direction is always coordinate 0; the projection drops it.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +31,7 @@ from .errors import NotHorizontallyConformalError
 
 __all__ = [
     "SubmersionSetup",
+    "PointEval",
     "DilationData",
     "dilation",
     "second_fundamental_traces",
@@ -48,173 +57,169 @@ class SubmersionSetup:
 
     def __init__(self, fm: FibrationMetric):
         self.fm = fm
+        self._shared = None       # point -> PointEval while sharing() is open
 
     @property
     def orientation(self):
         return self.fm.total_chart.orientation
 
     def ctx(self, point):
-        return _Ctx(self.fm, point)
+        """The evaluation at ``point``; inside ``sharing()``, one per distinct point."""
+        point = tuple(float(x) for x in point)
+        if self._shared is None:
+            return PointEval(self.fm, point)
+        if point not in self._shared:
+            self._shared[point] = PointEval(self.fm, point)
+        return self._shared[point]
+
+    @contextlib.contextmanager
+    def sharing(self):
+        """Reuse evaluations by point until the block ends (a nested block joins
+        the outer one).  Opened around one sample point's checks, so that no
+        evaluation outlives its sample point."""
+        outer = self._shared
+        self._shared = {} if outer is None else outer
+        try:
+            yield
+        finally:
+            self._shared = outer
 
 
-def _order1_jets(values, derivs):
-    """Nested lists of order-1 jets: values from ``values``, gradients from the
-    trailing axis of ``derivs``."""
-    zero = np.zeros((derivs.shape[-1],) * 2)
-    if values.ndim == 0:
-        return jets.Jet(values, derivs, zero, order=1)
-    return [_order1_jets(v, d) for v, d in zip(values, derivs)]
+def _d_einsum(spec, *pairs):
+    """Product rule through einsum: the (value, derivative) pair of
+    ``einsum(spec, *values)`` from (value, derivative) pairs whose derivative
+    arrays carry one extra trailing axis, d/dx^e."""
+    ins, out = spec.split("->")
+    ins = ins.split(",")
+    values = [v for v, _ in pairs]
+    deriv = sum(np.einsum(",".join(s + "z" if i == k else s for i, s in enumerate(ins))
+                          + f"->{out}z", *values[:k], d, *values[k + 1:])
+                for k, (_, d) in enumerate(pairs))
+    return np.einsum(spec, *values), deriv
 
 
-class _Ctx:
-    """All jet-level data of one metric at one point.
+class PointEval:
+    """All data of one fibred metric at one point.
 
-    Vertical distribution: span of d/dx^0.  Unit vertical (positive on the
-    fibre orientation) V0 * d_0 with V0 = g_00^(-1/2); horizontal projector
-    P(X) = X - d_0 g(X, d_0)/g_00.  Horizontal lifts of the base coordinate
-    frame are W_i = d_i + w_i d_0 with w_i = -g_0i/g_00.
+    The metric arrays, the inverse and (Gamma, dGamma) are built on
+    construction; everything derived from them is computed on first use.
+    Derivative arrays carry d/dx^e on their last axis.
+
+    Vertical distribution: span of d/dx^0, unit vertical V0 d_0 with
+    V0 = g_00^(-1/2).  P = 1 + e_0 (x) w with w_b = -g_0b/g_00 is the
+    horizontal projector P(X) = X - d_0 g(X, d_0)/g_00; its columns
+    W_b = d_b + w_b d_0 lift the base coordinate frame (b = 1..3), W_0 = 0.
     """
 
     def __init__(self, fm, point):
         fm.total_chart.require_inside(point)
         self.fm = fm
         self.point = tuple(float(x) for x in point)
-        self.base_point = tuple(point[1:])
-        self.gj = fm.g.jets(point)
-        self.gv, dg, ddg = geo.metric_arrays(self.gj, point)
-        self.ginv, dginv = geo.jet_matrix_inverse(self.gv, dg)
-        G, dG = geo.christoffel_jets(self.ginv, dginv, dg, ddg)
-        # order-1 jet views for the trace forms, whose d sigma needs one derivative
-        self.ginv_j = _order1_jets(self.ginv, dginv)
-        self.gamma = _order1_jets(G, dG)
+        self.base_point = self.point[1:]
+        self.gv, self.dg, self.ddg = geo.metric_arrays(fm.g.jets(self.point), self.point)
+        self.ginv, self.dginv = geo.jet_matrix_inverse(self.gv, self.dg)
+        self.G, self.dG = geo.christoffel_jets(self.ginv, self.dginv, self.dg, self.ddg)
         self.hv = fm.h.values(self.base_point)
         self.hinv = np.linalg.inv(self.hv)
-        self.lam_j = fm.dilation_sq_inv.jet(point)       # lam^-2 as a jet
-        self.V0 = jets.powc(self.gj[0][0], -0.5)          # unit vertical coefficient
-        self.w = [jets.constant(0.0, 4) if i == 0 else
-                  -1.0 * self.gj[0][i] / self.gj[0][0] for i in range(4)]
-        self.w[0] = -1.0 * self.gj[0][0] / self.gj[0][0]  # = -1: P(d_0) = 0
-
-    # -- frames ---------------------------------------------------------------
-
-    def lift_values(self, i):
-        """Horizontal lift of the i-th base coordinate vector (i = 1..3)."""
-        v = np.zeros(4)
-        v[i] = 1.0
-        v[0] = self.w[i].value
-        return v
-
-    def vertical_unit_values(self):
-        v = np.zeros(4)
-        v[0] = self.V0.value
-        return v
-
-    def horizontal_frame(self):
-        """g-orthonormal horizontal frame, oriented so (U, X1, X2, X3) is
-        positive for the chart orientation."""
-        raw = [self.lift_values(i) for i in (1, 2, 3)]
-        frame = []
-        for v in raw:
-            u = v.copy()
-            for f in frame:
-                u = u - (u @ self.gv @ f) * f
-            u = u / np.sqrt(u @ self.gv @ u)
-            frame.append(u)
-        full = np.column_stack([self.vertical_unit_values()] + frame)
-        if np.linalg.det(full) * self.fm.total_chart.orientation < 0:
-            frame[2] = -frame[2]
-        return frame
+        L = fm.dilation_sq_inv.jet(self.point)
+        self.lam_inv_sq, self.dlam_inv_sq, self.ddlam_inv_sq = L.value, L.grad, L.hess
+        g00, dg00 = self.gv[0, 0], self.dg[0, 0]
+        self.V0 = g00 ** -0.5
+        # u = 1/g_00 with its first and second derivatives, and d_e w_b
+        u = 1.0 / g00
+        self.u = (u, -dg00 * u * u)
+        self.ddu = -self.ddg[0, 0] * u * u + 2.0 * u ** 3 * np.outer(dg00, dg00)
+        self.dw = -self.dg[0] * u - np.outer(self.gv[0], self.u[1])
+        self.P = np.eye(4)
+        self.P[0] -= self.gv[0] * u
+        self.dP = np.zeros((4, 4, 4))
+        self.dP[0] = self.dw
 
     # -- mean-curvature one-forms ----------------------------------------------
 
-    def vertical_trace_form_jets(self):
-        """(trace of the vertical second fundamental form)-flat, order-1 jets."""
-        V0 = self.V0
-        accel = [None] * 4
-        dV0 = V0.deriv(0)
-        V0sq = (V0 * V0)
-        for a in range(4):
-            t = self.gamma[a][0][0] * V0sq
-            if a == 0:
-                t = t + V0 * dV0
-            accel[a] = t
-        # horizontal projection
-        g0n = self.gj[0][0] * accel[0]
-        for b in range(1, 4):
-            g0n = g0n + self.gj[0][b] * accel[b]
-        corr = g0n / self.gj[0][0]
-        tv = [accel[a] - corr if a == 0 else accel[a] for a in range(4)]
-        flat = [sum((self.gj[a][b] * tv[b] for b in range(1, 4)),
-                    self.gj[a][0] * tv[0]) for a in range(4)]
-        return tv, flat
+    @cached_property
+    def vertical_trace(self):
+        """trace Bv = P(nabla_U U) as (value, derivative)."""
+        u, du = self.u
+        e0 = np.eye(4)[0]
+        # nabla_U U = V0^2 Gamma^a_00 + delta^a_0 V0 d_0 V0, and V0^2 = u
+        accel = (self.G[:, 0, 0] * u + 0.5 * du[0] * e0,
+                 self.dG[:, 0, 0] * u + np.outer(self.G[:, 0, 0], du)
+                 + 0.5 * np.outer(e0, self.ddu[0]))
+        return _d_einsum("ab,b->a", (self.P, self.dP), accel)
 
-    def horizontal_trace_form_jets(self):
-        """(trace of the horizontal second fundamental form)-flat, order-1 jets."""
-        # lift components: W_b^e = delta^e_b + delta^e_0 w_b
-        w = self.w
-        dw = [[w[b].deriv(e) for e in range(4)] for b in range(4)]
-        # co-metric of the horizontal distribution: g^ab minus the unit
-        # vertical square, which only touches the (0,0) slot
-        GH = [row[:] for row in self.ginv_j]
-        GH[0][0] = self.ginv_j[0][0] - self.gj[0][0].reciprocal()
-        s = jets.constant(0.0, 4)
-        for b in range(4):
-            for c in range(4):
-                # d-component of nabla_{W_b} W_c, contracted against the
-                # vertical co-vector g_{d0} V0; only d = 0 carries the
-                # derivative part of the lift
-                deriv_part = dw[c][b] + w[b] * dw[c][0]
-                gam = (self.gamma[0][b][c] + w[c] * self.gamma[0][b][0]
-                       + w[b] * self.gamma[0][0][c] + w[b] * w[c] * self.gamma[0][0][0])
-                contrib0 = (deriv_part + gam) * self.gj[0][0]
-                acc = contrib0
-                for dd in range(1, 4):
-                    gamd = (self.gamma[dd][b][c] + w[c] * self.gamma[dd][b][0]
-                            + w[b] * self.gamma[dd][0][c] + w[b] * w[c] * self.gamma[dd][0][0])
-                    acc = acc + gamd * self.gj[dd][0]
-                s = s + GH[b][c] * acc
-        # t^a = V-hat^a (V-hat_d t_pre^d) = delta^a_0 s / g_00
-        t0 = s / self.gj[0][0]
-        flat = [self.gj[a][0] * t0 for a in range(4)]
-        tvec = [t0 if a == 0 else jets.constant(0.0, 4) for a in range(4)]
-        return tvec, flat
+    @cached_property
+    def vertical_trace_flat(self):
+        """(trace Bv)-flat as (value, derivative)."""
+        return _d_einsum("ab,b->a", (self.gv, self.dg), self.vertical_trace)
 
-    def integrability_values(self):
-        """I(W_a, W_b) = -g(U, [W_a, W_b]) as a 4x4 antisymmetric float array."""
-        w = self.w
-        wv = np.array([x.value for x in w])
-        dwv = np.array([x.grad for x in w])         # dwv[b, e] = d_e w_b
-        I = np.zeros((4, 4))
-        # bracket of lifts only has a d_0 component: [W_a, W_b]^0
-        for a in range(4):
-            for b in range(4):
-                br0 = (dwv[b, a] + wv[a] * dwv[b, 0]
-                       - dwv[a, b] - wv[b] * dwv[a, 0])
-                # g(U, [.]) = V0 * g_{00} * br0 + V0 * sum_i g_{0i} * 0
-                I[a, b] = -self.V0.value * self.gv[0, 0] * br0
-        return I
+    @cached_property
+    def horizontal_trace_flat(self):
+        """(trace Bh)-flat as (value, derivative): the vertical part of
+        h^bc nabla_{W_b} W_c, h^bc being g^-1 less the unit vertical square."""
+        u, du = self.u
+        g0, dg0 = self.gv[0], self.dg[0]
+        # ddw[b,e,f] = d_f d_e w_b, from w_b = -g_0b u
+        ddw = (-self.ddg[0] * u - np.einsum("be,f->bef", dg0, du)
+               - np.einsum("bf,e->bef", dg0, du) - np.einsum("b,ef->bef", g0, self.ddu))
+        P = (self.P, self.dP)
+        # (nabla_{W_b} W_c)^d = Gamma^d_ef W_b^e W_c^f + delta^d_0 W_b(w_c)
+        nab, dnab = _d_einsum("def,eb,fc->dbc", (self.G, self.dG), P, P)
+        lift, dlift = _d_einsum("eb,ce->bc", P, (self.dw, ddw))
+        nab[0] += lift
+        dnab[0] += dlift
+        GH, dGH = self.ginv.copy(), self.dginv.copy()
+        GH[0, 0] -= u
+        dGH[0, 0] -= du
+        s = _d_einsum("bc,d,dbc->", (GH, dGH), (g0, dg0), (nab, dnab))
+        # t = U g(U, .) of the sum = d_0 s/g_00; lowered: g_a0 s/g_00
+        return _d_einsum("a,,->a", (g0, dg0), s, self.u)
 
-    def grad_log_lambda_jets(self):
-        """Coordinate components of grad log(lam) = -1/2 grad log(lam^-2), order-1."""
-        L = self.lam_j
-        dlog = [L.deriv(a) / L for a in range(4)]
-        out = []
-        for a in range(4):
-            acc = self.ginv_j[a][0] * dlog[0]
-            for b in range(1, 4):
-                acc = acc + self.ginv_j[a][b] * dlog[b]
-            out.append(-0.5 * acc)
-        return out
+    @cached_property
+    def grad_log_lambda(self):
+        """grad log lam = -1/2 g^-1 d log(lam^-2), as (value, derivative)."""
+        L, dL, ddL = self.lam_inv_sq, self.dlam_inv_sq, self.ddlam_inv_sq
+        dlog = (-0.5 * dL / L, -0.5 * (ddL / L - np.outer(dL, dL) / (L * L)))
+        return _d_einsum("ab,b->a", (self.ginv, self.dginv), dlog)
+
+    # -- integrability, frames, scale --------------------------------------------
+
+    @cached_property
+    def integrability(self):
+        """I(W_a, W_b) = -g(U, [W_a, W_b]) as a 4x4 antisymmetric array; the
+        bracket of two lifts is W_a(w_b) - W_b(w_a) along d_0."""
+        lift = np.einsum("ea,be->ab", self.P, self.dw)
+        return -self.V0 * self.gv[0, 0] * (lift - lift.T)
 
     def dH_log_lambda_values(self):
-        """Horizontal part of d log lam evaluated against the lifts (i = 1..3)."""
-        L = self.lam_j
-        dlog = -0.5 * L.grad / L.value
-        return np.array([dlog[i] + self.w[i].value * dlog[0] for i in range(1, 4)])
+        """Horizontal part of d log lam evaluated against the lifts W_1..W_3."""
+        return (-0.5 * self.dlam_inv_sq / self.lam_inv_sq) @ self.P[:, 1:]
+
+    @cached_property
+    def horizontal_frame(self):
+        """g-orthonormal horizontal frame X1, X2, X3 as rows, oriented so
+        (U, X1, X2, X3) is positive for the chart orientation."""
+        frame = []
+        for i in (1, 2, 3):
+            u = self.P[:, i].copy()
+            for f in frame:
+                u = u - (u @ self.gv @ f) * f
+            frame.append(u / np.sqrt(u @ self.gv @ u))
+        full = np.column_stack([self.V0 * np.eye(4)[0]] + frame)
+        if np.linalg.det(full) * self.fm.total_chart.orientation < 0:
+            frame[2] = -frame[2]
+        return np.array(frame)
+
+    @cached_property
+    def riemann_norm(self):
+        """Frame norm of the Riemann tensor, the scale residuals are normalized by."""
+        _, R_low, _, _ = geo.curvature_from_gamma(self.gv, self.ginv, self.G, self.dG,
+                                                  self.point)
+        return geo.tensor_norm(R_low, self.gv)
 
 
 # ---------------------------------------------------------------------------
-# public operations
+# public operations: thin (setup, point) wrappers over PointEval helpers
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -231,14 +236,16 @@ def dilation(setup, point, tol=H_CONFORMAL_TOL):
     anisotropy norm certifies horizontal conformality and must stay below
     ``tol``.  Also cross-checks the stored closed form of lam^-2.
     """
-    ctx = setup.ctx(point) if isinstance(setup, SubmersionSetup) else setup
+    return _dilation(setup.ctx(point), tol)
+
+
+def _dilation(ctx, tol=H_CONFORMAL_TOL):
     block = ctx.ginv[1:, 1:]
     lam_sq = float(np.einsum("ij,ij->", block, ctx.hv) / 3.0)
     dev = block - lam_sq * ctx.hinv
     anisotropy = float(np.sqrt(max(0.0, np.einsum("ij,kl,ik,jl->", dev, dev,
                                                   ctx.hv, ctx.hv)))) / max(lam_sq, 1e-30)
-    stored = ctx.lam_j.value
-    mismatch = abs(stored * lam_sq - 1.0)
+    mismatch = abs(ctx.lam_inv_sq * lam_sq - 1.0)
     if anisotropy > tol:
         raise NotHorizontallyConformalError(
             "projection is not horizontally conformal", point=ctx.point,
@@ -250,29 +257,26 @@ def second_fundamental_traces(setup, point):
     """Mean-curvature one-forms (vertical trace, horizontal trace), float
     coordinate components with the index lowered by g."""
     ctx = setup.ctx(point)
-    _, bv = ctx.vertical_trace_form_jets()
-    _, bh = ctx.horizontal_trace_form_jets()
-    return (np.array([j.value for j in bv]), np.array([j.value for j in bh]))
+    return ctx.vertical_trace_flat[0], ctx.horizontal_trace_flat[0]
 
 
 def integrability_form(setup, point):
     """Integrability two-form of the horizontal distribution, I(W_a, W_b)."""
-    return setup.ctx(point).integrability_values()
+    return setup.ctx(point).integrability
+
+
+def _lifted_dtheta(ctx):
+    """d theta evaluated on pairs of lifts W_1..W_3, a 3x3 array."""
+    dth = geo.form_values(geo.ext_d(ctx.fm.theta.jets(ctx.point), 4), 4, 2)
+    lifts = ctx.P[:, 1:]
+    return lifts.T @ dth @ lifts
 
 
 def integrability_consistency(setup, point):
     """|| I - lam * dtheta restricted to the lifts ||, a structural cross-check."""
     ctx = setup.ctx(point)
-    I = ctx.integrability_values()
-    th = ctx.fm.theta.jets(point)
-    dth = geo.form_values(geo.ext_d(th, 4), 4, 2)
-    lam = ctx.lam_j.value ** -0.5
-    resid = 0.0
-    for a in range(1, 4):
-        for b in range(1, 4):
-            Wa, Wb = ctx.lift_values(a), ctx.lift_values(b)
-            resid = max(resid, abs(I[a, b] - lam * (Wa @ dth @ Wb)))
-    return resid
+    lam = ctx.lam_inv_sq ** -0.5
+    return float(np.max(np.abs(ctx.integrability[1:, 1:] - lam * _lifted_dtheta(ctx))))
 
 
 def fundamental_eq_residual(setup, point):
@@ -282,55 +286,40 @@ def fundamental_eq_residual(setup, point):
     is a harmonic morphism onto (N, h).
     """
     ctx = setup.ctx(point)
-    dilation(setup, point)      # raises if the conformality certificate fails
+    _dilation(ctx)      # raises if the conformality certificate fails
     drop = _harmonicity_defect(ctx)
     return float(np.sqrt(max(0.0, drop @ ctx.hv @ drop)))
 
 
 def _harmonicity_defect(ctx):
     """dphi(trace Bv + grad log lam) in base coordinate components."""
-    tv, _ = ctx.vertical_trace_form_jets()
-    gl = ctx.grad_log_lambda_jets()
-    return np.array([tv[i].value + gl[i].value for i in range(1, 4)])
+    return (ctx.vertical_trace[0] + ctx.grad_log_lambda[0])[1:]
 
 
 def induced_lee_form(setup, point):
     """Lee form (trace Bv)-flat - *_H I of the induced partial connection,
     float coordinate components (a one-form annihilating the vertical)."""
     ctx = setup.ctx(point)
-    _, bv = ctx.vertical_trace_form_jets()
-    bv_vals = np.array([j.value for j in bv])
-    return bv_vals - _star_H_I(ctx)
+    return ctx.vertical_trace_flat[0] - _star_H_I(ctx)
 
 
 def _star_H_I(ctx):
     """*_{H,g} of the integrability form, as coordinate one-form components."""
-    I = ctx.integrability_values()
-    frame = ctx.horizontal_frame()
-    Itilde = np.zeros((3, 3))
-    for k in range(3):
-        for l in range(3):
-            Itilde[k, l] = frame[k] @ I @ frame[l]
-    eps3 = geo.levi_civita_symbol(3)
-    star = 0.5 * np.einsum("kl,klm->m", Itilde, eps3)
-    out = np.zeros(4)
-    for m in range(3):
-        out += star[m] * (ctx.gv @ frame[m])
-    return out
+    frame = ctx.horizontal_frame
+    Itilde = frame @ ctx.integrability @ frame.T
+    star = 0.5 * np.einsum("kl,klm->m", Itilde, geo.levi_civita_symbol(3))
+    return star @ frame @ ctx.gv
 
 
 def projected_lee_form(setup, point):
     """The Lee form in the gauge of the pulled-back base metric, paired with
     the horizontal lifts: (base components b_1..b_3, vertical contraction)."""
-    ctx = setup.ctx(point)
-    _, bv = ctx.vertical_trace_form_jets()
-    beta = np.array([j.value for j in bv])
-    dh_log = ctx.dH_log_lambda_values()
-    star_I = _star_H_I(ctx)
-    beta = beta - star_I
-    beta_lifted = np.array([beta @ ctx.lift_values(i) for i in (1, 2, 3)]) - dh_log
-    vert = float(abs(beta @ ctx.vertical_unit_values()))
-    return beta_lifted, vert
+    return _projected_lee(setup.ctx(point))
+
+
+def _projected_lee(ctx):
+    beta = ctx.vertical_trace_flat[0] - _star_H_I(ctx)
+    return beta @ ctx.P[:, 1:] - ctx.dH_log_lambda_values(), float(abs(beta[0] * ctx.V0))
 
 
 def _check_one_fibre(samples):
@@ -351,25 +340,25 @@ def twistorial_basic_residual(setup, samples):
     the maximal pairwise component spread plus the maximal vertical
     contraction; zero means the form is basic at sample resolution.
     """
-    samples = _check_one_fibre(samples)
-    comps, verts = [], []
-    for s in samples:
-        b, v = projected_lee_form(setup, s)
-        comps.append(b)
-        verts.append(v)
-    comps = np.array(comps)
+    return _basic_residual([setup.ctx(s) for s in _check_one_fibre(samples)])
+
+
+def _basic_residual(ctxs):
+    lee = [_projected_lee(c) for c in ctxs]
+    comps = np.array([b for b, _ in lee])
     spread = float(np.max(comps.max(axis=0) - comps.min(axis=0)))
-    return spread + float(max(verts))
+    return spread + float(max(v for _, v in lee))
 
 
 def twistorial_sd_residual(setup, point):
     """Norm of the anti-self-dual part of d(trace(Bv)-flat + 1/3 trace(Bh)-flat)."""
-    ctx = setup.ctx(point)
-    _, bv = ctx.vertical_trace_form_jets()
-    _, bh = ctx.horizontal_trace_form_jets()
-    sigma = [bv[a] + (1.0 / 3.0) * bh[a] for a in range(4)]
-    dsigma = geo.form_values(geo.ext_d(sigma, 4), 4, 2)
-    _, _, _, minus = geo.split_two_form(dsigma, ctx.gv, setup.orientation,
+    return _sd_residual(setup.ctx(point))
+
+
+def _sd_residual(ctx):
+    dS = ctx.vertical_trace_flat[1] + (1.0 / 3.0) * ctx.horizontal_trace_flat[1]
+    # dS[b, a] = d_a sigma_b, so (d sigma)_ab = dS[b, a] - dS[a, b]
+    _, _, _, minus = geo.split_two_form(dS.T - dS, ctx.gv, ctx.fm.total_chart.orientation,
                                         point=ctx.point)
     return minus
 
@@ -381,19 +370,10 @@ def monopole_eq_residual(setup, alpha, point):
     certifies that alpha is the Lee form making the projection twistorial.
     """
     ctx = setup.ctx(point)
-    L = ctx.lam_j
-    lhs = np.array([L.grad[i] + ctx.w[i].value * L.grad[0] for i in (1, 2, 3)])
+    lhs = ctx.dlam_inv_sq @ ctx.P[:, 1:]
     if alpha is not None:
-        av = alpha.values(ctx.base_point)
-        lhs = lhs - L.value * av
-    th = ctx.fm.theta.jets(point)
-    dth = geo.form_values(geo.ext_d(th, 4), 4, 2)
-    omega = np.zeros((3, 3))
-    for i in range(1, 4):
-        for j in range(1, 4):
-            omega[i - 1, j - 1] = ctx.lift_values(i) @ dth @ ctx.lift_values(j)
-    ori = ctx.fm.total_chart.orientation
-    rhs = geo.hodge_star(omega, ctx.hv, 2, ori)
+        lhs = lhs - ctx.lam_inv_sq * alpha.values(ctx.base_point)
+    rhs = geo.hodge_star(_lifted_dtheta(ctx), ctx.hv, 2, ctx.fm.total_chart.orientation)
     diff = lhs - rhs
     return float(np.sqrt(max(0.0, diff @ ctx.hinv @ diff)))
 
@@ -406,17 +386,12 @@ def pullback_sd_residual(setup, u, A, point):
     curvature.
     """
     ctx = setup.ctx(point)
-    fm = ctx.fm
     cj = jets.seed_all(point)
-    L = fm.dilation_sq_inv.fn(cj)
-    th = fm.theta.fn(cj)
+    L = ctx.fm.dilation_sq_inv.fn(cj)
     uv = u.fn(cj[1:])
-    Av = A.fn(cj[1:]) if A is not None else None
-    omega = [th[a] / L for a in range(4)]
-    tilde = [-1.0 * uv * omega[a] for a in range(4)]
-    if Av is not None:
-        for i in range(3):
-            tilde[i + 1] = tilde[i + 1] + Av[i]
+    tilde = [-1.0 * uv * (th / L) for th in ctx.fm.theta.fn(cj)]
+    if A is not None:
+        tilde[1:] = [t + a for t, a in zip(tilde[1:], A.fn(cj[1:]))]
     tilde = [t if isinstance(t, jets.Jet) else jets.constant(float(t), 4) for t in tilde]
     dA = geo.form_values(geo.ext_d(tilde, 4), 4, 2)
     _, _, _, minus = geo.split_two_form(dA, ctx.gv, setup.orientation, point=ctx.point)
@@ -462,21 +437,21 @@ def classify_type(setup, samples, pass_tol=1e-8, branch_tol=1e-6):
     ctxs = [setup.ctx(s) for s in samples]
 
     try:
-        for s in samples:
-            dilation(setup, s)
+        for c in ctxs:
+            _dilation(c)
     except NotHorizontallyConformalError as exc:
         evidence["anisotropy"] = exc.anisotropy
         return Classification("nonstandard", None, evidence)
 
-    sd_res = [twistorial_sd_residual(setup, s) for s in samples]
-    basic_res = twistorial_basic_residual(setup, samples)
+    sd_res = [_sd_residual(c) for c in ctxs]
+    basic_res = _basic_residual(ctxs)
     evidence["twistorial_sd"] = sd_res
     evidence["twistorial_basic"] = basic_res
 
     # The defect lowered by h and scaled by lam^-2: in that weighting it is
     # constant along fibres exactly when the metric is a basic conformal
     # rescale of a harmonic morphism, the gauge freedom to ignore here.
-    defect = np.array([(c.hv @ _harmonicity_defect(c)) * c.lam_j.value for c in ctxs])
+    defect = np.array([(c.hv @ _harmonicity_defect(c)) * c.lam_inv_sq for c in ctxs])
     defect_spread = float(np.max(defect.max(axis=0) - defect.min(axis=0))) \
         if len(defect) else 0.0
     evidence["harmonicity_defect_spread"] = defect_spread
@@ -487,12 +462,11 @@ def classify_type(setup, samples, pass_tol=1e-8, branch_tol=1e-6):
     if (max(sd_res) > 1e-7 or basic_res > gate_tol or defect_spread > gate_tol):
         return Classification("nonstandard", None, evidence)
 
-    lam_inv = np.array([c.lam_j.value for c in ctxs])
-    v1_jets = []
-    for c in ctxs:
-        Vcoef = jets.powc(c.lam_j, -0.5) * jets.powc(c.gj[0][0], -0.5)
-        v1_jets.append(Vcoef * c.lam_j.deriv(0))
-    v1 = np.array([j.value for j in v1_jets])
+    # V = lam^-1 V0 d_0; v1 = V(lam^-2)
+    lam_inv = np.array([c.lam_inv_sq for c in ctxs])
+    dlam_inv = np.array([c.dlam_inv_sq[0] for c in ctxs])
+    vcoef = np.array([c.lam_inv_sq ** -0.5 * c.V0 for c in ctxs])
+    v1 = vcoef * dlam_inv
     evidence["V_lam_inv_sq"] = list(map(float, v1))
     scale = 1.0 + float(np.max(np.abs(lam_inv)))
 
@@ -505,11 +479,11 @@ def classify_type(setup, samples, pass_tol=1e-8, branch_tol=1e-6):
     elif not np.all(v1 > 0):
         return Classification("nonstandard", None, evidence)
 
-    v2 = []
-    for c, j in zip(ctxs, v1_jets):
-        Vcoef = jets.powc(c.lam_j, -0.5) * jets.powc(c.gj[0][0], -0.5)
-        v2.append(flip * Vcoef.value * j.grad[0] / j.value)
-    v2 = np.array(v2)
+    # v2 = V(log v1) = V(v1) / v1
+    dvcoef = -0.5 * vcoef * (dlam_inv / lam_inv
+                             + np.array([c.dg[0, 0, 0] / c.gv[0, 0] for c in ctxs]))
+    ddlam_inv = np.array([c.ddlam_inv_sq[0, 0] for c in ctxs])
+    v2 = flip * vcoef * (dvcoef * dlam_inv + vcoef * ddlam_inv) / v1
     evidence["V_log_V_lam_inv_sq"] = list(map(float, v2))
     v2_spread = float(v2.max() - v2.min())
     a_mean = float(np.mean(v2))
@@ -526,7 +500,7 @@ def classify_type(setup, samples, pass_tol=1e-8, branch_tol=1e-6):
         return Classification("nonstandard", None, evidence)
 
     # nonconstant V(log V(lam^-2)): integrable horizontal distribution branch
-    integrability = max(float(np.max(np.abs(c.integrability_values()))) for c in ctxs)
+    integrability = max(float(np.max(np.abs(c.integrability))) for c in ctxs)
     evidence["integrability"] = integrability
     dh_log = np.array([c.dH_log_lambda_values() for c in ctxs])
     homothety_spread = float(np.max(dh_log.max(axis=0) - dh_log.min(axis=0)))

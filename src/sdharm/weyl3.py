@@ -49,10 +49,14 @@ def weyl_connection_coeffs(w: WeylStructure3, point):
     D = Levi-Civita + C with C^a_bc = delta^a_b alpha_c + delta^a_c alpha_b
     - h_bc alpha^a, which is linear in alpha and so differentiates in closed form.
     """
-    hv, dh, ddh = geo.metric_arrays(w.h.jets(point), point)
+    return _weyl_connection(geo.metric_arrays(w.h.jets(point), point), w.alpha.jets(point))
+
+
+def _weyl_connection(h_arrays, aj):
+    """(Gamma, dGamma) of D from the metric arrays (h, dh, ddh) and alpha's jets."""
+    hv, dh, ddh = h_arrays
     hinv, dhinv = geo.jet_matrix_inverse(hv, dh)
     G, dG = geo.christoffel_jets(hinv, dhinv, dh, ddh)
-    aj = w.alpha.jets(point)
     av = np.array([a.value for a in aj])
     da = np.array([a.grad for a in aj])                   # da[b,d] = d_d alpha_b
     a_up = hinv @ av
@@ -67,9 +71,10 @@ def weyl_connection_coeffs(w: WeylStructure3, point):
 
 def weyl_covariant_metric_residual(w: WeylStructure3, point):
     """Norm of D h + 2 alpha (x) h, the defining property of the connection."""
-    hv, dh, _ = geo.metric_arrays(w.h.jets(point), point)    # dh[a,b,c] = d_c h_ab
-    av = w.alpha.values(point)
-    G, _ = weyl_connection_coeffs(w, point)
+    hv, dh, ddh = geo.metric_arrays(w.h.jets(point), point)    # dh[a,b,c] = d_c h_ab
+    aj = w.alpha.jets(point)
+    G, _ = _weyl_connection((hv, dh, ddh), aj)
+    av = np.array([a.value for a in aj])
     Dh = (np.einsum("abc->cab", dh)
           - np.einsum("eca,eb->cab", G, hv)
           - np.einsum("ecb,ae->cab", G, hv))

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from sdharm import cli
+from sdharm import cli, morphism as mor
 
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
 
@@ -91,6 +92,29 @@ def test_verify_einstein_weyl_base_only(capsys):
     assert rep["summary"]["checks"]["einstein_weyl"]["max_raw"] > 1e-2
 
 
+def test_verify_shares_one_context_per_fibre_sample(capsys, tmp_path, monkeypatch):
+    built = []
+
+    class Counting(mor.PointEval):
+        def __init__(self, fm, point):
+            built.append(tuple(point))
+            super().__init__(fm, point)
+
+    monkeypatch.setattr(mor, "PointEval", Counting)
+    with open(scene_path("type4_berger_ew.json")) as fh:
+        scene = json.load(fh)
+    scene["samples"] = {"points": [[0.2, 1.2, 2.0, 3.0]]}
+    p = tmp_path / "one_point.json"
+    p.write_text(json.dumps(scene))
+    checks = "fundamental_eq,twistorial_basic,twistorial_sd,monopole,einstein_weyl,beltrami"
+    code, out = run_cli(["verify", str(p), "--checks", checks], capsys)
+    assert code == 0
+    assert len(json.loads(out)["records"][0]["checks"]) == 6
+    # the point itself and the two other samples of twistorial_basic's fibre
+    assert (0.2, 1.2, 2.0, 3.0) in built
+    assert len(built) == len(set(built)) <= 3
+
+
 def test_classify_three_families(capsys, tmp_path):
     for scene_name, expected in [("gibbons_hawking.json", "type1"),
                                  ("type2_warped.json", "type2_conformal"),
@@ -169,6 +193,30 @@ def test_sweep_type4_c_flat_curve(capsys, tmp_path):
     assert len(rows) == 4
     for row in rows:
         assert float(row.split(",")[1]) < 1e-8
+
+
+def test_sweep_records_bad_point_and_keeps_going(capsys, tmp_path):
+    with open(scene_path("berger_ew_sweep.json")) as fh:
+        scene = json.load(fh)
+    args = ["--param", "alpha.params.scale", "--range", "0.5:1.4", "--steps", "3",
+            "--checks", "einstein_weyl"]
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(scene))
+    _, expected = run_cli(["sweep", str(good)] + args, capsys)
+    scene["samples"]["points"].append([1.2, 2.0, 9.0])      # outside the Euler chart
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps(scene))
+    code, out = run_cli(["sweep", str(mixed)] + args, capsys)
+    assert code == 2
+    lines = out.splitlines()
+    errors = [l for l in lines if l.startswith("# domain_error,")]
+    # every good row is kept, with maxima over the good point alone
+    assert [l for l in lines if l not in errors] == expected.splitlines()
+    assert len(errors) == 3
+    for line, value in zip(errors, ("0.5", "0.95", "1.4")):
+        _, v, idx, point, message = next(csv.reader([line]))
+        assert (v, idx, point) == (value, "1", "1.2 2.0 9.0")
+        assert "outside chart domain" in message
 
 
 def test_sweep_zero_steps_usage_error(capsys):

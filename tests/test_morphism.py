@@ -365,3 +365,69 @@ def test_twistorial_basic_type3_specific_fibre_values(type3_setup):
     base = (0.4, -0.2, 0.6)
     samples = [(rho,) + base for rho in (0.5, 1.0, 2.0)]
     assert mor.twistorial_basic_residual(type3_setup, samples) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# trace forms against the finite-difference oracle
+# ---------------------------------------------------------------------------
+
+def _trace_form_pairs(ctx):
+    """(value, d) per trace form, d[a, e] = d_e of component a."""
+    return {"bv": ctx.vertical_trace_flat, "bh": ctx.horizontal_trace_flat,
+            "grad_log_lam": ctx.grad_log_lambda}
+
+
+def fd_setups():
+    berger = con.type4_metric(con.berger_s3(0.8), con.berger_lee(con.berger_ew_scale(0.8)),
+                              c=1.6)
+    return {"gibbons_hawking": catalog_setups()["type1"],
+            "type2": catalog_setups()["type2"],
+            "type4_berger": mor.SubmersionSetup(berger),
+            "type3_xdy": control_setups()["type3_xdy"]}
+
+
+def test_trace_form_derivatives_match_finite_differences():
+    # Central differences with step h = 1e-4 err by about h^2/6 times a third
+    # derivative plus eps/h (~1e-12) of roundoff; the worst case here is
+    # 1.2e-9 relative to 1 + |d|.  A bound of 1e-7 leaves a factor 80 and still
+    # catches any dropped product-rule term, which is O(1) wrong.
+    for name, setup in fd_setups().items():
+        for pt in pts(setup.fm.total_chart, 2, seed=19):
+            values = {}
+
+            def forms(p):
+                key = tuple(float(x) for x in p)
+                if key not in values:
+                    values[key] = {k: v for k, (v, _) in
+                                   _trace_form_pairs(setup.ctx(key)).items()}
+                return values[key]
+
+            for form, (_, d) in _trace_form_pairs(setup.ctx(pt)).items():
+                for a in range(4):
+                    fd = jets.fd_gradient(lambda p: forms(p)[form][a], pt)
+                    err = np.max(np.abs(d[a] - fd) / (1.0 + np.abs(d[a])))
+                    assert err < 1e-7, (name, form, a, err)
+
+
+def test_classify_builds_one_context_per_sample(type4_setup, monkeypatch):
+    built = []
+
+    class Counting(mor.PointEval):
+        def __init__(self, fm, point):
+            built.append(tuple(point))
+            super().__init__(fm, point)
+
+    monkeypatch.setattr(mor, "PointEval", Counting)
+    samples = mor.fibre_samples_about(type4_setup.fm, (0.2, 0.3, -0.4, 1.0), 4)
+    assert mor.classify_type(type4_setup, samples).label == "type4"
+    assert sorted(built) == sorted(samples)
+
+
+def test_contexts_shared_only_inside_sharing(type4_setup):
+    pt = (0.2, 0.3, -0.4, 1.0)
+    assert type4_setup.ctx(pt) is not type4_setup.ctx(pt)
+    with type4_setup.sharing():
+        first = type4_setup.ctx(pt)
+        with type4_setup.sharing():
+            assert type4_setup.ctx(np.array(pt)) is first
+    assert type4_setup.ctx(pt) is not first

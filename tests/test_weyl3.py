@@ -47,6 +47,15 @@ def test_weyl_connection_defining_property_random():
             assert weyl3.weyl_covariant_metric_residual(w, pt) < 1e-10
 
 
+def test_weyl_covariant_metric_residual_evaluates_metric_once(monkeypatch):
+    calls = []
+    real = geo.metric_jets
+    monkeypatch.setattr(geo, "metric_jets", lambda g, p: calls.append(p) or real(g, p))
+    w = weyl3.WeylStructure3(con.berger_s3(0.8), con.berger_lee(0.5))
+    assert weyl3.weyl_covariant_metric_residual(w, (1.2, 2.0, 3.0)) < 1e-10
+    assert len(calls) == 1
+
+
 def test_weyl_connection_correction_pattern_flat_dx():
     h = con.flat3()
     alpha = geo.OneFormField(h.chart, lambda c: [1.0 + 0.0 * c[0], 0.0 * c[0], 0.0 * c[0]],
