@@ -201,10 +201,10 @@ class PointEval:
         (U, X1, X2, X3) is positive for the chart orientation."""
         frame = []
         for i in (1, 2, 3):
-            u = self.P[:, i].copy()
+            v = self.P[:, i].copy()
             for f in frame:
-                u = u - (u @ self.gv @ f) * f
-            frame.append(u / np.sqrt(u @ self.gv @ u))
+                v = v - (v @ self.gv @ f) * f
+            frame.append(v / np.sqrt(v @ self.gv @ v))
         full = np.column_stack([self.V0 * np.eye(4)[0]] + frame)
         if np.linalg.det(full) * self.fm.total_chart.orientation < 0:
             frame[2] = -frame[2]
