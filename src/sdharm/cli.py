@@ -23,6 +23,7 @@ import math
 import os
 import re
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 from jsonschema import Draft202012Validator
@@ -30,7 +31,6 @@ from jsonschema import Draft202012Validator
 from . import __version__
 from . import constructions as con
 from . import geometry as geo
-from . import jets
 from . import morphism as mor
 from . import weyl3
 from .errors import DomainError, GeometryError
@@ -45,8 +45,6 @@ TOL_ENV_VAR = "SDHARM_TOL"
 
 REPORT_SCALARS = ("riemann", "ricci", "scalar_curv", "einstein",
                   "weyl", "w_plus", "w_minus")
-VERIFY_CHECKS = ("fundamental_eq", "twistorial_basic", "twistorial_sd", "monopole",
-                 "einstein_weyl", "beltrami", "pullback_sd", "closure")
 
 
 class UsageError(Exception):
@@ -162,14 +160,15 @@ def _resolve_ref(ref, default_name=None, default_params=None):
     return con.catalog(ref["name"], **ref.get("params", {}))
 
 
-def _scalar_on_total(ref, chart):
-    """Fibre-coordinate scalar fields used by type2/bryant constructions."""
+def _fibre_scalar(ref):
+    """A fibre-coordinate scalar of a type2/bryant construction.  Only its
+    ``fn`` enters the metric, so it carries no chart."""
     name = ref["name"]
     params = ref.get("params", {})
     if name == "fibre_exp":
-        return con.fibre_exp(**params)(chart)
+        return con.fibre_exp(**params)(None)
     if name == "fibre_power":
-        return con.fibre_power(**params)(chart)
+        return con.fibre_power(**params)(None)
     raise UsageError(f"unknown fibre scalar {name!r} (use fibre_exp or fibre_power)")
 
 
@@ -198,7 +197,7 @@ class ResolvedScene:
     def _build(self, spec):
         family = spec["family"]
         params = spec.get("params", {})
-        fr = tuple(spec.get("fibre_range", ())) or None
+        kwargs = {"fibre_range": tuple(spec["fibre_range"])} if "fibre_range" in spec else {}
         h = self.h
 
         def chart_matches(field):
@@ -211,38 +210,26 @@ class ResolvedScene:
         if family in ("type1", "jones_tod"):
             u = chart_matches(_resolve_ref(params.get("u"), "gh_potential"))
             A = chart_matches(_resolve_ref(params.get("A"), "dirac_A"))
-            kwargs = {} if fr is None else {"fibre_range": fr}
             self.fm = con.jones_tod_metric(h, u, A=A, **kwargs)
             self.family_u, self.family_A = u, A
         elif family == "type2":
-            kwargs = {} if fr is None else {"fibre_range": fr}
-            probe = con.type2_warped(h, geo.ScalarField(h.chart, lambda c: 1.0),
-                                     **kwargs)
-            f_ref = params.get("f", {"name": "fibre_exp", "params": {"rate": 2.0}})
-            f = _scalar_on_total(f_ref, probe.total_chart)
+            f = _fibre_scalar(params.get("f", {"name": "fibre_exp", "params": {"rate": 2.0}}))
             self.fm = con.type2_warped(h, f, **kwargs)
         elif family == "type3":
             A = chart_matches(_resolve_ref(params.get("A")))
-            kwargs = {} if fr is None else {"fibre_range": fr}
             self.fm = con.type3_metric(h, A, **kwargs)
-            self.family_alpha = None          # the induced Weyl connection is Levi-Civita
-            self.family_A = A
+            self.family_A = A     # no family_alpha: the induced Weyl connection is Levi-Civita
         elif family == "type4":
             alpha = chart_matches(_resolve_ref(params.get("alpha")))
             c = params.get("c", 1.0)
             if not isinstance(c, (int, float)):
                 raise UsageError("type4 parameter c must be a number in scenes")
-            kwargs = {} if fr is None else {"fibre_range": fr}
             self.fm = con.type4_metric(h, alpha, c=float(c), **kwargs)
             self.family_alpha = alpha
             self.family_c = float(c)
         elif family == "bryant":
             A = chart_matches(_resolve_ref(params.get("A")))
-            kwargs = {} if fr is None else {"fibre_range": fr}
-            probe = con.type3_metric(h, None, **({} if fr is None
-                                                 else {"fibre_range": fr}))
-            lam_ref = params.get("lam", {"name": "fibre_power", "params": {"p": -0.5}})
-            lam = _scalar_on_total(lam_ref, probe.total_chart)
+            lam = _fibre_scalar(params.get("lam", {"name": "fibre_power", "params": {"p": -0.5}}))
             self.fm = con.bryant_metric(h, lam, A, **kwargs)
             self.family_A = A
         else:                                  # pragma: no cover - schema guards
@@ -286,117 +273,115 @@ class ResolvedScene:
 # check evaluation
 # ---------------------------------------------------------------------------
 
-class _PointCache:
-    """Base curvature scales and the base Weyl structure, shared by all checks.
-    The total-space scale comes from the point's ``PointEval``."""
+class _SamplePoint:
+    """One sample point as the checks see it.  The base metric there is read
+    once, on first use, into (h, dh, ddh); h^-1, (Gamma, dGamma), the base
+    curvature scale, the Weyl connection and the Laplacian derive from it."""
 
-    def __init__(self, resolved):
-        self.r = resolved
-        self.base_scales = {}
-
-    def base_scale(self, base_point):
-        if base_point not in self.base_scales:
-            self.base_scales[base_point] = geo.curvature_report(
-                self.r.h, base_point).riemann_norm
-        return self.base_scales[base_point]
+    def __init__(self, resolved, setup, point):
+        self.r, self.setup, self.point = resolved, setup, point
+        self.base_point = tuple(point[1:]) if setup is not None else tuple(point)
 
     @functools.cached_property
-    def base_weyl(self):
-        return _base_weyl_structure(self.r)
+    def base(self):
+        """((h, dh, ddh), h^-1, Gamma, dGamma) at the base point."""
+        arrays = geo.metric_arrays(self.r.h.jets(self.base_point), self.base_point)
+        hv, dh, ddh = arrays
+        hinv, dhinv = geo.jet_matrix_inverse(hv, dh)
+        return (arrays, hinv) + geo.christoffel_jets(hinv, dhinv, dh, ddh)
+
+    @functools.cached_property
+    def base_riemann_norm(self):
+        (hv, _, _), hinv, G, dG = self.base
+        return geo.tensor_norm(geo.curvature_from_gamma(hv, hinv, G, dG, self.base_point)[1], hv)
+
+    def scale(self, space):
+        """Riemann norm of the total space (from the point's shared ``PointEval``)
+        or of the base."""
+        if space == "total":
+            return self.setup.ctx(self.point).riemann_norm
+        return self.base_riemann_norm
+
+    def einstein_weyl(self, alpha):
+        arrays = self.base[0]
+        connection = weyl3._weyl_connection(arrays, alpha.jets(self.base_point))
+        return weyl3._einstein_weyl(arrays[0], connection)
+
+    def laplacian(self, u):
+        _, hinv, G, _ = self.base
+        return geo.laplacian_from_gamma(hinv, G, u.jet(self.base_point))
 
 
-def _base_weyl_structure(resolved):
+def _lee_form(resolved):
+    """The Lee form of the base Weyl structure: the family's, the scene's, or zero."""
     alpha = resolved.family_alpha or resolved.alpha
     if alpha is None:
         alpha = geo.OneFormField(resolved.h.chart, lambda c: [0.0 * c[0]] * 3, "zero")
-    return weyl3.WeylStructure3(resolved.h, alpha)
+    return alpha
 
 
-def _monopole_u(resolved):
+def _pair(resolved, key):
+    """The monopole pair's ``u`` or ``A``: the scene's ``pair``, else the family's."""
     pair = resolved.scene.get("pair", {})
-    if "u" in pair:
-        return _resolve_ref(pair["u"])
-    return resolved.family_u
+    return _resolve_ref(pair[key]) if key in pair else getattr(resolved, f"family_{key}")
 
 
-def _monopole_A(resolved):
-    pair = resolved.scene.get("pair", {})
-    if "A" in pair:
-        return _resolve_ref(pair["A"])
-    return resolved.family_A
+def _potential(s, check):
+    u = _pair(s.r, "u")
+    if u is None:
+        raise UsageError(f"check {check!r} needs a potential "
+                         "(scene 'pair.u' or a type1 construction)")
+    return u
 
 
-def _scale(setup, point):
-    """Riemann norm of the total space, read from the point's shared evaluation."""
-    return setup.ctx(point).riemann_norm
+def _beltrami(s):
+    r = s.r
+    if r.family_c is not None:
+        c = geo.ScalarField(r.h.chart, lambda _c, v=r.family_c: v + 0.0 * _c[0])
+        w = weyl3.WeylStructure3(r.h, _lee_form(r))
+        return weyl3.generalized_beltrami_residual(w, c, s.base_point)
+    w = weyl3.WeylStructure3(r.h, r.family_A or _lee_form(r))
+    return weyl3.beltrami_residual(w, r.scene.get("beltrami_sign", -1), s.base_point)
 
 
-def _checks_at(point, checks, resolved, setup, cache):
+class Check(NamedTuple):
+    space: str           # "total": needs a fibration, scaled by its Riemann norm; or "base"
+    residual: Callable   # _SamplePoint -> raw residual
+
+
+# The verify checks; README.md describes each one.
+CHECKS = {
+    "fundamental_eq": Check("total", lambda s: mor.fundamental_eq_residual(s.setup, s.point)),
+    "twistorial_basic": Check("total", lambda s: mor.twistorial_basic_residual(
+        s.setup, mor.fibre_samples_about(s.r.fm, s.point, 3))),
+    "twistorial_sd": Check("total", lambda s: mor.twistorial_sd_residual(s.setup, s.point)),
+    "monopole": Check("total", lambda s: mor.monopole_eq_residual(
+        s.setup, s.r.family_alpha or s.r.alpha, s.point)),
+    "pullback_sd": Check("total", lambda s: mor.pullback_sd_residual(
+        s.setup, _potential(s, "pullback_sd"), _pair(s.r, "A"), s.point)),
+    "einstein_weyl": Check("base", lambda s: s.einstein_weyl(_lee_form(s.r))),
+    "beltrami": Check("base", _beltrami),
+    "closure": Check("base", lambda s: abs(s.laplacian(_potential(s, "closure")))),
+}
+
+
+def _require_checks(names, resolved):
+    unknown = [n for n in names if n not in CHECKS]
+    if unknown:
+        raise UsageError(f"unknown check {unknown[0]!r}; known: {', '.join(CHECKS)}")
+    for name in names:
+        if CHECKS[name].space == "total" and resolved.fm is None:
+            raise UsageError(f"check {name!r} needs a construction in the scene")
+
+
+def _checks_at(point, checks, resolved, setup):
     """{name: (raw, scale)} at one sample point.  All checks there share one
-    ``PointEval`` per distinct point, dropped when the point is done."""
+    ``PointEval`` per distinct point and one base evaluation, dropped when the
+    point is done."""
+    s = _SamplePoint(resolved, setup, point)
     with setup.sharing() if setup is not None else contextlib.nullcontext():
-        return {name: evaluate_check(name, resolved, setup, cache, point)
+        return {name: (CHECKS[name].residual(s), s.scale(CHECKS[name].space))
                 for name in checks}
-
-
-def evaluate_check(name, resolved, setup, cache, point):
-    """Return (raw, scale) for one named check at one sample point."""
-    fm = resolved.fm
-    if name in ("fundamental_eq", "twistorial_basic", "twistorial_sd", "monopole",
-                "pullback_sd") and fm is None:
-        raise UsageError(f"check {name!r} needs a construction in the scene")
-
-    if name == "fundamental_eq":
-        return mor.fundamental_eq_residual(setup, point), _scale(setup, point)
-    if name == "twistorial_basic":
-        samples = mor.fibre_samples_about(fm, point, 3)
-        return mor.twistorial_basic_residual(setup, samples), _scale(setup, point)
-    if name == "twistorial_sd":
-        return mor.twistorial_sd_residual(setup, point), _scale(setup, point)
-    if name == "monopole":
-        alpha = resolved.family_alpha or resolved.alpha
-        return mor.monopole_eq_residual(setup, alpha, point), _scale(setup, point)
-    if name == "pullback_sd":
-        u, A = _monopole_u(resolved), _monopole_A(resolved)
-        if u is None:
-            raise UsageError("check 'pullback_sd' needs a monopole pair "
-                             "(scene 'pair' or a type1 construction)")
-        return mor.pullback_sd_residual(setup, u, A, point), _scale(setup, point)
-
-    base_point = tuple(point[1:]) if fm is not None else tuple(point)
-    w = cache.base_weyl
-    h_scale = cache.base_scale(base_point)
-    if name == "einstein_weyl":
-        return weyl3.einstein_weyl_residual(w, base_point), h_scale
-    if name == "beltrami":
-        if resolved.family_c is not None:
-            c = geo.ScalarField(resolved.h.chart,
-                                lambda _c, v=resolved.family_c: v + 0.0 * _c[0])
-            return weyl3.generalized_beltrami_residual(w, c, base_point), h_scale
-        alpha = resolved.family_A if fm is not None and resolved.family_A is not None \
-            else None
-        if alpha is not None:
-            w = weyl3.WeylStructure3(resolved.h, alpha)
-        sign = resolved.scene.get("beltrami_sign", -1)
-        return weyl3.beltrami_residual(w, sign, base_point), h_scale
-    if name == "closure":
-        u = _monopole_u(resolved)
-        if u is None:
-            raise UsageError("check 'closure' needs a potential "
-                             "(scene 'pair.u' or a type1 construction)")
-        hfield = resolved.h
-
-        def F_fn(coords):
-            uj = u.fn(coords)
-            pt = [x.value if isinstance(x, jets.Jet) else float(x) for x in coords]
-            hv = hfield.values(pt)
-            grads = np.array([uj.deriv(a).value for a in range(3)])
-            Fv = geo.hodge_star(grads, hv, 1, hfield.chart.orientation)
-            return [[jets.constant(Fv[a][b], 3) for b in range(3)] for a in range(3)]
-
-        F = geo.TwoFormField(resolved.h.chart, F_fn, "star_du")
-        return weyl3.closure_residual(F, base_point, resolved.h), h_scale
-    raise UsageError(f"unknown check {name!r}; known: {', '.join(VERIFY_CHECKS)}")
 
 
 # ---------------------------------------------------------------------------
@@ -529,18 +514,14 @@ def cmd_verify(args):
         checks = scene.get("checks", [])
     if not checks:
         raise UsageError("no checks requested (scene 'checks' or --checks)")
-    for name in checks:
-        if name not in VERIFY_CHECKS:
-            raise UsageError(f"unknown check {name!r}; known: "
-                             f"{', '.join(VERIFY_CHECKS)}")
+    _require_checks(checks, resolved)
     points, seed = resolved.sample_points()
     setup = mor.SubmersionSetup(resolved.fm) if resolved.fm is not None else None
-    cache = _PointCache(resolved)
 
     def evaluator(point):
         return {name: _record_entry(raw, scale, resolved.tolerance_for(name))
                 for name, (raw, scale) in
-                _checks_at(point, checks, resolved, setup, cache).items()}
+                _checks_at(point, checks, resolved, setup).items()}
 
     report = build_report(resolved, points, seed, checks, evaluator)
     text = (canonical_json(report) + "\n" if args.format == "json"
@@ -636,13 +617,13 @@ def cmd_sweep(args):
         trial = copy.deepcopy(scene)
         _set_path(trial, args.param, value)
         resolved = ResolvedScene(validate_scene(trial))
+        _require_checks(checks, resolved)
         points, _ = resolved.sample_points()
         setup = mor.SubmersionSetup(resolved.fm) if resolved.fm is not None else None
-        cache = _PointCache(resolved)
         good = []
         for idx, p in enumerate(points):
             try:
-                good.append(_checks_at(p, checks, resolved, setup, cache))
+                good.append(_checks_at(p, checks, resolved, setup))
             except (DomainError, GeometryError) as exc:
                 errors.append((value, idx, p, str(exc)))
         return {name: max(abs(raw) / (1.0 + scale) for raw, scale in
@@ -686,9 +667,7 @@ def cmd_catalog(args):
         desc = con.catalog_describe(args.name)
     except KeyError as exc:
         raise UsageError(str(exc))
-    desc = dict(desc)
-    desc["validation"] = {k: float(v)
-                          for k, v in con.catalog_validate(args.name).items()}
+    desc = dict(desc, validation=con.catalog_validate(args.name))
     _emit(canonical_json(desc) + "\n", args.out)
     return EXIT_OK
 

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import geometry as geo
 from . import jets
+from . import weyl3 as w3
 from .errors import DomainError
 
 __all__ = [
@@ -506,25 +508,100 @@ def variable_c_background():
     return h, alpha, c_field
 
 
-# registry: name -> (factory, parameter schema, short formula text)
+def _flatness(h, params):
+    return {"riemann_norm": max(geo.curvature_report(h, p).riemann_norm
+                                for p in _probe(h.chart))}
+
+
+def _sectional_deviation(h, params):
+    return {"sectional_deviation": max(
+        abs(geo.sectional_curvature(h, p, (1.0, 0.2, -0.1), (0.3, -1.0, 0.5)) - params["k"])
+        for p in _probe(h.chart))}
+
+
+def _scalar_deviation(h, params):
+    mu = params.get("mu", 1.0)
+    return {"scalar_deviation": max(abs(geo.curvature_report(h, p).scalar - (8.0 - 2.0 * mu * mu))
+                                    for p in _probe(h.chart))}
+
+
+def _structure_equations(frame, params):
+    dev = 0.0
+    for p in _probe(frame[0].chart):
+        vals = [f.values(p) for f in frame]
+        for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
+            d = geo.exterior_derivative(frame[i], p)
+            target = 2.0 * (np.outer(vals[j], vals[k]) - np.outer(vals[k], vals[j]))
+            dev = max(dev, float(np.max(np.abs(d - target))))
+    return {"structure_equation_deviation": dev}
+
+
+def _beltrami_eigenform(alpha, params):
+    w = w3.WeylStructure3(flat3(), alpha)
+    return {"beltrami_residual": max(w3.beltrami_residual(w, -params["sign"], p)
+                                     for p in _probe(alpha.chart))}
+
+
+def _not_beltrami(alpha, params):
+    w = w3.WeylStructure3(flat3(), alpha)
+    return {"min_beltrami_residual": min(w3.beltrami_residual(w, s, (0.4, 0.2, -0.3))
+                                         for s in (1, -1))}
+
+
+def _curl_deviation(alpha, params):
+    dev = 0.0
+    for p in _probe(alpha.chart):
+        s1, s2, _ = (np.array(s) for s in _euler_sigma(p))
+        target = 2.0 * params["scale"] * (np.outer(s1, s2) - np.outer(s2, s1))
+        dev = max(dev, float(np.max(np.abs(geo.exterior_derivative(alpha, p) - target))))
+    return {"curl_deviation": dev}
+
+
+def _harmonic(u, params):
+    h = flat3_spherical()
+    return {"laplacian": max(abs(geo.laplacian(u, h, p)) for p in _probe(u.chart))}
+
+
+def _dirac_monopole(form, params):
+    A, u, h = dirac_A(params["m"], params["sign"]), gh_potential(params["m"]), flat3_spherical()
+    return {"monopole_deviation": max(
+        float(np.max(np.abs(geo.exterior_derivative(A, p)
+                            - geo.hodge_star(u.jet(p).grad, h.values(p), 1))))
+        for p in _probe(A.chart))}
+
+
+class CatalogEntry(NamedTuple):
+    factory: Callable
+    params: dict                  # parameter names with their defaults
+    formula: str
+    validate: Callable            # (object, params) -> {residual name: float}
+
+
 CATALOG = {
-    "flat3": (lambda: flat3(), {}, "delta_ij on a Cartesian 3-chart"),
-    "flat3_spherical": (lambda: flat3_spherical(), {},
-                        "dr^2 + r^2 dth^2 + r^2 sin^2(th) dph^2"),
-    "constant_curvature3": (constant_curvature3, {"k": 1.0},
-                            "(1 + (k/4)|x|^2)^-2 delta; sectional curvature k"),
-    "round_s3_euler": (lambda: round_s3_euler(), {},
-                       "s1^2 + s2^2 + s3^2 in Euler angles"),
-    "berger_s3": (berger_s3, {"mu": 0.8}, "s1^2 + s2^2 + mu^2 s3^2"),
-    "euler_s3_frame": (lambda: euler_s3_frame(), {},
-                       "left-invariant coframe with d s_i = 2 s_j ^ s_k"),
-    "trkalian": (trkalian, {"sign": 1},
-                 "cos z dx + sign sin z dy; d alpha = -sign * alpha"),
-    "xdy": (lambda: xdy(), {}, "x dy (non-Beltrami control)"),
-    "berger_lee": (berger_lee, {"scale": 0.96}, "scale * s3"),
-    "gh_potential": (gh_potential, {"m": 1.0}, "1 + m/(2r), harmonic off the centre"),
-    "dirac_A": (dirac_A, {"m": 1.0, "sign": 1}, "(m/2)(cos th - sign) dph; dA = *du"),
-    "dirac_theta": (dirac_theta, {"m": 1.0, "sign": 1}, "dtau + (m/2)(cos th - sign) dph"),
+    "flat3": CatalogEntry(flat3, {}, "delta_ij on a Cartesian 3-chart", _flatness),
+    "flat3_spherical": CatalogEntry(flat3_spherical, {},
+                                    "dr^2 + r^2 dth^2 + r^2 sin^2(th) dph^2", _flatness),
+    "constant_curvature3": CatalogEntry(constant_curvature3, {"k": 1.0},
+                                        "(1 + (k/4)|x|^2)^-2 delta; sectional curvature k",
+                                        _sectional_deviation),
+    "round_s3_euler": CatalogEntry(round_s3_euler, {}, "s1^2 + s2^2 + s3^2 in Euler angles",
+                                   _scalar_deviation),
+    "berger_s3": CatalogEntry(berger_s3, {"mu": 0.8}, "s1^2 + s2^2 + mu^2 s3^2",
+                              _scalar_deviation),
+    "euler_s3_frame": CatalogEntry(euler_s3_frame, {},
+                                   "left-invariant coframe with d s_i = 2 s_j ^ s_k",
+                                   _structure_equations),
+    "trkalian": CatalogEntry(trkalian, {"sign": 1},
+                             "cos z dx + sign sin z dy; d alpha = -sign * alpha",
+                             _beltrami_eigenform),
+    "xdy": CatalogEntry(xdy, {}, "x dy (non-Beltrami control)", _not_beltrami),
+    "berger_lee": CatalogEntry(berger_lee, {"scale": 0.96}, "scale * s3", _curl_deviation),
+    "gh_potential": CatalogEntry(gh_potential, {"m": 1.0},
+                                 "1 + m/(2r), harmonic off the centre", _harmonic),
+    "dirac_A": CatalogEntry(dirac_A, {"m": 1.0, "sign": 1},
+                            "(m/2)(cos th - sign) dph; dA = *du", _dirac_monopole),
+    "dirac_theta": CatalogEntry(dirac_theta, {"m": 1.0, "sign": 1},
+                                "dtau + (m/2)(cos th - sign) dph", _dirac_monopole),
 }
 
 
@@ -535,109 +612,24 @@ def catalog_names():
 def catalog(name, **params):
     if name not in CATALOG:
         raise KeyError(f"unknown catalog entry {name!r}; known: {', '.join(catalog_names())}")
-    factory, schema, _ = CATALOG[name]
-    unknown = set(params) - set(schema)
+    entry = CATALOG[name]
+    unknown = set(params) - set(entry.params)
     if unknown:
         raise DomainError(f"catalog entry {name!r} does not take parameters {sorted(unknown)}")
-    merged = dict(schema, **params)
-    return factory(**merged) if merged else factory()
+    return entry.factory(**dict(entry.params, **params))
 
 
 def catalog_describe(name):
     if name not in CATALOG:
         raise KeyError(f"unknown catalog entry {name!r}")
-    _, schema, formula = CATALOG[name]
-    return {"name": name, "params": schema, "formula": formula}
+    entry = CATALOG[name]
+    return {"name": name, "params": entry.params, "formula": entry.formula}
 
 
 def catalog_validate(name, **params):
     """Run the entry's own defining check and return named residuals."""
-    from . import weyl3 as w3
     obj = catalog(name, **params)
-    merged = dict(CATALOG[name][1], **params)
-
-    if name in ("flat3", "flat3_spherical"):
-        pts = _probe(obj.chart)
-        return {"riemann_norm": max(geo.curvature_report(obj, p).riemann_norm
-                                    for p in pts)}
-    if name == "constant_curvature3":
-        k = merged["k"]
-        pts = _probe(obj.chart)
-        dev = 0.0
-        for p in pts:
-            K = geo.sectional_curvature(obj, p, (1.0, 0.2, -0.1), (0.3, -1.0, 0.5))
-            dev = max(dev, abs(K - k))
-        return {"sectional_deviation": dev}
-    if name in ("round_s3_euler", "berger_s3"):
-        mu = merged.get("mu", 1.0)
-        expected = 8.0 - 2.0 * mu * mu
-        pts = _probe(obj.chart)
-        return {"scalar_deviation": max(abs(geo.curvature_report(obj, p).scalar - expected)
-                                        for p in pts)}
-    if name == "euler_s3_frame":
-        s1, s2, s3 = obj
-        dev = 0.0
-        for p in _probe(s1.chart):
-            vals = [f.values(p) for f in (s1, s2, s3)]
-            for (i, j, k) in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-                d = geo.exterior_derivative((s1, s2, s3)[i], p)
-                target = 2.0 * (np.outer(vals[j], vals[k]) - np.outer(vals[k], vals[j]))
-                dev = max(dev, float(np.max(np.abs(d - target))))
-        return {"structure_equation_deviation": dev}
-    if name == "trkalian":
-        sign = merged["sign"]
-        w = w3.WeylStructure3(flat3(), obj)
-        pts = _probe(obj.chart)
-        return {"beltrami_residual": max(w3.beltrami_residual(w, -sign, p) for p in pts)}
-    if name == "xdy":
-        w = w3.WeylStructure3(flat3(), obj)
-        p = (0.4, 0.2, -0.3)
-        return {"min_beltrami_residual": min(w3.beltrami_residual(w, s, p) for s in (1, -1))}
-    if name == "berger_lee":
-        scale = merged["scale"]
-        dev = 0.0
-        for p in _probe(obj.chart):
-            d = geo.exterior_derivative(obj, p)
-            s1, s2, _ = _euler_sigma([float(x) for x in p])
-            v1 = np.array([x.value if isinstance(x, jets.Jet) else x for x in s1])
-            v2 = np.array([x.value if isinstance(x, jets.Jet) else x for x in s2])
-            target = 2.0 * scale * (np.outer(v1, v2) - np.outer(v2, v1))
-            dev = max(dev, float(np.max(np.abs(d - target))))
-        return {"curl_deviation": dev}
-    if name == "gh_potential":
-        h = flat3_spherical()
-        dev = 0.0
-        for p in _probe(obj.chart):
-            uj = obj.jet(p)
-            hv = h.values(p)
-            hinv = np.linalg.inv(hv)
-            hj = h.jets(p)
-            dh = np.array([[[hj[a][b].grad[c] for c in range(3)] for b in range(3)]
-                           for a in range(3)])
-            dhinv = -np.einsum("ae,efc,fb->abc", hinv, dh, hinv)
-            det = np.linalg.det(hv)
-            ddet = det * np.einsum("ab,abc->c", hinv, dh)
-            lap = 0.0
-            for a in range(3):
-                for b in range(3):
-                    lap += hinv[a, b] * uj.hess[a, b]
-                    lap += dhinv[a, b, a] * uj.grad[b]
-                    lap += 0.5 * hinv[a, b] * (ddet[a] / det) * uj.grad[b]
-            dev = max(dev, abs(lap))
-        return {"laplacian": dev}
-    if name in ("dirac_A", "dirac_theta"):
-        m = merged["m"]
-        sign = merged["sign"]
-        A = dirac_A(m, sign)
-        u = gh_potential(m)
-        h = flat3_spherical()
-        dev = 0.0
-        for p in _probe(A.chart):
-            dA = geo.exterior_derivative(A, p)
-            star_du = geo.hodge_star(u.jet(p).grad, h.values(p), 1)
-            dev = max(dev, float(np.max(np.abs(dA - star_du))))
-        return {"monopole_deviation": dev}
-    return {}
+    return CATALOG[name].validate(obj, dict(CATALOG[name].params, **params))
 
 
 def _probe(chart, n=3):

@@ -35,6 +35,8 @@ __all__ = [
     "jet_matrix_inverse",
     "christoffel_jets",
     "curvature_from_gamma",
+    "laplacian",
+    "laplacian_from_gamma",
     "christoffel",
     "riemann",
     "weyl",
@@ -294,6 +296,18 @@ def curvature_from_gamma(gv, ginv, G, dG, point=None):
     ric = np.einsum("abad->bd", R_up)
     scal = float(np.einsum("bd,bd->", ginv, ric))
     return R_up, R_low, ric, scal
+
+
+def laplacian(u, h, point):
+    """Laplace-Beltrami operator of a scalar field u on the metric h at the point."""
+    hv, dh, ddh = metric_arrays(h.jets(point), point)
+    hinv, dhinv = jet_matrix_inverse(hv, dh)
+    return laplacian_from_gamma(hinv, christoffel_jets(hinv, dhinv, dh, ddh)[0], u.jet(point))
+
+
+def laplacian_from_gamma(ginv, G, uj):
+    """Delta u = g^ab (d_a d_b u - Gamma^c_ab d_c u) from g^-1, Gamma and u's jet."""
+    return float(np.einsum("ab,ab->", ginv, uj.hess - np.einsum("cab,c->ab", G, uj.grad)))
 
 
 def christoffel(g, point):

@@ -84,11 +84,14 @@ def weyl_covariant_metric_residual(w: WeylStructure3, point):
 
 def einstein_weyl_residual(w: WeylStructure3, point):
     """Norm of the trace-free symmetrized Ricci tensor of D at the point."""
-    ric = np.einsum("abad->bd", geo.riemann_from_gamma(*weyl_connection_coeffs(w, point)))
+    return _einstein_weyl(w.h.values(point), weyl_connection_coeffs(w, point))
+
+
+def _einstein_weyl(hv, connection):
+    """The Einstein-Weyl residual from h and D's (Gamma, dGamma)."""
+    ric = np.einsum("abad->bd", geo.riemann_from_gamma(*connection))
     sym = 0.5 * (ric + ric.T)
-    hv = w.h.values(point)
-    hinv = np.linalg.inv(hv)
-    tracefree = sym - (np.einsum("ab,ab->", hinv, sym) / 3.0) * hv
+    tracefree = sym - (np.einsum("ab,ab->", np.linalg.inv(hv), sym) / 3.0) * hv
     return geo.tensor_norm(tracefree, hv)
 
 

@@ -1,14 +1,16 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from sdharm import cli, morphism as mor
+from sdharm import cli, constructions as con, geometry as geo, morphism as mor
 
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 
 def scene_path(name):
@@ -113,6 +115,52 @@ def test_verify_shares_one_context_per_fibre_sample(capsys, tmp_path, monkeypatc
     # the point itself and the two other samples of twistorial_basic's fibre
     assert (0.2, 1.2, 2.0, 3.0) in built
     assert len(built) == len(set(built)) <= 3
+
+
+def test_verify_evaluates_the_base_metric_once_per_point(capsys, monkeypatch):
+    calls = []
+    real = geo.metric_jets
+    monkeypatch.setattr(geo, "metric_jets", lambda g, p: calls.append(p) or real(g, p))
+    code, out = run_cli(["verify", scene_path("berger_ew_sweep.json"),
+                         "--checks", "einstein_weyl"], capsys)
+    assert code == 1
+    assert len(json.loads(out)["records"]) == 1
+    assert len(calls) == 1
+
+
+def test_verify_closure_reports_the_laplacian(capsys, tmp_path, monkeypatch):
+    """closure is |d*du| = |Delta u|: 6 for u = r^2, zero for the harmonic
+    Gibbons-Hawking potential."""
+    real = cli._resolve_ref
+
+    def resolve(ref, *defaults):
+        if ref is not None and ref["name"] == "r_squared":
+            return geo.ScalarField(con.flat3_spherical().chart, lambda c: c[0] * c[0])
+        return real(ref, *defaults)
+
+    monkeypatch.setattr(cli, "_resolve_ref", resolve)
+    scene = {"schema": 1, "base": {"name": "flat3_spherical"},
+             "pair": {"u": {"name": "r_squared"}},
+             "samples": {"points": [[0.7, 1.2, 2.0], [3.5, 2.5, 5.0]]}}
+    p = tmp_path / "r_squared.json"
+    p.write_text(json.dumps(scene))
+    code, out = run_cli(["verify", str(p), "--checks", "closure"], capsys)
+    assert code == 1
+    for rec in json.loads(out)["records"]:
+        assert rec["checks"]["closure"]["raw"] == pytest.approx(6.0, abs=1e-12)
+    code, out = run_cli(["verify", scene_path("gibbons_hawking.json"),
+                         "--checks", "closure"], capsys)
+    assert code == 0
+    assert json.loads(out)["summary"]["checks"]["closure"]["max_raw"] < 1e-13
+
+
+def test_readme_describes_every_verify_check():
+    with open(README) as fh:
+        lines = re.findall(r"^- `(\w+)`: .+ Scaled by the (total space|base)\.$",
+                           fh.read(), re.M)
+    assert len(lines) == len(cli.CHECKS)
+    assert dict(lines) == {name: "total space" if check.space == "total" else "base"
+                           for name, check in cli.CHECKS.items()}
 
 
 def test_classify_three_families(capsys, tmp_path):
@@ -245,6 +293,31 @@ def test_catalog_list_and_describe(capsys):
     assert desc["validation"]["beltrami_residual"] < 1e-10
     code, _ = run_cli(["catalog", "describe", "bogus"], capsys)
     assert code == 64
+
+
+CATALOG_VALIDATION = {
+    "berger_lee": "curl_deviation", "berger_s3": "scalar_deviation",
+    "constant_curvature3": "sectional_deviation", "dirac_A": "monopole_deviation",
+    "dirac_theta": "monopole_deviation",
+    "euler_s3_frame": "structure_equation_deviation", "flat3": "riemann_norm",
+    "flat3_spherical": "riemann_norm", "gh_potential": "laplacian",
+    "round_s3_euler": "scalar_deviation", "trkalian": "beltrami_residual",
+    "xdy": "min_beltrami_residual",
+}
+
+
+@pytest.mark.parametrize("name", con.catalog_names())
+def test_catalog_describe_validates_every_entry(name, capsys):
+    code, out = run_cli(["catalog", "describe", name], capsys)
+    assert code == 0
+    validation = json.loads(out)["validation"]
+    assert list(validation) == [CATALOG_VALIDATION[name]]
+    for key, value in validation.items():
+        assert type(value) is float
+        if key == "min_beltrami_residual":       # x dy is the non-Beltrami control
+            assert value > 0.5
+        else:
+            assert value < 1e-12
 
 
 def test_malformed_scene_reports_pointer(tmp_path, capsys):

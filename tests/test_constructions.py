@@ -86,6 +86,7 @@ def test_gh_potential_harmonic():
                 lap += dhinv[a, b, a] * grad_u[b]
                 lap += 0.5 * hinv[a, b] * (ddet[a] / det) * grad_u[b]
         assert abs(lap) < 1e-9
+        assert geo.laplacian(u, h, pt) == pytest.approx(lap, abs=1e-15)
 
 
 def test_dirac_A_satisfies_monopole_closed_form():

@@ -311,6 +311,20 @@ def test_d_squared_zero_scalar_and_one_form():
 # conformal rescaling
 # ---------------------------------------------------------------------------
 
+def test_laplacian_closed_forms():
+    # Delta r^2 = 6 on flat space; coordinate functions of R^4 restricted to the
+    # unit round S^3 have Delta f = -3 f.
+    flat = con.flat3_spherical()
+    r2 = geo.ScalarField(flat.chart, lambda c: c[0] * c[0])
+    s3 = con.round_s3_euler()
+    f = geo.ScalarField(s3.chart, lambda c: jets.cos(0.5 * c[0]) * jets.cos(0.5 * (c[1] + c[2])))
+    for seed in range(3):
+        p = tuple(np.random.default_rng(seed).uniform(flat.chart.lo, flat.chart.hi))
+        assert geo.laplacian(r2, flat, p) == pytest.approx(6.0, abs=1e-12)
+        q = tuple(np.random.default_rng(seed).uniform(s3.chart.lo, s3.chart.hi))
+        assert geo.laplacian(f, s3, q) == pytest.approx(-3.0 * f.value(q), abs=1e-12)
+
+
 def test_conformal_rescale_identity():
     g = flat(chart3())
     one = geo.ScalarField(chart3(), lambda c: 1.0 + 0.0 * c[0])
