@@ -15,7 +15,6 @@ import argparse
 import contextlib
 import copy
 import csv
-import functools
 import hashlib
 import io
 import json
@@ -130,13 +129,19 @@ def load_scene(path):
     return validate_scene(scene)
 
 
-def validate_scene(scene):
-    errors = sorted(Draft202012Validator(SCENE_SCHEMA).iter_errors(scene),
+def validate_scene(scene, section=None):
+    """Raise a UsageError at the first schema violation.  ``section`` checks only
+    that top-level section; as only ``required``/``additionalProperties`` tie
+    sections together, the verdict and message are those of the whole scene."""
+    schema, instance, prefix = SCENE_SCHEMA, scene, []
+    if section is not None:
+        schema, instance, prefix = SCENE_SCHEMA["properties"][section], scene[section], [section]
+    errors = sorted(Draft202012Validator(schema).iter_errors(instance),
                     key=lambda e: list(e.absolute_path))
     if errors:
         e = errors[0]
-        pointer = "/" + "/".join(str(p) for p in e.absolute_path)
-        raise UsageError(f"scene invalid at {pointer or '/'}: {e.message}")
+        pointer = "/" + "/".join(str(p) for p in prefix + list(e.absolute_path))
+        raise UsageError(f"scene invalid at {pointer}: {e.message}")
     return scene
 
 
@@ -152,85 +157,122 @@ def scene_hash(scene):
 # scene resolution
 # ---------------------------------------------------------------------------
 
-def _resolve_ref(ref, default_name=None, default_params=None):
+def _resolve_ref(ref, default_name=None):
     if ref is None:
         if default_name is None:
             return None
-        return con.catalog(default_name, **(default_params or {}))
-    return con.catalog(ref["name"], **ref.get("params", {}))
+        ref = {"name": default_name}
+    try:
+        return con.catalog(ref["name"], **ref.get("params", {}))
+    except KeyError as exc:                   # an unknown entry name
+        raise UsageError(exc.args[0])
 
 
 def _fibre_scalar(ref):
     """A fibre-coordinate scalar of a type2/bryant construction.  Only its
     ``fn`` enters the metric, so it carries no chart."""
-    name = ref["name"]
-    params = ref.get("params", {})
-    if name == "fibre_exp":
-        return con.fibre_exp(**params)(None)
-    if name == "fibre_power":
-        return con.fibre_power(**params)(None)
-    raise UsageError(f"unknown fibre scalar {name!r} (use fibre_exp or fibre_power)")
+    factory = {"fibre_exp": con.fibre_exp, "fibre_power": con.fibre_power}.get(ref["name"])
+    if factory is None:
+        raise UsageError(f"unknown fibre scalar {ref['name']!r} (use fibre_exp or fibre_power)")
+    return factory(**ref.get("params", {}))(None)
+
+
+class Run:
+    """The state of one command, dropped when the command returns: what a sweep
+    step leaves unchanged (catalog refs, sample points, the base metric at each
+    base point) is built once, and ``each`` is every command's per-point loop."""
+
+    def __init__(self):
+        self._built = {}
+
+    def once(self, key, build):
+        """build(), called only the first time the run meets ``key``."""
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    def resolve(self, ref, *defaults):
+        """The catalog entry; an unchanged ref (same canonical JSON) is the same object."""
+        return self.once(("ref", json.dumps([ref, *defaults], sort_keys=True)),
+                         lambda: _resolve_ref(ref, *defaults))
+
+    @staticmethod
+    def each(points, fn):
+        """(results, domain_errors): fn at each point, None where it raised a
+        domain error, which is recorded as {index, point, error}."""
+        results, errors = [None] * len(points), []
+        for idx, point in enumerate(points):
+            try:
+                results[idx] = fn(point)
+            except (DomainError, GeometryError) as exc:
+                errors.append({"index": idx, "point": list(point), "error": str(exc)})
+        return results, errors
 
 
 class ResolvedScene:
-    def __init__(self, scene):
+    fm = family_alpha = family_c = family_u = family_A = None
+
+    def __init__(self, scene, run=None):
         self.scene = scene
+        self.run = run or Run()
         self.orientation = scene.get("orientation", 1)
         base_ref = scene.get("base", {"name": "flat3"})
-        self.h = _resolve_ref(base_ref)
+        self.h = self.run.resolve(base_ref)
         if not isinstance(self.h, geo.MetricField):
             raise UsageError(f"base entry {base_ref['name']!r} is not a 3-metric")
-        self.alpha = _resolve_ref(scene.get("alpha"))
-        self.fm = None
-        self.family_alpha = None
-        self.family_c = None
-        self.family_u = None
-        self.family_A = None
+        self.alpha = self.run.resolve(scene.get("alpha"))
         if "construction" in scene:
             self._build(scene["construction"])
+        pair = scene.get("pair", {})          # the monopole pair, else the family's
+        self.pair_u, self.pair_A = (self._on_base_chart(self.run.resolve(pair[k])) if k in pair
+                                    else getattr(self, f"family_{k}") for k in "uA")
         if self.orientation == -1:
             if self.fm is not None:
                 self.fm = self.fm.with_orientation(-1)
             else:
                 self.h = geo.MetricField(self.h.chart.flipped(), self.h.fn, self.h.name)
+        # the Lee form of the base Weyl structure: the family's, the scene's, or zero
+        self.lee_form = self.family_alpha or self.alpha or geo.OneFormField(
+            self.h.chart, lambda c: [0.0 * c[0]] * 3, "zero")
+
+    def _on_base_chart(self, field):
+        if field is not None and field.chart.names != self.h.chart.names:
+            raise UsageError(f"catalog entry {field.name!r} lives on chart {field.chart.names},"
+                             f" but the base chart is {self.h.chart.names}")
+        return field
 
     def _build(self, spec):
         family = spec["family"]
         params = spec.get("params", {})
         kwargs = {"fibre_range": tuple(spec["fibre_range"])} if "fibre_range" in spec else {}
-        h = self.h
 
-        def chart_matches(field):
-            if field is not None and field.chart.names != h.chart.names:
-                raise UsageError(
-                    f"catalog entry {field.name!r} lives on chart {field.chart.names}, "
-                    f"but the base chart is {h.chart.names}")
-            return field
+        def ref(key, *defaults):
+            return self._on_base_chart(self.run.resolve(params.get(key), *defaults))
 
         if family in ("type1", "jones_tod"):
-            u = chart_matches(_resolve_ref(params.get("u"), "gh_potential"))
-            A = chart_matches(_resolve_ref(params.get("A"), "dirac_A"))
-            self.fm = con.jones_tod_metric(h, u, A=A, **kwargs)
+            u = ref("u", "gh_potential")
+            A = ref("A", "dirac_A")
+            self.fm = con.jones_tod_metric(self.h, u, A=A, **kwargs)
             self.family_u, self.family_A = u, A
         elif family == "type2":
             f = _fibre_scalar(params.get("f", {"name": "fibre_exp", "params": {"rate": 2.0}}))
-            self.fm = con.type2_warped(h, f, **kwargs)
+            self.fm = con.type2_warped(self.h, f, **kwargs)
         elif family == "type3":
-            A = chart_matches(_resolve_ref(params.get("A")))
-            self.fm = con.type3_metric(h, A, **kwargs)
+            A = ref("A")
+            self.fm = con.type3_metric(self.h, A, **kwargs)
             self.family_A = A     # no family_alpha: the induced Weyl connection is Levi-Civita
         elif family == "type4":
-            alpha = chart_matches(_resolve_ref(params.get("alpha")))
+            alpha = ref("alpha")
             c = params.get("c", 1.0)
             if not isinstance(c, (int, float)):
                 raise UsageError("type4 parameter c must be a number in scenes")
-            self.fm = con.type4_metric(h, alpha, c=float(c), **kwargs)
+            self.fm = con.type4_metric(self.h, alpha, c=float(c), **kwargs)
             self.family_alpha = alpha
             self.family_c = float(c)
         elif family == "bryant":
-            A = chart_matches(_resolve_ref(params.get("A")))
+            A = ref("A")
             lam = _fibre_scalar(params.get("lam", {"name": "fibre_power", "params": {"p": -0.5}}))
-            self.fm = con.bryant_metric(h, lam, A, **kwargs)
+            self.fm = con.bryant_metric(self.h, lam, A, **kwargs)
             self.family_A = A
         else:                                  # pragma: no cover - schema guards
             raise UsageError(f"unknown family {family!r}")
@@ -240,6 +282,11 @@ class ResolvedScene:
         return self.fm.total_chart if self.fm is not None else self.h.chart
 
     def sample_points(self):
+        """(points, seed) of the scene's ``samples`` on its chart, once per run."""
+        return self.run.once(("samples", json.dumps(self.scene["samples"], sort_keys=True),
+                              self.chart), self._sample_points)
+
+    def _sample_points(self):
         spec = self.scene["samples"]
         chart = self.chart
         lo = np.asarray(chart.lo)
@@ -247,7 +294,7 @@ class ResolvedScene:
         if "points" in spec:
             return [tuple(map(float, p)) for p in spec["points"]], None
         if "grid" in spec:
-            counts = spec["grid"]["counts"]
+            counts = [int(n) for n in spec["grid"]["counts"]]
             if len(counts) != chart.dim:
                 raise UsageError(f"grid counts must have {chart.dim} entries")
             margin = spec["grid"].get("margin", 0.1)
@@ -256,11 +303,12 @@ class ResolvedScene:
             mesh = np.meshgrid(*axes, indexing="ij")
             return [tuple(float(m[idx]) for m in mesh)
                     for idx in np.ndindex(*[len(a) for a in axes])], None
-        rnd = spec["random"]
-        rng = np.random.default_rng(rnd["seed"])     # PCG64, fixed by seed
+        # the schema admits integral floats such as a swept 1.0 as integers
+        count, seed = int(spec["random"]["count"]), int(spec["random"]["seed"])
+        rng = np.random.default_rng(seed)     # PCG64, fixed by seed
         margin = 0.05 * (hi - lo)
         return [tuple(map(float, rng.uniform(lo + margin, hi - margin)))
-                for _ in range(rnd["count"])], rnd["seed"]
+                for _ in range(count)], seed
 
     def tolerance_for(self, check):
         tols = self.scene.get("tolerances", {})
@@ -274,60 +322,34 @@ class ResolvedScene:
 # ---------------------------------------------------------------------------
 
 class _SamplePoint:
-    """One sample point as the checks see it.  The base metric there is read
-    once, on first use, into (h, dh, ddh); h^-1, (Gamma, dGamma), the base
-    curvature scale, the Weyl connection and the Laplacian derive from it."""
+    """One sample point as the checks see it.  The base metric is evaluated once
+    per run at each base point, keyed by h's closure (an orientation flip wraps
+    the same closure) and the point; the base checks and scale read it."""
 
     def __init__(self, resolved, setup, point):
         self.r, self.setup, self.point = resolved, setup, point
         self.base_point = tuple(point[1:]) if setup is not None else tuple(point)
+        self._key = (resolved.h.fn, self.base_point)
 
-    @functools.cached_property
+    @property
     def base(self):
-        """((h, dh, ddh), h^-1, Gamma, dGamma) at the base point."""
-        arrays = geo.metric_arrays(self.r.h.jets(self.base_point), self.base_point)
-        hv, dh, ddh = arrays
-        hinv, dhinv = geo.jet_matrix_inverse(hv, dh)
-        return (arrays, hinv) + geo.christoffel_jets(hinv, dhinv, dh, ddh)
-
-    @functools.cached_property
-    def base_riemann_norm(self):
-        (hv, _, _), hinv, G, dG = self.base
-        return geo.tensor_norm(geo.curvature_from_gamma(hv, hinv, G, dG, self.base_point)[1], hv)
+        """The base ``geo.MetricPoint``."""
+        return self.r.run.once(("base",) + self._key,
+                               lambda: geo.metric_point(self.r.h, self.base_point))
 
     def scale(self, space):
         """Riemann norm of the total space (from the point's shared ``PointEval``)
         or of the base."""
         if space == "total":
             return self.setup.ctx(self.point).riemann_norm
-        return self.base_riemann_norm
+        h = self.base
+        return self.r.run.once(("scale",) + self._key, lambda: geo.tensor_norm(
+            geo.curvature_from_gamma(h, self.base_point)[1], h.g))
 
-    def einstein_weyl(self, alpha):
-        arrays = self.base[0]
-        connection = weyl3._weyl_connection(arrays, alpha.jets(self.base_point))
-        return weyl3._einstein_weyl(arrays[0], connection)
-
-    def laplacian(self, u):
-        _, hinv, G, _ = self.base
-        return geo.laplacian_from_gamma(hinv, G, u.jet(self.base_point))
-
-
-def _lee_form(resolved):
-    """The Lee form of the base Weyl structure: the family's, the scene's, or zero."""
-    alpha = resolved.family_alpha or resolved.alpha
-    if alpha is None:
-        alpha = geo.OneFormField(resolved.h.chart, lambda c: [0.0 * c[0]] * 3, "zero")
-    return alpha
-
-
-def _pair(resolved, key):
-    """The monopole pair's ``u`` or ``A``: the scene's ``pair``, else the family's."""
-    pair = resolved.scene.get("pair", {})
-    return _resolve_ref(pair[key]) if key in pair else getattr(resolved, f"family_{key}")
 
 
 def _potential(s, check):
-    u = _pair(s.r, "u")
+    u = s.r.pair_u
     if u is None:
         raise UsageError(f"check {check!r} needs a potential "
                          "(scene 'pair.u' or a type1 construction)")
@@ -338,9 +360,9 @@ def _beltrami(s):
     r = s.r
     if r.family_c is not None:
         c = geo.ScalarField(r.h.chart, lambda _c, v=r.family_c: v + 0.0 * _c[0])
-        w = weyl3.WeylStructure3(r.h, _lee_form(r))
+        w = weyl3.WeylStructure3(r.h, r.lee_form)
         return weyl3.generalized_beltrami_residual(w, c, s.base_point)
-    w = weyl3.WeylStructure3(r.h, r.family_A or _lee_form(r))
+    w = weyl3.WeylStructure3(r.h, r.family_A or r.lee_form)
     return weyl3.beltrami_residual(w, r.scene.get("beltrami_sign", -1), s.base_point)
 
 
@@ -358,10 +380,12 @@ CHECKS = {
     "monopole": Check("total", lambda s: mor.monopole_eq_residual(
         s.setup, s.r.family_alpha or s.r.alpha, s.point)),
     "pullback_sd": Check("total", lambda s: mor.pullback_sd_residual(
-        s.setup, _potential(s, "pullback_sd"), _pair(s.r, "A"), s.point)),
-    "einstein_weyl": Check("base", lambda s: s.einstein_weyl(_lee_form(s.r))),
+        s.setup, _potential(s, "pullback_sd"), s.r.pair_A, s.point)),
+    "einstein_weyl": Check("base", lambda s: weyl3._einstein_weyl(s.base.g, weyl3._weyl_connection(
+        s.base, s.r.lee_form.jets(s.base_point)))),
     "beltrami": Check("base", _beltrami),
-    "closure": Check("base", lambda s: abs(s.laplacian(_potential(s, "closure")))),
+    "closure": Check("base", lambda s: abs(geo.laplacian_from_gamma(
+        s.base, _potential(s, "closure").jet(s.base_point)))),
 }
 
 
@@ -376,8 +400,8 @@ def _require_checks(names, resolved):
 
 def _checks_at(point, checks, resolved, setup):
     """{name: (raw, scale)} at one sample point.  All checks there share one
-    ``PointEval`` per distinct point and one base evaluation, dropped when the
-    point is done."""
+    ``PointEval`` per distinct point, dropped when the point is done, and the
+    run's base evaluation."""
     s = _SamplePoint(resolved, setup, point)
     with setup.sharing() if setup is not None else contextlib.nullcontext():
         return {name: (CHECKS[name].residual(s), s.scale(CHECKS[name].space))
@@ -395,17 +419,11 @@ def _record_entry(raw, scale, tol):
 
 
 def build_report(resolved, points, seed, check_names, evaluator):
-    records = []
-    domain_errors = []
-    for idx, point in enumerate(points):
-        entry = {"index": idx, "point": list(point), "checks": {}}
-        try:
-            entry["checks"] = evaluator(point)
-        except (DomainError, GeometryError) as exc:
-            domain_errors.append({"index": idx, "point": list(point),
-                                  "error": str(exc)})
-            entry["error"] = str(exc)
-        records.append(entry)
+    results, domain_errors = resolved.run.each(points, evaluator)
+    records = [{"index": idx, "point": list(point), "checks": checks or {}}
+               for idx, (point, checks) in enumerate(zip(points, results))]
+    for e in domain_errors:
+        records[e["index"]]["error"] = e["error"]
 
     summary = {"checks": {}, "num_points": len(points)}
     all_pass = True
@@ -463,7 +481,9 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _exit_code(report):
+def _emit_report(report, args):
+    _emit(canonical_json(report) + "\n" if args.format == "json" else report_to_csv(report),
+          args.out)
     if report.get("domain_errors"):
         return EXIT_DOMAIN
     return EXIT_OK if report["summary"]["verdict"] == "pass" else EXIT_RESIDUAL
@@ -498,11 +518,8 @@ def cmd_report(args):
             out[name] = entry
         return out
 
-    report = build_report(resolved, points, seed, checks or REPORT_SCALARS, evaluator)
-    text = (canonical_json(report) + "\n" if args.format == "json"
-            else report_to_csv(report))
-    _emit(text, args.out)
-    return _exit_code(report)
+    return _emit_report(build_report(resolved, points, seed, checks or REPORT_SCALARS,
+                                     evaluator), args)
 
 
 def cmd_verify(args):
@@ -523,11 +540,7 @@ def cmd_verify(args):
                 for name, (raw, scale) in
                 _checks_at(point, checks, resolved, setup).items()}
 
-    report = build_report(resolved, points, seed, checks, evaluator)
-    text = (canonical_json(report) + "\n" if args.format == "json"
-            else report_to_csv(report))
-    _emit(text, args.out)
-    return _exit_code(report)
+    return _emit_report(build_report(resolved, points, seed, checks, evaluator), args)
 
 
 def cmd_classify(args):
@@ -537,17 +550,11 @@ def cmd_classify(args):
         raise UsageError("classify needs a construction in the scene")
     points, seed = resolved.sample_points()
     setup = mor.SubmersionSetup(resolved.fm)
-    results = []
-    domain_errors = []
-    for idx, point in enumerate(points):
-        try:
-            cls = mor.classify_type(setup, mor.fibre_samples_about(resolved.fm, point, 4))
-        except (DomainError, GeometryError) as exc:
-            domain_errors.append({"index": idx, "point": list(point), "error": str(exc)})
-            continue
-        results.append({"point": list(point), "label": cls.label,
-                        "recovered_c": cls.recovered_c,
-                        "evidence": _jsonable(cls.evidence)})
+    classes, domain_errors = resolved.run.each(
+        points, lambda p: mor.classify_type(setup, mor.fibre_samples_about(resolved.fm, p, 4)))
+    results = [{"point": list(point), "label": cls.label, "recovered_c": cls.recovered_c,
+                "evidence": _jsonable(cls.evidence)}
+               for point, cls in zip(points, classes) if cls is not None]
     labels = {r["label"] for r in results}
     overall = labels.pop() if len(labels) == 1 else "nonstandard"
     out = {
@@ -577,24 +584,17 @@ def _jsonable(obj):
 
 
 def _set_path(obj, path, value):
-    keys = path.split(".")
+    """Set the slot at a dotted path into the scene; list entries go by index."""
     node = obj
-    for k in keys[:-1]:
-        if isinstance(node, list):
-            node = node[int(k)]
-        elif k in node:
-            node = node[k]
-        else:
+    for k in path.split("."):
+        try:
+            parent, key = node, int(k) if isinstance(node, list) else k
+            node = parent[key]
+        except (KeyError, IndexError, ValueError, TypeError):
             raise UsageError(f"sweep parameter path {path!r} not found at {k!r}")
-    last = keys[-1]
-    if isinstance(node, list):
-        node[int(last)] = value
-    else:
-        if last not in node:
-            raise UsageError(f"sweep parameter path {path!r} not found at {last!r}")
-        if not isinstance(node[last], (int, float)) or isinstance(node[last], bool):
-            raise UsageError(f"sweep parameter {path!r} is not numeric")
-        node[last] = value
+    if isinstance(parent, dict) and (not isinstance(node, (int, float)) or isinstance(node, bool)):
+        raise UsageError(f"sweep parameter {path!r} is not numeric")
+    parent[key] = value
 
 
 def cmd_sweep(args):
@@ -611,21 +611,24 @@ def cmd_sweep(args):
     if not checks:
         raise UsageError("sweep needs checks (scene 'checks' or --checks)")
 
+    run = Run()
+    section = args.param.split(".")[0]
+
     def run_at(value, errors):
         """Each check's maximum over the good points at one parameter value
-        (empty if no point is good); bad points go to ``errors``."""
-        trial = copy.deepcopy(scene)
+        (empty if no point is good); bad points go to ``errors``.  Only the
+        swept section is copied and validated again."""
+        trial = dict(scene)
+        if section in scene:
+            trial[section] = copy.deepcopy(scene[section])
         _set_path(trial, args.param, value)
-        resolved = ResolvedScene(validate_scene(trial))
+        resolved = ResolvedScene(validate_scene(trial, section), run)
         _require_checks(checks, resolved)
         points, _ = resolved.sample_points()
         setup = mor.SubmersionSetup(resolved.fm) if resolved.fm is not None else None
-        good = []
-        for idx, p in enumerate(points):
-            try:
-                good.append(_checks_at(p, checks, resolved, setup))
-            except (DomainError, GeometryError) as exc:
-                errors.append((value, idx, p, str(exc)))
+        results, bad = run.each(points, lambda p: _checks_at(p, checks, resolved, setup))
+        errors.extend((value, e["index"], e["point"], e["error"]) for e in bad)
+        good = [vals for vals in results if vals is not None]
         return {name: max(abs(raw) / (1.0 + scale) for raw, scale in
                           (vals[name] for vals in good)) for name in checks} if good else {}
 

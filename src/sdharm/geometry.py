@@ -1,7 +1,7 @@
 """Single-chart curvature pipeline.
 
 Metric components are evaluated once in order-2 jet arithmetic and read into
-plain arrays g, dg, ddg (``metric_arrays``).  Everything else is closed-form
+plain arrays g, dg, ddg (``metric_point``).  Everything else is closed-form
 array algebra: d(g^-1) = -g^-1 dg g^-1, the Christoffel symbols and their
 derivatives from g^-1, dg and ddg, and the Riemann tensor from those, so no
 finite differencing happens anywhere.  Pointwise norms are taken in an
@@ -12,6 +12,7 @@ residual a chart-independent scalar.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,7 @@ __all__ = [
     "TwoFormField",
     "MetricField",
     "metric_jets",
-    "metric_arrays",
+    "metric_point",
     "jet_matrix_inverse",
     "christoffel_jets",
     "curvature_from_gamma",
@@ -216,7 +217,7 @@ def _as_jet(x, dim):
 
 
 def metric_jets(g, point):
-    """Evaluate metric components as order-2 jets; enforce symmetry and finiteness."""
+    """Evaluate metric components as order-2 jets; enforce symmetry."""
     d = g.chart.dim
     comps = _eval_at(g.fn, jets.seed_all(point), point)
     out = [[_as_jet(comps[a][b], d) for b in range(d)] for a in range(d)]
@@ -225,11 +226,6 @@ def metric_jets(g, point):
             if abs(out[a][b].value - out[b][a].value) > 1e-12 * (1.0 + abs(out[a][b].value)):
                 raise SingularEvaluationError(
                     f"metric {g.name} not symmetric in components ({a},{b})", point=point)
-    for a in range(d):
-        for b in range(d):
-            if not out[a][b].is_finite():
-                raise SingularEvaluationError(f"metric {g.name} has a non-finite component",
-                                              point=point)
     return out
 
 
@@ -241,16 +237,26 @@ def jet_values(mat):
     return np.array([[m.value for m in row] for row in mat])
 
 
-def metric_arrays(gj, point=None):
-    """(g, dg, ddg) from order-2 metric jets: dg[a,b,c] = d_c g_ab and
-    ddg[a,b,c,d] = d_c d_d g_ab.  Raises on a singular metric."""
+MetricPoint = namedtuple("MetricPoint", "g dg ddg ginv dginv G dG")
+
+
+def metric_point(g, point):
+    """The metric field g at the point with its Levi-Civita connection, from one
+    evaluation of its order-2 jets: g, dg[a,b,c] = d_c g_ab, ddg[a,b,c,d] =
+    d_c d_d g_ab, then (g^-1, dginv) and (Gamma, dGamma).  Raises on a
+    non-finite or singular metric."""
+    gj = g.jets(point)
     gv = jet_values(gj)
+    dg = np.array([[m.grad for m in row] for row in gj])
+    ddg = np.array([[m.hess for m in row] for row in gj])
+    if not (np.isfinite(gv).all() and np.isfinite(dg).all() and np.isfinite(ddg).all()):
+        raise SingularEvaluationError(f"metric {g.name} has a non-finite component",
+                                      point=point)
     det = np.linalg.det(gv)
     if abs(det) < 1e-14:
         raise DegenerateMetricError("metric is singular", point=point, det=det)
-    dg = np.array([[m.grad for m in row] for row in gj])
-    ddg = np.array([[m.hess for m in row] for row in gj])
-    return gv, dg, ddg
+    ginv, dginv = jet_matrix_inverse(gv, dg)
+    return MetricPoint(gv, dg, ddg, ginv, dginv, *christoffel_jets(ginv, dginv, dg, ddg))
 
 
 def jet_matrix_inverse(g, dg):
@@ -280,34 +286,30 @@ def riemann_from_gamma(G, dG):
 
 def _curvature(g, point):
     """(g, Gamma, R^a_bcd, R_abcd, Ric_ab, scalar) from one metric evaluation."""
-    gv, dg, ddg = metric_arrays(g.jets(point), point)
-    ginv, dginv = jet_matrix_inverse(gv, dg)
-    G, dG = christoffel_jets(ginv, dginv, dg, ddg)
-    return (gv, G) + curvature_from_gamma(gv, ginv, G, dG, point)
+    mp = metric_point(g, point)
+    return (mp.g, mp.G) + curvature_from_gamma(mp, point)
 
 
-def curvature_from_gamma(gv, ginv, G, dG, point=None):
-    """(R^a_bcd, R_abcd, Ric_ab, scalar) from the metric arrays and (Gamma, dGamma)."""
-    R_up = riemann_from_gamma(G, dG)
+def curvature_from_gamma(mp, point=None):
+    """(R^a_bcd, R_abcd, Ric_ab, scalar) from a MetricPoint."""
+    R_up = riemann_from_gamma(mp.G, mp.dG)
     if not np.all(np.isfinite(R_up)):
         raise SingularEvaluationError("curvature evaluation produced non-finite values",
                                       point=point)
-    R_low = np.einsum("ae,ebcd->abcd", gv, R_up)
+    R_low = np.einsum("ae,ebcd->abcd", mp.g, R_up)
     ric = np.einsum("abad->bd", R_up)
-    scal = float(np.einsum("bd,bd->", ginv, ric))
+    scal = float(np.einsum("bd,bd->", mp.ginv, ric))
     return R_up, R_low, ric, scal
 
 
 def laplacian(u, h, point):
     """Laplace-Beltrami operator of a scalar field u on the metric h at the point."""
-    hv, dh, ddh = metric_arrays(h.jets(point), point)
-    hinv, dhinv = jet_matrix_inverse(hv, dh)
-    return laplacian_from_gamma(hinv, christoffel_jets(hinv, dhinv, dh, ddh)[0], u.jet(point))
+    return laplacian_from_gamma(metric_point(h, point), u.jet(point))
 
 
-def laplacian_from_gamma(ginv, G, uj):
-    """Delta u = g^ab (d_a d_b u - Gamma^c_ab d_c u) from g^-1, Gamma and u's jet."""
-    return float(np.einsum("ab,ab->", ginv, uj.hess - np.einsum("cab,c->ab", G, uj.grad)))
+def laplacian_from_gamma(mp, uj):
+    """Delta u = g^ab (d_a d_b u - Gamma^c_ab d_c u) from a MetricPoint and u's jet."""
+    return float(np.einsum("ab,ab->", mp.ginv, uj.hess - np.einsum("cab,c->ab", mp.G, uj.grad)))
 
 
 def christoffel(g, point):

@@ -116,9 +116,8 @@ class PointEval:
         self.fm = fm
         self.point = tuple(float(x) for x in point)
         self.base_point = self.point[1:]
-        self.gv, self.dg, self.ddg = geo.metric_arrays(fm.g.jets(self.point), self.point)
-        self.ginv, self.dginv = geo.jet_matrix_inverse(self.gv, self.dg)
-        self.G, self.dG = geo.christoffel_jets(self.ginv, self.dginv, self.dg, self.ddg)
+        self.metric = geo.metric_point(fm.g, self.point)
+        self.gv, self.dg, self.ddg, self.ginv, self.dginv, self.G, self.dG = self.metric
         self.hv = fm.h.values(self.base_point)
         self.hinv = np.linalg.inv(self.hv)
         L = fm.dilation_sq_inv.jet(self.point)
@@ -213,9 +212,7 @@ class PointEval:
     @cached_property
     def riemann_norm(self):
         """Frame norm of the Riemann tensor, the scale residuals are normalized by."""
-        _, R_low, _, _ = geo.curvature_from_gamma(self.gv, self.ginv, self.G, self.dG,
-                                                  self.point)
-        return geo.tensor_norm(R_low, self.gv)
+        return geo.tensor_norm(geo.curvature_from_gamma(self.metric, self.point)[1], self.gv)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +455,7 @@ def classify_type(setup, samples, pass_tol=1e-8, branch_tol=1e-6):
     evidence["harmonicity_residual"] = [float(np.sqrt(max(0.0, d @ c.hinv @ d)))
                                         for d, c in zip(defect, ctxs)]
 
-    gate_tol = max(pass_tol, 10 * pass_tol)
+    gate_tol = 10 * pass_tol
     if (max(sd_res) > 1e-7 or basic_res > gate_tol or defect_spread > gate_tol):
         return Classification("nonstandard", None, evidence)
 

@@ -49,37 +49,35 @@ def weyl_connection_coeffs(w: WeylStructure3, point):
     D = Levi-Civita + C with C^a_bc = delta^a_b alpha_c + delta^a_c alpha_b
     - h_bc alpha^a, which is linear in alpha and so differentiates in closed form.
     """
-    return _weyl_connection(geo.metric_arrays(w.h.jets(point), point), w.alpha.jets(point))
+    return _weyl_connection(geo.metric_point(w.h, point), w.alpha.jets(point))
 
 
-def _weyl_connection(h_arrays, aj):
-    """(Gamma, dGamma) of D from the metric arrays (h, dh, ddh) and alpha's jets."""
-    hv, dh, ddh = h_arrays
-    hinv, dhinv = geo.jet_matrix_inverse(hv, dh)
-    G, dG = geo.christoffel_jets(hinv, dhinv, dh, ddh)
+def _weyl_connection(h, aj):
+    """(Gamma, dGamma) of D from the base ``geo.MetricPoint`` h, which holds
+    the Levi-Civita connection, and alpha's jets."""
     av = np.array([a.value for a in aj])
     da = np.array([a.grad for a in aj])                   # da[b,d] = d_d alpha_b
-    a_up = hinv @ av
-    da_up = np.einsum("abd,b->ad", dhinv, av) + hinv @ da
+    a_up = h.ginv @ av
+    da_up = np.einsum("abd,b->ad", h.dginv, av) + h.ginv @ da
     delta = np.eye(3)
     C = (np.einsum("ab,c->abc", delta, av) + np.einsum("ac,b->abc", delta, av)
-         - np.einsum("bc,a->abc", hv, a_up))
+         - np.einsum("bc,a->abc", h.g, a_up))
     dC = (np.einsum("ab,cd->abcd", delta, da) + np.einsum("ac,bd->abcd", delta, da)
-          - np.einsum("bcd,a->abcd", dh, a_up) - np.einsum("bc,ad->abcd", hv, da_up))
-    return G + C, dG + dC
+          - np.einsum("bcd,a->abcd", h.dg, a_up) - np.einsum("bc,ad->abcd", h.g, da_up))
+    return h.G + C, h.dG + dC
 
 
 def weyl_covariant_metric_residual(w: WeylStructure3, point):
     """Norm of D h + 2 alpha (x) h, the defining property of the connection."""
-    hv, dh, ddh = geo.metric_arrays(w.h.jets(point), point)    # dh[a,b,c] = d_c h_ab
+    h = geo.metric_point(w.h, point)                       # h.dg[a,b,c] = d_c h_ab
     aj = w.alpha.jets(point)
-    G, _ = _weyl_connection((hv, dh, ddh), aj)
+    G, _ = _weyl_connection(h, aj)
     av = np.array([a.value for a in aj])
-    Dh = (np.einsum("abc->cab", dh)
-          - np.einsum("eca,eb->cab", G, hv)
-          - np.einsum("ecb,ae->cab", G, hv))
-    target = -2.0 * np.einsum("c,ab->cab", av, hv)
-    return geo.tensor_norm(Dh - target, hv)
+    Dh = (np.einsum("abc->cab", h.dg)
+          - np.einsum("eca,eb->cab", G, h.g)
+          - np.einsum("ecb,ae->cab", G, h.g))
+    target = -2.0 * np.einsum("c,ab->cab", av, h.g)
+    return geo.tensor_norm(Dh - target, h.g)
 
 
 def einstein_weyl_residual(w: WeylStructure3, point):

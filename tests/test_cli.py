@@ -1,11 +1,15 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdharm import cli, constructions as con, geometry as geo, morphism as mor
 
@@ -154,6 +158,56 @@ def test_verify_closure_reports_the_laplacian(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["summary"]["checks"]["closure"]["max_raw"] < 1e-13
 
 
+@pytest.mark.parametrize("args", [["report"], ["verify", "--checks", "closure"],
+                                  ["verify", "--checks", "pullback_sd"]])
+def test_pair_refs_must_live_on_the_base_chart(args, capsys, tmp_path):
+    """gh_potential lives on the spherical chart; a flat3 scene may not pair it."""
+    with open(scene_path("type3_trkalian.json")) as fh:
+        scene = json.load(fh)
+    scene["pair"] = {"u": {"name": "gh_potential"}}
+    p = tmp_path / "pair.json"
+    p.write_text(json.dumps(scene))
+    code = cli.main([args[0], str(p)] + args[1:])
+    err = capsys.readouterr().err
+    assert code == 64
+    assert "lives on chart ('r', 'th', 'ph'), but the base chart is ('x', 'y', 'z')" in err
+
+
+def test_unknown_catalog_entry_usage_error(capsys, tmp_path):
+    p = tmp_path / "unknown.json"
+    p.write_text(json.dumps({"schema": 1, "pair": {"u": {"name": "bogus"}},
+                             "samples": {"points": [[0.1, 0.2, 0.3]]}}))
+    assert cli.main(["report", str(p)]) == 64
+    assert "unknown catalog entry 'bogus'" in capsys.readouterr().err
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_orientation_flip_swaps_w_plus_and_w_minus(seed):
+    """Reversing the orientation exchanges the self-dual and anti-self-dual
+    Weyl halves exactly, at seeded points of the type-4 Berger scene."""
+    with open(scene_path("type4_berger_ew.json")) as fh:
+        scene = json.load(fh)
+    scene["samples"] = {"random": {"count": 2, "seed": seed}}
+    records = {}
+    with tempfile.TemporaryDirectory() as d:
+        for orientation in (1, -1):
+            p = os.path.join(d, f"scene{orientation}.json")
+            with open(p, "w") as fh:
+                json.dump(dict(scene, orientation=orientation), fh)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["report", p]) in (0, 1)
+            records[orientation] = json.loads(out.getvalue())["records"]
+    assert len(records[1]) == len(records[-1]) == 2
+    for plus, minus in zip(records[1], records[-1]):
+        assert plus["point"] == minus["point"]
+        for a, b in (("w_plus", "w_minus"), ("w_minus", "w_plus")):
+            for key in ("raw", "normalized"):
+                assert plus["checks"][a][key] == minus["checks"][b][key]
+        assert plus["checks"]["w_plus"]["raw"] > 1e-2 > plus["checks"]["w_minus"]["raw"]
+
+
 def test_readme_describes_every_verify_check():
     with open(README) as fh:
         lines = re.findall(r"^- `(\w+)`: .+ Scaled by the (total space|base)\.$",
@@ -267,6 +321,85 @@ def test_sweep_records_bad_point_and_keeps_going(capsys, tmp_path):
         assert "outside chart domain" in message
 
 
+def _sweep_rows(out):
+    """{swept value: [each check's max normalized residual]} of a sweep's csv rows."""
+    rows = [l.split(",") for l in out.splitlines()[1:] if not l.startswith("#")]
+    return {float(r[0]): [float(x) for x in r[1:]] for r in rows}
+
+
+def test_sweep_locate_evaluates_the_base_metric_once(capsys, monkeypatch):
+    calls = []
+    real = geo.metric_jets
+    monkeypatch.setattr(geo, "metric_jets", lambda g, p: calls.append(p) or real(g, p))
+    code, out = run_cli(["sweep", scene_path("berger_ew_sweep.json"),
+                         "--param", "alpha.params.scale", "--range", "0.5:1.4",
+                         "--steps", "8", "--checks", "einstein_weyl",
+                         "--locate", "einstein_weyl"], capsys)
+    assert code == 0
+    assert any(l.startswith("# minimum,einstein_weyl,") for l in out.splitlines())
+    # 8 steps and the golden-section calls all share the one base point
+    assert calls == [(1.2, 2.0, 3.0)]
+
+
+@pytest.mark.parametrize("param, lo, hi", [("base.params.mu", 0.5, 0.95),
+                                           ("samples.points.0.0", 0.4, 2.6)])
+def test_sweep_matches_a_fresh_verify_of_each_step(param, lo, hi, capsys, tmp_path):
+    """A sweep over a slot that moves the base metric or the base point
+    re-evaluates it: each row equals ``verify`` of that step's scene."""
+    with open(scene_path("berger_ew_sweep.json")) as fh:
+        scene = json.load(fh)
+    scene["samples"]["points"].append([0.7, 1.0, 5.0])
+    p = tmp_path / "sweep.json"
+    p.write_text(json.dumps(scene))
+    code, out = run_cli(["sweep", str(p), "--param", param, "--range", f"{lo}:{hi}",
+                         "--steps", "4", "--checks", "einstein_weyl"], capsys)
+    assert code == 0
+    rows = _sweep_rows(out)
+    assert len(rows) == 4 and len({r[0] for r in rows.values()}) == 4
+    for value, (swept,) in rows.items():
+        trial = json.loads(json.dumps(scene))
+        cli._set_path(trial, param, value)
+        p.write_text(json.dumps(trial))
+        _, out = run_cli(["verify", str(p), "--checks", "einstein_weyl"], capsys)
+        assert swept == json.loads(out)["summary"]["checks"]["einstein_weyl"]["max_normalized"]
+
+
+@pytest.mark.parametrize("param, value_range, pointer, message", [
+    ("schema", "1:2", "/schema", "1 was expected"),
+    ("samples.random.count", "0:1", "/samples/random/count",
+     "0.0 is less than the minimum of 1"),
+    ("samples.random.seed", "0.5:1", "/samples/random/seed",
+     "0.5 is not of type 'integer'"),
+    ("checks.0", "1:2", "/checks/0", "1.0 is not of type 'string'"),
+])
+def test_sweep_into_an_invalid_slot_reports_the_scene_error(param, value_range, pointer,
+                                                             message, capsys, tmp_path):
+    """Each step validates only the swept section; the message is the one a
+    validation of the whole scene gives."""
+    with open(scene_path("berger_ew_sweep.json")) as fh:
+        scene = json.load(fh)
+    scene["samples"] = {"random": {"count": 1, "seed": 3}}
+    p = tmp_path / "scene.json"
+    p.write_text(json.dumps(scene))
+    code = cli.main(["sweep", str(p), "--param", param, "--range", value_range,
+                     "--steps", "2", "--checks", "einstein_weyl"])
+    assert code == 64
+    assert capsys.readouterr().err == f"error: scene invalid at {pointer}: {message}\n"
+    bad = float(value_range.split(":")[0 if param != "schema" else 1])
+    cli._set_path(scene, param, bad)
+    with pytest.raises(cli.UsageError, match=re.escape(f"at {pointer}: {message}") + "$"):
+        cli.validate_scene(scene)
+
+
+@pytest.mark.parametrize("param", ["samples.random.seed", "samples.random.count"])
+def test_sweep_over_an_integer_slot(param, capsys):
+    code, out = run_cli(["sweep", scene_path("type4_berger_ew.json"), "--param", param,
+                         "--range", "1:3", "--steps", "3", "--checks", "einstein_weyl"],
+                        capsys)
+    assert code == 0
+    assert list(_sweep_rows(out)) == [1.0, 2.0, 3.0]
+
+
 def test_sweep_zero_steps_usage_error(capsys):
     code, _ = run_cli(["sweep", scene_path("berger_ew_sweep.json"),
                        "--param", "alpha.params.scale", "--range", "0.5:1.4",
@@ -279,6 +412,18 @@ def test_sweep_non_numeric_param_usage_error(capsys):
                        "--param", "alpha.name", "--range", "0:1",
                        "--steps", "2", "--checks", "einstein_weyl"], capsys)
     assert code == 64
+
+
+@pytest.mark.parametrize("param, missing", [("samples.points.5.0", "5"),
+                                            ("samples.points.x.0", "x"),
+                                            ("alpha.params.scale.x", "x"),
+                                            ("nothing.here", "nothing")])
+def test_sweep_path_not_in_the_scene_usage_error(param, missing, capsys):
+    code = cli.main(["sweep", scene_path("berger_ew_sweep.json"), "--param", param,
+                     "--range", "0:1", "--steps", "2", "--checks", "einstein_weyl"])
+    assert code == 64
+    assert capsys.readouterr().err == \
+        f"error: sweep parameter path {param!r} not found at {missing!r}\n"
 
 
 def test_catalog_list_and_describe(capsys):

@@ -3,7 +3,8 @@ import pytest
 import sympy
 
 from sdharm import constructions as con, geometry as geo, jets
-from sdharm.errors import DegenerateMetricError, DimensionError, DomainError
+from sdharm.errors import (DegenerateMetricError, DimensionError, DomainError,
+                           SingularEvaluationError)
 
 from _fieldgen import random_field
 from _metrics import (
@@ -93,6 +94,16 @@ def test_degenerate_metric_raises():
                                        [0, 0, 1.0 + 0 * c[0]]], "deg")
     with pytest.raises(DegenerateMetricError):
         geo.curvature_report(g, (1e-16, 0.2, 0.3))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("corner", [lambda c: float("inf") + 0 * c[0],   # the value
+                                    lambda c: c[0] * 1e200 * 1e200])       # the gradient
+def test_non_finite_metric_raises_with_its_name(corner):
+    g = geo.MetricField(chart3(), lambda c: [[corner(c), 0, 0], [0, 1.0 + 0 * c[0], 0],
+                                             [0, 0, 1.0 + 0 * c[0]]], "blowup")
+    with pytest.raises(SingularEvaluationError, match="metric blowup has a non-finite component"):
+        geo.curvature_report(g, (0.0, 0.2, 0.3))
 
 
 # ---------------------------------------------------------------------------
