@@ -12,10 +12,10 @@ Exit codes: 0 all checks pass, 1 residual failure, 2 domain error,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import copy
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -162,10 +162,12 @@ def _resolve_ref(ref, default_name=None):
         if default_name is None:
             return None
         ref = {"name": default_name}
-    try:
-        return con.catalog(ref["name"], **ref.get("params", {}))
-    except KeyError as exc:                   # an unknown entry name
-        raise UsageError(exc.args[0])
+    name = ref["name"]
+    if name not in con.CATALOG:
+        raise UsageError(f"unknown catalog entry {name!r}; "
+                         f"known: {', '.join(con.catalog_names())}")
+    params = _ref_params(ref, f"catalog entry {name!r}", con.CATALOG[name].params)
+    return con.catalog(name, **params)
 
 
 def _fibre_scalar(ref):
@@ -174,7 +176,24 @@ def _fibre_scalar(ref):
     factory = {"fibre_exp": con.fibre_exp, "fibre_power": con.fibre_power}.get(ref["name"])
     if factory is None:
         raise UsageError(f"unknown fibre scalar {ref['name']!r} (use fibre_exp or fibre_power)")
-    return factory(**ref.get("params", {}))(None)
+    what, names = f"fibre scalar {ref['name']!r}", inspect.signature(factory).parameters
+    params = _ref_params(ref, what, names)
+    missing = [n for n, p in names.items() if p.default is p.empty and n not in params]
+    if missing:
+        raise UsageError(f"{what} needs parameter {missing[0]!r}")
+    return factory(**params)(None)
+
+
+def _ref_params(ref, what, names):
+    """The ref's params, each one of ``names`` with a number, else a usage error
+    naming ``what``.  A number out of range is left to the factory's domain check."""
+    params = ref.get("params", {})
+    for key, value in params.items():
+        if key not in names:
+            raise UsageError(f"{what} does not take parameter {key!r}; it takes {sorted(names)}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise UsageError(f"{what} parameter {key!r} must be a number, got {value!r}")
+    return params
 
 
 class Run:
@@ -210,7 +229,9 @@ class Run:
 
 
 class ResolvedScene:
-    fm = family_alpha = family_c = family_u = family_A = None
+    """A scene's fields, and one ``SubmersionSetup`` (or None without a
+    construction) that every check and the classifier read it through."""
+    fm = None
 
     def __init__(self, scene, run=None):
         self.scene = scene
@@ -223,16 +244,19 @@ class ResolvedScene:
         self.alpha = self.run.resolve(scene.get("alpha"))
         if "construction" in scene:
             self._build(scene["construction"])
+        # the factory's record of u, A, alpha and c (absent: None)
+        self.family_params = self.fm.family_params if self.fm is not None else {}
         pair = scene.get("pair", {})          # the monopole pair, else the family's
         self.pair_u, self.pair_A = (self._on_base_chart(self.run.resolve(pair[k])) if k in pair
-                                    else getattr(self, f"family_{k}") for k in "uA")
+                                    else self.family_params.get(k) for k in "uA")
         if self.orientation == -1:
             if self.fm is not None:
                 self.fm = self.fm.with_orientation(-1)
             else:
                 self.h = geo.MetricField(self.h.chart.flipped(), self.h.fn, self.h.name)
+        self.setup = mor.SubmersionSetup(self.fm) if self.fm is not None else None
         # the Lee form of the base Weyl structure: the family's, the scene's, or zero
-        self.lee_form = self.family_alpha or self.alpha or geo.OneFormField(
+        self.lee_form = self.family_params.get("alpha") or self.alpha or geo.OneFormField(
             self.h.chart, lambda c: [0.0 * c[0]] * 3, "zero")
 
     def _on_base_chart(self, field):
@@ -250,32 +274,29 @@ class ResolvedScene:
             return self._on_base_chart(self.run.resolve(params.get(key), *defaults))
 
         if family in ("type1", "jones_tod"):
-            u = ref("u", "gh_potential")
-            A = ref("A", "dirac_A")
-            self.fm = con.jones_tod_metric(self.h, u, A=A, **kwargs)
-            self.family_u, self.family_A = u, A
+            self.fm = con.jones_tod_metric(self.h, ref("u", "gh_potential"),
+                                           A=ref("A", "dirac_A"), **kwargs)
         elif family == "type2":
             f = _fibre_scalar(params.get("f", {"name": "fibre_exp", "params": {"rate": 2.0}}))
             self.fm = con.type2_warped(self.h, f, **kwargs)
-        elif family == "type3":
-            A = ref("A")
-            self.fm = con.type3_metric(self.h, A, **kwargs)
-            self.family_A = A     # no family_alpha: the induced Weyl connection is Levi-Civita
+        elif family == "type3":       # no alpha: the induced Weyl connection is Levi-Civita
+            self.fm = con.type3_metric(self.h, ref("A"), **kwargs)
         elif family == "type4":
             alpha = ref("alpha")
             c = params.get("c", 1.0)
             if not isinstance(c, (int, float)):
                 raise UsageError("type4 parameter c must be a number in scenes")
             self.fm = con.type4_metric(self.h, alpha, c=float(c), **kwargs)
-            self.family_alpha = alpha
-            self.family_c = float(c)
         elif family == "bryant":
             A = ref("A")
             lam = _fibre_scalar(params.get("lam", {"name": "fibre_power", "params": {"p": -0.5}}))
             self.fm = con.bryant_metric(self.h, lam, A, **kwargs)
-            self.family_A = A
         else:                                  # pragma: no cover - schema guards
             raise UsageError(f"unknown family {family!r}")
+        unknown = sorted(set(params) - set(self.fm.family_params))
+        if unknown:
+            raise UsageError(f"family {family!r} does not take parameter {unknown[0]!r}; "
+                             f"it takes {sorted(self.fm.family_params)}")
 
     @property
     def chart(self):
@@ -326,9 +347,9 @@ class _SamplePoint:
     per run at each base point, keyed by h's closure (an orientation flip wraps
     the same closure) and the point; the base checks and scale read it."""
 
-    def __init__(self, resolved, setup, point):
-        self.r, self.setup, self.point = resolved, setup, point
-        self.base_point = tuple(point[1:]) if setup is not None else tuple(point)
+    def __init__(self, resolved, point):
+        self.r, self.setup, self.point = resolved, resolved.setup, point
+        self.base_point = tuple(point[1:]) if resolved.fm is not None else tuple(point)
         self._key = (resolved.h.fn, self.base_point)
 
     @property
@@ -338,8 +359,8 @@ class _SamplePoint:
                                lambda: geo.metric_point(self.r.h, self.base_point))
 
     def scale(self, space):
-        """Riemann norm of the total space (from the point's shared ``PointEval``)
-        or of the base."""
+        """Riemann norm of the total space (from the setup's ``PointEval`` at the
+        point) or of the base."""
         if space == "total":
             return self.setup.ctx(self.point).riemann_norm
         h = self.base
@@ -357,12 +378,12 @@ def _potential(s, check):
 
 
 def _beltrami(s):
-    r = s.r
-    if r.family_c is not None:
-        c = geo.ScalarField(r.h.chart, lambda _c, v=r.family_c: v + 0.0 * _c[0])
+    r, c = s.r, s.r.family_params.get("c")
+    if c is not None:
         w = weyl3.WeylStructure3(r.h, r.lee_form)
-        return weyl3.generalized_beltrami_residual(w, c, s.base_point)
-    w = weyl3.WeylStructure3(r.h, r.family_A or r.lee_form)
+        return weyl3.generalized_beltrami_residual(
+            w, geo.ScalarField(r.h.chart, lambda _c: c + 0.0 * _c[0]), s.base_point)
+    w = weyl3.WeylStructure3(r.h, r.family_params.get("A") or r.lee_form)
     return weyl3.beltrami_residual(w, r.scene.get("beltrami_sign", -1), s.base_point)
 
 
@@ -378,7 +399,7 @@ CHECKS = {
         s.setup, mor.fibre_samples_about(s.r.fm, s.point, 3))),
     "twistorial_sd": Check("total", lambda s: mor.twistorial_sd_residual(s.setup, s.point)),
     "monopole": Check("total", lambda s: mor.monopole_eq_residual(
-        s.setup, s.r.family_alpha or s.r.alpha, s.point)),
+        s.setup, s.r.family_params.get("alpha") or s.r.alpha, s.point)),
     "pullback_sd": Check("total", lambda s: mor.pullback_sd_residual(
         s.setup, _potential(s, "pullback_sd"), s.r.pair_A, s.point)),
     "einstein_weyl": Check("base", lambda s: weyl3._einstein_weyl(s.base.g, weyl3._weyl_connection(
@@ -398,14 +419,11 @@ def _require_checks(names, resolved):
             raise UsageError(f"check {name!r} needs a construction in the scene")
 
 
-def _checks_at(point, checks, resolved, setup):
-    """{name: (raw, scale)} at one sample point.  All checks there share one
-    ``PointEval`` per distinct point, dropped when the point is done, and the
-    run's base evaluation."""
-    s = _SamplePoint(resolved, setup, point)
-    with setup.sharing() if setup is not None else contextlib.nullcontext():
-        return {name: (CHECKS[name].residual(s), s.scale(CHECKS[name].space))
-                for name in checks}
+def _checks_at(point, checks, resolved):
+    """{name: (raw, scale)} at one sample point.  The checks share its fibre's
+    evaluations, which the scene's setup keeps, and the run's base evaluation."""
+    s = _SamplePoint(resolved, point)
+    return {name: (CHECKS[name].residual(s), s.scale(CHECKS[name].space)) for name in checks}
 
 
 # ---------------------------------------------------------------------------
@@ -533,12 +551,10 @@ def cmd_verify(args):
         raise UsageError("no checks requested (scene 'checks' or --checks)")
     _require_checks(checks, resolved)
     points, seed = resolved.sample_points()
-    setup = mor.SubmersionSetup(resolved.fm) if resolved.fm is not None else None
 
     def evaluator(point):
         return {name: _record_entry(raw, scale, resolved.tolerance_for(name))
-                for name, (raw, scale) in
-                _checks_at(point, checks, resolved, setup).items()}
+                for name, (raw, scale) in _checks_at(point, checks, resolved).items()}
 
     return _emit_report(build_report(resolved, points, seed, checks, evaluator), args)
 
@@ -549,9 +565,8 @@ def cmd_classify(args):
     if resolved.fm is None:
         raise UsageError("classify needs a construction in the scene")
     points, seed = resolved.sample_points()
-    setup = mor.SubmersionSetup(resolved.fm)
-    classes, domain_errors = resolved.run.each(
-        points, lambda p: mor.classify_type(setup, mor.fibre_samples_about(resolved.fm, p, 4)))
+    classes, domain_errors = resolved.run.each(points, lambda p: mor.classify_type(
+        resolved.setup, mor.fibre_samples_about(resolved.fm, p, 4)))
     results = [{"point": list(point), "label": cls.label, "recovered_c": cls.recovered_c,
                 "evidence": _jsonable(cls.evidence)}
                for point, cls in zip(points, classes) if cls is not None]
@@ -625,8 +640,7 @@ def cmd_sweep(args):
         resolved = ResolvedScene(validate_scene(trial, section), run)
         _require_checks(checks, resolved)
         points, _ = resolved.sample_points()
-        setup = mor.SubmersionSetup(resolved.fm) if resolved.fm is not None else None
-        results, bad = run.each(points, lambda p: _checks_at(p, checks, resolved, setup))
+        results, bad = run.each(points, lambda p: _checks_at(p, checks, resolved))
         errors.extend((value, e["index"], e["point"], e["error"]) for e in bad)
         good = [vals for vals in results if vals is not None]
         return {name: max(abs(raw) / (1.0 + scale) for raw, scale in

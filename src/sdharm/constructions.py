@@ -169,10 +169,8 @@ def type2_warped(h, f, fibre_range=(-1.5, 1.5)):
     chart = _total_chart(h.chart, fibre_range, "tau")
 
     def theta_fn(coords):
-        root = jets.sqrt(f.fn(coords)) if isinstance(f.fn(coords), jets.Jet) \
-            else math.sqrt(f.fn(coords))
         zero = 0.0 * coords[0]
-        return [root, zero, zero, zero]
+        return [jets.sqrt(f.fn(coords)), zero, zero, zero]
 
     return _assemble(chart, h.chart, h, f.fn, theta_fn, "type2", {"f": f},
                      positivity_name="f")

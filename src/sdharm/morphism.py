@@ -10,15 +10,16 @@ family classifier.
 All of it reads one :class:`PointEval` per point, which holds g, dg, ddg,
 g^-1 and (Gamma, dGamma) and fills in the rest on first use.  The trace
 forms are (value, derivative) arrays, by the product rule through einsum.
-Inside ``SubmersionSetup.sharing()`` the checks at one sample point share one
-``PointEval`` per distinct point; the classifier passes its fibre's own.
+``SubmersionSetup.ctx`` keeps the evaluations of one fibre, with the base
+metric under it, until a point on another fibre is asked for: the checks at a
+point, the samples of ``twistorial_basic`` and the classifier's gates read a
+fibre through it, so each quantity has one (setup, point) function.
 
 The fibre direction is always coordinate 0; the projection drops it.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -50,39 +51,39 @@ __all__ = [
 ]
 
 H_CONFORMAL_TOL = 1e-8
+SD_GATE_TOL = 1e-7        # classify_type gate: twistorial_sd at each sample
+SPREAD_GATE_TOL = 1e-7    # gate: fibre spreads (Lee form, defect, d^H log lam), I
+BRANCH_TOL = 1e-6         # branches on V(lam^-2) and V(log V(lam^-2))
+C_SPREAD_TOL = 1e-5       # spread of the recovered c along the fibre
 
 
 class SubmersionSetup:
-    """A fibration metric with the verification hooks of the projection map."""
+    """A fibration metric with the verification hooks of the projection map.
+
+    ``ctx`` keeps the evaluations of the fibre it was last asked about, by
+    point, with the base metric h and h^-1 there; a point on another fibre
+    drops them, so no more than one fibre is ever held."""
 
     def __init__(self, fm: FibrationMetric):
         self.fm = fm
-        self._shared = None       # point -> PointEval while sharing() is open
-
-    @property
-    def orientation(self):
-        return self.fm.total_chart.orientation
+        self._base_point = None   # the fibre held; ctx sets with it _evals
+                                  # (point -> PointEval) and _h ((h, h^-1) or None)
 
     def ctx(self, point):
-        """The evaluation at ``point``; inside ``sharing()``, one per distinct point."""
+        """The evaluation at ``point``, shared while its fibre is the current one."""
         point = tuple(float(x) for x in point)
-        if self._shared is None:
-            return PointEval(self.fm, point)
-        if point not in self._shared:
-            self._shared[point] = PointEval(self.fm, point)
-        return self._shared[point]
+        if point[1:] != self._base_point:
+            self._base_point, self._evals, self._h = point[1:], {}, None
+        if point not in self._evals:
+            self._evals[point] = PointEval(self, point)
+        return self._evals[point]
 
-    @contextlib.contextmanager
-    def sharing(self):
-        """Reuse evaluations by point until the block ends (a nested block joins
-        the outer one).  Opened around one sample point's checks, so that no
-        evaluation outlives its sample point."""
-        outer = self._shared
-        self._shared = {} if outer is None else outer
-        try:
-            yield
-        finally:
-            self._shared = outer
+    def base_values(self):
+        """h and h^-1 under the current fibre, evaluated once per fibre."""
+        if self._h is None:
+            hv = self.fm.h.values(self._base_point)
+            self._h = hv, np.linalg.inv(hv)
+        return self._h
 
 
 def _d_einsum(spec, *pairs):
@@ -109,17 +110,17 @@ class PointEval:
     V0 = g_00^(-1/2).  P = 1 + e_0 (x) w with w_b = -g_0b/g_00 is the
     horizontal projector P(X) = X - d_0 g(X, d_0)/g_00; its columns
     W_b = d_b + w_b d_0 lift the base coordinate frame (b = 1..3), W_0 = 0.
+    Built by ``SubmersionSetup.ctx``, whose fibre supplies h and h^-1.
     """
 
-    def __init__(self, fm, point):
+    def __init__(self, setup, point):
+        self.fm = fm = setup.fm
         fm.total_chart.require_inside(point)
-        self.fm = fm
         self.point = tuple(float(x) for x in point)
         self.base_point = self.point[1:]
         self.metric = geo.metric_point(fm.g, self.point)
         self.gv, self.dg, self.ddg, self.ginv, self.dginv, self.G, self.dG = self.metric
-        self.hv = fm.h.values(self.base_point)
-        self.hinv = np.linalg.inv(self.hv)
+        self.hv, self.hinv = setup.base_values()
         L = fm.dilation_sq_inv.jet(self.point)
         self.lam_inv_sq, self.dlam_inv_sq, self.ddlam_inv_sq = L.value, L.grad, L.hess
         g00, dg00 = self.gv[0, 0], self.dg[0, 0]
@@ -214,9 +215,28 @@ class PointEval:
         """Frame norm of the Riemann tensor, the scale residuals are normalized by."""
         return geo.tensor_norm(geo.curvature_from_gamma(self.metric, self.point)[1], self.gv)
 
+    @cached_property
+    def lifted_dtheta(self):
+        """d theta evaluated on pairs of lifts W_1..W_3, a 3x3 array."""
+        dth = geo.form_values(geo.ext_d(self.fm.theta.jets(self.point), 4), 4, 2)
+        return self.P[:, 1:].T @ dth @ self.P[:, 1:]
+
+    @cached_property
+    def harmonicity_defect(self):
+        """dphi(trace Bv + grad log lam) in base coordinate components."""
+        return (self.vertical_trace[0] + self.grad_log_lambda[0])[1:]
+
+    @cached_property
+    def star_H_I(self):
+        """*_{H,g} of the integrability form, as coordinate one-form components."""
+        frame = self.horizontal_frame
+        Itilde = frame @ self.integrability @ frame.T
+        star = 0.5 * np.einsum("kl,klm->m", Itilde, geo.levi_civita_symbol(3))
+        return star @ frame @ self.gv
+
 
 # ---------------------------------------------------------------------------
-# public operations: thin (setup, point) wrappers over PointEval helpers
+# public operations: one (setup, point) function per quantity
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -233,10 +253,7 @@ def dilation(setup, point, tol=H_CONFORMAL_TOL):
     anisotropy norm certifies horizontal conformality and must stay below
     ``tol``.  Also cross-checks the stored closed form of lam^-2.
     """
-    return _dilation(setup.ctx(point), tol)
-
-
-def _dilation(ctx, tol=H_CONFORMAL_TOL):
+    ctx = setup.ctx(point)
     block = ctx.ginv[1:, 1:]
     lam_sq = float(np.einsum("ij,ij->", block, ctx.hv) / 3.0)
     dev = block - lam_sq * ctx.hinv
@@ -262,18 +279,11 @@ def integrability_form(setup, point):
     return setup.ctx(point).integrability
 
 
-def _lifted_dtheta(ctx):
-    """d theta evaluated on pairs of lifts W_1..W_3, a 3x3 array."""
-    dth = geo.form_values(geo.ext_d(ctx.fm.theta.jets(ctx.point), 4), 4, 2)
-    lifts = ctx.P[:, 1:]
-    return lifts.T @ dth @ lifts
-
-
 def integrability_consistency(setup, point):
     """|| I - lam * dtheta restricted to the lifts ||, a structural cross-check."""
     ctx = setup.ctx(point)
     lam = ctx.lam_inv_sq ** -0.5
-    return float(np.max(np.abs(ctx.integrability[1:, 1:] - lam * _lifted_dtheta(ctx))))
+    return float(np.max(np.abs(ctx.integrability[1:, 1:] - lam * ctx.lifted_dtheta)))
 
 
 def fundamental_eq_residual(setup, point):
@@ -282,40 +292,23 @@ def fundamental_eq_residual(setup, point):
     Zero together with horizontal conformality certifies that the projection
     is a harmonic morphism onto (N, h).
     """
+    dilation(setup, point)      # raises if the conformality certificate fails
     ctx = setup.ctx(point)
-    _dilation(ctx)      # raises if the conformality certificate fails
-    drop = _harmonicity_defect(ctx)
+    drop = ctx.harmonicity_defect
     return float(np.sqrt(max(0.0, drop @ ctx.hv @ drop)))
-
-
-def _harmonicity_defect(ctx):
-    """dphi(trace Bv + grad log lam) in base coordinate components."""
-    return (ctx.vertical_trace[0] + ctx.grad_log_lambda[0])[1:]
 
 
 def induced_lee_form(setup, point):
     """Lee form (trace Bv)-flat - *_H I of the induced partial connection,
     float coordinate components (a one-form annihilating the vertical)."""
     ctx = setup.ctx(point)
-    return ctx.vertical_trace_flat[0] - _star_H_I(ctx)
-
-
-def _star_H_I(ctx):
-    """*_{H,g} of the integrability form, as coordinate one-form components."""
-    frame = ctx.horizontal_frame
-    Itilde = frame @ ctx.integrability @ frame.T
-    star = 0.5 * np.einsum("kl,klm->m", Itilde, geo.levi_civita_symbol(3))
-    return star @ frame @ ctx.gv
+    return ctx.vertical_trace_flat[0] - ctx.star_H_I
 
 
 def projected_lee_form(setup, point):
     """The Lee form in the gauge of the pulled-back base metric, paired with
     the horizontal lifts: (base components b_1..b_3, vertical contraction)."""
-    return _projected_lee(setup.ctx(point))
-
-
-def _projected_lee(ctx):
-    beta = ctx.vertical_trace_flat[0] - _star_H_I(ctx)
+    ctx, beta = setup.ctx(point), induced_lee_form(setup, point)
     return beta @ ctx.P[:, 1:] - ctx.dH_log_lambda_values(), float(abs(beta[0] * ctx.V0))
 
 
@@ -337,11 +330,7 @@ def twistorial_basic_residual(setup, samples):
     the maximal pairwise component spread plus the maximal vertical
     contraction; zero means the form is basic at sample resolution.
     """
-    return _basic_residual([setup.ctx(s) for s in _check_one_fibre(samples)])
-
-
-def _basic_residual(ctxs):
-    lee = [_projected_lee(c) for c in ctxs]
+    lee = [projected_lee_form(setup, s) for s in _check_one_fibre(samples)]
     comps = np.array([b for b, _ in lee])
     spread = float(np.max(comps.max(axis=0) - comps.min(axis=0)))
     return spread + float(max(v for _, v in lee))
@@ -349,10 +338,7 @@ def _basic_residual(ctxs):
 
 def twistorial_sd_residual(setup, point):
     """Norm of the anti-self-dual part of d(trace(Bv)-flat + 1/3 trace(Bh)-flat)."""
-    return _sd_residual(setup.ctx(point))
-
-
-def _sd_residual(ctx):
+    ctx = setup.ctx(point)
     dS = ctx.vertical_trace_flat[1] + (1.0 / 3.0) * ctx.horizontal_trace_flat[1]
     # dS[b, a] = d_a sigma_b, so (d sigma)_ab = dS[b, a] - dS[a, b]
     _, _, _, minus = geo.split_two_form(dS.T - dS, ctx.gv, ctx.fm.total_chart.orientation,
@@ -370,7 +356,7 @@ def monopole_eq_residual(setup, alpha, point):
     lhs = ctx.dlam_inv_sq @ ctx.P[:, 1:]
     if alpha is not None:
         lhs = lhs - ctx.lam_inv_sq * alpha.values(ctx.base_point)
-    rhs = geo.hodge_star(_lifted_dtheta(ctx), ctx.hv, 2, ctx.fm.total_chart.orientation)
+    rhs = geo.hodge_star(ctx.lifted_dtheta, ctx.hv, 2, ctx.fm.total_chart.orientation)
     diff = lhs - rhs
     return float(np.sqrt(max(0.0, diff @ ctx.hinv @ diff)))
 
@@ -391,7 +377,8 @@ def pullback_sd_residual(setup, u, A, point):
         tilde[1:] = [t + a for t, a in zip(tilde[1:], A.fn(cj[1:]))]
     tilde = [t if isinstance(t, jets.Jet) else jets.constant(float(t), 4) for t in tilde]
     dA = geo.form_values(geo.ext_d(tilde, 4), 4, 2)
-    _, _, _, minus = geo.split_two_form(dA, ctx.gv, setup.orientation, point=ctx.point)
+    _, _, _, minus = geo.split_two_form(dA, ctx.gv, ctx.fm.total_chart.orientation,
+                                        point=ctx.point)
     return minus
 
 
@@ -406,18 +393,17 @@ class Classification:
     evidence: dict = field(default_factory=dict)
 
 
-def fibre_samples_about(fm, point, count=3, spacing=None):
+def fibre_samples_about(fm, point, count=3):
     """Points on the fibre through ``point``, spaced inside the chart box."""
     lo, hi = fm.total_chart.lo[0], fm.total_chart.hi[0]
-    if spacing is None:
-        spacing = 0.15 * (hi - lo) / max(count - 1, 1)
+    spacing = 0.15 * (hi - lo) / max(count - 1, 1)
     t0 = point[0]
     offsets = (np.arange(count) - (count - 1) / 2.0) * spacing
     ts = np.clip(t0 + offsets, lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo))
     return [(float(t),) + tuple(point[1:]) for t in sorted(set(ts))]
 
 
-def classify_type(setup, samples, pass_tol=1e-8, branch_tol=1e-6):
+def classify_type(setup, samples):
     """Decide which family the fibration belongs to, from one fibre's samples.
 
     Gates: horizontal conformality, the self-duality certificate of the mean
@@ -434,29 +420,28 @@ def classify_type(setup, samples, pass_tol=1e-8, branch_tol=1e-6):
     ctxs = [setup.ctx(s) for s in samples]
 
     try:
-        for c in ctxs:
-            _dilation(c)
+        for s in samples:
+            dilation(setup, s)
     except NotHorizontallyConformalError as exc:
         evidence["anisotropy"] = exc.anisotropy
         return Classification("nonstandard", None, evidence)
 
-    sd_res = [_sd_residual(c) for c in ctxs]
-    basic_res = _basic_residual(ctxs)
+    sd_res = [twistorial_sd_residual(setup, s) for s in samples]
+    basic_res = twistorial_basic_residual(setup, samples)
     evidence["twistorial_sd"] = sd_res
     evidence["twistorial_basic"] = basic_res
 
     # The defect lowered by h and scaled by lam^-2: in that weighting it is
     # constant along fibres exactly when the metric is a basic conformal
     # rescale of a harmonic morphism, the gauge freedom to ignore here.
-    defect = np.array([(c.hv @ _harmonicity_defect(c)) * c.lam_inv_sq for c in ctxs])
-    defect_spread = float(np.max(defect.max(axis=0) - defect.min(axis=0))) \
-        if len(defect) else 0.0
+    defect = np.array([(c.hv @ c.harmonicity_defect) * c.lam_inv_sq for c in ctxs])
+    defect_spread = float(np.max(defect.max(axis=0) - defect.min(axis=0)))
     evidence["harmonicity_defect_spread"] = defect_spread
     evidence["harmonicity_residual"] = [float(np.sqrt(max(0.0, d @ c.hinv @ d)))
                                         for d, c in zip(defect, ctxs)]
 
-    gate_tol = 10 * pass_tol
-    if (max(sd_res) > 1e-7 or basic_res > gate_tol or defect_spread > gate_tol):
+    if (max(sd_res) > SD_GATE_TOL or basic_res > SPREAD_GATE_TOL
+            or defect_spread > SPREAD_GATE_TOL):
         return Classification("nonstandard", None, evidence)
 
     # V = lam^-1 V0 d_0; v1 = V(lam^-2)
@@ -467,7 +452,7 @@ def classify_type(setup, samples, pass_tol=1e-8, branch_tol=1e-6):
     evidence["V_lam_inv_sq"] = list(map(float, v1))
     scale = 1.0 + float(np.max(np.abs(lam_inv)))
 
-    if np.max(np.abs(v1)) < branch_tol * scale:
+    if np.max(np.abs(v1)) < BRANCH_TOL * scale:
         return Classification("type1", None, evidence)
 
     flip = 1.0
@@ -486,13 +471,13 @@ def classify_type(setup, samples, pass_tol=1e-8, branch_tol=1e-6):
     a_mean = float(np.mean(v2))
     evidence["a"] = a_mean
 
-    if v2_spread < branch_tol * (1.0 + abs(a_mean)):
-        if abs(a_mean) < branch_tol:
+    if v2_spread < BRANCH_TOL * (1.0 + abs(a_mean)):
+        if abs(a_mean) < BRANCH_TOL:
             return Classification("type3", None, evidence)
         c_rec = a_mean * lam_inv - flip * v1
         evidence["recovered_c"] = list(map(float, c_rec))
         c_val = float(np.mean(c_rec))
-        if float(np.max(np.abs(c_rec - c_val))) < 1e-5 * (1.0 + abs(c_val)):
+        if float(np.max(np.abs(c_rec - c_val))) < C_SPREAD_TOL * (1.0 + abs(c_val)):
             return Classification("type4", c_val, evidence)
         return Classification("nonstandard", None, evidence)
 
@@ -502,6 +487,6 @@ def classify_type(setup, samples, pass_tol=1e-8, branch_tol=1e-6):
     dh_log = np.array([c.dH_log_lambda_values() for c in ctxs])
     homothety_spread = float(np.max(dh_log.max(axis=0) - dh_log.min(axis=0)))
     evidence["homothety_spread"] = homothety_spread
-    if integrability < gate_tol and homothety_spread < gate_tol:
+    if integrability < SPREAD_GATE_TOL and homothety_spread < SPREAD_GATE_TOL:
         return Classification("type2_conformal", None, evidence)
     return Classification("nonstandard", None, evidence)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -98,15 +99,21 @@ def test_verify_einstein_weyl_base_only(capsys):
     assert rep["summary"]["checks"]["einstein_weyl"]["max_raw"] > 1e-2
 
 
-def test_verify_shares_one_context_per_fibre_sample(capsys, tmp_path, monkeypatch):
-    built = []
+@pytest.fixture
+def built(monkeypatch):
+    """The points of every PointEval built while the test runs."""
+    points = []
 
     class Counting(mor.PointEval):
-        def __init__(self, fm, point):
-            built.append(tuple(point))
-            super().__init__(fm, point)
+        def __init__(self, setup, point):
+            points.append(tuple(point))
+            super().__init__(setup, point)
 
     monkeypatch.setattr(mor, "PointEval", Counting)
+    return points
+
+
+def test_verify_shares_one_context_per_fibre_sample(capsys, tmp_path, built):
     with open(scene_path("type4_berger_ew.json")) as fh:
         scene = json.load(fh)
     scene["samples"] = {"points": [[0.2, 1.2, 2.0, 3.0]]}
@@ -119,6 +126,16 @@ def test_verify_shares_one_context_per_fibre_sample(capsys, tmp_path, monkeypatc
     # the point itself and the two other samples of twistorial_basic's fibre
     assert (0.2, 1.2, 2.0, 3.0) in built
     assert len(built) == len(set(built)) <= 3
+
+
+def test_classify_evaluates_each_fibre_once(capsys, monkeypatch, built):
+    """One PointEval per fibre sample, and h under each fibre read once."""
+    h_reads, real = [], geo.MetricField.values
+    monkeypatch.setattr(geo.MetricField, "values", lambda h, p: h_reads.append(p) or real(h, p))
+    code, out = run_cli(["classify", scene_path("type4_berger_ew.json")], capsys)
+    assert code == 0 and json.loads(out)["label"] == "type4"
+    assert len(built) == len(set(built)) == 20       # 5 points x 4 fibre samples
+    assert len(h_reads) == 5
 
 
 def test_verify_evaluates_the_base_metric_once_per_point(capsys, monkeypatch):
@@ -179,6 +196,105 @@ def test_unknown_catalog_entry_usage_error(capsys, tmp_path):
                              "samples": {"points": [[0.1, 0.2, 0.3]]}}))
     assert cli.main(["report", str(p)]) == 64
     assert "unknown catalog entry 'bogus'" in capsys.readouterr().err
+
+
+def write_scene(tmp_path, name, edit):
+    """A copy of scenes/<name> after ``edit(scene)``, as a file path."""
+    with open(scene_path(name)) as fh:
+        scene = json.load(fh)
+    edit(scene)
+    p = tmp_path / name
+    p.write_text(json.dumps(scene))
+    return str(p)
+
+
+@pytest.mark.parametrize("name, key, typo, family", [
+    ("type4_berger_ew.json", "alpha", "alhpa", "type4"),
+    ("gibbons_hawking.json", "u", "U", "type1"),
+    ("type2_warped.json", "f", "lam", "type2"),
+])
+def test_unknown_construction_parameter_usage_error(name, key, typo, family, capsys, tmp_path):
+    """A key the family does not take is not dropped: type 4 with 'alhpa'
+    would otherwise build without a Lee form and pass its checks."""
+    def edit(scene):
+        params = scene["construction"]["params"]
+        params[typo] = params.pop(key)
+    path = write_scene(tmp_path, name, edit)
+    for args in (["verify", path, "--checks", "twistorial_sd"], ["report", path]):
+        assert cli.main(args) == 64
+        assert f"family {family!r} does not take parameter {typo!r}" in capsys.readouterr().err
+
+
+def _set_base(params):
+    return lambda scene: scene.update(base={"name": "berger_s3", "params": params})
+
+
+def _set_type2_f(ref):
+    return lambda scene: scene["construction"]["params"].update(f=ref)
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("type4_berger_ew.json", _set_base({"nu": 1}),
+     "catalog entry 'berger_s3' does not take parameter 'nu'; it takes ['mu']"),
+    ("type4_berger_ew.json", _set_base({"mu": "x"}),
+     "catalog entry 'berger_s3' parameter 'mu' must be a number, got 'x'"),
+    ("type4_berger_ew.json", _set_base({"mu": True}),
+     "catalog entry 'berger_s3' parameter 'mu' must be a number, got True"),
+    ("type2_warped.json", _set_type2_f({"name": "fibre_exp", "params": {"rat": 2}}),
+     "fibre scalar 'fibre_exp' does not take parameter 'rat'; it takes ['rate']"),
+    ("type2_warped.json", _set_type2_f({"name": "fibre_exp", "params": {"rate": "x"}}),
+     "fibre scalar 'fibre_exp' parameter 'rate' must be a number, got 'x'"),
+    ("type2_warped.json", _set_type2_f({"name": "fibre_power"}),
+     "fibre scalar 'fibre_power' needs parameter 'p'"),
+], ids=["unknown", "string", "bool", "fibre-unknown", "fibre-string", "fibre-missing"])
+def test_bad_ref_parameter_usage_error(name, edit, message, capsys, tmp_path):
+    assert cli.main(["report", write_scene(tmp_path, name, edit)]) == 64
+    assert message in capsys.readouterr().err
+
+
+def test_out_of_range_ref_parameter_stays_a_domain_error(capsys, tmp_path):
+    path = write_scene(tmp_path, "type4_berger_ew.json", _set_base({"mu": -1}))
+    assert cli.main(["report", path]) == 2
+    assert "berger parameter mu must be positive" in capsys.readouterr().err
+
+
+def _scene_control(name, **fields):
+    def build():
+        with open(scene_path(name)) as fh:
+            resolved = cli.ResolvedScene(cli.validate_scene(dict(json.load(fh), **fields)))
+        return resolved, resolved.sample_points()[0]
+    return build
+
+
+def _broken_dilation_control():
+    """The type-3 Trkalian scene with lam^-2 = rho^2 stored in place of rho."""
+    resolved, points = _scene_control("type3_trkalian.json")()
+    resolved.fm = dataclasses.replace(resolved.fm, dilation_sq_inv=geo.ScalarField(
+        resolved.fm.total_chart, lambda c: c[0] * c[0], "rho^2"))
+    resolved.setup = mor.SubmersionSetup(resolved.fm)
+    return resolved, points
+
+
+TOTAL_CONTROLS = {
+    "fundamental_eq": _broken_dilation_control,
+    "twistorial_basic": _scene_control("type3_control_xdy.json"),
+    "twistorial_sd": _scene_control("type3_control_xdy.json"),
+    "monopole": _scene_control("type3_control_xdy.json"),
+    "pullback_sd": _scene_control("gibbons_hawking.json", pair={
+        "u": {"name": "gh_potential", "params": {"m": 3.0}},
+        "A": {"name": "dirac_A", "params": {"m": 1.0}}}),
+}
+
+
+@pytest.mark.parametrize("check", [n for n, c in cli.CHECKS.items() if c.space == "total"])
+def test_total_space_check_fails_its_negative_control(check):
+    """Every total-space check, run through the CHECKS table, reads at least
+    1e3 times the default tolerance on a known-failing input."""
+    assert check in TOTAL_CONTROLS, f"check {check!r} has no negative control"
+    resolved, points = TOTAL_CONTROLS[check]()
+    worst = max(abs(raw) / (1.0 + scale) for raw, scale in
+                (cli._checks_at(p, [check], resolved)[check] for p in points))
+    assert worst >= 1e3 * cli.DEFAULT_TOL, worst
 
 
 @settings(max_examples=15, deadline=None)

@@ -413,21 +413,24 @@ def test_classify_builds_one_context_per_sample(type4_setup, monkeypatch):
     built = []
 
     class Counting(mor.PointEval):
-        def __init__(self, fm, point):
+        def __init__(self, setup, point):
             built.append(tuple(point))
-            super().__init__(fm, point)
+            super().__init__(setup, point)
 
     monkeypatch.setattr(mor, "PointEval", Counting)
-    samples = mor.fibre_samples_about(type4_setup.fm, (0.2, 0.3, -0.4, 1.0), 4)
-    assert mor.classify_type(type4_setup, samples).label == "type4"
+    setup = mor.SubmersionSetup(type4_setup.fm)     # the fixture's may hold this fibre
+    samples = mor.fibre_samples_about(setup.fm, (0.2, 0.3, -0.4, 1.0), 4)
+    assert mor.classify_type(setup, samples).label == "type4"
     assert sorted(built) == sorted(samples)
 
 
-def test_contexts_shared_only_inside_sharing(type4_setup):
-    pt = (0.2, 0.3, -0.4, 1.0)
-    assert type4_setup.ctx(pt) is not type4_setup.ctx(pt)
-    with type4_setup.sharing():
-        first = type4_setup.ctx(pt)
-        with type4_setup.sharing():
-            assert type4_setup.ctx(np.array(pt)) is first
-    assert type4_setup.ctx(pt) is not first
+def test_setup_keeps_the_evaluations_of_one_fibre(type4_setup):
+    setup = mor.SubmersionSetup(type4_setup.fm)
+    pt, same_fibre = (0.2, 0.3, -0.4, 1.0), (0.5, 0.3, -0.4, 1.0)
+    first, second = setup.ctx(pt), setup.ctx(same_fibre)
+    assert setup.ctx(np.array(pt)) is first and setup.ctx(same_fibre) is second
+    assert second.hv is first.hv
+    other = setup.ctx((0.2, 0.3, -0.4, 1.1))       # another fibre drops both
+    assert other.hv is not first.hv
+    assert setup.ctx(pt) is not first
+    assert setup.ctx((0.2, 0.3, -0.4, 1.1)) is not other
