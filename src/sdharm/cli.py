@@ -184,6 +184,11 @@ def _fibre_scalar(ref):
     return factory(**params)(None)
 
 
+def _is_number(value):
+    """A JSON number; a boolean is not one, though Python counts it as an int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _ref_params(ref, what, names):
     """The ref's params, each one of ``names`` with a number, else a usage error
     naming ``what``.  A number out of range is left to the factory's domain check."""
@@ -191,7 +196,7 @@ def _ref_params(ref, what, names):
     for key, value in params.items():
         if key not in names:
             raise UsageError(f"{what} does not take parameter {key!r}; it takes {sorted(names)}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not _is_number(value):
             raise UsageError(f"{what} parameter {key!r} must be a number, got {value!r}")
     return params
 
@@ -216,9 +221,18 @@ class Run:
                          lambda: _resolve_ref(ref, *defaults))
 
     @staticmethod
-    def each(points, fn):
+    def each(points, fn, batch=None):
         """(results, domain_errors): fn at each point, None where it raised a
-        domain error, which is recorded as {index, point, error}."""
+        domain error, which is recorded as {index, point, error}.
+
+        ``batch(points)``, when given, returns every point's result from one
+        evaluation.  If it raises a domain error, each point is evaluated alone
+        by ``fn``, so the bad points are named and the others still count."""
+        if batch is not None and points:
+            try:
+                return batch(points), []
+            except (DomainError, GeometryError):
+                pass
         results, errors = [None] * len(points), []
         for idx, point in enumerate(points):
             try:
@@ -284,8 +298,8 @@ class ResolvedScene:
         elif family == "type4":
             alpha = ref("alpha")
             c = params.get("c", 1.0)
-            if not isinstance(c, (int, float)):
-                raise UsageError("type4 parameter c must be a number in scenes")
+            if not _is_number(c):
+                raise UsageError(f"family 'type4' parameter 'c' must be a number, got {c!r}")
             self.fm = con.type4_metric(self.h, alpha, c=float(c), **kwargs)
         elif family == "bryant":
             A = ref("A")
@@ -436,8 +450,8 @@ def _record_entry(raw, scale, tol):
             "pass": bool(normalized < tol)}
 
 
-def build_report(resolved, points, seed, check_names, evaluator):
-    results, domain_errors = resolved.run.each(points, evaluator)
+def build_report(resolved, points, seed, check_names, evaluator, batch=None):
+    results, domain_errors = resolved.run.each(points, evaluator, batch)
     records = [{"index": idx, "point": list(point), "checks": checks or {}}
                for idx, (point, checks) in enumerate(zip(points, results))]
     for e in domain_errors:
@@ -522,22 +536,34 @@ def cmd_report(args):
     points, seed = resolved.sample_points()
     metric = resolved.fm.g if resolved.fm is not None else resolved.h
 
-    def evaluator(point):
-        rep = geo.curvature_report(metric, point)
-        raw = rep.raw()
+    def entries(raw, riemann_norm):
         out = {}
         for name in REPORT_SCALARS:
             if name not in raw:
                 continue
             tol = resolved.tolerance_for(name)
-            entry = _record_entry(raw[name], rep.riemann_norm, tol)
+            entry = _record_entry(raw[name], riemann_norm, tol)
             if name not in checks:
                 entry["pass"] = True      # informational scalar, not a gate
             out[name] = entry
         return out
 
+    def evaluator(point):
+        rep = geo.curvature_report(metric, point)
+        return entries(rep.raw(), rep.riemann_norm)
+
+    def batch(pts):
+        """Every point in one curvature pass.  A point of the wrong dimension
+        goes to the per-point path, which names it."""
+        if any(len(p) != metric.chart.dim for p in pts):
+            raise DomainError("a sample point has the wrong dimension")
+        rep = geo.curvature_report(metric, np.array(pts))
+        raw = rep.raw()
+        return [entries({k: v[i] for k, v in raw.items()}, rep.riemann_norm[i])
+                for i in range(len(pts))]
+
     return _emit_report(build_report(resolved, points, seed, checks or REPORT_SCALARS,
-                                     evaluator), args)
+                                     evaluator, batch), args)
 
 
 def cmd_verify(args):
@@ -607,7 +633,7 @@ def _set_path(obj, path, value):
             node = parent[key]
         except (KeyError, IndexError, ValueError, TypeError):
             raise UsageError(f"sweep parameter path {path!r} not found at {k!r}")
-    if isinstance(parent, dict) and (not isinstance(node, (int, float)) or isinstance(node, bool)):
+    if isinstance(parent, dict) and not _is_number(node):
         raise UsageError(f"sweep parameter {path!r} is not numeric")
     parent[key] = value
 

@@ -101,9 +101,9 @@ def _assemble(total_chart, base_chart, h, lam_inv_sq_fn, theta_fn, tag, params,
         A = lam_inv_sq_fn(coords)
         is_jet = isinstance(A, jets.Jet)
         aval = A.value if is_jet else float(A)
-        if aval <= 0.0:
-            raise DomainError(
-                f"{positivity_name} must be positive on the domain, got {aval:.6g} "
+        if jets.anywhere(aval <= 0.0):
+            raise DomainError(      # a batch names its least value
+                f"{positivity_name} must be positive on the domain, got {np.min(aval):.6g} "
                 f"at {tuple(c.value if isinstance(c, jets.Jet) else c for c in coords)}")
         Ainv = A.reciprocal() if is_jet else 1.0 / A
         th = theta_fn(coords)

@@ -7,6 +7,14 @@ derivatives from g^-1, dg and ddg, and the Riemann tensor from those, so no
 finite differencing happens anywhere.  Pointwise norms are taken in an
 orthonormalized frame (Cholesky of the metric), which makes every reported
 residual a chart-independent scalar.
+
+The curvature path (``metric_point`` through ``curvature_report`` and
+``sd_asd_split``) also takes an ``(N, d)`` array of points.  The metric jets
+then carry the batch axis last (see ``jets``); ``metric_point`` moves it to
+the front once, and every array after it has a leading point axis, which the
+``...``-prefixed einsums and numpy's stacked ``linalg`` carry through.  Scalars
+such as the norms become ``(N,)`` arrays.  A check that fails at any point of
+a batch raises for the whole batch.
 """
 
 from __future__ import annotations
@@ -93,6 +101,12 @@ class Chart:
         return all(l < x < h for x, l, h in zip(point, self.lo, self.hi))
 
     def require_inside(self, point):
+        """Raise a DomainError unless the point, or every row of an ``(N, d)``
+        array of points, lies inside the chart."""
+        if _is_batch(point):
+            for p in point:
+                self.require_inside(p)
+            return
         if len(point) != self.dim:
             raise DomainError(f"point {tuple(point)} has wrong dimension for chart {self.names}")
         if not self.contains(point):
@@ -131,9 +145,8 @@ class ScalarField:
 
     def jet(self, point):
         self.chart.require_inside(point)
-        out = _eval_at(self.fn, jets.seed_all(point), point)
-        if not isinstance(out, jets.Jet):
-            out = jets.constant(float(out), len(point))
+        coords = jets.seed_all(point)
+        out = coords[0].coerce(_eval_at(self.fn, coords, point))
         if not out.is_finite():
             raise SingularEvaluationError(f"scalar field {self.name or self.fn} is not finite",
                                           point=point)
@@ -154,8 +167,8 @@ class OneFormField:
 
     def jets(self, point):
         self.chart.require_inside(point)
-        comps = _eval_at(self.fn, jets.seed_all(point), point)
-        return [_as_jet(c, len(point)) for c in comps]
+        coords = jets.seed_all(point)
+        return [coords[0].coerce(c) for c in _eval_at(self.fn, coords, point)]
 
     def values(self, point):
         return np.array([j.value for j in self.jets(point)])
@@ -173,8 +186,9 @@ class TwoFormField:
     def jets(self, point):
         self.chart.require_inside(point)
         d = len(point)
-        comps = _eval_at(self.fn, jets.seed_all(point), point)
-        out = [[_as_jet(comps[a][b], d) for b in range(d)] for a in range(d)]
+        coords = jets.seed_all(point)
+        comps = _eval_at(self.fn, coords, point)
+        out = [[coords[0].coerce(comps[a][b]) for b in range(d)] for a in range(d)]
         for a in range(d):
             for b in range(d):
                 if abs(out[a][b].value + out[b][a].value) > 1e-12 * (1 + abs(out[a][b].value)):
@@ -212,18 +226,17 @@ class MetricField:
         return out
 
 
-def _as_jet(x, dim):
-    return x if isinstance(x, jets.Jet) else jets.constant(float(x), dim)
-
-
 def metric_jets(g, point):
-    """Evaluate metric components as order-2 jets; enforce symmetry."""
+    """Evaluate metric components as order-2 jets (batch jets for an ``(N, d)``
+    array of points); enforce symmetry."""
     d = g.chart.dim
-    comps = _eval_at(g.fn, jets.seed_all(point), point)
-    out = [[_as_jet(comps[a][b], d) for b in range(d)] for a in range(d)]
+    coords = jets.seed_all(point)
+    comps = _eval_at(g.fn, coords, point)
+    out = [[coords[0].coerce(comps[a][b]) for b in range(d)] for a in range(d)]
     for a in range(d):
         for b in range(a + 1, d):
-            if abs(out[a][b].value - out[b][a].value) > 1e-12 * (1.0 + abs(out[a][b].value)):
+            if jets.anywhere(abs(out[a][b].value - out[b][a].value)
+                             > 1e-12 * (1.0 + abs(out[a][b].value))):
                 raise SingularEvaluationError(
                     f"metric {g.name} not symmetric in components ({a},{b})", point=point)
     return out
@@ -237,24 +250,41 @@ def jet_values(mat):
     return np.array([[m.value for m in row] for row in mat])
 
 
+def _jet_arrays(mat, batch):
+    """(values, grads, hessians) of a matrix of jets, with a batch's point
+    axis moved from last to first."""
+    arrays = (jet_values(mat), np.array([[m.grad for m in row] for row in mat]),
+              np.array([[m.hess for m in row] for row in mat]))
+    return tuple(np.moveaxis(x, -1, 0) for x in arrays) if batch else arrays
+
+
+def _is_batch(point):
+    """Whether ``point`` is an ``(N, d)`` array of points."""
+    return isinstance(point, np.ndarray) and point.ndim == 2
+
+
+def _float(x):
+    """A float at one point; the ``(N,)`` array of a batch."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 MetricPoint = namedtuple("MetricPoint", "g dg ddg ginv dginv G dG")
 
 
 def metric_point(g, point):
     """The metric field g at the point with its Levi-Civita connection, from one
     evaluation of its order-2 jets: g, dg[a,b,c] = d_c g_ab, ddg[a,b,c,d] =
-    d_c d_d g_ab, then (g^-1, dginv) and (Gamma, dGamma).  Raises on a
-    non-finite or singular metric."""
-    gj = g.jets(point)
-    gv = jet_values(gj)
-    dg = np.array([[m.grad for m in row] for row in gj])
-    ddg = np.array([[m.hess for m in row] for row in gj])
+    d_c d_d g_ab, then (g^-1, dginv) and (Gamma, dGamma).  At an ``(N, d)``
+    array of points each array has a leading point axis.  Raises on a
+    non-finite metric, or a singular one: |det g| below 1e-14 max|g_ab|^d, a
+    bound that scales with the metric, so a homothety stays regular."""
+    gv, dg, ddg = _jet_arrays(g.jets(point), _is_batch(point))
     if not (np.isfinite(gv).all() and np.isfinite(dg).all() and np.isfinite(ddg).all()):
         raise SingularEvaluationError(f"metric {g.name} has a non-finite component",
                                       point=point)
     det = np.linalg.det(gv)
-    if abs(det) < 1e-14:
-        raise DegenerateMetricError("metric is singular", point=point, det=det)
+    if (np.abs(det) < 1e-14 * np.abs(gv).max(axis=(-2, -1)) ** gv.shape[-1]).any():
+        raise DegenerateMetricError("metric is singular", point=point, det=np.min(det))
     ginv, dginv = jet_matrix_inverse(gv, dg)
     return MetricPoint(gv, dg, ddg, ginv, dginv, *christoffel_jets(ginv, dginv, dg, ddg))
 
@@ -264,24 +294,30 @@ def jet_matrix_inverse(g, dg):
     first-order Taylor rule of the matrix inverse (Griewank & Walther,
     *Evaluating Derivatives*, ch. 13)."""
     ginv = np.linalg.inv(g)
-    return ginv, -np.einsum("ae,efc,fb->abc", ginv, dg, ginv)
+    return ginv, -np.einsum("...ae,...efc,...fb->...abc", ginv, dg, ginv)
 
 
 def christoffel_jets(ginv, dginv, dg, ddg):
     """Levi-Civita (Gamma, dGamma): Gamma[a,b,c] = Gamma^a_bc and
     dGamma[a,b,c,d] = d_d Gamma^a_bc, exact from the metric arrays."""
     # low[e,b,c] = Gamma_ebc = 1/2 (d_b g_ec + d_c g_eb - d_e g_bc)
-    low = 0.5 * (np.einsum("ecb->ebc", dg) + dg - np.einsum("bce->ebc", dg))
-    dlow = 0.5 * (np.einsum("ecbd->ebcd", ddg) + ddg - np.einsum("bced->ebcd", ddg))
-    G = np.einsum("ae,ebc->abc", ginv, low)
-    dG = np.einsum("aed,ebc->abcd", dginv, low) + np.einsum("ae,ebcd->abcd", ginv, dlow)
+    low = 0.5 * (np.einsum("...ecb->...ebc", dg) + dg - np.einsum("...bce->...ebc", dg))
+    dlow = np.einsum("...ecbd->...ebcd", ddg) + ddg
+    dlow -= np.einsum("...bced->...ebcd", ddg)
+    dlow *= 0.5
+    G = np.einsum("...ae,...ebc->...abc", ginv, low)
+    dG = np.einsum("...ae,...ebcd->...abcd", ginv, dlow)
+    del dlow                                # a batch's largest temporary
+    dG += np.einsum("...aed,...ebc->...abcd", dginv, low)
     return G, dG
 
 
 def riemann_from_gamma(G, dG):
     """R^a_bcd = d_c G^a_db - d_d G^a_cb + G^a_ce G^e_db - G^a_de G^e_cb."""
-    return (np.einsum("adbc->abcd", dG) - np.einsum("acbd->abcd", dG)
-            + np.einsum("ace,edb->abcd", G, G) - np.einsum("ade,ecb->abcd", G, G))
+    R = np.einsum("...adbc->...abcd", dG) - np.einsum("...acbd->...abcd", dG)
+    R += np.einsum("...ace,...edb->...abcd", G, G)
+    R -= np.einsum("...ade,...ecb->...abcd", G, G)
+    return R
 
 
 def _curvature(g, point):
@@ -296,9 +332,9 @@ def curvature_from_gamma(mp, point=None):
     if not np.all(np.isfinite(R_up)):
         raise SingularEvaluationError("curvature evaluation produced non-finite values",
                                       point=point)
-    R_low = np.einsum("ae,ebcd->abcd", mp.g, R_up)
-    ric = np.einsum("abad->bd", R_up)
-    scal = float(np.einsum("bd,bd->", mp.ginv, ric))
+    R_low = np.einsum("...ae,...ebcd->...abcd", mp.g, R_up)
+    ric = np.einsum("...abad->...bd", R_up)
+    scal = _float(np.einsum("...bd,...bd->...", mp.ginv, ric))
     return R_up, R_low, ric, scal
 
 
@@ -322,13 +358,21 @@ def riemann(g, point):
     return _curvature(g, point)[2:]
 
 
+def _times(s, T):
+    """The scalar s (a float, or one per point of a batch) times the 2-tensor T."""
+    return np.asarray(s)[..., None, None] * T
+
+
 def schouten(gv, ric, scal, n):
-    return (ric - scal / (2.0 * (n - 1.0)) * gv) / (n - 2.0)
+    return (ric - _times(scal / (2.0 * (n - 1.0)), gv)) / (n - 2.0)
 
 
 def kulkarni_nomizu(A, B):
-    return (np.einsum("ac,bd->abcd", A, B) + np.einsum("bd,ac->abcd", A, B)
-            - np.einsum("ad,bc->abcd", A, B) - np.einsum("bc,ad->abcd", A, B))
+    K = np.einsum("...ac,...bd->...abcd", A, B)
+    K += np.einsum("...bd,...ac->...abcd", A, B)
+    K -= np.einsum("...ad,...bc->...abcd", A, B)
+    K -= np.einsum("...bc,...ad->...abcd", A, B)
+    return K
 
 
 def _weyl_low(gv, R_low, ric, scal):
@@ -349,7 +393,8 @@ def weyl(g, point):
 # ---------------------------------------------------------------------------
 
 def orthonormal_frame(gv, point=None):
-    """Columns E[:, i] form an oriented g-orthonormal frame (E^T g E = I).
+    """Columns E[:, i] form an oriented g-orthonormal frame (E^T g E = I); one
+    frame per point for a leading point axis.
 
     Cholesky doubles as the lazy positive-definiteness check.
     """
@@ -357,21 +402,30 @@ def orthonormal_frame(gv, point=None):
         L = np.linalg.cholesky(gv)
     except np.linalg.LinAlgError:
         raise DegenerateMetricError("metric not positive definite", point=point,
-                                    det=float(np.linalg.det(gv)))
-    return np.linalg.inv(L).T     # det > 0: orientation preserved
+                                    det=float(np.min(np.linalg.det(gv))))
+    return np.linalg.inv(L).swapaxes(-1, -2)     # det > 0: orientation preserved
 
 
 def to_frame(T, E):
-    """Transform an all-lower-index tensor into the frame of orthonormal_frame."""
-    for _ in range(T.ndim):
-        T = np.tensordot(T, E, axes=([0], [0]))
+    """Transform an all-lower-index tensor into the frame of orthonormal_frame.
+    T and E may share leading point axes.  Each step contracts T's first
+    index with E as one matrix product and puts the new index last."""
+    lead = E.shape[:-2]
+    for _ in range(T.ndim - len(lead)):
+        T = np.moveaxis(T, len(lead), -1)
+        T = (T.reshape(lead + (-1, E.shape[-2])) @ E).reshape(T.shape)
     return T
+
+
+def _frame_norm(T, E):
+    """Frobenius norm of the tensor T in the frame E, per point."""
+    k = T.ndim - (E.ndim - 2)
+    return _float(np.sqrt(np.sum(to_frame(T, E) ** 2, axis=tuple(range(-k, 0)))))
 
 
 def tensor_norm(T, gv):
     """Frame-invariant Frobenius norm of an all-lower-index tensor."""
-    E = orthonormal_frame(gv)
-    return float(np.sqrt(np.sum(to_frame(np.asarray(T, dtype=float), E) ** 2)))
+    return _frame_norm(np.asarray(T, dtype=float), orthonormal_frame(gv))
 
 
 # ---------------------------------------------------------------------------
@@ -455,31 +509,38 @@ def six_to_two_form(v):
     return F
 
 
+_PAIR_I, _PAIR_J = (np.array(ix) for ix in zip(*PAIRS4))
+
+
 def weyl_operator_matrix(W_frame):
-    """Weyl tensor in an orthonormal frame as the 6x6 endomorphism of 2-forms."""
-    M = np.empty((6, 6))
-    for p, (i, j) in enumerate(PAIRS4):
-        for q, (k, l) in enumerate(PAIRS4):
-            M[p, q] = W_frame[i, j, k, l]
-    return M
+    """Weyl tensor in an orthonormal frame as the 6x6 endomorphism of 2-forms
+    (per point, for a leading point axis)."""
+    return W_frame[..., _PAIR_I[:, None], _PAIR_J[:, None], _PAIR_I, _PAIR_J]
 
 
-def sd_asd_split(W, gv, orientation=1, point=None):
+def _matrix_norm(M):
+    """Frobenius norm of a 6x6 block, per point."""
+    return _float(np.sqrt(np.sum(M * M, axis=(-2, -1))))
+
+
+def sd_asd_split(W, gv, orientation=1, point=None, frame=None):
     """Split the Weyl endomorphism into self-dual / anti-self-dual blocks.
 
     Returns (W_plus, W_minus, plus_norm, minus_norm) with the blocks as 6x6
-    matrices in the orthonormalized 2-form basis.
+    matrices in the orthonormalized 2-form basis.  W and gv may carry a
+    leading point axis.  ``frame`` is gv's ``orthonormal_frame``, when the
+    caller has built it.
     """
-    if gv.shape[0] != 4:
+    if gv.shape[-1] != 4:
         raise DimensionError("self-dual decomposition requires a 4-chart")
-    E = orthonormal_frame(gv, point=point)
+    E = orthonormal_frame(gv, point=point) if frame is None else frame
     M = weyl_operator_matrix(to_frame(np.asarray(W, dtype=float), E))
     S = star_matrix_flat4(orientation)
     P_plus = 0.5 * (np.eye(6) + S)
     P_minus = 0.5 * (np.eye(6) - S)
     Wp = P_plus @ M @ P_plus
     Wm = P_minus @ M @ P_minus
-    return Wp, Wm, float(np.linalg.norm(Wp)), float(np.linalg.norm(Wm))
+    return Wp, Wm, _matrix_norm(Wp), _matrix_norm(Wm)
 
 
 def split_two_form(F, gv, orientation=1, point=None):
@@ -555,12 +616,10 @@ def conformal_rescale(g, f):
     """Metric field f * g for a positive scalar field f on the same chart."""
     def fn(coords):
         fac = f.fn(coords)
-        comps = g.fn(coords)
-        d = g.chart.dim
-        if isinstance(fac, jets.Jet) and fac.value <= 0.0:
+        if isinstance(fac, jets.Jet) and jets.anywhere(fac.value <= 0.0):
             raise DegenerateMetricError("conformal factor is not positive",
                                         point=tuple(c.value for c in coords))
-        return [[fac * _as_jet(comps[a][b], d) for b in range(d)] for a in range(d)]
+        return [[fac * c for c in row] for row in g.fn(coords)]
     return MetricField(g.chart, fn, name=f"({f.name or 'f'})*{g.name or 'g'}")
 
 
@@ -609,27 +668,30 @@ class CurvatureReport:
 
 
 def curvature_report(g, point, orientation=None):
-    """Full pointwise curvature data; raises on singular/non-finite evaluation."""
+    """Full pointwise curvature data; raises on singular/non-finite evaluation.
+
+    At an ``(N, d)`` array of points every field carries a leading point axis:
+    the norms and the scalar curvature are ``(N,)`` arrays.  One orthonormal
+    frame per point serves every norm.
+    """
     n = g.chart.dim
     if orientation is None:
         orientation = g.chart.orientation
     gv, G, R_up, R_low, ric, scal = _curvature(g, point)
+    E = orthonormal_frame(gv, point=point)
 
-    riem_norm = tensor_norm(R_low, gv)
-    ric_norm = tensor_norm(ric, gv)
-    einstein = tensor_norm(ric - (scal / n) * gv, gv)
-
+    riem_norm = _frame_norm(R_low, E)
     report = CurvatureReport(
-        point=tuple(float(x) for x in point),
+        point=point if _is_batch(point) else tuple(float(x) for x in point),
         gamma=G, riemann_up=R_up, riemann_low=R_low, ricci=ric, scalar=scal,
-        riemann_norm=riem_norm, ricci_norm=ric_norm, einstein_residual_norm=einstein,
+        riemann_norm=riem_norm, ricci_norm=_frame_norm(ric, E),
+        einstein_residual_norm=_frame_norm(ric - _times(scal / n, gv), E),
     )
     if n == 4:
         W = _weyl_low(gv, R_low, ric, scal)
-        _, _, wp, wm = sd_asd_split(W, gv, orientation, point=point)
+        _, _, wp, wm = sd_asd_split(W, gv, orientation, point=point, frame=E)
         report.weyl_low = W
-        report.weyl_norm = float(np.linalg.norm(
-            weyl_operator_matrix(to_frame(W, orthonormal_frame(gv)))))
+        report.weyl_norm = _matrix_norm(weyl_operator_matrix(to_frame(W, E)))
         report.w_plus_norm = wp
         report.w_minus_norm = wm
 

@@ -10,6 +10,14 @@ Jets track how many derivative orders are still trustworthy: differentiating
 a jet (``deriv``) shifts grad->value and hess->grad and drops the order by
 one.  Consuming more orders than a jet carries raises immediately instead of
 silently propagating garbage.
+
+A jet may carry N points at once (vector forward mode, Griewank & Walther,
+*Evaluating Derivatives*, ch. 3).  The batch axis comes last: value ``(N,)``,
+grad ``(d, N)``, hess ``(d, d, N)``, so every product and chain rule below
+broadcasts unchanged.  Seeding an ``(N, d)`` array of points gives batch
+jets; a single point gives the scalar jets, with a float value.  Each entry
+of a batch jet equals, bit for bit, the jet of its point alone.  A domain
+test fails the whole batch if it fails at any point.
 """
 
 from __future__ import annotations
@@ -31,6 +39,8 @@ __all__ = [
     "cos",
     "sqrt",
     "powc",
+    "everywhere",
+    "anywhere",
     "fd_gradient",
     "fd_hessian",
     "fd_oracle",
@@ -38,7 +48,8 @@ __all__ = [
 
 
 class Jet:
-    """Truncated order-2 Taylor data of a scalar at a point.
+    """Truncated order-2 Taylor data of a scalar at a point, or at each point
+    of a batch (the module docstring gives the layout).
 
     ``order`` is the number of derivative levels that are valid: 2 for a
     freshly seeded coordinate, 1 after one ``deriv``, 0 after two.  The hess
@@ -48,7 +59,10 @@ class Jet:
     __slots__ = ("value", "_grad", "_hess", "order")
 
     def __init__(self, value, grad, hess, order=2):
-        self.value = float(value)
+        # a float, or a batch's array; the exact type test is the cheap one
+        if type(value) is not float and not isinstance(value, np.ndarray):
+            value = float(value)
+        self.value = value
         self._grad = np.asarray(grad, dtype=float)
         self._hess = np.asarray(hess, dtype=float)
         self.order = order
@@ -71,20 +85,25 @@ class Jet:
 
     # -- composition helpers -------------------------------------------------
 
-    def _coerce(self, other):
+    def coerce(self, other):
+        """``other`` as a jet: itself, or the constant shaped like this jet."""
         if isinstance(other, Jet):
             return other
-        return constant(float(other), self.dim, order=self.order)
+        value = float(other)
+        if type(self.value) is not float:       # one value per point of the batch
+            value = np.full(self.value.shape, value)
+        return Jet(value, np.zeros(self._grad.shape), np.zeros(self._hess.shape), self.order)
 
     def deriv(self, axis):
         """Partial derivative along ``axis`` as a jet one order lower."""
         if self.order < 1:
             raise SingularEvaluationError("cannot differentiate an order-0 jet")
-        d = self.dim
-        return Jet(self._grad[axis], self._hess[axis], np.zeros((d, d)), self.order - 1)
+        return Jet(self._grad[axis], self._hess[axis], np.zeros(self._hess.shape),
+                   self.order - 1)
 
     def is_finite(self):
-        if not math.isfinite(self.value):
+        v = self.value
+        if not (math.isfinite(v) if type(v) is float else np.isfinite(v).all()):
             return False
         if self.order >= 1 and not np.all(np.isfinite(self._grad)):
             return False
@@ -95,7 +114,7 @@ class Jet:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self.coerce(other)
         return Jet(self.value + o.value, self._grad + o._grad, self._hess + o._hess,
                    min(self.order, o.order))
 
@@ -105,7 +124,7 @@ class Jet:
         return Jet(-self.value, -self._grad, -self._hess, self.order)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self.coerce(other)
         return Jet(self.value - o.value, self._grad - o._grad, self._hess - o._hess,
                    min(self.order, o.order))
 
@@ -116,18 +135,18 @@ class Jet:
         if not isinstance(other, Jet):
             c = float(other)
             return Jet(self.value * c, self._grad * c, self._hess * c, self.order)
-        cross = np.outer(self._grad, other._grad)
+        cross = self._grad[:, None] * other._grad
         return Jet(
             self.value * other.value,
             self.value * other._grad + other.value * self._grad,
-            self.value * other._hess + other.value * self._hess + cross + cross.T,
+            self.value * other._hess + other.value * self._hess + cross + cross.swapaxes(0, 1),
             min(self.order, other.order),
         )
 
     __rmul__ = __mul__
 
     def reciprocal(self):
-        if self.value == 0.0:
+        if not everywhere(self.value != 0.0):
             raise SingularEvaluationError("division by jet with zero value")
         v = 1.0 / self.value
         return _chain(self, v, -v * v, 2.0 * v * v * v)
@@ -153,30 +172,64 @@ def constant(value, dim, order=2):
 
 
 def seed(point, axis):
-    """Jet of the coordinate function ``x^axis`` at ``point``."""
-    point = tuple(float(x) for x in point)
-    d = len(point)
+    """Jet of the coordinate function ``x^axis`` at ``point``, or a batch jet
+    at the rows of an ``(N, d)`` array of points."""
+    point = np.asarray(point, dtype=float)
+    d = point.shape[-1]
     if not 0 <= axis < d:
         raise ValueError(f"axis {axis} out of range for a {d}-dimensional point")
-    g = np.zeros(d)
+    batch = point.shape[:-1]
+    g = np.zeros((d,) + batch)
     g[axis] = 1.0
-    return Jet(point[axis], g, np.zeros((d, d)))
+    value = point[..., axis] if batch else float(point[axis])
+    return Jet(value, g, np.zeros((d, d) + batch))
 
 
 def seed_all(point):
-    """All coordinate jets at ``point``, ready to feed into a field closure."""
-    return [seed(point, a) for a in range(len(point))]
+    """All coordinate jets at ``point`` (or an ``(N, d)`` batch of points),
+    ready to feed into a field closure."""
+    point = np.asarray(point, dtype=float)
+    return [seed(point, a) for a in range(point.shape[-1])]
+
+
+def _map(f, x):
+    """f at a float, or at each point of a batch.  A batch calls the same
+    scalar function point by point, as numpy's own exp, log and power round
+    differently in the last bit: so a batch jet carries exactly the values,
+    gradients and Hessians of its points evaluated one at a time."""
+    if type(x) is float:
+        return f(x)
+    return np.fromiter(map(f, x.tolist()), float, x.size)
+
+
+def _pow(x, e):
+    """x ** e at a float, or at each point of a batch (as ``_map``)."""
+    if type(x) is float:
+        return x ** e
+    return np.fromiter((t ** e for t in x.tolist()), float, x.size)
+
+
+def everywhere(cond):
+    """Whether a test on a jet value holds: at the point, or at every point
+    of a batch (a bool array)."""
+    return cond if type(cond) is bool else cond.all()
+
+
+def anywhere(cond):
+    """Whether a test on a jet value holds at the point, or at some point of a
+    batch."""
+    return cond if type(cond) is bool else cond.any()
 
 
 def _chain(a, f, fp, fpp):
     """Order-2 chain rule f(a) given f, f', f'' at a.value."""
     g = a._grad
-    outer = np.outer(g, g)
+    outer = g[:, None] * g
     return Jet(f, fp * g, fp * a._hess + fpp * outer, a.order)
 
 
 def _domain(cond, name, a):
-    if not cond:
+    if not everywhere(cond):
         raise SingularEvaluationError(f"{name} evaluated outside its domain (arg {a.value!r})"
                                       if isinstance(a, Jet) else f"{name} domain violation")
 
@@ -184,7 +237,7 @@ def _domain(cond, name, a):
 def exp(a):
     if not isinstance(a, Jet):
         return math.exp(a)
-    v = math.exp(a.value)
+    v = _map(math.exp, a.value)
     return _chain(a, v, v, v)
 
 
@@ -193,20 +246,20 @@ def log(a):
         return math.log(a)
     _domain(a.value > 0.0, "log", a)
     v = a.value
-    return _chain(a, math.log(v), 1.0 / v, -1.0 / (v * v))
+    return _chain(a, _map(math.log, v), 1.0 / v, -1.0 / (v * v))
 
 
 def sin(a):
     if not isinstance(a, Jet):
         return math.sin(a)
-    s, c = math.sin(a.value), math.cos(a.value)
+    s, c = _map(math.sin, a.value), _map(math.cos, a.value)
     return _chain(a, s, c, -s)
 
 
 def cos(a):
     if not isinstance(a, Jet):
         return math.cos(a)
-    s, c = math.sin(a.value), math.cos(a.value)
+    s, c = _map(math.sin, a.value), _map(math.cos, a.value)
     return _chain(a, c, -s, -c)
 
 
@@ -214,7 +267,7 @@ def sqrt(a):
     if not isinstance(a, Jet):
         return math.sqrt(a)
     _domain(a.value > 0.0, "sqrt", a)
-    r = math.sqrt(a.value)
+    r = _map(math.sqrt, a.value)
     return _chain(a, r, 0.5 / r, -0.25 / (r * a.value))
 
 
@@ -224,14 +277,14 @@ def powc(a, p):
         return float(a) ** p
     p = float(p)
     v = a.value
-    if p == int(p) and (v != 0.0 or p >= 2):
+    if p == int(p) and (everywhere(v != 0.0) or p >= 2):
         pi = int(p)
-        f = v ** pi
-        fp = pi * v ** (pi - 1) if pi != 0 else 0.0
-        fpp = pi * (pi - 1) * v ** (pi - 2) if pi not in (0, 1) else 0.0
+        f = _pow(v, pi)
+        fp = pi * _pow(v, pi - 1) if pi != 0 else 0.0
+        fpp = pi * (pi - 1) * _pow(v, pi - 2) if pi not in (0, 1) else 0.0
         return _chain(a, f, fp, fpp)
     _domain(v > 0.0, "pow", a)
-    f = v ** p
+    f = _pow(v, p)
     return _chain(a, f, p * f / v, p * (p - 1.0) * f / (v * v))
 
 

@@ -246,7 +246,10 @@ def _set_type2_f(ref):
      "fibre scalar 'fibre_exp' parameter 'rate' must be a number, got 'x'"),
     ("type2_warped.json", _set_type2_f({"name": "fibre_power"}),
      "fibre scalar 'fibre_power' needs parameter 'p'"),
-], ids=["unknown", "string", "bool", "fibre-unknown", "fibre-string", "fibre-missing"])
+    ("type4_berger_ew.json", lambda scene: scene["construction"]["params"].update(c=True),
+     "family 'type4' parameter 'c' must be a number, got True"),
+], ids=["unknown", "string", "bool", "fibre-unknown", "fibre-string", "fibre-missing",
+        "type4-c-bool"])
 def test_bad_ref_parameter_usage_error(name, edit, message, capsys, tmp_path):
     assert cli.main(["report", write_scene(tmp_path, name, edit)]) == 64
     assert message in capsys.readouterr().err
@@ -619,6 +622,55 @@ def test_domain_violation_exit_two(tmp_path, capsys):
     rep = json.loads(out)
     assert len(rep["domain_errors"]) == 1
     assert rep["domain_errors"][0]["index"] == 1
+
+
+def test_report_evaluates_its_points_in_one_pass(capsys, monkeypatch):
+    calls = []
+    real = geo.metric_jets
+    monkeypatch.setattr(geo, "metric_jets", lambda g, p: calls.append(p) or real(g, p))
+    code, out = run_cli(["report", scene_path("type4_berger_ew.json")], capsys)
+    assert code == 0 and len(json.loads(out)["records"]) == 5
+    assert len(calls) == 1 and len(calls[0]) == 5
+
+
+def _fallback_scene(tmp_path, points):
+    """The type-4 Berger scene with c = -1, so that e^rho + c <= 0 where rho <= 0."""
+    with open(scene_path("type4_berger_ew.json")) as fh:
+        scene = json.load(fh)
+    scene["construction"]["params"]["c"] = -1.0
+    scene["samples"] = {"points": points}
+    p = tmp_path / f"fallback{len(points)}.json"
+    p.write_text(json.dumps(scene))
+    return str(p)
+
+
+def test_report_batch_with_bad_points_falls_back_to_each_point(capsys, tmp_path):
+    """A point outside the chart and one with e^rho + c <= 0 fail the batch;
+    each point then runs alone, the two are named as one point at a time names
+    them, and the good points keep the batch's values."""
+    good = [[0.5, 1.2, 2.0, 3.0], [1.1, 0.7, 4.0, 1.0], [0.3, 2.2, 1.0, 5.0]]
+    mixed = [good[0], [0.9, 3.0, 2.0, 3.0], good[1], [-0.5, 1.2, 2.0, 3.0], good[2]]
+    code, out = run_cli(["report", _fallback_scene(tmp_path, mixed)], capsys)
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["domain_errors"] == [
+        {"index": 1, "point": [0.9, 3.0, 2.0, 3.0],
+         "error": "point (0.9, 3.0, 2.0, 3.0) outside chart domain [('rho', -1.5, 1.5), "
+                  "('th', 0.3, 2.8), ('ps', 0.1, 6.0), ('ph', 0.1, 6.0)]"},
+        {"index": 3, "point": [-0.5, 1.2, 2.0, 3.0],
+         "error": "e^rho + c must be positive on the domain, got -0.393469 "
+                  "at (-0.5, 1.2, 2.0, 3.0)"}]
+    code, out = run_cli(["report", _fallback_scene(tmp_path, good)], capsys)
+    assert code == 1                       # c = -1 is not self-dual: w_minus fails
+    batch = json.loads(out)["records"]
+    alone = [rep["records"][i] for i in (0, 2, 4)]
+    for one, many in zip(alone, batch):
+        assert one["point"] == many["point"] and "error" not in one
+        for name, entry in many["checks"].items():
+            assert one["checks"][name]["pass"] == entry["pass"]
+            for key in ("raw", "normalized"):
+                ref = entry[key]
+                assert abs(one["checks"][name][key] - ref) <= 1e-13 * (1 + abs(ref))
 
 
 def test_determinism_identical_hashes(capsys):

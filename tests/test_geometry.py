@@ -96,6 +96,25 @@ def test_degenerate_metric_raises():
         geo.curvature_report(g, (1e-16, 0.2, 0.3))
 
 
+def test_degenerate_metric_raises_for_a_batch():
+    g = geo.MetricField(chart3(), lambda c: [[c[0], 0, 0], [0, 1.0 + 0 * c[0], 0],
+                                             [0, 0, 1.0 + 0 * c[0]]], "deg")
+    with pytest.raises(DegenerateMetricError):
+        geo.curvature_report(g, np.array([[0.5, 0.2, 0.3], [1e-16, 0.2, 0.3]]))
+
+
+def test_singular_metric_test_is_scale_relative():
+    """berger_s3(0.8) times 1e-5 has det g ~ 7e-18 but is a homothety: its
+    Riemann norm is 1e5 times that of berger_s3(0.8)."""
+    h = con.berger_s3(0.8)
+    small = geo.MetricField(h.chart, lambda c: [[1e-5 * x for x in row] for row in h.fn(c)],
+                            "tiny_berger")
+    pt = (1.0, 2.0, 3.0)
+    assert abs(np.linalg.det(small.values(pt))) < 1e-14
+    assert geo.curvature_report(small, pt).riemann_norm == pytest.approx(
+        1e5 * 4.5367830012025046, rel=1e-10)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("corner", [lambda c: float("inf") + 0 * c[0],   # the value
                                     lambda c: c[0] * 1e200 * 1e200])       # the gradient
