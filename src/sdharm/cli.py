@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import hashlib
 import inspect
 import io
@@ -220,6 +221,30 @@ class Run:
         return self.once(("ref", json.dumps([ref, *defaults], sort_keys=True)),
                          lambda: _resolve_ref(ref, *defaults))
 
+    def base(self, h, point):
+        """The ``geo.MetricPoint`` of the base metric h at a base point, once per
+        run.  The key is h's closure, which an orientation flip keeps, and the
+        point."""
+        return self.once(("base", h.fn, point), lambda: geo.metric_point(h, point))
+
+    def base_scale(self, h, point):
+        """The Riemann norm of h at a base point, once per run."""
+        return self.once(("scale", h.fn, point),
+                         lambda: _riemann_norm(self.base(h, point), point))
+
+    def hold_base(self, h, points):
+        """``base`` and ``base_scale`` at every base point the run has not met,
+        from one batch evaluation."""
+        new = [p for p in dict.fromkeys(points) if ("base", h.fn, p) not in self._built]
+        if not new:
+            return
+        at = h.chart.point_array(new)
+        mp = geo.metric_point(h, at)
+        scales = _riemann_norm(mp, at)
+        for i, p in enumerate(new):
+            self._built["base", h.fn, p] = geo.MetricPoint(*(x[i] for x in mp))
+            self._built["scale", h.fn, p] = float(scales[i])
+
     @staticmethod
     def each(points, fn, batch=None):
         """(results, domain_errors): fn at each point, None where it raised a
@@ -357,30 +382,30 @@ class ResolvedScene:
 # ---------------------------------------------------------------------------
 
 class _SamplePoint:
-    """One sample point as the checks see it.  The base metric is evaluated once
-    per run at each base point, keyed by h's closure (an orientation flip wraps
-    the same closure) and the point; the base checks and scale read it."""
+    """One sample point as the checks see it: the run's base metric at its base
+    point, which the base checks and scale read, and the setup's evaluation."""
 
     def __init__(self, resolved, point):
         self.r, self.setup, self.point = resolved, resolved.setup, point
         self.base_point = tuple(point[1:]) if resolved.fm is not None else tuple(point)
-        self._key = (resolved.h.fn, self.base_point)
 
     @property
     def base(self):
         """The base ``geo.MetricPoint``."""
-        return self.r.run.once(("base",) + self._key,
-                               lambda: geo.metric_point(self.r.h, self.base_point))
+        return self.r.run.base(self.r.h, self.base_point)
 
     def scale(self, space):
         """Riemann norm of the total space (from the setup's ``PointEval`` at the
         point) or of the base."""
         if space == "total":
             return self.setup.ctx(self.point).riemann_norm
-        h = self.base
-        return self.r.run.once(("scale",) + self._key, lambda: geo.tensor_norm(
-            geo.curvature_from_gamma(h, self.base_point)[1], h.g))
+        return self.r.run.base_scale(self.r.h, self.base_point)
 
+
+def _riemann_norm(mp, point):
+    """Frame norm of the Riemann tensor of a ``geo.MetricPoint`` (one per point
+    of a batch)."""
+    return geo.tensor_norm(geo.curvature_from_gamma(mp, point)[1], mp.g)
 
 
 def _potential(s, check):
@@ -404,13 +429,18 @@ def _beltrami(s):
 class Check(NamedTuple):
     space: str           # "total": needs a fibration, scaled by its Riemann norm; or "base"
     residual: Callable   # _SamplePoint -> raw residual
+    samples: Callable = None   # (fm, point) -> the fibre samples it reads besides the point
+
+
+def _basic_samples(fm, point):
+    return mor.fibre_samples_about(fm, point, 3)
 
 
 # The verify checks; README.md describes each one.
 CHECKS = {
     "fundamental_eq": Check("total", lambda s: mor.fundamental_eq_residual(s.setup, s.point)),
     "twistorial_basic": Check("total", lambda s: mor.twistorial_basic_residual(
-        s.setup, mor.fibre_samples_about(s.r.fm, s.point, 3))),
+        s.setup, _basic_samples(s.r.fm, s.point)), _basic_samples),
     "twistorial_sd": Check("total", lambda s: mor.twistorial_sd_residual(s.setup, s.point)),
     "monopole": Check("total", lambda s: mor.monopole_eq_residual(
         s.setup, s.r.family_params.get("alpha") or s.r.alpha, s.point)),
@@ -438,6 +468,24 @@ def _checks_at(point, checks, resolved):
     evaluations, which the scene's setup keeps, and the run's base evaluation."""
     s = _SamplePoint(resolved, point)
     return {name: (CHECKS[name].residual(s), s.scale(CHECKS[name].space)) for name in checks}
+
+
+def _hold_checks(points, checks, resolved):
+    """Evaluate what the checks read at every point of a job in one batch per
+    space: the total-space metric at the points and the fibre samples their
+    checks ask for, and the base metric at their base points."""
+    spaces = {CHECKS[name].space for name in checks}
+    if "total" in spaces:
+        reads = [CHECKS[name].samples for name in checks if CHECKS[name].samples]
+        samples = []
+        for p in points:
+            samples.append(p)
+            for f in reads:
+                samples.extend(f(resolved.fm, p))
+        resolved.setup.hold(samples)
+    if "base" in spaces:
+        resolved.run.hold_base(resolved.h, [_SamplePoint(resolved, p).base_point
+                                            for p in points])
 
 
 # ---------------------------------------------------------------------------
@@ -553,11 +601,8 @@ def cmd_report(args):
         return entries(rep.raw(), rep.riemann_norm)
 
     def batch(pts):
-        """Every point in one curvature pass.  A point of the wrong dimension
-        goes to the per-point path, which names it."""
-        if any(len(p) != metric.chart.dim for p in pts):
-            raise DomainError("a sample point has the wrong dimension")
-        rep = geo.curvature_report(metric, np.array(pts))
+        """Every point in one curvature pass."""
+        rep = geo.curvature_report(metric, metric.chart.point_array(pts))
         raw = rep.raw()
         return [entries({k: v[i] for k, v in raw.items()}, rep.riemann_norm[i])
                 for i in range(len(pts))]
@@ -582,7 +627,11 @@ def cmd_verify(args):
         return {name: _record_entry(raw, scale, resolved.tolerance_for(name))
                 for name, (raw, scale) in _checks_at(point, checks, resolved).items()}
 
-    return _emit_report(build_report(resolved, points, seed, checks, evaluator), args)
+    def batch(pts):
+        _hold_checks(pts, checks, resolved)
+        return [evaluator(p) for p in pts]
+
+    return _emit_report(build_report(resolved, points, seed, checks, evaluator, batch), args)
 
 
 def cmd_classify(args):
@@ -591,8 +640,14 @@ def cmd_classify(args):
     if resolved.fm is None:
         raise UsageError("classify needs a construction in the scene")
     points, seed = resolved.sample_points()
-    classes, domain_errors = resolved.run.each(points, lambda p: mor.classify_type(
-        resolved.setup, mor.fibre_samples_about(resolved.fm, p, 4)))
+    samples = {p: mor.fibre_samples_about(resolved.fm, p, 4) for p in points}
+
+    def batch(pts):
+        resolved.setup.hold([s for p in pts for s in samples[p]])
+        return [mor.classify_type(resolved.setup, samples[p]) for p in pts]
+
+    classes, domain_errors = resolved.run.each(
+        points, lambda p: mor.classify_type(resolved.setup, samples[p]), batch)
     results = [{"point": list(point), "label": cls.label, "recovered_c": cls.recovered_c,
                 "evidence": _jsonable(cls.evidence)}
                for point, cls in zip(points, classes) if cls is not None]
@@ -771,10 +826,15 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first ``main`` call and reused by later ones."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

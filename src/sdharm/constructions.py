@@ -299,7 +299,7 @@ def conformal_rescale_fibration(fm, w):
 
     def g_fn(coords):
         fac = wj(coords)
-        if fac.value <= 0.0:
+        if jets.anywhere(fac.value <= 0.0):
             raise DomainError("conformal factor must be positive")
         return [[fac * comp for comp in row] for row in fm.g.fn(coords)]
 

@@ -104,8 +104,10 @@ class Chart:
         """Raise a DomainError unless the point, or every row of an ``(N, d)``
         array of points, lies inside the chart."""
         if _is_batch(point):
-            for p in point:
-                self.require_inside(p)
+            if point.shape[-1] != self.dim or not np.all((np.asarray(self.lo) < point)
+                                                         & (point < np.asarray(self.hi))):
+                for p in point:              # the first bad row names itself
+                    self.require_inside(p)
             return
         if len(point) != self.dim:
             raise DomainError(f"point {tuple(point)} has wrong dimension for chart {self.names}")
@@ -115,6 +117,14 @@ class Chart:
 
     def flipped(self):
         return Chart(self.names, self.lo, self.hi, -self.orientation)
+
+    def point_array(self, points):
+        """The points as an ``(N, d)`` array for one batch evaluation.  A point of
+        another dimension raises a DomainError for the whole batch; evaluated
+        alone, ``require_inside`` names it."""
+        if any(len(p) != self.dim for p in points):
+            raise DomainError(f"a sample point has the wrong dimension for chart {self.names}")
+        return np.array(points, dtype=float)
 
 
 def box(names, **ranges):
@@ -185,13 +195,14 @@ class TwoFormField:
 
     def jets(self, point):
         self.chart.require_inside(point)
-        d = len(point)
+        d = np.shape(point)[-1]
         coords = jets.seed_all(point)
         comps = _eval_at(self.fn, coords, point)
         out = [[coords[0].coerce(comps[a][b]) for b in range(d)] for a in range(d)]
         for a in range(d):
             for b in range(d):
-                if abs(out[a][b].value + out[b][a].value) > 1e-12 * (1 + abs(out[a][b].value)):
+                if jets.anywhere(abs(out[a][b].value + out[b][a].value)
+                                 > 1e-12 * (1 + abs(out[a][b].value))):
                     raise SingularEvaluationError(
                         f"two-form {self.name} not antisymmetric in components ({a},{b})",
                         point=point)
@@ -199,7 +210,7 @@ class TwoFormField:
 
     def values(self, point):
         comps = self.jets(point)
-        d = len(point)
+        d = np.shape(point)[-1]
         return np.array([[comps[a][b].value for b in range(d)] for a in range(d)])
 
 
@@ -485,31 +496,24 @@ def _factorial(k):
 
 
 PAIRS4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+_PAIR_I, _PAIR_J = (np.array(ix) for ix in zip(*PAIRS4))
 
 
 def star_matrix_flat4(orientation=1):
     """Hodge star on 2-forms of flat oriented R^4 as a 6x6 matrix on PAIRS4."""
-    eps = levi_civita_symbol(4) * orientation
-    S = np.zeros((6, 6))
-    for p, (i, j) in enumerate(PAIRS4):
-        for q, (k, l) in enumerate(PAIRS4):
-            S[p, q] = eps[i, j, k, l]
-    return S
+    return levi_civita_symbol(4)[_PAIR_I[:, None], _PAIR_J[:, None], _PAIR_I, _PAIR_J] * orientation
 
 
 def two_form_to_six(F):
-    return np.array([F[i, j] for (i, j) in PAIRS4])
+    """The PAIRS4 components of a 4x4 two-form (per point, for a leading point axis)."""
+    return F[..., _PAIR_I, _PAIR_J]
 
 
 def six_to_two_form(v):
-    F = np.zeros((4, 4))
-    for p, (i, j) in enumerate(PAIRS4):
-        F[i, j] = v[p]
-        F[j, i] = -v[p]
+    F = np.zeros(v.shape[:-1] + (4, 4))
+    F[..., _PAIR_I, _PAIR_J] = v
+    F[..., _PAIR_J, _PAIR_I] = -v
     return F
-
-
-_PAIR_I, _PAIR_J = (np.array(ix) for ix in zip(*PAIRS4))
 
 
 def weyl_operator_matrix(W_frame):
@@ -544,18 +548,20 @@ def sd_asd_split(W, gv, orientation=1, point=None, frame=None):
 
 
 def split_two_form(F, gv, orientation=1, point=None):
-    """(plus part, minus part) of a 2-form in coordinates; parts sum to F."""
-    if gv.shape[0] != 4:
+    """(plus part, minus part, plus norm, minus norm) of a 2-form in
+    coordinates; the parts sum to F.  F and gv may carry a leading point axis,
+    which the parts and norms keep."""
+    if gv.shape[-1] != 4:
         raise DimensionError("self-dual decomposition requires a 4-chart")
     E = orthonormal_frame(gv, point=point)
-    Ff = to_frame(np.asarray(F, dtype=float), E)
-    S = star_matrix_flat4(orientation)
-    v = two_form_to_six(Ff)
-    vp = 0.5 * (v + S @ v)
-    vm = 0.5 * (v - S @ v)
+    v = two_form_to_six(to_frame(np.asarray(F, dtype=float), E))
+    Sv = v @ star_matrix_flat4(orientation).T
+    vp = 0.5 * (v + Sv)
+    vm = 0.5 * (v - Sv)
     Einv = np.linalg.inv(E)
-    back = lambda w: np.einsum("ia,jb,ij->ab", Einv, Einv, six_to_two_form(w))
-    return back(vp), back(vm), float(np.linalg.norm(vp)), float(np.linalg.norm(vm))
+    back = lambda w: np.einsum("...ia,...jb,...ij->...ab", Einv, Einv, six_to_two_form(w))
+    norm = lambda w: _float(np.sqrt(np.sum(w * w, axis=-1)))
+    return back(vp), back(vm), norm(vp), norm(vm)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -101,19 +102,27 @@ def test_verify_einstein_weyl_base_only(capsys):
 
 @pytest.fixture
 def built(monkeypatch):
-    """The points of every PointEval built while the test runs."""
+    """The points of every PointEval built while the test runs, one list per build."""
     points = []
 
     class Counting(mor.PointEval):
-        def __init__(self, setup, point):
-            points.append(tuple(point))
-            super().__init__(setup, point)
+        def __init__(self, setup, batch):
+            points.append(list(batch))
+            super().__init__(setup, batch)
 
     monkeypatch.setattr(mor, "PointEval", Counting)
     return points
 
 
-def test_verify_shares_one_context_per_fibre_sample(capsys, tmp_path, built):
+@pytest.fixture
+def jet_shapes(monkeypatch):
+    """The shape of the points of every metric_jets call while the test runs."""
+    shapes, real = [], geo.metric_jets
+    monkeypatch.setattr(geo, "metric_jets", lambda g, p: shapes.append(np.shape(p)) or real(g, p))
+    return shapes
+
+
+def test_verify_shares_one_context_per_fibre_sample(capsys, tmp_path, built, jet_shapes):
     with open(scene_path("type4_berger_ew.json")) as fh:
         scene = json.load(fh)
     scene["samples"] = {"points": [[0.2, 1.2, 2.0, 3.0]]}
@@ -123,18 +132,24 @@ def test_verify_shares_one_context_per_fibre_sample(capsys, tmp_path, built):
     code, out = run_cli(["verify", str(p), "--checks", checks], capsys)
     assert code == 0
     assert len(json.loads(out)["records"][0]["checks"]) == 6
-    # the point itself and the two other samples of twistorial_basic's fibre
-    assert (0.2, 1.2, 2.0, 3.0) in built
-    assert len(built) == len(set(built)) <= 3
+    # one evaluation: the point itself and the two other samples of twistorial_basic's fibre
+    assert len(built) == 1
+    assert (0.2, 1.2, 2.0, 3.0) in built[0]
+    assert len(built[0]) == len(set(built[0])) <= 3
+    # one total-space metric evaluation over those samples, one of the base point
+    assert jet_shapes == [(len(built[0]), 4), (1, 3)]
 
 
-def test_classify_evaluates_each_fibre_once(capsys, monkeypatch, built):
-    """One PointEval per fibre sample, and h under each fibre read once."""
+def test_classify_evaluates_each_fibre_once(capsys, monkeypatch, built, jet_shapes):
+    """One PointEval and one total-space metric evaluation over all fibre
+    samples of the job, and h under each fibre read once."""
     h_reads, real = [], geo.MetricField.values
     monkeypatch.setattr(geo.MetricField, "values", lambda h, p: h_reads.append(p) or real(h, p))
     code, out = run_cli(["classify", scene_path("type4_berger_ew.json")], capsys)
     assert code == 0 and json.loads(out)["label"] == "type4"
-    assert len(built) == len(set(built)) == 20       # 5 points x 4 fibre samples
+    assert len(built) == 1
+    assert len(built[0]) == len(set(built[0])) == 20       # 5 points x 4 fibre samples
+    assert jet_shapes == [(20, 4)]
     assert len(h_reads) == 5
 
 
@@ -278,7 +293,14 @@ def _broken_dilation_control():
     return resolved, points
 
 
-TOTAL_CONTROLS = {
+def _r_squared_control():
+    """The Gibbons-Hawking scene with u = r^2 as its potential: Delta u = 6."""
+    resolved, points = _scene_control("gibbons_hawking.json")()
+    resolved.pair_u = geo.ScalarField(resolved.h.chart, lambda c: c[0] * c[0], "r^2")
+    return resolved, points
+
+
+CONTROLS = {
     "fundamental_eq": _broken_dilation_control,
     "twistorial_basic": _scene_control("type3_control_xdy.json"),
     "twistorial_sd": _scene_control("type3_control_xdy.json"),
@@ -286,15 +308,18 @@ TOTAL_CONTROLS = {
     "pullback_sd": _scene_control("gibbons_hawking.json", pair={
         "u": {"name": "gh_potential", "params": {"m": 3.0}},
         "A": {"name": "dirac_A", "params": {"m": 1.0}}}),
+    "einstein_weyl": _scene_control("berger_ew_sweep.json"),   # Berger Lee form at scale 0.5
+    "beltrami": _scene_control("type3_control_xdy.json"),
+    "closure": _r_squared_control,
 }
 
 
-@pytest.mark.parametrize("check", [n for n, c in cli.CHECKS.items() if c.space == "total"])
+@pytest.mark.parametrize("check", list(cli.CHECKS))
 def test_total_space_check_fails_its_negative_control(check):
-    """Every total-space check, run through the CHECKS table, reads at least
-    1e3 times the default tolerance on a known-failing input."""
-    assert check in TOTAL_CONTROLS, f"check {check!r} has no negative control"
-    resolved, points = TOTAL_CONTROLS[check]()
+    """Every check, run through the CHECKS table, total-space and base alike,
+    reads at least 1e3 times the default tolerance on a known-failing input."""
+    assert check in CONTROLS, f"check {check!r} has no negative control"
+    resolved, points = CONTROLS[check]()
     worst = max(abs(raw) / (1.0 + scale) for raw, scale in
                 (cli._checks_at(p, [check], resolved)[check] for p in points))
     assert worst >= 1e3 * cli.DEFAULT_TOL, worst
@@ -671,6 +696,79 @@ def test_report_batch_with_bad_points_falls_back_to_each_point(capsys, tmp_path)
             for key in ("raw", "normalized"):
                 ref = entry[key]
                 assert abs(one["checks"][name][key] - ref) <= 1e-13 * (1 + abs(ref))
+
+
+_OUTSIDE = ("outside chart domain [('rho', -1.5, 1.5), ('th', 0.3, 2.8), ('ps', 0.1, 6.0), "
+            "('ph', 0.1, 6.0)]")
+_NEIGHBOUR = ("e^rho + c must be positive on the domain, got -0.117503 "
+              "at (-0.12499999999999997, 1.2, 2.0, 3.0)")
+
+
+def assert_close(one, many, path=""):
+    """Equal JSON, numbers within 1e-13 (1 + |many|)."""
+    if isinstance(many, dict):
+        assert one.keys() == many.keys(), path
+        for key in many:
+            assert_close(one[key], many[key], f"{path}.{key}")
+    elif isinstance(many, list):
+        assert len(one) == len(many), path
+        for i, (a, b) in enumerate(zip(one, many)):
+            assert_close(a, b, f"{path}[{i}]")
+    elif isinstance(many, float) and not isinstance(one, bool):
+        assert abs(one - many) <= 1e-13 * (1 + abs(many)), (path, one, many)
+    else:
+        assert one == many, path
+
+
+@pytest.mark.parametrize("command, errors", [
+    (["verify", "--checks", "fundamental_eq,twistorial_basic,twistorial_sd,monopole,"
+                            "einstein_weyl,beltrami"],
+     [f"point (0.9, 3.0, 2.0, 3.0) {_OUTSIDE}",
+      "e^rho + c must be positive on the domain, got -0.393469 at (-0.5, 1.2, 2.0, 3.0)",
+      _NEIGHBOUR]),
+    (["classify"],
+     [f"point (0.675, 3.0, 2.0, 3.0) {_OUTSIDE}",
+      "e^rho + c must be positive on the domain, got -0.515675 at (-0.725, 1.2, 2.0, 3.0)",
+      _NEIGHBOUR]),
+])
+def test_fibre_batch_with_bad_points_falls_back_to_each_point(command, errors, capsys,
+                                                              tmp_path):
+    """verify and classify evaluate a job's fibre samples in one batch.  A point
+    outside the chart, one with e^rho + c <= 0, and one whose fibre neighbour
+    has e^rho + c <= 0 fail the batch; each point then runs alone, the bad ones
+    are named as one point at a time names them (the first sample that fails),
+    and the good points agree with a batched run over them alone."""
+    good = [[0.5, 1.2, 2.0, 3.0], [1.1, 0.7, 4.0, 1.0], [0.3, 2.2, 1.0, 5.0]]
+    bad = [[0.9, 3.0, 2.0, 3.0], [-0.5, 1.2, 2.0, 3.0], [0.1, 1.2, 2.0, 3.0]]
+    mixed = [good[0], bad[0], good[1], bad[1], bad[2], good[2]]
+    name, *args = command
+    code, out = run_cli([name, _fallback_scene(tmp_path, mixed)] + args, capsys)
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["domain_errors"] == [{"index": i, "point": p, "error": e} for i, p, e in
+                                    zip((1, 3, 4), bad, errors)]
+    code, out = run_cli([name, _fallback_scene(tmp_path, good)] + args, capsys)
+    assert code == 1                       # c = -1 is not self-dual
+    alone = json.loads(out)
+    if name == "verify":
+        assert [r["index"] for r in alone["records"]] == [0, 1, 2]
+        assert_close([dict(rep["records"][i], index=j) for j, i in enumerate((0, 2, 5))],
+                     alone["records"])
+    else:
+        assert_close(rep["results"], alone["results"])
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    calls, real = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert cli.main(["catalog", "list"]) == 0
+        assert calls == [1]
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
 
 
 def test_determinism_identical_hashes(capsys):

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdharm import constructions as con, geometry as geo, jets, morphism as mor, weyl3
 from sdharm.errors import NotHorizontallyConformalError
@@ -296,7 +297,7 @@ def test_type2_joint_residuals(type2_setup):
         bv, _ = mor.second_fundamental_traces(type2_setup, pt)
         assert np.max(np.abs(bv)) < 1e-9                      # geodesic fibres
         ctx = type2_setup.ctx(pt)
-        assert np.max(np.abs(ctx.dH_log_lambda_values())) < 1e-8   # horizontal homothety
+        assert np.max(np.abs(ctx.dH_log_lambda)) < 1e-8   # horizontal homothety
         assert mor.fundamental_eq_residual(type2_setup, pt) < 1e-8
 
 
@@ -361,6 +362,59 @@ def test_classify_invariances():
             assert cls.recovered_c == pytest.approx(base_label.recovered_c, abs=1e-6)
 
 
+def _classify_held(setup, points):
+    """classify_type at each point, its fibre samples held as one batch."""
+    samples = [mor.fibre_samples_about(setup.fm, p, 4) for p in points]
+    setup.hold([s for ss in samples for s in ss])
+    return [mor.classify_type(setup, ss) for ss in samples]
+
+
+RESCALE_FAMILIES = {"type1": "type1", "type3": "type3", "type4": "type4"}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(RESCALE_FAMILIES)), st.integers(1, 3),
+       st.integers(0, 2 ** 31 - 1), st.floats(0.05, 0.8), st.floats(0.3, 2.0),
+       st.floats(0.0, 6.3), st.integers(0, 2))
+def test_basic_conformal_rescale_keeps_label_and_c(family, n, seed, amp, freq, phase, axis):
+    """A basic factor w = 1 + amp sin(freq x^axis + phase) > 0 rescales the
+    metric conformally; the classifier, run on held batches, gives the same
+    label and recovered c at drawn points."""
+    setup = catalog_setups()[family]
+    fm = setup.fm
+    w = geo.ScalarField(fm.base_chart,
+                        lambda c: 1.0 + amp * jets.sin(freq * c[axis] + phase), "w")
+    rescaled = mor.SubmersionSetup(con.conformal_rescale_fibration(fm, w))
+    points = pts(fm.total_chart, n, seed=seed)
+    for before, after in zip(_classify_held(setup, points), _classify_held(rescaled, points)):
+        assert before.label == after.label == RESCALE_FAMILIES[family]
+        if family == "type4":
+            assert after.recovered_c == pytest.approx(before.recovered_c, abs=1e-6)
+            assert before.recovered_c == pytest.approx(1.0, abs=1e-6)
+
+
+def test_classify_records_the_gate_that_decided():
+    """evidence["decided_by"] names the deciding gate on every label."""
+    expected = {"type1": "BRANCH_TOL: V_lam_inv_sq",
+                "type2": "SPREAD_GATE_TOL: integrability, homothety_spread",
+                "type3": "BRANCH_TOL: a", "type4": "C_SPREAD_TOL: recovered_c"}
+    for name, setup in catalog_setups().items():
+        cls, = _classify_held(setup, pts(setup.fm.total_chart, 1, seed=20))
+        assert cls.evidence["decided_by"] == expected[name], name
+    for name, setup in control_setups().items():
+        pt = (0.7, 0.6, 0.5, -0.4) if "type3" in name else (0.2, 0.6, -0.4, 1.0)
+        cls, = _classify_held(setup, [pt])
+        assert cls.label == "nonstandard"
+        assert cls.evidence["decided_by"] == "SD_GATE_TOL: twistorial_sd", name
+    h = con.flat3()
+    u = geo.ScalarField(h.chart, lambda c: 1.0 + 0.0 * c[0])
+    fm = con.jones_tod_metric(h, u)
+    broken = mor.SubmersionSetup(dataclasses.replace(fm, h=con.berger_s3(0.5)))
+    cls = mor.classify_type(broken, mor.fibre_samples_about(fm, (0.5, 1.0, 1.2, 1.5), 4))
+    assert (cls.label, cls.evidence["decided_by"]) == ("nonstandard",
+                                                       "H_CONFORMAL_TOL: anisotropy")
+
+
 def test_twistorial_basic_type3_specific_fibre_values(type3_setup):
     base = (0.4, -0.2, 0.6)
     samples = [(rho,) + base for rho in (0.5, 1.0, 2.0)]
@@ -409,28 +463,65 @@ def test_trace_form_derivatives_match_finite_differences():
                     assert err < 1e-7, (name, form, a, err)
 
 
-def test_classify_builds_one_context_per_sample(type4_setup, monkeypatch):
-    built = []
+@pytest.fixture
+def counted(monkeypatch):
+    """(points of each PointEval built, shape of each total-space metric_jets
+    call) while the test runs."""
+    built, shapes = [], []
 
     class Counting(mor.PointEval):
-        def __init__(self, setup, point):
-            built.append(tuple(point))
-            super().__init__(setup, point)
+        def __init__(self, setup, points):
+            built.append(list(points))
+            super().__init__(setup, points)
 
+    real = geo.metric_jets
     monkeypatch.setattr(mor, "PointEval", Counting)
-    setup = mor.SubmersionSetup(type4_setup.fm)     # the fixture's may hold this fibre
-    samples = mor.fibre_samples_about(setup.fm, (0.2, 0.3, -0.4, 1.0), 4)
-    assert mor.classify_type(setup, samples).label == "type4"
-    assert sorted(built) == sorted(samples)
+    monkeypatch.setattr(geo, "metric_jets", lambda g, p: (
+        shapes.append(np.shape(p)) if g.chart.dim == 4 else None) or real(g, p))
+    return built, shapes
 
 
-def test_setup_keeps_the_evaluations_of_one_fibre(type4_setup):
+def test_classify_builds_one_context_per_sample(type4_setup, counted):
+    """Alone, classify evaluates each fibre sample once, as a batch of one.
+    After ``hold`` it reads the one batch of all four samples, builds nothing
+    and gives the same label and c."""
+    built, shapes = counted
+    samples = mor.fibre_samples_about(type4_setup.fm, (0.2, 0.3, -0.4, 1.0), 4)
+    alone = mor.classify_type(mor.SubmersionSetup(type4_setup.fm), samples)
+    assert alone.label == "type4"
+    assert sorted(built) == sorted([s] for s in samples)
+    assert shapes == [(4,)] * 4
+    built.clear()
+    shapes.clear()
+    setup = mor.SubmersionSetup(type4_setup.fm)
+    setup.hold(samples)
+    cls = mor.classify_type(setup, samples)
+    assert built == [samples] and shapes == [(4, 4)]
+    assert cls.label == "type4"
+    assert abs(cls.recovered_c - alone.recovered_c) <= 1e-13 * (1 + abs(alone.recovered_c))
+
+
+def test_setup_keeps_the_evaluations_of_one_fibre(type4_setup, counted, monkeypatch):
+    built, _ = counted
+    h_reads, real = [], geo.MetricField.values
+    monkeypatch.setattr(geo.MetricField, "values", lambda h, p: h_reads.append(p) or real(h, p))
     setup = mor.SubmersionSetup(type4_setup.fm)
     pt, same_fibre = (0.2, 0.3, -0.4, 1.0), (0.5, 0.3, -0.4, 1.0)
     first, second = setup.ctx(pt), setup.ctx(same_fibre)
     assert setup.ctx(np.array(pt)) is first and setup.ctx(same_fibre) is second
-    assert second.hv is first.hv
+    assert h_reads == [pt[1:]]                      # h under the fibre read once
     other = setup.ctx((0.2, 0.3, -0.4, 1.1))       # another fibre drops both
-    assert other.hv is not first.hv
+    assert h_reads == [pt[1:], other.base_point]
     assert setup.ctx(pt) is not first
     assert setup.ctx((0.2, 0.3, -0.4, 1.1)) is not other
+    # a held batch: one evaluation, h read once per base point, kept until the next hold
+    built.clear()
+    h_reads.clear()
+    setup.hold([pt, same_fibre, other.point, pt])
+    rows = [setup.ctx(p) for p in (pt, same_fibre, other.point)]
+    assert built == [[pt, same_fibre, other.point]]
+    assert rows[0].batch is rows[1].batch is rows[2].batch
+    assert sorted(h_reads) == sorted([pt[1:], other.base_point])
+    assert [setup.ctx(p) for p in (pt, same_fibre, other.point)] == rows
+    setup.hold([same_fibre])
+    assert setup.ctx(same_fibre) is not rows[1] and len(built) == 2
