@@ -130,20 +130,42 @@ def load_scene(path):
     return validate_scene(scene)
 
 
-def validate_scene(scene, section=None):
-    """Raise a UsageError at the first schema violation.  ``section`` checks only
-    that top-level section; as only ``required``/``additionalProperties`` tie
-    sections together, the verdict and message are those of the whole scene."""
-    schema, instance, prefix = SCENE_SCHEMA, scene, []
-    if section is not None:
-        schema, instance, prefix = SCENE_SCHEMA["properties"][section], scene[section], [section]
-    errors = sorted(Draft202012Validator(schema).iter_errors(instance),
-                    key=lambda e: list(e.absolute_path))
-    if errors:
-        e = errors[0]
-        pointer = "/" + "/".join(str(p) for p in prefix + list(e.absolute_path))
-        raise UsageError(f"scene invalid at {pointer}: {e.message}")
+def validate_scene(scene):
+    """Raise a UsageError at the first schema violation."""
+    _validate(_scene_validator(), scene)
     return scene
+
+
+@functools.cache
+def _scene_validator():
+    """SCENE_SCHEMA compiled, on the first validation."""
+    return Draft202012Validator(SCENE_SCHEMA)
+
+
+def _validate(validator, instance, keys=()):
+    """Raise a UsageError at the first violation in ``instance``, which sits at
+    the slot ``keys`` of a scene."""
+    errors = sorted(validator.iter_errors(instance), key=lambda e: list(e.absolute_path))
+    if errors:
+        pointer = "/" + "/".join(str(p) for p in [*keys, *errors[0].absolute_path])
+        raise UsageError(f"scene invalid at {pointer}: {errors[0].message}")
+
+
+def slot_validator(keys):
+    """A check of one value put at the slot ``keys`` of a valid scene, against
+    the subschema there (found by walking ``properties`` and ``items``,
+    compiled once).  It raises what ``validate_scene`` of the edited scene
+    raises, pointer and message included, while no keyword of SCENE_SCHEMA
+    ties slots together (``uniqueItems``) or picks among subschemas
+    (``oneOf``, ``$ref``, ...)."""
+    schema = SCENE_SCHEMA
+    for key in keys:
+        if isinstance(key, int):
+            schema = schema.get("items", {})
+        else:
+            schema = schema.get("properties", {}).get(key, schema.get("additionalProperties", {}))
+    validator = Draft202012Validator(schema)
+    return lambda value: _validate(validator, value, keys)
 
 
 def canonical_json(obj):
@@ -222,10 +244,10 @@ class Run:
                          lambda: _resolve_ref(ref, *defaults))
 
     def base(self, h, point):
-        """The ``geo.MetricPoint`` of the base metric h at a base point, once per
-        run.  The key is h's closure, which an orientation flip keeps, and the
-        point."""
-        return self.once(("base", h.fn, point), lambda: geo.metric_point(h, point))
+        """The ``weyl3.HeldBase`` of the base metric h at a base point (its
+        ``geo.MetricPoint`` and orthonormal frame), once per run.  The key is
+        h's closure, which an orientation flip keeps, and the point."""
+        return self.once(("base", h.fn, point), lambda: weyl3.hold(h, point))
 
     def base_scale(self, h, point):
         """The Riemann norm of h at a base point, once per run."""
@@ -239,10 +261,11 @@ class Run:
         if not new:
             return
         at = h.chart.point_array(new)
-        mp = geo.metric_point(h, at)
-        scales = _riemann_norm(mp, at)
+        held = weyl3.hold(h, at)
+        scales = _riemann_norm(held, at)
         for i, p in enumerate(new):
-            self._built["base", h.fn, p] = geo.MetricPoint(*(x[i] for x in mp))
+            self._built["base", h.fn, p] = weyl3.HeldBase(
+                geo.MetricPoint(*(x[i] for x in held.mp)), held.frame[i])
             self._built["scale", h.fn, p] = float(scales[i])
 
     @staticmethod
@@ -391,7 +414,7 @@ class _SamplePoint:
 
     @property
     def base(self):
-        """The base ``geo.MetricPoint``."""
+        """The base ``weyl3.HeldBase``."""
         return self.r.run.base(self.r.h, self.base_point)
 
     def scale(self, space):
@@ -402,10 +425,10 @@ class _SamplePoint:
         return self.r.run.base_scale(self.r.h, self.base_point)
 
 
-def _riemann_norm(mp, point):
-    """Frame norm of the Riemann tensor of a ``geo.MetricPoint`` (one per point
+def _riemann_norm(held, point):
+    """Frame norm of the Riemann tensor of a ``weyl3.HeldBase`` (one per point
     of a batch)."""
-    return geo.tensor_norm(geo.curvature_from_gamma(mp, point)[1], mp.g)
+    return geo.frame_norm(geo.curvature_from_gamma(held.mp, point)[1], held.frame)
 
 
 def _potential(s, check):
@@ -421,9 +444,9 @@ def _beltrami(s):
     if c is not None:
         w = weyl3.WeylStructure3(r.h, r.lee_form)
         return weyl3.generalized_beltrami_residual(
-            w, geo.ScalarField(r.h.chart, lambda _c: c + 0.0 * _c[0]), s.base_point)
+            w, geo.ScalarField(r.h.chart, lambda _c: c + 0.0 * _c[0]), s.base_point, s.base)
     w = weyl3.WeylStructure3(r.h, r.family_params.get("A") or r.lee_form)
-    return weyl3.beltrami_residual(w, r.scene.get("beltrami_sign", -1), s.base_point)
+    return weyl3.beltrami_residual(w, r.scene.get("beltrami_sign", -1), s.base_point, s.base)
 
 
 class Check(NamedTuple):
@@ -446,11 +469,11 @@ CHECKS = {
         s.setup, s.r.family_params.get("alpha") or s.r.alpha, s.point)),
     "pullback_sd": Check("total", lambda s: mor.pullback_sd_residual(
         s.setup, _potential(s, "pullback_sd"), s.r.pair_A, s.point)),
-    "einstein_weyl": Check("base", lambda s: weyl3._einstein_weyl(s.base.g, weyl3._weyl_connection(
-        s.base, s.r.lee_form.jets(s.base_point)))),
+    "einstein_weyl": Check("base", lambda s: weyl3.einstein_weyl_residual(
+        weyl3.WeylStructure3(s.r.h, s.r.lee_form), s.base_point, s.base)),
     "beltrami": Check("base", _beltrami),
     "closure": Check("base", lambda s: abs(geo.laplacian_from_gamma(
-        s.base, _potential(s, "closure").jet(s.base_point)))),
+        s.base.mp, _potential(s, "closure").jet(s.base_point)))),
 }
 
 
@@ -679,18 +702,32 @@ def _jsonable(obj):
     return obj
 
 
-def _set_path(obj, path, value):
-    """Set the slot at a dotted path into the scene; list entries go by index."""
-    node = obj
+def scene_slot(scene, path):
+    """The keys of the slot at a dotted path into the scene, a list entry by its
+    index from the front.  A usage error if the path is not in the scene or
+    names a dict entry that is not a number."""
+    keys, node = [], scene
     for k in path.split("."):
         try:
             parent, key = node, int(k) if isinstance(node, list) else k
             node = parent[key]
         except (KeyError, IndexError, ValueError, TypeError):
             raise UsageError(f"sweep parameter path {path!r} not found at {k!r}")
+        keys.append(key % len(parent) if isinstance(parent, list) else key)
     if isinstance(parent, dict) and not _is_number(node):
         raise UsageError(f"sweep parameter {path!r} is not numeric")
-    parent[key] = value
+    return keys
+
+
+def with_slot(scene, keys, value):
+    """The scene with ``value`` at the slot ``keys``; only the dicts and lists
+    on the way to it are copied, the rest is shared with ``scene``."""
+    if not keys:
+        return value
+    head, *rest = keys
+    out = copy.copy(scene)
+    out[head] = with_slot(scene[head], rest, value)
+    return out
 
 
 def cmd_sweep(args):
@@ -708,17 +745,15 @@ def cmd_sweep(args):
         raise UsageError("sweep needs checks (scene 'checks' or --checks)")
 
     run = Run()
-    section = args.param.split(".")[0]
+    keys = scene_slot(scene, args.param)
+    check_slot = slot_validator(keys)
 
     def run_at(value, errors):
         """Each check's maximum over the good points at one parameter value
-        (empty if no point is good); bad points go to ``errors``.  Only the
-        swept section is copied and validated again."""
-        trial = dict(scene)
-        if section in scene:
-            trial[section] = copy.deepcopy(scene[section])
-        _set_path(trial, args.param, value)
-        resolved = ResolvedScene(validate_scene(trial, section), run)
+        (empty if no point is good); bad points go to ``errors``.  The scene
+        was validated when loaded, so only the swept value is checked."""
+        check_slot(value)
+        resolved = ResolvedScene(with_slot(scene, keys, value), run)
         _require_checks(checks, resolved)
         points, _ = resolved.sample_points()
         results, bad = run.each(points, lambda p: _checks_at(p, checks, resolved))

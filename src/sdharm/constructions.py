@@ -234,11 +234,12 @@ def type4_normalize(fm):
         c_fn = c.fn
 
     def abs_c(coords3):
+        """|c|: c times its sign (at each point of a batch)."""
         cv = c_fn(coords3)
         v = cv.value if isinstance(cv, jets.Jet) else float(cv)
-        if v == 0.0:
+        if jets.anywhere(v == 0.0):
             raise DomainError("c vanishes; normalization undefined")
-        return cv if v > 0 else -1.0 * cv
+        return cv * np.sign(v)
 
     h_tilde = geo.MetricField(
         base,
@@ -252,7 +253,7 @@ def type4_normalize(fm):
             # jet axes must be the base axes; this form is for base-chart checks
             if cv.dim != 3:
                 raise DomainError("normalized Lee form evaluates on the base chart only")
-            if cv.value == 0.0:
+            if jets.anywhere(cv.value == 0.0):
                 raise DomainError("c vanishes; normalization undefined")
             dlog = [cv.deriv(a) / cv for a in range(3)]
         else:
@@ -385,19 +386,29 @@ def xdy():
     return geo.OneFormField(ch, lambda c: [0.0 * c[0], c[0], 0.0 * c[0]], "xdy")
 
 
-def _euler_sigma(c):
+# The left-invariant coframe (s1, s2, s3) in the Euler chart, one function
+# per form, so that a field evaluates only the forms it needs.
+
+def _euler_s1(c):
     th, ps, _ = c
-    s1 = [0.5 * jets.cos(ps), 0.0 * th, 0.5 * jets.sin(ps) * jets.sin(th)]
-    s2 = [0.5 * jets.sin(ps), 0.0 * th, -0.5 * jets.cos(ps) * jets.sin(th)]
-    s3 = [0.0 * th, 0.5 + 0.0 * th, 0.5 * jets.cos(th)]
-    return s1, s2, s3
+    return [0.5 * jets.cos(ps), 0.0 * th, 0.5 * jets.sin(ps) * jets.sin(th)]
+
+
+def _euler_s2(c):
+    th, ps, _ = c
+    return [0.5 * jets.sin(ps), 0.0 * th, -0.5 * jets.cos(ps) * jets.sin(th)]
+
+
+def _euler_s3(c):
+    th = c[0]
+    return [0.0 * th, 0.5 + 0.0 * th, 0.5 * jets.cos(th)]
 
 
 def euler_s3_frame():
     """Left-invariant coframe (s1, s2, s3) with d s_i = 2 s_j ^ s_k (cyclic)."""
     ch = _euler_chart()
-    return tuple(geo.OneFormField(ch, lambda c, i=i: _euler_sigma(c)[i], f"sigma{i+1}")
-                 for i in range(3))
+    return tuple(geo.OneFormField(ch, s, f"sigma{i+1}")
+                 for i, s in enumerate((_euler_s1, _euler_s2, _euler_s3)))
 
 
 def round_s3_euler():
@@ -412,7 +423,7 @@ def berger_s3(mu):
         raise DomainError("berger parameter mu must be positive")
     ch = _euler_chart()
     def fn(c):
-        s1, s2, s3 = _euler_sigma(c)
+        s1, s2, s3 = _euler_s1(c), _euler_s2(c), _euler_s3(c)
         return [[s1[a] * s1[b] + s2[a] * s2[b] + (mu * mu) * s3[a] * s3[b]
                  for b in range(3)] for a in range(3)]
     return geo.MetricField(ch, fn, f"berger_s3({mu})")
@@ -422,7 +433,7 @@ def berger_lee(scale):
     """alpha = scale * s3 on the Euler chart (d alpha = 2 * scale s1^s2)."""
     ch = _euler_chart()
     return geo.OneFormField(
-        ch, lambda c: [float(scale) * x for x in _euler_sigma(c)[2]],
+        ch, lambda c: [float(scale) * x for x in _euler_s3(c)],
         f"berger_lee({scale})")
 
 
@@ -549,7 +560,7 @@ def _not_beltrami(alpha, params):
 def _curl_deviation(alpha, params):
     dev = 0.0
     for p in _probe(alpha.chart):
-        s1, s2, _ = (np.array(s) for s in _euler_sigma(p))
+        s1, s2 = np.array(_euler_s1(p)), np.array(_euler_s2(p))
         target = 2.0 * params["scale"] * (np.outer(s1, s2) - np.outer(s2, s1))
         dev = max(dev, float(np.max(np.abs(geo.exterior_derivative(alpha, p) - target))))
     return {"curl_deviation": dev}
@@ -561,11 +572,18 @@ def _harmonic(u, params):
 
 
 def _dirac_monopole(form, params):
-    A, u, h = dirac_A(params["m"], params["sign"]), gh_potential(params["m"]), flat3_spherical()
-    return {"monopole_deviation": max(
-        float(np.max(np.abs(geo.exterior_derivative(A, p)
-                            - geo.hodge_star(u.jet(p).grad, h.values(p), 1))))
-        for p in _probe(A.chart))}
+    """d of the form against *du for u = gh_potential(m) on flat R^3.  On a
+    total chart (dirac_theta) the base coordinates come last and d theta has
+    no fibre components."""
+    u, h = gh_potential(params["m"]), flat3_spherical()
+    fibre = form.chart.dim - 3
+    dev = 0.0
+    for p in _probe(form.chart):
+        base = p[fibre:]
+        star_du = geo.hodge_star(u.jet(base).grad, h.values(base), 1)
+        target = np.pad(star_du, ((fibre, 0), (fibre, 0)))
+        dev = max(dev, float(np.max(np.abs(geo.exterior_derivative(form, p) - target))))
+    return {"monopole_deviation": dev}
 
 
 class CatalogEntry(NamedTuple):

@@ -64,6 +64,7 @@ __all__ = [
     "star_matrix_flat4",
     "two_form_to_six",
     "tensor_norm",
+    "frame_norm",
 ]
 
 
@@ -428,15 +429,16 @@ def to_frame(T, E):
     return T
 
 
-def _frame_norm(T, E):
-    """Frobenius norm of the tensor T in the frame E, per point."""
+def frame_norm(T, E):
+    """Frobenius norm of the all-lower-index tensor T in the frame E of
+    ``orthonormal_frame``, per point."""
     k = T.ndim - (E.ndim - 2)
     return _float(np.sqrt(np.sum(to_frame(T, E) ** 2, axis=tuple(range(-k, 0)))))
 
 
 def tensor_norm(T, gv):
     """Frame-invariant Frobenius norm of an all-lower-index tensor."""
-    return _frame_norm(np.asarray(T, dtype=float), orthonormal_frame(gv))
+    return frame_norm(np.asarray(T, dtype=float), orthonormal_frame(gv))
 
 
 # ---------------------------------------------------------------------------
@@ -686,12 +688,12 @@ def curvature_report(g, point, orientation=None):
     gv, G, R_up, R_low, ric, scal = _curvature(g, point)
     E = orthonormal_frame(gv, point=point)
 
-    riem_norm = _frame_norm(R_low, E)
+    riem_norm = frame_norm(R_low, E)
     report = CurvatureReport(
         point=point if _is_batch(point) else tuple(float(x) for x in point),
         gamma=G, riemann_up=R_up, riemann_low=R_low, ricci=ric, scalar=scal,
-        riemann_norm=riem_norm, ricci_norm=_frame_norm(ric, E),
-        einstein_residual_norm=_frame_norm(ric - _times(scal / n, gv), E),
+        riemann_norm=riem_norm, ricci_norm=frame_norm(ric, E),
+        einstein_residual_norm=frame_norm(ric - _times(scal / n, gv), E),
     )
     if n == 4:
         W = _weyl_low(gv, R_low, ric, scal)

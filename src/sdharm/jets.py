@@ -132,8 +132,11 @@ class Jet:
         return (-self) + other
 
     def __mul__(self, other):
+        """The product with a jet, a number, or (for a batch) an array of one
+        number per point, of the shape of ``value``."""
         if not isinstance(other, Jet):
-            c = float(other)
+            per_point = isinstance(other, np.ndarray) and other.shape == np.shape(self.value)
+            c = other if per_point else float(other)
             return Jet(self.value * c, self._grad * c, self._hess * c, self.order)
         cross = self._grad[:, None] * other._grad
         return Jet(

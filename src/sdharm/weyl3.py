@@ -9,6 +9,7 @@ equation holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,6 +18,8 @@ from .errors import DimensionError
 
 __all__ = [
     "WeylStructure3",
+    "HeldBase",
+    "hold",
     "weyl_connection_coeffs",
     "weyl_covariant_metric_residual",
     "einstein_weyl_residual",
@@ -42,14 +45,31 @@ class WeylStructure3:
             raise DimensionError("Weyl structures live on 3-charts")
 
 
-def weyl_connection_coeffs(w: WeylStructure3, point):
+class HeldBase(NamedTuple):
+    """The metric h at a point (or an array of points), held by a caller that
+    evaluates several residuals there.  ``weyl_connection_coeffs``, the
+    Einstein-Weyl and the Beltrami residuals take one as ``base``, or evaluate
+    h at the point themselves."""
+    mp: geo.MetricPoint          # g, g^-1 and the Levi-Civita connection
+    frame: np.ndarray            # geo.orthonormal_frame of g
+
+
+def hold(h, point):
+    """The ``HeldBase`` of the metric field h at the point, or at each row of
+    an ``(N, 3)`` array of points."""
+    mp = geo.metric_point(h, point)
+    return HeldBase(mp, geo.orthonormal_frame(mp.g))
+
+
+def weyl_connection_coeffs(w: WeylStructure3, point, base: HeldBase | None = None):
     """(Gamma, dGamma) of D as arrays: Gamma[a,b,c] = Gamma^a_bc and
     dGamma[a,b,c,d] = d_d Gamma^a_bc.
 
     D = Levi-Civita + C with C^a_bc = delta^a_b alpha_c + delta^a_c alpha_b
     - h_bc alpha^a, which is linear in alpha and so differentiates in closed form.
     """
-    return _weyl_connection(geo.metric_point(w.h, point), w.alpha.jets(point))
+    mp = geo.metric_point(w.h, point) if base is None else base.mp
+    return _weyl_connection(mp, w.alpha.jets(point))
 
 
 def _weyl_connection(h, aj):
@@ -80,17 +100,13 @@ def weyl_covariant_metric_residual(w: WeylStructure3, point):
     return geo.tensor_norm(Dh - target, h.g)
 
 
-def einstein_weyl_residual(w: WeylStructure3, point):
+def einstein_weyl_residual(w: WeylStructure3, point, base: HeldBase | None = None):
     """Norm of the trace-free symmetrized Ricci tensor of D at the point."""
-    return _einstein_weyl(w.h.values(point), weyl_connection_coeffs(w, point))
-
-
-def _einstein_weyl(hv, connection):
-    """The Einstein-Weyl residual from h and D's (Gamma, dGamma)."""
-    ric = np.einsum("abad->bd", geo.riemann_from_gamma(*connection))
+    base = hold(w.h, point) if base is None else base
+    ric = np.einsum("abad->bd", geo.riemann_from_gamma(*weyl_connection_coeffs(w, point, base)))
     sym = 0.5 * (ric + ric.T)
-    tracefree = sym - (np.einsum("ab,ab->", np.linalg.inv(hv), sym) / 3.0) * hv
-    return geo.tensor_norm(tracefree, hv)
+    tracefree = sym - (np.einsum("ab,ab->", base.mp.ginv, sym) / 3.0) * base.mp.g
+    return geo.frame_norm(tracefree, base.frame)
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +125,10 @@ def one_form_norm(av, hv):
     return float(np.sqrt(max(0.0, np.einsum("a,b,ab->", av, av, np.linalg.inv(hv)))))
 
 
-def two_form_norm(Fv, hv):
-    """Frobenius norm in an orthonormalized frame, i < j components only."""
-    E = geo.orthonormal_frame(hv)
+def two_form_norm(Fv, hv, *, frame=None):
+    """Frobenius norm in an orthonormalized frame, i < j components only;
+    ``frame`` is h's ``geo.orthonormal_frame`` when the caller holds it."""
+    E = geo.orthonormal_frame(hv) if frame is None else frame
     Ff = geo.to_frame(np.asarray(Fv, dtype=float), E)
     n = hv.shape[0]
     return float(np.sqrt(sum(Ff[i, j] ** 2 for i in range(n) for j in range(i + 1, n))))
@@ -127,29 +144,36 @@ def three_form_norm(Tv, hv):
 # residuals
 # ---------------------------------------------------------------------------
 
-def beltrami_residual(w: WeylStructure3, sign, point):
+def _metric_values(h, point, base):
+    """h's values at the point and, if held, their orthonormal frame (else
+    None, and the norm builds it)."""
+    return (h.values(point), None) if base is None else (base.mp.g, base.frame)
+
+
+def beltrami_residual(w: WeylStructure3, sign, point, base: HeldBase | None = None):
     """|| d alpha - sign * (*alpha) || in the orthonormalized 2-form norm."""
     if sign not in (1, -1, 1.0, -1.0):
         raise ValueError("sign must be +1 or -1")
     aj = w.alpha.jets(point)
     da = geo.form_values(geo.ext_d(aj, 3), 3, 2)
     av = np.array([a.value for a in aj])
-    hv = w.h.values(point)
+    hv, frame = _metric_values(w.h, point, base)
     ori = w.h.chart.orientation
-    return two_form_norm(da - sign * star_one_form(av, hv, ori), hv)
+    return two_form_norm(da - sign * star_one_form(av, hv, ori), hv, frame=frame)
 
 
-def generalized_beltrami_residual(w: WeylStructure3, c: geo.ScalarField, point):
+def generalized_beltrami_residual(w: WeylStructure3, c: geo.ScalarField, point,
+                                  base: HeldBase | None = None):
     """|| d alpha - c * (*alpha) + *dc || at the point."""
     aj = w.alpha.jets(point)
     da = geo.form_values(geo.ext_d(aj, 3), 3, 2)
     av = np.array([a.value for a in aj])
-    hv = w.h.values(point)
+    hv, frame = _metric_values(w.h, point, base)
     ori = w.h.chart.orientation
     cj = c.jet(point)
     dc = cj.grad.copy()
     resid = da - cj.value * star_one_form(av, hv, ori) + star_one_form(dc, hv, ori)
-    return two_form_norm(resid, hv)
+    return two_form_norm(resid, hv, frame=frame)
 
 
 def monopole_residual(u: geo.ScalarField, w: WeylStructure3, F: geo.TwoFormField, point):

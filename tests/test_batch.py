@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdharm import cli, constructions as con, geometry as geo, morphism as mor
-from sdharm.errors import SingularEvaluationError
+from sdharm import cli, constructions as con, geometry as geo, jets, morphism as mor
+from sdharm.errors import DomainError, SingularEvaluationError
 
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
 
@@ -218,3 +218,35 @@ def test_two_form_jets_on_a_batch():
             bad.jets(tuple(p))
     with pytest.raises(SingularEvaluationError, match="not antisymmetric"):
         bad.jets(points)
+
+
+def _normalized_type4(c_fn, fibre_range):
+    """type4_normalize of the Trkalian type-4 fibration with c = c_fn on flat R^3."""
+    h = con.flat3()
+    c = geo.ScalarField(h.chart, c_fn, "c")
+    return con.type4_normalize(con.type4_metric(h, con.trkalian(-1), c=c,
+                                                fibre_range=fibre_range))
+
+
+@pytest.mark.parametrize("c_fn, fibre_range, points", [
+    (lambda x: 1.0 + 0.5 * jets.sin(x[0]), (-1.5, 1.5),
+     [(0.3, 0.2, 0.1, 0.4), (0.5, -0.3, 0.2, 0.1)]),
+    # c of either sign in one batch: |c| is taken point by point
+    (lambda x: x[0], (0.5, 1.5), [(0.8, 0.5, 0.1, 0.4), (1.0, -0.7, 0.2, 0.1)]),
+])
+def test_normalized_type4_with_variable_c_holds_a_batch(c_fn, fibre_range, points):
+    """Each held row equals the point alone (type4_normalize tested c's value
+    with ``==`` and ``>``, which raised a bare ValueError on a batch)."""
+    fm = _normalized_type4(c_fn, fibre_range)
+    assert_rows_match(fm, points)
+    held = mor.SubmersionSetup(fm)
+    held.hold(points)
+    for p in points:
+        alone = mor.twistorial_sd_residual(mor.SubmersionSetup(fm), p)
+        assert abs(mor.twistorial_sd_residual(held, p) - alone) <= 1e-13 * (1 + abs(alone))
+
+
+def test_normalized_type4_batch_through_a_zero_of_c_is_a_domain_error():
+    fm = _normalized_type4(lambda x: x[0], fibre_range=(0.5, 1.5))
+    with pytest.raises(DomainError, match="c vanishes"):
+        mor.SubmersionSetup(fm).hold([(1.0, 0.5, 0.1, 0.1), (1.0, 0.0, 0.2, 0.1)])

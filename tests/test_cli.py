@@ -501,9 +501,7 @@ def test_sweep_matches_a_fresh_verify_of_each_step(param, lo, hi, capsys, tmp_pa
     rows = _sweep_rows(out)
     assert len(rows) == 4 and len({r[0] for r in rows.values()}) == 4
     for value, (swept,) in rows.items():
-        trial = json.loads(json.dumps(scene))
-        cli._set_path(trial, param, value)
-        p.write_text(json.dumps(trial))
+        p.write_text(json.dumps(cli.with_slot(scene, cli.scene_slot(scene, param), value)))
         _, out = run_cli(["verify", str(p), "--checks", "einstein_weyl"], capsys)
         assert swept == json.loads(out)["summary"]["checks"]["einstein_weyl"]["max_normalized"]
 
@@ -515,10 +513,11 @@ def test_sweep_matches_a_fresh_verify_of_each_step(param, lo, hi, capsys, tmp_pa
     ("samples.random.seed", "0.5:1", "/samples/random/seed",
      "0.5 is not of type 'integer'"),
     ("checks.0", "1:2", "/checks/0", "1.0 is not of type 'string'"),
+    ("checks.-1", "1:2", "/checks/0", "1.0 is not of type 'string'"),
 ])
 def test_sweep_into_an_invalid_slot_reports_the_scene_error(param, value_range, pointer,
                                                              message, capsys, tmp_path):
-    """Each step validates only the swept section; the message is the one a
+    """Each step validates only the swept slot; the message is the one a
     validation of the whole scene gives."""
     with open(scene_path("berger_ew_sweep.json")) as fh:
         scene = json.load(fh)
@@ -530,9 +529,102 @@ def test_sweep_into_an_invalid_slot_reports_the_scene_error(param, value_range, 
     assert code == 64
     assert capsys.readouterr().err == f"error: scene invalid at {pointer}: {message}\n"
     bad = float(value_range.split(":")[0 if param != "schema" else 1])
-    cli._set_path(scene, param, bad)
     with pytest.raises(cli.UsageError, match=re.escape(f"at {pointer}: {message}") + "$"):
-        cli.validate_scene(scene)
+        cli.validate_scene(cli.with_slot(scene, cli.scene_slot(scene, param), bad))
+
+
+def _numeric_slots(node, keys=()):
+    """The keys of every number in a scene's dicts and lists."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [slot for k, v in items for slot in _numeric_slots(v, keys + (k,))]
+    return [keys] if cli._is_number(node) else []
+
+
+# The slots no scene file has: grid samples, tolerances, orientation and the
+# Beltrami sign (enums), and a fibre range.
+ALL_SLOTS_SCENE = {
+    "schema": 1, "base": {"name": "berger_s3", "params": {"mu": 0.8}},
+    "construction": {"family": "type4", "params": {"c": 1.6}, "fibre_range": [-1.0, 1.0]},
+    "orientation": -1, "beltrami_sign": 1,
+    "samples": {"grid": {"counts": [2, 1, 1, 3], "margin": 0.1}},
+    "tolerances": {"default": 1e-8, "einstein_weyl": 1e-6}, "checks": ["einstein_weyl"]}
+
+
+def _scene_slots():
+    scenes = {}
+    for path in sorted(os.listdir(scene_path(""))):
+        with open(scene_path(path)) as fh:
+            scenes[path] = json.load(fh)
+    scenes["all_slots"] = ALL_SLOTS_SCENE
+    return [pytest.param(scene, keys, id=f"{name}:{'.'.join(map(str, keys))}")
+            for name, scene in scenes.items() for keys in _numeric_slots(scene)]
+
+
+def _verdict(check):
+    try:
+        check()
+    except cli.UsageError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("scene, keys", _scene_slots())
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_slot_check_agrees_with_whole_scene_validation(scene, keys, data):
+    """A sweep checks only the value at its slot.  For any number there, that
+    check and a validation of the whole edited scene give the same verdict and
+    message; a list index may be written from the back."""
+    node = scene
+    for k in keys:
+        node = node[k]
+    value = data.draw(st.one_of(
+        st.sampled_from([0, 0.0, -1, -0.5, 0.5, 1e300, -1e300, node]),
+        st.integers(-10 ** 20, 10 ** 20),
+        st.floats(allow_nan=False, allow_infinity=False)), label="value")
+    path, parent = [], scene
+    for k in keys:
+        back = isinstance(parent, list) and data.draw(st.booleans(), label=f"{k} from the back")
+        path.append(str(k - len(parent) if back else k))
+        parent = parent[k]
+    slot = cli.scene_slot(scene, ".".join(path))
+    assert slot == list(keys)
+    edited = cli.with_slot(scene, slot, value)
+    assert _verdict(lambda: cli.slot_validator(slot)(value)) == \
+        _verdict(lambda: cli.validate_scene(edited))
+
+
+def _schema_keywords(schema):
+    """Every keyword of a schema and of the subschemas under ``properties``,
+    ``items`` and ``additionalProperties``."""
+    subs = list(schema.get("properties", {}).values())
+    subs += [schema[k] for k in ("items", "additionalProperties") if isinstance(schema.get(k), dict)]
+    return set(schema).union(*map(_schema_keywords, subs))
+
+
+# The keywords that cli.slot_validator's path walk handles: the two it walks
+# and those whose verdict on a valid scene does not change with the value at
+# one slot below them.  A new keyword (oneOf, anyOf, allOf, if, $ref,
+# patternProperties, uniqueItems, ...) must be handled there and added here.
+SLOT_KEYWORDS = {"properties", "additionalProperties", "items", "type", "const", "enum",
+                 "minimum", "required", "minItems", "maxItems", "minProperties",
+                 "maxProperties"}
+
+
+def test_scene_schema_uses_only_keywords_the_slot_check_handles():
+    assert _schema_keywords(cli.SCENE_SCHEMA) <= SLOT_KEYWORDS
+
+
+def test_sweep_step_copies_only_the_swept_path():
+    with open(scene_path("type4_berger_ew.json")) as fh:
+        scene = json.load(fh)
+    keys = cli.scene_slot(scene, "construction.params.alpha.params.scale")
+    edited = cli.with_slot(scene, keys, 0.5)
+    assert scene["construction"]["params"]["alpha"]["params"]["scale"] == 0.96
+    assert edited["construction"]["params"]["alpha"]["params"]["scale"] == 0.5
+    assert edited["samples"] is scene["samples"] and edited["base"] is scene["base"]
+    assert edited["construction"]["params"] is not scene["construction"]["params"]
 
 
 @pytest.mark.parametrize("param", ["samples.random.seed", "samples.random.count"])
@@ -595,6 +687,10 @@ CATALOG_VALIDATION = {
 }
 
 
+CATALOG_TOL = 1e-12          # every validation residual reads below it, but x dy's
+NOT_BELTRAMI_FLOOR = 0.5     # x dy, the non-Beltrami control, reads above it
+
+
 @pytest.mark.parametrize("name", con.catalog_names())
 def test_catalog_describe_validates_every_entry(name, capsys):
     code, out = run_cli(["catalog", "describe", name], capsys)
@@ -603,10 +699,49 @@ def test_catalog_describe_validates_every_entry(name, capsys):
     assert list(validation) == [CATALOG_VALIDATION[name]]
     for key, value in validation.items():
         assert type(value) is float
-        if key == "min_beltrami_residual":       # x dy is the non-Beltrami control
-            assert value > 0.5
+        if key == "min_beltrami_residual":
+            assert value > NOT_BELTRAMI_FLOOR
         else:
-            assert value < 1e-12
+            assert value < CATALOG_TOL
+
+
+def _perturbed_euler_frame():
+    s1, s2, s3 = con.euler_s3_frame()
+    return (s1, s2, geo.OneFormField(s3.chart, lambda c: [2.0 * x for x in s3.fn(c)], "2 s3"))
+
+
+# For each catalog entry, (object, params) that its own validator must reject.
+CATALOG_CONTROLS = {
+    "flat3": lambda: (con.constant_curvature3(1.0), {}),
+    "flat3_spherical": lambda: (geo.MetricField(                 # sin^2 th dropped
+        con.flat3_spherical().chart,
+        lambda c: [[1.0 + 0 * c[0], 0, 0], [0, c[0] * c[0], 0], [0, 0, c[0] * c[0]]]), {}),
+    "constant_curvature3": lambda: (con.constant_curvature3(1.0), {"k": -1.0}),
+    "round_s3_euler": lambda: (con.berger_s3(0.6), {}),
+    "berger_s3": lambda: (con.berger_s3(0.8), {"mu": 0.6}),
+    "euler_s3_frame": lambda: (_perturbed_euler_frame(), {}),
+    "trkalian": lambda: (con.xdy(), {"sign": 1}),
+    "xdy": lambda: (con.trkalian(1), {}),
+    "berger_lee": lambda: (con.berger_lee(0.96), {"scale": 0.5}),
+    "gh_potential": lambda: (geo.ScalarField(con.flat3_spherical().chart,
+                                             lambda c: c[0] * c[0], "r^2"), {"m": 1.0}),
+    "dirac_A": lambda: (con.dirac_A(1.0), {"m": 2.0, "sign": 1}),
+    "dirac_theta": lambda: (con.dirac_theta(1.0), {"m": 2.0, "sign": 1}),
+}
+
+
+@pytest.mark.parametrize("name", con.catalog_names())
+def test_catalog_validator_fails_its_negative_control(name):
+    """Each catalog validator misses its own bar by at least 1e3 on a known-bad
+    input, so a validator that reads 0 whatever its input cannot pass."""
+    assert name in CATALOG_CONTROLS, f"catalog entry {name!r} has no negative control"
+    obj, params = CATALOG_CONTROLS[name]()
+    (key, value), = con.CATALOG[name].validate(obj, params).items()
+    assert key == CATALOG_VALIDATION[name]
+    if key == "min_beltrami_residual":
+        assert value <= NOT_BELTRAMI_FLOOR / 1e3, value
+    else:
+        assert value >= 1e3 * CATALOG_TOL, value
 
 
 def test_malformed_scene_reports_pointer(tmp_path, capsys):

@@ -43,6 +43,23 @@ def test_mul_seeds_at_two():
     assert (p.value, p.grad[0], p.hess[0, 0]) == (4.0, 4.0, 2.0)
 
 
+def test_mul_by_an_array_of_one_number_per_point():
+    """A batch jet times an array of one number per point scales each point's
+    jet; an array of any other shape is not a number and raises."""
+    pts = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
+    x = jets.seed(pts, 0)
+    k = np.array([2.0, -1.0, 0.5])
+    p = x * k
+    for i in range(3):
+        one = jets.seed(pts[i], 0) * float(k[i])
+        assert p.value[i] == one.value
+        assert np.array_equal(p.grad[:, i], one.grad)
+    with pytest.raises(TypeError):
+        jets.seed((1.0, 2.0, 3.0), 0) * k
+    with pytest.raises(TypeError):
+        x * np.array([1.0, 2.0])
+
+
 def test_reciprocal_jet():
     x = jets.seed((2.0,), 0)
     r = 1.0 / x

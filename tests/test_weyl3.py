@@ -56,6 +56,23 @@ def test_weyl_covariant_metric_residual_evaluates_metric_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_residuals_read_a_held_base_as_they_evaluate_h():
+    """With the held base of h at the point, each residual that takes one
+    gives, to the bit, what it gives when it evaluates h itself."""
+    h = con.berger_s3(0.8)
+    w = weyl3.WeylStructure3(h, con.berger_lee(0.7))
+    c = geo.ScalarField(h.chart, lambda x: 1.6 + 0.0 * x[0])
+    for pt in pts(h.chart, 3, seed=5):
+        base = weyl3.hold(h, pt)
+        for residual in (lambda **kw: weyl3.einstein_weyl_residual(w, pt, **kw),
+                         lambda **kw: weyl3.beltrami_residual(w, -1, pt, **kw),
+                         lambda **kw: weyl3.generalized_beltrami_residual(w, c, pt, **kw)):
+            assert residual(base=base) == residual()
+        G, dG = weyl3.weyl_connection_coeffs(w, pt)
+        G_held, dG_held = weyl3.weyl_connection_coeffs(w, pt, base)
+        assert np.array_equal(G, G_held) and np.array_equal(dG, dG_held)
+
+
 def test_weyl_connection_correction_pattern_flat_dx():
     h = con.flat3()
     alpha = geo.OneFormField(h.chart, lambda c: [1.0 + 0.0 * c[0], 0.0 * c[0], 0.0 * c[0]],
