@@ -224,12 +224,30 @@ def _ref_params(ref, what, names):
     return params
 
 
+def _env_tolerance():
+    """The default tolerance: SDHARM_TOL if set, else DEFAULT_TOL.  A value that
+    is not a finite positive number is a usage error."""
+    text = os.environ.get(TOL_ENV_VAR)
+    if text is None:
+        return DEFAULT_TOL
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise UsageError(f"environment variable {TOL_ENV_VAR} must be a finite positive "
+                         f"number, got {text!r}")
+    return tol
+
+
 class Run:
-    """The state of one command, dropped when the command returns: what a sweep
-    step leaves unchanged (catalog refs, sample points, the base metric at each
-    base point) is built once, and ``each`` is every command's per-point loop."""
+    """The state of one command, dropped when the command returns: the default
+    tolerance, read from the environment once; what a sweep step leaves
+    unchanged (catalog refs, sample points, the base metric at each base point),
+    built once; and ``each``, every command's per-point loop."""
 
     def __init__(self):
+        self.tol = _env_tolerance()
         self._built = {}
 
     def once(self, key, build):
@@ -315,7 +333,7 @@ class ResolvedScene:
             if self.fm is not None:
                 self.fm = self.fm.with_orientation(-1)
             else:
-                self.h = geo.MetricField(self.h.chart.flipped(), self.h.fn, self.h.name)
+                self.h = self.h.flipped()
         self.setup = mor.SubmersionSetup(self.fm) if self.fm is not None else None
         # the Lee form of the base Weyl structure: the family's, the scene's, or zero
         self.lee_form = self.family_params.get("alpha") or self.alpha or geo.OneFormField(
@@ -395,9 +413,7 @@ class ResolvedScene:
 
     def tolerance_for(self, check):
         tols = self.scene.get("tolerances", {})
-        default = tols.get("default",
-                           float(os.environ.get(TOL_ENV_VAR, DEFAULT_TOL)))
-        return tols.get(check, default)
+        return tols.get(check, tols.get("default", self.run.tol))
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,15 @@ Every family is stored in the common normal form
     g = lam^-2 phi*(h) + lam^2 theta (x) theta
 
 on a 4-chart whose first coordinate is the fibre coordinate; phi projects onto
-the remaining three.  Factories never check their PDE hypotheses (Beltrami,
-monopole, Einstein-Weyl): verification is always a separate call, so broken
-inputs stay representable as negative controls.
+the remaining three.  Each factory, ``type4_normalize`` and
+``conformal_rescale_fibration`` hand the parts (h, A = lam^-2 and theta) to
+``_assemble``, whose ``FibredMetric`` evaluates each part once per point or
+batch and forms the metric arrays (g, dg, ddg) by the order-2 product rule
+(Griewank & Walther, *Evaluating Derivatives*, ch. 13); ``FibredMetric.fn``
+stays the definition in jet arithmetic, which the arrays equal bit for bit.
+Factories never check their PDE hypotheses (Beltrami, monopole,
+Einstein-Weyl): verification is always a separate call, so broken inputs stay
+representable as negative controls.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 from . import geometry as geo
 from . import jets
 from . import weyl3 as w3
-from .errors import DomainError
+from .errors import DomainError, SingularEvaluationError
 
 __all__ = [
     "FibrationMetric",
@@ -43,6 +49,106 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # fibration container
 # ---------------------------------------------------------------------------
+
+class FibredMetric(geo.MetricField):
+    """The normal form g = A phi*(h) + A^-1 theta (x) theta, A = lam^-2 > 0, on
+    a total chart whose coordinate 0 is the fibre.
+
+    ``fn`` is the definition in jet arithmetic; the symbolic oracle and
+    ``values`` read it.  ``arrays`` evaluates each part once, at a point or a
+    batch: A and theta as jets, h's jets at the base points through
+    ``geo.metric_jets``.  It then forms (g, dg, ddg) by the order-2 product
+    rule on arrays (``_product``): A h fills the 3x3 base block, and the fibre
+    row and column come from A^-1 theta (x) theta alone.  The products and
+    sums are those of ``fn`` in its order, so the arrays equal those of
+    ``geo.metric_jets`` of ``fn`` bit for bit (the sign of a zero aside).
+    """
+
+    def __init__(self, chart, h, lam_inv_sq_fn, theta_fn, name, positivity_name):
+        self.chart, self.name = chart, name
+        self.h, self.lam_inv_sq_fn, self.theta_fn = h, lam_inv_sq_fn, theta_fn
+        self.positivity_name = positivity_name
+
+    def _parts(self, coords):
+        """(A, A^-1, theta) at the coordinates; raises where A <= 0."""
+        A = self.lam_inv_sq_fn(coords)
+        is_jet = isinstance(A, jets.Jet)
+        aval = A.value if is_jet else float(A)
+        if jets.anywhere(aval <= 0.0):
+            raise DomainError(      # a batch names its least value
+                f"{self.positivity_name} must be positive on the domain, got {np.min(aval):.6g} "
+                f"at {tuple(c.value if isinstance(c, jets.Jet) else c for c in coords)}")
+        return A, (A.reciprocal() if is_jet else 1.0 / A), self.theta_fn(coords)
+
+    def fn(self, coords):
+        A, Ainv, th = self._parts(coords)
+        hb = self.h.fn(coords[1:])
+        return [[A * (hb[a - 1][b - 1] if a and b else 0.0) + Ainv * th[a] * th[b]
+                 for b in range(4)] for a in range(4)]
+
+    def arrays(self, point):
+        """(g, dg, ddg) at the point, or at an ``(N, 4)`` batch with the point
+        axis first, in the layout of ``geo.MetricField.arrays``."""
+        self.chart.require_inside(point)
+        batch = geo._is_batch(point)
+        coords = jets.seed_all(point)
+        n = np.shape(coords[0].value)
+        A, Ainv, th = geo._eval_at(self._parts, coords, point)
+        A = _stacked([coords[0].coerce(A)], (1, 1), n)
+        Ainv = _stacked([coords[0].coerce(Ainv)], (1,), n)
+        th = _stacked([coords[0].coerce(t) for t in th], (4,), n)
+        hv, dh3, ddh3 = _stacked([j for row in geo.metric_jets(
+            self.h, point[:, 1:] if batch else point[1:]) for j in row], (3, 3), n)
+        # h has no fibre derivatives: its derivative axes gain a zero slot 0
+        dh, ddh = np.zeros((4, 3, 3) + n), np.zeros((4, 4, 3, 3) + n)
+        dh[1:], ddh[1:, 1:] = dh3, ddh3
+        h = (hv, dh, ddh)
+
+        T = _product(Ainv, th)                                          # A^-1 theta_a
+        g = _product(_shaped(T, (4, 1), n), _shaped(th, (1, 4), n))   # (A^-1 theta_a) theta_b
+        Ah = _product(A, h)
+        g[0][1:, 1:] += Ah[0]
+        g[1][:, 1:, 1:] += Ah[1]
+        g[2][:, :, 1:, 1:] += Ah[2]
+
+        gv = g[0]
+        asym = np.abs(gv - gv.swapaxes(0, 1)) > 1e-12 * (1.0 + np.abs(gv))
+        asym = np.triu(asym.any(axis=-1) if batch else asym, 1)
+        if asym.any():
+            a, b = np.argwhere(asym)[0]
+            raise SingularEvaluationError(
+                f"metric {self.name} not symmetric in components ({a},{b})", point=point)
+        # the layout of geo.metric_jets' arrays: component axes, derivative axes, points
+        out = (gv, np.ascontiguousarray(np.moveaxis(g[1], 0, 2)),
+               np.ascontiguousarray(np.moveaxis(g[2], (0, 1), (2, 3))))
+        return tuple(np.moveaxis(x, -1, 0) for x in out) if batch else out
+
+
+def _product(x, y):
+    """The order-2 product rule of ``Jet.__mul__``, in its order of operations,
+    on (value, grad, hess) arrays laid out as a jet's, the derivative axes in
+    front and a batch's point axis last, with component axes between them that
+    broadcast."""
+    (v, d, dd), (w, e, ee) = x, y
+    cross = d[:, None] * e
+    return v * w, v * e + w * d, v * ee + w * dd + cross + cross.swapaxes(0, 1)
+
+
+def _stacked(js, shape, n):
+    """(value, grad, hess) of the jets ``js`` with the component axes ``shape``
+    (``n`` is a batch's point axis, or ())."""
+    d = js[0].dim
+    return (np.reshape([j.value for j in js], shape + n),
+            np.stack([j.grad for j in js], 1).reshape((d,) + shape + n),
+            np.stack([j.hess for j in js], 2).reshape((d, d) + shape + n))
+
+
+def _shaped(x, shape, n):
+    """The arrays ``x`` of ``_stacked`` with their component axes reshaped to ``shape``."""
+    v, d, dd = x
+    return (v.reshape(shape + n), d.reshape(d.shape[:1] + shape + n),
+            dd.reshape(dd.shape[:2] + shape + n))
+
 
 @dataclass
 class FibrationMetric:
@@ -67,7 +173,7 @@ class FibrationMetric:
         return FibrationMetric(
             flipped, self.base_chart,
             self.h,
-            geo.MetricField(flipped, self.g.fn, self.g.name),
+            self.g.flipped(),
             geo.OneFormField(flipped, self.theta.fn, self.theta.name),
             geo.ScalarField(flipped, self.dilation_sq_inv.fn, self.dilation_sq_inv.name),
             self.family_tag, dict(self.family_params))
@@ -80,40 +186,13 @@ def _total_chart(base_chart, fibre_range, fibre_name):
                      base_chart.orientation)
 
 
-def _pullback_metric(h_fn):
-    """Base metric components extended by a zero fibre row/column."""
-    def fn(coords):
-        hb = h_fn(coords[1:])
-        def comp(a, b):
-            if a == 0 or b == 0:
-                return 0.0
-            return hb[a - 1][b - 1]
-        return [[comp(a, b) for b in range(4)] for a in range(4)]
-    return fn
-
-
-def _assemble(total_chart, base_chart, h, lam_inv_sq_fn, theta_fn, tag, params,
-              positivity_name="lam^-2"):
-    """g = A phi*(h) + A^-1 theta^2 with A = lam^-2 evaluated in jets."""
-    hp = _pullback_metric(h.fn)
-
-    def g_fn(coords):
-        A = lam_inv_sq_fn(coords)
-        is_jet = isinstance(A, jets.Jet)
-        aval = A.value if is_jet else float(A)
-        if jets.anywhere(aval <= 0.0):
-            raise DomainError(      # a batch names its least value
-                f"{positivity_name} must be positive on the domain, got {np.min(aval):.6g} "
-                f"at {tuple(c.value if isinstance(c, jets.Jet) else c for c in coords)}")
-        Ainv = A.reciprocal() if is_jet else 1.0 / A
-        th = theta_fn(coords)
-        hpv = hp(coords)
-        return [[A * hpv[a][b] + Ainv * th[a] * th[b] for b in range(4)] for a in range(4)]
-
-    g = geo.MetricField(total_chart, g_fn, name=tag)
-    theta = geo.OneFormField(total_chart, theta_fn, name=f"{tag}.theta")
-    lam = geo.ScalarField(total_chart, lam_inv_sq_fn, name=f"{tag}.lam_inv_sq")
-    return FibrationMetric(total_chart, base_chart, h, g, theta, lam, tag, params)
+def _assemble(chart, h, lam_inv_sq_fn, theta_fn, tag, params, positivity_name, name=None):
+    """The fibration g = A phi*(h) + A^-1 theta^2 with A = lam^-2, from its parts."""
+    name = name or tag
+    return FibrationMetric(
+        chart, h.chart, h, FibredMetric(chart, h, lam_inv_sq_fn, theta_fn, name, positivity_name),
+        geo.OneFormField(chart, theta_fn, name=f"{name}.theta"),
+        geo.ScalarField(chart, lam_inv_sq_fn, name=f"{name}.lam_inv_sq"), tag, params)
 
 
 def _theta_dtau_plus(A_fn):
@@ -144,7 +223,7 @@ def bryant_metric(h, lam, A=None, fibre_range=(0.1, 5.0), fibre_name="tau"):
         l = lam.fn(coords)
         return (l * l).reciprocal() if isinstance(l, jets.Jet) else 1.0 / (l * l)
 
-    return _assemble(chart, h.chart, h, lam_inv_sq,
+    return _assemble(chart, h, lam_inv_sq,
                      _theta_dtau_plus(None if A is None else A.fn),
                      "bryant", {"lam": lam, "A": A}, positivity_name="lam^-2")
 
@@ -156,7 +235,7 @@ def jones_tod_metric(h, u, theta_fn=None, A=None, fibre_range=(-3.0, 3.0)):
     if theta_fn is None:
         theta_fn = _theta_dtau_plus(None if A is None else A.fn)
     lam_inv_sq = lambda coords: u.fn(coords[1:])
-    return _assemble(chart, h.chart, h, lam_inv_sq, theta_fn,
+    return _assemble(chart, h, lam_inv_sq, theta_fn,
                      "type1", {"u": u, "A": A}, positivity_name="u")
 
 
@@ -172,7 +251,7 @@ def type2_warped(h, f, fibre_range=(-1.5, 1.5)):
         zero = 0.0 * coords[0]
         return [jets.sqrt(f.fn(coords)), zero, zero, zero]
 
-    return _assemble(chart, h.chart, h, f.fn, theta_fn, "type2", {"f": f},
+    return _assemble(chart, h, f.fn, theta_fn, "type2", {"f": f},
                      positivity_name="f")
 
 
@@ -182,7 +261,7 @@ def type3_metric(h, A=None, fibre_range=(0.1, 5.0)):
         raise DomainError("type 3 fibre coordinate must stay positive")
     chart = _total_chart(h.chart, fibre_range, "rho")
     lam_inv_sq = lambda coords: coords[0]
-    return _assemble(chart, h.chart, h, lam_inv_sq,
+    return _assemble(chart, h, lam_inv_sq,
                      _theta_dtau_plus(None if A is None else A.fn),
                      "type3", {"A": A}, positivity_name="rho")
 
@@ -209,7 +288,7 @@ def type4_metric(h, alpha=None, c=1.0, fibre_range=(-1.5, 1.5)):
         ab = alpha.fn(coords[1:])
         return [one, -1.0 * ab[0], -1.0 * ab[1], -1.0 * ab[2]]
 
-    return _assemble(chart, h.chart, h, lam_inv_sq, theta_fn, "type4",
+    return _assemble(chart, h, lam_inv_sq, theta_fn, "type4",
                      {"alpha": alpha, "c": c}, positivity_name="e^rho + c")
 
 
@@ -265,11 +344,6 @@ def type4_normalize(fm):
 
     alpha_tilde = geo.OneFormField(base, alpha_tilde_fn, name="alpha.normalized")
 
-    def g_fn(coords):
-        w = abs_c(coords[1:])
-        gv = fm.g.fn(coords)
-        return [[w * comp for comp in row] for row in gv]
-
     def lam_fn(coords):
         return fm.dilation_sq_inv.fn(coords) / abs_c(coords[1:])
 
@@ -279,13 +353,9 @@ def type4_normalize(fm):
     else:
         sign = 1 if float(c) > 0 else -1
 
-    return FibrationMetric(
-        fm.total_chart, base, h_tilde,
-        geo.MetricField(fm.total_chart, g_fn, name=fm.g.name + ".normalized"),
-        geo.OneFormField(fm.total_chart, fm.theta.fn, name=fm.theta.name),
-        geo.ScalarField(fm.total_chart, lam_fn, name="lam_inv_sq.normalized"),
-        "type4",
-        {"alpha": alpha_tilde, "c": float(sign), "normalized_from": fm.family_params})
+    return _assemble(fm.total_chart, h_tilde, lam_fn, fm.theta.fn, "type4",
+                     {"alpha": alpha_tilde, "c": float(sign), "normalized_from": fm.family_params},
+                     fm.g.positivity_name, name=fm.g.name + ".normalized")
 
 
 def conformal_rescale_fibration(fm, w):
@@ -295,25 +365,25 @@ def conformal_rescale_fibration(fm, w):
     theta -> w theta, keeping theta(V) = 1 for the new fundamental field.
     """
     def wj(coords):
+        """w as a jet; a constant w takes the shape of the coordinates' jets."""
         v = w.fn(coords[1:])
-        return v if isinstance(v, jets.Jet) else jets.constant(float(v), 4)
+        if isinstance(v, jets.Jet):
+            return v
+        return coords[0].coerce(v) if isinstance(coords[0], jets.Jet) else jets.constant(v, 4)
 
-    def g_fn(coords):
+    def lam_fn(coords):
         fac = wj(coords)
         if jets.anywhere(fac.value <= 0.0):
             raise DomainError("conformal factor must be positive")
-        return [[fac * comp for comp in row] for row in fm.g.fn(coords)]
+        return fac * fm.dilation_sq_inv.fn(coords)
 
-    return FibrationMetric(
-        fm.total_chart, fm.base_chart, fm.h,
-        geo.MetricField(fm.total_chart, g_fn, name=fm.g.name + ".rescaled"),
-        geo.OneFormField(fm.total_chart,
-                         lambda coords: [wj(coords) * t for t in fm.theta.fn(coords)],
-                         name=fm.theta.name + ".rescaled"),
-        geo.ScalarField(fm.total_chart,
-                        lambda coords: wj(coords) * fm.dilation_sq_inv.fn(coords),
-                        name=fm.dilation_sq_inv.name + ".rescaled"),
-        fm.family_tag, dict(fm.family_params, rescaled=True))
+    def theta_fn(coords):
+        fac = wj(coords)
+        return [fac * t for t in fm.theta.fn(coords)]
+
+    return _assemble(fm.total_chart, fm.h, lam_fn, theta_fn, fm.family_tag,
+                     dict(fm.family_params, rescaled=True), fm.g.positivity_name,
+                     name=fm.g.name + ".rescaled")
 
 
 # ---------------------------------------------------------------------------

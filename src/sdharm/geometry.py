@@ -19,6 +19,7 @@ a batch raises for the whole batch.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -227,6 +228,17 @@ class MetricField:
         self.chart.require_inside(point)
         return metric_jets(self, point)
 
+    def arrays(self, point):
+        """(g, dg, ddg) at the point, from its order-2 jets: dg[a,b,c] = d_c g_ab,
+        ddg[a,b,c,d] = d_c d_d g_ab, a batch's point axis first."""
+        return _jet_arrays(self.jets(point), _is_batch(point))
+
+    def flipped(self):
+        """The same metric on the chart of the opposite orientation."""
+        out = copy.copy(self)
+        out.chart = self.chart.flipped()
+        return out
+
     def values(self, point):
         d = self.chart.dim
         comps = _eval_at(self.fn, [float(x) for x in point], point)
@@ -285,12 +297,12 @@ MetricPoint = namedtuple("MetricPoint", "g dg ddg ginv dginv G dG")
 
 def metric_point(g, point):
     """The metric field g at the point with its Levi-Civita connection, from one
-    evaluation of its order-2 jets: g, dg[a,b,c] = d_c g_ab, ddg[a,b,c,d] =
-    d_c d_d g_ab, then (g^-1, dginv) and (Gamma, dGamma).  At an ``(N, d)``
-    array of points each array has a leading point axis.  Raises on a
-    non-finite metric, or a singular one: |det g| below 1e-14 max|g_ab|^d, a
-    bound that scales with the metric, so a homothety stays regular."""
-    gv, dg, ddg = _jet_arrays(g.jets(point), _is_batch(point))
+    evaluation of its arrays (``g.arrays``: g, dg, ddg), then (g^-1, dginv)
+    and (Gamma, dGamma).  At an ``(N, d)`` array of points each array has a
+    leading point axis.  Raises on a non-finite metric, or a singular one:
+    |det g| below 1e-14 max|g_ab|^d, a bound that scales with the metric, so a
+    homothety stays regular."""
+    gv, dg, ddg = g.arrays(point)
     if not (np.isfinite(gv).all() and np.isfinite(dg).all() and np.isfinite(ddg).all()):
         raise SingularEvaluationError(f"metric {g.name} has a non-finite component",
                                       point=point)

@@ -250,3 +250,72 @@ def test_normalized_type4_batch_through_a_zero_of_c_is_a_domain_error():
     fm = _normalized_type4(lambda x: x[0], fibre_range=(0.5, 1.5))
     with pytest.raises(DomainError, match="c vanishes"):
         mor.SubmersionSetup(fm).hold([(1.0, 0.5, 0.1, 0.1), (1.0, 0.0, 0.2, 0.1)])
+
+
+# ---------------------------------------------------------------------------
+# a fibration's metric assembled from its parts against the jets of g.fn
+# ---------------------------------------------------------------------------
+
+def _fibred():
+    """Every fibration metric of METRICS (the construction scenes and the five
+    report_grid families), a normalized type 4 with variable c and a basic
+    conformal rescale of the type-4 family, each at both orientations."""
+    out = {name: g for name, g in METRICS.items() if ".total" in name}
+    made = {"normalized_variable_c": _normalized_type4(lambda x: 1.0 + 0.5 * jets.sin(x[0]),
+                                                       (-1.5, 1.5)),
+            "rescaled_type4": con.conformal_rescale_fibration(SETUPS["type4+1"], _W)}
+    for name, fm in made.items():
+        for orientation in (1, -1):
+            out[f"{name}{orientation:+d}"] = fm.with_orientation(orientation).g
+    return out
+
+
+# a positive basic factor on the Berger base of the type-4 family
+_W = geo.ScalarField(SETUPS["type4+1"].base_chart,
+                     lambda c: 1.5 + 0.5 * jets.sin(c[0]) * jets.cos(c[2]), "w")
+FIBRED = _fibred()
+
+
+def _jet_path(g, at):
+    """(g, dg, ddg) of ``geo.metric_jets`` of g.fn, as metric_point read them."""
+    return geo._jet_arrays(geo.metric_jets(g, at), geo._is_batch(at))
+
+
+@pytest.mark.parametrize("name", sorted(FIBRED))
+def test_fibred_metric_arrays_equal_the_jets_of_its_definition(name):
+    """The product-rule assembly gives the arrays of the jet products of g.fn,
+    bit for bit, on a batch and at single points."""
+    g = FIBRED[name]
+    assert isinstance(g, con.FibredMetric)
+    points = inside(g.chart, 6, seed=8)
+    for at in (points, tuple(points[0]), tuple(points[4])):
+        for x, y in zip(g.arrays(at), _jet_path(g, at)):
+            assert x.shape == y.shape and np.array_equal(x, y), name
+
+
+def test_normalized_and_rescaled_metrics_are_the_conformal_multiples():
+    """type4_normalize assembles |c| g and conformal_rescale_fibration w g from
+    their transformed parts: to 1e-13 of the jets of those products."""
+    h = con.flat3()
+    c = geo.ScalarField(h.chart, lambda x: 1.0 + 0.5 * jets.sin(x[0]), "c")    # c > 0
+    type4c = con.type4_metric(h, con.trkalian(-1), c=c)
+    type4 = SETUPS["type4+1"]
+    lift = lambda f, fm: geo.ScalarField(fm.total_chart, lambda x: f.fn(x[1:]))
+    for g, product in ((con.type4_normalize(type4c).g,
+                        geo.conformal_rescale(type4c.g, lift(c, type4c))),
+                       (con.conformal_rescale_fibration(type4, _W).g,
+                        geo.conformal_rescale(type4.g, lift(_W, type4)))):
+        points = inside(g.chart, 5, seed=9)
+        for at in (points, tuple(points[2])):
+            for x, y in zip(g.arrays(at), _jet_path(product, at)):
+                assert np.max(np.abs(x - y)) <= 1e-13 * (1 + np.max(np.abs(y)))
+
+
+def test_rescale_by_a_constant_factor_holds_a_batch():
+    """A w that returns a plain number scales a batch as it scales each point
+    (it was a scalar jet, which raised a ValueError against a batch)."""
+    fm = con.conformal_rescale_fibration(con.type3_metric(con.flat3()),
+                                         geo.ScalarField(con.flat3().chart, lambda c: 2.0))
+    points = inside(fm.total_chart, 3, seed=10)
+    assert_reports_match(fm.g, points)
+    assert_rows_match(fm, points)

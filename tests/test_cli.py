@@ -115,14 +115,20 @@ def built(monkeypatch):
 
 
 @pytest.fixture
-def jet_shapes(monkeypatch):
-    """The shape of the points of every metric_jets call while the test runs."""
-    shapes, real = [], geo.metric_jets
-    monkeypatch.setattr(geo, "metric_jets", lambda g, p: shapes.append(np.shape(p)) or real(g, p))
+def metric_shapes(monkeypatch):
+    """("arrays", shape) for every fibration-metric evaluation and ("jets",
+    shape) for every metric_jets call while the test runs, in call order, with
+    the shape of the points: a fibration's evaluation lists h's jets at its
+    base points right after itself."""
+    shapes, arrays, jets = [], con.FibredMetric.arrays, geo.metric_jets
+    monkeypatch.setattr(con.FibredMetric, "arrays", lambda g, p: shapes.append(
+        ("arrays", np.shape(p))) or arrays(g, p))
+    monkeypatch.setattr(geo, "metric_jets", lambda g, p: shapes.append(
+        ("jets", np.shape(p))) or jets(g, p))
     return shapes
 
 
-def test_verify_shares_one_context_per_fibre_sample(capsys, tmp_path, built, jet_shapes):
+def test_verify_shares_one_context_per_fibre_sample(capsys, tmp_path, built, metric_shapes):
     with open(scene_path("type4_berger_ew.json")) as fh:
         scene = json.load(fh)
     scene["samples"] = {"points": [[0.2, 1.2, 2.0, 3.0]]}
@@ -136,11 +142,13 @@ def test_verify_shares_one_context_per_fibre_sample(capsys, tmp_path, built, jet
     assert len(built) == 1
     assert (0.2, 1.2, 2.0, 3.0) in built[0]
     assert len(built[0]) == len(set(built[0])) <= 3
-    # one total-space metric evaluation over those samples, one of the base point
-    assert jet_shapes == [(len(built[0]), 4), (1, 3)]
+    # one total-space metric evaluation over those samples, with h's jets at
+    # their base points, and one evaluation of the base metric at the point
+    n = len(built[0])
+    assert metric_shapes == [("arrays", (n, 4)), ("jets", (n, 3)), ("jets", (1, 3))]
 
 
-def test_classify_evaluates_each_fibre_once(capsys, monkeypatch, built, jet_shapes):
+def test_classify_evaluates_each_fibre_once(capsys, monkeypatch, built, metric_shapes):
     """One PointEval and one total-space metric evaluation over all fibre
     samples of the job, and h under each fibre read once."""
     h_reads, real = [], geo.MetricField.values
@@ -149,7 +157,7 @@ def test_classify_evaluates_each_fibre_once(capsys, monkeypatch, built, jet_shap
     assert code == 0 and json.loads(out)["label"] == "type4"
     assert len(built) == 1
     assert len(built[0]) == len(set(built[0])) == 20       # 5 points x 4 fibre samples
-    assert jet_shapes == [(20, 4)]
+    assert metric_shapes == [("arrays", (20, 4)), ("jets", (20, 3))]
     assert len(h_reads) == 5
 
 
@@ -359,6 +367,48 @@ def test_readme_describes_every_verify_check():
     assert len(lines) == len(cli.CHECKS)
     assert dict(lines) == {name: "total space" if check.space == "total" else "base"
                            for name, check in cli.CHECKS.items()}
+
+
+# The checks whose value changes under ``orientation: -1`` on each construction
+# scene.  Every other check that applies keeps its value to 1e-13; the two that
+# need a potential apply to gibbons_hawking.json alone.
+ORIENTATION_ODD = {
+    "flat_product.json": set(),
+    "gibbons_hawking.json": {"monopole"},                # 4.4e-16 -> 4.0
+    "type2_warped.json": set(),
+    "type3_control_xdy.json": set(),
+    "type3_trkalian.json": {"twistorial_basic", "twistorial_sd", "monopole"},
+    "type4_berger_ew.json": {"twistorial_basic", "twistorial_sd", "monopole"},
+}
+
+
+def _raw_at_orientation(name, check, orientation):
+    with open(scene_path(name)) as fh:
+        r = cli.ResolvedScene(cli.validate_scene(dict(json.load(fh), orientation=orientation)))
+    return np.array([cli._checks_at(p, [check], r)[check][0] for p in r.sample_points()[0]])
+
+
+@pytest.mark.parametrize("name", sorted(ORIENTATION_ODD))
+def test_orientation_parity_of_every_check(name):
+    """An orientation-odd check moves by more than 1e-3 (relative) at some
+    point; every other check keeps its value at every point to 1e-13."""
+    for check in cli.CHECKS:
+        try:
+            plus = _raw_at_orientation(name, check, 1)
+        except cli.UsageError as exc:
+            assert "needs a potential" in str(exc) and name != "gibbons_hawking.json"
+            continue
+        moved = np.max(np.abs(_raw_at_orientation(name, check, -1) - plus) / (1.0 + np.abs(plus)))
+        if check in ORIENTATION_ODD[name]:
+            assert moved > 1e-3, (check, moved)
+        else:
+            assert moved <= 1e-13, (check, moved)
+
+
+def test_readme_lists_the_orientation_odd_checks():
+    with open(README) as fh:
+        line = re.search(r"^Orientation-odd checks: (.+)\.$", fh.read(), re.M).group(1)
+    assert set(re.findall(r"`(\w+)`", line)) == set.union(*ORIENTATION_ODD.values())
 
 
 def test_classify_three_families(capsys, tmp_path):
@@ -922,6 +972,33 @@ def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
     code, _ = run_cli(["report", scene_path("type3_control_xdy.json")], capsys)
     assert code == 0          # absurd tolerance turns the failure into a pass
     monkeypatch.delenv(cli.TOL_ENV_VAR)
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command", ["report", "verify"])
+def test_tolerance_env_must_be_finite_and_positive(value, command, capsys, monkeypatch):
+    """A bad SDHARM_TOL is a usage error naming the variable, not a traceback
+    (abc) or a tolerance that fails (nan, 0, -1) or passes (inf) every check."""
+    monkeypatch.setenv(cli.TOL_ENV_VAR, value)
+    code = cli.main([command, scene_path("type3_trkalian.json")])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE and captured.out == ""
+    assert captured.err == (f"error: environment variable SDHARM_TOL must be a finite "
+                            f"positive number, got {value!r}\n")
+
+
+def test_tolerance_env_is_read_once_per_command(capsys, monkeypatch):
+    """The scene's default, else SDHARM_TOL read once, sets every gate."""
+    monkeypatch.setenv(cli.TOL_ENV_VAR, "1e-3")
+    reads, real = [], cli._env_tolerance
+    monkeypatch.setattr(cli, "_env_tolerance", lambda: reads.append(1) or real())
+    code, out = run_cli(["report", scene_path("type4_berger_ew.json")], capsys)
+    assert code == 0 and len(json.loads(out)["records"]) == 5
+    assert len(reads) == 1
+    scene = cli.load_scene(scene_path("type3_trkalian.json"))
+    assert cli.ResolvedScene(scene).tolerance_for("w_minus") == 1e-3
+    scene["tolerances"] = {"default": 1e-6}
+    assert cli.ResolvedScene(scene).tolerance_for("w_minus") == 1e-6
 
 
 def test_console_entry_point():

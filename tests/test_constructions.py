@@ -379,3 +379,29 @@ def test_type4_c_zero_flat_base_conformally_flat_not_flat():
         rep = geo.curvature_report(fm.g, pt)
         assert rep.weyl_norm < 1e-8
         assert rep.riemann_norm > 0.01
+
+
+# ---------------------------------------------------------------------------
+# chart invariance
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("family", [
+    lambda h: con.type2_warped(h, con.fibre_exp(2.0)(None)),
+    lambda h: con.type3_metric(h),
+], ids=["type2", "type3"])
+def test_report_norms_are_chart_invariant(family):
+    """The same fibration over flat R^3 in Cartesian and in spherical
+    coordinates (an orientation-preserving change of base chart) reports the
+    same curvature norms at corresponding points, to 1e-12 relative."""
+    cart, sph = family(con.flat3()), family(con.flat3_spherical())
+    rng = np.random.default_rng(12)
+    for _ in range(6):
+        t = rng.uniform(0.3, 1.2)
+        r, th, ph = rng.uniform(0.3, 1.8), rng.uniform(0.4, 2.7), rng.uniform(0.3, 5.9)
+        xyz = (r * np.sin(th) * np.cos(ph), r * np.sin(th) * np.sin(ph), r * np.cos(th))
+        a = geo.curvature_report(sph.g, (t, r, th, ph)).raw()
+        b = geo.curvature_report(cart.g, (t,) + xyz).raw()
+        assert a.keys() == b.keys() == {"riemann", "ricci", "scalar_curv", "einstein",
+                                        "weyl", "w_plus", "w_minus"}
+        for key in a:
+            assert abs(a[key] - b[key]) <= 1e-12 * (1.0 + abs(b[key])), (key, a[key], b[key])

@@ -465,8 +465,9 @@ def test_trace_form_derivatives_match_finite_differences():
 
 @pytest.fixture
 def counted(monkeypatch):
-    """(points of each PointEval built, shape of each total-space metric_jets
-    call) while the test runs."""
+    """(points of each PointEval built, shape of the points of each metric
+    evaluation) while the test runs: ("arrays", shape) for the fibration's
+    metric, ("jets", shape) for each metric_jets call, in call order."""
     built, shapes = [], []
 
     class Counting(mor.PointEval):
@@ -474,10 +475,12 @@ def counted(monkeypatch):
             built.append(list(points))
             super().__init__(setup, points)
 
-    real = geo.metric_jets
+    arrays, jets_ = con.FibredMetric.arrays, geo.metric_jets
     monkeypatch.setattr(mor, "PointEval", Counting)
-    monkeypatch.setattr(geo, "metric_jets", lambda g, p: (
-        shapes.append(np.shape(p)) if g.chart.dim == 4 else None) or real(g, p))
+    monkeypatch.setattr(con.FibredMetric, "arrays", lambda g, p: shapes.append(
+        ("arrays", np.shape(p))) or arrays(g, p))
+    monkeypatch.setattr(geo, "metric_jets", lambda g, p: shapes.append(
+        ("jets", np.shape(p))) or jets_(g, p))
     return built, shapes
 
 
@@ -490,13 +493,14 @@ def test_classify_builds_one_context_per_sample(type4_setup, counted):
     alone = mor.classify_type(mor.SubmersionSetup(type4_setup.fm), samples)
     assert alone.label == "type4"
     assert sorted(built) == sorted([s] for s in samples)
-    assert shapes == [(4,)] * 4
+    # each sample's metric, with h's jets at its base point, and nothing else
+    assert shapes == [("arrays", (4,)), ("jets", (3,))] * 4
     built.clear()
     shapes.clear()
     setup = mor.SubmersionSetup(type4_setup.fm)
     setup.hold(samples)
     cls = mor.classify_type(setup, samples)
-    assert built == [samples] and shapes == [(4, 4)]
+    assert built == [samples] and shapes == [("arrays", (4, 4)), ("jets", (4, 3))]
     assert cls.label == "type4"
     assert abs(cls.recovered_c - alone.recovered_c) <= 1e-13 * (1 + abs(alone.recovered_c))
 

@@ -1,7 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
-from sdharm import constructions as con, geometry as geo, jets, weyl3
+from sdharm import cli, constructions as con, geometry as geo, jets, weyl3
 from sdharm.errors import DimensionError
 
 
@@ -263,3 +265,72 @@ def test_round_sphere_lee_scale_curve_zero_at_origin():
     assert vals[2] < 1e-12 and vals[0] > 1e-2 and vals[-1] > 1e-2
     x, fx = weyl3.locate_residual_minimum(resid, -0.4, 0.4, tol=1e-8)
     assert abs(x) < 1e-6 and fx < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# an independent route for Einstein-Weyl
+# ---------------------------------------------------------------------------
+
+def _einstein_weyl_closed_form(h, alpha, point):
+    """|[Ric^h]_0 - [(nabla alpha)_sym - alpha (x) alpha]_0|_h: in dimension 3
+    the trace-free symmetric Ricci tensor of D (D h = -2 alpha (x) h), from the
+    Levi-Civita data of h and alpha's first jets alone, with the norm taken
+    through h^-1 rather than an orthonormal frame."""
+    mp = geo.metric_point(h, point)
+    ric = geo.riemann(h, point)[2]
+    aj = alpha.jets(point)
+    av = np.array([a.value for a in aj])
+    da = np.array([a.grad for a in aj]).T                # da[a, b] = d_a alpha_b
+    nabla = da - np.einsum("cab,c->ab", mp.G, av)        # (nabla_a alpha)_b
+    T = ric - (0.5 * (nabla + nabla.T) - np.outer(av, av))
+    T0 = T - (np.einsum("ab,ab->", mp.ginv, T) / 3.0) * mp.g
+    return float(np.sqrt(np.einsum("ab,cd,ac,bd->", T0, T0, mp.ginv, mp.ginv)))
+
+
+SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
+
+
+def _scene(name):
+    return cli.load_scene(os.path.join(SCENES, name))
+
+
+def _assert_closed_form_matches(r):
+    points, _ = r.sample_points()
+    w = weyl3.WeylStructure3(r.h, r.lee_form)
+    for p in points:
+        base = tuple(p[1:]) if r.fm is not None else tuple(p)
+        ref = weyl3.einstein_weyl_residual(w, base)
+        got = _einstein_weyl_closed_form(r.h, r.lee_form, base)
+        assert abs(got - ref) <= 1e-10 * (1.0 + abs(ref)), (base, got, ref)
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(SCENES)))
+def test_einstein_weyl_closed_form_on_every_scene(name):
+    """The closed form agrees with einstein_weyl_residual on each scene's base
+    metric and Lee form, at the base point of every sample point."""
+    _assert_closed_form_matches(cli.ResolvedScene(_scene(name)))
+
+
+def test_einstein_weyl_closed_form_along_the_berger_sweep():
+    """Every step of the README sweep of berger_ew_sweep.json (alpha scale
+    0.5 to 1.4, 10 steps), and the Einstein-Weyl scale itself."""
+    scene = _scene("berger_ew_sweep.json")
+    keys = cli.scene_slot(scene, "alpha.params.scale")
+    scales = list(np.linspace(0.5, 1.4, 10)) + [con.berger_ew_scale(0.8)]
+    run = cli.Run()
+    for scale in scales:
+        _assert_closed_form_matches(cli.ResolvedScene(cli.with_slot(scene, keys, float(scale)), run))
+
+
+@pytest.mark.parametrize("h, alpha", [
+    (con.flat3(), con.trkalian(1)),                    # sqrt(7/6) everywhere (README)
+    (con.constant_curvature3(1.0), con.xdy()),
+    (con.berger_s3(0.6), con.berger_lee(con.berger_ew_scale(0.6))),
+    con.variable_c_background()[:2],
+], ids=["flat_trkalian", "cc3_xdy", "berger_ew", "variable_c"])
+def test_einstein_weyl_closed_form_on_catalog_pairs(h, alpha):
+    w = weyl3.WeylStructure3(h, alpha)
+    for pt in pts(h.chart, 4, seed=9):
+        ref = weyl3.einstein_weyl_residual(w, pt)
+        got = _einstein_weyl_closed_form(h, alpha, pt)
+        assert abs(got - ref) <= 1e-10 * (1.0 + abs(ref)), (pt, got, ref)
