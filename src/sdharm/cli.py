@@ -261,30 +261,16 @@ class Run:
         return self.once(("ref", json.dumps([ref, *defaults], sort_keys=True)),
                          lambda: _resolve_ref(ref, *defaults))
 
-    def base(self, h, point):
-        """The ``weyl3.HeldBase`` of the base metric h at a base point (its
-        ``geo.MetricPoint`` and orthonormal frame), once per run.  The key is
-        h's closure, which an orientation flip keeps, and the point."""
-        return self.once(("base", h.fn, point), lambda: weyl3.hold(h, point))
+    def base(self, h, points):
+        """The ``weyl3.HeldBase`` of the base metric h at a base point, or at a
+        tuple of base points as one batch, once per run.  The key is h's
+        closure, which an orientation flip keeps, and the points."""
+        return self.once(("base", h.fn, points), lambda: weyl3.HeldBase(
+            h, h.chart.point_array(points) if isinstance(points[0], tuple) else points))
 
-    def base_scale(self, h, point):
-        """The Riemann norm of h at a base point, once per run."""
-        return self.once(("scale", h.fn, point),
-                         lambda: _riemann_norm(self.base(h, point), point))
-
-    def hold_base(self, h, points):
-        """``base`` and ``base_scale`` at every base point the run has not met,
-        from one batch evaluation."""
-        new = [p for p in dict.fromkeys(points) if ("base", h.fn, p) not in self._built]
-        if not new:
-            return
-        at = h.chart.point_array(new)
-        held = weyl3.hold(h, at)
-        scales = _riemann_norm(held, at)
-        for i, p in enumerate(new):
-            self._built["base", h.fn, p] = weyl3.HeldBase(
-                geo.MetricPoint(*(x[i] for x in held.mp)), held.frame[i])
-            self._built["scale", h.fn, p] = float(scales[i])
+    def base_scale(self, h, points):
+        """The Riemann norm of h at ``base``'s points, once per run."""
+        return self.once(("scale", h.fn, points), lambda: _riemann_norm(self.base(h, points)))
 
     @staticmethod
     def each(points, fn, batch=None):
@@ -329,11 +315,10 @@ class ResolvedScene:
         pair = scene.get("pair", {})          # the monopole pair, else the family's
         self.pair_u, self.pair_A = (self._on_base_chart(self.run.resolve(pair[k])) if k in pair
                                     else self.family_params.get(k) for k in "uA")
-        if self.orientation == -1:
+        if self.orientation == -1:          # the base chart as well as the total one
+            self.h = self.h.flipped()
             if self.fm is not None:
                 self.fm = self.fm.with_orientation(-1)
-            else:
-                self.h = self.h.flipped()
         self.setup = mor.SubmersionSetup(self.fm) if self.fm is not None else None
         # the Lee form of the base Weyl structure: the family's, the scene's, or zero
         self.lee_form = self.family_params.get("alpha") or self.alpha or geo.OneFormField(
@@ -420,54 +405,69 @@ class ResolvedScene:
 # check evaluation
 # ---------------------------------------------------------------------------
 
-class _SamplePoint:
-    """One sample point as the checks see it: the run's base metric at its base
-    point, which the base checks and scale read, and the setup's evaluation."""
+class _Job:
+    """A job's sample points as the checks see them: one point, or a list of
+    points read as one batch, where each residual and scale is an array with
+    one value per point.  The total-space checks read the setup's evaluations
+    (held first for a batch, ``_hold_checks``); the base checks read the run's
+    ``weyl3.HeldBase`` at the base points, with the one-forms' jets there."""
 
-    def __init__(self, resolved, point):
-        self.r, self.setup, self.point = resolved, resolved.setup, point
-        self.base_point = tuple(point[1:]) if resolved.fm is not None else tuple(point)
+    def __init__(self, resolved, points):
+        self.r, self.setup, self.points = resolved, resolved.setup, points
+        self.one = isinstance(points, tuple)
+        cut = 0 if resolved.fm is None else 1          # a fibration drops the fibre coordinate
+        if self.one:
+            self.at, self.base_points = points, points[cut:]
+        else:
+            self.at = resolved.chart.point_array(points)
+            self.base_points = tuple(p[cut:] for p in points)
+        self.base = resolved.run.base(resolved.h, self.base_points)    # evaluated when read
 
-    @property
-    def base(self):
-        """The base ``weyl3.HeldBase``."""
-        return self.r.run.base(self.r.h, self.base_point)
+    def fibres(self, read):
+        """The samples ``read(fm, point)`` on each point's fibre: ``(k, 4)`` at
+        one point; ``(N, k, 4)`` for a batch, a shorter fibre padded with its
+        last sample, which leaves its spreads and maxima as they are."""
+        if self.one:
+            return read(self.r.fm, self.points)
+        fibres = [read(self.r.fm, p) for p in self.points]
+        k = max(map(len, fibres))
+        return np.array([f + f[-1:] * (k - len(f)) for f in fibres])
 
     def scale(self, space):
-        """Riemann norm of the total space (from the setup's ``PointEval`` at the
-        point) or of the base."""
+        """Riemann norm of the total space (from the setup's evaluations) or of
+        the base, at each point."""
         if space == "total":
-            return self.setup.ctx(self.point).riemann_norm
-        return self.r.run.base_scale(self.r.h, self.base_point)
+            return geo._float(self.setup.rows(self.at).riemann_norm)
+        return self.r.run.base_scale(self.r.h, self.base_points)
 
 
-def _riemann_norm(held, point):
+def _riemann_norm(held):
     """Frame norm of the Riemann tensor of a ``weyl3.HeldBase`` (one per point
     of a batch)."""
-    return geo.frame_norm(geo.curvature_from_gamma(held.mp, point)[1], held.frame)
+    return geo.frame_norm(geo.curvature_from_gamma(held.mp, held.point)[1], held.frame)
 
 
-def _potential(s, check):
-    u = s.r.pair_u
+def _potential(job, check):
+    u = job.r.pair_u
     if u is None:
         raise UsageError(f"check {check!r} needs a potential "
                          "(scene 'pair.u' or a type1 construction)")
     return u
 
 
-def _beltrami(s):
-    r, c = s.r, s.r.family_params.get("c")
+def _beltrami(job):
+    r, c, base = job.r, job.r.family_params.get("c"), job.base
     if c is not None:
         w = weyl3.WeylStructure3(r.h, r.lee_form)
         return weyl3.generalized_beltrami_residual(
-            w, geo.ScalarField(r.h.chart, lambda _c: c + 0.0 * _c[0]), s.base_point, s.base)
+            w, geo.ScalarField(r.h.chart, lambda _c: c + 0.0 * _c[0]), base.point, base)
     w = weyl3.WeylStructure3(r.h, r.family_params.get("A") or r.lee_form)
-    return weyl3.beltrami_residual(w, r.scene.get("beltrami_sign", -1), s.base_point, s.base)
+    return weyl3.beltrami_residual(w, r.scene.get("beltrami_sign", -1), base.point, base)
 
 
 class Check(NamedTuple):
     space: str           # "total": needs a fibration, scaled by its Riemann norm; or "base"
-    residual: Callable   # _SamplePoint -> raw residual
+    residual: Callable   # _Job -> raw residual (a float at one point, else one per point)
     samples: Callable = None   # (fm, point) -> the fibre samples it reads besides the point
 
 
@@ -477,19 +477,19 @@ def _basic_samples(fm, point):
 
 # The verify checks; README.md describes each one.
 CHECKS = {
-    "fundamental_eq": Check("total", lambda s: mor.fundamental_eq_residual(s.setup, s.point)),
-    "twistorial_basic": Check("total", lambda s: mor.twistorial_basic_residual(
-        s.setup, _basic_samples(s.r.fm, s.point)), _basic_samples),
-    "twistorial_sd": Check("total", lambda s: mor.twistorial_sd_residual(s.setup, s.point)),
-    "monopole": Check("total", lambda s: mor.monopole_eq_residual(
-        s.setup, s.r.family_params.get("alpha") or s.r.alpha, s.point)),
-    "pullback_sd": Check("total", lambda s: mor.pullback_sd_residual(
-        s.setup, _potential(s, "pullback_sd"), s.r.pair_A, s.point)),
-    "einstein_weyl": Check("base", lambda s: weyl3.einstein_weyl_residual(
-        weyl3.WeylStructure3(s.r.h, s.r.lee_form), s.base_point, s.base)),
+    "fundamental_eq": Check("total", lambda j: mor.fundamental_eq_residual(j.setup, j.at)),
+    "twistorial_basic": Check("total", lambda j: mor.twistorial_basic_residual(
+        j.setup, j.fibres(_basic_samples)), _basic_samples),
+    "twistorial_sd": Check("total", lambda j: mor.twistorial_sd_residual(j.setup, j.at)),
+    "monopole": Check("total", lambda j: mor.monopole_eq_residual(
+        j.setup, j.r.family_params.get("alpha") or j.r.alpha, j.at, j.base)),
+    "pullback_sd": Check("total", lambda j: mor.pullback_sd_residual(
+        j.setup, _potential(j, "pullback_sd"), j.r.pair_A, j.at)),
+    "einstein_weyl": Check("base", lambda j: weyl3.einstein_weyl_residual(
+        weyl3.WeylStructure3(j.r.h, j.r.lee_form), j.base.point, j.base)),
     "beltrami": Check("base", _beltrami),
-    "closure": Check("base", lambda s: abs(geo.laplacian_from_gamma(
-        s.base.mp, _potential(s, "closure").jet(s.base_point)))),
+    "closure": Check("base", lambda j: abs(geo.laplacian_from_gamma(
+        j.base.mp, _potential(j, "closure").jet(j.base.point)))),
 }
 
 
@@ -502,19 +502,21 @@ def _require_checks(names, resolved):
             raise UsageError(f"check {name!r} needs a construction in the scene")
 
 
-def _checks_at(point, checks, resolved):
-    """{name: (raw, scale)} at one sample point.  The checks share its fibre's
-    evaluations, which the scene's setup keeps, and the run's base evaluation."""
-    s = _SamplePoint(resolved, point)
-    return {name: (CHECKS[name].residual(s), s.scale(CHECKS[name].space)) for name in checks}
+def _checks_at(points, checks, resolved):
+    """{name: (raw, scale)} at a sample point, or at every point of a list of
+    them as one batch (each an array over the points).  The checks share the
+    setup's evaluations, which a batch holds first, and the run's base."""
+    if not isinstance(points, tuple):
+        _hold_checks(points, checks, resolved)
+    job = _Job(resolved, points)
+    return {name: (CHECKS[name].residual(job), job.scale(CHECKS[name].space))
+            for name in checks}
 
 
 def _hold_checks(points, checks, resolved):
-    """Evaluate what the checks read at every point of a job in one batch per
-    space: the total-space metric at the points and the fibre samples their
-    checks ask for, and the base metric at their base points."""
-    spaces = {CHECKS[name].space for name in checks}
-    if "total" in spaces:
+    """Evaluate the total-space metric at every point of a job, and at the
+    fibre samples its checks read, in one batch."""
+    if any(CHECKS[name].space == "total" for name in checks):
         reads = [CHECKS[name].samples for name in checks if CHECKS[name].samples]
         samples = []
         for p in points:
@@ -522,9 +524,6 @@ def _hold_checks(points, checks, resolved):
             for f in reads:
                 samples.extend(f(resolved.fm, p))
         resolved.setup.hold(samples)
-    if "base" in spaces:
-        resolved.run.hold_base(resolved.h, [_SamplePoint(resolved, p).base_point
-                                            for p in points])
 
 
 # ---------------------------------------------------------------------------
@@ -662,13 +661,18 @@ def cmd_verify(args):
     _require_checks(checks, resolved)
     points, seed = resolved.sample_points()
 
-    def evaluator(point):
+    def entries(values):
         return {name: _record_entry(raw, scale, resolved.tolerance_for(name))
-                for name, (raw, scale) in _checks_at(point, checks, resolved).items()}
+                for name, (raw, scale) in values.items()}
 
     def batch(pts):
-        _hold_checks(pts, checks, resolved)
-        return [evaluator(p) for p in pts]
+        """Each check once over the job's points."""
+        values = _checks_at(pts, checks, resolved)
+        return [entries({name: (raw[i], scale[i]) for name, (raw, scale) in values.items()})
+                for i in range(len(pts))]
+
+    def evaluator(point):
+        return entries(_checks_at(point, checks, resolved))
 
     return _emit_report(build_report(resolved, points, seed, checks, evaluator, batch), args)
 

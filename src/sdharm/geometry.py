@@ -368,8 +368,13 @@ def laplacian(u, h, point):
 
 
 def laplacian_from_gamma(mp, uj):
-    """Delta u = g^ab (d_a d_b u - Gamma^c_ab d_c u) from a MetricPoint and u's jet."""
-    return float(np.einsum("ab,ab->", mp.ginv, uj.hess - np.einsum("cab,c->ab", mp.G, uj.grad)))
+    """Delta u = g^ab (d_a d_b u - Gamma^c_ab d_c u) from a MetricPoint and u's
+    jet, one value per point of a batch."""
+    hess, grad = uj.hess, uj.grad
+    if type(uj.value) is not float:         # a batch jet: its point axis to the front
+        hess, grad = np.moveaxis(hess, -1, 0), np.moveaxis(grad, -1, 0)
+    return _float(np.einsum("...ab,...ab->...", mp.ginv,
+                            hess - np.einsum("...cab,...c->...ab", mp.G, grad)))
 
 
 def christoffel(g, point):
@@ -476,29 +481,31 @@ def levi_civita_symbol(n):
     return _LC_CACHE[n]
 
 
-def hodge_star(omega, gv, k, orientation=1, point=None):
-    """Coordinate Hodge star of a k-form (full antisymmetric component array).
+def hodge_star(omega, gv, k, orientation=1, point=None, ginv=None, vol=None):
+    """Coordinate Hodge star of a k-form (full antisymmetric component array),
+    at a point or, with a leading point axis on omega and gv, at each point.
 
     (*w)_{b...} = (1/k!) w^{a...} eps_{a...b...} sqrt(det g), with eps fixed by
-    the coordinate order and the chart orientation sign.
+    the coordinate order and the chart orientation sign.  A caller that holds
+    g^-1 and sqrt(det g) passes them as ``ginv`` and ``vol``.
     """
-    n = gv.shape[0]
+    n = gv.shape[-1]
     if not 0 <= k <= n:
         raise DimensionError(f"no {k}-forms on a {n}-chart")
-    det = np.linalg.det(gv)
-    if det <= 0:
-        raise DegenerateMetricError("Hodge star needs a positive-definite metric",
-                                    point=point, det=det)
+    if vol is None:
+        det = np.linalg.det(gv)
+        if np.any(det <= 0):
+            raise DegenerateMetricError("Hodge star needs a positive-definite metric",
+                                        point=point, det=float(np.min(det)))
+        vol = np.sqrt(det)
     eps = levi_civita_symbol(n) * orientation
-    vol = np.sqrt(det)
+    vol = np.reshape(vol, np.shape(vol) + (1,) * (n - k))
     if k == 0:
-        return float(omega) * vol * eps
-    ginv = np.linalg.inv(gv)
-    up = np.asarray(omega, dtype=float)
-    for _ in range(k):
-        up = np.tensordot(up, ginv, axes=([0], [0]))
-    # indices of `up` are now (a1...ak) raised, in order
-    out = np.tensordot(up, eps, axes=(list(range(k)), list(range(k))))
+        return np.reshape(omega, np.shape(omega) + (1,) * n) * vol * eps
+    # raise each index in turn, as to_frame contracts with a frame
+    up = to_frame(np.asarray(omega, dtype=float), np.linalg.inv(gv) if ginv is None else ginv)
+    lead = up.shape[:up.ndim - k]
+    out = (up.reshape(lead + (-1,)) @ eps.reshape(n ** k, -1)).reshape(lead + (n,) * (n - k))
     return out * vol / _factorial(k)
 
 

@@ -7,16 +7,17 @@ residual, the induced Lee forms, both twistoriality certificates, the
 monopole compatibility residual, pulled-back connections, and the fibre-wise
 family classifier.
 
-All of it reads one row of a :class:`PointEval`, which holds g, dg, ddg,
-g^-1 and (Gamma, dGamma) at a batch of points, each array with a leading
-point axis, and fills in the rest on first use for the whole batch.  The
-trace forms are (value, derivative) arrays, by the product rule through
-``...``-prefixed einsums (vector forward mode over the point axis, Griewank &
-Walther, *Evaluating Derivatives*, ch. 3).  ``SubmersionSetup.hold`` evaluates
-a job's fibre samples in one batch; ``SubmersionSetup.ctx`` reads a point's
-row, or evaluates a point outside the batch alone.  The checks at a point, the
-samples of ``twistorial_basic`` and the classifier's gates read the fibre
-through it, so each quantity has one (setup, point) function.
+All of it reads rows of a :class:`PointEval`, which holds g, dg, ddg, g^-1
+and (Gamma, dGamma) at a batch of points, each array with a leading point
+axis, and fills in the rest on first use for the whole batch.  The trace forms
+are (value, derivative) arrays, by the product rule through matrix products
+and ``...``-prefixed einsums of two operands (vector forward mode over the
+point axis, Griewank & Walther, *Evaluating Derivatives*, ch. 3).
+``SubmersionSetup.hold`` evaluates a job's fibre samples in one batch;
+``SubmersionSetup.ctx`` reads a point's row, or evaluates a point outside the
+batch alone, and ``SubmersionSetup.rows`` reads the rows of an array of points
+at once.  Each quantity has one (setup, point) function, which takes one point
+(a float result) or an ``(N, 4)`` array of points (one result per point).
 
 The fibre direction is always coordinate 0; the projection drops it.
 """
@@ -92,6 +93,19 @@ class SubmersionSetup:
             self._evals[point] = PointEval(self, [point]).row(0)
         return self._evals[point]
 
+    def rows(self, points):
+        """The evaluations at a point, or at each point of an ``(..., 4)`` array,
+        read through ``ctx`` as one view whose attributes have the points' shape
+        leading: indexed from the batch that holds them all, else stacked."""
+        if np.ndim(points) == 1:
+            return self.ctx(points)
+        points = np.asarray(points, dtype=float)
+        rows = [self.ctx(p) for p in points.reshape(-1, points.shape[-1])]
+        batch, shape = rows[0].batch, points.shape[:-1]
+        if all(r.batch is batch for r in rows):
+            return _Row(batch, np.reshape([r.index for r in rows], shape))
+        return _Stack(rows, shape)
+
     def base_values(self, base_point):
         """h and h^-1 at a base point, evaluated once while it is held."""
         if base_point not in self._h:
@@ -120,30 +134,54 @@ def _d_einsum(spec, *pairs):
     return np.einsum(_spec(ins, out), *values), deriv
 
 
-def _take(x, i):
-    """Row ``i`` of a batch attribute: of an array (a float for one scalar per
-    point), of each array of a (value, derivative) pair; anything else is
-    shared by the rows."""
+def _take(x, index):
+    """Rows ``index`` of a batch attribute: of an array, of each array of a
+    (value, derivative) pair; anything else is shared by the rows."""
     if isinstance(x, np.ndarray):
-        return x[i] if x.ndim > 1 else float(x[i])
+        return x[index]
     if isinstance(x, tuple):
-        return tuple(_take(v, i) for v in x)
+        return tuple(_take(v, index) for v in x)
     return x
 
 
 class _Row:
-    """One point of a ``PointEval``: each attribute is the batch's at that
-    point, computed for the whole batch on first use."""
+    """Rows of a ``PointEval``: each attribute is the batch's at row ``index``
+    (an int), or at the rows of an index array, whose shape then leads;
+    computed for the whole batch on first use."""
 
-    __slots__ = ("batch", "index", "point", "base_point")
+    __slots__ = ("batch", "index")
 
     def __init__(self, batch, index):
         self.batch, self.index = batch, index
-        self.point = batch.points[index]
-        self.base_point = self.point[1:]
+
+    @property
+    def point(self):
+        return self.batch.points[self.index]
+
+    @property
+    def base_point(self):
+        return self.point[1:]
 
     def __getattr__(self, name):
         return _take(getattr(self.batch, name), self.index)
+
+
+def _stack(values, shape):
+    """Per-row values (or (value, derivative) pairs) as arrays, ``shape`` leading."""
+    if isinstance(values[0], tuple):
+        return tuple(_stack(v, shape) for v in zip(*values))
+    return np.reshape(values, shape + np.shape(values[0]))
+
+
+class _Stack:
+    """Rows of several ``PointEval``s, points evaluated alone, read as one:
+    each attribute is theirs stacked, with ``shape`` leading."""
+
+    def __init__(self, rows, shape):
+        self.rows, self.shape = rows, shape
+
+    def __getattr__(self, name):
+        return _stack([getattr(r, name) for r in self.rows], self.shape)
 
 
 class PointEval:
@@ -233,18 +271,24 @@ class PointEval:
                - np.einsum("...be,...f->...bef", dg0, du)
                - np.einsum("...bf,...e->...bef", dg0, du)
                - np.einsum("...b,...ef->...bef", g0, self.ddu))
-        P = (self.P, self.dP)
-        # (nabla_{W_b} W_c)^d = Gamma^d_ef W_b^e W_c^f + delta^d_0 W_b(w_c)
-        nab, dnab = _d_einsum("def,eb,fc->dbc", (self.G, self.dG), P, P)
-        lift, dlift = _d_einsum("eb,ce->bc", P, (self.dw, ddw))
+        # (nabla_{W_b} W_c)^d = (P^T Gamma^d P)_bc + delta^d_0 W_b(w_c), one
+        # matrix product per d; d/dx^z (stacked on axis 1) by the product rule
+        P, Pt = self.P[:, None], self.P.swapaxes(-1, -2)[:, None]
+        dPz = np.moveaxis(self.dP, -1, 1)[:, :, None]          # [n, z, 1, e, b]
+        GP, PtG = self.G @ P, Pt @ self.G
+        nab = Pt @ GP
+        dnab = np.moveaxis(Pt[:, None] @ np.moveaxis(self.dG, -1, 1) @ P[:, None]
+                           + dPz.swapaxes(-1, -2) @ GP[:, None] + PtG[:, None] @ dPz, 1, -1)
+        lift, dlift = _d_einsum("eb,ce->bc", (self.P, self.dP), (self.dw, ddw))
         nab[:, 0] += lift
         dnab[:, 0] += dlift
         GH, dGH = self.ginv.copy(), self.dginv.copy()
         GH[:, 0, 0] -= u
         dGH[:, 0, 0] -= du
-        s = _d_einsum("bc,d,dbc->", (GH, dGH), (g0, dg0), (nab, dnab))
+        s, ds = _d_einsum("bc,bc->", (GH, dGH), _d_einsum("d,dbc->bc", (g0, dg0), (nab, dnab)))
         # t = U g(U, .) of the sum = d_0 s/g_00; lowered: g_a0 s/g_00
-        return _d_einsum("a,,->a", (g0, dg0), s, self.u)
+        su, dsu = s * u, ds * u[:, None] + s[:, None] * du
+        return g0 * su[:, None], dg0 * su[:, None, None] + g0[:, :, None] * dsu[:, None, :]
 
     @cached_property
     def grad_log_lambda(self):
@@ -263,7 +307,7 @@ class PointEval:
         block = self.ginv[:, 1:, 1:]
         lam_sq = np.einsum("...ij,...ij->...", block, self.hv) / 3.0
         dev = block - lam_sq[:, None, None] * self.hinv
-        dev2 = np.einsum("...ij,...kl,...ik,...jl->...", dev, dev, self.hv, self.hv)
+        dev2 = np.sum(dev * (self.hv @ dev @ self.hv), axis=(-2, -1))
         anisotropy = np.sqrt(np.maximum(0.0, dev2)) / np.maximum(lam_sq, 1e-30)
         return lam_sq, anisotropy, np.abs(self.lam_inv_sq * lam_sq - 1.0)
 
@@ -352,9 +396,15 @@ class PointEval:
 
 @dataclass
 class DilationData:
+    """Each field a float at a point, an array over an array of points."""
     lam_sq: float
     anisotropy: float
     stored_mismatch: float
+
+
+def _norm(v, M):
+    """sqrt(v^T M v) at each point: a float at one point."""
+    return geo._float(np.sqrt(np.maximum(0.0, (v[..., None, :] @ M @ v[..., :, None])[..., 0, 0])))
 
 
 def dilation(setup, point, tol=H_CONFORMAL_TOL):
@@ -362,14 +412,16 @@ def dilation(setup, point, tol=H_CONFORMAL_TOL):
 
     Computed as the unique lam^2 with (g^-1)_base-block = lam^2 h^-1; the
     anisotropy norm certifies horizontal conformality and must stay below
-    ``tol``.  Also cross-checks the stored closed form of lam^-2.
+    ``tol`` (at every point of an array, else the first point above it is
+    named).  Also cross-checks the stored closed form of lam^-2.
     """
-    ctx = setup.ctx(point)
-    lam_sq, anisotropy, mismatch = ctx.conformality
-    if anisotropy > tol:
+    lam_sq, anisotropy, mismatch = setup.rows(point).conformality
+    bad = np.flatnonzero(np.ravel(anisotropy) > tol)
+    if bad.size:
         raise NotHorizontallyConformalError(
-            "projection is not horizontally conformal", point=ctx.point,
-            anisotropy=anisotropy)
+            "projection is not horizontally conformal",
+            point=np.reshape(point, (-1, 4))[bad[0]].tolist(),
+            anisotropy=float(np.ravel(anisotropy)[bad[0]]))
     return DilationData(lam_sq, anisotropy, mismatch)
 
 
@@ -399,9 +451,8 @@ def fundamental_eq_residual(setup, point):
     is a harmonic morphism onto (N, h).
     """
     dilation(setup, point)      # raises if the conformality certificate fails
-    ctx = setup.ctx(point)
-    drop = ctx.harmonicity_defect
-    return float(np.sqrt(max(0.0, drop @ ctx.hv @ drop)))
+    rows = setup.rows(point)
+    return _norm(rows.harmonicity_defect, rows.hv)
 
 
 def induced_lee_form(setup, point):
@@ -416,48 +467,56 @@ def projected_lee_form(setup, point):
     return setup.ctx(point).projected_lee
 
 
+def _base_of(point):
+    """The base point of a point, or of each row of an ``(N, 4)`` array."""
+    return np.asarray(point)[:, 1:] if np.ndim(point) == 2 else tuple(float(x) for x in point[1:])
+
+
 def _check_one_fibre(samples):
-    samples = [tuple(float(x) for x in s) for s in samples]
-    if len(samples) < 2:
+    """The samples as an ``(..., k, 4)`` array: k >= 2 points of one fibre, or
+    of each of several fibres."""
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim < 2 or samples.shape[-2] < 2:
         raise ValueError("need at least two points on the fibre")
-    base = samples[0][1:]
-    for s in samples[1:]:
-        if max(abs(a - b) for a, b in zip(s[1:], base)) > 1e-12:
-            raise ValueError("fibre samples must share the base point")
+    if np.any(np.abs(samples[..., 1:, 1:] - samples[..., :1, 1:]) > 1e-12):
+        raise ValueError("fibre samples must share the base point")
     return samples
 
 
 def twistorial_basic_residual(setup, samples):
     """Fibre-independence certificate of the induced Lee form.
 
-    Evaluates the projected Lee form at each sample of one fibre and returns
-    the maximal pairwise component spread plus the maximal vertical
-    contraction; zero means the form is basic at sample resolution.
+    Reads the projected Lee form at each sample of one fibre, a ``(k, 4)``
+    array, and returns the maximal pairwise component spread plus the maximal
+    vertical contraction; zero means the form is basic at sample resolution.
+    An ``(N, k, 4)`` array gives one residual per fibre.
     """
-    lee = [projected_lee_form(setup, s) for s in _check_one_fibre(samples)]
-    comps = np.array([b for b, _ in lee])
-    spread = float(np.max(comps.max(axis=0) - comps.min(axis=0)))
-    return spread + float(max(v for _, v in lee))
+    comps, vertical = setup.rows(_check_one_fibre(samples)).projected_lee
+    spread = np.max(comps.max(axis=-2) - comps.min(axis=-2), axis=-1)
+    return geo._float(spread + vertical.max(axis=-1))
 
 
 def twistorial_sd_residual(setup, point):
     """Norm of the anti-self-dual part of d(trace(Bv)-flat + 1/3 trace(Bh)-flat)."""
-    return setup.ctx(point).twistorial_sd
+    return geo._float(setup.rows(point).twistorial_sd)
 
 
-def monopole_eq_residual(setup, alpha, point):
+def monopole_eq_residual(setup, alpha, point, base=None):
     """|| (d^H - phi* alpha)(lam^-2) - *_H dtheta ||_h at the point.
 
     ``alpha`` is a one-form on the base (None means zero); vanishing residual
     certifies that alpha is the Lee form making the projection twistorial.
+    ``base``, a ``weyl3.HeldBase`` at the base point(s), holds alpha's jets
+    when the caller reads them for other residuals too.
     """
-    ctx = setup.ctx(point)
-    lhs = ctx.dlam_inv_sq @ ctx.P[:, 1:]
+    rows = setup.rows(point)
+    lhs = (rows.dlam_inv_sq[..., None, :] @ rows.P[..., :, 1:])[..., 0, :]
     if alpha is not None:
-        lhs = lhs - ctx.lam_inv_sq * alpha.values(ctx.base_point)
-    rhs = geo.hodge_star(ctx.lifted_dtheta, ctx.hv, 2, ctx.fm.total_chart.orientation)
-    diff = lhs - rhs
-    return float(np.sqrt(max(0.0, diff @ ctx.hinv @ diff)))
+        aj = alpha.jets(_base_of(point)) if base is None else base.jets(alpha)
+        lhs = lhs - rows.lam_inv_sq[..., None] * np.stack([a.value for a in aj], axis=-1)
+    rhs = geo.hodge_star(rows.lifted_dtheta, rows.hv, 2, setup.fm.total_chart.orientation,
+                         ginv=rows.hinv)
+    return _norm(lhs - rhs, rows.hinv)
 
 
 def pullback_sd_residual(setup, u, A, point):
@@ -467,18 +526,18 @@ def pullback_sd_residual(setup, u, A, point):
     -u (lam^2 theta) + phi*(A); a monopole pair must pull back with self-dual
     curvature.
     """
-    ctx = setup.ctx(point)
+    fm = setup.fm
+    gv = setup.rows(point).gv
     cj = jets.seed_all(point)
-    L = ctx.fm.dilation_sq_inv.fn(cj)
+    L = fm.dilation_sq_inv.fn(cj)
     uv = u.fn(cj[1:])
-    tilde = [-1.0 * uv * (th / L) for th in ctx.fm.theta.fn(cj)]
+    tilde = [-1.0 * uv * (th / L) for th in fm.theta.fn(cj)]
     if A is not None:
         tilde[1:] = [t + a for t, a in zip(tilde[1:], A.fn(cj[1:]))]
-    tilde = [t if isinstance(t, jets.Jet) else jets.constant(float(t), 4) for t in tilde]
-    dA = geo.form_values(geo.ext_d(tilde, 4), 4, 2)
-    _, _, _, minus = geo.split_two_form(dA, ctx.gv, ctx.fm.total_chart.orientation,
-                                        point=ctx.point)
-    return minus
+    dA = geo.form_values(geo.ext_d([cj[0].coerce(t) for t in tilde], 4), 4, 2)
+    if np.ndim(point) == 2:                 # the batch axis of the jets to the front
+        dA = np.moveaxis(dA, -1, 0)
+    return geo.split_two_form(dA, gv, fm.total_chart.orientation, point=point)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +572,7 @@ def classify_type(setup, samples):
     decided: its threshold constant (``sign`` for the sign branch of
     V(lam^-2)) and the evidence it tested.
     """
-    samples = _check_one_fibre(samples)
+    samples = [tuple(s) for s in _check_one_fibre(samples).tolist()]
     if len(samples) < 3:
         raise ValueError("classification needs at least three fibre samples")
 

@@ -3,13 +3,14 @@
 A Weyl structure is a metric h together with a one-form alpha; the associated
 torsion-free connection D satisfies D h = -2 alpha (x) h.  Every operation
 here returns a pointwise residual norm that vanishes exactly when the named
-equation holds.
+equation holds: a float at a point, or one per row of an ``(N, 3)`` array of
+points, every array then carrying the point axis first (as ``geo.metric_point``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +20,6 @@ from .errors import DimensionError
 __all__ = [
     "WeylStructure3",
     "HeldBase",
-    "hold",
     "weyl_connection_coeffs",
     "weyl_covariant_metric_residual",
     "einstein_weyl_residual",
@@ -27,10 +27,6 @@ __all__ = [
     "generalized_beltrami_residual",
     "monopole_residual",
     "closure_residual",
-    "two_form_norm",
-    "one_form_norm",
-    "star_one_form",
-    "star_two_form",
     "locate_residual_minimum",
 ]
 
@@ -45,154 +41,162 @@ class WeylStructure3:
             raise DimensionError("Weyl structures live on 3-charts")
 
 
-class HeldBase(NamedTuple):
-    """The metric h at a point (or an array of points), held by a caller that
-    evaluates several residuals there.  ``weyl_connection_coeffs``, the
-    Einstein-Weyl and the Beltrami residuals take one as ``base``, or evaluate
-    h at the point themselves."""
-    mp: geo.MetricPoint          # g, g^-1 and the Levi-Civita connection
-    frame: np.ndarray            # geo.orthonormal_frame of g
+class HeldBase:
+    """The metric h at a point, or at each row of an ``(N, 3)`` array of
+    points, held by a caller that evaluates several residuals there.  Each part
+    is evaluated on first use: ``mp`` (``geo.metric_point``: g, g^-1 and the
+    Levi-Civita connection), ``frame`` (g's ``geo.orthonormal_frame``), ``vol``
+    (sqrt det g), and ``jets(field)``, a one-form's jets at the points.  The
+    residuals below take one as ``base``, or hold h at the point themselves."""
+
+    def __init__(self, h, point):
+        self.h, self.point, self._jets = h, point, {}
+
+    @cached_property
+    def mp(self):
+        return geo.metric_point(self.h, self.point)
+
+    @cached_property
+    def frame(self):
+        return geo.orthonormal_frame(self.mp.g)
+
+    @cached_property
+    def vol(self):
+        """sqrt det g = 1 / det E for the frame E, which has E^T g E = 1."""
+        return 1.0 / np.linalg.det(self.frame)
+
+    def jets(self, field):
+        """The one-form field's component jets at the points: at a batch,
+        evaluated once for the job's residuals; at one point, at each call,
+        since a sweep brings new fields every step and holding their jets for
+        the run cost 3% of a ``sweep --locate`` step."""
+        if not geo._is_batch(self.point):
+            return field.jets(self.point)
+        jets = self._jets.get(field)
+        if jets is None:
+            jets = self._jets[field] = field.jets(self.point)
+        return jets
+
+    def star(self, form, k, orientation):
+        """The Hodge star of a k-form with h's held inverse and volume."""
+        return geo.hodge_star(form, self.mp.g, k, orientation, ginv=self.mp.ginv, vol=self.vol)
 
 
-def hold(h, point):
-    """The ``HeldBase`` of the metric field h at the point, or at each row of
-    an ``(N, 3)`` array of points."""
-    mp = geo.metric_point(h, point)
-    return HeldBase(mp, geo.orthonormal_frame(mp.g))
+def _lead(x, point):
+    """A jet-derived array at the point, or with a batch's point axis moved
+    from last to first at an ``(N, 3)`` array of points."""
+    return np.moveaxis(x, -1, 0) if geo._is_batch(point) else x
+
+
+def _alpha(w, base):
+    """alpha's values and da[..., b, d] = d_d alpha_b at base's points."""
+    aj = base.jets(w.alpha)
+    av, da = np.array([a.value for a in aj]), np.array([a.grad for a in aj])
+    if geo._is_batch(base.point):
+        return np.moveaxis(av, -1, 0), np.moveaxis(da, -1, 0)
+    return av, da
 
 
 def weyl_connection_coeffs(w: WeylStructure3, point, base: HeldBase | None = None):
     """(Gamma, dGamma) of D as arrays: Gamma[a,b,c] = Gamma^a_bc and
-    dGamma[a,b,c,d] = d_d Gamma^a_bc.
+    dGamma[a,b,c,d] = d_d Gamma^a_bc, with a batch's point axis first.
 
     D = Levi-Civita + C with C^a_bc = delta^a_b alpha_c + delta^a_c alpha_b
     - h_bc alpha^a, which is linear in alpha and so differentiates in closed form.
     """
-    mp = geo.metric_point(w.h, point) if base is None else base.mp
-    return _weyl_connection(mp, w.alpha.jets(point))
+    base = HeldBase(w.h, point) if base is None else base
+    return _weyl_connection(base.mp, *_alpha(w, base))
 
 
-def _weyl_connection(h, aj):
+def _weyl_connection(h, av, da):
     """(Gamma, dGamma) of D from the base ``geo.MetricPoint`` h, which holds
-    the Levi-Civita connection, and alpha's jets."""
-    av = np.array([a.value for a in aj])
-    da = np.array([a.grad for a in aj])                   # da[b,d] = d_d alpha_b
-    a_up = h.ginv @ av
-    da_up = np.einsum("abd,b->ad", h.dginv, av) + h.ginv @ da
+    the Levi-Civita connection, and alpha's values and first derivatives."""
+    a_up = (h.ginv @ av[..., None])[..., 0]
+    da_up = np.einsum("...abd,...b->...ad", h.dginv, av) + h.ginv @ da
+    # outer products by broadcasting, an index per axis: [..., a, b, c(, d)]
     delta = np.eye(3)
-    C = (np.einsum("ab,c->abc", delta, av) + np.einsum("ac,b->abc", delta, av)
-         - np.einsum("bc,a->abc", h.g, a_up))
-    dC = (np.einsum("ab,cd->abcd", delta, da) + np.einsum("ac,bd->abcd", delta, da)
-          - np.einsum("bcd,a->abcd", h.dg, a_up) - np.einsum("bc,ad->abcd", h.g, da_up))
+    C = (delta[:, :, None] * av[..., None, None, :] + delta[:, None, :] * av[..., None, :, None]
+         - h.g[..., None, :, :] * a_up[..., :, None, None])
+    dC = (delta[:, :, None, None] * da[..., None, None, :, :]
+          + delta[:, None, :, None] * da[..., None, :, None, :]
+          - h.dg[..., None, :, :, :] * a_up[..., :, None, None, None]
+          - h.g[..., None, :, :, None] * da_up[..., :, None, None, :])
     return h.G + C, h.dG + dC
 
 
 def weyl_covariant_metric_residual(w: WeylStructure3, point):
     """Norm of D h + 2 alpha (x) h, the defining property of the connection."""
-    h = geo.metric_point(w.h, point)                       # h.dg[a,b,c] = d_c h_ab
-    aj = w.alpha.jets(point)
-    G, _ = _weyl_connection(h, aj)
-    av = np.array([a.value for a in aj])
-    Dh = (np.einsum("abc->cab", h.dg)
-          - np.einsum("eca,eb->cab", G, h.g)
-          - np.einsum("ecb,ae->cab", G, h.g))
-    target = -2.0 * np.einsum("c,ab->cab", av, h.g)
+    base = HeldBase(w.h, point)
+    h = base.mp                                            # h.dg[a,b,c] = d_c h_ab
+    av, da = _alpha(w, base)
+    G, _ = _weyl_connection(h, av, da)
+    Dh = (np.einsum("...abc->...cab", h.dg)
+          - np.einsum("...eca,...eb->...cab", G, h.g)
+          - np.einsum("...ecb,...ae->...cab", G, h.g))
+    target = -2.0 * np.einsum("...c,...ab->...cab", av, h.g)
     return geo.tensor_norm(Dh - target, h.g)
 
 
 def einstein_weyl_residual(w: WeylStructure3, point, base: HeldBase | None = None):
     """Norm of the trace-free symmetrized Ricci tensor of D at the point."""
-    base = hold(w.h, point) if base is None else base
-    ric = np.einsum("abad->bd", geo.riemann_from_gamma(*weyl_connection_coeffs(w, point, base)))
-    sym = 0.5 * (ric + ric.T)
-    tracefree = sym - (np.einsum("ab,ab->", base.mp.ginv, sym) / 3.0) * base.mp.g
+    base = HeldBase(w.h, point) if base is None else base
+    ric = np.einsum("...abad->...bd", geo.riemann_from_gamma(*weyl_connection_coeffs(w, point, base)))
+    sym = 0.5 * (ric + ric.swapaxes(-1, -2))
+    trace = np.einsum("...ab,...ab->...", base.mp.ginv, sym) / 3.0
+    tracefree = sym - trace[..., None, None] * base.mp.g
     return geo.frame_norm(tracefree, base.frame)
-
-
-# ---------------------------------------------------------------------------
-# Hodge helpers on a 3-chart (coordinate components)
-# ---------------------------------------------------------------------------
-
-def star_one_form(av, hv, orientation=1):
-    return geo.hodge_star(av, hv, 1, orientation)
-
-
-def star_two_form(Fv, hv, orientation=1):
-    return geo.hodge_star(Fv, hv, 2, orientation)
-
-
-def one_form_norm(av, hv):
-    return float(np.sqrt(max(0.0, np.einsum("a,b,ab->", av, av, np.linalg.inv(hv)))))
-
-
-def two_form_norm(Fv, hv, *, frame=None):
-    """Frobenius norm in an orthonormalized frame, i < j components only;
-    ``frame`` is h's ``geo.orthonormal_frame`` when the caller holds it."""
-    E = geo.orthonormal_frame(hv) if frame is None else frame
-    Ff = geo.to_frame(np.asarray(Fv, dtype=float), E)
-    n = hv.shape[0]
-    return float(np.sqrt(sum(Ff[i, j] ** 2 for i in range(n) for j in range(i + 1, n))))
-
-
-def three_form_norm(Tv, hv):
-    E = geo.orthonormal_frame(hv)
-    Tf = geo.to_frame(np.asarray(Tv, dtype=float), E)
-    return float(abs(Tf[0, 1, 2]))
 
 
 # ---------------------------------------------------------------------------
 # residuals
 # ---------------------------------------------------------------------------
 
-def _metric_values(h, point, base):
-    """h's values at the point and, if held, their orthonormal frame (else
-    None, and the norm builds it)."""
-    return (h.values(point), None) if base is None else (base.mp.g, base.frame)
+def _two_form_norm(F, frame):
+    """Frobenius norm in an orthonormal frame, i < j components only."""
+    Ff = geo.to_frame(F, frame)
+    n = Ff.shape[-1]
+    return geo._float(np.sqrt(sum(Ff[..., i, j] ** 2 for i in range(n) for j in range(i + 1, n))))
 
 
 def beltrami_residual(w: WeylStructure3, sign, point, base: HeldBase | None = None):
     """|| d alpha - sign * (*alpha) || in the orthonormalized 2-form norm."""
     if sign not in (1, -1, 1.0, -1.0):
         raise ValueError("sign must be +1 or -1")
-    aj = w.alpha.jets(point)
-    da = geo.form_values(geo.ext_d(aj, 3), 3, 2)
-    av = np.array([a.value for a in aj])
-    hv, frame = _metric_values(w.h, point, base)
-    ori = w.h.chart.orientation
-    return two_form_norm(da - sign * star_one_form(av, hv, ori), hv, frame=frame)
+    base = HeldBase(w.h, point) if base is None else base
+    av, da = _alpha(w, base)
+    star = base.star(av, 1, w.h.chart.orientation)
+    return _two_form_norm(da.swapaxes(-1, -2) - da - sign * star, base.frame)
 
 
 def generalized_beltrami_residual(w: WeylStructure3, c: geo.ScalarField, point,
                                   base: HeldBase | None = None):
     """|| d alpha - c * (*alpha) + *dc || at the point."""
-    aj = w.alpha.jets(point)
-    da = geo.form_values(geo.ext_d(aj, 3), 3, 2)
-    av = np.array([a.value for a in aj])
-    hv, frame = _metric_values(w.h, point, base)
+    base = HeldBase(w.h, point) if base is None else base
+    av, da = _alpha(w, base)
     ori = w.h.chart.orientation
-    cj = c.jet(point)
-    dc = cj.grad.copy()
-    resid = da - cj.value * star_one_form(av, hv, ori) + star_one_form(dc, hv, ori)
-    return two_form_norm(resid, hv, frame=frame)
+    cj = c.jet(base.point)
+    resid = (da.swapaxes(-1, -2) - da - geo._times(cj.value, base.star(av, 1, ori))
+             + base.star(_lead(cj.grad, base.point), 1, ori))
+    return _two_form_norm(resid, base.frame)
 
 
 def monopole_residual(u: geo.ScalarField, w: WeylStructure3, F: geo.TwoFormField, point):
     """|| (du - u alpha) - *F || in the h one-form norm."""
+    base = HeldBase(w.h, point)
     uj = u.jet(point)
-    av = np.array([a.value for a in w.alpha.jets(point)])
-    hv = w.h.values(point)
-    ori = w.h.chart.orientation
-    Fv = F.values(point)
-    lhs = uj.grad - uj.value * av
-    return one_form_norm(lhs - star_two_form(Fv, hv, ori), hv)
+    av, _ = _alpha(w, base)
+    lhs = _lead(uj.grad, point) - np.asarray(uj.value)[..., None] * av
+    diff = lhs - base.star(_lead(F.values(point), point), 2, w.h.chart.orientation)
+    norm2 = np.einsum("...a,...b,...ab->...", diff, diff, base.mp.ginv)
+    return geo._float(np.sqrt(np.maximum(0.0, norm2)))
 
 
 def closure_residual(F: geo.TwoFormField, point, h: geo.MetricField | None = None):
     """|| dF ||; zero is required for F to be a curvature form."""
-    dF = geo.form_values(geo.ext_d(F.jets(point), 3), 3, 3)
-    if h is None:
-        return float(abs(dF[0, 1, 2]))
-    return three_form_norm(dF, h.values(point))
+    dF = _lead(geo.form_values(geo.ext_d(F.jets(point), 3), 3, 3), point)
+    if h is not None:
+        dF = geo.to_frame(dF, HeldBase(h, point).frame)
+    return geo._float(np.abs(dF[..., 0, 1, 2]))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ orientations.
 import glob
 import json
 import os
+import types
 
 import numpy as np
 import pytest
@@ -319,3 +320,156 @@ def test_rescale_by_a_constant_factor_holds_a_batch():
     points = inside(fm.total_chart, 3, seed=10)
     assert_reports_match(fm.g, points)
     assert_rows_match(fm, points)
+
+
+# ---------------------------------------------------------------------------
+# verify's checks over a job's points against each point alone
+# ---------------------------------------------------------------------------
+
+def _check_scenes():
+    """Every scene at both orientations, and the Berger scene at the
+    non-Einstein-Weyl scale 0.5 with four points."""
+    out = {}
+    for path in sorted(glob.glob(os.path.join(SCENES, "*.json"))):
+        with open(path) as fh:
+            scene = json.load(fh)
+        for orientation in (1, -1):
+            out[f"{os.path.basename(path)[:-5]}{orientation:+d}"] = dict(scene,
+                                                                          orientation=orientation)
+    out["berger_scale0.5_4pts"] = dict(out["berger_ew_sweep+1"],
+                                       samples={"random": {"count": 4, "seed": 3}})
+    return out
+
+
+CHECK_SCENES = _check_scenes()
+
+
+def _applicable(resolved):
+    """The checks that apply to the scene: total-space ones need a
+    construction, pullback_sd and closure a potential."""
+    return [name for name, check in cli.CHECKS.items()
+            if (check.space == "base" or resolved.fm is not None)
+            and (name not in ("pullback_sd", "closure") or resolved.pair_u is not None)]
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_SCENES))
+def test_every_check_on_a_batch_equals_each_point_alone(name):
+    """Each check once over the job's points gives, at every point, the raw
+    residual and scale of that point evaluated alone, to 1e-13 (1 + |alone|),
+    and the same pass flag."""
+    scene = cli.validate_scene(CHECK_SCENES[name])
+    held = cli.ResolvedScene(scene)
+    alone = cli.ResolvedScene(scene)
+    checks = _applicable(held)
+    points, _ = held.sample_points()
+    batch = cli._checks_at(list(points), checks, held)
+    for i, p in enumerate(points):
+        one = cli._checks_at(p, checks, alone)
+        for check in checks:
+            raw, scale = batch[check][0][i], batch[check][1][i]
+            for got, ref in zip((raw, scale), one[check]):
+                assert abs(got - ref) <= 1e-13 * (1 + abs(ref)), (check, i, got, ref)
+            flags = [cli._record_entry(*values, cli.DEFAULT_TOL)["pass"]
+                     for values in ((raw, scale), one[check])]
+            assert flags[0] == flags[1], (check, i)
+
+
+# ---------------------------------------------------------------------------
+# the horizontal trace by matrix products against its einsum definition
+# ---------------------------------------------------------------------------
+
+def _einsum_horizontal_trace(ev, sign=-1.0):
+    """(trace Bh)-flat of a PointEval by its definition through three- and
+    four-operand einsums: Gamma^d_ef W_b^e W_c^f, contracted with h^bc and
+    g_0d, and lowered by g_a0 / g_00.  With ``sign=1`` on the absolute values
+    of its inputs, every term adds: the sum of the terms' absolute values."""
+    u, du = ev.u
+    g0, dg0 = ev.gv[:, 0], ev.dg[:, 0]
+    ddw = sign * (ev.ddg[:, 0] * u[:, None, None, None]
+                  + np.einsum("...be,...f->...bef", dg0, du)
+                  + np.einsum("...bf,...e->...bef", dg0, du)
+                  + np.einsum("...b,...ef->...bef", g0, ev.ddu))
+    P = (ev.P, ev.dP)
+    nab, dnab = mor._d_einsum("def,eb,fc->dbc", (ev.G, ev.dG), P, P)
+    lift, dlift = mor._d_einsum("eb,ce->bc", P, (ev.dw, ddw))
+    nab[:, 0] += lift
+    dnab[:, 0] += dlift
+    GH, dGH = ev.ginv.copy(), ev.dginv.copy()
+    GH[:, 0, 0] += sign * u
+    dGH[:, 0, 0] += sign * du
+    s = mor._d_einsum("bc,d,dbc->", (GH, dGH), (g0, dg0), (nab, dnab))
+    return mor._d_einsum("a,,->a", (g0, dg0), s, ev.u)
+
+
+_TRACE_INPUTS = ("u", "gv", "dg", "ddg", "ddu", "P", "dP", "G", "dG", "dw", "ginv", "dginv")
+
+
+def _inputs(ev, convert):
+    """The inputs of the trace, each array passed through ``convert``."""
+    return types.SimpleNamespace(**{
+        name: tuple(map(convert, value)) if isinstance(value, tuple) else convert(value)
+        for name, value in ((name, getattr(ev, name)) for name in _TRACE_INPUTS)})
+
+
+def _trace_errors(fm, points):
+    """The PointEval at the points, its (matrix product) trace forms, the
+    einsum definition's, the definition in extended precision (64-bit
+    mantissa) from the same double inputs, and the sum of the absolute values
+    of its terms."""
+    ev = mor.PointEval(mor.SubmersionSetup(fm), points)
+    wide = _einsum_horizontal_trace(_inputs(ev, lambda x: np.asarray(x, np.longdouble)))
+    terms = _einsum_horizontal_trace(_inputs(ev, np.abs), sign=1.0)
+    return ev, ev.horizontal_trace_flat, _einsum_horizontal_trace(ev), wide, terms
+
+
+def _per_point(x):
+    """The largest |entry| at each point."""
+    return np.max(np.abs(x), axis=tuple(range(1, x.ndim)))
+
+
+def assert_trace_matches_einsum(fm, points):
+    """Value and derivative of the matrix-product trace within
+    1e-14 (1 + |einsum definition|) of it at each point, |.| the largest
+    entry, and within the rounding bound of the definition in extended
+    precision (see the ill-conditioned case below); the conformality norm
+    within 1e-12 of its four-operand einsum."""
+    ev, new, old, exact, terms = _trace_errors(fm, points)
+    for a, b, c, t in zip(new, old, exact, terms):
+        assert np.all(_per_point(a - b) <= 1e-14 * (1 + _per_point(b))), _per_point(a - b)
+        assert np.all(np.abs(a - c) <= 4 * np.finfo(float).eps * t)
+    lam_sq = ev.conformality[0]
+    dev = ev.ginv[:, 1:, 1:] - lam_sq[:, None, None] * ev.hinv
+    dev2 = np.einsum("...ij,...kl,...ik,...jl->...", dev, dev, ev.hv, ev.hv)
+    anisotropy = np.sqrt(np.maximum(0.0, dev2)) / lam_sq
+    assert np.allclose(ev.conformality[1], anisotropy, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", sorted(SETUPS))
+def test_horizontal_trace_matches_its_einsum_definition(name):
+    fm = SETUPS[name]
+    assert_trace_matches_einsum(fm, [tuple(p) for p in inside(fm.total_chart, 6, seed=12)])
+
+
+def test_horizontal_trace_matches_its_einsum_definition_where_ill_conditioned():
+    """The type-4 Berger metric with c = -1 at rho = 0.075, where
+    lam^-2 = e^rho - 1 = 0.078 and the horizontal frame is ill-conditioned."""
+    with open(os.path.join(SCENES, "type4_berger_ew.json")) as fh:
+        scene = json.load(fh)
+    scene["construction"]["params"]["c"] = -1.0
+    fm = cli.ResolvedScene(cli.validate_scene(scene)).fm
+    point = (0.075, 2.2, 1.0, 5.0)
+    assert fm.dilation_sq_inv.value(point) == pytest.approx(0.0779, abs=1e-4)
+    # At rho = 0.075, |Gamma| reaches 3.4e3 and |g^-1| 1e2 against a trace of
+    # 21, so any two summation orders differ by some 1e-12 of it (here the
+    # einsums and the matrix products by 4.0e-12 of 1 + |trace|).  On this
+    # fibre each entry is held to the rounding bound of a sum, a small multiple
+    # of eps times the sum of its terms' absolute values (Higham, *Accuracy and
+    # Stability of Numerical Algorithms*, 2002, ch. 3), against the definition
+    # in extended precision from the same double inputs.  Both orders meet it
+    # with 4 eps: the einsums reach 0.37 eps, the matrix products 0.15 eps.
+    points = [point] + mor.fibre_samples_about(fm, (0.3, 2.2, 1.0, 5.0), 4)
+    _, new, old, exact, terms = _trace_errors(fm, points)
+    eps = np.finfo(float).eps
+    for trace in (new, old):
+        for a, b, t in zip(trace, exact, terms):
+            assert np.all(np.abs(a - b) <= 4 * eps * t)

@@ -128,7 +128,18 @@ def metric_shapes(monkeypatch):
     return shapes
 
 
-def test_verify_shares_one_context_per_fibre_sample(capsys, tmp_path, built, metric_shapes):
+@pytest.fixture
+def form_jets(monkeypatch):
+    """(name, shape of the points) for every one-form jets evaluation while
+    the test runs, in call order."""
+    calls, real = [], geo.OneFormField.jets
+    monkeypatch.setattr(geo.OneFormField, "jets", lambda f, p: calls.append(
+        (f.name, np.shape(p))) or real(f, p))
+    return calls
+
+
+def test_verify_shares_one_context_per_fibre_sample(capsys, tmp_path, built, metric_shapes,
+                                                    form_jets):
     with open(scene_path("type4_berger_ew.json")) as fh:
         scene = json.load(fh)
     scene["samples"] = {"points": [[0.2, 1.2, 2.0, 3.0]]}
@@ -146,6 +157,19 @@ def test_verify_shares_one_context_per_fibre_sample(capsys, tmp_path, built, met
     # their base points, and one evaluation of the base metric at the point
     n = len(built[0])
     assert metric_shapes == [("arrays", (n, 4)), ("jets", (n, 3)), ("jets", (1, 3))]
+    # alpha's jets once for einstein_weyl, beltrami and monopole; theta's once
+    assert form_jets == [("berger_lee(0.96)", (1, 3)), ("type4.theta", (n, 4))]
+
+
+def test_verify_evaluates_each_one_form_once_per_job(capsys, metric_shapes, form_jets):
+    """einstein_weyl, beltrami and monopole read one batch of alpha's jets at
+    the job's five base points, not one per point and check, and monopole one
+    of theta; the total and the base metric are evaluated once each."""
+    code, out = run_cli(["verify", scene_path("type4_berger_ew.json"),
+                         "--checks", "einstein_weyl,beltrami,monopole"], capsys)
+    assert code == 0 and len(json.loads(out)["records"]) == 5
+    assert form_jets == [("berger_lee(0.96)", (5, 3)), ("type4.theta", (5, 4))]
+    assert metric_shapes == [("arrays", (5, 4)), ("jets", (5, 3)), ("jets", (5, 3))]
 
 
 def test_classify_evaluates_each_fibre_once(capsys, monkeypatch, built, metric_shapes):
@@ -377,8 +401,8 @@ ORIENTATION_ODD = {
     "gibbons_hawking.json": {"monopole"},                # 4.4e-16 -> 4.0
     "type2_warped.json": set(),
     "type3_control_xdy.json": set(),
-    "type3_trkalian.json": {"twistorial_basic", "twistorial_sd", "monopole"},
-    "type4_berger_ew.json": {"twistorial_basic", "twistorial_sd", "monopole"},
+    "type3_trkalian.json": {"twistorial_basic", "twistorial_sd", "monopole", "beltrami"},
+    "type4_berger_ew.json": {"twistorial_basic", "twistorial_sd", "monopole", "beltrami"},
 }
 
 
@@ -941,6 +965,30 @@ def test_fibre_batch_with_bad_points_falls_back_to_each_point(command, errors, c
                      alone["records"])
     else:
         assert_close(rep["results"], alone["results"])
+
+
+def test_base_batch_with_a_bad_point_falls_back_to_each_point(capsys, tmp_path):
+    """The base checks run once over the job's base points; a point outside
+    the chart fails that batch, is named as one point at a time names it, and
+    the other points agree with a run over them alone."""
+    good = [[1.2, 2.0, 3.0], [0.7, 1.0, 5.0]]
+    bad = [2.9, 2.0, 3.0]
+    runs = {}
+    for key, points in (("mixed", [good[0], bad, good[1]]), ("good", good)):
+        path = write_scene(tmp_path, "berger_ew_sweep.json",
+                           lambda scene: scene.update(samples={"points": points}))
+        runs[key] = run_cli(["verify", path, "--checks", "einstein_weyl,beltrami"], capsys)
+    code, out = runs["mixed"]
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["domain_errors"] == [{
+        "index": 1, "point": bad,
+        "error": "point (2.9, 2.0, 3.0) outside chart domain [('th', 0.3, 2.8), "
+                 "('ps', 0.1, 6.0), ('ph', 0.1, 6.0)]"}]
+    code, out = runs["good"]
+    assert code == 1                       # scale 0.5 is off the Einstein-Weyl locus
+    alone = json.loads(out)["records"]
+    assert_close([dict(rep["records"][i], index=j) for j, i in enumerate((0, 2))], alone)
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch):

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -529,3 +531,17 @@ def test_setup_keeps_the_evaluations_of_one_fibre(type4_setup, counted, monkeypa
     assert [setup.ctx(p) for p in (pt, same_fibre, other.point)] == rows
     setup.hold([same_fibre])
     assert setup.ctx(same_fibre) is not rows[1] and len(built) == 2
+
+
+def test_morphism_contracts_at_most_two_operands_per_einsum():
+    """An einsum of three or more operands runs c_einsum's loop over every
+    index combination, 4^6 at each point for the horizontal trace's
+    derivative; PointEval contracts with matrix products or pairwise."""
+    tree = ast.parse(Path(mor.__file__).read_text())
+    specs = [node.args[0].value for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and node.args
+             and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)
+             and (isinstance(node.func, ast.Attribute) and node.func.attr == "einsum"
+                  or isinstance(node.func, ast.Name) and node.func.id == "_d_einsum")]
+    assert len(specs) >= 10
+    assert [spec for spec in specs if spec.split("->")[0].count(",") >= 2] == []

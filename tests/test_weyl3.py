@@ -65,7 +65,7 @@ def test_residuals_read_a_held_base_as_they_evaluate_h():
     w = weyl3.WeylStructure3(h, con.berger_lee(0.7))
     c = geo.ScalarField(h.chart, lambda x: 1.6 + 0.0 * x[0])
     for pt in pts(h.chart, 3, seed=5):
-        base = weyl3.hold(h, pt)
+        base = weyl3.HeldBase(h, pt)
         for residual in (lambda **kw: weyl3.einstein_weyl_residual(w, pt, **kw),
                          lambda **kw: weyl3.beltrami_residual(w, -1, pt, **kw),
                          lambda **kw: weyl3.generalized_beltrami_residual(w, c, pt, **kw)):
