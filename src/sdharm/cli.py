@@ -763,6 +763,8 @@ def cmd_sweep(args):
         or scene.get("checks", [])
     if not checks:
         raise UsageError("sweep needs checks (scene 'checks' or --checks)")
+    if args.locate and args.locate not in checks:
+        raise UsageError("--locate check must be one of the swept checks")
 
     run = Run()
     keys = scene_slot(scene, args.param)
@@ -796,8 +798,6 @@ def cmd_sweep(args):
         writer.writerow(["# domain_error", repr(value), idx, " ".join(map(str, point)), error])
 
     if args.locate:
-        if args.locate not in checks:
-            raise UsageError("--locate check must be one of the swept checks")
         series = [res[args.locate] for _, res in rows]
         for i in range(1, len(series) - 1):
             if series[i] <= series[i - 1] and series[i] <= series[i + 1]:

@@ -121,7 +121,7 @@ class FibredMetric(geo.MetricField):
         # the layout of geo.metric_jets' arrays: component axes, derivative axes, points
         out = (gv, np.ascontiguousarray(np.moveaxis(g[1], 0, 2)),
                np.ascontiguousarray(np.moveaxis(g[2], (0, 1), (2, 3))))
-        return tuple(np.moveaxis(x, -1, 0) for x in out) if batch else out
+        return tuple(geo._lead(x, point) for x in out)
 
 
 def _product(x, y):

@@ -231,7 +231,7 @@ class MetricField:
     def arrays(self, point):
         """(g, dg, ddg) at the point, from its order-2 jets: dg[a,b,c] = d_c g_ab,
         ddg[a,b,c,d] = d_c d_d g_ab, a batch's point axis first."""
-        return _jet_arrays(self.jets(point), _is_batch(point))
+        return _jet_arrays(self.jets(point), point)
 
     def flipped(self):
         """The same metric on the chart of the opposite orientation."""
@@ -274,17 +274,23 @@ def jet_values(mat):
     return np.array([[m.value for m in row] for row in mat])
 
 
-def _jet_arrays(mat, batch):
-    """(values, grads, hessians) of a matrix of jets, with a batch's point
-    axis moved from last to first."""
-    arrays = (jet_values(mat), np.array([[m.grad for m in row] for row in mat]),
-              np.array([[m.hess for m in row] for row in mat]))
-    return tuple(np.moveaxis(x, -1, 0) for x in arrays) if batch else arrays
+def _jet_arrays(mat, point):
+    """(values, grads, hessians) of a matrix of jets at the point, with a
+    batch's point axis moved from last to first."""
+    return tuple(_lead(x, point) for x in (
+        jet_values(mat), np.array([[m.grad for m in row] for row in mat]),
+        np.array([[m.hess for m in row] for row in mat])))
 
 
 def _is_batch(point):
     """Whether ``point`` is an ``(N, d)`` array of points."""
     return isinstance(point, np.ndarray) and point.ndim == 2
+
+
+def _lead(x, point):
+    """A jet-derived array at the point, or with a batch's point axis moved
+    from last to first at an ``(N, d)`` array of points."""
+    return np.moveaxis(x, -1, 0) if _is_batch(point) else x
 
 
 def _float(x):

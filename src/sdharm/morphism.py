@@ -13,11 +13,12 @@ axis, and fills in the rest on first use for the whole batch.  The trace forms
 are (value, derivative) arrays, by the product rule through matrix products
 and ``...``-prefixed einsums of two operands (vector forward mode over the
 point axis, Griewank & Walther, *Evaluating Derivatives*, ch. 3).
-``SubmersionSetup.hold`` evaluates a job's fibre samples in one batch;
-``SubmersionSetup.ctx`` reads a point's row, or evaluates a point outside the
-batch alone, and ``SubmersionSetup.rows`` reads the rows of an array of points
-at once.  Each quantity has one (setup, point) function, which takes one point
-(a float result) or an ``(N, 4)`` array of points (one result per point).
+A ``SubmersionSetup`` holds one ``PointEval`` at a time: ``hold`` evaluates a
+job's fibre samples in one batch, and a read of a point outside it holds the
+points read instead.  ``SubmersionSetup.ctx`` reads a point's row and
+``SubmersionSetup.rows`` the rows of an array of points at once.  Each
+quantity has one (setup, point) function, which takes one point (a float
+result) or an ``(N, 4)`` array of points (one result per point).
 
 The fibre direction is always coordinate 0; the projection drops it.
 """
@@ -32,7 +33,7 @@ import numpy as np
 from . import geometry as geo
 from . import jets
 from .constructions import FibrationMetric
-from .errors import NotHorizontallyConformalError
+from .errors import GeometryError, NotHorizontallyConformalError
 
 __all__ = [
     "SubmersionSetup",
@@ -64,54 +65,48 @@ C_SPREAD_TOL = 1e-5       # spread of the recovered c along the fibre
 class SubmersionSetup:
     """A fibration metric with the verification hooks of the projection map.
 
-    ``hold(points)`` evaluates a job's sample points as one ``PointEval`` and
-    keeps it until the next ``hold``; ``ctx`` at one of them reads its row.  A
-    point outside the held evaluations is evaluated alone, as a batch of one,
-    and kept with the other points of its fibre until a point on another fibre
-    is asked for.  h and h^-1 are read once per base point while held."""
+    It holds one ``PointEval`` at a time, with a row index per point.
+    ``hold(points)`` evaluates a job's sample points in one batch and replaces
+    what was held; ``ctx`` or ``rows`` at points outside it holds the points
+    read (a single point from its own scalar jets).  A hold that fails
+    evaluates its points one at a time, in order, and raises the error of the
+    first that fails alone, so the error names the first sample that fails."""
 
     def __init__(self, fm: FibrationMetric):
         self.fm = fm
-        self._fibre = None        # the fibre of the lone evaluations, None for a batch
-        self._evals = {}          # point -> its row of a PointEval
-        self._h = {}              # base point -> (h, h^-1)
+        self._held, self._index = None, {}       # the PointEval, point -> its row
 
     def hold(self, points):
-        """Evaluate every point in one batch, the rows kept in place of what was held."""
+        """Evaluate every point in one batch, held in place of what was held."""
         points = list(dict.fromkeys(tuple(float(x) for x in p) for p in points))
-        self._fibre, self._evals, self._h = None, {}, {}
-        batch = PointEval(self, points)
-        self._evals = {p: batch.row(i) for i, p in enumerate(points)}
+        try:
+            held = PointEval(self, points)
+        except GeometryError:
+            for p in points:            # the first point that fails alone raises
+                PointEval(self, [p])
+            raise
+        self._held, self._index = held, {p: i for i, p in enumerate(points)}
 
     def ctx(self, point):
-        """The evaluation at ``point``: its row of the held batch, or of its own
-        batch of one, shared while its fibre is the current one."""
+        """The evaluation at ``point``: its row of the held batch, which holds
+        the point alone if it was not held."""
         point = tuple(float(x) for x in point)
-        if point not in self._evals:
-            if point[1:] != self._fibre:
-                self._fibre, self._evals, self._h = point[1:], {}, {}
-            self._evals[point] = PointEval(self, [point]).row(0)
-        return self._evals[point]
+        if point not in self._index:
+            self.hold([point])
+        return _Row(self._held, self._index[point])
 
     def rows(self, points):
         """The evaluations at a point, or at each point of an ``(..., 4)`` array,
-        read through ``ctx`` as one view whose attributes have the points' shape
-        leading: indexed from the batch that holds them all, else stacked."""
+        read through ``ctx`` as one view whose attributes have the points'
+        shape leading; the points are held together unless all are held."""
         if np.ndim(points) == 1:
             return self.ctx(points)
         points = np.asarray(points, dtype=float)
-        rows = [self.ctx(p) for p in points.reshape(-1, points.shape[-1])]
-        batch, shape = rows[0].batch, points.shape[:-1]
-        if all(r.batch is batch for r in rows):
-            return _Row(batch, np.reshape([r.index for r in rows], shape))
-        return _Stack(rows, shape)
-
-    def base_values(self, base_point):
-        """h and h^-1 at a base point, evaluated once while it is held."""
-        if base_point not in self._h:
-            hv = self.fm.h.values(base_point)
-            self._h[base_point] = hv, np.linalg.inv(hv)
-        return self._h[base_point]
+        flat = [tuple(p) for p in points.reshape(-1, points.shape[-1]).tolist()]
+        if not all(p in self._index for p in flat):
+            self.hold(flat)
+        return _Row(self._held, np.reshape([self.ctx(p).index for p in flat],
+                                           points.shape[:-1]))
 
 
 def _spec(terms, out, z=None):
@@ -154,34 +149,8 @@ class _Row:
     def __init__(self, batch, index):
         self.batch, self.index = batch, index
 
-    @property
-    def point(self):
-        return self.batch.points[self.index]
-
-    @property
-    def base_point(self):
-        return self.point[1:]
-
     def __getattr__(self, name):
         return _take(getattr(self.batch, name), self.index)
-
-
-def _stack(values, shape):
-    """Per-row values (or (value, derivative) pairs) as arrays, ``shape`` leading."""
-    if isinstance(values[0], tuple):
-        return tuple(_stack(v, shape) for v in zip(*values))
-    return np.reshape(values, shape + np.shape(values[0]))
-
-
-class _Stack:
-    """Rows of several ``PointEval``s, points evaluated alone, read as one:
-    each attribute is theirs stacked, with ``shape`` leading."""
-
-    def __init__(self, rows, shape):
-        self.rows, self.shape = rows, shape
-
-    def __getattr__(self, name):
-        return _stack([getattr(r, name) for r in self.rows], self.shape)
 
 
 class PointEval:
@@ -190,10 +159,10 @@ class PointEval:
     Every array has a leading point axis.  The metric arrays, the inverse and
     (Gamma, dGamma) come from one ``geo.metric_point`` over the batch, and
     lam^-2 from one batch jet; everything derived from them is computed on
-    first use, for every point at once.  Derivative arrays carry d/dx^e on
-    their last axis.  ``row(i)`` is the view the residuals read.  A batch of
-    one point is evaluated with that point's own jets, so that its errors name
-    it as the evaluation at that point alone does.
+    first use, for every point at once.  h and h^-1 are read once per distinct
+    base point.  Derivative arrays carry d/dx^e on their last axis.  A batch
+    of one point is evaluated with that point's own jets, so that its errors
+    name it as the evaluation at that point alone does.
 
     Vertical distribution: span of d/dx^0, unit vertical V0 d_0 with
     V0 = g_00^(-1/2).  P = 1 + e_0 (x) w with w_b = -g_0b/g_00 is the
@@ -210,8 +179,9 @@ class PointEval:
         metric = geo.metric_point(fm.g, self._at)
         self.metric = geo.MetricPoint(*(x[None] for x in metric)) if self._one else metric
         self.gv, self.dg, self.ddg, self.ginv, self.dginv, self.G, self.dG = self.metric
-        h = [setup.base_values(p[1:]) for p in self.points]
-        self.hv, self.hinv = (np.array(x) for x in zip(*h))
+        h = {b: fm.h.values(b) for b in dict.fromkeys(p[1:] for p in self.points)}
+        self.hv = np.array([h[p[1:]] for p in self.points])
+        self.hinv = np.linalg.inv(self.hv)
         L = fm.dilation_sq_inv.jet(self._at)
         self.lam_inv_sq, self.dlam_inv_sq, self.ddlam_inv_sq = (
             self._lead(x) for x in (L.value, L.grad, L.hess))
@@ -233,9 +203,6 @@ class PointEval:
         """A jet-derived array with the point axis in front: a batch jet's
         trailing axis moved there, or a new axis for one point."""
         return np.asarray(x)[None] if self._one else np.moveaxis(x, -1, 0)
-
-    def row(self, index):
-        return _Row(self, index)
 
     def _g(self, v, w):
         """g(v, w) at each point, as the matrix products of one point compute it."""
@@ -534,9 +501,7 @@ def pullback_sd_residual(setup, u, A, point):
     tilde = [-1.0 * uv * (th / L) for th in fm.theta.fn(cj)]
     if A is not None:
         tilde[1:] = [t + a for t, a in zip(tilde[1:], A.fn(cj[1:]))]
-    dA = geo.form_values(geo.ext_d([cj[0].coerce(t) for t in tilde], 4), 4, 2)
-    if np.ndim(point) == 2:                 # the batch axis of the jets to the front
-        dA = np.moveaxis(dA, -1, 0)
+    dA = geo._lead(geo.form_values(geo.ext_d([cj[0].coerce(t) for t in tilde], 4), 4, 2), point)
     return geo.split_two_form(dA, gv, fm.total_chart.orientation, point=point)[3]
 
 
@@ -570,41 +535,40 @@ def classify_type(setup, samples):
     V(log V(lam^-2)) along the fibre; returns the label with all intermediate
     scalars as evidence.  ``evidence["decided_by"]`` names the gate that
     decided: its threshold constant (``sign`` for the sign branch of
-    V(lam^-2)) and the evidence it tested.
+    V(lam^-2)) and the evidence it tested.  The samples are read as arrays,
+    from the held batch or from one hold of them.
     """
-    samples = [tuple(s) for s in _check_one_fibre(samples).tolist()]
+    samples = _check_one_fibre(samples)
     if len(samples) < 3:
         raise ValueError("classification needs at least three fibre samples")
 
-    evidence = {"samples": [list(s) for s in samples]}
-    ctxs = [setup.ctx(s) for s in samples]
+    evidence = {"samples": samples.tolist()}
+    rows = setup.rows(samples)
 
     def decided(label, gate, c=None):
         evidence["decided_by"] = gate
         return Classification(label, c, evidence)
 
     try:
-        for s in samples:
-            dilation(setup, s)
+        dilation(setup, samples)
     except NotHorizontallyConformalError as exc:
         evidence["anisotropy"] = exc.anisotropy
         return decided("nonstandard", "H_CONFORMAL_TOL: anisotropy")
 
-    sd_res = [twistorial_sd_residual(setup, s) for s in samples]
+    sd_res = rows.twistorial_sd
     basic_res = twistorial_basic_residual(setup, samples)
-    evidence["twistorial_sd"] = sd_res
+    evidence["twistorial_sd"] = sd_res.tolist()
     evidence["twistorial_basic"] = basic_res
 
     # The defect lowered by h and scaled by lam^-2: in that weighting it is
     # constant along fibres exactly when the metric is a basic conformal
     # rescale of a harmonic morphism, the gauge freedom to ignore here.
-    defect = np.array([(c.hv @ c.harmonicity_defect) * c.lam_inv_sq for c in ctxs])
+    defect = (rows.hv @ rows.harmonicity_defect[:, :, None])[:, :, 0] * rows.lam_inv_sq[:, None]
     defect_spread = float(np.max(defect.max(axis=0) - defect.min(axis=0)))
     evidence["harmonicity_defect_spread"] = defect_spread
-    evidence["harmonicity_residual"] = [float(np.sqrt(max(0.0, d @ c.hinv @ d)))
-                                        for d, c in zip(defect, ctxs)]
+    evidence["harmonicity_residual"] = _norm(defect, rows.hinv).tolist()
 
-    if max(sd_res) > SD_GATE_TOL:
+    if np.max(sd_res) > SD_GATE_TOL:
         return decided("nonstandard", "SD_GATE_TOL: twistorial_sd")
     if basic_res > SPREAD_GATE_TOL:
         return decided("nonstandard", "SPREAD_GATE_TOL: twistorial_basic")
@@ -612,11 +576,10 @@ def classify_type(setup, samples):
         return decided("nonstandard", "SPREAD_GATE_TOL: harmonicity_defect_spread")
 
     # V = lam^-1 V0 d_0; v1 = V(lam^-2)
-    lam_inv = np.array([c.lam_inv_sq for c in ctxs])
-    dlam_inv = np.array([c.dlam_inv_sq[0] for c in ctxs])
-    vcoef = np.array([c.lam_inv_sq ** -0.5 * c.V0 for c in ctxs])
+    lam_inv, dlam_inv = rows.lam_inv_sq, rows.dlam_inv_sq[:, 0]
+    vcoef = jets._pow(lam_inv, -0.5) * rows.V0
     v1 = vcoef * dlam_inv
-    evidence["V_lam_inv_sq"] = list(map(float, v1))
+    evidence["V_lam_inv_sq"] = v1.tolist()
     scale = 1.0 + float(np.max(np.abs(lam_inv)))
 
     if np.max(np.abs(v1)) < BRANCH_TOL * scale:
@@ -629,11 +592,9 @@ def classify_type(setup, samples):
         return decided("nonstandard", "sign: V_lam_inv_sq")
 
     # v2 = V(log v1) = V(v1) / v1
-    dvcoef = -0.5 * vcoef * (dlam_inv / lam_inv
-                             + np.array([c.dg[0, 0, 0] / c.gv[0, 0] for c in ctxs]))
-    ddlam_inv = np.array([c.ddlam_inv_sq[0, 0] for c in ctxs])
-    v2 = flip * vcoef * (dvcoef * dlam_inv + vcoef * ddlam_inv) / v1
-    evidence["V_log_V_lam_inv_sq"] = list(map(float, v2))
+    dvcoef = -0.5 * vcoef * (dlam_inv / lam_inv + rows.dg[:, 0, 0, 0] / rows.gv[:, 0, 0])
+    v2 = flip * vcoef * (dvcoef * dlam_inv + vcoef * rows.ddlam_inv_sq[:, 0, 0]) / v1
+    evidence["V_log_V_lam_inv_sq"] = v2.tolist()
     v2_spread = float(v2.max() - v2.min())
     a_mean = float(np.mean(v2))
     evidence["a"] = a_mean
@@ -642,16 +603,16 @@ def classify_type(setup, samples):
         if abs(a_mean) < BRANCH_TOL:
             return decided("type3", "BRANCH_TOL: a")
         c_rec = a_mean * lam_inv - flip * v1
-        evidence["recovered_c"] = list(map(float, c_rec))
+        evidence["recovered_c"] = c_rec.tolist()
         c_val = float(np.mean(c_rec))
         if float(np.max(np.abs(c_rec - c_val))) < C_SPREAD_TOL * (1.0 + abs(c_val)):
             return decided("type4", "C_SPREAD_TOL: recovered_c", c_val)
         return decided("nonstandard", "C_SPREAD_TOL: recovered_c")
 
     # nonconstant V(log V(lam^-2)): integrable horizontal distribution branch
-    integrability = max(float(np.max(np.abs(c.integrability))) for c in ctxs)
+    integrability = float(np.max(np.abs(rows.integrability)))
     evidence["integrability"] = integrability
-    dh_log = np.array([c.dH_log_lambda for c in ctxs])
+    dh_log = rows.dH_log_lambda
     homothety_spread = float(np.max(dh_log.max(axis=0) - dh_log.min(axis=0)))
     evidence["homothety_spread"] = homothety_spread
     if not integrability < SPREAD_GATE_TOL:

@@ -82,19 +82,11 @@ class HeldBase:
         return geo.hodge_star(form, self.mp.g, k, orientation, ginv=self.mp.ginv, vol=self.vol)
 
 
-def _lead(x, point):
-    """A jet-derived array at the point, or with a batch's point axis moved
-    from last to first at an ``(N, 3)`` array of points."""
-    return np.moveaxis(x, -1, 0) if geo._is_batch(point) else x
-
-
 def _alpha(w, base):
     """alpha's values and da[..., b, d] = d_d alpha_b at base's points."""
     aj = base.jets(w.alpha)
-    av, da = np.array([a.value for a in aj]), np.array([a.grad for a in aj])
-    if geo._is_batch(base.point):
-        return np.moveaxis(av, -1, 0), np.moveaxis(da, -1, 0)
-    return av, da
+    return (geo._lead(np.array([a.value for a in aj]), base.point),
+            geo._lead(np.array([a.grad for a in aj]), base.point))
 
 
 def weyl_connection_coeffs(w: WeylStructure3, point, base: HeldBase | None = None):
@@ -176,7 +168,7 @@ def generalized_beltrami_residual(w: WeylStructure3, c: geo.ScalarField, point,
     ori = w.h.chart.orientation
     cj = c.jet(base.point)
     resid = (da.swapaxes(-1, -2) - da - geo._times(cj.value, base.star(av, 1, ori))
-             + base.star(_lead(cj.grad, base.point), 1, ori))
+             + base.star(geo._lead(cj.grad, base.point), 1, ori))
     return _two_form_norm(resid, base.frame)
 
 
@@ -185,15 +177,15 @@ def monopole_residual(u: geo.ScalarField, w: WeylStructure3, F: geo.TwoFormField
     base = HeldBase(w.h, point)
     uj = u.jet(point)
     av, _ = _alpha(w, base)
-    lhs = _lead(uj.grad, point) - np.asarray(uj.value)[..., None] * av
-    diff = lhs - base.star(_lead(F.values(point), point), 2, w.h.chart.orientation)
+    lhs = geo._lead(uj.grad, point) - np.asarray(uj.value)[..., None] * av
+    diff = lhs - base.star(geo._lead(F.values(point), point), 2, w.h.chart.orientation)
     norm2 = np.einsum("...a,...b,...ab->...", diff, diff, base.mp.ginv)
     return geo._float(np.sqrt(np.maximum(0.0, norm2)))
 
 
 def closure_residual(F: geo.TwoFormField, point, h: geo.MetricField | None = None):
     """|| dF ||; zero is required for F to be a curvature form."""
-    dF = _lead(geo.form_values(geo.ext_d(F.jets(point), 3), 3, 3), point)
+    dF = geo._lead(geo.form_values(geo.ext_d(F.jets(point), 3), 3, 3), point)
     if h is not None:
         dF = geo.to_frame(dF, HeldBase(h, point).frame)
     return geo._float(np.abs(dF[..., 0, 1, 2]))

@@ -279,7 +279,7 @@ FIBRED = _fibred()
 
 def _jet_path(g, at):
     """(g, dg, ddg) of ``geo.metric_jets`` of g.fn, as metric_point read them."""
-    return geo._jet_arrays(geo.metric_jets(g, at), geo._is_batch(at))
+    return geo._jet_arrays(geo.metric_jets(g, at), at)
 
 
 @pytest.mark.parametrize("name", sorted(FIBRED))

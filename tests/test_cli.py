@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdharm import cli, constructions as con, geometry as geo, morphism as mor
+from sdharm.errors import DomainError
 
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -647,14 +648,14 @@ def _verdict(check):
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_slot_check_agrees_with_whole_scene_validation(scene, keys, data):
-    """A sweep checks only the value at its slot.  For any number there, that
-    check and a validation of the whole edited scene give the same verdict and
-    message; a list index may be written from the back."""
+    """A sweep checks only the value at its slot.  For any value there, a
+    number or not, that check and a validation of the whole edited scene give
+    the same verdict and message; a list index may be written from the back."""
     node = scene
     for k in keys:
         node = node[k]
     value = data.draw(st.one_of(
-        st.sampled_from([0, 0.0, -1, -0.5, 0.5, 1e300, -1e300, node]),
+        st.sampled_from([0, 0.0, -1, -0.5, 0.5, 1e300, -1e300, node, "abc", True, None]),
         st.integers(-10 ** 20, 10 ** 20),
         st.floats(allow_nan=False, allow_infinity=False)), label="value")
     path, parent = [], scene
@@ -722,6 +723,17 @@ def test_sweep_non_numeric_param_usage_error(capsys):
                        "--param", "alpha.name", "--range", "0:1",
                        "--steps", "2", "--checks", "einstein_weyl"], capsys)
     assert code == 64
+
+
+def test_sweep_locate_of_an_unswept_check_is_a_usage_error_before_any_step(capsys,
+                                                                           monkeypatch):
+    built = []
+    monkeypatch.setattr(cli.ResolvedScene, "__init__", lambda *a: built.append(a))
+    code = cli.main(["sweep", scene_path("berger_ew_sweep.json"),
+                     "--param", "alpha.params.scale", "--range", "0.5:1.4",
+                     "--steps", "4", "--checks", "einstein_weyl", "--locate", "beltrami"])
+    assert code == 64 and built == []
+    assert capsys.readouterr().err == "error: --locate check must be one of the swept checks\n"
 
 
 @pytest.mark.parametrize("param, missing", [("samples.points.5.0", "5"),
@@ -965,6 +977,19 @@ def test_fibre_batch_with_bad_points_falls_back_to_each_point(command, errors, c
                      alone["records"])
     else:
         assert_close(rep["results"], alone["results"])
+
+
+def test_a_failing_hold_raises_the_first_point_that_fails_alone(tmp_path):
+    """A hold whose batch fails evaluates its points one at a time, in order,
+    and raises the error of the first that fails alone: the fibre neighbour of
+    a bad point here, named as a run of that point alone names it."""
+    good, bad = (0.5, 1.2, 2.0, 3.0), (-0.5, 1.2, 2.0, 3.0)
+    neighbour = (-0.12499999999999997, 1.2, 2.0, 3.0)   # a fibre sample about (0.1, 1.2, 2, 3)
+    scene = cli.load_scene(_fallback_scene(tmp_path, [list(good)]))
+    setup = cli.ResolvedScene(scene).setup
+    with pytest.raises(DomainError) as exc:
+        setup.hold([good, neighbour, bad])
+    assert str(exc.value) == _NEIGHBOUR
 
 
 def test_base_batch_with_a_bad_point_falls_back_to_each_point(capsys, tmp_path):

@@ -486,51 +486,53 @@ def counted(monkeypatch):
     return built, shapes
 
 
-def test_classify_builds_one_context_per_sample(type4_setup, counted):
-    """Alone, classify evaluates each fibre sample once, as a batch of one.
-    After ``hold`` it reads the one batch of all four samples, builds nothing
-    and gives the same label and c."""
+def test_classify_reads_its_samples_as_one_batch(type4_setup, counted):
+    """With nothing held, classify holds its four fibre samples as one
+    PointEval.  After ``hold`` it reads that batch, builds nothing more and
+    gives the same classification."""
     built, shapes = counted
     samples = mor.fibre_samples_about(type4_setup.fm, (0.2, 0.3, -0.4, 1.0), 4)
     alone = mor.classify_type(mor.SubmersionSetup(type4_setup.fm), samples)
     assert alone.label == "type4"
-    assert sorted(built) == sorted([s] for s in samples)
-    # each sample's metric, with h's jets at its base point, and nothing else
-    assert shapes == [("arrays", (4,)), ("jets", (3,))] * 4
+    # the samples' metric, with h's jets at their base points, and nothing else
+    assert built == [samples] and shapes == [("arrays", (4, 4)), ("jets", (4, 3))]
     built.clear()
     shapes.clear()
     setup = mor.SubmersionSetup(type4_setup.fm)
     setup.hold(samples)
-    cls = mor.classify_type(setup, samples)
+    assert mor.classify_type(setup, samples) == alone
     assert built == [samples] and shapes == [("arrays", (4, 4)), ("jets", (4, 3))]
-    assert cls.label == "type4"
-    assert abs(cls.recovered_c - alone.recovered_c) <= 1e-13 * (1 + abs(alone.recovered_c))
 
 
-def test_setup_keeps_the_evaluations_of_one_fibre(type4_setup, counted, monkeypatch):
+_PT, _SAME_FIBRE, _OTHER = (0.2, 0.3, -0.4, 1.0), (0.5, 0.3, -0.4, 1.0), (0.2, 0.3, -0.4, 1.1)
+
+
+def test_a_read_outside_the_held_batch_holds_the_points_read(type4_setup, counted):
     built, _ = counted
+    setup = mor.SubmersionSetup(type4_setup.fm)
+    setup.hold([_PT, _SAME_FIBRE, _PT])
+    row = setup.ctx(np.array(_PT))
+    assert built == [[_PT, _SAME_FIBRE]] and setup.ctx(_SAME_FIBRE).batch is row.batch
+    assert setup.rows(np.array([_SAME_FIBRE, _PT])).batch is row.batch and len(built) == 1
+    # one point outside: it alone is held, in place of the batch
+    assert setup.ctx(_OTHER).batch is not row.batch and built[1:] == [[_OTHER]]
+    assert setup.ctx(_PT).batch is not row.batch and built[2:] == [[_PT]]
+    # an array with a point outside: exactly the points read, once each, as one batch
+    rows = setup.rows(np.array([[_PT, _OTHER], [_SAME_FIBRE, _PT]]))
+    assert built[3:] == [[_PT, _OTHER, _SAME_FIBRE]]
+    assert rows.index.tolist() == [[0, 1], [2, 0]]
+    assert setup.ctx(_OTHER).batch is rows.batch and len(built) == 4
+
+
+def test_a_hold_reads_h_once_per_base_point(type4_setup, monkeypatch):
     h_reads, real = [], geo.MetricField.values
     monkeypatch.setattr(geo.MetricField, "values", lambda h, p: h_reads.append(p) or real(h, p))
     setup = mor.SubmersionSetup(type4_setup.fm)
-    pt, same_fibre = (0.2, 0.3, -0.4, 1.0), (0.5, 0.3, -0.4, 1.0)
-    first, second = setup.ctx(pt), setup.ctx(same_fibre)
-    assert setup.ctx(np.array(pt)) is first and setup.ctx(same_fibre) is second
-    assert h_reads == [pt[1:]]                      # h under the fibre read once
-    other = setup.ctx((0.2, 0.3, -0.4, 1.1))       # another fibre drops both
-    assert h_reads == [pt[1:], other.base_point]
-    assert setup.ctx(pt) is not first
-    assert setup.ctx((0.2, 0.3, -0.4, 1.1)) is not other
-    # a held batch: one evaluation, h read once per base point, kept until the next hold
-    built.clear()
+    setup.hold([_PT, _SAME_FIBRE, _OTHER, _PT])
+    assert sorted(h_reads) == sorted([_PT[1:], _OTHER[1:]])
     h_reads.clear()
-    setup.hold([pt, same_fibre, other.point, pt])
-    rows = [setup.ctx(p) for p in (pt, same_fibre, other.point)]
-    assert built == [[pt, same_fibre, other.point]]
-    assert rows[0].batch is rows[1].batch is rows[2].batch
-    assert sorted(h_reads) == sorted([pt[1:], other.base_point])
-    assert [setup.ctx(p) for p in (pt, same_fibre, other.point)] == rows
-    setup.hold([same_fibre])
-    assert setup.ctx(same_fibre) is not rows[1] and len(built) == 2
+    setup.hold([_SAME_FIBRE, _PT])
+    assert h_reads == [_PT[1:]]
 
 
 def test_morphism_contracts_at_most_two_operands_per_einsum():

@@ -1,0 +1,161 @@
+"""Record the CLI's outputs on a fixed set of jobs, and compare two records.
+
+    python tools/compare_outputs.py dump --root <checkout> out.json
+    python tools/compare_outputs.py diff a.json b.json
+
+``dump`` imports ``sdharm`` from ``<checkout>/src`` and runs ``cli.main`` in
+process on
+
+- every job of the ``report_grid`` and ``verify_classify`` pools of
+  ``<checkout>/perfbench/workloads.py``, at orientation +1 and -1;
+- every ``<checkout>/scenes/*.json`` under ``report``, ``verify``, ``verify``
+  with every check of ``cli.CHECKS``, and ``classify``;
+- a few sweeps with total-space checks (``SWEEPS``).
+
+It keeps each job's exit code, stdout and stderr, with the report
+``timestamp`` masked, and writes them to ``out.json`` as one JSON object keyed
+by job.  The workloads file is executed from its text, so nothing is written
+under ``perfbench/``; scenes go to a temporary directory.
+
+``diff`` counts the jobs whose outputs are identical.  For each job that
+differs it prints the worst relative difference |a - b| / (1 + |a|) over the
+numbers of the two outputs, read in order, and the number of other tokens
+that differ (a report's ``report_hash`` follows its numbers and is not
+counted).  It exits 1 if any output differs, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import re
+import sys
+import tempfile
+import types
+from pathlib import Path
+
+# (scene file, swept slot, range, steps, checks[, --locate check])
+SWEEPS = [
+    ("type4_berger_ew.json", "construction.params.c", "1.2:2.0", 4,
+     "fundamental_eq,twistorial_basic,twistorial_sd,monopole"),
+    ("type4_berger_ew.json", "construction.params.c", "1.0:2.2", 5, "twistorial_sd",
+     "twistorial_sd"),
+    ("type2_warped.json", "construction.params.f.params.rate", "0.5:2.5", 3,
+     "fundamental_eq,twistorial_basic,twistorial_sd"),
+    ("gibbons_hawking.json", "construction.params.u.params.m", "0.5:1.5", 3,
+     "fundamental_eq,twistorial_sd,pullback_sd"),
+]
+
+_TIMESTAMP = re.compile(r'"timestamp":"[^"]*"')
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
+_HASH = re.compile(r'"report_hash":"[0-9a-f]*"')
+
+
+def _load(path, name):
+    module = types.ModuleType(name)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def _run(cli, command, scene, args, tmp):
+    """(exit code, stdout, stderr) of one in-process command on a scene."""
+    path = Path(tmp) / "scene.json"
+    path.write_text(json.dumps(scene))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, str(path), *args])
+    return {"code": code, "stdout": _TIMESTAMP.sub('"timestamp":"-"', out.getvalue()),
+            "stderr": err.getvalue()}
+
+
+def _jobs(root, cli):
+    """(key, command, scene, args) of every job ``dump`` runs."""
+    workloads = _load(root / "perfbench" / "workloads.py", "workloads")
+    for workload in ("report_grid", "verify_classify"):
+        for job in workloads.all_jobs(workload):
+            for orientation in (1, -1):
+                yield (f"{job['id']}{orientation:+d}", job["command"],
+                       dict(job["scene"], orientation=orientation), job["args"])
+    scenes = {p.name: json.loads(p.read_text()) for p in sorted((root / "scenes").glob("*.json"))}
+    every_check = ["--checks", ",".join(cli.CHECKS)]
+    for name, scene in scenes.items():
+        for command, args in (("report", []), ("verify", []), ("verify", every_check),
+                              ("classify", [])):
+            yield f"scenes/{name}/{command}{''.join(args)}", command, scene, args
+    for name, param, span, steps, checks, *locate in SWEEPS:
+        args = ["--param", param, f"--range={span}", "--steps", str(steps), "--checks", checks]
+        args += ["--locate", locate[0]] if locate else []
+        yield f"sweep/{name}/{' '.join(args)}", "sweep", scenes[name], args
+
+
+def dump(root, out):
+    root = Path(root).resolve()
+    sys.path.insert(0, str(root / "src"))
+    from sdharm import cli
+    if not Path(cli.__file__).resolve().is_relative_to(root):
+        raise SystemExit(f"sdharm was imported from {cli.__file__}, not from {root}")
+    os.environ.pop(cli.TOL_ENV_VAR, None)
+    with tempfile.TemporaryDirectory() as tmp:
+        record = {key: _run(cli, command, scene, args, tmp)
+                  for key, command, scene, args in _jobs(root, cli)}
+    Path(out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print(f"{len(record)} outputs written to {out}")
+
+
+def _compare(a, b):
+    """(worst relative difference of the numbers, count of other differing
+    tokens) of two output texts, their numbers and the text between them
+    compared in order."""
+    a, b = _HASH.sub("", a), _HASH.sub("", b)
+    na, nb = _NUMBER.findall(a), _NUMBER.findall(b)
+    ta, tb = _NUMBER.split(a), _NUMBER.split(b)
+    other = sum(x != y for x, y in zip(ta, tb)) + abs(len(ta) - len(tb))
+    worst = 0.0
+    for x, y in zip(na, nb):
+        x, y = float(x), float(y)
+        if x != y:
+            worst = max(worst, abs(x - y) / (1.0 + abs(x)))
+    return worst, other + abs(len(na) - len(nb))
+
+
+def diff(a_path, b_path):
+    a, b = (json.loads(Path(p).read_text()) for p in (a_path, b_path))
+    keys = sorted(set(a) | set(b))
+    same, differ = 0, []
+    for key in keys:
+        if key not in a or key not in b:
+            differ.append(f"{key}: only in {a_path if key in a else b_path}")
+        elif a[key] == b[key]:
+            same += 1
+        else:
+            worst, other = _compare(json.dumps(a[key], sort_keys=True),
+                                    json.dumps(b[key], sort_keys=True))
+            differ.append(f"{key}: worst relative difference {worst:.3g}, "
+                          f"{other} other tokens differ")
+    print(f"{same} of {len(keys)} outputs identical")
+    for line in differ:
+        print(line)
+    return 1 if differ else 0
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = p.add_subparsers(dest="command", required=True)
+    pd = sub.add_parser("dump", help="run every job and record its output")
+    pd.add_argument("--root", default=".", help="the checkout whose src/ and scenes/ to run")
+    pd.add_argument("out")
+    pc = sub.add_parser("diff", help="compare two records")
+    pc.add_argument("a")
+    pc.add_argument("b")
+    args = p.parse_args(argv)
+    if args.command == "dump":
+        dump(args.root, args.out)
+        return 0
+    return diff(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
