@@ -23,6 +23,7 @@ import math
 import os
 import re
 import sys
+import time
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -256,10 +257,16 @@ class Run:
             self._built[key] = build()
         return self._built[key]
 
+    def keep(self, key, obj, build):
+        """build(), called only the first time the run meets the scene object
+        ``obj`` under ``key``.  ``obj`` is matched by identity, as a sweep step
+        shares every part of the scene off the swept path; the run keeps it, so
+        that its id is not reused while the run lasts."""
+        return self.once((key, id(obj)), lambda: (obj, build()))[1]
+
     def resolve(self, ref, *defaults):
-        """The catalog entry; an unchanged ref (same canonical JSON) is the same object."""
-        return self.once(("ref", json.dumps([ref, *defaults], sort_keys=True)),
-                         lambda: _resolve_ref(ref, *defaults))
+        """The catalog entry of a ref; the same ref object gives the same entry."""
+        return self.keep(("ref", defaults), ref, lambda: _resolve_ref(ref, *defaults))
 
     def base(self, h, points):
         """The ``weyl3.HeldBase`` of the base metric h at a base point, or at a
@@ -303,8 +310,8 @@ class ResolvedScene:
         self.scene = scene
         self.run = run or Run()
         self.orientation = scene.get("orientation", 1)
-        base_ref = scene.get("base", {"name": "flat3"})
-        self.h = self.run.resolve(base_ref)
+        base_ref = scene.get("base")
+        self.h = self.run.resolve(base_ref, "flat3")
         if not isinstance(self.h, geo.MetricField):
             raise UsageError(f"base entry {base_ref['name']!r} is not a 3-metric")
         self.alpha = self.run.resolve(scene.get("alpha"))
@@ -369,8 +376,8 @@ class ResolvedScene:
 
     def sample_points(self):
         """(points, seed) of the scene's ``samples`` on its chart, once per run."""
-        return self.run.once(("samples", json.dumps(self.scene["samples"], sort_keys=True),
-                              self.chart), self._sample_points)
+        return self.run.keep(("samples", self.chart), self.scene["samples"],
+                             self._sample_points)
 
     def _sample_points(self):
         spec = self.scene["samples"]
@@ -387,14 +394,14 @@ class ResolvedScene:
             axes = [np.linspace(l + margin * (u - l), u - margin * (u - l), n)
                     for l, u, n in zip(lo, hi, counts)]
             mesh = np.meshgrid(*axes, indexing="ij")
-            return [tuple(float(m[idx]) for m in mesh)
-                    for idx in np.ndindex(*[len(a) for a in axes])], None
-        # the schema admits integral floats such as a swept 1.0 as integers
-        count, seed = int(spec["random"]["count"]), int(spec["random"]["seed"])
-        rng = np.random.default_rng(seed)     # PCG64, fixed by seed
-        margin = 0.05 * (hi - lo)
-        return [tuple(map(float, rng.uniform(lo + margin, hi - margin)))
-                for _ in range(count)], seed
+            points, seed = np.stack([m.ravel() for m in mesh], -1), None
+        else:
+            # the schema admits integral floats such as a swept 1.0 as integers
+            count, seed = int(spec["random"]["count"]), int(spec["random"]["seed"])
+            rng = np.random.default_rng(seed)     # PCG64, fixed by seed
+            margin = 0.05 * (hi - lo)
+            points = rng.uniform(lo + margin, hi - margin, (count, chart.dim))
+        return list(map(tuple, points.tolist())), seed
 
     def tolerance_for(self, check):
         tols = self.scene.get("tolerances", {})
@@ -505,9 +512,8 @@ def _require_checks(names, resolved):
 def _checks_at(points, checks, resolved):
     """{name: (raw, scale)} at a sample point, or at every point of a list of
     them as one batch (each an array over the points).  The checks share the
-    setup's evaluations, which a batch holds first, and the run's base."""
-    if not isinstance(points, tuple):
-        _hold_checks(points, checks, resolved)
+    setup's evaluations, held first, and the run's base."""
+    _hold_checks([points] if isinstance(points, tuple) else points, checks, resolved)
     job = _Job(resolved, points)
     return {name: (CHECKS[name].residual(job), job.scale(CHECKS[name].space))
             for name in checks}
@@ -515,14 +521,17 @@ def _checks_at(points, checks, resolved):
 
 def _hold_checks(points, checks, resolved):
     """Evaluate the total-space metric at every point of a job, and at the
-    fibre samples its checks read, in one batch."""
-    if any(CHECKS[name].space == "total" for name in checks):
-        reads = [CHECKS[name].samples for name in checks if CHECKS[name].samples]
+    fibre samples its checks read, in one batch.  Each point's samples come
+    in the order the checks read them (a check's own samples, then the point
+    its scale reads), so that a hold of one point that fails names the point
+    that the first failing check names."""
+    reads = [CHECKS[name].samples for name in checks if CHECKS[name].space == "total"]
+    if reads:
         samples = []
         for p in points:
-            samples.append(p)
             for f in reads:
-                samples.extend(f(resolved.fm, p))
+                samples.extend(f(resolved.fm, p) if f else ())
+                samples.append(p)
         resolved.setup.hold(samples)
 
 
@@ -530,13 +539,32 @@ def _hold_checks(points, checks, resolved):
 # report assembly
 # ---------------------------------------------------------------------------
 
-def _record_entry(raw, scale, tol):
-    normalized = abs(raw) / (1.0 + scale)
-    return {"raw": float(raw), "normalized": float(normalized),
-            "pass": bool(normalized < tol)}
+def _check_records(columns, tolerance, gated=None):
+    """The check records {name: {raw, normalized, pass}} of each point, from
+    ``columns`` {name: (raw, scale)} of one value per point (or of a value,
+    for one point).  normalized = |raw| / (1 + scale) passes below
+    ``tolerance(name)``, read once per check; a name outside ``gated``, when
+    given, is informational and always passes."""
+    entries = []
+    for name, (raw, scale) in columns.items():
+        raw = np.array(raw, dtype=float, ndmin=1)
+        normalized = np.abs(raw) / (1.0 + scale)
+        gate = gated is None or name in gated
+        passed = (normalized < tolerance(name)).tolist() if gate else [True] * len(raw)
+        entries.append([{"raw": r, "normalized": n, "pass": p}
+                        for r, n, p in zip(raw.tolist(), normalized.tolist(), passed)])
+    return [dict(zip(columns, point)) for point in zip(*entries)]
+
+
+def _canonical_object(members):
+    """canonical_json of a dict, from the canonical JSON of each member."""
+    return "{" + ",".join(f"{json.dumps(k)}:{members[k]}" for k in sorted(members)) + "}"
 
 
 def build_report(resolved, points, seed, check_names, evaluator, batch=None):
+    """(report, text): the report, and its canonical JSON.  Each member is
+    encoded once; ``report_hash`` is the sha256 of the members' canonical
+    JSON, and the text splices it and ``timestamp`` in."""
     results, domain_errors = resolved.run.each(points, evaluator, batch)
     records = [{"index": idx, "point": list(point), "checks": checks or {}}
                for idx, (point, checks) in enumerate(zip(points, results))]
@@ -570,10 +598,12 @@ def build_report(resolved, points, seed, check_names, evaluator, batch=None):
     }
     if domain_errors:
         report["domain_errors"] = domain_errors
-    report["report_hash"] = hashlib.sha256(canonical_json(report).encode()).hexdigest()
-    import time
+    members = {key: canonical_json(value) for key, value in report.items()}
+    report["report_hash"] = hashlib.sha256(_canonical_object(members).encode()).hexdigest()
     report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    return report
+    for key in ("report_hash", "timestamp"):
+        members[key] = json.dumps(report[key])
+    return report, _canonical_object(members)
 
 
 def report_to_csv(report):
@@ -599,9 +629,8 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _emit_report(report, args):
-    _emit(canonical_json(report) + "\n" if args.format == "json" else report_to_csv(report),
-          args.out)
+def _emit_report(report, text, args):
+    _emit(text + "\n" if args.format == "json" else report_to_csv(report), args.out)
     if report.get("domain_errors"):
         return EXIT_DOMAIN
     return EXIT_OK if report["summary"]["verdict"] == "pass" else EXIT_RESIDUAL
@@ -622,31 +651,18 @@ def cmd_report(args):
     points, seed = resolved.sample_points()
     metric = resolved.fm.g if resolved.fm is not None else resolved.h
 
-    def entries(raw, riemann_norm):
-        out = {}
-        for name in REPORT_SCALARS:
-            if name not in raw:
-                continue
-            tol = resolved.tolerance_for(name)
-            entry = _record_entry(raw[name], riemann_norm, tol)
-            if name not in checks:
-                entry["pass"] = True      # informational scalar, not a gate
-            out[name] = entry
-        return out
-
-    def evaluator(point):
-        rep = geo.curvature_report(metric, point)
-        return entries(rep.raw(), rep.riemann_norm)
+    def records(rep):
+        """The scalars' records; one that is not a check is informational."""
+        return _check_records({name: (raw, rep.riemann_norm) for name, raw in rep.raw().items()},
+                              resolved.tolerance_for, checks)
 
     def batch(pts):
         """Every point in one curvature pass."""
-        rep = geo.curvature_report(metric, metric.chart.point_array(pts))
-        raw = rep.raw()
-        return [entries({k: v[i] for k, v in raw.items()}, rep.riemann_norm[i])
-                for i in range(len(pts))]
+        return records(geo.curvature_report(metric, metric.chart.point_array(pts)))
 
-    return _emit_report(build_report(resolved, points, seed, checks or REPORT_SCALARS,
-                                     evaluator, batch), args)
+    return _emit_report(*build_report(resolved, points, seed, checks or REPORT_SCALARS,
+                                      lambda p: records(geo.curvature_report(metric, p))[0],
+                                      batch), args)
 
 
 def cmd_verify(args):
@@ -661,20 +677,12 @@ def cmd_verify(args):
     _require_checks(checks, resolved)
     points, seed = resolved.sample_points()
 
-    def entries(values):
-        return {name: _record_entry(raw, scale, resolved.tolerance_for(name))
-                for name, (raw, scale) in values.items()}
+    def records(pts):
+        """Each check once over the job's points (or at one point)."""
+        return _check_records(_checks_at(pts, checks, resolved), resolved.tolerance_for)
 
-    def batch(pts):
-        """Each check once over the job's points."""
-        values = _checks_at(pts, checks, resolved)
-        return [entries({name: (raw[i], scale[i]) for name, (raw, scale) in values.items()})
-                for i in range(len(pts))]
-
-    def evaluator(point):
-        return entries(_checks_at(point, checks, resolved))
-
-    return _emit_report(build_report(resolved, points, seed, checks, evaluator, batch), args)
+    return _emit_report(*build_report(resolved, points, seed, checks,
+                                      lambda p: records(p)[0], records), args)
 
 
 def cmd_classify(args):

@@ -565,7 +565,12 @@ def sd_asd_split(W, gv, orientation=1, point=None, frame=None):
     if gv.shape[-1] != 4:
         raise DimensionError("self-dual decomposition requires a 4-chart")
     E = orthonormal_frame(gv, point=point) if frame is None else frame
-    M = weyl_operator_matrix(to_frame(np.asarray(W, dtype=float), E))
+    return _split_operator(weyl_operator_matrix(to_frame(np.asarray(W, dtype=float), E)),
+                           orientation)
+
+
+def _split_operator(M, orientation):
+    """``sd_asd_split`` of the Weyl endomorphism M, a 6x6 matrix per point."""
     S = star_matrix_flat4(orientation)
     P_plus = 0.5 * (np.eye(6) + S)
     P_minus = 0.5 * (np.eye(6) - S)
@@ -722,11 +727,10 @@ def curvature_report(g, point, orientation=None):
     )
     if n == 4:
         W = _weyl_low(gv, R_low, ric, scal)
-        _, _, wp, wm = sd_asd_split(W, gv, orientation, point=point, frame=E)
+        M = weyl_operator_matrix(to_frame(W, E))     # in the frame once, for all three norms
+        _, _, report.w_plus_norm, report.w_minus_norm = _split_operator(M, orientation)
         report.weyl_low = W
-        report.weyl_norm = _matrix_norm(weyl_operator_matrix(to_frame(W, E)))
-        report.w_plus_norm = wp
-        report.w_minus_norm = wm
+        report.weyl_norm = _matrix_norm(M)
 
     scale = riem_norm + 1.0
     report.normalized = {k: abs(v) / scale for k, v in report.raw().items()}

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -160,6 +161,35 @@ def test_verify_shares_one_context_per_fibre_sample(capsys, tmp_path, built, met
     assert metric_shapes == [("arrays", (n, 4)), ("jets", (n, 3)), ("jets", (1, 3))]
     # alpha's jets once for einstein_weyl, beltrami and monopole; theta's once
     assert form_jets == [("berger_lee(0.96)", (1, 3)), ("type4.theta", (n, 4))]
+
+
+def test_sweep_holds_each_point_with_its_checks_samples(capsys, built):
+    """At one point, the point and twistorial_basic's fibre samples (the point
+    among them) are evaluated together, once: 4 steps x 5 points."""
+    code, out = run_cli(["sweep", scene_path("type4_berger_ew.json"),
+                         "--param", "construction.params.c", "--range", "1.2:2.0",
+                         "--steps", "4", "--checks",
+                         "fundamental_eq,twistorial_basic,twistorial_sd,monopole"], capsys)
+    assert code == 0 and len(_sweep_rows(out)) == 4
+    assert len(built) == 20
+    assert all(len(points) == len(set(points)) == 3 for points in built)
+
+
+def test_sweep_resolves_each_unchanged_ref_and_samples_once(capsys, monkeypatch):
+    """A sweep step shares the refs and samples off the swept path; the run
+    resolves each of them once, and the swept ref at every step."""
+    names, real = [], cli._resolve_ref
+    monkeypatch.setattr(cli, "_resolve_ref", lambda ref, *d: (
+        ref and names.append(ref["name"])) or real(ref, *d))
+    sampled, real_samples = [], cli.ResolvedScene._sample_points
+    monkeypatch.setattr(cli.ResolvedScene, "_sample_points",
+                        lambda r: sampled.append(1) or real_samples(r))
+    code, out = run_cli(["sweep", scene_path("gibbons_hawking.json"),
+                         "--param", "construction.params.u.params.m", "--range", "0.5:1.5",
+                         "--steps", "3", "--checks", "fundamental_eq,twistorial_sd"], capsys)
+    assert code == 0 and len(_sweep_rows(out)) == 3
+    assert sorted(names) == ["dirac_A", "flat3_spherical"] + ["gh_potential"] * 3
+    assert len(sampled) == 1
 
 
 def test_verify_evaluates_each_one_form_once_per_job(capsys, metric_shapes, form_jets):
@@ -1038,6 +1068,69 @@ def test_determinism_identical_hashes(capsys):
     strip = lambda r: {k: v for k, v in r.items() if k != "timestamp"}
     assert json.dumps(strip(outs[0]), sort_keys=True) == \
         json.dumps(strip(outs[1]), sort_keys=True)
+
+
+def _domain_error_scene(tmp_path):
+    """type4_berger_ew.json with a point outside its chart between good ones."""
+    with open(scene_path("type4_berger_ew.json")) as fh:
+        scene = json.load(fh)
+    scene["samples"] = {"points": [[0.5, 1.2, 2.0, 3.0], [0.9, 3.0, 2.0, 3.0],
+                                   [1.1, 0.7, 4.0, 1.0]]}
+    p = tmp_path / "domain_error.json"
+    p.write_text(json.dumps(scene))
+    return str(p)
+
+
+@pytest.mark.parametrize("args", [
+    ["report"], ["verify", "--checks", "fundamental_eq,twistorial_basic,einstein_weyl"]])
+@pytest.mark.parametrize("bad", [False, True], ids=["good", "domain_error"])
+def test_emitted_report_is_its_canonical_json_and_hashed(args, bad, capsys, tmp_path):
+    """stdout is canonical_json of the report it parses to, and report_hash is
+    the sha256 of canonical_json of the report without report_hash and
+    timestamp; with and without domain_errors."""
+    scene = _domain_error_scene(tmp_path) if bad else scene_path("type4_berger_ew.json")
+    code, out = run_cli([args[0], scene, *args[1:]], capsys)
+    assert code == (cli.EXIT_DOMAIN if bad else cli.EXIT_OK)
+    rep = json.loads(out)
+    assert ("domain_errors" in rep) == bad
+    assert out == cli.canonical_json(rep) + "\n"
+    rest = {k: v for k, v in rep.items() if k not in ("report_hash", "timestamp")}
+    assert rep["report_hash"] == hashlib.sha256(cli.canonical_json(rest).encode()).hexdigest()
+
+
+def _old_grid(chart, counts, margin):
+    """The grid samples, one point at a time, as sample_points built them."""
+    lo, hi = np.asarray(chart.lo), np.asarray(chart.hi)
+    axes = [np.linspace(l + margin * (u - l), u - margin * (u - l), n)
+            for l, u, n in zip(lo, hi, counts)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return [tuple(float(m[idx]) for m in mesh) for idx in np.ndindex(*counts)]
+
+
+def _old_random(chart, count, seed):
+    """The random samples, one draw per point, as sample_points drew them."""
+    lo, hi = np.asarray(chart.lo), np.asarray(chart.hi)
+    rng, margin = np.random.default_rng(seed), 0.05 * (hi - lo)
+    return [tuple(map(float, rng.uniform(lo + margin, hi - margin))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("name, counts", [("berger_ew_sweep.json", [3, 1, 4]),
+                                          ("type4_berger_ew.json", [2, 3, 1, 4])])
+def test_samples_equal_the_per_point_formulas(name, counts):
+    """grid and random samples on a 3-chart and a 4-chart equal the per-point
+    formulas element for element, as Python floats."""
+    with open(scene_path(name)) as fh:
+        scene = json.load(fh)
+    for samples, expected in [
+            ({"grid": {"counts": counts, "margin": 0.15}},
+             lambda chart: _old_grid(chart, counts, 0.15)),
+            ({"grid": {"counts": counts}}, lambda chart: _old_grid(chart, counts, 0.1)),
+            ({"random": {"count": 7, "seed": 12345}}, lambda chart: _old_random(chart, 7, 12345))]:
+        resolved = cli.ResolvedScene(dict(scene, samples=samples))
+        points, _ = resolved.sample_points()
+        assert len(points[0]) == resolved.chart.dim == len(counts)
+        assert points == expected(resolved.chart)
+        assert all(type(x) is float for p in points for x in p)
 
 
 def test_tolerance_env_override(tmp_path, capsys, monkeypatch):

@@ -280,6 +280,21 @@ def test_split_reconstructs_two_form():
         assert np.max(np.abs(plus + minus - F)) < 1e-12
 
 
+@pytest.mark.parametrize("g", [gibbons_hawking(), bumpy4()], ids=["gh", "bumpy4"])
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_report_weyl_norms_equal_the_public_split(g, orientation):
+    """curvature_report takes the Weyl norm and the W+/W- split from one
+    operator; each equals its own route bit for bit, on a batch of points."""
+    pts = np.array(sample_points(g.chart, 3, seed=23))
+    rep = geo.curvature_report(g, pts, orientation)
+    gv = geo.metric_point(g, pts)[0]
+    E = geo.orthonormal_frame(gv)
+    _, _, wp, wm = geo.sd_asd_split(rep.weyl_low, gv, orientation)
+    assert np.array_equal(rep.w_plus_norm, wp) and np.array_equal(rep.w_minus_norm, wm)
+    M = geo.weyl_operator_matrix(geo.to_frame(rep.weyl_low, E))
+    assert np.array_equal(rep.weyl_norm, np.sqrt(np.sum(M * M, axis=(-2, -1))))
+
+
 def test_sd_split_dim3_raises():
     with pytest.raises(DimensionError):
         geo.sd_asd_split(np.zeros((3, 3, 3, 3)), np.eye(3))

@@ -7,9 +7,14 @@
 process on
 
 - every job of the ``report_grid`` and ``verify_classify`` pools of
-  ``<checkout>/perfbench/workloads.py``, at orientation +1 and -1;
+  ``<checkout>/perfbench/workloads.py``, at orientation +1 and -1, and every
+  job of its ``sweep_locate`` pool;
 - every ``<checkout>/scenes/*.json`` under ``report``, ``verify``, ``verify``
-  with every check of ``cli.CHECKS``, and ``classify``;
+  with every check of ``cli.CHECKS``, ``classify``, and ``report`` and
+  ``verify`` with ``--format csv``;
+- ``report``, and ``verify`` with every check that applies, on a scene with
+  points outside its chart (``DOMAIN_ERROR_POINTS``), whose
+  ``domain_errors`` and good points come from the per-point fallback;
 - a few sweeps with total-space checks (``SWEEPS``).
 
 It keeps each job's exit code, stdout and stderr, with the report
@@ -49,6 +54,13 @@ SWEEPS = [
      "fundamental_eq,twistorial_sd,pullback_sd"),
 ]
 
+# type4_berger_ew.json sampled at good points and at two points outside its
+# chart (theta = 3.0 > 2.8, rho = 1.6 > 1.5), and the checks that apply to it
+DOMAIN_ERROR_POINTS = [[0.5, 1.2, 2.0, 3.0], [0.9, 3.0, 2.0, 3.0], [1.1, 0.7, 4.0, 1.0],
+                       [1.6, 1.2, 2.0, 3.0], [0.3, 2.2, 1.0, 5.0]]
+DOMAIN_ERROR_CHECKS = ("fundamental_eq,twistorial_basic,twistorial_sd,monopole,einstein_weyl,"
+                       "beltrami")
+
 _TIMESTAMP = re.compile(r'"timestamp":"[^"]*"')
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
 _HASH = re.compile(r'"report_hash":"[0-9a-f]*"')
@@ -79,12 +91,18 @@ def _jobs(root, cli):
             for orientation in (1, -1):
                 yield (f"{job['id']}{orientation:+d}", job["command"],
                        dict(job["scene"], orientation=orientation), job["args"])
+    for job in workloads.all_jobs("sweep_locate"):
+        yield job["id"], job["command"], job["scene"], job["args"]
     scenes = {p.name: json.loads(p.read_text()) for p in sorted((root / "scenes").glob("*.json"))}
     every_check = ["--checks", ",".join(cli.CHECKS)]
+    csv = ["--format", "csv"]
     for name, scene in scenes.items():
         for command, args in (("report", []), ("verify", []), ("verify", every_check),
-                              ("classify", [])):
+                              ("classify", []), ("report", csv), ("verify", csv)):
             yield f"scenes/{name}/{command}{''.join(args)}", command, scene, args
+    bad = dict(scenes["type4_berger_ew.json"], samples={"points": DOMAIN_ERROR_POINTS})
+    for command, args in (("report", []), ("verify", ["--checks", DOMAIN_ERROR_CHECKS])):
+        yield f"domain_error/{command}{''.join(args)}", command, bad, args
     for name, param, span, steps, checks, *locate in SWEEPS:
         args = ["--param", param, f"--range={span}", "--steps", str(steps), "--checks", checks]
         args += ["--locate", locate[0]] if locate else []
