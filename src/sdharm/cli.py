@@ -92,7 +92,7 @@ SCENE_SCHEMA = {
             "minProperties": 1,
             "maxProperties": 1,
             "properties": {
-                "points": {"type": "array",
+                "points": {"type": "array", "minItems": 1,
                            "items": {"type": "array", "items": {"type": "number"}}},
                 "grid": {
                     "type": "object",
@@ -244,8 +244,8 @@ def _env_tolerance():
 class Run:
     """The state of one command, dropped when the command returns: the default
     tolerance, read from the environment once; what a sweep step leaves
-    unchanged (catalog refs, sample points, the base metric at each base point),
-    built once; and ``each``, every command's per-point loop."""
+    unchanged (catalog refs, sample points, the base metric at the base points,
+    kept by ``once``), built once; and ``each``, every command's job loop."""
 
     def __init__(self):
         self.tol = _env_tolerance()
@@ -268,34 +268,21 @@ class Run:
         """The catalog entry of a ref; the same ref object gives the same entry."""
         return self.keep(("ref", defaults), ref, lambda: _resolve_ref(ref, *defaults))
 
-    def base(self, h, points):
-        """The ``weyl3.HeldBase`` of the base metric h at a base point, or at a
-        tuple of base points as one batch, once per run.  The key is h's
-        closure, which an orientation flip keeps, and the points."""
-        return self.once(("base", h.fn, points), lambda: weyl3.HeldBase(
-            h, h.chart.point_array(points) if isinstance(points[0], tuple) else points))
-
-    def base_scale(self, h, points):
-        """The Riemann norm of h at ``base``'s points, once per run."""
-        return self.once(("scale", h.fn, points), lambda: _riemann_norm(self.base(h, points)))
-
     @staticmethod
-    def each(points, fn, batch=None):
-        """(results, domain_errors): fn at each point, None where it raised a
-        domain error, which is recorded as {index, point, error}.
-
-        ``batch(points)``, when given, returns every point's result from one
-        evaluation.  If it raises a domain error, each point is evaluated alone
-        by ``fn``, so the bad points are named and the others still count."""
-        if batch is not None and points:
-            try:
-                return batch(points), []
-            except (DomainError, GeometryError):
-                pass
+    def each(points, batch):
+        """(results, domain_errors): ``batch(points)``, every point's result from
+        one evaluation.  If that raises a domain error, each point is evaluated
+        alone, as the one-point job ``batch([point])``: None where that raises,
+        recorded as {index, point, error}, so the bad points are named and the
+        others still count."""
+        try:
+            return batch(points), []
+        except (DomainError, GeometryError):
+            pass
         results, errors = [None] * len(points), []
         for idx, point in enumerate(points):
             try:
-                results[idx] = fn(point)
+                results[idx], = batch([point])
             except (DomainError, GeometryError) as exc:
                 errors.append({"index": idx, "point": list(point), "error": str(exc)})
         return results, errors
@@ -413,45 +400,47 @@ class ResolvedScene:
 # ---------------------------------------------------------------------------
 
 class _Job:
-    """A job's sample points as the checks see them: one point, or a list of
-    points read as one batch, where each residual and scale is an array with
-    one value per point.  The total-space checks read the setup's evaluations
-    (held first for a batch, ``_hold_checks``); the base checks read the run's
-    ``weyl3.HeldBase`` at the base points, with the one-forms' jets there."""
+    """A list of sample points that the checks read as one batch, where each
+    residual and scale is an array with one value per point; one point is a
+    one-row batch.  The total-space checks read the setup's evaluations, held
+    here at once: every point and the fibre samples its checks read (each
+    check's computed once), in the order the checks read them, so that a hold
+    of one point that fails names the point that the first failing check
+    names.  The base checks read the run's ``weyl3.HeldBase`` at the base
+    points, with the one-forms' jets held for this job."""
 
-    def __init__(self, resolved, points):
-        self.r, self.setup, self.points = resolved, resolved.setup, points
-        self.one = isinstance(points, tuple)
+    def __init__(self, resolved, points, checks):
+        self.r, self.setup = resolved, resolved.setup
+        reads = [CHECKS[name].samples for name in checks if CHECKS[name].space == "total"]
+        self.samples = {f: [f(resolved.fm, p) for p in points] for f in reads if f}
+        # a check's own samples, then the point its scale reads
+        held = [s for i, p in enumerate(points) for f in reads
+                for s in [*(self.samples[f][i] if f else ()), p]]
+        if held:
+            resolved.setup.hold(held)
+            self.at = resolved.chart.point_array(points)      # what the total space reads
         cut = 0 if resolved.fm is None else 1          # a fibration drops the fibre coordinate
-        if self.one:
-            self.at, self.base_points = points, points[cut:]
-        else:
-            self.at = resolved.chart.point_array(points)
-            self.base_points = tuple(p[cut:] for p in points)
-        self.base = resolved.run.base(resolved.h, self.base_points)    # evaluated when read
+        self.base_points, h = tuple(p[cut:] for p in points), resolved.h
+        # once per run, keyed by h's closure (which an orientation flip keeps) and the points
+        self.base = resolved.run.once(("base", h.fn, self.base_points), lambda: weyl3.HeldBase(
+            h, h.chart.point_array(self.base_points))).new_job()
 
     def fibres(self, read):
-        """The samples ``read(fm, point)`` on each point's fibre: ``(k, 4)`` at
-        one point; ``(N, k, 4)`` for a batch, a shorter fibre padded with its
-        last sample, which leaves its spreads and maxima as they are."""
-        if self.one:
-            return read(self.r.fm, self.points)
-        fibres = [read(self.r.fm, p) for p in self.points]
+        """The samples ``read`` on each point's fibre, ``(N, k, 4)``: a shorter
+        fibre padded with its last sample, which leaves its spreads and maxima
+        as they are."""
+        fibres = self.samples[read]
         k = max(map(len, fibres))
         return np.array([f + f[-1:] * (k - len(f)) for f in fibres])
 
     def scale(self, space):
         """Riemann norm of the total space (from the setup's evaluations) or of
-        the base, at each point."""
+        the base (once per run), at each point."""
         if space == "total":
-            return geo._float(self.setup.rows(self.at).riemann_norm)
-        return self.r.run.base_scale(self.r.h, self.base_points)
-
-
-def _riemann_norm(held):
-    """Frame norm of the Riemann tensor of a ``weyl3.HeldBase`` (one per point
-    of a batch)."""
-    return geo.frame_norm(geo.curvature_from_gamma(held.mp, held.point)[1], held.frame)
+            return self.setup.rows(self.at).riemann_norm
+        b = self.base
+        return self.r.run.once(("scale", self.r.h.fn, self.base_points), lambda: geo.frame_norm(
+            geo.curvature_from_gamma(b.mp, b.point)[1], b.frame))
 
 
 def _potential(job, check):
@@ -474,7 +463,7 @@ def _beltrami(job):
 
 class Check(NamedTuple):
     space: str           # "total": needs a fibration, scaled by its Riemann norm; or "base"
-    residual: Callable   # _Job -> raw residual (a float at one point, else one per point)
+    residual: Callable   # _Job -> raw residual, one per point
     samples: Callable = None   # (fm, point) -> the fibre samples it reads besides the point
 
 
@@ -510,29 +499,17 @@ def _require_checks(names, resolved):
 
 
 def _checks_at(points, checks, resolved):
-    """{name: (raw, scale)} at a sample point, or at every point of a list of
-    them as one batch (each an array over the points).  The checks share the
-    setup's evaluations, held first, and the run's base."""
-    _hold_checks([points] if isinstance(points, tuple) else points, checks, resolved)
-    job = _Job(resolved, points)
+    """{name: (raw, scale)} at every point of a list of sample points, as one
+    job (each an array over the points).  The checks share the setup's
+    evaluations and the run's base."""
+    job = _Job(resolved, points, checks)
     return {name: (CHECKS[name].residual(job), job.scale(CHECKS[name].space))
             for name in checks}
 
 
-def _hold_checks(points, checks, resolved):
-    """Evaluate the total-space metric at every point of a job, and at the
-    fibre samples its checks read, in one batch.  Each point's samples come
-    in the order the checks read them (a check's own samples, then the point
-    its scale reads), so that a hold of one point that fails names the point
-    that the first failing check names."""
-    reads = [CHECKS[name].samples for name in checks if CHECKS[name].space == "total"]
-    if reads:
-        samples = []
-        for p in points:
-            for f in reads:
-                samples.extend(f(resolved.fm, p) if f else ())
-                samples.append(p)
-        resolved.setup.hold(samples)
+def _verify_records(points, checks, resolved):
+    """The check records of a ``verify`` job, or of a ``sweep`` step."""
+    return _check_records(_checks_at(points, checks, resolved), resolved.tolerance_for)
 
 
 # ---------------------------------------------------------------------------
@@ -561,11 +538,12 @@ def _canonical_object(members):
     return "{" + ",".join(f"{json.dumps(k)}:{members[k]}" for k in sorted(members)) + "}"
 
 
-def build_report(resolved, points, seed, check_names, evaluator, batch=None):
-    """(report, text): the report, and its canonical JSON.  Each member is
-    encoded once; ``report_hash`` is the sha256 of the members' canonical
-    JSON, and the text splices it and ``timestamp`` in."""
-    results, domain_errors = resolved.run.each(points, evaluator, batch)
+def build_report(resolved, points, seed, check_names, batch):
+    """(report, text): the report of the records ``batch`` gives over a job's
+    points (``Run.each``), and its canonical JSON.  Each member is encoded
+    once; ``report_hash`` is the sha256 of the members' canonical JSON, and
+    the text splices it and ``timestamp`` in."""
+    results, domain_errors = resolved.run.each(points, batch)
     records = [{"index": idx, "point": list(point), "checks": checks or {}}
                for idx, (point, checks) in enumerate(zip(points, results))]
     for e in domain_errors:
@@ -651,18 +629,15 @@ def cmd_report(args):
     points, seed = resolved.sample_points()
     metric = resolved.fm.g if resolved.fm is not None else resolved.h
 
-    def records(rep):
-        """The scalars' records; one that is not a check is informational."""
+    def batch(pts):
+        """The scalars' records from one curvature pass over the points; a scalar
+        that is not a check is informational."""
+        rep = geo.curvature_report(metric, metric.chart.point_array(pts))
         return _check_records({name: (raw, rep.riemann_norm) for name, raw in rep.raw().items()},
                               resolved.tolerance_for, checks)
 
-    def batch(pts):
-        """Every point in one curvature pass."""
-        return records(geo.curvature_report(metric, metric.chart.point_array(pts)))
-
-    return _emit_report(*build_report(resolved, points, seed, checks or REPORT_SCALARS,
-                                      lambda p: records(geo.curvature_report(metric, p))[0],
-                                      batch), args)
+    return _emit_report(*build_report(resolved, points, seed, checks or REPORT_SCALARS, batch),
+                        args)
 
 
 def cmd_verify(args):
@@ -676,13 +651,8 @@ def cmd_verify(args):
         raise UsageError("no checks requested (scene 'checks' or --checks)")
     _require_checks(checks, resolved)
     points, seed = resolved.sample_points()
-
-    def records(pts):
-        """Each check once over the job's points (or at one point)."""
-        return _check_records(_checks_at(pts, checks, resolved), resolved.tolerance_for)
-
-    return _emit_report(*build_report(resolved, points, seed, checks,
-                                      lambda p: records(p)[0], records), args)
+    records = lambda pts: _verify_records(pts, checks, resolved)
+    return _emit_report(*build_report(resolved, points, seed, checks, records), args)
 
 
 def cmd_classify(args):
@@ -691,14 +661,14 @@ def cmd_classify(args):
     if resolved.fm is None:
         raise UsageError("classify needs a construction in the scene")
     points, seed = resolved.sample_points()
-    samples = {p: mor.fibre_samples_about(resolved.fm, p, 4) for p in points}
 
     def batch(pts):
-        resolved.setup.hold([s for p in pts for s in samples[p]])
-        return [mor.classify_type(resolved.setup, samples[p]) for p in pts]
+        """Each point's class from one evaluation of all their fibre samples."""
+        fibres = [mor.fibre_samples_about(resolved.fm, p, 4) for p in pts]
+        resolved.setup.hold([s for fibre in fibres for s in fibre])
+        return [mor.classify_type(resolved.setup, fibre) for fibre in fibres]
 
-    classes, domain_errors = resolved.run.each(
-        points, lambda p: mor.classify_type(resolved.setup, samples[p]), batch)
+    classes, domain_errors = resolved.run.each(points, batch)
     results = [{"point": list(point), "label": cls.label, "recovered_c": cls.recovered_c,
                 "evidence": _jsonable(cls.evidence)}
                for point, cls in zip(points, classes) if cls is not None]
@@ -779,18 +749,18 @@ def cmd_sweep(args):
     check_slot = slot_validator(keys)
 
     def run_at(value, errors):
-        """Each check's maximum over the good points at one parameter value
-        (empty if no point is good); bad points go to ``errors``.  The scene
-        was validated when loaded, so only the swept value is checked."""
+        """Each check's maximum normalized value over the good points of the
+        verify job at one parameter value (empty if no point is good); bad
+        points go to ``errors``.  The scene was validated when loaded, so only
+        the swept value is checked."""
         check_slot(value)
         resolved = ResolvedScene(with_slot(scene, keys, value), run)
         _require_checks(checks, resolved)
         points, _ = resolved.sample_points()
-        results, bad = run.each(points, lambda p: _checks_at(p, checks, resolved))
+        records, bad = run.each(points, lambda pts: _verify_records(pts, checks, resolved))
         errors.extend((value, e["index"], e["point"], e["error"]) for e in bad)
-        good = [vals for vals in results if vals is not None]
-        return {name: max(abs(raw) / (1.0 + scale) for raw, scale in
-                          (vals[name] for vals in good)) for name in checks} if good else {}
+        good = [r for r in records if r is not None]
+        return {name: max(r[name]["normalized"] for r in good) for name in checks} if good else {}
 
     values = np.linspace(lo, hi, args.steps) if args.steps > 1 else np.array([lo])
     errors = []

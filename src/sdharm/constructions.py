@@ -88,17 +88,16 @@ class FibredMetric(geo.MetricField):
 
     def arrays(self, point):
         """(g, dg, ddg) at the point, or at an ``(N, 4)`` batch with the point
-        axis first, in the layout of ``geo.MetricField.arrays``."""
-        self.chart.require_inside(point)
-        batch = geo._is_batch(point)
-        coords = jets.seed_all(point)
+        axis first, in the layout of ``geo.MetricField.arrays`` (a one-row batch
+        in scalar jets, by geometry's one-row rule)."""
+        at, coords, (A, Ainv, th) = geo._jets_at(self.chart, self._parts, point)
+        batch = geo._is_batch(at)
         n = np.shape(coords[0].value)
-        A, Ainv, th = geo._eval_at(self._parts, coords, point)
         A = _stacked([coords[0].coerce(A)], (1, 1), n)
         Ainv = _stacked([coords[0].coerce(Ainv)], (1,), n)
         th = _stacked([coords[0].coerce(t) for t in th], (4,), n)
         hv, dh3, ddh3 = _stacked([j for row in geo.metric_jets(
-            self.h, point[:, 1:] if batch else point[1:]) for j in row], (3, 3), n)
+            self.h, at[:, 1:] if batch else at[1:]) for j in row], (3, 3), n)
         # h has no fibre derivatives: its derivative axes gain a zero slot 0
         dh, ddh = np.zeros((4, 3, 3) + n), np.zeros((4, 4, 3, 3) + n)
         dh[1:], ddh[1:, 1:] = dh3, ddh3
@@ -117,7 +116,7 @@ class FibredMetric(geo.MetricField):
         if asym.any():
             a, b = np.argwhere(asym)[0]
             raise SingularEvaluationError(
-                f"metric {self.name} not symmetric in components ({a},{b})", point=point)
+                f"metric {self.name} not symmetric in components ({a},{b})", point=at)
         # the layout of geo.metric_jets' arrays: component axes, derivative axes, points
         out = (gv, np.ascontiguousarray(np.moveaxis(g[1], 0, 2)),
                np.ascontiguousarray(np.moveaxis(g[2], (0, 1), (2, 3))))

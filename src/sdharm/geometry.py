@@ -15,6 +15,11 @@ the front once, and every array after it has a leading point axis, which the
 ``...``-prefixed einsums and numpy's stacked ``linalg`` carry through.  Scalars
 such as the norms become ``(N,)`` arrays.  A check that fails at any point of
 a batch raises for the whole batch.
+
+One rule holds at the jet-to-array boundary (``_at``, ``_lead``): a one-row
+``(1, d)`` array is evaluated in the scalar jets of its row, a tuple of floats
+(a batch of one costs a third more); its arrays gain their point axis there,
+and its errors name that tuple, as an evaluation at the point itself does.
 """
 
 from __future__ import annotations
@@ -121,11 +126,11 @@ class Chart:
         return Chart(self.names, self.lo, self.hi, -self.orientation)
 
     def point_array(self, points):
-        """The points as an ``(N, d)`` array for one batch evaluation.  A point of
-        another dimension raises a DomainError for the whole batch; evaluated
-        alone, ``require_inside`` names it."""
-        if any(len(p) != self.dim for p in points):
-            raise DomainError(f"a sample point has the wrong dimension for chart {self.names}")
+        """The points as an ``(N, d)`` array for one batch evaluation; the first
+        point of another dimension raises ``require_inside``'s DomainError."""
+        for p in points:
+            if len(p) != self.dim:
+                self.require_inside(p)
         return np.array(points, dtype=float)
 
 
@@ -146,6 +151,16 @@ def _eval_at(fn, coords, point):
         raise
 
 
+def _jets_at(chart, fn, point):
+    """(at, coords, fn(coords)): the closure ``fn`` in order-2 jets seeded at
+    ``point``, which must lie inside ``chart``.  ``at`` is ``_at(point)``: the
+    point the jets are seeded at and every error names."""
+    at = _at(point)
+    chart.require_inside(at)
+    coords = jets.seed_all(at)
+    return at, coords, _eval_at(fn, coords, at)
+
+
 class ScalarField:
     """Closed-form scalar on a chart: ``fn`` maps coordinate jets (or floats)
     to one jet (or float)."""
@@ -156,12 +171,11 @@ class ScalarField:
         self.name = name
 
     def jet(self, point):
-        self.chart.require_inside(point)
-        coords = jets.seed_all(point)
-        out = coords[0].coerce(_eval_at(self.fn, coords, point))
+        at, coords, out = _jets_at(self.chart, self.fn, point)
+        out = coords[0].coerce(out)
         if not out.is_finite():
             raise SingularEvaluationError(f"scalar field {self.name or self.fn} is not finite",
-                                          point=point)
+                                          point=at)
         return out
 
     def value(self, point):
@@ -178,9 +192,8 @@ class OneFormField:
         self.name = name
 
     def jets(self, point):
-        self.chart.require_inside(point)
-        coords = jets.seed_all(point)
-        return [coords[0].coerce(c) for c in _eval_at(self.fn, coords, point)]
+        _, coords, comps = _jets_at(self.chart, self.fn, point)
+        return [coords[0].coerce(c) for c in comps]
 
     def values(self, point):
         return np.array([j.value for j in self.jets(point)])
@@ -196,10 +209,8 @@ class TwoFormField:
         self.name = name
 
     def jets(self, point):
-        self.chart.require_inside(point)
+        at, coords, comps = _jets_at(self.chart, self.fn, point)
         d = np.shape(point)[-1]
-        coords = jets.seed_all(point)
-        comps = _eval_at(self.fn, coords, point)
         out = [[coords[0].coerce(comps[a][b]) for b in range(d)] for a in range(d)]
         for a in range(d):
             for b in range(d):
@@ -207,7 +218,7 @@ class TwoFormField:
                                  > 1e-12 * (1 + abs(out[a][b].value))):
                     raise SingularEvaluationError(
                         f"two-form {self.name} not antisymmetric in components ({a},{b})",
-                        point=point)
+                        point=at)
         return out
 
     def values(self, point):
@@ -225,8 +236,9 @@ class MetricField:
         self.name = name
 
     def jets(self, point):
-        self.chart.require_inside(point)
-        return metric_jets(self, point)
+        at = _at(point)
+        self.chart.require_inside(at)
+        return metric_jets(self, at)
 
     def arrays(self, point):
         """(g, dg, ddg) at the point, from its order-2 jets: dg[a,b,c] = d_c g_ab,
@@ -287,10 +299,19 @@ def _is_batch(point):
     return isinstance(point, np.ndarray) and point.ndim == 2
 
 
+def _at(point):
+    """The one-row rule: a ``(1, d)`` array is evaluated at its row, as a tuple
+    of floats, in scalar jets; every other point as it is."""
+    return tuple(point[0].tolist()) if _is_batch(point) and len(point) == 1 else point
+
+
 def _lead(x, point):
-    """A jet-derived array at the point, or with a batch's point axis moved
-    from last to first at an ``(N, d)`` array of points."""
-    return np.moveaxis(x, -1, 0) if _is_batch(point) else x
+    """A jet-derived array at ``point`` with its point axis first: a batch
+    jet's trailing axis moved to the front, a new axis for a one-row array
+    (scalar jets, ``_at``), none at one point."""
+    if not _is_batch(point):
+        return x
+    return np.asarray(x)[None] if len(point) == 1 else np.moveaxis(x, -1, 0)
 
 
 def _float(x):
@@ -311,10 +332,10 @@ def metric_point(g, point):
     gv, dg, ddg = g.arrays(point)
     if not (np.isfinite(gv).all() and np.isfinite(dg).all() and np.isfinite(ddg).all()):
         raise SingularEvaluationError(f"metric {g.name} has a non-finite component",
-                                      point=point)
+                                      point=_at(point))
     det = np.linalg.det(gv)
     if (np.abs(det) < 1e-14 * np.abs(gv).max(axis=(-2, -1)) ** gv.shape[-1]).any():
-        raise DegenerateMetricError("metric is singular", point=point, det=np.min(det))
+        raise DegenerateMetricError("metric is singular", point=_at(point), det=np.min(det))
     ginv, dginv = jet_matrix_inverse(gv, dg)
     return MetricPoint(gv, dg, ddg, ginv, dginv, *christoffel_jets(ginv, dginv, dg, ddg))
 
@@ -361,7 +382,7 @@ def curvature_from_gamma(mp, point=None):
     R_up = riemann_from_gamma(mp.G, mp.dG)
     if not np.all(np.isfinite(R_up)):
         raise SingularEvaluationError("curvature evaluation produced non-finite values",
-                                      point=point)
+                                      point=_at(point))
     R_low = np.einsum("...ae,...ebcd->...abcd", mp.g, R_up)
     ric = np.einsum("...abad->...bd", R_up)
     scal = _float(np.einsum("...bd,...bd->...", mp.ginv, ric))
@@ -436,7 +457,7 @@ def orthonormal_frame(gv, point=None):
     try:
         L = np.linalg.cholesky(gv)
     except np.linalg.LinAlgError:
-        raise DegenerateMetricError("metric not positive definite", point=point,
+        raise DegenerateMetricError("metric not positive definite", point=_at(point),
                                     det=float(np.min(np.linalg.det(gv))))
     return np.linalg.inv(L).swapaxes(-1, -2)     # det > 0: orientation preserved
 
@@ -446,8 +467,10 @@ def to_frame(T, E):
     T and E may share leading point axes.  Each step contracts T's first
     index with E as one matrix product and puts the new index last."""
     lead = E.shape[:-2]
-    for _ in range(T.ndim - len(lead)):
-        T = np.moveaxis(T, len(lead), -1)
+    n = len(lead)
+    first_last = (*range(n), *range(n + 1, T.ndim), n)       # np.moveaxis(T, n, -1), cheaper
+    for _ in range(T.ndim - n):
+        T = T.transpose(first_last)
         T = (T.reshape(lead + (-1, E.shape[-2])) @ E).reshape(T.shape)
     return T
 
@@ -502,7 +525,7 @@ def hodge_star(omega, gv, k, orientation=1, point=None, ginv=None, vol=None):
         det = np.linalg.det(gv)
         if np.any(det <= 0):
             raise DegenerateMetricError("Hodge star needs a positive-definite metric",
-                                        point=point, det=float(np.min(det)))
+                                        point=_at(point), det=float(np.min(det)))
         vol = np.sqrt(det)
     eps = levi_civita_symbol(n) * orientation
     vol = np.reshape(vol, np.shape(vol) + (1,) * (n - k))

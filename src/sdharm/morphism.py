@@ -15,10 +15,11 @@ and ``...``-prefixed einsums of two operands (vector forward mode over the
 point axis, Griewank & Walther, *Evaluating Derivatives*, ch. 3).
 A ``SubmersionSetup`` holds one ``PointEval`` at a time: ``hold`` evaluates a
 job's fibre samples in one batch, and a read of a point outside it holds the
-points read instead.  ``SubmersionSetup.ctx`` reads a point's row and
-``SubmersionSetup.rows`` the rows of an array of points at once.  Each
-quantity has one (setup, point) function, which takes one point (a float
-result) or an ``(N, 4)`` array of points (one result per point).
+points read instead (one point as a one-row batch).  ``SubmersionSetup.ctx``
+reads a point's row and ``SubmersionSetup.rows`` the rows of an array of
+points at once.  Each quantity has one (setup, point) function, which takes
+one point (a float result) or an ``(N, 4)`` array of points (one result per
+point).
 
 The fibre direction is always coordinate 0; the projection drops it.
 """
@@ -68,9 +69,9 @@ class SubmersionSetup:
     It holds one ``PointEval`` at a time, with a row index per point.
     ``hold(points)`` evaluates a job's sample points in one batch and replaces
     what was held; ``ctx`` or ``rows`` at points outside it holds the points
-    read (a single point from its own scalar jets).  A hold that fails
-    evaluates its points one at a time, in order, and raises the error of the
-    first that fails alone, so the error names the first sample that fails."""
+    read.  A hold that fails evaluates its points one at a time, each as a
+    one-row batch, in order, and raises the error of the first that fails
+    alone, so the error names the first sample that fails."""
 
     def __init__(self, fm: FibrationMetric):
         self.fm = fm
@@ -161,8 +162,7 @@ class PointEval:
     lam^-2 from one batch jet; everything derived from them is computed on
     first use, for every point at once.  h and h^-1 are read once per distinct
     base point.  Derivative arrays carry d/dx^e on their last axis.  A batch
-    of one point is evaluated with that point's own jets, so that its errors
-    name it as the evaluation at that point alone does.
+    of one point is a one-row array, evaluated in its own scalar jets.
 
     Vertical distribution: span of d/dx^0, unit vertical V0 d_0 with
     V0 = g_00^(-1/2).  P = 1 + e_0 (x) w with w_b = -g_0b/g_00 is the
@@ -173,18 +173,15 @@ class PointEval:
     def __init__(self, setup, points):
         self.fm = fm = setup.fm
         self.points = [tuple(float(x) for x in p) for p in points]
-        self._one = len(self.points) == 1
-        self._at = self.points[0] if self._one else fm.total_chart.point_array(self.points)
-        fm.total_chart.require_inside(self._at)
-        metric = geo.metric_point(fm.g, self._at)
-        self.metric = geo.MetricPoint(*(x[None] for x in metric)) if self._one else metric
+        self._at = fm.total_chart.point_array(self.points)
+        self.metric = geo.metric_point(fm.g, self._at)       # checks the chart
         self.gv, self.dg, self.ddg, self.ginv, self.dginv, self.G, self.dG = self.metric
         h = {b: fm.h.values(b) for b in dict.fromkeys(p[1:] for p in self.points)}
         self.hv = np.array([h[p[1:]] for p in self.points])
         self.hinv = np.linalg.inv(self.hv)
         L = fm.dilation_sq_inv.jet(self._at)
         self.lam_inv_sq, self.dlam_inv_sq, self.ddlam_inv_sq = (
-            self._lead(x) for x in (L.value, L.grad, L.hess))
+            geo._lead(x, self._at) for x in (L.value, L.grad, L.hess))
         g00, dg00 = self.gv[:, 0, 0], self.dg[:, 0, 0]
         self.V0 = jets._pow(g00, -0.5)      # pow per point, as at one point
         # u = 1/g_00 with its first and second derivatives, and d_e w_b
@@ -198,11 +195,6 @@ class PointEval:
         self.P[:, 0] -= self.gv[:, 0] * uc
         self.dP = np.zeros(self.dg.shape)
         self.dP[:, 0] = self.dw
-
-    def _lead(self, x):
-        """A jet-derived array with the point axis in front: a batch jet's
-        trailing axis moved there, or a new axis for one point."""
-        return np.asarray(x)[None] if self._one else np.moveaxis(x, -1, 0)
 
     def _g(self, v, w):
         """g(v, w) at each point, as the matrix products of one point compute it."""
@@ -330,7 +322,8 @@ class PointEval:
     @cached_property
     def lifted_dtheta(self):
         """d theta evaluated on pairs of lifts W_1..W_3, a 3x3 array."""
-        dth = self._lead(geo.form_values(geo.ext_d(self.fm.theta.jets(self._at), 4), 4, 2))
+        dth = geo._lead(geo.form_values(geo.ext_d(self.fm.theta.jets(self._at), 4), 4, 2),
+                        self._at)
         lifts = self.P[:, :, 1:]
         return lifts.swapaxes(-1, -2) @ dth @ lifts
 
@@ -495,7 +488,7 @@ def pullback_sd_residual(setup, u, A, point):
     """
     fm = setup.fm
     gv = setup.rows(point).gv
-    cj = jets.seed_all(point)
+    cj = jets.seed_all(geo._at(point))
     L = fm.dilation_sq_inv.fn(cj)
     uv = u.fn(cj[1:])
     tilde = [-1.0 * uv * (th / L) for th in fm.theta.fn(cj)]
@@ -517,8 +510,12 @@ class Classification:
 
 
 def fibre_samples_about(fm, point, count=3):
-    """Points on the fibre through ``point``, spaced inside the chart box."""
+    """Points on the fibre through ``point``, spaced inside the chart box.  A
+    point off the chart's fibre range has none about it: ``require_inside``
+    names it."""
     lo, hi = fm.total_chart.lo[0], fm.total_chart.hi[0]
+    if not lo < point[0] < hi:
+        fm.total_chart.require_inside(point)
     spacing = 0.15 * (hi - lo) / max(count - 1, 1)
     t0 = point[0]
     offsets = (np.arange(count) - (count - 1) / 2.0) * spacing

@@ -46,8 +46,9 @@ class HeldBase:
     points, held by a caller that evaluates several residuals there.  Each part
     is evaluated on first use: ``mp`` (``geo.metric_point``: g, g^-1 and the
     Levi-Civita connection), ``frame`` (g's ``geo.orthonormal_frame``), ``vol``
-    (sqrt det g), and ``jets(field)``, a one-form's jets at the points.  The
-    residuals below take one as ``base``, or hold h at the point themselves."""
+    (sqrt det g), and ``jets(field)``, a one-form's jets at the points, held
+    until ``new_job``.  The residuals below take one as ``base``, or hold h at
+    the point themselves."""
 
     def __init__(self, h, point):
         self.h, self.point, self._jets = h, point, {}
@@ -66,16 +67,19 @@ class HeldBase:
         return 1.0 / np.linalg.det(self.frame)
 
     def jets(self, field):
-        """The one-form field's component jets at the points: at a batch,
-        evaluated once for the job's residuals; at one point, at each call,
-        since a sweep brings new fields every step and holding their jets for
-        the run cost 3% of a ``sweep --locate`` step."""
-        if not geo._is_batch(self.point):
-            return field.jets(self.point)
+        """The one-form field's component jets at the points, evaluated once per
+        field for the residuals of a job."""
         jets = self._jets.get(field)
         if jets is None:
             jets = self._jets[field] = field.jets(self.point)
         return jets
+
+    def new_job(self):
+        """This base for a new job: its metric parts stay, its one-forms' jets
+        go (a sweep brings new forms every step; holding their jets for the
+        run cost 3% of a ``sweep --locate`` step)."""
+        self._jets = {}
+        return self
 
     def star(self, form, k, orientation):
         """The Hodge star of a k-form with h's held inverse and volume."""

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdharm import cli, constructions as con, geometry as geo, jets, morphism as mor
+from sdharm import cli, constructions as con, geometry as geo, jets, morphism as mor, weyl3
 from sdharm.errors import DomainError, SingularEvaluationError
 
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
@@ -355,8 +355,8 @@ def _applicable(resolved):
 @pytest.mark.parametrize("name", sorted(CHECK_SCENES))
 def test_every_check_on_a_batch_equals_each_point_alone(name):
     """Each check once over the job's points gives, at every point, the raw
-    residual and scale of that point evaluated alone, to 1e-13 (1 + |alone|),
-    and the same pass flag."""
+    residual and scale of that point read alone as a one-row job, to 1e-13
+    (1 + |alone|), and the same pass flag."""
     scene = cli.validate_scene(CHECK_SCENES[name])
     held = cli.ResolvedScene(scene)
     alone = cli.ResolvedScene(scene)
@@ -364,7 +364,8 @@ def test_every_check_on_a_batch_equals_each_point_alone(name):
     points, _ = held.sample_points()
     batch = cli._checks_at(list(points), checks, held)
     for i, p in enumerate(points):
-        one = cli._checks_at(p, checks, alone)
+        one = {check: (raw[0], scale[0]) for check, (raw, scale) in
+               cli._checks_at([p], checks, alone).items()}
         for check in checks:
             raw, scale = batch[check][0][i], batch[check][1][i]
             for got, ref in zip((raw, scale), one[check]):
@@ -372,6 +373,59 @@ def test_every_check_on_a_batch_equals_each_point_alone(name):
             flags = [cli._check_records({check: values}, lambda _: cli.DEFAULT_TOL)[0][check]
                      ["pass"] for values in ((raw, scale), one[check])]
             assert flags[0] == flags[1], (check, i)
+
+
+def _public_check(check, r, p):
+    """(raw, scale) of ``check`` at the point p of the resolved scene r, from
+    the public functions of one point (a float each), on a setup of its own."""
+    setup = mor.SubmersionSetup(r.fm) if r.fm is not None else None
+    base = p[1:] if r.fm is not None else p
+    total = lambda raw: (raw, geo.curvature_report(r.fm.g, p).riemann_norm)
+    on_base = lambda raw: (raw, geo.curvature_report(r.h, base).riemann_norm)
+    w = weyl3.WeylStructure3(r.h, r.lee_form)
+    c = r.family_params.get("c")
+    return {
+        "fundamental_eq": lambda: total(mor.fundamental_eq_residual(setup, p)),
+        "twistorial_basic": lambda: total(mor.twistorial_basic_residual(
+            setup, mor.fibre_samples_about(r.fm, p, 3))),
+        "twistorial_sd": lambda: total(mor.twistorial_sd_residual(setup, p)),
+        "monopole": lambda: total(mor.monopole_eq_residual(
+            setup, r.family_params.get("alpha") or r.alpha, p)),
+        "pullback_sd": lambda: total(mor.pullback_sd_residual(setup, r.pair_u, r.pair_A, p)),
+        "einstein_weyl": lambda: on_base(weyl3.einstein_weyl_residual(w, base)),
+        "beltrami": lambda: on_base(
+            weyl3.generalized_beltrami_residual(
+                w, geo.ScalarField(r.h.chart, lambda x: c + 0.0 * x[0]), base)
+            if c is not None else weyl3.beltrami_residual(
+                weyl3.WeylStructure3(r.h, r.family_params.get("A") or r.lee_form),
+                r.scene.get("beltrami_sign", -1), base)),
+        "closure": lambda: on_base(abs(geo.laplacian(r.pair_u, r.h, base))),
+    }[check]()
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_SCENES))
+def test_a_one_row_job_is_the_points_own_evaluation(name):
+    """Every check, and a report, as a one-row job at each point equal bit for
+    bit what the public functions give at that point alone."""
+    scene = cli.validate_scene(CHECK_SCENES[name])
+    r = cli.ResolvedScene(scene)
+    points, _ = r.sample_points()
+    for check in _applicable(r):
+        for p in points:
+            (raw,), (scale,) = cli._checks_at([p], [check], cli.ResolvedScene(scene))[check]
+            assert (raw, scale) == _public_check(check, cli.ResolvedScene(scene), p), (check, p)
+    metrics = [(r.h, [q[1:] if r.fm is not None else q for q in points])]
+    if r.fm is not None:
+        metrics.append((r.fm.g, points))
+    for g, at in metrics:
+        for p in at:
+            one, row = geo.curvature_report(g, p), geo.curvature_report(g, np.array([p]))
+            assert row.point.shape == (1, len(p))
+            for key, value in one.raw().items():
+                assert row.raw()[key].shape == (1,) and row.raw()[key][0] == value, (key, p)
+            for key in ("gamma", "riemann_up", "riemann_low", "ricci", "weyl_low"):
+                if getattr(one, key) is not None:
+                    assert np.array_equal(getattr(row, key), getattr(one, key)[None]), (key, p)
 
 
 # ---------------------------------------------------------------------------

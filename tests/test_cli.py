@@ -157,22 +157,36 @@ def test_verify_shares_one_context_per_fibre_sample(capsys, tmp_path, built, met
     assert len(built[0]) == len(set(built[0])) <= 3
     # one total-space metric evaluation over those samples, with h's jets at
     # their base points, and one evaluation of the base metric at the point
+    # (a one-row job: the base point's own scalar jets)
     n = len(built[0])
-    assert metric_shapes == [("arrays", (n, 4)), ("jets", (n, 3)), ("jets", (1, 3))]
+    assert metric_shapes == [("arrays", (n, 4)), ("jets", (n, 3)), ("jets", (3,))]
     # alpha's jets once for einstein_weyl, beltrami and monopole; theta's once
     assert form_jets == [("berger_lee(0.96)", (1, 3)), ("type4.theta", (n, 4))]
 
 
 def test_sweep_holds_each_point_with_its_checks_samples(capsys, built):
-    """At one point, the point and twistorial_basic's fibre samples (the point
-    among them) are evaluated together, once: 4 steps x 5 points."""
+    """A step is one verify job: its 5 points and twistorial_basic's fibre
+    samples about each (the point among them) are evaluated together, once
+    per step: 4 steps, each one evaluation of 5 x 3 points."""
     code, out = run_cli(["sweep", scene_path("type4_berger_ew.json"),
                          "--param", "construction.params.c", "--range", "1.2:2.0",
                          "--steps", "4", "--checks",
                          "fundamental_eq,twistorial_basic,twistorial_sd,monopole"], capsys)
     assert code == 0 and len(_sweep_rows(out)) == 4
-    assert len(built) == 20
-    assert all(len(points) == len(set(points)) == 3 for points in built)
+    assert len(built) == 4
+    assert all(len(points) == len(set(points)) == 15 for points in built)
+
+
+def test_verify_computes_each_points_fibre_samples_once(capsys, monkeypatch):
+    """twistorial_basic's fibre samples about each of the 5 points are computed
+    once, for the hold and for the residual."""
+    calls, real = [], mor.fibre_samples_about
+    monkeypatch.setattr(mor, "fibre_samples_about", lambda fm, p, count=3: calls.append(p)
+                        or real(fm, p, count))
+    code, out = run_cli(["verify", scene_path("type4_berger_ew.json"), "--checks",
+                         "fundamental_eq,twistorial_basic,twistorial_sd"], capsys)
+    assert code == 0 and len(json.loads(out)["records"]) == 5
+    assert len(calls) == len(set(calls)) == 5
 
 
 def test_sweep_resolves_each_unchanged_ref_and_samples_once(capsys, monkeypatch):
@@ -383,8 +397,8 @@ def test_total_space_check_fails_its_negative_control(check):
     reads at least 1e3 times the default tolerance on a known-failing input."""
     assert check in CONTROLS, f"check {check!r} has no negative control"
     resolved, points = CONTROLS[check]()
-    worst = max(abs(raw) / (1.0 + scale) for raw, scale in
-                (cli._checks_at(p, [check], resolved)[check] for p in points))
+    worst = max(abs(raw[0]) / (1.0 + scale[0]) for raw, scale in
+                (cli._checks_at([p], [check], resolved)[check] for p in points))
     assert worst >= 1e3 * cli.DEFAULT_TOL, worst
 
 
@@ -440,7 +454,8 @@ ORIENTATION_ODD = {
 def _raw_at_orientation(name, check, orientation):
     with open(scene_path(name)) as fh:
         r = cli.ResolvedScene(cli.validate_scene(dict(json.load(fh), orientation=orientation)))
-    return np.array([cli._checks_at(p, [check], r)[check][0] for p in r.sample_points()[0]])
+    return np.array([cli._checks_at([p], [check], r)[check][0][0]
+                     for p in r.sample_points()[0]])
 
 
 @pytest.mark.parametrize("name", sorted(ORIENTATION_ODD))
@@ -741,6 +756,22 @@ def test_sweep_over_an_integer_slot(param, capsys):
     assert list(_sweep_rows(out)) == [1.0, 2.0, 3.0]
 
 
+@pytest.mark.parametrize("command", [["report"], ["verify", "--checks", "twistorial_sd"],
+                                     ["classify"], ["sweep", "--param", "construction.params.c",
+                                                    "--range", "1:2", "--steps", "2",
+                                                    "--checks", "twistorial_sd"]])
+def test_an_empty_list_of_points_is_a_usage_error(command, capsys, tmp_path):
+    """An empty ``samples.points`` is malformed, as a grid or a random count
+    of zero is; no command passes over zero points."""
+    path = write_scene(tmp_path, "type4_berger_ew.json",
+                       lambda scene: scene.update(samples={"points": []}))
+    name, *args = command
+    assert cli.main([name, path] + args) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "scene invalid at /samples/points: [] should be non-empty" in captured.err
+
+
 def test_sweep_zero_steps_usage_error(capsys):
     code, _ = run_cli(["sweep", scene_path("berger_ew_sweep.json"),
                        "--param", "alpha.params.scale", "--range", "0.5:1.4",
@@ -1007,6 +1038,23 @@ def test_fibre_batch_with_bad_points_falls_back_to_each_point(command, errors, c
                      alone["records"])
     else:
         assert_close(rep["results"], alone["results"])
+
+
+@pytest.mark.parametrize("command", [["report"], ["verify", "--checks", "twistorial_basic"],
+                                     ["classify"]])
+def test_a_point_off_the_fibre_range_is_a_domain_error(command, capsys, tmp_path):
+    """rho = 1.6 lies beyond the fibre range (-1.5, 1.5): every command
+    records the point as a domain error and goes on with the others (classify
+    took the samples clipped into the chart, too few to classify, and raised
+    a ValueError that aborted the run)."""
+    points = [[0.5, 1.2, 2.0, 3.0], [1.6, 1.2, 2.0, 3.0]]
+    path = write_scene(tmp_path, "type4_berger_ew.json",
+                       lambda scene: scene.update(samples={"points": points}))
+    name, *args = command
+    code, out = run_cli([name, path] + args, capsys)
+    assert code == 2
+    assert json.loads(out)["domain_errors"] == [
+        {"index": 1, "point": points[1], "error": f"point (1.6, 1.2, 2.0, 3.0) {_OUTSIDE}"}]
 
 
 def test_a_failing_hold_raises_the_first_point_that_fails_alone(tmp_path):

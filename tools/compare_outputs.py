@@ -12,12 +12,14 @@ process on
 - every ``<checkout>/scenes/*.json`` under ``report``, ``verify``, ``verify``
   with every check of ``cli.CHECKS``, ``classify``, and ``report`` and
   ``verify`` with ``--format csv``;
-- ``report``, and ``verify`` with every check that applies, on a scene with
-  points outside its chart (``DOMAIN_ERROR_POINTS``), whose
+- ``report``, ``verify`` with every check that applies, ``classify``, and a
+  ``sweep`` of the first point's fibre coordinate (``DOMAIN_ERROR_SWEEP``) on
+  a scene with points outside its chart (``DOMAIN_ERROR_POINTS``), whose
   ``domain_errors`` and good points come from the per-point fallback;
 - a few sweeps with total-space checks (``SWEEPS``).
 
-It keeps each job's exit code, stdout and stderr, with the report
+It keeps each job's exit code (or the exception a command let escape), stdout
+and stderr, with the report
 ``timestamp`` masked, and writes them to ``out.json`` as one JSON object keyed
 by job.  The workloads file is executed from its text, so nothing is written
 under ``perfbench/``; scenes go to a temporary directory.
@@ -60,6 +62,8 @@ DOMAIN_ERROR_POINTS = [[0.5, 1.2, 2.0, 3.0], [0.9, 3.0, 2.0, 3.0], [1.1, 0.7, 4.
                        [1.6, 1.2, 2.0, 3.0], [0.3, 2.2, 1.0, 5.0]]
 DOMAIN_ERROR_CHECKS = ("fundamental_eq,twistorial_basic,twistorial_sd,monopole,einstein_weyl,"
                        "beltrami")
+DOMAIN_ERROR_SWEEP = ["--param", "samples.points.0.0", "--range=0.3:1.5", "--steps", "3",
+                      "--checks", DOMAIN_ERROR_CHECKS]
 
 _TIMESTAMP = re.compile(r'"timestamp":"[^"]*"')
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
@@ -78,7 +82,10 @@ def _run(cli, command, scene, args, tmp):
     path.write_text(json.dumps(scene))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([command, str(path), *args])
+        try:
+            code = cli.main([command, str(path), *args])
+        except Exception as exc:           # a command that crashes is recorded, not fatal
+            code = f"uncaught {type(exc).__name__}: {exc}"
     return {"code": code, "stdout": _TIMESTAMP.sub('"timestamp":"-"', out.getvalue()),
             "stderr": err.getvalue()}
 
@@ -101,7 +108,8 @@ def _jobs(root, cli):
                               ("classify", []), ("report", csv), ("verify", csv)):
             yield f"scenes/{name}/{command}{''.join(args)}", command, scene, args
     bad = dict(scenes["type4_berger_ew.json"], samples={"points": DOMAIN_ERROR_POINTS})
-    for command, args in (("report", []), ("verify", ["--checks", DOMAIN_ERROR_CHECKS])):
+    for command, args in (("report", []), ("verify", ["--checks", DOMAIN_ERROR_CHECKS]),
+                          ("classify", []), ("sweep", DOMAIN_ERROR_SWEEP)):
         yield f"domain_error/{command}{''.join(args)}", command, bad, args
     for name, param, span, steps, checks, *locate in SWEEPS:
         args = ["--param", param, f"--range={span}", "--steps", str(steps), "--checks", checks]
