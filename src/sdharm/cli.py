@@ -274,11 +274,13 @@ class Run:
         one evaluation.  If that raises a domain error, each point is evaluated
         alone, as the one-point job ``batch([point])``: None where that raises,
         recorded as {index, point, error}, so the bad points are named and the
-        others still count."""
+        others still count.  A job of one point is not evaluated again: its
+        error is the point's."""
         try:
             return batch(points), []
-        except (DomainError, GeometryError):
-            pass
+        except (DomainError, GeometryError) as exc:
+            if len(points) == 1:
+                return [None], [{"index": 0, "point": list(points[0]), "error": str(exc)}]
         results, errors = [None] * len(points), []
         for idx, point in enumerate(points):
             try:
@@ -438,9 +440,8 @@ class _Job:
         the base (once per run), at each point."""
         if space == "total":
             return self.setup.rows(self.at).riemann_norm
-        b = self.base
-        return self.r.run.once(("scale", self.r.h.fn, self.base_points), lambda: geo.frame_norm(
-            geo.curvature_from_gamma(b.mp, b.point)[1], b.frame))
+        return self.r.run.once(("scale", self.r.h.fn, self.base_points),
+                               lambda: geo.frame_norm(self.base.curvature[1], self.base.frame))
 
 
 def _potential(job, check):

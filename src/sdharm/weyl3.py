@@ -45,10 +45,11 @@ class HeldBase:
     """The metric h at a point, or at each row of an ``(N, 3)`` array of
     points, held by a caller that evaluates several residuals there.  Each part
     is evaluated on first use: ``mp`` (``geo.metric_point``: g, g^-1 and the
-    Levi-Civita connection), ``frame`` (g's ``geo.orthonormal_frame``), ``vol``
-    (sqrt det g), and ``jets(field)``, a one-form's jets at the points, held
-    until ``new_job``.  The residuals below take one as ``base``, or hold h at
-    the point themselves."""
+    Levi-Civita connection), ``curvature`` (``geo.curvature_from_gamma``: its
+    Riemann and Ricci tensors), ``frame`` (g's ``geo.orthonormal_frame``),
+    ``vol`` (sqrt det g), and ``jets(field)``, a one-form's jets at the points,
+    held until ``new_job``.  The residuals below take one as ``base``, or hold
+    h at the point themselves."""
 
     def __init__(self, h, point):
         self.h, self.point, self._jets = h, point, {}
@@ -56,6 +57,10 @@ class HeldBase:
     @cached_property
     def mp(self):
         return geo.metric_point(self.h, self.point)
+
+    @cached_property
+    def curvature(self):
+        return geo.curvature_from_gamma(self.mp, self.point)
 
     @cached_property
     def frame(self):
@@ -94,53 +99,46 @@ def _alpha(w, base):
 
 
 def weyl_connection_coeffs(w: WeylStructure3, point, base: HeldBase | None = None):
-    """(Gamma, dGamma) of D as arrays: Gamma[a,b,c] = Gamma^a_bc and
-    dGamma[a,b,c,d] = d_d Gamma^a_bc, with a batch's point axis first.
-
+    """Gamma[a,b,c] = Gamma^a_bc of D, with a batch's point axis first:
     D = Levi-Civita + C with C^a_bc = delta^a_b alpha_c + delta^a_c alpha_b
-    - h_bc alpha^a, which is linear in alpha and so differentiates in closed form.
-    """
+    - h_bc alpha^a."""
     base = HeldBase(w.h, point) if base is None else base
-    return _weyl_connection(base.mp, *_alpha(w, base))
-
-
-def _weyl_connection(h, av, da):
-    """(Gamma, dGamma) of D from the base ``geo.MetricPoint`` h, which holds
-    the Levi-Civita connection, and alpha's values and first derivatives."""
+    h, (av, _) = base.mp, _alpha(w, base)
     a_up = (h.ginv @ av[..., None])[..., 0]
-    da_up = np.einsum("...abd,...b->...ad", h.dginv, av) + h.ginv @ da
-    # outer products by broadcasting, an index per axis: [..., a, b, c(, d)]
+    # outer products by broadcasting, an index per axis: [..., a, b, c]
     delta = np.eye(3)
-    C = (delta[:, :, None] * av[..., None, None, :] + delta[:, None, :] * av[..., None, :, None]
-         - h.g[..., None, :, :] * a_up[..., :, None, None])
-    dC = (delta[:, :, None, None] * da[..., None, None, :, :]
-          + delta[:, None, :, None] * da[..., None, :, None, :]
-          - h.dg[..., None, :, :, :] * a_up[..., :, None, None, None]
-          - h.g[..., None, :, :, None] * da_up[..., :, None, None, :])
-    return h.G + C, h.dG + dC
+    return h.G + (delta[:, :, None] * av[..., None, None, :]
+                  + delta[:, None, :] * av[..., None, :, None]
+                  - h.g[..., None, :, :] * a_up[..., :, None, None])
 
 
 def weyl_covariant_metric_residual(w: WeylStructure3, point):
     """Norm of D h + 2 alpha (x) h, the defining property of the connection."""
     base = HeldBase(w.h, point)
     h = base.mp                                            # h.dg[a,b,c] = d_c h_ab
-    av, da = _alpha(w, base)
-    G, _ = _weyl_connection(h, av, da)
+    G = weyl_connection_coeffs(w, point, base)
     Dh = (np.einsum("...abc->...cab", h.dg)
           - np.einsum("...eca,...eb->...cab", G, h.g)
           - np.einsum("...ecb,...ae->...cab", G, h.g))
-    target = -2.0 * np.einsum("...c,...ab->...cab", av, h.g)
+    target = -2.0 * np.einsum("...c,...ab->...cab", _alpha(w, base)[0], h.g)
     return geo.tensor_norm(Dh - target, h.g)
 
 
 def einstein_weyl_residual(w: WeylStructure3, point, base: HeldBase | None = None):
-    """Norm of the trace-free symmetrized Ricci tensor of D at the point."""
+    """Norm of the trace-free symmetrized Ricci tensor of D at the point.  In
+    dimension 3 it is |[Ric^h]_0 - [(nabla alpha)_sym - alpha (x) alpha]_0|
+    (Jones & Tod, "Minitwistor spaces and Einstein-Weyl spaces", Class.
+    Quantum Grav. 2 (1985) 565), with (nabla_a alpha)_b = d_a alpha_b
+    - Gamma^c_ab alpha_c: from the base's held Ric^h and Levi-Civita Gamma,
+    and alpha's first jets."""
     base = HeldBase(w.h, point) if base is None else base
-    ric = np.einsum("...abad->...bd", geo.riemann_from_gamma(*weyl_connection_coeffs(w, point, base)))
-    sym = 0.5 * (ric + ric.swapaxes(-1, -2))
-    trace = np.einsum("...ab,...ab->...", base.mp.ginv, sym) / 3.0
-    tracefree = sym - trace[..., None, None] * base.mp.g
-    return geo.frame_norm(tracefree, base.frame)
+    h, (av, da) = base.mp, _alpha(w, base)
+    # da[..., b, a] = d_a alpha_b, the transpose of nabla's first term: symmetrized below
+    nabla = da - np.einsum("...cab,...c->...ab", h.G, av)
+    T = base.curvature[2] - (0.5 * (nabla + nabla.swapaxes(-1, -2))
+                             - av[..., :, None] * av[..., None, :])
+    trace = np.einsum("...ab,...ab->...", h.ginv, T) / 3.0
+    return geo.frame_norm(T - trace[..., None, None] * h.g, base.frame)
 
 
 # ---------------------------------------------------------------------------

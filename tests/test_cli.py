@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdharm import cli, constructions as con, geometry as geo, morphism as mor
+from sdharm import cli, constructions as con, geometry as geo, morphism as mor, weyl3
 from sdharm.errors import DomainError
 
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
@@ -585,6 +585,27 @@ def test_sweep_records_bad_point_and_keeps_going(capsys, tmp_path):
         assert "outside chart domain" in message
 
 
+def test_each_evaluates_a_failing_one_point_job_once():
+    """A one-point job that raises is recorded from that one evaluation (the
+    per-point fallback would run the same job again); a longer job falls back
+    to each point alone."""
+    calls = []
+
+    def batch(pts):
+        calls.append(list(pts))
+        if any(p[2] > 6.0 for p in pts):
+            raise DomainError(f"outside chart domain at point {tuple(pts[-1])}")
+        return [p[0] for p in pts]
+
+    bad = (1.2, 2.0, 9.0)
+    error = {"index": 0, "point": list(bad), "error": f"outside chart domain at point {bad}"}
+    assert cli.Run.each([bad], batch) == ([None], [error])
+    assert calls == [[bad]]
+    calls.clear()
+    assert cli.Run.each([(0.5, 1.0, 1.0), bad], batch)[0] == [0.5, None]
+    assert calls == [[(0.5, 1.0, 1.0), bad], [(0.5, 1.0, 1.0)], [bad]]
+
+
 def _sweep_rows(out):
     """{swept value: [each check's max normalized residual]} of a sweep's csv rows."""
     rows = [l.split(",") for l in out.splitlines()[1:] if not l.startswith("#")]
@@ -592,17 +613,30 @@ def _sweep_rows(out):
 
 
 def test_sweep_locate_evaluates_the_base_metric_once(capsys, monkeypatch):
-    calls = []
+    calls, counts = [], {"curvature": 0, "connection": 0}
     real = geo.metric_jets
     monkeypatch.setattr(geo, "metric_jets", lambda g, p: calls.append(p) or real(g, p))
+
+    def counted(owner, attr, key):
+        real = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counted(geo, "curvature_from_gamma", "curvature")
+    counted(weyl3, "weyl_connection_coeffs", "connection")
     code, out = run_cli(["sweep", scene_path("berger_ew_sweep.json"),
                          "--param", "alpha.params.scale", "--range", "0.5:1.4",
                          "--steps", "8", "--checks", "einstein_weyl",
                          "--locate", "einstein_weyl"], capsys)
     assert code == 0
     assert any(l.startswith("# minimum,einstein_weyl,") for l in out.splitlines())
-    # 8 steps and the golden-section calls all share the one base point
+    # 8 steps and the golden-section calls all share the one base point, and
+    # its curvature: Ric^h for every residual, the Riemann norm for every scale
     assert calls == [(1.2, 2.0, 3.0)]
+    assert counts == {"curvature": 1, "connection": 0}
 
 
 @pytest.mark.parametrize("param, lo, hi", [("base.params.mu", 0.5, 0.95),

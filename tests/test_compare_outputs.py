@@ -1,0 +1,67 @@
+"""The parity tool (tools/compare_outputs.py) reads two records of CLI
+outputs, compares their numbers in order and counts the other tokens that
+differ.  This loads the tool, read only, and checks its reading of two
+``verify`` records."""
+
+import json
+import types
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
+
+
+def load_tool():
+    """Execute compare_outputs.py into a fresh module without writing next to it."""
+    module = types.ModuleType("compare_outputs")
+    exec(compile(TOOL.read_text(), str(TOOL), "exec"), module.__dict__)
+    return module
+
+
+def verify_record(raw, passed, report_hash):
+    """A recorded ``verify`` job: exit code, stdout and stderr."""
+    normalized = 0.15474890372711847
+    check = {"normalized": normalized, "pass": passed, "raw": raw}
+    stdout = {"orientation": 1,
+              "records": [{"checks": {"einstein_weyl": check}, "index": 0, "point": [1.2, 2.0, 3.0]}],
+              "report_hash": report_hash, "schema": 1,
+              "summary": {"checks": {"einstein_weyl": {"max_normalized": normalized,
+                                                        "max_raw": raw, "pass": passed}},
+                          "num_points": 1, "verdict": "pass" if passed else "fail"},
+              "timestamp": "-"}
+    return {"code": 0 if passed else 1, "stdout": json.dumps(stdout, separators=(",", ":")),
+            "stderr": ""}
+
+
+A_HASH = "a6eb61c768ac23619e21ff8b2a02b9660d39aff4df7f3c2943193ceb4bf06c00"
+B_HASH = "5e45654" + "0" * 57          # reads as a number, 5e45654 = inf, if left unmasked
+
+
+def compare(tool, a, b):
+    """What ``diff`` reports for one job, from the texts it compares."""
+    return tool._compare(json.dumps(a, sort_keys=True), json.dumps(b, sort_keys=True))
+
+
+def test_a_last_digit_and_the_hash_give_that_digit_alone():
+    tool = load_tool()
+    x, y = 0.8568110996110323, 0.8568110996110324
+    worst, other = compare(tool, verify_record(x, True, A_HASH), verify_record(y, True, B_HASH))
+    assert other == 0
+    assert worst == abs(x - y) / (1.0 + abs(x)) and 0.0 < worst < 1e-16
+
+
+def test_a_flipped_pass_counts_one_other_token():
+    tool = load_tool()
+    a = verify_record(0.5, True, A_HASH)
+    b = verify_record(0.5, True, B_HASH)
+    b["stdout"] = b["stdout"].replace('"pass":true', '"pass":false', 1)     # the point's record
+    assert compare(tool, a, b) == (0.0, 1)
+
+
+def test_diff_reports_the_masked_hash_as_identical_numbers(tmp_path, capsys):
+    tool = load_tool()
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"job": verify_record(0.25, True, A_HASH)}))
+    b.write_text(json.dumps({"job": verify_record(0.25, True, B_HASH)}))
+    assert tool.diff(a, b) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "0 of 1 outputs identical", "job: worst relative difference 0, 0 other tokens differ"]

@@ -6,6 +6,8 @@ import pytest
 from sdharm import cli, constructions as con, geometry as geo, jets, weyl3
 from sdharm.errors import DimensionError
 
+from _fieldgen import random_field
+
 
 def pts(chart, n, seed=0, margin=0.2):
     rng = np.random.default_rng(seed)
@@ -30,7 +32,7 @@ def test_weyl_connection_reduces_to_levi_civita():
     h = con.constant_curvature3(1.0)
     w = weyl3.WeylStructure3(h, zero_form(h.chart))
     for pt in pts(h.chart, 3, seed=1):
-        G, _ = weyl3.weyl_connection_coeffs(w, pt)
+        G = weyl3.weyl_connection_coeffs(w, pt)
         gamma_lc = geo.christoffel(h, pt)
         assert np.max(np.abs(G - gamma_lc)) < 1e-12
 
@@ -70,9 +72,8 @@ def test_residuals_read_a_held_base_as_they_evaluate_h():
                          lambda **kw: weyl3.beltrami_residual(w, -1, pt, **kw),
                          lambda **kw: weyl3.generalized_beltrami_residual(w, c, pt, **kw)):
             assert residual(base=base) == residual()
-        G, dG = weyl3.weyl_connection_coeffs(w, pt)
-        G_held, dG_held = weyl3.weyl_connection_coeffs(w, pt, base)
-        assert np.array_equal(G, G_held) and np.array_equal(dG, dG_held)
+        G_held = weyl3.weyl_connection_coeffs(w, pt, base)
+        assert np.array_equal(weyl3.weyl_connection_coeffs(w, pt), G_held)
 
 
 def test_weyl_connection_correction_pattern_flat_dx():
@@ -80,7 +81,7 @@ def test_weyl_connection_correction_pattern_flat_dx():
     alpha = geo.OneFormField(h.chart, lambda c: [1.0 + 0.0 * c[0], 0.0 * c[0], 0.0 * c[0]],
                              "dx")
     w = weyl3.WeylStructure3(h, alpha)
-    G, _ = weyl3.weyl_connection_coeffs(w, (0.1, 0.2, 0.3))
+    G = weyl3.weyl_connection_coeffs(w, (0.1, 0.2, 0.3))
     # D_X Y - nabla_X Y = alpha(X) Y + alpha(Y) X - h(X,Y) alpha#
     expected = np.zeros((3, 3, 3))
     for a in range(3):
@@ -271,20 +272,41 @@ def test_round_sphere_lee_scale_curve_zero_at_origin():
 # an independent route for Einstein-Weyl
 # ---------------------------------------------------------------------------
 
-def _einstein_weyl_closed_form(h, alpha, point):
-    """|[Ric^h]_0 - [(nabla alpha)_sym - alpha (x) alpha]_0|_h: in dimension 3
-    the trace-free symmetric Ricci tensor of D (D h = -2 alpha (x) h), from the
-    Levi-Civita data of h and alpha's first jets alone, with the norm taken
-    through h^-1 rather than an orthonormal frame."""
+def _weyl_connection(h, av, da):
+    """(Gamma, dGamma) of D from the base ``geo.MetricPoint`` h, which holds
+    the Levi-Civita connection, and alpha's values and first derivatives:
+    dGamma[a,b,c,d] = d_d Gamma^a_bc, C being linear in alpha."""
+    a_up = (h.ginv @ av[..., None])[..., 0]
+    da_up = np.einsum("...abd,...b->...ad", h.dginv, av) + h.ginv @ da
+    # outer products by broadcasting, an index per axis: [..., a, b, c(, d)]
+    delta = np.eye(3)
+    C = (delta[:, :, None] * av[..., None, None, :] + delta[:, None, :] * av[..., None, :, None]
+         - h.g[..., None, :, :] * a_up[..., :, None, None])
+    dC = (delta[:, :, None, None] * da[..., None, None, :, :]
+          + delta[:, None, :, None] * da[..., None, :, None, :]
+          - h.dg[..., None, :, :, :] * a_up[..., :, None, None, None]
+          - h.g[..., None, :, :, None] * da_up[..., :, None, None, :])
+    return h.G + C, h.dG + dC
+
+
+def _einstein_weyl_via_weyl_riemann(h, alpha, point):
+    """The trace-free symmetrized Ricci tensor of D itself, in the frame norm:
+    D's (Gamma, dGamma) from h's Levi-Civita data and alpha's jets, then D's
+    Riemann tensor (``geo.riemann_from_gamma``), its Ricci contraction,
+    symmetrized, with the trace taken out through h^-1."""
     mp = geo.metric_point(h, point)
-    ric = geo.riemann(h, point)[2]
     aj = alpha.jets(point)
-    av = np.array([a.value for a in aj])
-    da = np.array([a.grad for a in aj]).T                # da[a, b] = d_a alpha_b
-    nabla = da - np.einsum("cab,c->ab", mp.G, av)        # (nabla_a alpha)_b
-    T = ric - (0.5 * (nabla + nabla.T) - np.outer(av, av))
-    T0 = T - (np.einsum("ab,ab->", mp.ginv, T) / 3.0) * mp.g
-    return float(np.sqrt(np.einsum("ab,cd,ac,bd->", T0, T0, mp.ginv, mp.ginv)))
+    av = geo._lead(np.array([a.value for a in aj]), point)
+    da = geo._lead(np.array([a.grad for a in aj]), point)       # da[b, d] = d_d alpha_b
+    ric = np.einsum("...abad->...bd", geo.riemann_from_gamma(*_weyl_connection(mp, av, da)))
+    sym = 0.5 * (ric + ric.swapaxes(-1, -2))
+    trace = np.einsum("...ab,...ab->...", mp.ginv, sym) / 3.0
+    tracefree = sym - trace[..., None, None] * mp.g
+    return geo.frame_norm(tracefree, geo.orthonormal_frame(mp.g))
+
+
+def _assert_close(got, ref, where):
+    assert abs(got - ref) <= 1e-10 * (1.0 + abs(ref)), (where, got, ref)
 
 
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
@@ -294,24 +316,24 @@ def _scene(name):
     return cli.load_scene(os.path.join(SCENES, name))
 
 
-def _assert_closed_form_matches(r):
+def _assert_scene_matches_oracle(r):
     points, _ = r.sample_points()
     w = weyl3.WeylStructure3(r.h, r.lee_form)
     for p in points:
         base = tuple(p[1:]) if r.fm is not None else tuple(p)
-        ref = weyl3.einstein_weyl_residual(w, base)
-        got = _einstein_weyl_closed_form(r.h, r.lee_form, base)
-        assert abs(got - ref) <= 1e-10 * (1.0 + abs(ref)), (base, got, ref)
+        _assert_close(weyl3.einstein_weyl_residual(w, base),
+                               _einstein_weyl_via_weyl_riemann(r.h, r.lee_form, base), base)
 
 
 @pytest.mark.parametrize("name", sorted(os.listdir(SCENES)))
-def test_einstein_weyl_closed_form_on_every_scene(name):
-    """The closed form agrees with einstein_weyl_residual on each scene's base
-    metric and Lee form, at the base point of every sample point."""
-    _assert_closed_form_matches(cli.ResolvedScene(_scene(name)))
+def test_einstein_weyl_matches_the_weyl_riemann_oracle_on_every_scene(name):
+    """einstein_weyl_residual agrees with the Ricci tensor of D's own Riemann
+    tensor on each scene's base metric and Lee form, at the base point of
+    every sample point."""
+    _assert_scene_matches_oracle(cli.ResolvedScene(_scene(name)))
 
 
-def test_einstein_weyl_closed_form_along_the_berger_sweep():
+def test_einstein_weyl_matches_the_weyl_riemann_oracle_along_the_berger_sweep():
     """Every step of the README sweep of berger_ew_sweep.json (alpha scale
     0.5 to 1.4, 10 steps), and the Einstein-Weyl scale itself."""
     scene = _scene("berger_ew_sweep.json")
@@ -319,7 +341,8 @@ def test_einstein_weyl_closed_form_along_the_berger_sweep():
     scales = list(np.linspace(0.5, 1.4, 10)) + [con.berger_ew_scale(0.8)]
     run = cli.Run()
     for scale in scales:
-        _assert_closed_form_matches(cli.ResolvedScene(cli.with_slot(scene, keys, float(scale)), run))
+        step = cli.with_slot(scene, keys, float(scale))
+        _assert_scene_matches_oracle(cli.ResolvedScene(step, run))
 
 
 @pytest.mark.parametrize("h, alpha", [
@@ -328,9 +351,46 @@ def test_einstein_weyl_closed_form_along_the_berger_sweep():
     (con.berger_s3(0.6), con.berger_lee(con.berger_ew_scale(0.6))),
     con.variable_c_background()[:2],
 ], ids=["flat_trkalian", "cc3_xdy", "berger_ew", "variable_c"])
-def test_einstein_weyl_closed_form_on_catalog_pairs(h, alpha):
+def test_einstein_weyl_matches_the_weyl_riemann_oracle_on_catalog_pairs(h, alpha):
     w = weyl3.WeylStructure3(h, alpha)
     for pt in pts(h.chart, 4, seed=9):
-        ref = weyl3.einstein_weyl_residual(w, pt)
-        got = _einstein_weyl_closed_form(h, alpha, pt)
-        assert abs(got - ref) <= 1e-10 * (1.0 + abs(ref)), (pt, got, ref)
+        _assert_close(weyl3.einstein_weyl_residual(w, pt),
+                               _einstein_weyl_via_weyl_riemann(h, alpha, pt), pt)
+
+
+def _random_form(chart, seed):
+    rng = np.random.default_rng(seed)
+    parts = [random_field(rng, 3) for _ in range(3)]
+    return geo.OneFormField(chart, lambda c: [f(c) for f in parts], f"random{seed}")
+
+
+BASES = {"flat3": con.flat3, "cc3": lambda: con.constant_curvature3(0.5),
+         "berger": lambda: con.berger_s3(0.6)}
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+@pytest.mark.parametrize("seed", range(4))
+def test_einstein_weyl_matches_the_weyl_riemann_oracle_on_random_forms(name, seed):
+    """Seeded random Lee forms, far from Einstein-Weyl: the residual is O(1),
+    so every term of the closed form (Ric^h, Gamma.alpha, alpha (x) alpha, the
+    transposed d alpha) shows in the comparison."""
+    h = BASES[name]()
+    alpha = _random_form(h.chart, 100 * seed + len(name))
+    w = weyl3.WeylStructure3(h, alpha)
+    refs = []
+    for pt in pts(h.chart, 3, seed=seed):
+        ref = _einstein_weyl_via_weyl_riemann(h, alpha, pt)
+        _assert_close(weyl3.einstein_weyl_residual(w, pt), ref, pt)
+        refs.append(ref)
+    assert max(refs) > 1e-2
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_einstein_weyl_batch_matches_the_weyl_riemann_oracle_row_by_row(name):
+    h = BASES[name]()
+    alpha = _random_form(h.chart, 7)
+    rows = pts(h.chart, 5, seed=11)
+    got = weyl3.einstein_weyl_residual(weyl3.WeylStructure3(h, alpha), np.array(rows))
+    assert got.shape == (5,)
+    for value, pt in zip(got, rows):
+        _assert_close(value, _einstein_weyl_via_weyl_riemann(h, alpha, pt), pt)

@@ -67,7 +67,8 @@ DOMAIN_ERROR_SWEEP = ["--param", "samples.points.0.0", "--range=0.3:1.5", "--ste
 
 _TIMESTAMP = re.compile(r'"timestamp":"[^"]*"')
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
-_HASH = re.compile(r'"report_hash":"[0-9a-f]*"')
+# as it reads in the JSON text of a record, where stdout's quotes are escaped
+_HASH = re.compile(r'\\"report_hash\\":\\"[0-9a-f]*\\"')
 
 
 def _load(path, name):
