@@ -409,7 +409,7 @@ class _Job:
     check's computed once), in the order the checks read them, so that a hold
     of one point that fails names the point that the first failing check
     names.  The base checks read the run's ``weyl3.HeldBase`` at the base
-    points, with the one-forms' jets held for this job."""
+    points, with the one-forms' arrays held for this job."""
 
     def __init__(self, resolved, points, checks):
         self.r, self.setup = resolved, resolved.setup
@@ -486,7 +486,7 @@ CHECKS = {
         weyl3.WeylStructure3(j.r.h, j.r.lee_form), j.base.point, j.base)),
     "beltrami": Check("base", _beltrami),
     "closure": Check("base", lambda j: abs(geo.laplacian_from_gamma(
-        j.base.mp, _potential(j, "closure").jet(j.base.point)))),
+        j.base.mp, _potential(j, "closure").arrays(j.base.point)))),
 }
 
 
@@ -671,7 +671,7 @@ def cmd_classify(args):
 
     classes, domain_errors = resolved.run.each(points, batch)
     results = [{"point": list(point), "label": cls.label, "recovered_c": cls.recovered_c,
-                "evidence": _jsonable(cls.evidence)}
+                "evidence": cls.evidence}
                for point, cls in zip(points, classes) if cls is not None]
     labels = {r["label"] for r in results}
     overall = labels.pop() if len(labels) == 1 else "nonstandard"
@@ -689,16 +689,6 @@ def cmd_classify(args):
     if domain_errors:
         return EXIT_DOMAIN
     return EXIT_OK if overall != "nonstandard" else EXIT_RESIDUAL
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return float(obj)
-    return obj
 
 
 def scene_slot(scene, path):

@@ -16,10 +16,13 @@ the front once, and every array after it has a leading point axis, which the
 such as the norms become ``(N,)`` arrays.  A check that fails at any point of
 a batch raises for the whole batch.
 
-One rule holds at the jet-to-array boundary (``_at``, ``_lead``): a one-row
-``(1, d)`` array is evaluated in the scalar jets of its row, a tuple of floats
-(a batch of one costs a third more); its arrays gain their point axis there,
-and its errors name that tuple, as an evaluation at the point itself does.
+The fields hand out arrays with a batch's point axis first (``arrays``,
+``values``, ``exterior_derivative``), so only this module reads the jets'
+layout.  One rule holds at that jet-to-array boundary (``_at``, ``_lead``): a
+one-row ``(1, d)`` array is evaluated in the scalar jets of its row, a tuple
+of floats (a batch of one costs a third more); its arrays gain their point
+axis there, and its errors name that tuple, as an evaluation at the point
+itself does.
 """
 
 from __future__ import annotations
@@ -178,6 +181,12 @@ class ScalarField:
                                           point=at)
         return out
 
+    def arrays(self, point):
+        """(u, du, ddu) at the point from its order-2 jet, a batch's point axis
+        first."""
+        j = self.jet(point)
+        return tuple(_lead(x, point) for x in (j.value, j.grad, j.hess))
+
     def value(self, point):
         out = _eval_at(self.fn, [float(x) for x in point], point)
         return out.value if isinstance(out, jets.Jet) else float(out)
@@ -195,8 +204,15 @@ class OneFormField:
         _, coords, comps = _jets_at(self.chart, self.fn, point)
         return [coords[0].coerce(c) for c in comps]
 
+    def arrays(self, point):
+        """(alpha, dalpha) at the point, dalpha[..., b, a] = d_a alpha_b, a batch's
+        point axis first."""
+        comps = self.jets(point)
+        return (_lead(np.array([j.value for j in comps]), point),
+                _lead(np.array([j.grad for j in comps]), point))
+
     def values(self, point):
-        return np.array([j.value for j in self.jets(point)])
+        return self.arrays(point)[0]
 
 
 class TwoFormField:
@@ -222,9 +238,7 @@ class TwoFormField:
         return out
 
     def values(self, point):
-        comps = self.jets(point)
-        d = np.shape(point)[-1]
-        return np.array([[comps[a][b].value for b in range(d)] for a in range(d)])
+        return _lead(jet_values(self.jets(point)), point)
 
 
 class MetricField:
@@ -391,15 +405,13 @@ def curvature_from_gamma(mp, point=None):
 
 def laplacian(u, h, point):
     """Laplace-Beltrami operator of a scalar field u on the metric h at the point."""
-    return laplacian_from_gamma(metric_point(h, point), u.jet(point))
+    return laplacian_from_gamma(metric_point(h, point), u.arrays(point))
 
 
-def laplacian_from_gamma(mp, uj):
+def laplacian_from_gamma(mp, u):
     """Delta u = g^ab (d_a d_b u - Gamma^c_ab d_c u) from a MetricPoint and u's
-    jet, one value per point of a batch."""
-    hess, grad = uj.hess, uj.grad
-    if type(uj.value) is not float:         # a batch jet: its point axis to the front
-        hess, grad = np.moveaxis(hess, -1, 0), np.moveaxis(grad, -1, 0)
+    arrays (``ScalarField.arrays``), one value per point of a batch."""
+    _, grad, hess = u
     return _float(np.einsum("...ab,...ab->...", mp.ginv,
                             hess - np.einsum("...cab,...c->...ab", mp.G, grad)))
 
@@ -577,17 +589,16 @@ def _matrix_norm(M):
     return _float(np.sqrt(np.sum(M * M, axis=(-2, -1))))
 
 
-def sd_asd_split(W, gv, orientation=1, point=None, frame=None):
+def sd_asd_split(W, gv, orientation=1, point=None):
     """Split the Weyl endomorphism into self-dual / anti-self-dual blocks.
 
     Returns (W_plus, W_minus, plus_norm, minus_norm) with the blocks as 6x6
     matrices in the orthonormalized 2-form basis.  W and gv may carry a
-    leading point axis.  ``frame`` is gv's ``orthonormal_frame``, when the
-    caller has built it.
+    leading point axis.
     """
     if gv.shape[-1] != 4:
         raise DimensionError("self-dual decomposition requires a 4-chart")
-    E = orthonormal_frame(gv, point=point) if frame is None else frame
+    E = orthonormal_frame(gv, point=point)
     return _split_operator(weyl_operator_matrix(to_frame(np.asarray(W, dtype=float), E)),
                            orientation)
 
@@ -658,15 +669,18 @@ def form_values(comp, dim, k):
 
 
 def exterior_derivative(form, point):
-    """d of a scalar/one-form/two-form field, as float components."""
+    """d of a scalar/one-form/two-form field, as float components, a batch's
+    point axis first."""
     dim = form.chart.dim
     if isinstance(form, ScalarField):
-        return form_values(ext_d(form.jet(point), dim), dim, 1)
-    if isinstance(form, OneFormField):
-        return form_values(ext_d(form.jets(point), dim), dim, 2)
-    if isinstance(form, TwoFormField):
-        return form_values(ext_d(form.jets(point), dim), dim, 3)
-    raise TypeError(f"not a form field: {form!r}")
+        comps, k = form.jet(point), 1
+    elif isinstance(form, OneFormField):
+        comps, k = form.jets(point), 2
+    elif isinstance(form, TwoFormField):
+        comps, k = form.jets(point), 3
+    else:
+        raise TypeError(f"not a form field: {form!r}")
+    return _lead(form_values(ext_d(comps, dim), dim, k), point)
 
 
 # ---------------------------------------------------------------------------
@@ -728,16 +742,15 @@ class CurvatureReport:
         return out
 
 
-def curvature_report(g, point, orientation=None):
+def curvature_report(g, point):
     """Full pointwise curvature data; raises on singular/non-finite evaluation.
 
     At an ``(N, d)`` array of points every field carries a leading point axis:
     the norms and the scalar curvature are ``(N,)`` arrays.  One orthonormal
-    frame per point serves every norm.
+    frame per point serves every norm; W+ and W- are those of the chart's
+    orientation.
     """
     n = g.chart.dim
-    if orientation is None:
-        orientation = g.chart.orientation
     gv, G, R_up, R_low, ric, scal = _curvature(g, point)
     E = orthonormal_frame(gv, point=point)
 
@@ -751,7 +764,7 @@ def curvature_report(g, point, orientation=None):
     if n == 4:
         W = _weyl_low(gv, R_low, ric, scal)
         M = weyl_operator_matrix(to_frame(W, E))     # in the frame once, for all three norms
-        _, _, report.w_plus_norm, report.w_minus_norm = _split_operator(M, orientation)
+        _, _, report.w_plus_norm, report.w_minus_norm = _split_operator(M, g.chart.orientation)
         report.weyl_low = W
         report.weyl_norm = _matrix_norm(M)
 

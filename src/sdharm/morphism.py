@@ -179,9 +179,7 @@ class PointEval:
         h = {b: fm.h.values(b) for b in dict.fromkeys(p[1:] for p in self.points)}
         self.hv = np.array([h[p[1:]] for p in self.points])
         self.hinv = np.linalg.inv(self.hv)
-        L = fm.dilation_sq_inv.jet(self._at)
-        self.lam_inv_sq, self.dlam_inv_sq, self.ddlam_inv_sq = (
-            geo._lead(x, self._at) for x in (L.value, L.grad, L.hess))
+        self.lam_inv_sq, self.dlam_inv_sq, self.ddlam_inv_sq = fm.dilation_sq_inv.arrays(self._at)
         g00, dg00 = self.gv[:, 0, 0], self.dg[:, 0, 0]
         self.V0 = jets._pow(g00, -0.5)      # pow per point, as at one point
         # u = 1/g_00 with its first and second derivatives, and d_e w_b
@@ -322,10 +320,8 @@ class PointEval:
     @cached_property
     def lifted_dtheta(self):
         """d theta evaluated on pairs of lifts W_1..W_3, a 3x3 array."""
-        dth = geo._lead(geo.form_values(geo.ext_d(self.fm.theta.jets(self._at), 4), 4, 2),
-                        self._at)
         lifts = self.P[:, :, 1:]
-        return lifts.swapaxes(-1, -2) @ dth @ lifts
+        return lifts.swapaxes(-1, -2) @ geo.exterior_derivative(self.fm.theta, self._at) @ lifts
 
     @cached_property
     def twistorial_sd(self):
@@ -367,16 +363,16 @@ def _norm(v, M):
     return geo._float(np.sqrt(np.maximum(0.0, (v[..., None, :] @ M @ v[..., :, None])[..., 0, 0])))
 
 
-def dilation(setup, point, tol=H_CONFORMAL_TOL):
+def dilation(setup, point):
     """Conformal factor of the projection on the horizontal space.
 
     Computed as the unique lam^2 with (g^-1)_base-block = lam^2 h^-1; the
     anisotropy norm certifies horizontal conformality and must stay below
-    ``tol`` (at every point of an array, else the first point above it is
-    named).  Also cross-checks the stored closed form of lam^-2.
+    ``H_CONFORMAL_TOL`` (at every point of an array, else the first point above
+    it is named).  Also cross-checks the stored closed form of lam^-2.
     """
     lam_sq, anisotropy, mismatch = setup.rows(point).conformality
-    bad = np.flatnonzero(np.ravel(anisotropy) > tol)
+    bad = np.flatnonzero(np.ravel(anisotropy) > H_CONFORMAL_TOL)
     if bad.size:
         raise NotHorizontallyConformalError(
             "projection is not horizontally conformal",
@@ -466,14 +462,14 @@ def monopole_eq_residual(setup, alpha, point, base=None):
 
     ``alpha`` is a one-form on the base (None means zero); vanishing residual
     certifies that alpha is the Lee form making the projection twistorial.
-    ``base``, a ``weyl3.HeldBase`` at the base point(s), holds alpha's jets
+    ``base``, a ``weyl3.HeldBase`` at the base point(s), holds alpha's arrays
     when the caller reads them for other residuals too.
     """
     rows = setup.rows(point)
     lhs = (rows.dlam_inv_sq[..., None, :] @ rows.P[..., :, 1:])[..., 0, :]
     if alpha is not None:
-        aj = alpha.jets(_base_of(point)) if base is None else base.jets(alpha)
-        lhs = lhs - rows.lam_inv_sq[..., None] * np.stack([a.value for a in aj], axis=-1)
+        av = alpha.values(_base_of(point)) if base is None else base.arrays(alpha)[0]
+        lhs = lhs - rows.lam_inv_sq[..., None] * av
     rhs = geo.hodge_star(rows.lifted_dtheta, rows.hv, 2, setup.fm.total_chart.orientation,
                          ginv=rows.hinv)
     return _norm(lhs - rhs, rows.hinv)
@@ -488,13 +484,15 @@ def pullback_sd_residual(setup, u, A, point):
     """
     fm = setup.fm
     gv = setup.rows(point).gv
-    cj = jets.seed_all(geo._at(point))
-    L = fm.dilation_sq_inv.fn(cj)
-    uv = u.fn(cj[1:])
-    tilde = [-1.0 * uv * (th / L) for th in fm.theta.fn(cj)]
-    if A is not None:
-        tilde[1:] = [t + a for t, a in zip(tilde[1:], A.fn(cj[1:]))]
-    dA = geo._lead(geo.form_values(geo.ext_d([cj[0].coerce(t) for t in tilde], 4), 4, 2), point)
+
+    def connection(c):
+        L, uv = fm.dilation_sq_inv.fn(c), u.fn(c[1:])
+        tilde = [-1.0 * uv * (th / L) for th in fm.theta.fn(c)]
+        if A is not None:
+            tilde[1:] = [t + a for t, a in zip(tilde[1:], A.fn(c[1:]))]
+        return tilde
+
+    dA = geo.exterior_derivative(geo.OneFormField(fm.total_chart, connection, "pullback"), point)
     return geo.split_two_form(dA, gv, fm.total_chart.orientation, point=point)[3]
 
 

@@ -47,12 +47,12 @@ class HeldBase:
     is evaluated on first use: ``mp`` (``geo.metric_point``: g, g^-1 and the
     Levi-Civita connection), ``curvature`` (``geo.curvature_from_gamma``: its
     Riemann and Ricci tensors), ``frame`` (g's ``geo.orthonormal_frame``),
-    ``vol`` (sqrt det g), and ``jets(field)``, a one-form's jets at the points,
-    held until ``new_job``.  The residuals below take one as ``base``, or hold
-    h at the point themselves."""
+    ``vol`` (sqrt det g), and ``arrays(field)``, a one-form's arrays at the
+    points, held until ``new_job``.  The residuals below take one as ``base``,
+    or hold h at the point themselves."""
 
     def __init__(self, h, point):
-        self.h, self.point, self._jets = h, point, {}
+        self.h, self.point, self._arrays = h, point, {}
 
     @cached_property
     def mp(self):
@@ -71,19 +71,19 @@ class HeldBase:
         """sqrt det g = 1 / det E for the frame E, which has E^T g E = 1."""
         return 1.0 / np.linalg.det(self.frame)
 
-    def jets(self, field):
-        """The one-form field's component jets at the points, evaluated once per
-        field for the residuals of a job."""
-        jets = self._jets.get(field)
-        if jets is None:
-            jets = self._jets[field] = field.jets(self.point)
-        return jets
+    def arrays(self, field):
+        """The one-form field's ``arrays`` at the points (alpha and dalpha[..., b,
+        d] = d_d alpha_b), evaluated once per field for the residuals of a job."""
+        out = self._arrays.get(field)
+        if out is None:
+            out = self._arrays[field] = field.arrays(self.point)
+        return out
 
     def new_job(self):
-        """This base for a new job: its metric parts stay, its one-forms' jets
-        go (a sweep brings new forms every step; holding their jets for the
+        """This base for a new job: its metric parts stay, its one-forms' arrays
+        go (a sweep brings new forms every step; holding their arrays for the
         run cost 3% of a ``sweep --locate`` step)."""
-        self._jets = {}
+        self._arrays = {}
         return self
 
     def star(self, form, k, orientation):
@@ -91,19 +91,12 @@ class HeldBase:
         return geo.hodge_star(form, self.mp.g, k, orientation, ginv=self.mp.ginv, vol=self.vol)
 
 
-def _alpha(w, base):
-    """alpha's values and da[..., b, d] = d_d alpha_b at base's points."""
-    aj = base.jets(w.alpha)
-    return (geo._lead(np.array([a.value for a in aj]), base.point),
-            geo._lead(np.array([a.grad for a in aj]), base.point))
-
-
 def weyl_connection_coeffs(w: WeylStructure3, point, base: HeldBase | None = None):
     """Gamma[a,b,c] = Gamma^a_bc of D, with a batch's point axis first:
     D = Levi-Civita + C with C^a_bc = delta^a_b alpha_c + delta^a_c alpha_b
     - h_bc alpha^a."""
     base = HeldBase(w.h, point) if base is None else base
-    h, (av, _) = base.mp, _alpha(w, base)
+    h, (av, _) = base.mp, base.arrays(w.alpha)
     a_up = (h.ginv @ av[..., None])[..., 0]
     # outer products by broadcasting, an index per axis: [..., a, b, c]
     delta = np.eye(3)
@@ -120,7 +113,7 @@ def weyl_covariant_metric_residual(w: WeylStructure3, point):
     Dh = (np.einsum("...abc->...cab", h.dg)
           - np.einsum("...eca,...eb->...cab", G, h.g)
           - np.einsum("...ecb,...ae->...cab", G, h.g))
-    target = -2.0 * np.einsum("...c,...ab->...cab", _alpha(w, base)[0], h.g)
+    target = -2.0 * np.einsum("...c,...ab->...cab", base.arrays(w.alpha)[0], h.g)
     return geo.tensor_norm(Dh - target, h.g)
 
 
@@ -132,7 +125,7 @@ def einstein_weyl_residual(w: WeylStructure3, point, base: HeldBase | None = Non
     - Gamma^c_ab alpha_c: from the base's held Ric^h and Levi-Civita Gamma,
     and alpha's first jets."""
     base = HeldBase(w.h, point) if base is None else base
-    h, (av, da) = base.mp, _alpha(w, base)
+    h, (av, da) = base.mp, base.arrays(w.alpha)
     # da[..., b, a] = d_a alpha_b, the transpose of nabla's first term: symmetrized below
     nabla = da - np.einsum("...cab,...c->...ab", h.G, av)
     T = base.curvature[2] - (0.5 * (nabla + nabla.swapaxes(-1, -2))
@@ -157,7 +150,7 @@ def beltrami_residual(w: WeylStructure3, sign, point, base: HeldBase | None = No
     if sign not in (1, -1, 1.0, -1.0):
         raise ValueError("sign must be +1 or -1")
     base = HeldBase(w.h, point) if base is None else base
-    av, da = _alpha(w, base)
+    av, da = base.arrays(w.alpha)
     star = base.star(av, 1, w.h.chart.orientation)
     return _two_form_norm(da.swapaxes(-1, -2) - da - sign * star, base.frame)
 
@@ -166,28 +159,28 @@ def generalized_beltrami_residual(w: WeylStructure3, c: geo.ScalarField, point,
                                   base: HeldBase | None = None):
     """|| d alpha - c * (*alpha) + *dc || at the point."""
     base = HeldBase(w.h, point) if base is None else base
-    av, da = _alpha(w, base)
+    av, da = base.arrays(w.alpha)
     ori = w.h.chart.orientation
-    cj = c.jet(base.point)
-    resid = (da.swapaxes(-1, -2) - da - geo._times(cj.value, base.star(av, 1, ori))
-             + base.star(geo._lead(cj.grad, base.point), 1, ori))
+    cv, dc, _ = c.arrays(base.point)
+    resid = (da.swapaxes(-1, -2) - da - geo._times(cv, base.star(av, 1, ori))
+             + base.star(dc, 1, ori))
     return _two_form_norm(resid, base.frame)
 
 
 def monopole_residual(u: geo.ScalarField, w: WeylStructure3, F: geo.TwoFormField, point):
     """|| (du - u alpha) - *F || in the h one-form norm."""
     base = HeldBase(w.h, point)
-    uj = u.jet(point)
-    av, _ = _alpha(w, base)
-    lhs = geo._lead(uj.grad, point) - np.asarray(uj.value)[..., None] * av
-    diff = lhs - base.star(geo._lead(F.values(point), point), 2, w.h.chart.orientation)
+    uv, du, _ = u.arrays(point)
+    av, _ = base.arrays(w.alpha)
+    lhs = du - np.asarray(uv)[..., None] * av
+    diff = lhs - base.star(F.values(point), 2, w.h.chart.orientation)
     norm2 = np.einsum("...a,...b,...ab->...", diff, diff, base.mp.ginv)
     return geo._float(np.sqrt(np.maximum(0.0, norm2)))
 
 
 def closure_residual(F: geo.TwoFormField, point, h: geo.MetricField | None = None):
     """|| dF ||; zero is required for F to be a curvature form."""
-    dF = geo._lead(geo.form_values(geo.ext_d(F.jets(point), 3), 3, 3), point)
+    dF = geo.exterior_derivative(F, point)
     if h is not None:
         dF = geo.to_frame(dF, HeldBase(h, point).frame)
     return geo._float(np.abs(dF[..., 0, 1, 2]))

@@ -221,6 +221,65 @@ def test_two_form_jets_on_a_batch():
         bad.jets(points)
 
 
+_TOTAL4 = SETUPS["type4_berger_ew+1"]
+# Scalars, one-forms and two-forms on 3- and 4-charts.
+FORM_FIELDS = {
+    "gh_potential": con.gh_potential(1.0),
+    "lam_inv_sq": _TOTAL4.dilation_sq_inv,
+    "berger_lee": con.berger_lee(0.9),
+    "dirac_A": con.dirac_A(2.0),
+    "theta": _TOTAL4.theta,
+    "d_trkalian": geo.TwoFormField(con.flat3().chart,
+                                   lambda c: geo.ext_d(con.trkalian(1).fn(c), 3), "d trkalian"),
+    "bumpy4": geo.TwoFormField(_TOTAL4.total_chart, lambda c: [
+        [float(b - a) * jets.sin(c[a] * c[b]) for b in range(4)] for a in range(4)], "bumpy"),
+}
+
+
+def _point_first(field, point):
+    """What a field hands out at a point or a batch, by name: its exterior
+    derivative, its values and its arrays."""
+    out = {"d": geo.exterior_derivative(field, point)}
+    if isinstance(field, geo.ScalarField):
+        out["u"], out["du"], out["ddu"] = field.arrays(point)
+    else:
+        out["values"] = field.values(point)
+    if isinstance(field, geo.OneFormField):
+        out["alpha"], out["dalpha"] = field.arrays(point)
+    return out
+
+
+def _jet_layout(field, point):
+    """The arrays of ``_point_first`` read from the field's jets at one point."""
+    if isinstance(field, geo.ScalarField):
+        j = field.jet(point)
+        return {"u": j.value, "du": j.grad, "ddu": j.hess}
+    if isinstance(field, geo.OneFormField):
+        js = field.jets(point)
+        return {"alpha": [j.value for j in js], "dalpha": [j.grad for j in js]}
+    return {}
+
+
+@pytest.mark.parametrize("name", sorted(FORM_FIELDS))
+def test_fields_hand_out_point_first_arrays(name):
+    """On a batch, and on each one-row array, every array a field hands out
+    has the point axis first, and its row equals, bit for bit, the call at
+    that point alone and the point's own jets."""
+    field = FORM_FIELDS[name]
+    points = inside(field.chart, 3, seed=11)
+    batch = _point_first(field, points)
+    for i, p in enumerate(points):
+        one = _point_first(field, tuple(p))
+        row = _point_first(field, points[i:i + 1])
+        assert batch.keys() == one.keys() == row.keys()
+        for key, value in one.items():
+            assert np.shape(batch[key]) == (3,) + np.shape(value), key
+            assert np.shape(row[key]) == (1,) + np.shape(value), key
+            assert np.array_equal(batch[key][i], value) and np.array_equal(row[key][0], value), key
+        for key, value in _jet_layout(field, tuple(p)).items():
+            assert np.array_equal(np.asarray(value), one[key]), key
+
+
 def _normalized_type4(c_fn, fibre_range):
     """type4_normalize of the Trkalian type-4 fibration with c = c_fn on flat R^3."""
     h = con.flat3()

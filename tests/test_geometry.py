@@ -284,9 +284,10 @@ def test_split_reconstructs_two_form():
 @pytest.mark.parametrize("orientation", [1, -1])
 def test_report_weyl_norms_equal_the_public_split(g, orientation):
     """curvature_report takes the Weyl norm and the W+/W- split from one
-    operator; each equals its own route bit for bit, on a batch of points."""
+    operator; each equals its own route bit for bit, on a batch of points.
+    The report splits W by the chart's orientation."""
     pts = np.array(sample_points(g.chart, 3, seed=23))
-    rep = geo.curvature_report(g, pts, orientation)
+    rep = geo.curvature_report(g if orientation == 1 else g.flipped(), pts)
     gv = geo.metric_point(g, pts)[0]
     E = geo.orthonormal_frame(gv)
     _, _, wp, wm = geo.sd_asd_split(rep.weyl_low, gv, orientation)

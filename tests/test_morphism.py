@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdharm import constructions as con, geometry as geo, jets, morphism as mor, weyl3
+from sdharm import cli, constructions as con, geometry as geo, jets, morphism as mor, weyl3
 from sdharm.errors import NotHorizontallyConformalError
 
 
@@ -547,3 +547,20 @@ def test_morphism_contracts_at_most_two_operands_per_einsum():
                   or isinstance(node.func, ast.Name) and node.func.id == "_d_einsum")]
     assert len(specs) >= 10
     assert [spec for spec in specs if spec.split("->")[0].count(",") >= 2] == []
+
+
+# geometry's jet-to-array boundary: the helpers that know a batch jet's layout
+_JET_LAYOUT = {("geo", "_lead"), ("geo", "_at"), ("geo", "_jets_at"), ("geo", "_is_batch"),
+               ("jets", "seed_all")}
+
+
+@pytest.mark.parametrize("module", [mor, weyl3, cli], ids=lambda m: m.__name__)
+def test_only_geometry_reads_the_jet_layout(module):
+    """morphism, weyl3 and cli read fields through their point-first
+    ``arrays`` and ``values``: they call none of geometry's jet-to-array
+    helpers, seed no jets, and read no jet's value, grad or hess."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    found = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and (node.attr in ("value", "grad", "hess")
+                  or isinstance(node.value, ast.Name) and (node.value.id, node.attr) in _JET_LAYOUT)]
+    assert found == []
