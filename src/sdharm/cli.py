@@ -20,6 +20,7 @@ import inspect
 import io
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -27,7 +28,6 @@ import time
 from typing import Callable, NamedTuple
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import __version__
 from . import constructions as con
@@ -133,40 +133,130 @@ def load_scene(path):
 
 def validate_scene(scene):
     """Raise a UsageError at the first schema violation."""
-    _validate(_scene_validator(), scene)
+    _validate(SCENE_SCHEMA, scene)
     return scene
 
 
-@functools.cache
-def _scene_validator():
-    """SCENE_SCHEMA compiled, on the first validation."""
-    return Draft202012Validator(SCENE_SCHEMA)
-
-
-def _validate(validator, instance, keys=()):
+def _validate(schema, instance, keys=()):
     """Raise a UsageError at the first violation in ``instance``, which sits at
-    the slot ``keys`` of a scene."""
-    errors = sorted(validator.iter_errors(instance), key=lambda e: list(e.absolute_path))
-    if errors:
-        pointer = "/" + "/".join(str(p) for p in [*keys, *errors[0].absolute_path])
-        raise UsageError(f"scene invalid at {pointer}: {errors[0].message}")
+    the slot ``keys`` of a scene: of the violations at the least path, the
+    first found, as jsonschema's Draft 2020-12 validator reports it."""
+    found = []
+    _walk(schema, instance, (), found)
+    if found:
+        path, message = min(found, key=lambda e: e[0])
+        pointer = "/" + "/".join(str(p) for p in [*keys, *path])
+        raise UsageError(f"scene invalid at {pointer}: {message}")
+
+
+def _walk(schema, value, path, found):
+    """Append (path, message) of each violation of ``schema`` by ``value`` to
+    ``found``, in the order jsonschema finds them: keywords, and
+    ``properties``, in the order the schema lists them.  A keyword without a
+    check in _KEYWORDS raises."""
+    for keyword, arg in schema.items():
+        check = _KEYWORDS.get(keyword)
+        if check is None:
+            raise ValueError(f"scene schema keyword {keyword!r} is not supported")
+        message = check(arg, value, schema, path, found)
+        if message is not None:
+            found.append((path, message))
+
+
+def _is_number(value):
+    """A JSON number; a boolean is not one, though Python counts it as an int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# The types of SCENE_SCHEMA, as jsonschema's Draft 2020-12 reads them: a
+# boolean is not a number, and a float with no fraction is an integer.
+_JSON_TYPES = {
+    "object": lambda v: isinstance(v, dict), "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str), "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer())}
+
+
+def _json_equal(value, scalar):
+    """JSON equality with a string or number of the schema: ``True != 1``,
+    while ``1.0 == 1``."""
+    return value == scalar and isinstance(value, bool) == isinstance(scalar, bool)
+
+
+def _size(kind, beyond, edge, at_edge, otherwise):
+    """minItems or maxItems (``kind`` list), minProperties or maxProperties
+    (dict): the value's length is ``beyond`` the keyword's bound."""
+    return lambda n, v, *_: (f"{v!r} {at_edge if n == edge else otherwise}"
+                             if isinstance(v, kind) and beyond(len(v), n) else None)
+
+
+def _properties(properties, value, schema, path, found):
+    if isinstance(value, dict):
+        for key, sub in properties.items():
+            if key in value:
+                _walk(sub, value[key], path + (key,), found)
+
+
+def _additional(extra, value, schema, path, found):
+    if not isinstance(value, dict):
+        return
+    keys = sorted((k for k in value if k not in schema.get("properties", {})), key=str)
+    if isinstance(extra, dict):
+        for key in keys:
+            _walk(extra, value[key], path + (key,), found)
+    elif extra is False and keys:
+        return (f"Additional properties are not allowed ({', '.join(map(repr, keys))} "
+                f"{'was' if len(keys) == 1 else 'were'} unexpected)")
+
+
+def _required(names, value, schema, path, found):
+    if isinstance(value, dict):
+        found += [(path, f"{n!r} is a required property") for n in names if n not in value]
+
+
+def _items(sub, value, schema, path, found):
+    if isinstance(value, list):
+        for index, item in enumerate(value):
+            _walk(sub, item, path + (index,), found)
+
+
+# The keywords SCENE_SCHEMA may use.  check(arg, value, schema, path, found)
+# returns the message of a violation at ``path``, or None; a keyword that
+# descends, or that finds several (required), appends to ``found`` itself.
+# None of them ties two slots together (as uniqueItems does) or picks among
+# subschemas (oneOf, $ref, ...), so a sweep's slot_validator may check the
+# swept slot alone.
+_KEYWORDS = {
+    "type": lambda t, v, *_: None if _JSON_TYPES[t](v) else f"{v!r} is not of type {t!r}",
+    "const": lambda c, v, *_: None if _json_equal(v, c) else f"{c!r} was expected",
+    "enum": lambda e, v, *_: (None if any(_json_equal(v, x) for x in e)
+                              else f"{v!r} is not one of {e!r}"),
+    "minimum": lambda m, v, *_: (f"{v!r} is less than the minimum of {m!r}"
+                                 if _is_number(v) and v < m else None),
+    "properties": _properties,
+    "additionalProperties": _additional,
+    "required": _required,
+    "minProperties": _size(dict, operator.lt, 1, "should be non-empty",
+                           "does not have enough properties"),
+    "maxProperties": _size(dict, operator.gt, 0, "is expected to be empty",
+                           "has too many properties"),
+    "items": _items,
+    "minItems": _size(list, operator.lt, 1, "should be non-empty", "is too short"),
+    "maxItems": _size(list, operator.gt, 0, "is expected to be empty", "is too long"),
+}
 
 
 def slot_validator(keys):
     """A check of one value put at the slot ``keys`` of a valid scene, against
-    the subschema there (found by walking ``properties`` and ``items``,
-    compiled once).  It raises what ``validate_scene`` of the edited scene
-    raises, pointer and message included, while no keyword of SCENE_SCHEMA
-    ties slots together (``uniqueItems``) or picks among subschemas
-    (``oneOf``, ``$ref``, ...)."""
+    the subschema there (found by walking ``properties`` and ``items``).  It
+    raises what ``validate_scene`` of the edited scene raises, pointer and
+    message included, as no keyword of _KEYWORDS looks past its own slot."""
     schema = SCENE_SCHEMA
     for key in keys:
         if isinstance(key, int):
             schema = schema.get("items", {})
         else:
             schema = schema.get("properties", {}).get(key, schema.get("additionalProperties", {}))
-    validator = Draft202012Validator(schema)
-    return lambda value: _validate(validator, value, keys)
+    return lambda value: _validate(schema, value, keys)
 
 
 def canonical_json(obj):
@@ -206,11 +296,6 @@ def _fibre_scalar(ref):
     if missing:
         raise UsageError(f"{what} needs parameter {missing[0]!r}")
     return factory(**params)(None)
-
-
-def _is_number(value):
-    """A JSON number; a boolean is not one, though Python counts it as an int."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _ref_params(ref, what, names):

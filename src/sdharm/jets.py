@@ -199,17 +199,21 @@ def _map(f, x):
     """f at a float, or at each point of a batch.  A batch calls the same
     scalar function point by point, as numpy's own exp, log and power round
     differently in the last bit: so a batch jet carries exactly the values,
-    gradients and Hessians of its points evaluated one at a time."""
-    if type(x) is float:
-        return f(x)
-    return np.fromiter(map(f, x.tolist()), float, x.size)
+    gradients and Hessians of its points evaluated one at a time.  A value
+    beyond the float range is a singular evaluation."""
+    try:
+        if type(x) is float:
+            return f(x)
+        return np.fromiter(map(f, x.tolist()), float, x.size)
+    except OverflowError:
+        raise SingularEvaluationError(f"{f.__name__} overflows (arg {x!r})") from None
 
 
 def _pow(x, e):
     """x ** e at a float, or at each point of a batch (as ``_map``)."""
-    if type(x) is float:
-        return x ** e
-    return np.fromiter((t ** e for t in x.tolist()), float, x.size)
+    def pow(t):
+        return t ** e
+    return _map(pow, x)
 
 
 def everywhere(cond):

@@ -1,6 +1,8 @@
 import contextlib
+import copy
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -16,6 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from sdharm import cli, constructions as con, geometry as geo, morphism as mor, weyl3
 from sdharm.errors import DomainError
+
+from test_compare_outputs import load_tool as load_parity_tool
 
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -705,14 +709,19 @@ ALL_SLOTS_SCENE = {
     "tolerances": {"default": 1e-8, "einstein_weyl": 1e-6}, "checks": ["einstein_weyl"]}
 
 
-def _scene_slots():
+def _all_scenes():
+    """Every scenes/*.json by file name, and ALL_SLOTS_SCENE."""
     scenes = {}
     for path in sorted(os.listdir(scene_path(""))):
         with open(scene_path(path)) as fh:
             scenes[path] = json.load(fh)
     scenes["all_slots"] = ALL_SLOTS_SCENE
+    return scenes
+
+
+def _scene_slots():
     return [pytest.param(scene, keys, id=f"{name}:{'.'.join(map(str, keys))}")
-            for name, scene in scenes.items() for keys in _numeric_slots(scene)]
+            for name, scene in _all_scenes().items() for keys in _numeric_slots(scene)]
 
 
 def _verdict(check):
@@ -757,17 +766,101 @@ def _schema_keywords(schema):
     return set(schema).union(*map(_schema_keywords, subs))
 
 
-# The keywords that cli.slot_validator's path walk handles: the two it walks
-# and those whose verdict on a valid scene does not change with the value at
-# one slot below them.  A new keyword (oneOf, anyOf, allOf, if, $ref,
-# patternProperties, uniqueItems, ...) must be handled there and added here.
-SLOT_KEYWORDS = {"properties", "additionalProperties", "items", "type", "const", "enum",
-                 "minimum", "required", "minItems", "maxItems", "minProperties",
-                 "maxProperties"}
-
-
 def test_scene_schema_uses_only_keywords_the_slot_check_handles():
-    assert _schema_keywords(cli.SCENE_SCHEMA) <= SLOT_KEYWORDS
+    """The walker's keyword table is what validation and slot checks handle;
+    a new keyword (oneOf, anyOf, allOf, if, $ref, patternProperties,
+    uniqueItems, ...) must be added there, where slot checks stay local."""
+    assert _schema_keywords(cli.SCENE_SCHEMA) <= set(cli._KEYWORDS)
+
+
+def test_a_schema_keyword_the_walker_lacks_raises(monkeypatch):
+    """A schema edit the walker cannot check fails every validation that
+    reaches it, instead of passing unchecked."""
+    monkeypatch.setitem(cli.SCENE_SCHEMA["properties"], "schema",
+                        {"oneOf": [{"const": 1}, {"const": 2}]})
+    with pytest.raises(ValueError, match="keyword 'oneOf' is not supported"):
+        cli.load_scene(scene_path("flat_product.json"))
+
+
+MUTANT_VALUES = [0, 1, -1, 0.5, 1e300, "abc", True, None, [], [1, 2, 3], {}]
+
+
+def _places(node, keys=()):
+    """The keys of every value in a scene, the scene's own () first."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    return [keys] + [k for key, value in items for k in _places(value, keys + (key,))]
+
+
+@st.composite
+def _mutants(draw):
+    """A scene with one to three edits: a value replaced from MUTANT_VALUES, a
+    key deleted, an unknown key added, or an item appended to a list."""
+    scene = copy.deepcopy(draw(st.sampled_from(list(_all_scenes().values()))))
+    for _ in range(draw(st.integers(1, 3))):
+        keys = draw(st.sampled_from(_places(scene)))
+        node = functools.reduce(lambda n, k: n[k], keys, scene)
+        edits = ["replace"] * bool(keys) + ["add"] * isinstance(node, dict)
+        edits += ["delete"] * (isinstance(node, dict) and bool(node))
+        edits += ["append"] * isinstance(node, list)
+        if not edits:
+            continue
+        edit = draw(st.sampled_from(edits))
+        value = copy.deepcopy(draw(st.sampled_from(MUTANT_VALUES)))
+        if edit == "replace":
+            functools.reduce(lambda n, k: n[k], keys[:-1], scene)[keys[-1]] = value
+        elif edit == "add":
+            node[draw(st.sampled_from(["unknown", "extra"]))] = value
+        elif edit == "delete":
+            del node[draw(st.sampled_from(sorted(node)))]
+        else:
+            node.append(value)
+    return scene
+
+
+def _jsonschema_verdict(scene):
+    """The error jsonschema's Draft 2020-12 validator, the walker's oracle,
+    gives first, of its errors sorted by path, as validate_scene words it."""
+    from jsonschema import Draft202012Validator
+    errors = sorted(Draft202012Validator(cli.SCENE_SCHEMA).iter_errors(scene),
+                    key=lambda e: list(e.absolute_path))
+    if not errors:
+        return None
+    pointer = "/" + "/".join(map(str, errors[0].absolute_path))
+    return f"scene invalid at {pointer}: {errors[0].message}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(scene=_mutants())
+def test_validation_reports_the_error_jsonschema_reports_first(scene):
+    assert _verdict(lambda: cli.validate_scene(scene)) == _jsonschema_verdict(scene)
+
+
+PARITY_TOOL = load_parity_tool()
+
+
+@pytest.mark.parametrize("name", list(PARITY_TOOL.INVALID_SCENES))
+def test_each_keyword_violation_reads_as_jsonschema_reads_it(name):
+    """The parity tool's invalid scenes: a violation of each keyword, two at
+    one pointer, an unknown key beside a missing one."""
+    with open(scene_path("type4_berger_ew.json")) as fh:
+        scene = PARITY_TOOL._edited(json.load(fh), PARITY_TOOL.INVALID_SCENES[name])
+    expected = _jsonschema_verdict(scene)
+    assert expected is not None and _verdict(lambda: cli.validate_scene(scene)) == expected
+
+
+def test_loading_scenes_imports_no_jsonschema():
+    """The CLI validates scenes in-package: importing it and loading every
+    scene leaves jsonschema unimported."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import sdharm.cli as cli\n"
+            "for path in sys.argv[2:]: cli.load_scene(path)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    scenes = [scene_path(name) for name in sorted(os.listdir(scene_path("")))]
+    proc = subprocess.run([sys.executable, "-c", code, src, *scenes],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_sweep_step_copies_only_the_swept_path():
@@ -1089,6 +1182,37 @@ def test_a_point_off_the_fibre_range_is_a_domain_error(command, capsys, tmp_path
     assert code == 2
     assert json.loads(out)["domain_errors"] == [
         {"index": 1, "point": points[1], "error": f"point (1.6, 1.2, 2.0, 3.0) {_OUTSIDE}"}]
+
+
+@pytest.mark.parametrize("command", [["report"],
+                                     ["verify", "--checks", "fundamental_eq,twistorial_sd"],
+                                     ["classify"]])
+def test_a_point_whose_metric_overflows_is_a_domain_error(command, capsys, tmp_path):
+    """exp(3 x0) is beyond the float range at x0 = 300: each command names that
+    point in domain_errors and exits 2, where an OverflowError escaped before.
+    report and verify keep the good point's record; classify's fibre samples
+    about it reach x0 = 11, where exp(±33) makes the metric numerically
+    singular, so it names that point too."""
+    points = [[300.0, 0.1, 0.2, 0.3], [1.0, 0.1, 0.2, 0.3]]
+
+    def edit(scene):
+        scene["construction"].update(params={"f": {"name": "fibre_exp", "params": {"rate": 3}}},
+                                     fibre_range=[0, 400])
+        scene["samples"] = {"points": points}
+    path = write_scene(tmp_path, "type2_warped.json", edit)
+    name, *args = command
+    code, out = run_cli([name, path] + args, capsys)
+    assert code == 2
+    rep = json.loads(out)
+    overflow, *others = rep["domain_errors"]
+    assert overflow["index"] == 0 and overflow["point"] == points[0]
+    assert re.fullmatch(r"exp overflows \(arg \d+\.0\) at point \(\d+\.0, 0\.1, 0\.2, 0\.3\)",
+                        overflow["error"])
+    if name == "classify":
+        assert [(e["index"], e["error"].split(" at ")[0]) for e in others] == \
+            [(1, "metric is singular")]
+    else:
+        assert others == [] and all(c["pass"] for c in rep["records"][1]["checks"].values())
 
 
 def test_a_failing_hold_raises_the_first_point_that_fails_alone(tmp_path):

@@ -102,6 +102,15 @@ def test_log_domain_violation():
         jets.log(jets.seed((-1.0,), 0))
 
 
+@pytest.mark.parametrize("point", [(1.0,), [(1.0,), (1e3,)]], ids=["point", "batch"])
+@pytest.mark.parametrize("op, name", [(lambda x: jets.exp(800.0 * x), "exp"),
+                                      (lambda x: jets.powc(1e200 * x, 2), "pow")])
+def test_a_value_beyond_the_float_range_is_a_singular_evaluation(op, name, point):
+    """Python's exp and ** raise OverflowError there, which no caller catches."""
+    with pytest.raises(SingularEvaluationError, match=f"^{name} overflows"):
+        op(jets.seed(point, 0))
+
+
 def test_deriv_order_tracking():
     x = jets.seed((1.0, 2.0), 0)
     y = jets.seed((1.0, 2.0), 1)

@@ -16,7 +16,11 @@ process on
   ``sweep`` of the first point's fibre coordinate (``DOMAIN_ERROR_SWEEP``) on
   a scene with points outside its chart (``DOMAIN_ERROR_POINTS``), whose
   ``domain_errors`` and good points come from the per-point fallback;
-- a few sweeps with total-space checks (``SWEEPS``).
+- a few sweeps with total-space checks (``SWEEPS``);
+- ``report`` of each scene of ``INVALID_SCENES``, edits of a valid scene that
+  break the scene schema, and a sweep into an invalid slot
+  (``INVALID_SWEEP``), so every usage-error message of scene validation is
+  recorded.
 
 It keeps each job's exit code (or the exception a command let escape), stdout
 and stderr, with the report
@@ -65,6 +69,33 @@ DOMAIN_ERROR_CHECKS = ("fundamental_eq,twistorial_basic,twistorial_sd,monopole,e
 DOMAIN_ERROR_SWEEP = ["--param", "samples.points.0.0", "--range=0.3:1.5", "--steps", "3",
                       "--checks", DOMAIN_ERROR_CHECKS]
 
+# Edits of type4_berger_ew.json, each a list of (keys, value) put in place,
+# or deleted where the value is DELETE: one violation of each keyword of the
+# scene schema, two at one pointer, and an unknown key beside a missing one.
+DELETE = object()
+INVALID_SCENES = {
+    "type": [(("checks",), "twistorial_sd")],
+    "type_integer": [(("samples", "random", "seed"), 2.5)],
+    "const": [(("schema",), 2)],
+    "enum": [(("orientation",), 0)],
+    "minimum": [(("samples", "random", "count"), 0)],
+    "properties": [(("base", "name"), 3)],
+    "additionalProperties": [(("construction", "colour"), 1)],
+    "additionalProperties_three": [(("construction", k), 1) for k in ("colour", "alpha", "shape")],
+    "additionalProperties_schema": [(("tolerances",), {"default": "tight"})],
+    "required": [(("construction", "family"), DELETE)],
+    "minProperties": [(("samples",), {})],
+    "maxProperties": [(("samples", "points"), [[0.5, 1.2, 2.0, 3.0]])],
+    "items": [(("checks",), ["twistorial_sd", 1])],
+    "minItems": [(("samples",), {"points": []})],
+    "minItems_two": [(("construction", "fibre_range"), [0.5])],
+    "maxItems": [(("construction", "fibre_range"), [-1.0, 0.0, 1.0])],
+    "two_at_one_pointer": [(("samples", "colour"), 1)],
+    "unknown_key_missing_samples": [(("colour",), 1), (("samples",), DELETE)],
+}
+INVALID_SWEEP = ["--param", "samples.random.count", "--range=0:1", "--steps", "2",
+                 "--checks", "twistorial_sd"]
+
 _TIMESTAMP = re.compile(r'"timestamp":"[^"]*"')
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
 # as it reads in the JSON text of a record, where stdout's quotes are escaped
@@ -89,6 +120,20 @@ def _run(cli, command, scene, args, tmp):
             code = f"uncaught {type(exc).__name__}: {exc}"
     return {"code": code, "stdout": _TIMESTAMP.sub('"timestamp":"-"', out.getvalue()),
             "stderr": err.getvalue()}
+
+
+def _edited(scene, edits):
+    """A deep copy of ``scene`` with each (keys, value) of ``edits`` made."""
+    scene = json.loads(json.dumps(scene))
+    for keys, value in edits:
+        node = scene
+        for k in keys[:-1]:
+            node = node[k]
+        if value is DELETE:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
+    return scene
 
 
 def _jobs(root, cli):
@@ -116,6 +161,10 @@ def _jobs(root, cli):
         args = ["--param", param, f"--range={span}", "--steps", str(steps), "--checks", checks]
         args += ["--locate", locate[0]] if locate else []
         yield f"sweep/{name}/{' '.join(args)}", "sweep", scenes[name], args
+    valid = scenes["type4_berger_ew.json"]
+    for name, edits in INVALID_SCENES.items():
+        yield f"invalid/{name}/report", "report", _edited(valid, edits), []
+    yield f"invalid/sweep/{' '.join(INVALID_SWEEP)}", "sweep", valid, INVALID_SWEEP
 
 
 def dump(root, out):
