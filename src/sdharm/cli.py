@@ -610,12 +610,15 @@ def _check_records(columns, tolerance, gated=None):
     given, is informational and always passes."""
     entries = []
     for name, (raw, scale) in columns.items():
-        raw = np.array(raw, dtype=float, ndmin=1)
-        normalized = np.abs(raw) / (1.0 + scale)
-        gate = gated is None or name in gated
-        passed = (normalized < tolerance(name)).tolist() if gate else [True] * len(raw)
-        entries.append([{"raw": r, "normalized": n, "pass": p}
-                        for r, n, p in zip(raw.tolist(), normalized.tolist(), passed)])
+        if np.size(raw) == 1:       # one point: plain floats, which round as numpy's do
+            raw = [float(np.asarray(raw).item())]
+            normalized = [abs(raw[0]) / (1.0 + float(np.asarray(scale).item()))]
+        else:
+            normalized = (np.abs(raw) / (1.0 + scale)).tolist()
+            raw = np.asarray(raw, dtype=float).tolist()
+        tol = tolerance(name) if gated is None or name in gated else None
+        entries.append([{"raw": r, "normalized": n, "pass": tol is None or n < tol}
+                        for r, n in zip(raw, normalized)])
     return [dict(zip(columns, point)) for point in zip(*entries)]
 
 

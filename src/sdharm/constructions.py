@@ -57,9 +57,9 @@ class FibredMetric(geo.MetricField):
     ``fn`` is the definition in jet arithmetic; the symbolic oracle and
     ``values`` read it.  ``arrays`` evaluates each part once, at a point or a
     batch: A and theta as jets, h's jets at the base points through
-    ``geo.metric_jets``.  It then forms (g, dg, ddg) by the order-2 product
-    rule on arrays (``_product``): A h fills the 3x3 base block, and the fibre
-    row and column come from A^-1 theta (x) theta alone.  The products and
+    ``geo.metric_jets``.  It then forms g by the jets' own product rule on
+    component jets (``jets.stack``): A h fills the 3x3 base block, and the
+    fibre row and column come from A^-1 theta (x) theta alone.  The products and
     sums are those of ``fn`` in its order, so the arrays equal those of
     ``geo.metric_jets`` of ``fn`` bit for bit (the sign of a zero aside).
     """
@@ -91,62 +91,23 @@ class FibredMetric(geo.MetricField):
         axis first, in the layout of ``geo.MetricField.arrays`` (a one-row batch
         in scalar jets, by geometry's one-row rule)."""
         at, coords, (A, Ainv, th) = geo._jets_at(self.chart, self._parts, point)
-        batch = geo._is_batch(at)
-        n = np.shape(coords[0].value)
-        A = _stacked([coords[0].coerce(A)], (1, 1), n)
-        Ainv = _stacked([coords[0].coerce(Ainv)], (1,), n)
-        th = _stacked([coords[0].coerce(t) for t in th], (4,), n)
-        hv, dh3, ddh3 = _stacked([j for row in geo.metric_jets(
-            self.h, at[:, 1:] if batch else at[1:]) for j in row], (3, 3), n)
-        # h has no fibre derivatives: its derivative axes gain a zero slot 0
-        dh, ddh = np.zeros((4, 3, 3) + n), np.zeros((4, 4, 3, 3) + n)
-        dh[1:], ddh[1:, 1:] = dh3, ddh3
-        h = (hv, dh, ddh)
-
-        T = _product(Ainv, th)                                          # A^-1 theta_a
-        g = _product(_shaped(T, (4, 1), n), _shaped(th, (1, 4), n))   # (A^-1 theta_a) theta_b
-        Ah = _product(A, h)
-        g[0][1:, 1:] += Ah[0]
-        g[1][:, 1:, 1:] += Ah[1]
-        g[2][:, :, 1:, 1:] += Ah[2]
-
-        gv = g[0]
-        asym = np.abs(gv - gv.swapaxes(0, 1)) > 1e-12 * (1.0 + np.abs(gv))
-        asym = np.triu(asym.any(axis=-1) if batch else asym, 1)
-        if asym.any():
-            a, b = np.argwhere(asym)[0]
-            raise SingularEvaluationError(
-                f"metric {self.name} not symmetric in components ({a},{b})", point=at)
+        th = [coords[0].coerce(t) for t in th]
+        hj = geo.metric_jets(self.h, at[:, 1:] if geo._is_batch(at) else at[1:])
+        # (A^-1 theta_a) theta_b, then A h on the base block, which h's lift
+        # to the total chart gives zero fibre derivatives
+        g = (jets.stack([coords[0].coerce(Ainv)], (1, 1)) * jets.stack(th, (4, 1))
+             * jets.stack(th, (1, 4)))
+        Ah = jets.stack([coords[0].coerce(A)], (1, 1)) * jets.stack(
+            [j for row in hj for j in row], (3, 3), dim=4)
+        gv, dg, ddg = g.value, g.grad, g.hess
+        gv[1:, 1:] += Ah.value
+        dg[:, 1:, 1:] += Ah.grad
+        ddg[:, :, 1:, 1:] += Ah.hess
+        geo._require_symmetric(gv, self.name, at)
         # the layout of geo.metric_jets' arrays: component axes, derivative axes, points
-        out = (gv, np.ascontiguousarray(np.moveaxis(g[1], 0, 2)),
-               np.ascontiguousarray(np.moveaxis(g[2], (0, 1), (2, 3))))
+        out = (gv, np.ascontiguousarray(np.moveaxis(dg, 0, 2)),
+               np.ascontiguousarray(np.moveaxis(ddg, (0, 1), (2, 3))))
         return tuple(geo._lead(x, point) for x in out)
-
-
-def _product(x, y):
-    """The order-2 product rule of ``Jet.__mul__``, in its order of operations,
-    on (value, grad, hess) arrays laid out as a jet's, the derivative axes in
-    front and a batch's point axis last, with component axes between them that
-    broadcast."""
-    (v, d, dd), (w, e, ee) = x, y
-    cross = d[:, None] * e
-    return v * w, v * e + w * d, v * ee + w * dd + cross + cross.swapaxes(0, 1)
-
-
-def _stacked(js, shape, n):
-    """(value, grad, hess) of the jets ``js`` with the component axes ``shape``
-    (``n`` is a batch's point axis, or ())."""
-    d = js[0].dim
-    return (np.reshape([j.value for j in js], shape + n),
-            np.stack([j.grad for j in js], 1).reshape((d,) + shape + n),
-            np.stack([j.hess for j in js], 2).reshape((d, d) + shape + n))
-
-
-def _shaped(x, shape, n):
-    """The arrays ``x`` of ``_stacked`` with their component axes reshaped to ``shape``."""
-    v, d, dd = x
-    return (v.reshape(shape + n), d.reshape(d.shape[:1] + shape + n),
-            dd.reshape(dd.shape[:2] + shape + n))
 
 
 @dataclass
@@ -389,38 +350,27 @@ def conformal_rescale_fibration(fm, w):
 # catalog
 # ---------------------------------------------------------------------------
 
-def _flat3_chart():
-    return geo.Chart(("x", "y", "z"), (-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
-
-
-def _spherical_chart():
-    # avoids the origin and both halves of the polar string axis
-    return geo.Chart(("r", "th", "ph"), (0.1, 0.2, 0.1), (5.0, 2.9, 6.1))
-
-
-def _euler_chart():
-    return geo.Chart(("th", "ps", "ph"), (0.3, 0.1, 0.1), (2.8, 6.0, 6.0))
-
-
-def _delta3(chart):
-    return geo.MetricField(
-        chart, lambda c: [[(1.0 if a == b else 0.0) + 0.0 * c[0] for b in range(3)]
-                          for a in range(3)], "flat3")
+# The catalog's charts, built once: a Chart is frozen, so the fields share them.
+_FLAT3_CHART = geo.Chart(("x", "y", "z"), (-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
+# avoids the origin and both halves of the polar string axis
+_SPHERICAL_CHART = geo.Chart(("r", "th", "ph"), (0.1, 0.2, 0.1), (5.0, 2.9, 6.1))
+_EULER_CHART = geo.Chart(("th", "ps", "ph"), (0.3, 0.1, 0.1), (2.8, 6.0, 6.0))
 
 
 def flat3():
     """Euclidean metric on a Cartesian 3-chart."""
-    return _delta3(_flat3_chart())
+    return geo.MetricField(
+        _FLAT3_CHART, lambda c: [[(1.0 if a == b else 0.0) + 0.0 * c[0] for b in range(3)]
+                                 for a in range(3)], "flat3")
 
 
 def flat3_spherical():
     """Euclidean metric in spherical coordinates (r, th, ph)."""
-    ch = _spherical_chart()
     def fn(c):
         r, th, _ = c
         s = jets.sin(th)
         return [[1.0 + 0 * r, 0, 0], [0, r * r, 0], [0, 0, r * r * s * s]]
-    return geo.MetricField(ch, fn, "flat3_spherical")
+    return geo.MetricField(_SPHERICAL_CHART, fn, "flat3_spherical")
 
 
 def constant_curvature3(k):
@@ -431,7 +381,7 @@ def constant_curvature3(k):
         half = 0.45 * lim
         ch = geo.Chart(("x", "y", "z"), (-half,) * 3, (half,) * 3)
     else:
-        ch = _flat3_chart()
+        ch = _FLAT3_CHART
     def fn(c):
         q = 1.0 + (k / 4.0) * (c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
         w = jets.powc(q, -2)
@@ -443,16 +393,14 @@ def trkalian(sign=1):
     """alpha = cos z dx +- sin z dy on flat R^3; satisfies d alpha = -+ * alpha."""
     if sign not in (1, -1):
         raise DomainError("trkalian sign must be +1 or -1")
-    ch = _flat3_chart()
     return geo.OneFormField(
-        ch, lambda c: [jets.cos(c[2]), float(sign) * jets.sin(c[2]), 0.0 * c[2]],
+        _FLAT3_CHART, lambda c: [jets.cos(c[2]), float(sign) * jets.sin(c[2]), 0.0 * c[2]],
         f"trkalian({sign})")
 
 
 def xdy():
     """alpha = x dy: a generic non-Beltrami control form on flat R^3."""
-    ch = _flat3_chart()
-    return geo.OneFormField(ch, lambda c: [0.0 * c[0], c[0], 0.0 * c[0]], "xdy")
+    return geo.OneFormField(_FLAT3_CHART, lambda c: [0.0 * c[0], c[0], 0.0 * c[0]], "xdy")
 
 
 # The left-invariant coframe (s1, s2, s3) in the Euler chart, one function
@@ -475,8 +423,7 @@ def _euler_s3(c):
 
 def euler_s3_frame():
     """Left-invariant coframe (s1, s2, s3) with d s_i = 2 s_j ^ s_k (cyclic)."""
-    ch = _euler_chart()
-    return tuple(geo.OneFormField(ch, s, f"sigma{i+1}")
+    return tuple(geo.OneFormField(_EULER_CHART, s, f"sigma{i+1}")
                  for i, s in enumerate((_euler_s1, _euler_s2, _euler_s3)))
 
 
@@ -490,19 +437,17 @@ def berger_s3(mu):
     mu = float(mu)
     if mu <= 0:
         raise DomainError("berger parameter mu must be positive")
-    ch = _euler_chart()
     def fn(c):
         s1, s2, s3 = _euler_s1(c), _euler_s2(c), _euler_s3(c)
         return [[s1[a] * s1[b] + s2[a] * s2[b] + (mu * mu) * s3[a] * s3[b]
                  for b in range(3)] for a in range(3)]
-    return geo.MetricField(ch, fn, f"berger_s3({mu})")
+    return geo.MetricField(_EULER_CHART, fn, f"berger_s3({mu})")
 
 
 def berger_lee(scale):
     """alpha = scale * s3 on the Euler chart (d alpha = 2 * scale s1^s2)."""
-    ch = _euler_chart()
     return geo.OneFormField(
-        ch, lambda c: [float(scale) * x for x in _euler_s3(c)],
+        _EULER_CHART, lambda c: [float(scale) * x for x in _euler_s3(c)],
         f"berger_lee({scale})")
 
 
@@ -517,8 +462,7 @@ def berger_ew_scale(mu):
 def gh_potential(m=1.0):
     """u = 1 + m/(2r) on the spherical chart; harmonic away from the centre."""
     m = float(m)
-    ch = _spherical_chart()
-    return geo.ScalarField(ch, lambda c: 1.0 + (m / 2.0) * jets.powc(c[0], -1),
+    return geo.ScalarField(_SPHERICAL_CHART, lambda c: 1.0 + (m / 2.0) * jets.powc(c[0], -1),
                            f"gh_potential({m})")
 
 
@@ -531,9 +475,9 @@ def dirac_A(m=1.0, sign=1):
     m = float(m)
     if sign not in (1, -1):
         raise DomainError("dirac sign must be +1 or -1")
-    ch = _spherical_chart()
     return geo.OneFormField(
-        ch, lambda c: [0.0 * c[0], 0.0 * c[0], (m / 2.0) * (jets.cos(c[1]) - float(sign))],
+        _SPHERICAL_CHART,
+        lambda c: [0.0 * c[0], 0.0 * c[0], (m / 2.0) * (jets.cos(c[1]) - float(sign))],
         f"dirac_A({m},{sign})")
 
 
@@ -567,7 +511,7 @@ def variable_c_background():
     h = c^-2 delta, alpha = trkalian(-1) + d log c.  Satisfies
     d alpha - c * alpha + * dc = 0 with the chart star of h.
     """
-    ch = _flat3_chart()
+    ch = _FLAT3_CHART
 
     def cj(c):
         return 1.0 + 0.5 * jets.sin(c[0])

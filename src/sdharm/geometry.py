@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -207,9 +208,7 @@ class OneFormField:
     def arrays(self, point):
         """(alpha, dalpha) at the point, dalpha[..., b, a] = d_a alpha_b, a batch's
         point axis first."""
-        comps = self.jets(point)
-        return (_lead(np.array([j.value for j in comps]), point),
-                _lead(np.array([j.grad for j in comps]), point))
+        return tuple(_lead(x, point) for x in jets.arrays(self.jets(point), order=1))
 
     def values(self, point):
         return self.arrays(point)[0]
@@ -283,13 +282,20 @@ def metric_jets(g, point):
     coords = jets.seed_all(point)
     comps = _eval_at(g.fn, coords, point)
     out = [[coords[0].coerce(comps[a][b]) for b in range(d)] for a in range(d)]
-    for a in range(d):
-        for b in range(a + 1, d):
-            if jets.anywhere(abs(out[a][b].value - out[b][a].value)
-                             > 1e-12 * (1.0 + abs(out[a][b].value))):
-                raise SingularEvaluationError(
-                    f"metric {g.name} not symmetric in components ({a},{b})", point=point)
+    _require_symmetric(jet_values(out), g.name, point)
     return out
+
+
+def _require_symmetric(v, name, point):
+    """Raise unless the metric components ``v`` (a batch's point axis last)
+    are symmetric, naming the first asymmetric pair (a, b), a < b."""
+    with np.errstate(invalid="ignore"):         # inf - inf is not a finding here
+        asym = np.abs(v - v.swapaxes(0, 1)) > 1e-12 * (1.0 + np.abs(v))
+    asym = np.triu(asym.reshape(asym.shape[:2] + (-1,)).any(-1), 1)
+    if asym.any():
+        a, b = np.argwhere(asym)[0]
+        raise SingularEvaluationError(
+            f"metric {name} not symmetric in components ({a},{b})", point=point)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +309,8 @@ def jet_values(mat):
 def _jet_arrays(mat, point):
     """(values, grads, hessians) of a matrix of jets at the point, with a
     batch's point axis moved from last to first."""
-    return tuple(_lead(x, point) for x in (
-        jet_values(mat), np.array([[m.grad for m in row] for row in mat]),
-        np.array([[m.hess for m in row] for row in mat])))
+    return tuple(_lead(x, point) for x in jets.arrays([m for row in mat for m in row],
+                                                      (len(mat), len(mat))))
 
 
 def _is_batch(point):
@@ -547,14 +552,7 @@ def hodge_star(omega, gv, k, orientation=1, point=None, ginv=None, vol=None):
     up = to_frame(np.asarray(omega, dtype=float), np.linalg.inv(gv) if ginv is None else ginv)
     lead = up.shape[:up.ndim - k]
     out = (up.reshape(lead + (-1,)) @ eps.reshape(n ** k, -1)).reshape(lead + (n,) * (n - k))
-    return out * vol / _factorial(k)
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
+    return out * vol / math.factorial(k)
 
 
 PAIRS4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]

@@ -11,13 +11,20 @@ a jet (``deriv``) shifts grad->value and hess->grad and drops the order by
 one.  Consuming more orders than a jet carries raises immediately instead of
 silently propagating garbage.
 
-A jet may carry N points at once (vector forward mode, Griewank & Walther,
-*Evaluating Derivatives*, ch. 3).  The batch axis comes last: value ``(N,)``,
-grad ``(d, N)``, hess ``(d, d, N)``, so every product and chain rule below
+A jet packs its derivatives into one array of ``d + d*d`` rows, the gradient
+and then the row-major Hessian; ``grad`` and ``hess`` are views of it.  Each
+rule below is one or two numpy calls over the whole array, doing the separate
+gradient and Hessian formulas' operations in their order (vector forward
+mode, Griewank & Walther, *Evaluating Derivatives*, ch. 3 and 13).
+
+A jet may carry N points at once.  The batch axis comes last: value ``(N,)``,
+grad ``(d, N)``, hess ``(d, d, N)``, so every product and chain rule
 broadcasts unchanged.  Seeding an ``(N, d)`` array of points gives batch
 jets; a single point gives the scalar jets, with a float value.  Each entry
 of a batch jet equals, bit for bit, the jet of its point alone.  A domain
-test fails the whole batch if it fails at any point.
+test fails the whole batch if it fails at any point.  ``stack`` puts jets on
+component axes before the batch axis, where the rules act entry by entry, and
+``arrays`` reads jets out as plain arrays: no other module reads the packing.
 """
 
 from __future__ import annotations
@@ -33,6 +40,8 @@ __all__ = [
     "seed",
     "seed_all",
     "constant",
+    "stack",
+    "arrays",
     "exp",
     "log",
     "sin",
@@ -53,35 +62,34 @@ class Jet:
 
     ``order`` is the number of derivative levels that are valid: 2 for a
     freshly seeded coordinate, 1 after one ``deriv``, 0 after two.  The hess
-    array of an order-1 jet is allocated but meaningless; reading it raises.
+    rows of an order-1 jet are allocated but meaningless; reading them raises.
     """
 
-    __slots__ = ("value", "_grad", "_hess", "order")
+    __slots__ = ("value", "_d", "order")
 
-    def __init__(self, value, grad, hess, order=2):
+    def __init__(self, value, d, order=2):
         # a float, or a batch's array; the exact type test is the cheap one
         if type(value) is not float and not isinstance(value, np.ndarray):
             value = float(value)
         self.value = value
-        self._grad = np.asarray(grad, dtype=float)
-        self._hess = np.asarray(hess, dtype=float)
+        self._d = d
         self.order = order
 
     @property
     def dim(self):
-        return self._grad.shape[0]
+        return math.isqrt(len(self._d))          # d*d <= d + d*d < (d+1)**2
 
     @property
     def grad(self):
         if self.order < 1:
             raise SingularEvaluationError("jet gradient consumed beyond carried order")
-        return self._grad
+        return self._d[:self.dim]
 
     @property
     def hess(self):
         if self.order < 2:
             raise SingularEvaluationError("jet Hessian consumed beyond carried order")
-        return self._hess
+        return _hess_rows(self._d, self.dim)
 
     # -- composition helpers -------------------------------------------------
 
@@ -92,41 +100,38 @@ class Jet:
         value = float(other)
         if type(self.value) is not float:       # one value per point of the batch
             value = np.full(self.value.shape, value)
-        return Jet(value, np.zeros(self._grad.shape), np.zeros(self._hess.shape), self.order)
+        return Jet(value, np.zeros(self._d.shape), self.order)
 
     def deriv(self, axis):
         """Partial derivative along ``axis`` as a jet one order lower."""
         if self.order < 1:
             raise SingularEvaluationError("cannot differentiate an order-0 jet")
-        return Jet(self._grad[axis], self._hess[axis], np.zeros(self._hess.shape),
-                   self.order - 1)
+        d = self.dim
+        out = np.zeros(self._d.shape)
+        out[:d] = self._d[d + axis * d:2 * d + axis * d]     # row ``axis`` of the Hessian
+        return Jet(self._d[axis], out, self.order - 1)
 
     def is_finite(self):
-        v = self.value
-        if not (math.isfinite(v) if type(v) is float else np.isfinite(v).all()):
-            return False
-        if self.order >= 1 and not np.all(np.isfinite(self._grad)):
-            return False
-        if self.order >= 2 and not np.all(np.isfinite(self._hess)):
-            return False
-        return True
+        v, rows = self.value, len(self._d) if self.order >= 2 else self.dim * self.order
+        return bool((math.isfinite(v) if type(v) is float else np.isfinite(v).all())
+                    and np.isfinite(self._d[:rows]).all())
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
-        o = self.coerce(other)
-        return Jet(self.value + o.value, self._grad + o._grad, self._hess + o._hess,
-                   min(self.order, o.order))
+        if isinstance(other, Jet):
+            return Jet(self.value + other.value, self._d + other._d, min(self.order, other.order))
+        return Jet(self.value + float(other), self._d + 0.0, self.order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.value, -self._grad, -self._hess, self.order)
+        return Jet(-self.value, -self._d, self.order)
 
     def __sub__(self, other):
-        o = self.coerce(other)
-        return Jet(self.value - o.value, self._grad - o._grad, self._hess - o._hess,
-                   min(self.order, o.order))
+        if isinstance(other, Jet):
+            return Jet(self.value - other.value, self._d - other._d, min(self.order, other.order))
+        return Jet(self.value - float(other), self._d - 0.0, self.order)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -137,14 +142,15 @@ class Jet:
         if not isinstance(other, Jet):
             per_point = isinstance(other, np.ndarray) and other.shape == np.shape(self.value)
             c = other if per_point else float(other)
-            return Jet(self.value * c, self._grad * c, self._hess * c, self.order)
-        cross = self._grad[:, None] * other._grad
-        return Jet(
-            self.value * other.value,
-            self.value * other._grad + other.value * self._grad,
-            self.value * other._hess + other.value * self._hess + cross + cross.swapaxes(0, 1),
-            min(self.order, other.order),
-        )
+            return Jet(self.value * c, self._d * c, self.order)
+        v, w, D, E = self.value, other.value, self._d, other._d
+        d = math.isqrt(len(D))
+        out = v * E + w * D
+        cross = D[:d, None] * E[:d]
+        hess = out[d:].reshape(cross.shape)         # a view, as in _hess_rows
+        hess += cross
+        hess += cross.swapaxes(0, 1)
+        return Jet(v * w, out, min(self.order, other.order))
 
     __rmul__ = __mul__
 
@@ -166,33 +172,74 @@ class Jet:
         return powc(self, p)
 
     def __repr__(self):
-        return f"Jet({self.value!r}, grad={self._grad!r}, order={self.order})"
+        return f"Jet({self.value!r}, grad={self._d[:self.dim]!r}, order={self.order})"
+
+
+def _hess_rows(D, d):
+    """The Hessian rows of packed derivatives ``D`` as a ``(d, d, ...)`` view:
+    every jet's ``D`` is C-contiguous, so an in-place update writes through."""
+    return D[d:].reshape((d, d) + D.shape[1:])
 
 
 def constant(value, dim, order=2):
     """Jet of a constant scalar on a ``dim``-dimensional chart."""
-    return Jet(value, np.zeros(dim), np.zeros((dim, dim)), order)
+    return Jet(value, np.zeros(dim + dim * dim), order)
 
 
 def seed(point, axis):
     """Jet of the coordinate function ``x^axis`` at ``point``, or a batch jet
     at the rows of an ``(N, d)`` array of points."""
-    point = np.asarray(point, dtype=float)
-    d = point.shape[-1]
-    if not 0 <= axis < d:
-        raise ValueError(f"axis {axis} out of range for a {d}-dimensional point")
-    batch = point.shape[:-1]
-    g = np.zeros((d,) + batch)
-    g[axis] = 1.0
-    value = point[..., axis] if batch else float(point[axis])
-    return Jet(value, g, np.zeros((d, d) + batch))
+    coords = seed_all(point)
+    if not 0 <= axis < len(coords):
+        raise ValueError(f"axis {axis} out of range for a {len(coords)}-dimensional point")
+    return coords[axis]
 
 
 def seed_all(point):
     """All coordinate jets at ``point`` (or an ``(N, d)`` batch of points),
-    ready to feed into a field closure."""
+    ready to feed into a field closure; their derivatives are the rows of one
+    zero block."""
     point = np.asarray(point, dtype=float)
-    return [seed(point, a) for a in range(point.shape[-1])]
+    d, batch = point.shape[-1], point.shape[:-1]
+    n = d + d * d
+    block = np.zeros((d, n) + batch)
+    block.reshape((d * n,) + batch)[::n + 1] = 1.0          # block[a, a] = 1
+    values = [point[..., a] for a in range(d)] if batch else point.tolist()
+    return [Jet(v, D) for v, D in zip(values, block)]
+
+
+def stack(js, shape, dim=None):
+    """One jet of the jets ``js`` (of one chart and batch) on the component
+    axes ``shape``, which jets of equal component rank broadcast; grad is
+    ``(d,) + shape + batch``.  With ``dim``, the jets are lifted to the last
+    coordinates of a ``dim``-chart, with zero derivatives along the others."""
+    D = np.stack([j._d for j in js], 1)
+    d, batch = math.isqrt(len(D)), D.shape[2:]
+    value = np.array([j.value for j in js]).reshape(shape + batch)
+    if dim is not None:
+        lead, lifted = dim - d, np.zeros((dim + dim * dim,) + D.shape[1:])
+        lifted[lead:dim] = D[:d]
+        _hess_rows(lifted, dim)[lead:, lead:] = _hess_rows(D, d)
+        D = lifted
+    return Jet(value, D.reshape((len(D),) + shape + batch), min(j.order for j in js))
+
+
+def arrays(js, shape=None, order=2):
+    """(value, grad, hess) of the jets ``js`` (of one chart and one batch) as
+    C-contiguous arrays: the component axes ``shape`` (default
+    ``(len(js),)``) first, then the derivative axes, then a batch's point
+    axis.  ``order=1`` leaves out hess."""
+    low = min([j.order for j in js])
+    if low < order:
+        raise SingularEvaluationError(
+            f"jet {'gradient' if low < 1 else 'Hessian'} consumed beyond carried order")
+    d, batch = math.isqrt(len(js[0]._d)), js[0]._d.shape[1:]
+    shape = (len(js),) if shape is None else shape
+    out = (np.array([j.value for j in js]).reshape(shape + batch),
+           np.array([j._d[:d] for j in js]).reshape(shape + (d,) + batch))
+    if order == 2:
+        out += (np.array([j._d[d:] for j in js]).reshape(shape + (d, d) + batch),)
+    return out
 
 
 def _map(f, x):
@@ -230,9 +277,13 @@ def anywhere(cond):
 
 def _chain(a, f, fp, fpp):
     """Order-2 chain rule f(a) given f, f', f'' at a.value."""
-    g = a._grad
-    outer = g[:, None] * g
-    return Jet(f, fp * g, fp * a._hess + fpp * outer, a.order)
+    D = a._d
+    d = math.isqrt(len(D))
+    g = D[:d]
+    out = fp * D
+    hess = _hess_rows(out, d)
+    hess += fpp * (g[:, None] * g)
+    return Jet(f, out, a.order)
 
 
 def _domain(cond, name, a):

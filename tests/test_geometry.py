@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import sympy
@@ -445,3 +447,24 @@ def test_domain_violation_raises():
     g = flat(chart3())
     with pytest.raises(DomainError):
         geo.curvature_report(g, (5.0, 0.0, 0.0))
+
+
+def test_an_asymmetric_metric_names_its_first_pair():
+    """metric_jets names the first asymmetric pair (a, b), a < b, in row-major
+    order: at a point, and on a batch whose points are asymmetric in
+    different pairs."""
+    ch = geo.Chart(("x", "y", "z", "w"), (-1.0,) * 4, (1.0,) * 4)
+
+    def fn(c):
+        x = c[0]
+        g = [[(1.0 if a == b else 0.0) + 0.0 * x for b in range(4)] for a in range(4)]
+        g[2][3] = g[2][3] + 1e-3                     # asymmetric everywhere
+        g[1][2] = g[1][2] + 1e-3 * (x - 0.5)         # asymmetric off x = 0.5
+        return g
+
+    g = geo.MetricField(ch, fn, "skew")
+    for point, pair in (((0.5, 0.0, 0.0, 0.0), "(2,3)"), ((0.1, 0.0, 0.0, 0.0), "(1,2)"),
+                        (np.array([[0.5, 0.0, 0.0, 0.0], [0.1, 0.2, 0.0, 0.0]]), "(1,2)")):
+        with pytest.raises(SingularEvaluationError,
+                           match=re.escape(f"metric skew not symmetric in components {pair}")):
+            geo.metric_jets(g, point)

@@ -209,3 +209,249 @@ def test_singular_error_carries_point_through_fields():
     with pytest.raises(SingularEvaluationError) as err:
         f.jet((0.0, 1.0))
     assert err.value.point == (0.0, 1.0)
+
+
+# -- the separate value/gradient/Hessian formulas that the packed jet replaced,
+# as an oracle: each operation must give their results bit for bit ----------
+
+def _jet(value, grad, hess):
+    """A jet of the given value, gradient and Hessian (of any symmetry)."""
+    d = len(grad)
+    return jets.Jet(value, np.concatenate([grad, hess.reshape((d * d,) + grad.shape[1:])]))
+
+
+def _each(f, v):
+    """f at a float, or at each point of a batch."""
+    return f(v) if type(v) is float else np.array([f(t) for t in v.tolist()])
+
+
+def _o_chain(x, f, fp, fpp):
+    v, g, H = x
+    outer = g[:, None] * g
+    return f, fp * g, fp * H + fpp * outer
+
+
+def _o_mul(x, y):
+    (v, g, H), (w, e, E) = x, y
+    cross = g[:, None] * e
+    return v * w, v * e + w * g, v * E + w * H + cross + cross.swapaxes(0, 1)
+
+
+def _o_const(x, c):
+    """The constant c shaped like x, as ``Jet.coerce`` built it."""
+    v, g, H = x
+    return (c if type(v) is float else np.full(v.shape, c)), np.zeros(g.shape), np.zeros(H.shape)
+
+
+def _o_add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def _o_sub(x, y):
+    return tuple(a - b for a, b in zip(x, y))
+
+
+def _o_neg(x):
+    return tuple(-a for a in x)
+
+
+def _o_scale(x, c):
+    return tuple(a * c for a in x)
+
+
+def _o_recip(x):
+    r = 1.0 / x[0]
+    return _o_chain(x, r, -r * r, 2.0 * r * r * r)
+
+
+def _o_powc(x, p):
+    v = x[0]
+    if p == int(p):
+        n = int(p)
+        return _o_chain(x, _each(lambda t: t ** n, v),
+                        n * _each(lambda t: t ** (n - 1), v) if n != 0 else 0.0,
+                        n * (n - 1) * _each(lambda t: t ** (n - 2), v) if n not in (0, 1) else 0.0)
+    f = _each(lambda t: t ** p, v)
+    return _o_chain(x, f, p * f / v, p * (p - 1.0) * f / (v * v))
+
+
+def _o_exp(x):
+    f = _each(math.exp, x[0])
+    return _o_chain(x, f, f, f)
+
+
+def _o_sin(x):
+    s, c = _each(math.sin, x[0]), _each(math.cos, x[0])
+    return _o_chain(x, s, c, -s)
+
+
+def _o_cos(x):
+    s, c = _each(math.sin, x[0]), _each(math.cos, x[0])
+    return _o_chain(x, c, -s, -c)
+
+
+def _o_sqrt(x):
+    r = _each(math.sqrt, x[0])
+    return _o_chain(x, r, 0.5 / r, -0.25 / (r * x[0]))
+
+
+_C = 1.7
+# (new operation on jets, the old formulas on (value, grad, hess) triples)
+_OPS = {
+    "add": (lambda a, b: a + b, _o_add),
+    "sub": (lambda a, b: a - b, _o_sub),
+    "mul": (lambda a, b: a * b, _o_mul),
+    "div": (lambda a, b: a / b, lambda x, y: _o_mul(x, _o_recip(y))),
+    "add_number": (lambda a, b: a + _C, lambda x, y: _o_add(x, _o_const(x, _C))),
+    "radd_number": (lambda a, b: _C + a, lambda x, y: _o_add(x, _o_const(x, _C))),
+    "sub_number": (lambda a, b: a - _C, lambda x, y: _o_sub(x, _o_const(x, _C))),
+    "rsub_number": (lambda a, b: _C - a, lambda x, y: _o_add(_o_neg(x), _o_const(x, _C))),
+    "mul_number": (lambda a, b: a * _C, lambda x, y: _o_scale(x, _C)),
+    "rmul_number": (lambda a, b: _C * a, lambda x, y: _o_scale(x, _C)),
+    "div_number": (lambda a, b: a / _C, lambda x, y: _o_scale(x, 1.0 / _C)),
+    "rdiv_number": (lambda a, b: _C / a, lambda x, y: _o_scale(_o_recip(x), _C)),
+    "neg": (lambda a, b: -a, lambda x, y: _o_neg(x)),
+    "reciprocal": (lambda a, b: a.reciprocal(), lambda x, y: _o_recip(x)),
+    "exp": (lambda a, b: jets.exp(a), lambda x, y: _o_exp(x)),
+    "log": (lambda a, b: jets.log(a),
+            lambda x, y: _o_chain(x, _each(math.log, x[0]), 1.0 / x[0], -1.0 / (x[0] * x[0]))),
+    "sin": (lambda a, b: jets.sin(a), lambda x, y: _o_sin(x)),
+    "cos": (lambda a, b: jets.cos(a), lambda x, y: _o_cos(x)),
+    "sqrt": (lambda a, b: jets.sqrt(a), lambda x, y: _o_sqrt(x)),
+    **{f"powc({p})": (lambda a, b, p=p: jets.powc(a, p), lambda x, y, p=p: _o_powc(x, p))
+       for p in (3, 2, 1, 0, -2, 0.5, 2.5)},
+}
+
+
+def _triple(rng, batch, d=3):
+    """(value, grad, hess) of a generic jet: a value in [0.5, 2], an
+    asymmetric Hessian, and a negative zero in each, whose sign the rules keep
+    as the old formulas did."""
+    grad, hess = rng.normal(size=(d,) + batch), rng.normal(size=(d, d) + batch)
+    grad[1], hess[2, 0] = -0.0, -0.0
+    return (float(rng.uniform(0.5, 2.0)) if not batch else rng.uniform(0.5, 2.0, batch),
+            grad, hess)
+
+
+def _bits(x):
+    x = np.asarray(x, dtype=float)
+    return x.shape, x.tobytes()
+
+
+@pytest.mark.parametrize("batch", [(), (4,)], ids=["point", "batch"])
+@pytest.mark.parametrize("op", sorted(_OPS))
+def test_every_op_equals_the_separate_array_formulas_bit_for_bit(op, batch):
+    """The packed rules do the old gradient and Hessian formulas' IEEE
+    operations in their order, and leave their operands as they were."""
+    new, old = _OPS[op]
+    rng = np.random.default_rng(sorted(_OPS).index(op))
+    x, y = _triple(rng, batch), _triple(rng, batch)
+    a, b = _jet(*x), _jet(*y)
+    out = new(a, b)
+    assert (out.order, type(out.value)) == (2, type(x[0]))
+    for got, want in zip((out.value, out.grad, out.hess), old(x, y)):
+        assert _bits(got) == _bits(want), op
+    for j, t in ((a, x), (b, y)):
+        assert [_bits(u) for u in (j.value, j.grad, j.hess)] == [_bits(u) for u in t]
+
+
+@pytest.mark.parametrize("batch", [(), (4,)], ids=["point", "batch"])
+def test_deriv_equals_the_separate_array_formulas_bit_for_bit(batch):
+    """deriv(axis) is (grad[axis], hess[axis]) one order lower: the Hessian's
+    row, not its column (the test Hessian is asymmetric)."""
+    x = _triple(np.random.default_rng(5), batch)
+    j = _jet(*x)
+    for axis in range(3):
+        out = j.deriv(axis)
+        assert out.order == 1
+        assert _bits(out.value) == _bits(x[1][axis])
+        assert _bits(out.grad) == _bits(x[2][axis])
+
+
+def test_stack_and_arrays_lay_the_jets_out_by_component():
+    """``stack`` puts jets on component axes, where products act entry by
+    entry; ``dim`` adds leading coordinates with zero derivatives.
+    ``arrays`` reads the component axes first, the derivatives after."""
+    pts = np.array([[0.3, 0.5, 0.7], [0.2, -0.4, 1.1]])
+    for at in (tuple(pts[0]), pts):
+        c = jets.seed_all(at)
+        js = [jets.sin(c[0] * c[1]), c[2] * c[2], jets.exp(c[1]), 1.0 + 0.0 * c[0]]
+        v, g, h = jets.arrays(js, (2, 2))
+        for k, j in enumerate(js):
+            a, b = divmod(k, 2)
+            assert [_bits(x) for x in (v[a, b], g[a, b], h[a, b])] == \
+                [_bits(x) for x in (j.value, j.grad, j.hess)]
+        assert all(x.flags.c_contiguous for x in (v, g, h))
+        sq = jets.stack(js, (2, 2)) * jets.stack(js[::-1], (2, 2))
+        for k, j in enumerate(js):
+            want = j * js[::-1][k]
+            a, b = divmod(k, 2)
+            assert _bits(sq.value[a, b]) == _bits(want.value)
+            assert _bits(sq.hess[:, :, a, b]) == _bits(want.hess)
+        lifted = jets.stack(js, (4,), dim=5)
+        assert lifted.dim == 5
+        assert not lifted.grad[:2].any() and not lifted.hess[:2].any() \
+            and not lifted.hess[:, :2].any()
+        assert _bits(lifted.hess[2:, 2:, 0]) == _bits(js[0].hess)
+
+
+def test_arrays_checks_the_carried_order():
+    j = jets.seed((1.0, 2.0), 0) * jets.seed((1.0, 2.0), 1)
+    assert len(jets.arrays([j.deriv(0)], order=1)) == 2
+    with pytest.raises(SingularEvaluationError, match="Hessian"):
+        jets.arrays([j, j.deriv(0)])
+    with pytest.raises(SingularEvaluationError, match="gradient"):
+        jets.arrays([j.deriv(0).deriv(1)], order=1)
+
+
+def _catalog_closures():
+    """The closure of every catalog field, and the metric of every fibration
+    family, with its chart."""
+    from sdharm import cli, constructions as con
+    out = {}
+    for name in con.catalog_names():
+        obj = con.catalog(name)
+        for i, field in enumerate(obj if isinstance(obj, tuple) else (obj,)):
+            out[f"{name}.{i}"] = field
+    for family, spec in {
+            "type1": {"base": {"name": "flat3_spherical"}, "construction": {
+                "family": "type1", "params": {"u": {"name": "gh_potential"},
+                                              "A": {"name": "dirac_A"}}}},
+            "type2": {"base": {"name": "flat3"}, "construction": {
+                "family": "type2", "params": {"f": {"name": "fibre_exp",
+                                                    "params": {"rate": 3.0}}}}},
+            "type3": {"base": {"name": "flat3"}, "construction": {
+                "family": "type3", "params": {"A": {"name": "trkalian"}}}},
+            "type4": {"base": {"name": "berger_s3"}, "construction": {
+                "family": "type4", "params": {"alpha": {"name": "berger_lee"}, "c": 1.2}}},
+            "bryant": {"base": {"name": "flat3"}, "construction": {
+                "family": "bryant", "params": {"A": {"name": "trkalian"}}}}}.items():
+        scene = dict(schema=1, samples={"random": {"count": 1, "seed": 0}}, **spec)
+        out[f"{family}.g"] = cli.ResolvedScene(cli.validate_scene(scene)).fm.g
+    return out
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["point", "batch"])
+def test_no_op_writes_into_a_jet_it_did_not_create(monkeypatch, batch):
+    """Every jet made while evaluating each catalog field and fibration metric
+    keeps, to the end of the evaluation, the arrays it was built with (the
+    seeds among them), and its packed derivatives are C-contiguous, so the
+    rules' in-place Hessian updates write through their reshaped views."""
+    made = []
+    init = jets.Jet.__init__
+
+    def recording_init(self, value, d, order=2):
+        init(self, value, d, order)
+        made.append((self, np.copy(self.value), d.copy()))
+
+    monkeypatch.setattr(jets.Jet, "__init__", recording_init)
+    for name, field in _catalog_closures().items():
+        lo, hi = np.asarray(field.chart.lo), np.asarray(field.chart.hi)
+        pts = lo + (hi - lo) * np.array([[0.31, 0.42, 0.53, 0.64], [0.6, 0.3, 0.7, 0.45]])[
+            :, :len(lo)]
+        made.clear()
+        field.fn(jets.seed_all(pts if batch else tuple(pts[0])))
+        assert len(made) > len(lo), name
+        for j, value, d in made:
+            assert j._d.flags.c_contiguous, name
+            assert _bits(j.value) == _bits(value) and _bits(j._d) == _bits(d), name

@@ -1,11 +1,14 @@
 import ast
 import dataclasses
+import importlib
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sdharm
 from sdharm import cli, constructions as con, geometry as geo, jets, morphism as mor, weyl3
 from sdharm.errors import NotHorizontallyConformalError
 
@@ -563,4 +566,21 @@ def test_only_geometry_reads_the_jet_layout(module):
     found = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)
              and (node.attr in ("value", "grad", "hess")
                   or isinstance(node.value, ast.Name) and (node.value.id, node.attr) in _JET_LAYOUT)]
+    assert found == []
+
+
+_SDHARM_MODULES = [importlib.import_module(f"sdharm.{m.name}")
+                   for m in pkgutil.iter_modules(sdharm.__path__)]
+
+
+@pytest.mark.parametrize("module", [m for m in _SDHARM_MODULES if m is not jets],
+                         ids=lambda m: m.__name__)
+def test_only_jets_reads_the_packed_derivatives(module):
+    """A jet's packed derivative array is jets' own: every other module reads
+    ``grad``, ``hess`` and ``jets.arrays``, and builds jets through jets'
+    functions and operators, never ``Jet(...)``."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    found = [ast.unparse(node) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "_d"
+             or isinstance(node, ast.Call) and ast.unparse(node.func) in ("Jet", "jets.Jet")]
     assert found == []
