@@ -3,7 +3,7 @@ fibrations on coordinate charts, built on exact second-order jets."""
 
 __version__ = "0.1.0"
 
-from .jets import Jet, seed, seed_all, constant, fd_oracle                  # noqa: F401
+from .jets import Jet, seed, seed_all, constant                             # noqa: F401
 from .geometry import (                                                     # noqa: F401
     Chart,
     ScalarField,
@@ -12,13 +12,11 @@ from .geometry import (                                                     # no
     MetricField,
     CurvatureReport,
     curvature_report,
-    christoffel,
     riemann,
     weyl,
     hodge_star,
     sd_asd_split,
     exterior_derivative,
-    conformal_rescale,
     sectional_curvature,
 )
 from .weyl3 import (                                                         # noqa: F401
@@ -36,17 +34,12 @@ from .constructions import (                                                 # n
     type2_warped,
     type3_metric,
     type4_metric,
-    type4_normalize,
-    conformal_rescale_fibration,
     catalog,
 )
 from .morphism import (                                                      # noqa: F401
     SubmersionSetup,
     dilation,
-    second_fundamental_traces,
-    integrability_form,
     fundamental_eq_residual,
-    induced_lee_form,
     twistorial_basic_residual,
     twistorial_sd_residual,
     monopole_eq_residual,

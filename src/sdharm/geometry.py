@@ -31,7 +31,7 @@ import copy
 import itertools
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,6 @@ __all__ = [
     "curvature_from_gamma",
     "laplacian",
     "laplacian_from_gamma",
-    "christoffel",
     "riemann",
     "weyl",
     "hodge_star",
@@ -64,7 +63,6 @@ __all__ = [
     "split_two_form",
     "exterior_derivative",
     "ext_d",
-    "conformal_rescale",
     "sectional_curvature",
     "curvature_report",
     "CurvatureReport",
@@ -136,12 +134,6 @@ class Chart:
             if len(p) != self.dim:
                 self.require_inside(p)
         return np.array(points, dtype=float)
-
-
-def box(names, **ranges):
-    lo = tuple(ranges[n][0] for n in names)
-    hi = tuple(ranges[n][1] for n in names)
-    return Chart(tuple(names), lo, hi)
 
 
 def _eval_at(fn, coords, point):
@@ -421,11 +413,6 @@ def laplacian_from_gamma(mp, u):
                             hess - np.einsum("...cab,...c->...ab", mp.G, grad)))
 
 
-def christoffel(g, point):
-    """Christoffel symbols Gamma^a_{bc} of the Levi-Civita connection as floats."""
-    return _curvature(g, point)[1]
-
-
 def riemann(g, point):
     """(R^a_bcd, R_abcd, Ric_ab, scalar) with the unit round sphere positive."""
     return _curvature(g, point)[2:]
@@ -668,33 +655,23 @@ def form_values(comp, dim, k):
 
 def exterior_derivative(form, point):
     """d of a scalar/one-form/two-form field, as float components, a batch's
-    point axis first."""
-    dim = form.chart.dim
+    point axis first.  A scalar's d is its gradient, and a one-form's is read
+    from its arrays: (d alpha)_ab = d_a alpha_b - d_b alpha_a.  A two-form's
+    goes through ``ext_d``."""
     if isinstance(form, ScalarField):
-        comps, k = form.jet(point), 1
-    elif isinstance(form, OneFormField):
-        comps, k = form.jets(point), 2
-    elif isinstance(form, TwoFormField):
-        comps, k = form.jets(point), 3
-    else:
-        raise TypeError(f"not a form field: {form!r}")
-    return _lead(form_values(ext_d(comps, dim), dim, k), point)
+        return _lead(form.jet(point).grad, point)
+    if isinstance(form, OneFormField):
+        da = form.arrays(point)[1]
+        return da.swapaxes(-1, -2) - da
+    if isinstance(form, TwoFormField):
+        dim = form.chart.dim
+        return _lead(form_values(ext_d(form.jets(point), dim), dim, 3), point)
+    raise TypeError(f"not a form field: {form!r}")
 
 
 # ---------------------------------------------------------------------------
-# conformal rescaling, sectional curvature, full report
+# sectional curvature, full report
 # ---------------------------------------------------------------------------
-
-def conformal_rescale(g, f):
-    """Metric field f * g for a positive scalar field f on the same chart."""
-    def fn(coords):
-        fac = f.fn(coords)
-        if isinstance(fac, jets.Jet) and jets.anywhere(fac.value <= 0.0):
-            raise DegenerateMetricError("conformal factor is not positive",
-                                        point=tuple(c.value for c in coords))
-        return [[fac * c for c in row] for row in g.fn(coords)]
-    return MetricField(g.chart, fn, name=f"({f.name or 'f'})*{g.name or 'g'}")
-
 
 def sectional_curvature(g, point, X, Y):
     """Sectional curvature of span(X, Y); unit round spheres give +k."""
@@ -712,9 +689,6 @@ def sectional_curvature(g, point, X, Y):
 class CurvatureReport:
     """Everything the pipeline knows about one metric at one point."""
 
-    point: tuple
-    gamma: np.ndarray
-    riemann_up: np.ndarray
     riemann_low: np.ndarray
     ricci: np.ndarray
     scalar: float
@@ -725,7 +699,6 @@ class CurvatureReport:
     weyl_norm: float = 0.0
     w_plus_norm: float = 0.0
     w_minus_norm: float = 0.0
-    normalized: dict = field(default_factory=dict)
 
     def raw(self):
         out = {
@@ -749,14 +722,11 @@ def curvature_report(g, point):
     orientation.
     """
     n = g.chart.dim
-    gv, G, R_up, R_low, ric, scal = _curvature(g, point)
+    gv, _, _, R_low, ric, scal = _curvature(g, point)
     E = orthonormal_frame(gv, point=point)
-
-    riem_norm = frame_norm(R_low, E)
     report = CurvatureReport(
-        point=point if _is_batch(point) else tuple(float(x) for x in point),
-        gamma=G, riemann_up=R_up, riemann_low=R_low, ricci=ric, scalar=scal,
-        riemann_norm=riem_norm, ricci_norm=frame_norm(ric, E),
+        riemann_low=R_low, ricci=ric, scalar=scal,
+        riemann_norm=frame_norm(R_low, E), ricci_norm=frame_norm(ric, E),
         einstein_residual_norm=frame_norm(ric - _times(scal / n, gv), E),
     )
     if n == 4:
@@ -765,7 +735,4 @@ def curvature_report(g, point):
         _, _, report.w_plus_norm, report.w_minus_norm = _split_operator(M, g.chart.orientation)
         report.weyl_low = W
         report.weyl_norm = _matrix_norm(M)
-
-    scale = riem_norm + 1.0
-    report.normalized = {k: abs(v) / scale for k, v in report.raw().items()}
     return report

@@ -19,7 +19,8 @@ points read instead (one point as a one-row batch).  ``SubmersionSetup.ctx``
 reads a point's row and ``SubmersionSetup.rows`` the rows of an array of
 points at once.  Each quantity has one (setup, point) function, which takes
 one point (a float result) or an ``(N, 4)`` array of points (one result per
-point).
+point); the forms between them (mean curvature, integrability, induced Lee
+form) are ``PointEval`` attributes, read through ``ctx``.
 
 The fibre direction is always coordinate 0; the projection drops it.
 """
@@ -41,11 +42,7 @@ __all__ = [
     "PointEval",
     "DilationData",
     "dilation",
-    "second_fundamental_traces",
-    "integrability_form",
-    "integrability_consistency",
     "fundamental_eq_residual",
-    "induced_lee_form",
     "projected_lee_form",
     "twistorial_basic_residual",
     "twistorial_sd_residual",
@@ -381,25 +378,6 @@ def dilation(setup, point):
     return DilationData(lam_sq, anisotropy, mismatch)
 
 
-def second_fundamental_traces(setup, point):
-    """Mean-curvature one-forms (vertical trace, horizontal trace), float
-    coordinate components with the index lowered by g."""
-    ctx = setup.ctx(point)
-    return ctx.vertical_trace_flat[0], ctx.horizontal_trace_flat[0]
-
-
-def integrability_form(setup, point):
-    """Integrability two-form of the horizontal distribution, I(W_a, W_b)."""
-    return setup.ctx(point).integrability
-
-
-def integrability_consistency(setup, point):
-    """|| I - lam * dtheta restricted to the lifts ||, a structural cross-check."""
-    ctx = setup.ctx(point)
-    lam = ctx.lam_inv_sq ** -0.5
-    return float(np.max(np.abs(ctx.integrability[1:, 1:] - lam * ctx.lifted_dtheta)))
-
-
 def fundamental_eq_residual(setup, point):
     """Harmonicity residual || dphi(trace Bv + grad log lam) ||_h.
 
@@ -409,12 +387,6 @@ def fundamental_eq_residual(setup, point):
     dilation(setup, point)      # raises if the conformality certificate fails
     rows = setup.rows(point)
     return _norm(rows.harmonicity_defect, rows.hv)
-
-
-def induced_lee_form(setup, point):
-    """Lee form (trace Bv)-flat - *_H I of the induced partial connection,
-    float coordinate components (a one-form annihilating the vertical)."""
-    return setup.ctx(point).induced_lee
 
 
 def projected_lee_form(setup, point):

@@ -1,8 +1,11 @@
-"""Shared closed-form charts and metrics used across the test modules."""
+"""Shared closed-form charts and metrics used across the test modules, and the
+conformal rescalings and the type-4 normalization that the invariance tests
+apply to them."""
 
 import numpy as np
 
-from sdharm import geometry as geo, jets
+from sdharm import constructions as con, geometry as geo, jets
+from sdharm.errors import DegenerateMetricError, DomainError
 
 
 def chart2():
@@ -96,3 +99,139 @@ def gibbons_hawking(m=1.0):
                 g[a][b] = u * hp + uinv * theta[a] * theta[b]
         return g
     return geo.MetricField(gh_chart(), fn, f"gibbons_hawking({m})")
+
+
+# ---------------------------------------------------------------------------
+# conformal rescalings and the type-4 normalization
+# ---------------------------------------------------------------------------
+
+def conformal_rescale(g, f):
+    """Metric field f * g for a positive scalar field f on the same chart."""
+    def fn(coords):
+        fac = f.fn(coords)
+        if isinstance(fac, jets.Jet) and jets.anywhere(fac.value <= 0.0):
+            raise DegenerateMetricError("conformal factor is not positive",
+                                        point=tuple(c.value for c in coords))
+        return [[fac * c for c in row] for row in g.fn(coords)]
+    return geo.MetricField(g.chart, fn, name=f"({f.name or 'f'})*{g.name or 'g'}")
+
+
+def type4_normalize(fm):
+    """Rescale a type-4 fibration so that the structure function becomes +-1.
+
+    Output: g~ = |c| g, h~ = c^2 h, lam~^-2 = lam^-2 / |c|, theta~ = theta,
+    alpha~ = alpha - d log|c|.  Requires c nowhere zero on the base domain.
+    """
+    if fm.family_tag != "type4":
+        raise ValueError("normalization applies to type-4 fibrations")
+    c = fm.family_params["c"]
+    alpha = fm.family_params["alpha"]
+    base = fm.base_chart
+
+    if not isinstance(c, geo.ScalarField):
+        c_num = float(c)
+        if c_num == 0.0:
+            raise DomainError("c vanishes; normalization undefined")
+        c_fn = lambda coords3: c_num
+    else:
+        c_fn = c.fn
+
+    def abs_c(coords3):
+        """|c|: c times its sign (at each point of a batch)."""
+        cv = c_fn(coords3)
+        v = cv.value if isinstance(cv, jets.Jet) else float(cv)
+        if jets.anywhere(v == 0.0):
+            raise DomainError("c vanishes; normalization undefined")
+        return cv * np.sign(v)
+
+    h_tilde = geo.MetricField(
+        base,
+        lambda coords3: [[c_fn(coords3) * c_fn(coords3) * comp
+                          for comp in row] for row in fm.h.fn(coords3)],
+        name=fm.h.name + ".normalized")
+
+    def alpha_tilde_fn(coords3):
+        cv = c_fn(coords3)
+        if isinstance(cv, jets.Jet):
+            # jet axes must be the base axes; this form is for base-chart checks
+            if cv.dim != 3:
+                raise DomainError("normalized Lee form evaluates on the base chart only")
+            if jets.anywhere(cv.value == 0.0):
+                raise DomainError("c vanishes; normalization undefined")
+            dlog = [cv.deriv(a) / cv for a in range(3)]
+        else:
+            dlog = [0.0, 0.0, 0.0]
+        if alpha is None:
+            return [-1.0 * d + 0.0 * coords3[0] for d in dlog]
+        av = alpha.fn(coords3)
+        return [av[a] - dlog[a] for a in range(3)]
+
+    alpha_tilde = geo.OneFormField(base, alpha_tilde_fn, name="alpha.normalized")
+
+    def lam_fn(coords):
+        return fm.dilation_sq_inv.fn(coords) / abs_c(coords[1:])
+
+    if isinstance(c, geo.ScalarField):
+        center = tuple(0.5 * (l + u) for l, u in zip(base.lo, base.hi))
+        sign = 1 if c.value(center) > 0 else -1
+    else:
+        sign = 1 if float(c) > 0 else -1
+
+    return con._assemble(fm.total_chart, h_tilde, lam_fn, fm.theta.fn, "type4",
+                         {"alpha": alpha_tilde, "c": float(sign),
+                          "normalized_from": fm.family_params},
+                         fm.g.positivity_name, name=fm.g.name + ".normalized")
+
+
+def conformal_rescale_fibration(fm, w):
+    """g -> (w o phi) g for a positive basic factor w on the base chart.
+
+    The stored normal-form data transforms as lam^-2 -> w lam^-2 and
+    theta -> w theta, keeping theta(V) = 1 for the new fundamental field.
+    """
+    def wj(coords):
+        """w as a jet; a constant w takes the shape of the coordinates' jets."""
+        v = w.fn(coords[1:])
+        if isinstance(v, jets.Jet):
+            return v
+        return coords[0].coerce(v) if isinstance(coords[0], jets.Jet) else jets.constant(v, 4)
+
+    def lam_fn(coords):
+        fac = wj(coords)
+        if jets.anywhere(fac.value <= 0.0):
+            raise DomainError("conformal factor must be positive")
+        return fac * fm.dilation_sq_inv.fn(coords)
+
+    def theta_fn(coords):
+        fac = wj(coords)
+        return [fac * t for t in fm.theta.fn(coords)]
+
+    return con._assemble(fm.total_chart, fm.h, lam_fn, theta_fn, fm.family_tag,
+                         dict(fm.family_params, rescaled=True), fm.g.positivity_name,
+                         name=fm.g.name + ".rescaled")
+
+
+def variable_c_background():
+    """A type-4 data set with genuinely variable c on a conformally flat base.
+
+    Gauge-transforms the flat Trkalian solution: c(x) = 1 + sin(x)/2,
+    h = c^-2 delta, alpha = trkalian(-1) + d log c.  Satisfies
+    d alpha - c * alpha + * dc = 0 with the chart star of h.
+    """
+    ch = con._FLAT3_CHART
+
+    def cj(c):
+        return 1.0 + 0.5 * jets.sin(c[0])
+
+    def dlog(c):
+        cv = cj(c)
+        return [(0.5 * jets.cos(c[0])) / cv, 0.0 * c[0], 0.0 * c[0]]
+
+    c_field = geo.ScalarField(ch, cj, "one_plus_half_sin_x")
+    h = geo.MetricField(
+        ch, lambda c: [[jets.powc(cj(c), -2) * (1.0 if a == b else 0.0)
+                        for b in range(3)] for a in range(3)], "cinv2_flat")
+    alpha = geo.OneFormField(
+        ch, lambda c: [jets.cos(c[2]) + dlog(c)[0], -1.0 * jets.sin(c[2]), 0.0 * c[2]],
+        "trkalian_gauge")
+    return h, alpha, c_field

@@ -15,6 +15,8 @@ import pytest
 from sdharm import cli, constructions as con, geometry as geo, jets, morphism as mor, weyl3
 
 from _fieldgen import random_field, random_point
+from _metrics import conformal_rescale_fibration
+from _oracles import fd_oracle
 
 
 def announce(num, name, ok, detail=""):
@@ -48,8 +50,8 @@ def test_criterion_1_ad_engine_vs_fd():
         # keep the battery inside the regime the difference oracle certifies
         if not j.is_finite() or abs(j.value) > 50 or np.max(np.abs(j.hess)) > 1e3:
             continue
-        fg, fH = jets.fd_oracle(lambda p: float(f(list(p))), pt, step=5e-4,
-                                richardson=True)
+        fg, fH = fd_oracle(lambda p: float(f(list(p))), pt, step=5e-4,
+                           richardson=True)
         rel_g = np.max(np.abs(j.grad - fg)) / (1.0 + np.max(np.abs(j.grad)))
         rel_h = np.max(np.abs(j.hess - fH)) / (1.0 + np.max(np.abs(j.hess)))
         worst = max(worst, rel_g, rel_h)
@@ -360,7 +362,7 @@ def test_criterion_10_classifier():
         if name == "type4":
             ok &= abs(cls.recovered_c - 1.0) < 1e-6
         w = w_sph if name == "type1" else w_flat
-        rescaled = con.conformal_rescale_fibration(setup.fm, w)
+        rescaled = conformal_rescale_fibration(setup.fm, w)
         cls_r = mor.classify_type(mor.SubmersionSetup(rescaled),
                                   mor.fibre_samples_about(rescaled, pt, 4))
         ok &= cls_r.label == expected[name]

@@ -19,6 +19,8 @@ from hypothesis import given, settings, strategies as st
 from sdharm import cli, constructions as con, geometry as geo, jets, morphism as mor, weyl3
 from sdharm.errors import DomainError, SingularEvaluationError
 
+from _metrics import conformal_rescale, conformal_rescale_fibration, type4_normalize
+
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
 
 FAMILIES = {
@@ -90,22 +92,30 @@ ARRAY_SCALE = {"gamma": "gamma", "riemann_up": "riemann_up", "riemann_low": "rie
                "ricci": "ricci", "weyl_low": "riemann_low"}
 
 
+def report_arrays(g, at):
+    """(report, {name: array}) at ``at``: the arrays of ARRAY_SCALE, Gamma and
+    R^a_bcd read from the metric point that the report is computed from."""
+    rep, mp = geo.curvature_report(g, at), geo.metric_point(g, at)
+    return rep, {"gamma": mp.G, "riemann_up": geo.curvature_from_gamma(mp, at)[0],
+                 "riemann_low": rep.riemann_low, "ricci": rep.ricci, "weyl_low": rep.weyl_low}
+
+
 def assert_reports_match(g, points):
     """Every scalar of the batched report is within 1e-13 (1 + |per-point|)
     of the per-point one; every array within 1e-13 (1 + its largest entry)."""
-    batch = geo.curvature_report(g, points)
+    batch, batch_arrays = report_arrays(g, points)
     for i, p in enumerate(points):
-        one = geo.curvature_report(g, tuple(p))
+        one, arrays = report_arrays(g, tuple(p))
         raw = batch.raw()
         assert raw.keys() == one.raw().keys()
         for key, value in one.raw().items():
             assert abs(raw[key][i] - value) <= 1e-13 * (1 + abs(value)), (key, i)
         for name, scale in ARRAY_SCALE.items():
-            s = getattr(one, name)
+            s = arrays[name]
             if s is None:
                 continue
-            bound = 1e-13 * (1 + np.max(np.abs(getattr(one, scale))))
-            assert np.max(np.abs(getattr(batch, name)[i] - s)) <= bound, (name, i)
+            bound = 1e-13 * (1 + np.max(np.abs(arrays[scale])))
+            assert np.max(np.abs(batch_arrays[name][i] - s)) <= bound, (name, i)
 
 
 @pytest.mark.parametrize("name", sorted(METRICS))
@@ -280,12 +290,59 @@ def test_fields_hand_out_point_first_arrays(name):
             assert np.array_equal(np.asarray(value), one[key]), key
 
 
+# ---------------------------------------------------------------------------
+# d of a scalar or a one-form from its arrays against ext_d of its jets
+# ---------------------------------------------------------------------------
+
+def _d_fields():
+    """Every scalar and one-form of the catalog (each form of a coframe), and
+    the connection form theta of each construction scene, by name."""
+    out = {}
+    for name in con.catalog_names():
+        obj = con.catalog(name)
+        forms = obj if isinstance(obj, tuple) else (obj,)
+        for i, f in enumerate(forms):
+            if isinstance(f, (geo.ScalarField, geo.OneFormField)):
+                out[name if len(forms) == 1 else f"{name}[{i}]"] = f
+    for path in sorted(glob.glob(os.path.join(SCENES, "*.json"))):
+        with open(path) as fh:
+            r = cli.ResolvedScene(cli.validate_scene(json.load(fh)))
+        if r.fm is not None:
+            out[f"{os.path.basename(path)[:-5]}.theta"] = r.fm.theta
+    return out
+
+
+D_FIELDS = _d_fields()
+
+
+def _d_by_ext_d(field, point):
+    """d of the field as ``ext_d`` of its jets read by ``form_values``, a
+    batch's point axis first (geometry's one-row rule included)."""
+    dim = field.chart.dim
+    if isinstance(field, geo.ScalarField):
+        d = geo.form_values(geo.ext_d(field.jet(point), dim), dim, 1)
+    else:
+        d = geo.form_values(geo.ext_d(field.jets(point), dim), dim, 2)
+    return geo._lead(d, point)
+
+
+@pytest.mark.parametrize("name", sorted(D_FIELDS))
+def test_exterior_derivative_equals_ext_d_of_the_jets(name):
+    """d from the field's arrays equals d by ext_d of its jets, bit for bit, at
+    single points, on a one-row array and on a batch."""
+    field = D_FIELDS[name]
+    points = inside(field.chart, 4, seed=11)
+    for at in (points, points[:1], tuple(points[0]), tuple(points[3])):
+        new, old = geo.exterior_derivative(field, at), _d_by_ext_d(field, at)
+        assert new.shape == old.shape and np.array_equal(new, old), (name, np.shape(at))
+
+
 def _normalized_type4(c_fn, fibre_range):
     """type4_normalize of the Trkalian type-4 fibration with c = c_fn on flat R^3."""
     h = con.flat3()
     c = geo.ScalarField(h.chart, c_fn, "c")
-    return con.type4_normalize(con.type4_metric(h, con.trkalian(-1), c=c,
-                                                fibre_range=fibre_range))
+    return type4_normalize(con.type4_metric(h, con.trkalian(-1), c=c,
+                                            fibre_range=fibre_range))
 
 
 @pytest.mark.parametrize("c_fn, fibre_range, points", [
@@ -323,7 +380,7 @@ def _fibred():
     out = {name: g for name, g in METRICS.items() if ".total" in name}
     made = {"normalized_variable_c": _normalized_type4(lambda x: 1.0 + 0.5 * jets.sin(x[0]),
                                                        (-1.5, 1.5)),
-            "rescaled_type4": con.conformal_rescale_fibration(SETUPS["type4+1"], _W)}
+            "rescaled_type4": conformal_rescale_fibration(SETUPS["type4+1"], _W)}
     for name, fm in made.items():
         for orientation in (1, -1):
             out[f"{name}{orientation:+d}"] = fm.with_orientation(orientation).g
@@ -361,10 +418,10 @@ def test_normalized_and_rescaled_metrics_are_the_conformal_multiples():
     type4c = con.type4_metric(h, con.trkalian(-1), c=c)
     type4 = SETUPS["type4+1"]
     lift = lambda f, fm: geo.ScalarField(fm.total_chart, lambda x: f.fn(x[1:]))
-    for g, product in ((con.type4_normalize(type4c).g,
-                        geo.conformal_rescale(type4c.g, lift(c, type4c))),
-                       (con.conformal_rescale_fibration(type4, _W).g,
-                        geo.conformal_rescale(type4.g, lift(_W, type4)))):
+    for g, product in ((type4_normalize(type4c).g,
+                        conformal_rescale(type4c.g, lift(c, type4c))),
+                       (conformal_rescale_fibration(type4, _W).g,
+                        conformal_rescale(type4.g, lift(_W, type4)))):
         points = inside(g.chart, 5, seed=9)
         for at in (points, tuple(points[2])):
             for x, y in zip(g.arrays(at), _jet_path(product, at)):
@@ -374,8 +431,8 @@ def test_normalized_and_rescaled_metrics_are_the_conformal_multiples():
 def test_rescale_by_a_constant_factor_holds_a_batch():
     """A w that returns a plain number scales a batch as it scales each point
     (it was a scalar jet, which raised a ValueError against a batch)."""
-    fm = con.conformal_rescale_fibration(con.type3_metric(con.flat3()),
-                                         geo.ScalarField(con.flat3().chart, lambda c: 2.0))
+    fm = conformal_rescale_fibration(con.type3_metric(con.flat3()),
+                                     geo.ScalarField(con.flat3().chart, lambda c: 2.0))
     points = inside(fm.total_chart, 3, seed=10)
     assert_reports_match(fm.g, points)
     assert_rows_match(fm, points)
@@ -478,13 +535,12 @@ def test_a_one_row_job_is_the_points_own_evaluation(name):
         metrics.append((r.fm.g, points))
     for g, at in metrics:
         for p in at:
-            one, row = geo.curvature_report(g, p), geo.curvature_report(g, np.array([p]))
-            assert row.point.shape == (1, len(p))
+            (one, ones), (row, rows) = report_arrays(g, p), report_arrays(g, np.array([p]))
             for key, value in one.raw().items():
                 assert row.raw()[key].shape == (1,) and row.raw()[key][0] == value, (key, p)
-            for key in ("gamma", "riemann_up", "riemann_low", "ricci", "weyl_low"):
-                if getattr(one, key) is not None:
-                    assert np.array_equal(getattr(row, key), getattr(one, key)[None]), (key, p)
+            for key, value in ones.items():
+                if value is not None:
+                    assert np.array_equal(rows[key], value[None]), (key, p)
 
 
 # ---------------------------------------------------------------------------

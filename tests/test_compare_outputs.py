@@ -65,3 +65,38 @@ def test_diff_reports_the_masked_hash_as_identical_numbers(tmp_path, capsys):
     assert tool.diff(a, b) == 1
     assert capsys.readouterr().out.splitlines() == [
         "0 of 1 outputs identical", "job: worst relative difference 0, 0 other tokens differ"]
+
+
+def test_the_record_runs_the_catalog_command(tmp_path):
+    """``catalog list`` and ``catalog describe`` of each entry are jobs of
+    the record, run without a scene."""
+    from sdharm import cli, constructions
+    tool = load_tool()
+    keys = {key for key, command, _, _ in tool._jobs(TOOL.parent.parent, cli)
+            if command == "catalog"}
+    assert keys == {"catalog/list"} | {f"catalog/describe/{n}" for n in constructions.CATALOG}
+    out = tool._run(cli, "catalog", None, ["describe", "flat3"], tmp_path)
+    assert out["code"] == 0 and json.loads(out["stdout"])["validation"] == {"riemann_norm": 0.0}
+
+
+def test_reach_counts_each_def_and_lambda_body(tmp_path):
+    """tools/reach.py's bodies: a def (decorator lines included) and a lambda,
+    with their line counts; not a comprehension nor a class body."""
+    path = TOOL.parent / "reach.py"
+    reach = types.ModuleType("reach")
+    reach.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), reach.__dict__)
+    source = tmp_path / "m.py"
+    source.write_text("def f(x):\n"
+                      "    g = lambda y: y\n"
+                      "    return [g(v) for v in x]\n"
+                      "\n"
+                      "\n"
+                      "class C:\n"
+                      "    @staticmethod\n"
+                      "    def h(\n"
+                      "            a):\n"
+                      "        return (a\n"
+                      "                + 1)\n")
+    assert sorted(reach.bodies(source).values()) == [
+        ("C.h", 7, 5), ("f", 1, 3), ("f.<locals>.<lambda>", 2, 1)]

@@ -4,6 +4,8 @@ import pytest
 from sdharm import constructions as con, geometry as geo, jets, weyl3
 from sdharm.errors import DomainError
 
+from _metrics import type4_normalize, variable_c_background
+
 
 def sample_points(chart, n, seed=0, margin=0.15):
     rng = np.random.default_rng(seed)
@@ -302,7 +304,7 @@ def test_jones_tod_monopole_implies_self_dual_over_family():
 
 def test_type4_normalize_constant_c():
     fm = con.type4_metric(con.flat3(), c=2.0, fibre_range=(-1.0, 1.5))
-    norm = con.type4_normalize(fm)
+    norm = type4_normalize(fm)
     assert norm.family_params["c"] == 1.0
     for pt in sample_points(fm.total_chart, 4, seed=21):
         assert np.max(np.abs(norm.g.values(pt) - 2.0 * fm.g.values(pt))) < 1e-12
@@ -311,13 +313,13 @@ def test_type4_normalize_constant_c():
 
 
 def test_type4_normalize_variable_c_beltrami_equivalence():
-    h, alpha, c = con.variable_c_background()
+    h, alpha, c = variable_c_background()
     w = weyl3.WeylStructure3(h, alpha)
     pts = sample_points(h.chart, 5, seed=22)
     for pt in pts:
         assert weyl3.generalized_beltrami_residual(w, c, pt) < 1e-10
     fm = con.type4_metric(h, alpha, c=c)
-    norm = con.type4_normalize(fm)
+    norm = type4_normalize(fm)
     assert norm.family_params["c"] == 1.0
     wn = weyl3.WeylStructure3(norm.h, norm.family_params["alpha"])
     for pt in pts:
@@ -326,7 +328,7 @@ def test_type4_normalize_variable_c_beltrami_equivalence():
     alpha_bad = con.xdy()
     w_bad = weyl3.WeylStructure3(h, alpha_bad)
     fm_bad = con.type4_metric(h, alpha_bad, c=c)
-    norm_bad = con.type4_normalize(fm_bad)
+    norm_bad = type4_normalize(fm_bad)
     wn_bad = weyl3.WeylStructure3(norm_bad.h, norm_bad.family_params["alpha"])
     for pt in pts[:2]:
         assert weyl3.generalized_beltrami_residual(w_bad, c, pt) > 1e-3
@@ -338,7 +340,7 @@ def test_type4_normalize_rejects_vanishing_c():
     c = geo.ScalarField(ch, lambda c_: c_[0], "x")
     fm = con.type4_metric(con.flat3(), c=c, fibre_range=(0.5, 1.5))
     with pytest.raises(DomainError):
-        con.type4_normalize(fm).family_params["alpha"].jets((0.0, 0.1, 0.1))
+        type4_normalize(fm).family_params["alpha"].jets((0.0, 0.1, 0.1))
 
 
 def test_type3_trkalian_not_einstein():

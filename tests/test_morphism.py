@@ -12,6 +12,9 @@ import sdharm
 from sdharm import cli, constructions as con, geometry as geo, jets, morphism as mor, weyl3
 from sdharm.errors import NotHorizontallyConformalError
 
+from _metrics import conformal_rescale_fibration
+from _oracles import fd_gradient, integrability_consistency
+
 
 def pts(chart, n, seed=0, margin=0.2):
     rng = np.random.default_rng(seed)
@@ -94,14 +97,16 @@ def test_dilation_not_conformal_raises():
 # ---------------------------------------------------------------------------
 
 def test_traces_flat_product(flat_product):
-    bv, bh = mor.second_fundamental_traces(flat_product, (0.4, 0.2, -0.3, 0.5))
+    ctx = flat_product.ctx((0.4, 0.2, -0.3, 0.5))
+    bv, bh = ctx.vertical_trace_flat[0], ctx.horizontal_trace_flat[0]
     assert np.max(np.abs(bv)) < 1e-14
     assert np.max(np.abs(bh)) < 1e-14
 
 
 def test_traces_type2_geodesic_fibres_curved_slices(type2_setup):
     pt = (0.3, 0.2, -0.3, 0.5)
-    bv, bh = mor.second_fundamental_traces(type2_setup, pt)
+    ctx = type2_setup.ctx(pt)
+    bv, bh = ctx.vertical_trace_flat[0], ctx.horizontal_trace_flat[0]
     assert np.max(np.abs(bv)) < 1e-12
     # warped slices: trace B_H lowered = -3 dtau for f = e^{2 tau}
     assert bh[0] == pytest.approx(-3.0, abs=1e-10)
@@ -111,7 +116,7 @@ def test_traces_type2_geodesic_fibres_curved_slices(type2_setup):
 def test_traces_gh_killing_closed_form(gh_setup):
     # Killing-generated fibres: trace Bv = 1/2 grad_g log u, lowered = 1/2 d log u
     for pt in pts(gh_setup.fm.total_chart, 5, seed=3):
-        bv, _ = mor.second_fundamental_traces(gh_setup, pt)
+        bv = gh_setup.ctx(pt).vertical_trace_flat[0]
         r = pt[1]
         u = 1.0 + 1.0 / (2.0 * r)
         expected = np.zeros(4)
@@ -124,19 +129,19 @@ def test_traces_gh_killing_closed_form(gh_setup):
 # ---------------------------------------------------------------------------
 
 def test_integrability_type2_and_type3_A0(type2_setup):
-    assert np.max(np.abs(mor.integrability_form(type2_setup, (0.3, 0.2, -0.3, 0.5)))) < 1e-12
+    assert np.max(np.abs(type2_setup.ctx((0.3, 0.2, -0.3, 0.5)).integrability)) < 1e-12
     t3 = mor.SubmersionSetup(con.type3_metric(con.flat3()))
-    assert np.max(np.abs(mor.integrability_form(t3, (1.0, 0.2, -0.3, 0.5)))) < 1e-12
+    assert np.max(np.abs(t3.ctx((1.0, 0.2, -0.3, 0.5)).integrability)) < 1e-12
 
 
 def test_integrability_matches_dtheta(gh_setup, type3_setup, type4_setup):
     for setup in (gh_setup, type3_setup, type4_setup):
         for pt in pts(setup.fm.total_chart, 4, seed=5):
-            assert mor.integrability_consistency(setup, pt) < 1e-9
+            assert integrability_consistency(setup, pt) < 1e-9
 
 
 def test_integrability_type4_nonzero(type4_setup):
-    I = mor.integrability_form(type4_setup, (0.2, 0.3, -0.4, 1.0))
+    I = type4_setup.ctx((0.2, 0.3, -0.4, 1.0)).integrability
     assert np.max(np.abs(I)) > 1e-2
 
 
@@ -165,13 +170,13 @@ def test_fundamental_broken_dilation_control(type3_setup):
 # ---------------------------------------------------------------------------
 
 def test_lee_form_flat_zero(flat_product):
-    assert np.max(np.abs(mor.induced_lee_form(flat_product, (0.4, 0.2, -0.3, 0.5)))) < 1e-14
+    assert np.max(np.abs(flat_product.ctx((0.4, 0.2, -0.3, 0.5)).induced_lee)) < 1e-14
 
 
 def test_lee_form_type3_A0_zero():
     s = mor.SubmersionSetup(con.type3_metric(con.constant_curvature3(1.0)))
     for pt in pts(s.fm.total_chart, 4, seed=8):
-        assert np.max(np.abs(mor.induced_lee_form(s, pt))) < 1e-10
+        assert np.max(np.abs(s.ctx(pt).induced_lee)) < 1e-10
 
 
 def test_projected_lee_type4_matches_alpha(type4_setup):
@@ -299,9 +304,8 @@ def test_pullback_own_pair_flat_connection(gh_setup):
 
 def test_type2_joint_residuals(type2_setup):
     for pt in pts(type2_setup.fm.total_chart, 5, seed=16):
-        bv, _ = mor.second_fundamental_traces(type2_setup, pt)
-        assert np.max(np.abs(bv)) < 1e-9                      # geodesic fibres
         ctx = type2_setup.ctx(pt)
+        assert np.max(np.abs(ctx.vertical_trace_flat[0])) < 1e-9   # geodesic fibres
         assert np.max(np.abs(ctx.dH_log_lambda)) < 1e-8   # horizontal homothety
         assert mor.fundamental_eq_residual(type2_setup, pt) < 1e-8
 
@@ -359,7 +363,7 @@ def test_classify_invariances():
         assert shifted.label == base_label.label, name
         # basic conformal rescale
         w = w_sph if name == "type1" else w_flat
-        rescaled = con.conformal_rescale_fibration(fm, w)
+        rescaled = conformal_rescale_fibration(fm, w)
         cls = mor.classify_type(mor.SubmersionSetup(rescaled),
                                 mor.fibre_samples_about(rescaled, pt, 4))
         assert cls.label == base_label.label, name
@@ -389,7 +393,7 @@ def test_basic_conformal_rescale_keeps_label_and_c(family, n, seed, amp, freq, p
     fm = setup.fm
     w = geo.ScalarField(fm.base_chart,
                         lambda c: 1.0 + amp * jets.sin(freq * c[axis] + phase), "w")
-    rescaled = mor.SubmersionSetup(con.conformal_rescale_fibration(fm, w))
+    rescaled = mor.SubmersionSetup(conformal_rescale_fibration(fm, w))
     points = pts(fm.total_chart, n, seed=seed)
     for before, after in zip(_classify_held(setup, points), _classify_held(rescaled, points)):
         assert before.label == after.label == RESCALE_FAMILIES[family]
@@ -463,7 +467,7 @@ def test_trace_form_derivatives_match_finite_differences():
 
             for form, (_, d) in _trace_form_pairs(setup.ctx(pt)).items():
                 for a in range(4):
-                    fd = jets.fd_gradient(lambda p: forms(p)[form][a], pt)
+                    fd = fd_gradient(lambda p: forms(p)[form][a], pt)
                     err = np.max(np.abs(d[a] - fd) / (1.0 + np.abs(d[a])))
                     assert err < 1e-7, (name, form, a, err)
 
@@ -584,3 +588,20 @@ def test_only_jets_reads_the_packed_derivatives(module):
              if isinstance(node, ast.Attribute) and node.attr == "_d"
              or isinstance(node, ast.Call) and ast.unparse(node.func) in ("Jet", "jets.Jet")]
     assert found == []
+
+
+@pytest.mark.parametrize("module", [sdharm] + _SDHARM_MODULES, ids=lambda m: m.__name__)
+def test_every_export_resolves(module):
+    """``from <module> import *`` succeeds and defines each name of the
+    module's ``__all__``, so a deletion leaves no stale export behind."""
+    namespace = {}
+    exec(f"from {module.__name__} import *", namespace)
+    assert [name for name in getattr(module, "__all__", ()) if name not in namespace] == []
+
+
+def test_the_package_exports_only_module_exports():
+    """Each name ``sdharm`` exports is in the ``__all__`` of its module."""
+    exported = {name for m in _SDHARM_MODULES for name in getattr(m, "__all__", ())}
+    public = [name for name, value in vars(sdharm).items()
+              if not name.startswith("_") and not isinstance(value, type(sdharm))]
+    assert [name for name in public if name not in exported] == []

@@ -7,6 +7,7 @@ from sdharm import cli, constructions as con, geometry as geo, jets, weyl3
 from sdharm.errors import DimensionError
 
 from _fieldgen import random_field
+from _metrics import conformal_rescale, variable_c_background
 
 
 def pts(chart, n, seed=0, margin=0.2):
@@ -33,7 +34,7 @@ def test_weyl_connection_reduces_to_levi_civita():
     w = weyl3.WeylStructure3(h, zero_form(h.chart))
     for pt in pts(h.chart, 3, seed=1):
         G = weyl3.weyl_connection_coeffs(w, pt)
-        gamma_lc = geo.christoffel(h, pt)
+        gamma_lc = geo.metric_point(h, pt).G
         assert np.max(np.abs(G - gamma_lc)) < 1e-12
 
 
@@ -147,7 +148,7 @@ def test_beltrami_conformal_covariance():
     alpha = geo.OneFormField(
         ch, lambda c: [jets.cos(k * c[2]), -1.0 * jets.sin(k * c[2]), 0.0 * c[2]], "alpha_k")
     h = con.flat3()
-    h_scaled = geo.conformal_rescale(h, geo.ScalarField(ch, lambda c: k * k + 0.0 * c[0]))
+    h_scaled = conformal_rescale(h, geo.ScalarField(ch, lambda c: k * k + 0.0 * c[0]))
     for pt in pts(ch, 4, seed=6):
         da = geo.form_values(geo.ext_d(alpha.jets(pt), 3), 3, 2)
         hv = h.values(pt)
@@ -349,7 +350,7 @@ def test_einstein_weyl_matches_the_weyl_riemann_oracle_along_the_berger_sweep():
     (con.flat3(), con.trkalian(1)),                    # sqrt(7/6) everywhere (README)
     (con.constant_curvature3(1.0), con.xdy()),
     (con.berger_s3(0.6), con.berger_lee(con.berger_ew_scale(0.6))),
-    con.variable_c_background()[:2],
+    variable_c_background()[:2],
 ], ids=["flat_trkalian", "cc3_xdy", "berger_ew", "variable_c"])
 def test_einstein_weyl_matches_the_weyl_riemann_oracle_on_catalog_pairs(h, alpha):
     w = weyl3.WeylStructure3(h, alpha)

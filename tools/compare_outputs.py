@@ -20,7 +20,9 @@ process on
 - ``report`` of each scene of ``INVALID_SCENES``, edits of a valid scene that
   break the scene schema, and a sweep into an invalid slot
   (``INVALID_SWEEP``), so every usage-error message of scene validation is
-  recorded.
+  recorded;
+- ``catalog list``, and ``catalog describe`` of each entry of the catalog,
+  which runs the entry's validator.
 
 It keeps each job's exit code (or the exception a command let escape), stdout
 and stderr, with the report
@@ -109,13 +111,17 @@ def _load(path, name):
 
 
 def _run(cli, command, scene, args, tmp):
-    """(exit code, stdout, stderr) of one in-process command on a scene."""
-    path = Path(tmp) / "scene.json"
-    path.write_text(json.dumps(scene))
+    """(exit code, stdout, stderr) of one in-process command on a scene, or of
+    a command that reads none (``scene`` None)."""
+    argv = [command, *args]
+    if scene is not None:
+        path = Path(tmp) / "scene.json"
+        path.write_text(json.dumps(scene))
+        argv.insert(1, str(path))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main([command, str(path), *args])
+            code = cli.main(argv)
         except Exception as exc:           # a command that crashes is recorded, not fatal
             code = f"uncaught {type(exc).__name__}: {exc}"
     return {"code": code, "stdout": _TIMESTAMP.sub('"timestamp":"-"', out.getvalue()),
@@ -165,18 +171,33 @@ def _jobs(root, cli):
     for name, edits in INVALID_SCENES.items():
         yield f"invalid/{name}/report", "report", _edited(valid, edits), []
     yield f"invalid/sweep/{' '.join(INVALID_SWEEP)}", "sweep", valid, INVALID_SWEEP
+    yield "catalog/list", "catalog", None, ["list"]
+    from sdharm.constructions import CATALOG          # the package ``cli`` came from
+    for name in sorted(CATALOG):
+        yield f"catalog/describe/{name}", "catalog", None, ["describe", name]
 
 
-def dump(root, out):
-    root = Path(root).resolve()
+def import_cli(root):
+    """``sdharm.cli`` imported from ``<root>/src``, with the tolerance override
+    of the environment unset."""
     sys.path.insert(0, str(root / "src"))
     from sdharm import cli
     if not Path(cli.__file__).resolve().is_relative_to(root):
         raise SystemExit(f"sdharm was imported from {cli.__file__}, not from {root}")
     os.environ.pop(cli.TOL_ENV_VAR, None)
+    return cli
+
+
+def run_jobs(root, cli):
+    """{key: output} of every job, run in process."""
     with tempfile.TemporaryDirectory() as tmp:
-        record = {key: _run(cli, command, scene, args, tmp)
-                  for key, command, scene, args in _jobs(root, cli)}
+        return {key: _run(cli, command, scene, args, tmp)
+                for key, command, scene, args in _jobs(root, cli)}
+
+
+def dump(root, out):
+    root = Path(root).resolve()
+    record = run_jobs(root, import_cli(root))
     Path(out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"{len(record)} outputs written to {out}")
 
