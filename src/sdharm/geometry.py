@@ -11,10 +11,13 @@ residual a chart-independent scalar.
 The curvature path (``metric_point`` through ``curvature_report`` and
 ``sd_asd_split``) also takes an ``(N, d)`` array of points.  The metric jets
 then carry the batch axis last (see ``jets``); ``metric_point`` moves it to
-the front once, and every array after it has a leading point axis, which the
-``...``-prefixed einsums and numpy's stacked ``linalg`` carry through.  Scalars
-such as the norms become ``(N,)`` arrays.  A check that fails at any point of
-a batch raises for the whole batch.
+the front once, and every array after it has a leading point axis, which
+numpy's stacked matrix products and ``linalg`` carry through.  The
+contractions are matrix products over that axis (an einsum of three or more
+operands loops over every index combination at each point), and the einsums
+left are transposes, traces and pairwise products.  Scalars such as the norms
+become ``(N,)`` arrays.  A check that fails at any point of a batch raises for
+the whole batch.
 
 The fields hand out arrays with a batch's point axis first (``arrays``,
 ``values``, ``exterior_derivative``), so only this module reads the jets'
@@ -356,7 +359,10 @@ def jet_matrix_inverse(g, dg):
     first-order Taylor rule of the matrix inverse (Griewank & Walther,
     *Evaluating Derivatives*, ch. 13)."""
     ginv = np.linalg.inv(g)
-    return ginv, -np.einsum("...ae,...efc,...fb->...abc", ginv, dg, ginv)
+    lead, n = g.shape[:-2], g.shape[-1]
+    # M[a,f,c] = g^ae d_c g_ef, then -M[a,f,c] g^fb as one product per a
+    M = (ginv @ dg.reshape(lead + (n, n * n))).reshape(dg.shape)
+    return ginv, -(M.swapaxes(-1, -2) @ ginv[..., None, :, :]).swapaxes(-1, -2)
 
 
 def christoffel_jets(ginv, dginv, dg, ddg):
@@ -367,19 +373,24 @@ def christoffel_jets(ginv, dginv, dg, ddg):
     dlow = np.einsum("...ecbd->...ebcd", ddg) + ddg
     dlow -= np.einsum("...bced->...ebcd", ddg)
     dlow *= 0.5
-    G = np.einsum("...ae,...ebc->...abc", ginv, low)
-    dG = np.einsum("...ae,...ebcd->...abcd", ginv, dlow)
+    lead, n = ginv.shape[:-2], ginv.shape[-1]
+    G = (ginv @ low.reshape(lead + (n, n * n))).reshape(low.shape)
+    dG = (ginv @ dlow.reshape(lead + (n, n ** 3))).reshape(dlow.shape)
     del dlow                                # a batch's largest temporary
-    dG += np.einsum("...aed,...ebc->...abcd", dginv, low)
+    # dginv_aed low_ebc with rows (a, d), then d moved last
+    dG += (dginv.swapaxes(-1, -2).reshape(lead + (n * n, n)) @ low.reshape(lead + (n, n * n))
+           ).reshape(dG.shape).swapaxes(-3, -2).swapaxes(-2, -1)
     return G, dG
 
 
 def riemann_from_gamma(G, dG):
     """R^a_bcd = d_c G^a_db - d_d G^a_cb + G^a_ce G^e_db - G^a_de G^e_cb."""
-    R = np.einsum("...adbc->...abcd", dG) - np.einsum("...acbd->...abcd", dG)
-    R += np.einsum("...ace,...edb->...abcd", G, G)
-    R -= np.einsum("...ade,...ecb->...abcd", G, G)
-    return R
+    lead, n = G.shape[:-3], G.shape[-1]
+    # GG[a,c,d,b] = G^a_ce G^e_db, one matrix product; R is A less A with c, d
+    # swapped, for A^a_bcd = d_c G^a_db + G^a_ce G^e_db
+    GG = (G.reshape(lead + (n * n, n)) @ G.reshape(lead + (n, n * n))).reshape(G.shape + (n,))
+    A = np.einsum("...adbc->...abcd", dG) + np.einsum("...acdb->...abcd", GG)
+    return A - A.swapaxes(-1, -2)
 
 
 def _curvature(g, point):
@@ -394,7 +405,7 @@ def curvature_from_gamma(mp, point=None):
     if not np.all(np.isfinite(R_up)):
         raise SingularEvaluationError("curvature evaluation produced non-finite values",
                                       point=_at(point))
-    R_low = np.einsum("...ae,...ebcd->...abcd", mp.g, R_up)
+    R_low = (mp.g @ R_up.reshape(R_up.shape[:-3] + (-1,))).reshape(R_up.shape)
     ric = np.einsum("...abad->...bd", R_up)
     scal = _float(np.einsum("...bd,...bd->...", mp.ginv, ric))
     return R_up, R_low, ric, scal
@@ -428,10 +439,12 @@ def schouten(gv, ric, scal, n):
 
 
 def kulkarni_nomizu(A, B):
-    K = np.einsum("...ac,...bd->...abcd", A, B)
-    K += np.einsum("...bd,...ac->...abcd", A, B)
-    K -= np.einsum("...ad,...bc->...abcd", A, B)
-    K -= np.einsum("...bc,...ad->...abcd", A, B)
+    """(A o B)_abcd = A_ac B_bd + A_bd B_ac - A_ad B_bc - A_bc B_ad: one outer
+    product X_abcd = A_ac B_bd, whose transposes give the other three terms."""
+    X = A[..., :, None, :, None] * B[..., None, :, None, :]
+    K = X + np.einsum("...badc->...abcd", X)
+    K -= np.einsum("...abdc->...abcd", X)
+    K -= np.einsum("...bacd->...abcd", X)
     return K
 
 
@@ -610,7 +623,7 @@ def split_two_form(F, gv, orientation=1, point=None):
     vp = 0.5 * (v + Sv)
     vm = 0.5 * (v - Sv)
     Einv = np.linalg.inv(E)
-    back = lambda w: np.einsum("...ia,...jb,...ij->...ab", Einv, Einv, six_to_two_form(w))
+    back = lambda w: Einv.swapaxes(-1, -2) @ six_to_two_form(w) @ Einv
     norm = lambda w: _float(np.sqrt(np.sum(w * w, axis=-1)))
     return back(vp), back(vm), norm(vp), norm(vm)
 
@@ -681,7 +694,7 @@ def sectional_curvature(g, point, X, Y):
     gram = (X @ gv @ X) * (Y @ gv @ Y) - (X @ gv @ Y) ** 2
     if gram < 1e-14:
         raise ValueError("plane spanned by X, Y is degenerate")
-    num = np.einsum("abcd,a,b,c,d->", R_low, X, Y, X, Y)
+    num = X @ (R_low @ Y @ X @ Y)
     return float(num / gram)
 
 

@@ -395,11 +395,6 @@ def projected_lee_form(setup, point):
     return setup.ctx(point).projected_lee
 
 
-def _base_of(point):
-    """The base point of a point, or of each row of an ``(N, 4)`` array."""
-    return np.asarray(point)[:, 1:] if np.ndim(point) == 2 else tuple(float(x) for x in point[1:])
-
-
 def _check_one_fibre(samples):
     """The samples as an ``(..., k, 4)`` array: k >= 2 points of one fibre, or
     of each of several fibres."""
@@ -429,19 +424,18 @@ def twistorial_sd_residual(setup, point):
     return geo._float(setup.rows(point).twistorial_sd)
 
 
-def monopole_eq_residual(setup, alpha, point, base=None):
+def monopole_eq_residual(setup, alpha, point, base):
     """|| (d^H - phi* alpha)(lam^-2) - *_H dtheta ||_h at the point.
 
     ``alpha`` is a one-form on the base (None means zero); vanishing residual
     certifies that alpha is the Lee form making the projection twistorial.
     ``base``, a ``weyl3.HeldBase`` at the base point(s), holds alpha's arrays
-    when the caller reads them for other residuals too.
+    for the other residuals of the job too.
     """
     rows = setup.rows(point)
     lhs = (rows.dlam_inv_sq[..., None, :] @ rows.P[..., :, 1:])[..., 0, :]
     if alpha is not None:
-        av = alpha.values(_base_of(point)) if base is None else base.arrays(alpha)[0]
-        lhs = lhs - rows.lam_inv_sq[..., None] * av
+        lhs = lhs - rows.lam_inv_sq[..., None] * base.arrays(alpha)[0]
     rhs = geo.hodge_star(rows.lifted_dtheta, rows.hv, 2, setup.fm.total_chart.orientation,
                          ginv=rows.hinv)
     return _norm(lhs - rhs, rows.hinv)

@@ -174,7 +174,7 @@ def monopole_residual(u: geo.ScalarField, w: WeylStructure3, F: geo.TwoFormField
     av, _ = base.arrays(w.alpha)
     lhs = du - np.asarray(uv)[..., None] * av
     diff = lhs - base.star(F.values(point), 2, w.h.chart.orientation)
-    norm2 = np.einsum("...a,...b,...ab->...", diff, diff, base.mp.ginv)
+    norm2 = (diff[..., None, :] @ base.mp.ginv @ diff[..., :, None])[..., 0, 0]
     return geo._float(np.sqrt(np.maximum(0.0, norm2)))
 
 

@@ -337,11 +337,12 @@ def test_criterion_9_monopole_criteria():
         ch, lambda c: [0.0 * c[0], 0.0 * c[0], (jets.cos(c[1]) - 1.0) + 0.3 * c[0]])
     ok &= mor.pullback_sd_residual(gh, con.gh_potential(2.0), corrupted,
                                    pts[0]) > 1e-4
+    base = lambda pt: weyl3.HeldBase(gh.fm.h, tuple(pt[1:]))
     for pt in pts:
-        ok &= mor.monopole_eq_residual(gh, None, pt) < 1e-8
+        ok &= mor.monopole_eq_residual(gh, None, pt, base(pt)) < 1e-8
     perturbed = geo.OneFormField(ch, lambda c: [1.0 + 0.0 * c[0], 0.0 * c[0],
                                                 0.0 * c[0]])
-    ok &= mor.monopole_eq_residual(gh, perturbed, pts[0]) > 1e-3
+    ok &= mor.monopole_eq_residual(gh, perturbed, pts[0], base(pts[0])) > 1e-3
     announce(9, "monopole pull-back and compatibility criteria", ok)
     assert ok
 

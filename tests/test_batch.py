@@ -506,7 +506,7 @@ def _public_check(check, r, p):
             setup, mor.fibre_samples_about(r.fm, p, 3))),
         "twistorial_sd": lambda: total(mor.twistorial_sd_residual(setup, p)),
         "monopole": lambda: total(mor.monopole_eq_residual(
-            setup, r.family_params.get("alpha") or r.alpha, p)),
+            setup, r.family_params.get("alpha") or r.alpha, p, weyl3.HeldBase(r.h, base))),
         "pullback_sd": lambda: total(mor.pullback_sd_residual(setup, r.pair_u, r.pair_A, p)),
         "einstein_weyl": lambda: on_base(weyl3.einstein_weyl_residual(w, base)),
         "beltrami": lambda: on_base(

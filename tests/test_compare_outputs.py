@@ -79,6 +79,18 @@ def test_the_record_runs_the_catalog_command(tmp_path):
     assert out["code"] == 0 and json.loads(out["stdout"])["validation"] == {"riemann_norm": 0.0}
 
 
+def test_the_record_runs_malformed_command_lines(tmp_path):
+    """Each malformed command line of the record is a usage error: exit 64,
+    its message on stderr, nothing on stdout."""
+    from sdharm import cli
+    tool = load_tool()
+    jobs = [job for job in tool._jobs(TOOL.parent.parent, cli) if job[0].startswith("usage/")]
+    assert len(jobs) == len(tool.USAGE_ERRORS) > 0
+    for key, command, scene, args in jobs:
+        out = tool._run(cli, command, scene, args, tmp_path)
+        assert out["code"] == 64 and out["stdout"] == "" and out["stderr"], key
+
+
 def test_reach_counts_each_def_and_lambda_body(tmp_path):
     """tools/reach.py's bodies: a def (decorator lines included) and a lambda,
     with their line counts; not a comprehension nor a class body."""

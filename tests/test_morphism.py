@@ -242,21 +242,27 @@ def test_twistorial_samples_validation(type3_setup):
 # monopole equation and pulled-back connections
 # ---------------------------------------------------------------------------
 
+def held_base(setup, pt):
+    """The base metric held at the point's base point, as a job holds it."""
+    return weyl3.HeldBase(setup.fm.h, tuple(pt[1:]))
+
+
 def test_monopole_eq_gh(gh_setup):
     for pt in pts(gh_setup.fm.total_chart, 4, seed=12):
-        assert mor.monopole_eq_residual(gh_setup, None, pt) < 1e-9
+        assert mor.monopole_eq_residual(gh_setup, None, pt, held_base(gh_setup, pt)) < 1e-9
 
 
 def test_monopole_eq_type4_lee_form(type4_setup):
     alpha = con.trkalian(-1)
     for pt in pts(type4_setup.fm.total_chart, 4, seed=13):
-        assert mor.monopole_eq_residual(type4_setup, alpha, pt) < 1e-8
+        assert mor.monopole_eq_residual(type4_setup, alpha, pt, held_base(type4_setup, pt)) < 1e-8
 
 
 def test_monopole_eq_wrong_lee_form(gh_setup):
     ch = con.flat3_spherical().chart
     alpha = geo.OneFormField(ch, lambda c: [1.0 + 0.0 * c[0], 0.0 * c[0], 0.0 * c[0]])
-    assert mor.monopole_eq_residual(gh_setup, alpha, (0.3, 1.0, 1.2, 2.5)) > 1e-3
+    pt = (0.3, 1.0, 1.2, 2.5)
+    assert mor.monopole_eq_residual(gh_setup, alpha, pt, held_base(gh_setup, pt)) > 1e-3
 
 
 def test_pullback_trivial_pair(flat_product):
@@ -545,15 +551,17 @@ def test_a_hold_reads_h_once_per_base_point(type4_setup, monkeypatch):
 def test_morphism_contracts_at_most_two_operands_per_einsum():
     """An einsum of three or more operands runs c_einsum's loop over every
     index combination, 4^6 at each point for the horizontal trace's
-    derivative; PointEval contracts with matrix products or pairwise."""
-    tree = ast.parse(Path(mor.__file__).read_text())
-    specs = [node.args[0].value for node in ast.walk(tree)
-             if isinstance(node, ast.Call) and node.args
-             and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)
-             and (isinstance(node.func, ast.Attribute) and node.func.attr == "einsum"
-                  or isinstance(node.func, ast.Name) and node.func.id == "_d_einsum")]
-    assert len(specs) >= 10
-    assert [spec for spec in specs if spec.split("->")[0].count(",") >= 2] == []
+    derivative; geometry's curvature chain, weyl3's residuals and PointEval
+    contract with matrix products or pairwise."""
+    for module, least in ((mor, 10), (geo, 5), (weyl3, 5)):
+        tree = ast.parse(Path(module.__file__).read_text())
+        specs = [node.args[0].value for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and node.args
+                 and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)
+                 and (isinstance(node.func, ast.Attribute) and node.func.attr == "einsum"
+                      or isinstance(node.func, ast.Name) and node.func.id == "_d_einsum")]
+        assert len(specs) >= least, module.__name__
+        assert [spec for spec in specs if spec.split("->")[0].count(",") >= 2] == [], module.__name__
 
 
 # geometry's jet-to-array boundary: the helpers that know a batch jet's layout

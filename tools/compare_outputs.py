@@ -21,6 +21,9 @@ process on
   break the scene schema, and a sweep into an invalid slot
   (``INVALID_SWEEP``), so every usage-error message of scene validation is
   recorded;
+- each malformed command line of ``USAGE_ERRORS`` (an unknown flag, a
+  ``--steps`` that is not an integer, a ``--range`` without ``:``, no scene),
+  so the usage errors of the command line are recorded too;
 - ``catalog list``, and ``catalog describe`` of each entry of the catalog,
   which runs the entry's validator.
 
@@ -98,6 +101,18 @@ INVALID_SCENES = {
 INVALID_SWEEP = ["--param", "samples.random.count", "--range=0:1", "--steps", "2",
                  "--checks", "twistorial_sd"]
 
+# Malformed command lines, each (command, whether it names type4_berger_ew.json,
+# arguments after the scene): every one is a usage error (exit 64).
+USAGE_ERRORS = {
+    "unknown_flag": ("report", True, ["--colour", "red"]),
+    "steps_not_an_integer": ("sweep", True, ["--param", "construction.params.c",
+                                             "--range=1.2:2.0", "--steps", "x",
+                                             "--checks", "twistorial_sd"]),
+    "range_without_colon": ("sweep", True, ["--param", "construction.params.c", "--range=1.2",
+                                            "--steps", "3", "--checks", "twistorial_sd"]),
+    "missing_scene": ("report", False, []),
+}
+
 _TIMESTAMP = re.compile(r'"timestamp":"[^"]*"')
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
 # as it reads in the JSON text of a record, where stdout's quotes are escaped
@@ -171,6 +186,8 @@ def _jobs(root, cli):
     for name, edits in INVALID_SCENES.items():
         yield f"invalid/{name}/report", "report", _edited(valid, edits), []
     yield f"invalid/sweep/{' '.join(INVALID_SWEEP)}", "sweep", valid, INVALID_SWEEP
+    for name, (command, named, args) in USAGE_ERRORS.items():
+        yield f"usage/{name}", command, valid if named else None, args
     yield "catalog/list", "catalog", None, ["list"]
     from sdharm.constructions import CATALOG          # the package ``cli`` came from
     for name in sorted(CATALOG):
