@@ -403,7 +403,7 @@ class ResolvedScene:
         self.setup = mor.SubmersionSetup(self.fm) if self.fm is not None else None
         # the Lee form of the base Weyl structure: the family's, the scene's, or zero
         self.lee_form = self.family_params.get("alpha") or self.alpha or geo.OneFormField(
-            self.h.chart, lambda c: [0.0 * c[0]] * 3, "zero")
+            self.h.chart, lambda c: [0.0] * 3, "zero")
 
     def _on_base_chart(self, field):
         if field is not None and field.chart.names != self.h.chart.names:
@@ -542,7 +542,7 @@ def _beltrami(job):
     if c is not None:
         w = weyl3.WeylStructure3(r.h, r.lee_form)
         return weyl3.generalized_beltrami_residual(
-            w, geo.ScalarField(r.h.chart, lambda _c: c + 0.0 * _c[0]), base.point, base)
+            w, geo.ScalarField(r.h.chart, lambda _c: c), base.point, base)
     w = weyl3.WeylStructure3(r.h, r.family_params.get("A") or r.lee_form)
     return weyl3.beltrami_residual(w, r.scene.get("beltrami_sign", -1), base.point, base)
 

@@ -155,12 +155,10 @@ def _assemble(chart, h, lam_inv_sq_fn, theta_fn, tag, params, positivity_name, n
 def _theta_dtau_plus(A_fn):
     """theta = d(fibre) + pullback of a base one-form (A_fn may be None)."""
     def fn(coords):
-        one = 1.0 + 0.0 * coords[0]
         if A_fn is None:
-            zero = 0.0 * coords[0]
-            return [one, zero, zero, zero]
+            return [1.0, 0.0, 0.0, 0.0]
         Ab = A_fn(coords[1:])
-        return [one, Ab[0], Ab[1], Ab[2]]
+        return [1.0, Ab[0], Ab[1], Ab[2]]
     return fn
 
 
@@ -205,8 +203,7 @@ def type2_warped(h, f, fibre_range=(-1.5, 1.5)):
     chart = _total_chart(h.chart, fibre_range, "tau")
 
     def theta_fn(coords):
-        zero = 0.0 * coords[0]
-        return [jets.sqrt(f.fn(coords)), zero, zero, zero]
+        return [jets.sqrt(f.fn(coords)), 0.0, 0.0, 0.0]
 
     return _assemble(chart, h, f.fn, theta_fn, "type2", {"f": f},
                      positivity_name="f")
@@ -238,12 +235,10 @@ def type4_metric(h, alpha=None, c=1.0, fibre_range=(-1.5, 1.5)):
         return jets.exp(coords[0]) + cv
 
     def theta_fn(coords):
-        one = 1.0 + 0.0 * coords[0]
         if alpha is None:
-            zero = 0.0 * coords[0]
-            return [one, zero, zero, zero]
+            return [1.0, 0.0, 0.0, 0.0]
         ab = alpha.fn(coords[1:])
-        return [one, -1.0 * ab[0], -1.0 * ab[1], -1.0 * ab[2]]
+        return [1.0, -1.0 * ab[0], -1.0 * ab[1], -1.0 * ab[2]]
 
     return _assemble(chart, h, lam_inv_sq, theta_fn, "type4",
                      {"alpha": alpha, "c": c}, positivity_name="e^rho + c")
@@ -307,21 +302,21 @@ def xdy():
 
 
 # The left-invariant coframe (s1, s2, s3) in the Euler chart, one function
-# per form, so that a field evaluates only the forms it needs.
+# per form, so that a field evaluates only the forms it needs; a constant
+# component is a number, which the field's ``coerce`` lifts.
 
 def _euler_s1(c):
     th, ps, _ = c
-    return [0.5 * jets.cos(ps), 0.0 * th, 0.5 * jets.sin(ps) * jets.sin(th)]
+    return [0.5 * jets.cos(ps), 0.0, 0.5 * jets.sin(ps) * jets.sin(th)]
 
 
 def _euler_s2(c):
     th, ps, _ = c
-    return [0.5 * jets.sin(ps), 0.0 * th, -0.5 * jets.cos(ps) * jets.sin(th)]
+    return [0.5 * jets.sin(ps), 0.0, -0.5 * jets.cos(ps) * jets.sin(th)]
 
 
 def _euler_s3(c):
-    th = c[0]
-    return [0.0 * th, 0.5 + 0.0 * th, 0.5 * jets.cos(th)]
+    return [0.0, 0.5, 0.5 * jets.cos(c[0])]
 
 
 def euler_s3_frame():
@@ -352,14 +347,6 @@ def berger_lee(scale):
     return geo.OneFormField(
         _EULER_CHART, lambda c: [float(scale) * x for x in _euler_s3(c)],
         f"berger_lee({scale})")
-
-
-def berger_ew_scale(mu):
-    """The scale for which (berger_s3(mu), berger_lee(scale)) is Einstein-Weyl."""
-    mu = float(mu)
-    if not 0 < mu <= 1:
-        raise DomainError("Einstein-Weyl squashings need 0 < mu <= 1")
-    return 2.0 * mu * math.sqrt(1.0 - mu * mu)
 
 
 def gh_potential(m=1.0):

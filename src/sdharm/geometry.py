@@ -481,10 +481,13 @@ def orthonormal_frame(gv, point=None):
 
 def to_frame(T, E):
     """Transform an all-lower-index tensor into the frame of orthonormal_frame.
-    T and E may share leading point axes.  Each step contracts T's first
-    index with E as one matrix product and puts the new index last."""
+    T and E may share leading point axes.  A 2-tensor is the one product
+    E^T T E; a higher rank contracts its first index with E at each step, as
+    one matrix product, and puts the new index last."""
     lead = E.shape[:-2]
     n = len(lead)
+    if T.ndim - n == 2:
+        return E.swapaxes(-1, -2) @ T @ E
     first_last = (*range(n), *range(n + 1, T.ndim), n)       # np.moveaxis(T, n, -1), cheaper
     for _ in range(T.ndim - n):
         T = T.transpose(first_last)
@@ -494,9 +497,11 @@ def to_frame(T, E):
 
 def frame_norm(T, E):
     """Frobenius norm of the all-lower-index tensor T in the frame E of
-    ``orthonormal_frame``, per point."""
+    ``orthonormal_frame``, per point: of E^T T E for a 2-tensor.  It reduces
+    with ``np.add.reduce``, which ``np.sum`` wraps: the same sums in one call
+    fewer."""
     k = T.ndim - (E.ndim - 2)
-    return _float(np.sqrt(np.sum(to_frame(T, E) ** 2, axis=tuple(range(-k, 0)))))
+    return _float(np.sqrt(np.add.reduce(to_frame(T, E) ** 2, axis=tuple(range(-k, 0)))))
 
 
 def tensor_norm(T, gv):

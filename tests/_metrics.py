@@ -2,6 +2,8 @@
 conformal rescalings and the type-4 normalization that the invariance tests
 apply to them."""
 
+import math
+
 import numpy as np
 
 from sdharm import constructions as con, geometry as geo, jets
@@ -25,6 +27,14 @@ def flat(chart):
     return geo.MetricField(
         chart, lambda c: [[(1.0 if a == b else 0.0) + 0.0 * c[0] for b in range(d)]
                           for a in range(d)], "flat")
+
+
+def berger_ew_scale(mu):
+    """The scale for which (berger_s3(mu), berger_lee(scale)) is Einstein-Weyl."""
+    mu = float(mu)
+    if not 0 < mu <= 1:
+        raise DomainError("Einstein-Weyl squashings need 0 < mu <= 1")
+    return 2.0 * mu * math.sqrt(1.0 - mu * mu)
 
 
 def sphere2_unit():

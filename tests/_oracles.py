@@ -1,10 +1,12 @@
 """Independent oracles the tests hold the package to: the finite-difference
 derivatives of a scalar field, the integrability form's cross-check against
-the connection form, and the einsum formulas of the curvature chain."""
+the connection form, the einsum formulas of the curvature chain, the
+index-at-a-time ``to_frame``, and the field closures with each constant
+component built as a jet."""
 
 import numpy as np
 
-from sdharm import geometry as geo, weyl3
+from sdharm import constructions as con, geometry as geo, jets, weyl3
 from sdharm.errors import SingularEvaluationError
 
 
@@ -157,3 +159,100 @@ def monopole_residual(u, w, F, point):
     diff = lhs - base.star(F.values(point), 2, w.h.chart.orientation)
     norm2 = np.einsum("...a,...b,...ab->...", diff, diff, base.mp.ginv)
     return geo._float(np.sqrt(np.maximum(0.0, norm2)))
+
+
+def to_frame(T, E):
+    """geometry.to_frame as an index at a time for every rank: T's first index
+    contracted with E as one matrix product and put last, once per index."""
+    lead = E.shape[:-2]
+    n = len(lead)
+    first_last = (*range(n), *range(n + 1, T.ndim), n)
+    for _ in range(T.ndim - n):
+        T = T.transpose(first_last)
+        T = (T.reshape(lead + (-1, E.shape[-2])) @ E).reshape(T.shape)
+    return T
+
+
+# -- closures with their constant components as jets ---------------------------
+# constructions and cli return a constant component as a number, which the
+# field's coerce lifts to a jet; here each constant is the jet ``0.0 * c[0]``,
+# as the package built them before, to hold the fields' arrays to bit for bit.
+
+def euler_s1(c):
+    th, ps, _ = c
+    return [0.5 * jets.cos(ps), 0.0 * th, 0.5 * jets.sin(ps) * jets.sin(th)]
+
+
+def euler_s2(c):
+    th, ps, _ = c
+    return [0.5 * jets.sin(ps), 0.0 * th, -0.5 * jets.cos(ps) * jets.sin(th)]
+
+
+def euler_s3(c):
+    th = c[0]
+    return [0.0 * th, 0.5 + 0.0 * th, 0.5 * jets.cos(th)]
+
+
+def euler_s3_frame():
+    return tuple(geo.OneFormField(con._EULER_CHART, s, f"sigma{i+1}")
+                 for i, s in enumerate((euler_s1, euler_s2, euler_s3)))
+
+
+def berger_s3(mu):
+    def fn(c):
+        s1, s2, s3 = euler_s1(c), euler_s2(c), euler_s3(c)
+        return [[s1[a] * s1[b] + s2[a] * s2[b] + (mu * mu) * s3[a] * s3[b]
+                 for b in range(3)] for a in range(3)]
+    return geo.MetricField(con._EULER_CHART, fn, f"berger_s3({mu})")
+
+
+def berger_lee(scale):
+    return geo.OneFormField(con._EULER_CHART, lambda c: [float(scale) * x for x in euler_s3(c)],
+                            f"berger_lee({scale})")
+
+
+def theta_dtau_plus(A_fn):
+    def fn(coords):
+        one = 1.0 + 0.0 * coords[0]
+        if A_fn is None:
+            zero = 0.0 * coords[0]
+            return [one, zero, zero, zero]
+        Ab = A_fn(coords[1:])
+        return [one, Ab[0], Ab[1], Ab[2]]
+    return fn
+
+
+def type2_theta(f):
+    def theta_fn(coords):
+        zero = 0.0 * coords[0]
+        return [jets.sqrt(f.fn(coords)), zero, zero, zero]
+    return theta_fn
+
+
+def type4_theta(alpha):
+    def theta_fn(coords):
+        one = 1.0 + 0.0 * coords[0]
+        if alpha is None:
+            zero = 0.0 * coords[0]
+            return [one, zero, zero, zero]
+        ab = alpha.fn(coords[1:])
+        return [one, -1.0 * ab[0], -1.0 * ab[1], -1.0 * ab[2]]
+    return theta_fn
+
+
+def zero_lee_form(chart):
+    """cli's Lee form of a scene without one."""
+    return geo.OneFormField(chart, lambda c: [0.0 * c[0]] * 3, "zero")
+
+
+def constant_scalar(chart, c):
+    """cli's constant c of the generalized Beltrami check."""
+    return geo.ScalarField(chart, lambda _c: c + 0.0 * _c[0])
+
+
+def fibred(fm, h, theta_fn):
+    """The fibration fm's total metric with the base metric h and the theta
+    closure theta_fn in place of its own, and theta_fn as a field."""
+    g = con.FibredMetric(fm.total_chart, h, fm.g.lam_inv_sq_fn, theta_fn, fm.g.name,
+                         fm.g.positivity_name)
+    return g, geo.OneFormField(fm.total_chart, theta_fn, fm.theta.name)

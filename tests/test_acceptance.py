@@ -15,7 +15,7 @@ import pytest
 from sdharm import cli, constructions as con, geometry as geo, jets, morphism as mor, weyl3
 
 from _fieldgen import random_field, random_point
-from _metrics import conformal_rescale_fibration
+from _metrics import berger_ew_scale, conformal_rescale_fibration
 from _oracles import fd_oracle
 
 
@@ -99,7 +99,7 @@ CURVED_CATALOG = [
                                  A=con.dirac_A(1.0)).g,
     lambda: con.type3_metric(con.flat3(), con.trkalian(1)).g,
     lambda: con.type4_metric(con.berger_s3(0.8),
-                             con.berger_lee(con.berger_ew_scale(0.8)), c=1.6).g,
+                             con.berger_lee(berger_ew_scale(0.8)), c=1.6).g,
 ]
 
 
@@ -260,7 +260,7 @@ def test_criterion_7_type4_as_specified():
     # (c) the positive instance: Einstein-Weyl Berger sphere, c = 2 mu
     mu = 0.8
     h = con.berger_s3(mu)
-    w3 = weyl3.WeylStructure3(h, con.berger_lee(con.berger_ew_scale(mu)))
+    w3 = weyl3.WeylStructure3(h, con.berger_lee(berger_ew_scale(mu)))
     c3 = geo.ScalarField(h.chart, lambda x: 2.0 * mu + 0.0 * x[0])
     fm3 = con.type4_metric(h, w3.alpha, c=2.0 * mu)
     for pt in rand_pts(fm3.total_chart, 5, seed=73):

@@ -64,7 +64,29 @@ def test_diff_reports_the_masked_hash_as_identical_numbers(tmp_path, capsys):
     b.write_text(json.dumps({"job": verify_record(0.25, True, B_HASH)}))
     assert tool.diff(a, b) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "0 of 1 outputs identical", "job: worst relative difference 0, 0 other tokens differ"]
+        "0 of 1 outputs identical", "job: worst relative difference 0, 0 other tokens differ",
+        "worst relative difference of all: 0, in job"]
+
+
+def test_diff_ends_with_the_worst_difference_and_its_job(tmp_path, capsys):
+    """The last line names the worst relative difference over every output of
+    both records that differs, with its job; records that agree end by saying
+    so."""
+    tool = load_tool()
+    paths = [tmp_path / f"{name}.json" for name in "abc"]
+    records = [{"same": verify_record(0.5, True, A_HASH), "near": verify_record(x, True, A_HASH),
+                "far": verify_record(y, True, A_HASH), "lone": verify_record(0.5, True, A_HASH)}
+               for x, y in ((0.25, 2.0), (0.25 + 1e-15, 2.5))]
+    del records[1]["lone"]
+    for path, record in zip(paths, records + records[:1]):
+        path.write_text(json.dumps(record))
+    assert tool.diff(paths[0], paths[1]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "1 of 4 outputs identical" and f"lone: only in {paths[0]}" in lines
+    assert lines[-1] == f"worst relative difference of all: {0.5 / 3.0:.3g}, in far"
+    assert tool.diff(paths[0], paths[2]) == 0
+    assert capsys.readouterr().out.splitlines() == ["4 of 4 outputs identical",
+                                                    "no output of both records differs"]
 
 
 def test_the_record_runs_the_catalog_command(tmp_path):

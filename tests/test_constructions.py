@@ -1,10 +1,15 @@
+import copy
+import json
+import os
+
 import numpy as np
 import pytest
 
-from sdharm import constructions as con, geometry as geo, jets, weyl3
+from sdharm import cli, constructions as con, geometry as geo, jets, weyl3
 from sdharm.errors import DomainError
 
-from _metrics import type4_normalize, variable_c_background
+from _metrics import berger_ew_scale, type4_normalize, variable_c_background
+import _oracles as O
 
 
 def sample_points(chart, n, seed=0, margin=0.15):
@@ -105,7 +110,7 @@ def test_dirac_A_satisfies_monopole_closed_form():
 
 def test_berger_ew_scale_closed_form():
     mu = 0.8
-    a_star = con.berger_ew_scale(mu)
+    a_star = berger_ew_scale(mu)
     w = weyl3.WeylStructure3(con.berger_s3(mu), con.berger_lee(a_star))
     for pt in sample_points(w.h.chart, 3, seed=10):
         assert weyl3.einstein_weyl_residual(w, pt) < 1e-10
@@ -275,7 +280,7 @@ def test_type4_alpha_zero_conformally_flat():
 
 def test_type4_berger_einstein_weyl_self_dual():
     mu = 0.8
-    fm = con.type4_metric(con.berger_s3(mu), con.berger_lee(con.berger_ew_scale(mu)),
+    fm = con.type4_metric(con.berger_s3(mu), con.berger_lee(berger_ew_scale(mu)),
                           c=2.0 * mu)
     for pt in sample_points(fm.total_chart, 5, seed=19):
         rep = geo.curvature_report(fm.g, pt)
@@ -407,3 +412,97 @@ def test_report_norms_are_chart_invariant(family):
                                         "weyl", "w_plus", "w_minus"}
         for key in a:
             assert abs(a[key] - b[key]) <= 1e-12 * (1.0 + abs(b[key])), (key, a[key], b[key])
+
+
+# ---------------------------------------------------------------------------
+# constant components as numbers: the arrays of the jet-constant closures
+# ---------------------------------------------------------------------------
+
+SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
+
+
+def oriented(field, orientation):
+    """The field on its chart of the given orientation."""
+    if orientation == 1:
+        return field
+    out = copy.copy(field)
+    out.chart = field.chart.flipped()
+    return out
+
+
+def assert_arrays_equal(got, ref, chart, what):
+    """The two fields' arrays equal bit for bit at one point and on a seeded
+    batch of the chart."""
+    batch = np.array(sample_points(chart, 6, seed=len(what)))
+    for at in (tuple(batch[0]), batch[:1], batch):
+        for k, (x, y) in enumerate(zip(got.arrays(at), ref.arrays(at), strict=True)):
+            assert np.array_equal(x, y), (what, k, np.shape(at))
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_coframe_fields_equal_their_jet_constant_closures_bit_for_bit(orientation):
+    pairs = [(con.berger_s3(mu), O.berger_s3(mu)) for mu in (0.8, 1.0)]
+    pairs += [(con.berger_lee(s), O.berger_lee(s)) for s in (0.96, -0.5)]
+    pairs += list(zip(con.euler_s3_frame(), O.euler_s3_frame()))
+    for got, ref in pairs:
+        assert_arrays_equal(oriented(got, orientation), oriented(ref, orientation),
+                            got.chart, got.name)
+
+
+def _family_pairs():
+    """(name, fibration, its total metric and theta field with every folded
+    closure in its jet-constant form) of each family, with and without its
+    base one-form."""
+    h, lee = con.berger_s3(0.8), con.berger_lee(0.96)
+    oh, olee = O.berger_s3(0.8), O.berger_lee(0.96)
+    u, A = con.gh_potential(1.0), con.dirac_A(1.0)
+    f = con.fibre_exp(2.0)(None)
+    lam = con.fibre_power(-0.5)(None)
+    return [
+        ("type1", con.jones_tod_metric(con.flat3_spherical(), u, A=A),
+         con.flat3_spherical(), O.theta_dtau_plus(A.fn)),
+        ("type1_no_A", con.jones_tod_metric(con.flat3_spherical(), u),
+         con.flat3_spherical(), O.theta_dtau_plus(None)),
+        ("type2", con.type2_warped(h, f), oh, O.type2_theta(f)),
+        ("type3", con.type3_metric(h, lee), oh, O.theta_dtau_plus(olee.fn)),
+        ("type3_trkalian", con.type3_metric(con.flat3(), con.trkalian(1)), con.flat3(),
+         O.theta_dtau_plus(con.trkalian(1).fn)),
+        ("type4", con.type4_metric(h, lee, c=1.6), oh, O.type4_theta(olee)),
+        ("type4_no_alpha", con.type4_metric(h, c=1.6), oh, O.type4_theta(None)),
+        ("bryant", con.bryant_metric(h, lam, lee), oh, O.theta_dtau_plus(olee.fn)),
+    ]
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_family_arrays_equal_their_jet_constant_closures_bit_for_bit(orientation):
+    for name, fm, oh, theta_fn in _family_pairs():
+        g, theta = O.fibred(fm, oh, theta_fn)
+        fm = fm.with_orientation(orientation)
+        assert_arrays_equal(fm.g, oriented(g, orientation), fm.total_chart, name + ".g")
+        assert_arrays_equal(fm.theta, oriented(theta, orientation), fm.total_chart,
+                            name + ".theta")
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_cli_zero_lee_form_and_constant_c_equal_their_jet_forms(orientation):
+    """cli's zero Lee form of a type-4 scene without alpha, and the generalized
+    Beltrami residual of the constant c with and without alpha, against the
+    jet-constant closures."""
+    with open(os.path.join(SCENES, "type4_berger_ew.json")) as fh:
+        scene = dict(json.load(fh), orientation=orientation)
+    no_alpha = copy.deepcopy(scene)
+    del no_alpha["construction"]["params"]["alpha"]
+    for s in (scene, no_alpha):
+        r = cli.ResolvedScene(cli.validate_scene(s))
+        lee = r.lee_form
+        if s is no_alpha:
+            assert lee.name == "zero"
+            assert_arrays_equal(lee, O.zero_lee_form(r.h.chart), r.h.chart, "zero")
+            lee = O.zero_lee_form(r.h.chart)
+        points = r.sample_points()[0]
+        for at in (points[:1], points):
+            job = cli._Job(r, at, ["beltrami"])
+            ref = weyl3.generalized_beltrami_residual(
+                weyl3.WeylStructure3(r.h, lee), O.constant_scalar(r.h.chart, 1.6),
+                job.base.point)
+            assert np.array_equal(cli._beltrami(job), ref), (s is no_alpha, len(at))

@@ -4,8 +4,9 @@ the einsum of each formula (``_oracles``) is the reference.
 Each function is held to its oracle within 1e-13 (1 + |ref|), entry by entry,
 on seeded random metric arrays and at every sample of every scene, the oracle
 fed the same inputs as the function.  ``kulkarni_nomizu`` adds the same
-products in the same order as its oracle, so it must agree bit for bit.  A
-batch's row must equal the function of that row's arrays alone.
+products in the same order as its oracle, so it must agree bit for bit, as
+must ``to_frame``'s one product for a 2-tensor with its index-at-a-time loop.
+A batch's row must equal the function of that row's arrays alone.
 """
 
 import glob
@@ -163,3 +164,19 @@ def test_monopole_residual_matches_its_einsum():
         for p in map(tuple, points):
             assert_close(weyl3.monopole_residual(u, w, F, p), O.monopole_residual(u, w, F, p),
                          ("monopole", k, p))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_to_frame_of_a_2_tensor_is_the_loop_bit_for_bit(n):
+    """E^T T E equals the index-at-a-time loop exactly, at one point and on a
+    seeded batch, in an oriented frame and in one with a reflected axis; a
+    higher rank still runs the loop."""
+    g, dg, _ = random_metric(n, 64, seed=11 * n)
+    T = np.random.default_rng(n).normal(size=(64, n, n))
+    E = geo.orthonormal_frame(g)
+    for frame in (E, E * np.r_[-1.0, np.ones(n - 1)]):         # orientation +1 and -1
+        assert np.array_equal(geo.to_frame(T, frame), O.to_frame(T, frame))
+        assert np.array_equal(geo.to_frame(T[0], frame[0]), O.to_frame(T[0], frame[0]))
+        assert np.array_equal(geo.frame_norm(T, frame),
+                              np.sqrt(np.sum(O.to_frame(T, frame) ** 2, axis=(-2, -1))))
+        assert np.array_equal(geo.to_frame(dg, frame), O.to_frame(dg, frame))

@@ -12,7 +12,7 @@ import sdharm
 from sdharm import cli, constructions as con, geometry as geo, jets, morphism as mor, weyl3
 from sdharm.errors import NotHorizontallyConformalError
 
-from _metrics import conformal_rescale_fibration
+from _metrics import berger_ew_scale, conformal_rescale_fibration
 from _oracles import fd_gradient, integrability_consistency
 
 
@@ -447,7 +447,7 @@ def _trace_form_pairs(ctx):
 
 
 def fd_setups():
-    berger = con.type4_metric(con.berger_s3(0.8), con.berger_lee(con.berger_ew_scale(0.8)),
+    berger = con.type4_metric(con.berger_s3(0.8), con.berger_lee(berger_ew_scale(0.8)),
                               c=1.6)
     return {"gibbons_hawking": catalog_setups()["type1"],
             "type2": catalog_setups()["type2"],

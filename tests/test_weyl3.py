@@ -7,7 +7,7 @@ from sdharm import cli, constructions as con, geometry as geo, jets, weyl3
 from sdharm.errors import DimensionError
 
 from _fieldgen import random_field
-from _metrics import conformal_rescale, variable_c_background
+from _metrics import berger_ew_scale, conformal_rescale, variable_c_background
 
 
 def pts(chart, n, seed=0, margin=0.2):
@@ -113,7 +113,7 @@ def test_einstein_weyl_generic_lee_fails():
 
 def test_einstein_weyl_berger_family_and_bisection():
     mu = 0.8
-    a_star = con.berger_ew_scale(mu)
+    a_star = berger_ew_scale(mu)
     h = con.berger_s3(mu)
     pt = (1.2, 2.0, 3.0)
 
@@ -339,7 +339,7 @@ def test_einstein_weyl_matches_the_weyl_riemann_oracle_along_the_berger_sweep():
     0.5 to 1.4, 10 steps), and the Einstein-Weyl scale itself."""
     scene = _scene("berger_ew_sweep.json")
     keys = cli.scene_slot(scene, "alpha.params.scale")
-    scales = list(np.linspace(0.5, 1.4, 10)) + [con.berger_ew_scale(0.8)]
+    scales = list(np.linspace(0.5, 1.4, 10)) + [berger_ew_scale(0.8)]
     run = cli.Run()
     for scale in scales:
         step = cli.with_slot(scene, keys, float(scale))
@@ -349,7 +349,7 @@ def test_einstein_weyl_matches_the_weyl_riemann_oracle_along_the_berger_sweep():
 @pytest.mark.parametrize("h, alpha", [
     (con.flat3(), con.trkalian(1)),                    # sqrt(7/6) everywhere (README)
     (con.constant_curvature3(1.0), con.xdy()),
-    (con.berger_s3(0.6), con.berger_lee(con.berger_ew_scale(0.6))),
+    (con.berger_s3(0.6), con.berger_lee(berger_ew_scale(0.6))),
     variable_c_background()[:2],
 ], ids=["flat_trkalian", "cc3_xdy", "berger_ew", "variable_c"])
 def test_einstein_weyl_matches_the_weyl_riemann_oracle_on_catalog_pairs(h, alpha):

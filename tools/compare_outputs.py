@@ -37,7 +37,8 @@ under ``perfbench/``; scenes go to a temporary directory.
 differs it prints the worst relative difference |a - b| / (1 + |a|) over the
 numbers of the two outputs, read in order, and the number of other tokens
 that differ (a report's ``report_hash`` follows its numbers and is not
-counted).  It exits 1 if any output differs, else 0.
+counted).  Its last line names the worst of those differences with its job,
+or says that no output of both records differs.  It exits 1 if any output differs, else 0.
 """
 
 from __future__ import annotations
@@ -238,7 +239,7 @@ def _compare(a, b):
 def diff(a_path, b_path):
     a, b = (json.loads(Path(p).read_text()) for p in (a_path, b_path))
     keys = sorted(set(a) | set(b))
-    same, differ = 0, []
+    same, differ, worst_of_all = 0, [], None
     for key in keys:
         if key not in a or key not in b:
             differ.append(f"{key}: only in {a_path if key in a else b_path}")
@@ -249,9 +250,15 @@ def diff(a_path, b_path):
                                     json.dumps(b[key], sort_keys=True))
             differ.append(f"{key}: worst relative difference {worst:.3g}, "
                           f"{other} other tokens differ")
+            if worst_of_all is None or worst > worst_of_all[0]:
+                worst_of_all = worst, key
     print(f"{same} of {len(keys)} outputs identical")
     for line in differ:
         print(line)
+    if worst_of_all is None:
+        print("no output of both records differs")
+    else:
+        print(f"worst relative difference of all: {worst_of_all[0]:.3g}, in {worst_of_all[1]}")
     return 1 if differ else 0
 
 
