@@ -31,6 +31,7 @@ itself does.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
 from collections import namedtuple
@@ -160,14 +161,19 @@ def _jets_at(chart, fn, point):
     return at, coords, _eval_at(fn, coords, at)
 
 
-class ScalarField:
-    """Closed-form scalar on a chart: ``fn`` maps coordinate jets (or floats)
-    to one jet (or float)."""
+class _Field:
+    """A closed-form field on a chart: ``fn`` maps coordinate jets (or floats)
+    to its component jets (or floats)."""
 
     def __init__(self, chart, fn, name=""):
         self.chart = chart
         self.fn = fn
         self.name = name
+
+
+class ScalarField(_Field):
+    """Closed-form scalar on a chart: ``fn`` maps coordinate jets (or floats)
+    to one jet (or float)."""
 
     def jet(self, point):
         at, coords, out = _jets_at(self.chart, self.fn, point)
@@ -188,13 +194,8 @@ class ScalarField:
         return out.value if isinstance(out, jets.Jet) else float(out)
 
 
-class OneFormField:
+class OneFormField(_Field):
     """Closed-form one-form; ``fn`` returns a list of d component jets."""
-
-    def __init__(self, chart, fn, name=""):
-        self.chart = chart
-        self.fn = fn
-        self.name = name
 
     def jets(self, point):
         _, coords, comps = _jets_at(self.chart, self.fn, point)
@@ -209,14 +210,9 @@ class OneFormField:
         return self.arrays(point)[0]
 
 
-class TwoFormField:
+class TwoFormField(_Field):
     """Closed-form two-form; ``fn`` returns a full d x d antisymmetric nested
     list of component jets."""
-
-    def __init__(self, chart, fn, name=""):
-        self.chart = chart
-        self.fn = fn
-        self.name = name
 
     def jets(self, point):
         at, coords, comps = _jets_at(self.chart, self.fn, point)
@@ -235,13 +231,8 @@ class TwoFormField:
         return _lead(jet_values(self.jets(point)), point)
 
 
-class MetricField:
+class MetricField(_Field):
     """Symmetric metric tensor; ``fn`` returns the d x d nested component list."""
-
-    def __init__(self, chart, fn, name=""):
-        self.chart = chart
-        self.fn = fn
-        self.name = name
 
     def jets(self, point):
         at = _at(point)
@@ -513,23 +504,14 @@ def tensor_norm(T, gv):
 # Hodge star and self-dual split
 # ---------------------------------------------------------------------------
 
-_LC_CACHE = {}
-
-
+@functools.cache
 def levi_civita_symbol(n):
-    if n not in _LC_CACHE:
-        eps = np.zeros((n,) * n)
-        for perm in itertools.permutations(range(n)):
-            sign = 1
-            p = list(perm)
-            for i in range(n):
-                while p[i] != i:
-                    j = p[i]
-                    p[i], p[j] = p[j], p[i]
-                    sign = -sign
-            eps[perm] = sign
-        _LC_CACHE[n] = eps
-    return _LC_CACHE[n]
+    """eps with eps[perm] the sign of the permutation, (-1) to the number of
+    its inversions, and zero off the permutations."""
+    eps = np.zeros((n,) * n)
+    for perm in itertools.permutations(range(n)):
+        eps[perm] = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+    return eps
 
 
 def hodge_star(omega, gv, k, orientation=1, point=None, ginv=None, vol=None):
@@ -589,7 +571,7 @@ def weyl_operator_matrix(W_frame):
 
 def _matrix_norm(M):
     """Frobenius norm of a 6x6 block, per point."""
-    return _float(np.sqrt(np.sum(M * M, axis=(-2, -1))))
+    return _float(np.sqrt(np.add.reduce(M ** 2, axis=(-2, -1))))
 
 
 def sd_asd_split(W, gv, orientation=1, point=None):
@@ -629,7 +611,7 @@ def split_two_form(F, gv, orientation=1, point=None):
     vm = 0.5 * (v - Sv)
     Einv = np.linalg.inv(E)
     back = lambda w: Einv.swapaxes(-1, -2) @ six_to_two_form(w) @ Einv
-    norm = lambda w: _float(np.sqrt(np.sum(w * w, axis=-1)))
+    norm = lambda w: _float(np.sqrt(np.add.reduce(w ** 2, axis=-1)))
     return back(vp), back(vm), norm(vp), norm(vm)
 
 

@@ -12,7 +12,10 @@ and (Gamma, dGamma) at a batch of points, each array with a leading point
 axis, and fills in the rest on first use for the whole batch.  The trace forms
 are (value, derivative) arrays, by the product rule through matrix products
 and ``...``-prefixed einsums of two operands (vector forward mode over the
-point axis, Griewank & Walther, *Evaluating Derivatives*, ch. 3).
+point axis, Griewank & Walther, *Evaluating Derivatives*, ch. 3).  The
+induced Lee form (trace Bv)-flat - *_H I needs no horizontal frame: *_H I is
+contracted with vol_H = iota_U vol_g (Baird & Wood, *Harmonic Morphisms
+Between Riemannian Manifolds*, OUP 2003).
 A ``SubmersionSetup`` holds one ``PointEval`` at a time: ``hold`` evaluates a
 job's fibre samples in one batch, and a read of a point outside it holds the
 points read instead (one point as a one-row batch).  ``SubmersionSetup.ctx``
@@ -191,10 +194,6 @@ class PointEval:
         self.dP = np.zeros(self.dg.shape)
         self.dP[:, 0] = self.dw
 
-    def _g(self, v, w):
-        """g(v, w) at each point, as the matrix products of one point compute it."""
-        return (v[:, None, :] @ self.gv @ w[:, :, None])[:, 0, 0]
-
     # -- mean-curvature one-forms ----------------------------------------------
 
     @cached_property
@@ -278,7 +277,7 @@ class PointEval:
         return ((beta[:, None, :] @ self.P[:, :, 1:])[:, 0] - self.dH_log_lambda,
                 np.abs(beta[:, 0] * self.V0))
 
-    # -- integrability, frames, scale --------------------------------------------
+    # -- integrability, scale ----------------------------------------------------
 
     @cached_property
     def integrability(self):
@@ -292,22 +291,6 @@ class PointEval:
         """Horizontal part of d log lam evaluated against the lifts W_1..W_3."""
         dlog = -0.5 * self.dlam_inv_sq / self.lam_inv_sq[:, None]
         return (dlog[:, None, :] @ self.P[:, :, 1:])[:, 0]
-
-    @cached_property
-    def horizontal_frame(self):
-        """g-orthonormal horizontal frame X1, X2, X3 as rows, oriented so
-        (U, X1, X2, X3) is positive for the chart orientation (Gram-Schmidt
-        at every point at once)."""
-        frame = []
-        for i in (1, 2, 3):
-            v = self.P[:, :, i].copy()
-            for f in frame:
-                v = v - self._g(v, f)[:, None] * f
-            frame.append(v / np.sqrt(self._g(v, v))[:, None])
-        full = np.stack([self.V0[:, None] * np.eye(4)[0]] + frame, axis=-1)
-        flip = np.linalg.det(full) * self.fm.total_chart.orientation < 0
-        frame[2] = np.where(flip[:, None], -frame[2], frame[2])
-        return np.stack(frame, axis=1)
 
     @cached_property
     def riemann_norm(self):
@@ -336,11 +319,12 @@ class PointEval:
 
     @cached_property
     def star_H_I(self):
-        """*_{H,g} of the integrability form, as coordinate one-form components."""
-        frame = self.horizontal_frame
-        Itilde = frame @ self.integrability @ frame.swapaxes(-1, -2)
-        star = 0.5 * np.einsum("...kl,klm->...m", Itilde, geo.levi_civita_symbol(3))
-        return (star[:, None, :] @ frame @ self.gv)[:, 0]
+        """*_{H,g} of the integrability form, as coordinate one-form components:
+        (*_H I)_m = 1/2 I^kl (vol_H)_klm with vol_H = iota_U vol_g, that is
+        1/2 V0 sqrt(det g) o eps_0klm g^kp g^lq I_pq, o the chart orientation."""
+        up = self.ginv @ self.integrability @ self.ginv.swapaxes(-1, -2)
+        vol = (0.5 * self.fm.total_chart.orientation) * self.V0 * np.sqrt(np.linalg.det(self.gv))
+        return vol[:, None] * np.einsum("...kl,klm->...m", up, geo.levi_civita_symbol(4)[0])
 
 
 # ---------------------------------------------------------------------------

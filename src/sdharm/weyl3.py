@@ -141,8 +141,8 @@ def einstein_weyl_residual(w: WeylStructure3, point, base: HeldBase | None = Non
 def _two_form_norm(F, frame):
     """Frobenius norm in an orthonormal frame, i < j components only."""
     Ff = geo.to_frame(F, frame)
-    n = Ff.shape[-1]
-    return geo._float(np.sqrt(sum(Ff[..., i, j] ** 2 for i in range(n) for j in range(i + 1, n))))
+    upper = Ff[(..., *np.triu_indices(Ff.shape[-1], 1))]
+    return geo._float(np.sqrt(np.add.reduce(upper ** 2, axis=-1)))
 
 
 def beltrami_residual(w: WeylStructure3, sign, point, base: HeldBase | None = None):

@@ -1,6 +1,7 @@
-"""Shared closed-form charts and metrics used across the test modules, and the
+"""Shared closed-form charts and metrics used across the test modules, the
 conformal rescalings and the type-4 normalization that the invariance tests
-apply to them."""
+apply to them, and the fibrations on which each gate of the classifier
+decides."""
 
 import math
 
@@ -194,14 +195,15 @@ def type4_normalize(fm):
 
 
 def conformal_rescale_fibration(fm, w):
-    """g -> (w o phi) g for a positive basic factor w on the base chart.
+    """g -> (w o phi) g for a positive basic factor w on the base chart, or
+    g -> w g for a positive factor w on the total chart.
 
     The stored normal-form data transforms as lam^-2 -> w lam^-2 and
     theta -> w theta, keeping theta(V) = 1 for the new fundamental field.
     """
     def wj(coords):
         """w as a jet; a constant w takes the shape of the coordinates' jets."""
-        v = w.fn(coords[1:])
+        v = w.fn(coords if w.chart.dim == 4 else coords[1:])
         if isinstance(v, jets.Jet):
             return v
         return coords[0].coerce(v) if isinstance(coords[0], jets.Jet) else jets.constant(v, 4)
@@ -245,3 +247,76 @@ def variable_c_background():
         ch, lambda c: [jets.cos(c[2]) + dlog(c)[0], -1.0 * jets.sin(c[2]), 0.0 * c[2]],
         "trkalian_gauge")
     return h, alpha, c_field
+
+
+# ---------------------------------------------------------------------------
+# fibrations on which a gate of the classifier decides
+# ---------------------------------------------------------------------------
+# Each is a normal form g = A phi*(flat) + A^-1 theta (x) theta, theta = dtau +
+# phi*(alpha), or a conformal rescaling of one, classified from the four
+# ``fibre_samples_about(fm, point, 4)`` samples about its point.
+
+def flat_normal_form(A_fn, alpha_fn=None, fibre_range=(0.5, 3.0)):
+    """The normal form over flat R^3 with lam^-2 = A_fn(coords) on the total
+    chart and theta = dtau + alpha, alpha_fn giving alpha's base components."""
+    h = con.flat3()
+    return con._assemble(con._total_chart(h.chart, fibre_range, "tau"), h, A_fn,
+                         con._theta_dtau_plus(alpha_fn), "bryant", {}, "lam^-2")
+
+
+# classify's samples about tau = 1.7 on the fibre range (0.5, 3.0) lie 0.125 apart
+_SAMPLE_SPACING = 0.05 * 2.5
+
+
+def aliased_lee_form():
+    """(fibration, point) with log A = 0.1 x sin(pi (tau - 1.7) / 0.125): the
+    mixed derivative d_tau d_x log A, which both twistoriality certificates
+    read at a point, vanishes at every sample, but d_x log A is +-0.1 there,
+    so the projected Lee form d^H log A differs between the samples."""
+    wave = lambda c: jets.sin((math.pi / _SAMPLE_SPACING) * (c[0] - 1.7))
+    return flat_normal_form(lambda c: jets.exp(0.1 * c[1] * wave(c))), (1.7, 0.3, -0.2, 0.4)
+
+
+def fibre_dependent_rescale():
+    """(fibration, point): the type-4 fibration of trkalian(-1), c = 1, times
+    w = 1 + 0.2 tau x.  Both twistoriality certificates are conformally
+    invariant, but harmonicity is not: the weighted defect moves by
+    -d^H log w, which changes along the fibre."""
+    fm = con.type4_metric(con.flat3(), con.trkalian(-1), c=1.0)
+    w = geo.ScalarField(fm.total_chart, lambda c: 1.0 + 0.2 * c[0] * c[1], "1+0.2 tau x")
+    return conformal_rescale_fibration(fm, w), (0.2, 0.3, -0.2, 0.4)
+
+
+def turning_warp():
+    """(fibration, point): the warped product (1 + tau^2) flat + dtau^2, about
+    tau = 0, where V(lam^-2) = 2 tau (1 + tau^2)^(-1/2) changes sign."""
+    h = con.flat3()
+    chart = con._total_chart(h.chart, (-1.5, 1.5), "tau")
+    return (con.type2_warped(h, geo.ScalarField(chart, lambda c: 1.0 + c[0] * c[0], "1+tau^2")),
+            (0.0, 0.3, -0.2, 0.4))
+
+
+def nearly_type4_warp():
+    """(fibration, point) with A = 1000 e^tau + 0.001 tau: V(log V(A)) is
+    constant along the fibre to 7e-8, inside the branch tolerance, but the c
+    recovered from it, -3.2e-4 in the mean, spreads by 1.9e-5."""
+    return flat_normal_form(lambda c: 1000.0 * jets.exp(c[0]) + 0.001 * c[0]), (1.7, 0.3, -0.2, 0.4)
+
+
+def slightly_twisted_warp(eps=3e-7):
+    """(fibration, point) with A = tau^2 and alpha = eps trkalian(1): the
+    twist makes the horizontal distribution non-integrable, |I| = 0.61 eps,
+    while the twistorial residual stays 0.21 eps and the basic one 0.098 eps,
+    so at eps = 3e-7 only I is above the gates' 1e-7."""
+    return (flat_normal_form(lambda c: c[0] * c[0],
+                             lambda c: [eps * jets.cos(c[2]), eps * jets.sin(c[2]), 0.0]),
+            (1.7, 0.3, -0.2, 0.4))
+
+
+def reversed_type4():
+    """(fibration, point) with A = e^-tau + 1 and alpha = trkalian(1): the
+    type-4 fibration of c = 1 with its fibre coordinate reversed, so
+    V(lam^-2) < 0 along the whole fibre."""
+    return (flat_normal_form(lambda c: jets.exp(-1.0 * c[0]) + 1.0,
+                             con.trkalian(1).fn, fibre_range=(-1.5, 1.5)),
+            (0.2, 0.3, -0.2, 0.4))

@@ -1,8 +1,8 @@
 """Independent oracles the tests hold the package to: the finite-difference
 derivatives of a scalar field, the integrability form's cross-check against
-the connection form, the einsum formulas of the curvature chain, the
-index-at-a-time ``to_frame``, and the field closures with each constant
-component built as a jet."""
+the connection form, *_H I in a Gram-Schmidt horizontal frame, the einsum
+formulas of the curvature chain, the index-at-a-time ``to_frame``, and the
+field closures with each constant component built as a jet."""
 
 import numpy as np
 
@@ -83,6 +83,40 @@ def integrability_consistency(setup, point):
     ctx = setup.ctx(point)
     lam = ctx.lam_inv_sq ** -0.5
     return float(np.max(np.abs(ctx.integrability[1:, 1:] - lam * ctx.lifted_dtheta)))
+
+
+# -- *_H I in a horizontal frame ------------------------------------------------
+# morphism.PointEval.star_H_I takes the star from its frame-free formula; here
+# it is taken in a g-orthonormal horizontal frame, Gram-Schmidt at every point
+# of a PointEval at once, as the package computed it before.
+
+def _g(pe, v, w):
+    """g(v, w) at each point, as the matrix products of one point compute it."""
+    return (v[:, None, :] @ pe.gv @ w[:, :, None])[:, 0, 0]
+
+
+def horizontal_frame(pe):
+    """g-orthonormal horizontal frame X1, X2, X3 as rows, oriented so
+    (U, X1, X2, X3) is positive for the chart orientation (Gram-Schmidt
+    at every point at once)."""
+    frame = []
+    for i in (1, 2, 3):
+        v = pe.P[:, :, i].copy()
+        for f in frame:
+            v = v - _g(pe, v, f)[:, None] * f
+        frame.append(v / np.sqrt(_g(pe, v, v))[:, None])
+    full = np.stack([pe.V0[:, None] * np.eye(4)[0]] + frame, axis=-1)
+    flip = np.linalg.det(full) * pe.fm.total_chart.orientation < 0
+    frame[2] = np.where(flip[:, None], -frame[2], frame[2])
+    return np.stack(frame, axis=1)
+
+
+def star_H_I(pe):
+    """*_{H,g} of the integrability form, as coordinate one-form components."""
+    frame = horizontal_frame(pe)
+    Itilde = frame @ pe.integrability @ frame.swapaxes(-1, -2)
+    star = 0.5 * np.einsum("...kl,klm->...m", Itilde, geo.levi_civita_symbol(3))
+    return (star[:, None, :] @ frame @ pe.gv)[:, 0]
 
 
 

@@ -163,7 +163,7 @@ SETUPS = _setups()
 
 # Every batched quantity of a PointEval; the trace forms are (value, derivative).
 POINT_EVAL_FIELDS = ("vertical_trace", "vertical_trace_flat", "horizontal_trace_flat",
-                     "grad_log_lambda", "integrability", "dH_log_lambda", "horizontal_frame",
+                     "grad_log_lambda", "integrability", "dH_log_lambda",
                      "riemann_norm", "lifted_dtheta", "harmonicity_defect", "twistorial_sd",
                      "star_H_I", "conformality", "induced_lee", "projected_lee", "hv", "hinv",
                      "lam_inv_sq", "V0")

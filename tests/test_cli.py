@@ -1404,3 +1404,81 @@ def test_grid_sampling(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert len(rep["records"]) == 16
+
+
+# ---------------------------------------------------------------------------
+# the output file, CSV domain errors, and the usage errors of the command line
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("args", [
+    ["catalog", "describe", "flat3"],
+    ["verify", scene_path("type4_berger_ew.json"), "--checks", "twistorial_sd", "--format",
+     "csv"],
+], ids=["catalog", "verify-csv"])
+def test_out_writes_to_the_file_what_stdout_gets_without_it(args, capsys, tmp_path):
+    code, out = run_cli(args, capsys)
+    path = tmp_path / "out.txt"
+    assert cli.main(args + ["--out", str(path)]) == code == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode() != b""
+
+
+def test_verify_csv_writes_a_row_per_domain_error(capsys, tmp_path):
+    """A point outside the chart is one ``domain_error`` row, with its message
+    in the raw column, an empty normalized value and a failed pass; the good
+    point keeps its check's row.  The exit code is that of a domain error."""
+    def edit(scene):
+        scene["samples"] = {"points": [[0.5, 1.2, 2.0, 3.0], [0.9, 3.0, 2.0, 3.0]]}
+    path = write_scene(tmp_path, "type4_berger_ew.json", edit)
+    code, out = run_cli(["verify", path, "--checks", "twistorial_sd", "--format", "csv"], capsys)
+    assert code == 2
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["index", "point", "check", "raw", "normalized", "pass"]
+    assert [r[:3] for r in rows[1:]] == [["0", "0.5 1.2 2.0 3.0", "twistorial_sd"],
+                                         ["1", "0.9 3.0 2.0 3.0", "domain_error"]]
+    assert rows[2][3].startswith("point (0.9, 3.0, 2.0, 3.0) outside chart domain")
+    assert rows[2][4:] == ["", "False"]
+
+
+def test_a_scene_file_that_cannot_be_read_is_a_usage_error(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    assert cli.main(["report", str(missing)]) == 64
+    assert capsys.readouterr().err == (f"error: cannot read scene file: [Errno 2] No such file "
+                                       f"or directory: {str(missing)!r}\n")
+    not_json = tmp_path / "scene.json"
+    not_json.write_text("schema: 1\n")
+    assert cli.main(["report", str(not_json)]) == 64
+    assert capsys.readouterr().err == ("error: scene is not valid JSON: Expecting value: "
+                                       "line 1 column 1 (char 0)\n")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["verify"], "no checks requested (scene 'checks' or --checks)"),
+    (["sweep", "--param", "construction.params.c", "--range=1.2:2.0", "--steps", "2"],
+     "sweep needs checks (scene 'checks' or --checks)"),
+], ids=["verify", "sweep"])
+def test_a_command_with_no_checks_is_a_usage_error(args, message, capsys, tmp_path):
+    path = write_scene(tmp_path, "type4_berger_ew.json", lambda scene: scene.pop("checks"))
+    assert cli.main([args[0], path, *args[1:]]) == 64
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_catalog_describe_without_a_name_is_a_usage_error(capsys):
+    assert cli.main(["catalog", "describe"]) == 64
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: describe needs an entry name\n")
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("type2_warped.json", _set_type2_f({"name": "fibre_sin", "params": {"rate": 2.0}}),
+     "unknown fibre scalar 'fibre_sin' (use fibre_exp or fibre_power)"),
+    ("type4_berger_ew.json", lambda scene: scene.update(base={"name": "berger_lee"}),
+     "base entry 'berger_lee' is not a 3-metric"),
+    ("type4_berger_ew.json", lambda scene: scene.update(samples={"grid": {"counts": [2, 2, 2]}}),
+     "grid counts must have 4 entries"),
+], ids=["fibre-scalar", "base-not-a-metric", "grid-counts"])
+def test_a_scene_that_does_not_resolve_is_a_usage_error(name, edit, message, capsys, tmp_path):
+    assert cli.main(["report", write_scene(tmp_path, name, edit)]) == 64
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")

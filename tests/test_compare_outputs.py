@@ -113,6 +113,48 @@ def test_the_record_runs_malformed_command_lines(tmp_path):
         assert out["code"] == 64 and out["stdout"] == "" and out["stderr"], key
 
 
+def test_the_record_runs_scenes_that_do_not_resolve(tmp_path):
+    """Each edit of SCENE_ERRORS passes the scene schema, and its ``report``
+    is the usage error of the ref or family parameter that does not resolve."""
+    from sdharm import cli
+    tool = load_tool()
+    messages = {
+        "unknown_catalog_entry": "unknown catalog entry 'berger_s4'; known: ",
+        "ref_without_the_parameter": "catalog entry 'berger_s3' does not take parameter 'nu'",
+        "parameter_not_a_number": "catalog entry 'berger_s3' parameter 'mu' must be a number",
+        "ref_on_another_chart": "catalog entry 'trkalian(1)' lives on chart ('x', 'y', 'z'), "
+                                "but the base chart is ('th', 'ps', 'ph')",
+        "type4_c_not_a_number": "family 'type4' parameter 'c' must be a number, got 'one'",
+        "family_without_the_parameter": "family 'type4' does not take parameter 'u'"}
+    jobs = {key: job for key, *job in tool._jobs(TOOL.parent.parent, cli)
+            if key.startswith("unresolved/")}
+    assert sorted(jobs) == sorted(f"unresolved/{name}/report" for name in messages)
+    for name, message in messages.items():
+        command, scene, args = jobs[f"unresolved/{name}/report"]
+        cli.validate_scene(scene)
+        out = tool._run(cli, command, scene, args, tmp_path)
+        assert out["code"] == 64 and out["stdout"] == "", name
+        assert out["stderr"].startswith(f"error: {message}"), name
+
+
+def test_the_record_runs_geometry_errors_of_far_fibre_samples(tmp_path):
+    """The far-fibre scene's ``verify --checks twistorial_basic`` and
+    ``classify`` record an overflow at the first point and, at the second, a
+    singular metric at a fibre sample about it: both jobs exit 2."""
+    from sdharm import cli
+    tool = load_tool()
+    jobs = {key: job for key, *job in tool._jobs(TOOL.parent.parent, cli)
+            if key.startswith("far_fibre/")}
+    assert sorted(jobs) == ["far_fibre/classify", "far_fibre/verify--checkstwistorial_basic"]
+    for key, sample in (("far_fibre/verify--checkstwistorial_basic", "31.0"),
+                        ("far_fibre/classify", "11.0")):
+        out = tool._run(cli, *jobs[key], tmp_path)
+        assert out["code"] == 2, key
+        errors = [e["error"] for e in json.loads(out["stdout"])["domain_errors"]]
+        assert errors[0].startswith("exp overflows (arg 810.0) at point (270.0, 0.1, 0.2, 0.3)")
+        assert errors[1].startswith(f"metric is singular at point ({sample}, 0.1, 0.2, 0.3)")
+
+
 def test_reach_counts_each_def_and_lambda_body(tmp_path):
     """tools/reach.py's bodies: a def (decorator lines included) and a lambda,
     with their line counts; not a comprehension nor a class body."""

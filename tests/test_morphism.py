@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import importlib
+import json
 import pkgutil
 from pathlib import Path
 
@@ -12,8 +13,9 @@ import sdharm
 from sdharm import cli, constructions as con, geometry as geo, jets, morphism as mor, weyl3
 from sdharm.errors import NotHorizontallyConformalError
 
+import _metrics
 from _metrics import berger_ew_scale, conformal_rescale_fibration
-from _oracles import fd_gradient, integrability_consistency
+from _oracles import fd_gradient, integrability_consistency, star_H_I as gram_schmidt_star
 
 
 def pts(chart, n, seed=0, margin=0.2):
@@ -143,6 +145,45 @@ def test_integrability_matches_dtheta(gh_setup, type3_setup, type4_setup):
 def test_integrability_type4_nonzero(type4_setup):
     I = type4_setup.ctx((0.2, 0.3, -0.4, 1.0)).integrability
     assert np.max(np.abs(I)) > 1e-2
+
+
+def _scene_fibrations():
+    """{scene and orientation: (fibration, points)}: each scene's sample points
+    and the four classify fibre samples about each, at orientation +1 and -1."""
+    out = {}
+    for path in sorted((Path(__file__).parent.parent / "scenes").glob("*.json")):
+        scene = json.loads(path.read_text())
+        for orientation in (1, -1):
+            r = cli.ResolvedScene(cli.validate_scene(dict(scene, orientation=orientation)))
+            if r.fm is not None:
+                points = r.sample_points()[0]
+                points += [s for p in points for s in mor.fibre_samples_about(r.fm, p, 4)]
+                out[f"{path.stem}{orientation:+d}"] = r.fm, points
+    return out
+
+
+SCENE_FIBRATIONS = _scene_fibrations()
+
+
+@pytest.mark.parametrize("name", sorted(SCENE_FIBRATIONS))
+def test_star_H_I_matches_the_gram_schmidt_star(name):
+    """The frame-free *_H I is the star taken in a Gram-Schmidt horizontal
+    frame, within 1e-13 (1 + its largest entry): read at one point, on a
+    one-row batch of each point, and on the batch of all points."""
+    fm, points = SCENE_FIBRATIONS[name]
+    setup = mor.SubmersionSetup(fm)
+
+    def assert_close(star, ref):
+        assert np.max(np.abs(star - ref)) <= 1e-13 * (1 + np.max(np.abs(ref))), name
+
+    batch = mor.PointEval(setup, points)
+    assert_close(batch.star_H_I, gram_schmidt_star(batch))
+    for p in points:
+        row = setup.ctx(p)
+        assert row.star_H_I.shape == (4,)
+        assert_close(row.star_H_I, gram_schmidt_star(row.batch)[row.index])
+        one = mor.PointEval(setup, [p])
+        assert_close(one.star_H_I, gram_schmidt_star(one))
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +469,85 @@ def test_classify_records_the_gate_that_decided():
     cls = mor.classify_type(broken, mor.fibre_samples_about(fm, (0.5, 1.0, 1.2, 1.5), 4))
     assert (cls.label, cls.evidence["decided_by"]) == ("nonstandard",
                                                        "H_CONFORMAL_TOL: anisotropy")
+
+
+# gate -> (fibration and point, decided_by); each gate before it passes
+GATE_FIBRATIONS = {
+    "twistorial_basic": (_metrics.aliased_lee_form, "SPREAD_GATE_TOL: twistorial_basic"),
+    "defect_spread": (_metrics.fibre_dependent_rescale,
+                      "SPREAD_GATE_TOL: harmonicity_defect_spread"),
+    "sign": (_metrics.turning_warp, "sign: V_lam_inv_sq"),
+    "recovered_c": (_metrics.nearly_type4_warp, "C_SPREAD_TOL: recovered_c"),
+    "integrability": (_metrics.slightly_twisted_warp, "SPREAD_GATE_TOL: integrability"),
+}
+
+
+@pytest.mark.parametrize("gate", sorted(GATE_FIBRATIONS))
+def test_each_nonstandard_gate_decides_on_its_fibration(gate):
+    """Each fibration passes every gate before its own, which decides
+    "nonstandard"; the evidence shows the margins."""
+    build, decided_by = GATE_FIBRATIONS[gate]
+    fm, point = build()
+    cls = mor.classify_type(mor.SubmersionSetup(fm), mor.fibre_samples_about(fm, point, 4))
+    ev = cls.evidence
+    assert (cls.label, ev["decided_by"], cls.recovered_c) == ("nonstandard", decided_by, None)
+    assert max(ev["twistorial_sd"]) < mor.SD_GATE_TOL
+    if gate == "twistorial_basic":
+        assert ev["twistorial_basic"] > 1e5 * max(ev["twistorial_sd"])
+        return
+    assert ev["twistorial_basic"] < mor.SPREAD_GATE_TOL
+    if gate == "defect_spread":
+        assert ev["harmonicity_defect_spread"] > 1e-2
+        return
+    assert ev["harmonicity_defect_spread"] < mor.SPREAD_GATE_TOL
+    v1 = np.array(ev["V_lam_inv_sq"])
+    if gate == "sign":
+        assert v1.min() < 0 < v1.max() and "V_log_V_lam_inv_sq" not in ev
+        return
+    assert np.all(v1 > 0)
+    v2 = np.array(ev["V_log_V_lam_inv_sq"])
+    if gate == "recovered_c":
+        assert np.ptp(v2) < mor.BRANCH_TOL * (1 + abs(ev["a"]))
+        c = np.array(ev["recovered_c"])
+        assert np.ptp(c) > mor.C_SPREAD_TOL * (1 + abs(c.mean()))
+        return
+    assert np.ptp(v2) > 1e-2 and ev["integrability"] > mor.SPREAD_GATE_TOL
+
+
+def test_a_fibre_along_which_V_lam_inv_sq_is_negative_flips_the_field():
+    """The type-4 fibration with its fibre coordinate reversed: V(lam^-2) < 0
+    at every sample, so the classifier reads -V, and it is type 4 with c = 1,
+    as with the fibre the right way round."""
+    fm, point = _metrics.reversed_type4()
+    cls = mor.classify_type(mor.SubmersionSetup(fm), mor.fibre_samples_about(fm, point, 4))
+    assert (cls.label, cls.evidence["decided_by"]) == ("type4", "C_SPREAD_TOL: recovered_c")
+    assert max(cls.evidence["V_lam_inv_sq"]) < 0
+    assert cls.evidence["a"] == pytest.approx(1.0, abs=1e-12)
+    assert cls.recovered_c == pytest.approx(1.0, abs=1e-12)
+
+
+def test_the_homothety_gate_follows_the_basic_and_twistorial_gates():
+    """No fibration here reaches the homothety gate.  The projected Lee form
+    of a normal form is -2 d^H log lam - *_H I on the lifts, so with I = 0 the
+    basic residual is twice the homothety spread.  With I != 0, on the twisted
+    warp A = tau^2, twistorial_sd is 1.73 times the homothety spread and |I| 5.0
+    times, whatever the twist (all three are linear in it): an earlier gate
+    decides before the homothety spread reaches its 1e-7."""
+    def residuals(build, *args):
+        fm, point = build(*args)
+        samples = np.array(mor.fibre_samples_about(fm, point, 4))
+        setup = mor.SubmersionSetup(fm)
+        rows = setup.rows(samples)
+        dh = rows.dH_log_lambda
+        return (np.max(dh.max(axis=0) - dh.min(axis=0)),
+                mor.twistorial_basic_residual(setup, samples), max(rows.twistorial_sd),
+                np.max(np.abs(rows.integrability)))
+
+    homothety, basic, _, I = residuals(_metrics.aliased_lee_form)
+    assert I < 1e-15 and basic == pytest.approx(2.0 * homothety, rel=1e-12)
+    for eps in (3e-7, 1e-4):
+        homothety, _, sd, I = residuals(_metrics.slightly_twisted_warp, eps)
+        assert sd > 1.7 * homothety and I > 5.0 * homothety
 
 
 def test_twistorial_basic_type3_specific_fibre_values(type3_setup):

@@ -16,11 +16,19 @@ process on
   ``sweep`` of the first point's fibre coordinate (``DOMAIN_ERROR_SWEEP``) on
   a scene with points outside its chart (``DOMAIN_ERROR_POINTS``), whose
   ``domain_errors`` and good points come from the per-point fallback;
+- ``verify --checks twistorial_basic`` and ``classify`` of a type-2 scene
+  whose fibre range reaches far enough for its warping to overflow
+  (``FAR_FIBRE``): the one point overflows, the other is named by a fibre
+  sample whose metric is singular, so the geometry errors and the fallback
+  of a failing hold are recorded;
 - a few sweeps with total-space checks (``SWEEPS``);
 - ``report`` of each scene of ``INVALID_SCENES``, edits of a valid scene that
   break the scene schema, and a sweep into an invalid slot
   (``INVALID_SWEEP``), so every usage-error message of scene validation is
   recorded;
+- ``report`` of each edit of ``SCENE_ERRORS``: a valid scene whose refs or
+  family parameters do not resolve, so the usage errors of scene resolution
+  are recorded too;
 - each malformed command line of ``USAGE_ERRORS`` (an unknown flag, a
   ``--steps`` that is not an integer, a ``--range`` without ``:``, no scene),
   so the usage errors of the command line are recorded too;
@@ -102,6 +110,24 @@ INVALID_SCENES = {
 INVALID_SWEEP = ["--param", "samples.random.count", "--range=0:1", "--steps", "2",
                  "--checks", "twistorial_sd"]
 
+# Edits of type4_berger_ew.json that pass the scene schema but do not resolve.
+SCENE_ERRORS = {
+    "unknown_catalog_entry": [(("base", "name"), "berger_s4")],
+    "ref_without_the_parameter": [(("base", "params", "nu"), 0.8)],
+    "parameter_not_a_number": [(("base", "params", "mu"), "wide")],
+    "ref_on_another_chart": [(("construction", "params", "alpha"), {"name": "trkalian"})],
+    "type4_c_not_a_number": [(("construction", "params", "c"), "one")],
+    "family_without_the_parameter": [(("construction", "params", "u"), {"name": "gh_potential"})],
+}
+
+# A type-2 scene, warping e^(3 tau) on a fibre range of [0, 400]: e^900 overflows
+# at the first point, and at the second (tau = 1) the fibre samples about it
+# reach tau = 31 for twistorial_basic and 11 for classify, where g is singular.
+FAR_FIBRE = {"schema": 1, "base": {"name": "flat3"},
+             "construction": {"family": "type2", "fibre_range": [0, 400], "params": {
+                 "f": {"name": "fibre_exp", "params": {"rate": 3.0}}}},
+             "samples": {"points": [[300, 0.1, 0.2, 0.3], [1, 0.1, 0.2, 0.3]]}}
+
 # Malformed command lines, each (command, whether it names type4_berger_ew.json,
 # arguments after the scene): every one is a usage error (exit 64).
 USAGE_ERRORS = {
@@ -179,6 +205,8 @@ def _jobs(root, cli):
     for command, args in (("report", []), ("verify", ["--checks", DOMAIN_ERROR_CHECKS]),
                           ("classify", []), ("sweep", DOMAIN_ERROR_SWEEP)):
         yield f"domain_error/{command}{''.join(args)}", command, bad, args
+    for command, args in (("verify", ["--checks", "twistorial_basic"]), ("classify", [])):
+        yield f"far_fibre/{command}{''.join(args)}", command, FAR_FIBRE, args
     for name, param, span, steps, checks, *locate in SWEEPS:
         args = ["--param", param, f"--range={span}", "--steps", str(steps), "--checks", checks]
         args += ["--locate", locate[0]] if locate else []
@@ -187,6 +215,8 @@ def _jobs(root, cli):
     for name, edits in INVALID_SCENES.items():
         yield f"invalid/{name}/report", "report", _edited(valid, edits), []
     yield f"invalid/sweep/{' '.join(INVALID_SWEEP)}", "sweep", valid, INVALID_SWEEP
+    for name, edits in SCENE_ERRORS.items():
+        yield f"unresolved/{name}/report", "report", _edited(valid, edits), []
     for name, (command, named, args) in USAGE_ERRORS.items():
         yield f"usage/{name}", command, valid if named else None, args
     yield "catalog/list", "catalog", None, ["list"]
