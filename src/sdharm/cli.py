@@ -326,6 +326,9 @@ def _env_tolerance():
     return tol
 
 
+_UNBUILT = object()
+
+
 class Run:
     """The state of one command, dropped when the command returns: the default
     tolerance, read from the environment once; what a sweep step leaves
@@ -338,20 +341,25 @@ class Run:
 
     def once(self, key, build):
         """build(), called only the first time the run meets ``key``."""
-        if key not in self._built:
-            self._built[key] = build()
-        return self._built[key]
+        built = self._built.get(key, _UNBUILT)
+        if built is _UNBUILT:
+            built = self._built[key] = build()
+        return built
 
-    def keep(self, key, obj, build):
-        """build(), called only the first time the run meets the scene object
-        ``obj`` under ``key``.  ``obj`` is matched by identity, as a sweep step
-        shares every part of the scene off the swept path; the run keeps it, so
-        that its id is not reused while the run lasts."""
-        return self.once((key, id(obj)), lambda: (obj, build()))[1]
+    def keep(self, key, obj, build, *args):
+        """build(*args), called only the first time the run meets the scene
+        object ``obj`` under ``key``.  ``obj`` is matched by identity, as a
+        sweep step shares every part of the scene off the swept path; the run
+        keeps it, so that its id is not reused while the run lasts."""
+        key = key, id(obj)
+        kept = self._built.get(key)
+        if kept is None:
+            kept = self._built[key] = obj, build(*args)
+        return kept[1]
 
     def resolve(self, ref, *defaults):
         """The catalog entry of a ref; the same ref object gives the same entry."""
-        return self.keep(("ref", defaults), ref, lambda: _resolve_ref(ref, *defaults))
+        return self.keep(("ref", defaults), ref, _resolve_ref, ref, *defaults)
 
     @staticmethod
     def each(points, batch):
@@ -382,27 +390,29 @@ class ResolvedScene:
 
     def __init__(self, scene, run=None):
         self.scene = scene
-        self.run = run or Run()
+        self.run = run = run or Run()
         self.orientation = scene.get("orientation", 1)
         base_ref = scene.get("base")
-        self.h = self.run.resolve(base_ref, "flat3")
-        if not isinstance(self.h, geo.MetricField):
+        self.h = h = run.resolve(base_ref, "flat3")
+        if not isinstance(h, geo.MetricField):
             raise UsageError(f"base entry {base_ref['name']!r} is not a 3-metric")
-        self.alpha = self.run.resolve(scene.get("alpha"))
+        self.alpha = run.resolve(scene.get("alpha"))
         if "construction" in scene:
             self._build(scene["construction"])
         # the factory's record of u, A, alpha and c (absent: None)
-        self.family_params = self.fm.family_params if self.fm is not None else {}
-        pair = scene.get("pair", {})          # the monopole pair, else the family's
-        self.pair_u, self.pair_A = (self._on_base_chart(self.run.resolve(pair[k])) if k in pair
-                                    else self.family_params.get(k) for k in "uA")
+        params = self.family_params = {} if self.fm is None else self.fm.family_params
+        self.pair_u, self.pair_A = params.get("u"), params.get("A")
+        if "pair" in scene:                 # the monopole pair, else the family's
+            pair = scene["pair"]
+            self.pair_u, self.pair_A = (self._on_base_chart(run.resolve(pair[k])) if k in pair
+                                        else params.get(k) for k in "uA")
         if self.orientation == -1:          # the base chart as well as the total one
-            self.h = self.h.flipped()
+            self.h = h.flipped()
             if self.fm is not None:
                 self.fm = self.fm.with_orientation(-1)
         self.setup = mor.SubmersionSetup(self.fm) if self.fm is not None else None
         # the Lee form of the base Weyl structure: the family's, the scene's, or zero
-        self.lee_form = self.family_params.get("alpha") or self.alpha or geo.OneFormField(
+        self.lee_form = params.get("alpha") or self.alpha or geo.OneFormField(
             self.h.chart, lambda c: [0.0] * 3, "zero")
 
     def _on_base_chart(self, field):
@@ -499,15 +509,14 @@ class _Job:
     def __init__(self, resolved, points, checks):
         self.r, self.setup = resolved, resolved.setup
         reads = [CHECKS[name].samples for name in checks if CHECKS[name].space == "total"]
-        self.samples = {f: [f(resolved.fm, p) for p in points] for f in reads if f}
-        # a check's own samples, then the point its scale reads
-        held = [s for i, p in enumerate(points) for f in reads
-                for s in [*(self.samples[f][i] if f else ()), p]]
-        if held:
-            resolved.setup.hold(held)
+        if reads:
+            self.samples = {f: [f(resolved.fm, p) for p in points] for f in reads if f}
+            # a check's own samples, then the point its scale reads
+            resolved.setup.hold([s for i, p in enumerate(points) for f in reads
+                                 for s in [*(self.samples[f][i] if f else ()), p]])
             self.at = resolved.chart.point_array(points)      # what the total space reads
-        cut = 0 if resolved.fm is None else 1          # a fibration drops the fibre coordinate
-        self.base_points, h = tuple(p[cut:] for p in points), resolved.h
+        h = resolved.h                  # a fibration's base points drop the fibre coordinate
+        self.base_points = tuple(points) if resolved.fm is None else tuple(p[1:] for p in points)
         # once per run, keyed by h's closure (which an orientation flip keeps) and the points
         self.base = resolved.run.once(("base", h.fn, self.base_points), lambda: weyl3.HeldBase(
             h, h.chart.point_array(self.base_points))).new_job()
@@ -594,28 +603,39 @@ def _checks_at(points, checks, resolved):
 
 
 def _verify_records(points, checks, resolved):
-    """The check records of a ``verify`` job, or of a ``sweep`` step."""
+    """The check records of a ``verify`` job."""
     return _check_records(_checks_at(points, checks, resolved), resolved.tolerance_for)
+
+
+def _sweep_values(points, checks, resolved):
+    """Each point's normalized values of a ``sweep`` step's verify job, a
+    tuple in the order of ``checks``, read from the check columns."""
+    columns = _checks_at(points, checks, resolved)
+    return list(zip(*(_normalized(*columns[name])[1] for name in checks)))
 
 
 # ---------------------------------------------------------------------------
 # report assembly
 # ---------------------------------------------------------------------------
 
+def _normalized(raw, scale):
+    """(raw, normalized) of a check column as lists of floats, one per point,
+    from ``raw`` and ``scale`` of one value per point (or a value, for one
+    point): normalized = |raw| / (1 + scale)."""
+    if np.size(raw) == 1:       # one point: plain floats, which round as numpy's do
+        raw = float(np.asarray(raw).item())
+        return [raw], [abs(raw) / (1.0 + float(np.asarray(scale).item()))]
+    return np.asarray(raw, dtype=float).tolist(), (np.abs(raw) / (1.0 + scale)).tolist()
+
+
 def _check_records(columns, tolerance, gated=None):
     """The check records {name: {raw, normalized, pass}} of each point, from
-    ``columns`` {name: (raw, scale)} of one value per point (or of a value,
-    for one point).  normalized = |raw| / (1 + scale) passes below
-    ``tolerance(name)``, read once per check; a name outside ``gated``, when
-    given, is informational and always passes."""
+    ``columns`` {name: (raw, scale)} (``_normalized``).  normalized passes
+    below ``tolerance(name)``, read once per check; a name outside ``gated``,
+    when given, is informational and always passes."""
     entries = []
     for name, (raw, scale) in columns.items():
-        if np.size(raw) == 1:       # one point: plain floats, which round as numpy's do
-            raw = [float(np.asarray(raw).item())]
-            normalized = [abs(raw[0]) / (1.0 + float(np.asarray(scale).item()))]
-        else:
-            normalized = (np.abs(raw) / (1.0 + scale)).tolist()
-            raw = np.asarray(raw, dtype=float).tolist()
+        raw, normalized = _normalized(raw, scale)
         tol = tolerance(name) if gated is None or name in gated else None
         entries.append([{"raw": r, "normalized": n, "pass": tol is None or n < tol}
                         for r, n in zip(raw, normalized)])
@@ -801,9 +821,11 @@ def with_slot(scene, keys, value):
     on the way to it are copied, the rest is shared with ``scene``."""
     if not keys:
         return value
-    head, *rest = keys
-    out = copy.copy(scene)
-    out[head] = with_slot(scene[head], rest, value)
+    out = node = copy.copy(scene)
+    for key in keys[:-1]:
+        node[key] = copy.copy(node[key])
+        node = node[key]
+    node[keys[-1]] = value
     return out
 
 
@@ -831,15 +853,16 @@ def cmd_sweep(args):
         """Each check's maximum normalized value over the good points of the
         verify job at one parameter value (empty if no point is good); bad
         points go to ``errors``.  The scene was validated when loaded, so only
-        the swept value is checked."""
+        the swept value is checked; the checks, which no swept number changes,
+        once per run."""
         check_slot(value)
         resolved = ResolvedScene(with_slot(scene, keys, value), run)
-        _require_checks(checks, resolved)
+        run.once("checks", lambda: _require_checks(checks, resolved))
         points, _ = resolved.sample_points()
-        records, bad = run.each(points, lambda pts: _verify_records(pts, checks, resolved))
+        values, bad = run.each(points, lambda pts: _sweep_values(pts, checks, resolved))
         errors.extend((value, e["index"], e["point"], e["error"]) for e in bad)
-        good = [r for r in records if r is not None]
-        return {name: max(r[name]["normalized"] for r in good) for name in checks} if good else {}
+        good = [v for v in values if v is not None]
+        return dict(zip(checks, map(max, zip(*good))))
 
     values = np.linspace(lo, hi, args.steps) if args.steps > 1 else np.array([lo])
     errors = []

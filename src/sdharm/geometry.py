@@ -25,7 +25,8 @@ layout.  One rule holds at that jet-to-array boundary (``_at``, ``_lead``): a
 one-row ``(1, d)`` array is evaluated in the scalar jets of its row, a tuple
 of floats (a batch of one costs a third more); its arrays gain their point
 axis there, and its errors name that tuple, as an evaluation at the point
-itself does.
+itself does.  A point that ``hold_point`` holds keeps its coordinate jets,
+and every field evaluated there starts from them.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ __all__ = [
     "OneFormField",
     "TwoFormField",
     "MetricField",
+    "hold_point",
     "metric_jets",
     "metric_point",
     "jet_matrix_inverse",
@@ -157,8 +159,35 @@ def _jets_at(chart, fn, point):
     point the jets are seeded at and every error names."""
     at = _at(point)
     chart.require_inside(at)
-    coords = jets.seed_all(at)
+    coords = _seeds(at)
     return at, coords, _eval_at(fn, coords, at)
+
+
+# The point ``hold_point`` last held: (point, _at(point), its coordinate jets).
+_held = (None, None, None)
+
+
+def hold_point(point):
+    """``point`` made immutable, a read-only copy of an ``(N, d)`` array or a
+    tuple of floats, with its coordinate jets seeded once, read-only too, and
+    kept until another point is held.  A field evaluated at the held point
+    starts from those jets (``_seeds``) instead of seeding its own: neither
+    the point nor its jets can change, so they are the jets it would seed."""
+    global _held
+    if _is_batch(point):
+        point = np.array(point, dtype=float)
+        point.flags.writeable = False
+    else:
+        point = tuple(map(float, point))
+    at = _at(point)
+    _held = point, at, jets.seed_all(at)
+    return point
+
+
+def _seeds(at):
+    """The order-2 coordinate jets at ``at`` (an ``_at`` point): the held
+    point's, else seeded now."""
+    return _held[2] if at is _held[1] else jets.seed_all(at)
 
 
 class _Field:
@@ -265,7 +294,7 @@ def metric_jets(g, point):
     """Evaluate metric components as order-2 jets (batch jets for an ``(N, d)``
     array of points); enforce symmetry."""
     d = g.chart.dim
-    coords = jets.seed_all(point)
+    coords = _seeds(point)
     comps = _eval_at(g.fn, coords, point)
     out = [[coords[0].coerce(comps[a][b]) for b in range(d)] for a in range(d)]
     _require_symmetric(jet_values(out), g.name, point)
@@ -306,8 +335,18 @@ def _is_batch(point):
 
 def _at(point):
     """The one-row rule: a ``(1, d)`` array is evaluated at its row, as a tuple
-    of floats, in scalar jets; every other point as it is."""
+    of floats, in scalar jets; every other point as it is.  The held point's
+    row is the tuple its jets were seeded at."""
+    if point is _held[0]:
+        return _held[1]
     return tuple(point[0].tolist()) if _is_batch(point) and len(point) == 1 else point
+
+
+def _first(point, bad):
+    """The point an error names where ``bad`` holds (one flag per point): the
+    first such row of an ``(N, d)`` array, as ``Chart.require_inside`` names
+    it, else ``_at(point)``."""
+    return tuple(point[np.argmax(bad)].tolist()) if _is_batch(point) else _at(point)
 
 
 def _lead(x, point):
@@ -336,11 +375,14 @@ def metric_point(g, point):
     homothety stays regular."""
     gv, dg, ddg = g.arrays(point)
     if not (np.isfinite(gv).all() and np.isfinite(dg).all() and np.isfinite(ddg).all()):
+        finite = [np.isfinite(x).reshape(gv.shape[:-2] + (-1,)).all(-1) for x in (gv, dg, ddg)]
         raise SingularEvaluationError(f"metric {g.name} has a non-finite component",
-                                      point=_at(point))
+                                      point=_first(point, ~np.logical_and.reduce(finite)))
     det = np.linalg.det(gv)
-    if (np.abs(det) < 1e-14 * np.abs(gv).max(axis=(-2, -1)) ** gv.shape[-1]).any():
-        raise DegenerateMetricError("metric is singular", point=_at(point), det=np.min(det))
+    singular = np.abs(det) < 1e-14 * np.abs(gv).max(axis=(-2, -1)) ** gv.shape[-1]
+    if singular.any():
+        raise DegenerateMetricError("metric is singular", point=_first(point, singular),
+                                    det=np.ravel(det)[np.argmax(singular)])
     ginv, dginv = jet_matrix_inverse(gv, dg)
     return MetricPoint(gv, dg, ddg, ginv, dginv, *christoffel_jets(ginv, dginv, dg, ddg))
 

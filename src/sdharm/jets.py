@@ -195,12 +195,14 @@ def seed(point, axis):
 def seed_all(point):
     """All coordinate jets at ``point`` (or an ``(N, d)`` batch of points),
     ready to feed into a field closure; their derivatives are the rows of one
-    zero block."""
-    point = np.asarray(point, dtype=float)
+    zero block.  That block and a batch's values are read-only, so that one
+    seeding may serve several evaluations."""
+    point = np.asarray(point, dtype=float).view()
     d, batch = point.shape[-1], point.shape[:-1]
     n = d + d * d
     block = np.zeros((d, n) + batch)
     block.reshape((d * n,) + batch)[::n + 1] = 1.0          # block[a, a] = 1
+    block.flags.writeable = point.flags.writeable = False
     values = [point[..., a] for a in range(d)] if batch else point.tolist()
     return [Jet(v, D) for v, D in zip(values, block)]
 
@@ -323,7 +325,10 @@ def sqrt(a):
         return math.sqrt(a)
     _domain(a.value > 0.0, "sqrt", a)
     r = _map(math.sqrt, a.value)
-    return _chain(a, r, 0.5 / r, -0.25 / (r * a.value))
+    ra = r * a.value                        # a^(3/2), which underflows for a tiny a
+    if not everywhere(ra != 0.0):
+        raise SingularEvaluationError(f"sqrt's second derivative overflows (arg {a.value!r})")
+    return _chain(a, r, 0.5 / r, -0.25 / ra)
 
 
 def powc(a, p):

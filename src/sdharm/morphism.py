@@ -513,11 +513,12 @@ def classify_type(setup, samples):
     evidence["harmonicity_defect_spread"] = defect_spread
     evidence["harmonicity_residual"] = _norm(defect, rows.hinv).tolist()
 
-    if np.max(sd_res) > SD_GATE_TOL:
+    # each gate fires unless its evidence is within bounds, so NaN evidence fires it
+    if not np.max(sd_res) <= SD_GATE_TOL:
         return decided("nonstandard", "SD_GATE_TOL: twistorial_sd")
-    if basic_res > SPREAD_GATE_TOL:
+    if not basic_res <= SPREAD_GATE_TOL:
         return decided("nonstandard", "SPREAD_GATE_TOL: twistorial_basic")
-    if defect_spread > SPREAD_GATE_TOL:
+    if not defect_spread <= SPREAD_GATE_TOL:
         return decided("nonstandard", "SPREAD_GATE_TOL: harmonicity_defect_spread")
 
     # V = lam^-1 V0 d_0; v1 = V(lam^-2)

@@ -48,11 +48,13 @@ class HeldBase:
     Levi-Civita connection), ``curvature`` (``geo.curvature_from_gamma``: its
     Riemann and Ricci tensors), ``frame`` (g's ``geo.orthonormal_frame``),
     ``vol`` (sqrt det g), and ``arrays(field)``, a one-form's arrays at the
-    points, held until ``new_job``.  The residuals below take one as ``base``,
-    or hold h at the point themselves."""
+    points, held until ``new_job``.  ``point`` is ``geo.hold_point`` of the
+    points, so h and every field read here start from one seeding of its
+    coordinate jets.  The residuals below take one as ``base``, or hold h at
+    the point themselves."""
 
     def __init__(self, h, point):
-        self.h, self.point, self._arrays = h, point, {}
+        self.h, self.point, self._arrays = h, geo.hold_point(point), {}
 
     @cached_property
     def mp(self):

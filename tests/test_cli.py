@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdharm import cli, constructions as con, geometry as geo, morphism as mor, weyl3
+from sdharm import cli, constructions as con, geometry as geo, jets, morphism as mor, weyl3
 from sdharm.errors import DomainError
 
 from test_compare_outputs import load_tool as load_parity_tool
@@ -662,6 +662,80 @@ def test_sweep_matches_a_fresh_verify_of_each_step(param, lo, hi, capsys, tmp_pa
         p.write_text(json.dumps(cli.with_slot(scene, cli.scene_slot(scene, param), value)))
         _, out = run_cli(["verify", str(p), "--checks", "einstein_weyl"], capsys)
         assert swept == json.loads(out)["summary"]["checks"]["einstein_weyl"]["max_normalized"]
+
+
+def _sweep_cases():
+    """(id, scene file, points or None, sweep arguments): berger_ew_sweep.json
+    with --locate, the parity tool's SWEEPS, and its sweep over a scene with
+    points outside the chart."""
+    tool = load_parity_tool()
+    cases = [("berger_ew_sweep", "berger_ew_sweep.json", None,
+              ["--param", "alpha.params.scale", "--range=0.3:1.3", "--steps", "5",
+               "--checks", "einstein_weyl", "--locate", "einstein_weyl"])]
+    for name, param, span, steps, checks, *locate in tool.SWEEPS:
+        args = ["--param", param, f"--range={span}", "--steps", str(steps), "--checks", checks]
+        cases.append((f"{name}:{param}:{checks}", name, None,
+                      args + (["--locate", locate[0]] if locate else [])))
+    cases.append(("domain_error", "type4_berger_ew.json", tool.DOMAIN_ERROR_POINTS,
+                  tool.DOMAIN_ERROR_SWEEP))
+    return cases
+
+
+SWEEP_CASES = _sweep_cases()
+
+
+@pytest.mark.parametrize("name, scene_file, points, args", SWEEP_CASES,
+                         ids=[case[0] for case in SWEEP_CASES])
+def test_every_sweep_row_is_the_maximum_over_verify_records(name, scene_file, points, args,
+                                                            capsys, tmp_path):
+    """Each row, and each located minimum, is byte for byte the maximum
+    normalized value over the records of ``verify`` of that step's scene, and
+    the step's domain errors are verify's."""
+    with open(scene_path(scene_file)) as fh:
+        scene = json.load(fh)
+    if points is not None:
+        scene["samples"] = {"points": points}
+    p = tmp_path / "scene.json"
+    p.write_text(json.dumps(scene))
+    code, out = run_cli(["sweep", str(p), *args], capsys)
+    assert code == (2 if points is not None else 0)
+    lines = list(csv.reader(io.StringIO(out)))
+    param, checks = args[1], [c[:-len("_max_normalized")] for c in lines[0][1:]]
+    keys = cli.scene_slot(scene, param)
+    steps = [(row[0], row[1:]) for row in lines[1:] if not row[0].startswith("#")]
+    steps += [(row[2], [row[3]]) for row in lines if row[0] == "# minimum"]
+    errors = [row[1:] for row in lines if row[0] == "# domain_error"]
+    assert len(steps) == int(args[args.index("--steps") + 1]) + ("--locate" in args)
+    assert (len(errors) > 0) == (points is not None)
+    for value, cells in steps:
+        p.write_text(json.dumps(cli.with_slot(scene, keys, float(value))))
+        _, out = run_cli(["verify", str(p), "--checks", ",".join(checks)], capsys)
+        report = json.loads(out)
+        good = [r["checks"] for r in report["records"] if "error" not in r]
+        assert cells == [repr(max(c[name]["normalized"] for c in good))
+                         for name in checks[:len(cells)]], value
+        if len(cells) == len(checks):       # a grid row: its domain errors are verify's
+            assert [e[1:] for e in errors if e[0] == value] == [
+                [str(e["index"]), " ".join(map(str, e["point"])), e["error"]]
+                for e in report.get("domain_errors", [])]
+
+
+def test_a_sweep_seeds_its_base_point_once_per_run(capsys, monkeypatch):
+    """The run's base point is seeded in coordinate jets once: h and the Lee
+    form of every step, grid value or probe, start from those jets."""
+    seeded, real = [], jets.seed_all
+    monkeypatch.setattr(jets, "seed_all", lambda point: seeded.append(
+        np.asarray(point).tolist()) or real(point))
+    lee_forms, real_jets = [], geo.OneFormField.jets
+    monkeypatch.setattr(geo.OneFormField, "jets", lambda f, p: lee_forms.append(f.name) or
+                        real_jets(f, p))
+    code, out = run_cli(["sweep", scene_path("berger_ew_sweep.json"),
+                         "--param", "alpha.params.scale", "--range", "0.5:1.4",
+                         "--steps", "8", "--checks", "einstein_weyl",
+                         "--locate", "einstein_weyl"], capsys)
+    assert code == 0 and "# minimum,einstein_weyl," in out
+    assert len(lee_forms) > 8
+    assert seeded == [[1.2, 2.0, 3.0]]
 
 
 @pytest.mark.parametrize("param, value_range, pointer, message", [

@@ -4,8 +4,11 @@ differ.  This loads the tool, read only, and checks its reading of two
 ``verify`` records."""
 
 import json
+import math
 import types
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
 
@@ -153,6 +156,35 @@ def test_the_record_runs_geometry_errors_of_far_fibre_samples(tmp_path):
         errors = [e["error"] for e in json.loads(out["stdout"])["domain_errors"]]
         assert errors[0].startswith("exp overflows (arg 810.0) at point (270.0, 0.1, 0.2, 0.3)")
         assert errors[1].startswith(f"metric is singular at point ({sample}, 0.1, 0.2, 0.3)")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_the_record_runs_scenes_that_once_escaped_the_error_handling(tmp_path):
+    """At warping rate 700 the sqrt of the warping underflows: ``report`` and
+    ``classify`` exit 2 with a domain error at each point where it does.  At
+    c = 1e300 the type-4 evidence overflows to NaN, which fires the first
+    classifier gate: every point is ``nonstandard`` and ``classify`` exits 1."""
+    from sdharm import cli
+    tool = load_tool()
+    jobs = {key: job for key, *job in tool._jobs(TOOL.parent.parent, cli)
+            if key.startswith("singular/")}
+    assert sorted(jobs) == [f"singular/{name}/{command}"
+                            for name, (_, command, _) in sorted(tool.SINGULAR.items())]
+    for key in ("singular/flat_product_rate_700/report",
+                "singular/type2_warped_rate_700/classify"):
+        out = tool._run(cli, *jobs[key], tmp_path)
+        assert out["code"] == 2, key
+        errors = [e["error"] for e in json.loads(out["stdout"])["domain_errors"]]
+        assert any(e.startswith("sqrt's second derivative overflows") and " at point (" in e
+                   for e in errors), key
+    out = tool._run(cli, *jobs["singular/type4_c_1e300/classify"], tmp_path)
+    assert out["code"] == 1
+    classified = json.loads(out["stdout"])
+    assert classified["label"] == "nonstandard"
+    for result in classified["results"]:
+        assert math.isnan(result["evidence"]["twistorial_sd"][0])
+        assert result["evidence"]["decided_by"] == "SD_GATE_TOL: twistorial_sd"
 
 
 def test_reach_counts_each_def_and_lambda_body(tmp_path):

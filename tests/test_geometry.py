@@ -472,3 +472,46 @@ def test_an_asymmetric_metric_names_its_first_pair():
         with pytest.raises(SingularEvaluationError,
                            match=re.escape(f"metric skew not symmetric in components {pair}")):
             geo.metric_jets(g, point)
+
+
+def test_a_batch_metric_error_names_its_first_failing_row():
+    """metric_point on an ``(N, d)`` array names one point, its first failing
+    row, as ``Chart.require_inside`` does: the message that point gives alone."""
+    ch = geo.Chart(("x", "y"), (-3.0, -3.0), (3.0, 3.0))
+    singular = geo.MetricField(ch, lambda c: [[c[0] * c[0], 0.0], [0.0, 1.0]], "singular")
+    # exp(700 x) is finite, but its second derivative overflows at x = 1
+    blowup = geo.MetricField(ch, lambda c: [[jets.exp(700.0 * c[0]), 0.0], [0.0, 1.0]],
+                             "blowup")
+    for g, points, error in ((singular, [[-1.0, 0.5], [0.0, 0.2], [0.0, 0.3]],
+                              DegenerateMetricError),
+                             (blowup, [[-1.0, 0.5], [1.0, 0.2], [1.0, 0.3]],
+                              SingularEvaluationError)):
+        with np.errstate(over="ignore"), pytest.raises(error) as alone:
+            geo.metric_point(g, tuple(points[1]))
+        with np.errstate(over="ignore"), pytest.raises(error) as batch:
+            geo.metric_point(g, np.array(points))
+        assert str(batch.value) == str(alone.value)
+        assert f"at point {tuple(points[1])}" in str(batch.value)
+
+
+@pytest.mark.parametrize("point", [np.array([[0.3, -0.2, 0.5], [0.1, 0.4, -0.6]]),
+                                   np.array([[0.3, -0.2, 0.5]]), (0.3, -0.2, 0.5)],
+                         ids=["batch", "one_row", "point"])
+def test_a_held_points_seed_jets_are_read_only(point):
+    """hold_point seeds the point's coordinate jets once and keeps them, so
+    nothing may write to them, nor to the held point, which is a copy."""
+    held = geo.hold_point(point)
+    coords = geo._seeds(geo._at(held))
+    assert geo._seeds(geo._at(held)) is coords
+    for c in coords:
+        with pytest.raises(ValueError, match="read-only"):
+            c.grad[0] += 1.0
+    if geo._is_batch(held):
+        assert held is not point and np.array_equal(held, point) and point.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            held[0, 0] = 9.0
+    if len(held) > 1 and geo._is_batch(held):
+        with pytest.raises(ValueError, match="read-only"):
+            coords[0].value[0] = 9.0
+    geo.hold_point((0.0, 0.0, 0.0))
+    assert geo._seeds(geo._at(held)) is not coords         # another point is held now

@@ -93,6 +93,15 @@ def test_sqrt_at_four():
     assert np.allclose([j.value, j.grad[0], j.hess[0, 0]], [2.0, 0.25, -1.0 / 32.0])
 
 
+@pytest.mark.parametrize("point", [(1e-320,), [(4.0,), (1e-320,)]], ids=["point", "batch"])
+def test_sqrt_whose_second_derivative_overflows_is_a_singular_evaluation(point):
+    """sqrt's second derivative -1/(4 r a), r = sqrt(a), needs r a = a^(3/2),
+    which underflows to 0 for a tiny positive a: Python's division then
+    raised ZeroDivisionError, and numpy's warned and gave inf."""
+    with pytest.raises(SingularEvaluationError, match="sqrt's second derivative overflows"):
+        jets.sqrt(jets.seed(np.array(point) if len(point) > 1 else point, 0))
+
+
 def test_sin_at_zero():
     j = jets.sin(jets.seed((0.0,), 0))
     assert np.allclose([j.value, j.grad[0], j.hess[0, 0]], [0.0, 1.0, 0.0])

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import sdharm
 from sdharm import cli, constructions as con, geometry as geo, jets, morphism as mor, weyl3
-from sdharm.errors import NotHorizontallyConformalError
+from sdharm.errors import GeometryError, NotHorizontallyConformalError
 
 import _metrics
 from _metrics import berger_ew_scale, conformal_rescale_fibration
@@ -447,6 +447,19 @@ def test_basic_conformal_rescale_keeps_label_and_c(family, n, seed, amp, freq, p
         if family == "type4":
             assert after.recovered_c == pytest.approx(before.recovered_c, abs=1e-6)
             assert before.recovered_c == pytest.approx(1.0, abs=1e-6)
+
+
+def test_a_failing_hold_names_one_point_in_its_chained_error():
+    """A batch hold that fails is evaluated point by point; the batch's own
+    error, chained to the one raised, names its first failing point, not the
+    whole array of points."""
+    fm = con.type2_warped(con.flat3(), con.fibre_exp(3.0)(None), fibre_range=(0.0, 400.0))
+    with pytest.raises(GeometryError) as info:      # e^33 makes g singular at tau = 11
+        mor.SubmersionSetup(fm).hold([(1.0, 0.1, 0.2, 0.3), (11.0, 0.1, 0.2, 0.3),
+                                      (12.0, 0.1, 0.2, 0.3)])
+    for error in (info.value, info.value.__context__):
+        assert str(error).startswith("metric is singular at point (11.0, 0.1, 0.2, 0.3) (det g")
+        assert str(error).count("at point") == 1 and "array" not in str(error)
 
 
 def test_classify_records_the_gate_that_decided():

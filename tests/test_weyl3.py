@@ -77,6 +77,24 @@ def test_residuals_read_a_held_base_as_they_evaluate_h():
         assert np.array_equal(weyl3.weyl_connection_coeffs(w, pt), G_held)
 
 
+@pytest.mark.parametrize("n", [3, 1], ids=["batch", "one_row"])
+def test_a_field_read_through_a_held_base_is_its_own_arrays(n):
+    """HeldBase.arrays and h's evaluation start from the held point's jets:
+    every array equals, to the bit and in shape, the field's own ``arrays``
+    (and h's ``metric_point``) at the points."""
+    h = con.berger_s3(0.8)
+    points = np.array(pts(h.chart, n, seed=9))
+    fields = [con.berger_lee(0.7),
+              geo.OneFormField(h.chart, lambda c: [jets.sin(c[0]) * c[1], 0.5, c[2] * c[2]], "mix"),
+              geo.ScalarField(h.chart, lambda c: 1.6 + jets.cos(c[1]) * c[2], "c")]
+    base = weyl3.HeldBase(h, points)
+    for field in fields:
+        for held, own in zip(base.arrays(field), field.arrays(points)):
+            assert held.shape == own.shape and held.tobytes() == own.tobytes()
+    for held, own in zip(base.mp, geo.metric_point(h, points)):
+        assert held.shape == own.shape and held.tobytes() == own.tobytes()
+
+
 def test_weyl_connection_correction_pattern_flat_dx():
     h = con.flat3()
     alpha = geo.OneFormField(h.chart, lambda c: [1.0 + 0.0 * c[0], 0.0 * c[0], 0.0 * c[0]],

@@ -21,6 +21,10 @@ process on
   (``FAR_FIBRE``): the one point overflows, the other is named by a fibre
   sample whose metric is singular, so the geometry errors and the fallback
   of a failing hold are recorded;
+- ``report`` and ``classify`` of the edits of ``SINGULAR``: scenes whose
+  evaluation once escaped the commands' error handling, a warping whose
+  ``sqrt`` underflows (a domain error at each point) and a type-4
+  classification whose evidence is NaN (``nonstandard``);
 - a few sweeps with total-space checks (``SWEEPS``);
 - ``report`` of each scene of ``INVALID_SCENES``, edits of a valid scene that
   break the scene schema, and a sweep into an invalid slot
@@ -38,7 +42,9 @@ process on
 It keeps each job's exit code (or the exception a command let escape), stdout
 and stderr, with the report
 ``timestamp`` masked, and writes them to ``out.json`` as one JSON object keyed
-by job.  The workloads file is executed from its text, so nothing is written
+by job.  Python warnings are not kept: each shows once per process and source
+line, so its text would depend on the jobs before it and on the checkout's
+path.  The workloads file is executed from its text, so nothing is written
 under ``perfbench/``; scenes go to a temporary directory.
 
 ``diff`` counts the jobs whose outputs are identical.  For each job that
@@ -60,6 +66,7 @@ import re
 import sys
 import tempfile
 import types
+import warnings
 from pathlib import Path
 
 # (scene file, swept slot, range, steps, checks[, --locate check])
@@ -128,6 +135,20 @@ FAR_FIBRE = {"schema": 1, "base": {"name": "flat3"},
                  "f": {"name": "fibre_exp", "params": {"rate": 3.0}}}},
              "samples": {"points": [[300, 0.1, 0.2, 0.3], [1, 0.1, 0.2, 0.3]]}}
 
+# Edits of scenes/ that once escaped the commands' error handling, each
+# (scene file, command, edits).  At a warping rate of 700 the sqrt of the
+# warping underflows at most points (a ZeroDivisionError once, a domain error
+# now); at c = 1e300 the type-4 evidence is NaN, which once passed every gate
+# (label type1) and now fires the first (nonstandard).
+SINGULAR = {
+    "flat_product_rate_700": ("flat_product.json", "report",
+                              [(("construction", "params", "f", "params", "rate"), 700)]),
+    "type2_warped_rate_700": ("type2_warped.json", "classify",
+                              [(("construction", "params", "f", "params", "rate"), 700)]),
+    "type4_c_1e300": ("type4_berger_ew.json", "classify",
+                      [(("construction", "params", "c"), 1e300)]),
+}
+
 # Malformed command lines, each (command, whether it names type4_berger_ew.json,
 # arguments after the scene): every one is a usage error (exit 64).
 USAGE_ERRORS = {
@@ -161,7 +182,9 @@ def _run(cli, command, scene, args, tmp):
         path.write_text(json.dumps(scene))
         argv.insert(1, str(path))
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         try:
             code = cli.main(argv)
         except Exception as exc:           # a command that crashes is recorded, not fatal
@@ -207,6 +230,8 @@ def _jobs(root, cli):
         yield f"domain_error/{command}{''.join(args)}", command, bad, args
     for command, args in (("verify", ["--checks", "twistorial_basic"]), ("classify", [])):
         yield f"far_fibre/{command}{''.join(args)}", command, FAR_FIBRE, args
+    for name, (scene, command, edits) in SINGULAR.items():
+        yield f"singular/{name}/{command}", command, _edited(scenes[scene], edits), []
     for name, param, span, steps, checks, *locate in SWEEPS:
         args = ["--param", param, f"--range={span}", "--steps", str(steps), "--checks", checks]
         args += ["--locate", locate[0]] if locate else []
