@@ -34,7 +34,7 @@ from . import constructions as con
 from . import geometry as geo
 from . import morphism as mor
 from . import weyl3
-from .errors import DomainError, GeometryError
+from .errors import DomainError, GeometryError, SingularEvaluationError
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -73,7 +73,9 @@ SCENE_SCHEMA = {
             "properties": {
                 "family": {"enum": ["type1", "jones_tod", "type2", "type3",
                                     "type4", "bryant"]},
-                "params": {"type": "object"},
+                # a family's refs; type4's c is checked, and named, at resolution
+                "params": {"type": "object",
+                           "properties": {k: _REF for k in ("u", "A", "alpha", "f", "lam")}},
                 "fibre_range": {"type": "array", "items": {"type": "number"},
                                 "minItems": 2, "maxItems": 2},
             },
@@ -596,10 +598,20 @@ def _require_checks(names, resolved):
 def _checks_at(points, checks, resolved):
     """{name: (raw, scale)} at every point of a list of sample points, as one
     job (each an array over the points).  The checks share the setup's
-    evaluations and the run's base."""
+    evaluations and the run's base.  A raw value or scale that is not finite
+    raises, naming the first point where it is not."""
     job = _Job(resolved, points, checks)
-    return {name: (CHECKS[name].residual(job), job.scale(CHECKS[name].space))
-            for name in checks}
+    columns = {name: (CHECKS[name].residual(job), job.scale(CHECKS[name].space))
+               for name in checks}
+    for name, (raw, scale) in columns.items():
+        if len(points) == 1 and math.isfinite(raw.item()) and math.isfinite(scale.item()):
+            continue                # one point: tested as floats, cheaply
+        finite = np.isfinite(raw) & np.isfinite(scale)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise SingularEvaluationError(f"check {name!r} is not finite (raw {float(raw[bad])!r}"
+                                          f", scale {float(scale[bad])!r})", point=points[bad])
+    return columns
 
 
 def _verify_records(points, checks, resolved):

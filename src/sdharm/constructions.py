@@ -71,10 +71,13 @@ class FibredMetric(geo.MetricField):
         A = self.lam_inv_sq_fn(coords)
         is_jet = isinstance(A, jets.Jet)
         aval = A.value if is_jet else float(A)
-        if jets.anywhere(aval <= 0.0):
-            raise DomainError(      # a batch names its least value
-                f"{self.positivity_name} must be positive on the domain, got {np.min(aval):.6g} "
-                f"at {tuple(c.value if isinstance(c, jets.Jet) else c for c in coords)}")
+        bad = aval <= 0.0
+        if jets.anywhere(bad):      # a batch names its first such row, as metric_point does
+            at = [c.value if isinstance(c, jets.Jet) else c for c in coords]
+            point = np.stack(at, axis=-1) if np.ndim(bad) else tuple(map(float, at))
+            raise DomainError(
+                f"{self.positivity_name} must be positive on the domain, got "
+                f"{np.ravel(aval)[np.argmax(bad)]:.6g} at {geo._first(point, bad)}")
         return A, (A.reciprocal() if is_jet else 1.0 / A), self.theta_fn(coords)
 
     def fn(self, coords):
@@ -183,14 +186,12 @@ def bryant_metric(h, lam, A=None, fibre_range=(0.1, 5.0), fibre_name="tau"):
                      "bryant", {"lam": lam, "A": A}, positivity_name="lam^-2")
 
 
-def jones_tod_metric(h, u, theta_fn=None, A=None, fibre_range=(-3.0, 3.0)):
-    """g = v phi*(h) + v^-1 theta^2 with v = u o phi; fibre generated by a
-    Killing field.  ``theta_fn`` defaults to dtau + phi*(A)."""
+def jones_tod_metric(h, u, A=None, fibre_range=(-3.0, 3.0)):
+    """g = v phi*(h) + v^-1 theta^2 with v = u o phi and theta = dtau + phi*(A);
+    fibre generated by a Killing field."""
     chart = _total_chart(h.chart, fibre_range, "tau")
-    if theta_fn is None:
-        theta_fn = _theta_dtau_plus(None if A is None else A.fn)
     lam_inv_sq = lambda coords: u.fn(coords[1:])
-    return _assemble(chart, h, lam_inv_sq, theta_fn,
+    return _assemble(chart, h, lam_inv_sq, _theta_dtau_plus(None if A is None else A.fn),
                      "type1", {"u": u, "A": A}, positivity_name="u")
 
 

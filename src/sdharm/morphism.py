@@ -7,15 +7,18 @@ residual, the induced Lee forms, both twistoriality certificates, the
 monopole compatibility residual, pulled-back connections, and the fibre-wise
 family classifier.
 
-All of it reads rows of a :class:`PointEval`, which holds g, dg, ddg, g^-1
-and (Gamma, dGamma) at a batch of points, each array with a leading point
-axis, and fills in the rest on first use for the whole batch.  The trace forms
-are (value, derivative) arrays, by the product rule through matrix products
-and ``...``-prefixed einsums of two operands (vector forward mode over the
-point axis, Griewank & Walther, *Evaluating Derivatives*, ch. 3).  The
-induced Lee form (trace Bv)-flat - *_H I needs no horizontal frame: *_H I is
-contracted with vol_H = iota_U vol_g (Baird & Wood, *Harmonic Morphisms
-Between Riemannian Manifolds*, OUP 2003).
+All of it reads rows of a :class:`PointEval`, which holds g, dg, ddg and
+g^-1 with dginv at a batch of points, each array with a leading point axis,
+and fills in the rest on first use for the whole batch.  The fibration's
+forms come from the unit vertical field U and its coframe eta = U-flat
+(Baird & Wood, *Harmonic Morphisms Between Riemannian Manifolds*, OUP 2003):
+the fibres' mean curvature is iota_U d eta, the horizontal one -(div U) eta,
+and the integrability form d eta on horizontal pairs, so none reads the
+Christoffel symbols, which only the Riemann scale does.  The trace forms are
+(value, derivative) arrays, by the product rule on the metric's jets (vector
+forward mode over the point axis, Griewank & Walther, *Evaluating
+Derivatives*, ch. 3).  The induced Lee form (trace Bv)-flat - *_H I needs no
+horizontal frame: *_H I is contracted with vol_H = iota_U vol_g.
 A ``SubmersionSetup`` holds one ``PointEval`` at a time: ``hold`` evaluates a
 job's fibre samples in one batch, and a read of a point outside it holds the
 points read instead (one point as a one-row batch).  ``SubmersionSetup.ctx``
@@ -110,26 +113,6 @@ class SubmersionSetup:
                                            points.shape[:-1]))
 
 
-def _spec(terms, out, z=None):
-    """An einsum spec over a leading point axis; term ``z`` (and the output,
-    unless z is None) gains a trailing derivative axis."""
-    ins = ",".join("..." + s + ("z" if k == z else "") for k, s in enumerate(terms))
-    return f"{ins}->...{out}" + ("" if z is None else "z")
-
-
-def _d_einsum(spec, *pairs):
-    """Product rule through einsum: the (value, derivative) pair of
-    ``einsum(spec, *values)`` from (value, derivative) pairs whose derivative
-    arrays carry one extra trailing axis, d/dx^e.  Every array has a leading
-    point axis, which ``spec`` leaves out."""
-    ins, out = spec.split("->")
-    ins = ins.split(",")
-    values = [v for v, _ in pairs]
-    deriv = sum(np.einsum(_spec(ins, out, k), *values[:k], d, *values[k + 1:])
-                for k, (_, d) in enumerate(pairs))
-    return np.einsum(_spec(ins, out), *values), deriv
-
-
 def _take(x, index):
     """Rows ``index`` of a batch attribute: of an array, of each array of a
     (value, derivative) pair; anything else is shared by the rows."""
@@ -157,17 +140,19 @@ class _Row:
 class PointEval:
     """All data of one fibred metric at a batch of points.
 
-    Every array has a leading point axis.  The metric arrays, the inverse and
-    (Gamma, dGamma) come from one ``geo.metric_point`` over the batch, and
-    lam^-2 from one batch jet; everything derived from them is computed on
-    first use, for every point at once.  h and h^-1 are read once per distinct
-    base point.  Derivative arrays carry d/dx^e on their last axis.  A batch
-    of one point is a one-row array, evaluated in its own scalar jets.
+    Every array has a leading point axis.  The metric arrays and the inverse
+    (with Gamma, which only ``riemann_norm`` reads) come from one
+    ``geo.metric_point`` over the batch, and lam^-2 from one batch jet;
+    everything derived from them is computed on first use, for every point at
+    once.  h and h^-1 are read once per distinct base point.  Derivative
+    arrays carry d/dx^e on their last axis.  A batch of one point is a one-row
+    array, evaluated in its own scalar jets.
 
-    Vertical distribution: span of d/dx^0, unit vertical V0 d_0 with
-    V0 = g_00^(-1/2).  P = 1 + e_0 (x) w with w_b = -g_0b/g_00 is the
-    horizontal projector P(X) = X - d_0 g(X, d_0)/g_00; its columns
-    W_b = d_b + w_b d_0 lift the base coordinate frame (b = 1..3), W_0 = 0.
+    Vertical distribution: span of d/dx^0, unit vertical U = V0 d_0 with
+    V0 = g_00^(-1/2) and coframe eta = U-flat = V0 g_0.; eta(U) = 1.
+    P = 1 + e_0 (x) w with w_b = -g_0b/g_00 is the horizontal projector
+    P(X) = X - d_0 g(X, d_0)/g_00; its columns W_b = d_b + w_b d_0 lift the
+    base coordinate frame (b = 1..3), W_0 = 0.
     """
 
     def __init__(self, setup, points):
@@ -175,73 +160,62 @@ class PointEval:
         self.points = [tuple(float(x) for x in p) for p in points]
         self._at = fm.total_chart.point_array(self.points)
         self.metric = geo.metric_point(fm.g, self._at)       # checks the chart
-        self.gv, self.dg, self.ddg, self.ginv, self.dginv, self.G, self.dG = self.metric
+        self.gv, self.dg, self.ddg, self.ginv, self.dginv = self.metric[:5]
         h = {b: fm.h.values(b) for b in dict.fromkeys(p[1:] for p in self.points)}
         self.hv = np.array([h[p[1:]] for p in self.points])
         self.hinv = np.linalg.inv(self.hv)
         self.lam_inv_sq, self.dlam_inv_sq, self.ddlam_inv_sq = fm.dilation_sq_inv.arrays(self._at)
-        g00, dg00 = self.gv[:, 0, 0], self.dg[:, 0, 0]
+        g00 = self.gv[:, 0, 0]
         self.V0 = jets._pow(g00, -0.5)      # pow per point, as at one point
-        # u = 1/g_00 with its first and second derivatives, and d_e w_b
-        u = 1.0 / g00
-        uc = u[:, None]
-        self.u = (u, -dg00 * uc * uc)
-        self.ddu = (-self.ddg[:, 0, 0] * uc[..., None] * uc[..., None]
-                    + 2.0 * (u ** 3)[:, None, None] * (dg00[:, :, None] * dg00[:, None, :]))
-        self.dw = -self.dg[:, 0] * uc[..., None] - self.gv[:, 0, :, None] * self.u[1][:, None, :]
         self.P = np.tile(np.eye(4), (len(self.points), 1, 1))
-        self.P[:, 0] -= self.gv[:, 0] * uc
-        self.dP = np.zeros(self.dg.shape)
-        self.dP[:, 0] = self.dw
+        self.P[:, 0] -= self.gv[:, 0] * (1.0 / g00)[:, None]
+        self.P[:, 0, 0] = 0.0               # W_0 = 0, also where g_00 (1/g_00) != 1
 
     # -- mean-curvature one-forms ----------------------------------------------
 
     @cached_property
-    def vertical_trace(self):
-        """trace Bv = P(nabla_U U) as (value, derivative)."""
-        u, du = self.u
-        e0 = np.eye(4)[0]
-        G00, dG00 = self.G[:, :, 0, 0], self.dG[:, :, 0, 0]
-        # nabla_U U = V0^2 Gamma^a_00 + delta^a_0 V0 d_0 V0, and V0^2 = u
-        accel = (G00 * u[:, None] + 0.5 * du[:, 0, None] * e0,
-                 dG00 * u[:, None, None] + G00[:, :, None] * du[:, None, :]
-                 + 0.5 * (e0[:, None] * self.ddu[:, None, 0]))
-        return _d_einsum("ab,b->a", (self.P, self.dP), accel)
+    def coframe(self):
+        """(V0, eta) with their first and second derivatives, eta = U-flat =
+        V0 g_0b, by d_e V0 = -1/2 V0^3 d_e g_00 = -1/2 V0 q_e, q = d log g_00,
+        and the product rule: ((V0, dV0, ddV0), (eta, deta, ddeta)),
+        deta[b, e] = d_e eta_b.  No power of V0 beyond the first is formed, so
+        a tiny g_00 does not overflow."""
+        v, g0, dg0, ddg0 = self.V0, self.gv[:, 0], self.dg[:, 0], self.ddg[:, 0]
+        q = dg0[:, 0] / g0[:, :1]
+        dv = -0.5 * v[:, None] * q
+        ddv = v[:, None, None] * (0.75 * q[:, :, None] * q[:, None, :]
+                                  - 0.5 * ddg0[:, 0] / g0[:, :1, None])
+        deta = g0[:, :, None] * dv[:, None, :] + v[:, None, None] * dg0
+        ddeta = (g0[:, :, None, None] * ddv[:, None] + dg0[:, :, :, None] * dv[:, None, None, :]
+                 + dg0[:, :, None, :] * dv[:, None, :, None] + v[:, None, None, None] * ddg0)
+        return (v, dv, ddv), (v[:, None] * g0, deta, ddeta)
 
     @cached_property
     def vertical_trace_flat(self):
-        """(trace Bv)-flat as (value, derivative)."""
-        return _d_einsum("ab,b->a", (self.gv, self.dg), self.vertical_trace)
+        """(trace Bv)-flat = (nabla_U U)-flat = iota_U d eta (Cartan's formula, as
+        eta(U) = 1): V0 (d eta)_0b with (d eta)_ab = d_a eta_b - d_b eta_a, as
+        (value, derivative)."""
+        (v, dv, _), (_, deta, ddeta) = self.coframe
+        F, dF = deta[:, :, 0] - deta[:, 0], ddeta[:, :, 0] - ddeta[:, 0]
+        return v[:, None] * F, dv[:, None, :] * F[:, :, None] + v[:, None, None] * dF
+
+    @cached_property
+    def vertical_trace(self):
+        """trace Bv = nabla_U U, raised from its flat."""
+        return (self.ginv @ self.vertical_trace_flat[0][:, :, None])[:, :, 0]
 
     @cached_property
     def horizontal_trace_flat(self):
-        """(trace Bh)-flat as (value, derivative): the vertical part of
-        h^bc nabla_{W_b} W_c, h^bc being g^-1 less the unit vertical square."""
-        u, du = self.u
-        g0, dg0 = self.gv[:, 0], self.dg[:, 0]
-        # ddw[b,e,f] = d_f d_e w_b, from w_b = -g_0b u
-        ddw = (-self.ddg[:, 0] * u[:, None, None, None]
-               - np.einsum("...be,...f->...bef", dg0, du)
-               - np.einsum("...bf,...e->...bef", dg0, du)
-               - np.einsum("...b,...ef->...bef", g0, self.ddu))
-        # (nabla_{W_b} W_c)^d = (P^T Gamma^d P)_bc + delta^d_0 W_b(w_c), one
-        # matrix product per d; d/dx^z (stacked on axis 1) by the product rule
-        P, Pt = self.P[:, None], self.P.swapaxes(-1, -2)[:, None]
-        dPz = np.moveaxis(self.dP, -1, 1)[:, :, None]          # [n, z, 1, e, b]
-        GP, PtG = self.G @ P, Pt @ self.G
-        nab = Pt @ GP
-        dnab = np.moveaxis(Pt[:, None] @ np.moveaxis(self.dG, -1, 1) @ P[:, None]
-                           + dPz.swapaxes(-1, -2) @ GP[:, None] + PtG[:, None] @ dPz, 1, -1)
-        lift, dlift = _d_einsum("eb,ce->bc", (self.P, self.dP), (self.dw, ddw))
-        nab[:, 0] += lift
-        dnab[:, 0] += dlift
-        GH, dGH = self.ginv.copy(), self.dginv.copy()
-        GH[:, 0, 0] -= u
-        dGH[:, 0, 0] -= du
-        s, ds = _d_einsum("bc,bc->", (GH, dGH), _d_einsum("d,dbc->bc", (g0, dg0), (nab, dnab)))
-        # t = U g(U, .) of the sum = d_0 s/g_00; lowered: g_a0 s/g_00
-        su, dsu = s * u, ds * u[:, None] + s[:, None] * du
-        return g0 * su[:, None], dg0 * su[:, None, None] + g0[:, :, None] * dsu[:, None, :]
+        """(trace Bh)-flat = -(div U) eta as (value, derivative), with
+        div U = d_0 V0 + V0 t and t = 1/2 tr(g^-1 d_0 g)."""
+        (v, dv, ddv), (eta, deta, _) = self.coframe
+        t = 0.5 * np.einsum("...ab,...ab->...", self.ginv, self.dg[..., 0])
+        dt = 0.5 * (np.einsum("...abe,...ab->...e", self.dginv, self.dg[..., 0])
+                    + np.einsum("...ab,...abe->...e", self.ginv, self.ddg[..., 0, :]))
+        div = dv[:, 0] + v * t
+        ddiv = ddv[:, 0] + dv * t[:, None] + v[:, None] * dt
+        return (-div[:, None] * eta,
+                -(eta[:, :, None] * ddiv[:, None, :] + div[:, None, None] * deta))
 
     @cached_property
     def grad_log_lambda(self):
@@ -250,7 +224,9 @@ class PointEval:
         Lc = L[:, None]
         dlog = (-0.5 * dL / Lc, -0.5 * (ddL / Lc[..., None]
                                         - dL[:, :, None] * dL[:, None, :] / (Lc * Lc)[..., None]))
-        return _d_einsum("ab,b->a", (self.ginv, self.dginv), dlog)
+        return (np.einsum("...ab,...b->...a", self.ginv, dlog[0]),
+                np.einsum("...abz,...b->...az", self.dginv, dlog[0])
+                + np.einsum("...ab,...bz->...az", self.ginv, dlog[1]))
 
     @cached_property
     def conformality(self):
@@ -281,10 +257,11 @@ class PointEval:
 
     @cached_property
     def integrability(self):
-        """I(W_a, W_b) = -g(U, [W_a, W_b]) as a 4x4 antisymmetric array; the
-        bracket of two lifts is W_a(w_b) - W_b(w_a) along d_0."""
-        lift = np.einsum("...ea,...be->...ab", self.P, self.dw)
-        return (-self.V0 * self.gv[:, 0, 0])[:, None, None] * (lift - lift.swapaxes(-1, -2))
+        """I(W_a, W_b) = -g(U, [W_a, W_b]) = d eta(W_a, W_b) as a 4x4 antisymmetric
+        array.  eta = V0 g_0. and g_0.(W_a) = 0, so d eta on the lifts is
+        V0 d(g_0.): V0 P^T d(g_0.) P."""
+        dg0, P = self.dg[:, 0], self.P
+        return self.V0[:, None, None] * (P.swapaxes(-1, -2) @ (dg0.swapaxes(-1, -2) - dg0) @ P)
 
     @cached_property
     def dH_log_lambda(self):
@@ -315,7 +292,7 @@ class PointEval:
     @cached_property
     def harmonicity_defect(self):
         """dphi(trace Bv + grad log lam) in base coordinate components."""
-        return (self.vertical_trace[0] + self.grad_log_lambda[0])[:, 1:]
+        return (self.vertical_trace + self.grad_log_lambda[0])[:, 1:]
 
     @cached_property
     def star_H_I(self):

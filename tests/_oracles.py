@@ -1,8 +1,11 @@
 """Independent oracles the tests hold the package to: the finite-difference
 derivatives of a scalar field, the integrability form's cross-check against
-the connection form, *_H I in a Gram-Schmidt horizontal frame, the einsum
+the connection form, *_H I in a Gram-Schmidt horizontal frame, the trace forms
+and the integrability form through the Christoffel symbols, the einsum
 formulas of the curvature chain, the index-at-a-time ``to_frame``, and the
 field closures with each constant component built as a jet."""
+
+import types
 
 import numpy as np
 
@@ -118,6 +121,106 @@ def star_H_I(pe):
     star = 0.5 * np.einsum("...kl,klm->...m", Itilde, geo.levi_civita_symbol(3))
     return (star[:, None, :] @ frame @ pe.gv)[:, 0]
 
+
+
+# -- the trace forms and the integrability form through Gamma --------------------
+# morphism.PointEval takes them from the unit vertical coframe eta = V0 g_0.;
+# here they are covariant derivatives of the lifted coordinate frame
+# W_b = d_b + w_b d_0 through Gamma and dGamma, by the product rule through
+# einsum, as the package computed them before.
+
+def _spec(terms, out, z=None):
+    """An einsum spec over a leading point axis; term ``z`` (and the output,
+    unless z is None) gains a trailing derivative axis."""
+    ins = ",".join("..." + s + ("z" if k == z else "") for k, s in enumerate(terms))
+    return f"{ins}->...{out}" + ("" if z is None else "z")
+
+
+def d_einsum(spec, *pairs):
+    """Product rule through einsum: the (value, derivative) pair of
+    ``einsum(spec, *values)`` from (value, derivative) pairs whose derivative
+    arrays carry one extra trailing axis, d/dx^e.  Every array has a leading
+    point axis, which ``spec`` leaves out."""
+    ins, out = spec.split("->")
+    ins = ins.split(",")
+    values = [v for v, _ in pairs]
+    deriv = sum(np.einsum(_spec(ins, out, k), *values[:k], d, *values[k + 1:])
+                for k, (_, d) in enumerate(pairs))
+    return np.einsum(_spec(ins, out), *values), deriv
+
+
+def lift_inputs(pe):
+    """The metric arrays of a PointEval with (Gamma, dGamma), and the lift
+    inputs: u = 1/g_00 with its first and second derivatives, d_e w_b, and the
+    projector P = 1 + e_0 (x) w with dP, w_b = -g_0b/g_00."""
+    gv, dg, ddg, ginv, dginv, G, dG = pe.metric
+    g00, dg00 = gv[:, 0, 0], dg[:, 0, 0]
+    u = 1.0 / g00
+    uc = u[:, None]
+    u_pair = (u, -dg00 * uc * uc)
+    ddu = (-ddg[:, 0, 0] * uc[..., None] * uc[..., None]
+           + 2.0 * (u ** 3)[:, None, None] * (dg00[:, :, None] * dg00[:, None, :]))
+    dw = -dg[:, 0] * uc[..., None] - gv[:, 0, :, None] * u_pair[1][:, None, :]
+    P = np.tile(np.eye(4), (len(gv), 1, 1))
+    P[:, 0] -= gv[:, 0] * uc
+    dP = np.zeros(dg.shape)
+    dP[:, 0] = dw
+    return types.SimpleNamespace(gv=gv, dg=dg, ddg=ddg, ginv=ginv, dginv=dginv, G=G, dG=dG,
+                                 V0=pe.V0, u=u_pair, ddu=ddu, dw=dw, P=P, dP=dP)
+
+
+def vertical_trace(ev):
+    """trace Bv = P(nabla_U U) as (value, derivative), from ``lift_inputs``."""
+    u, du = ev.u
+    e0 = np.eye(4)[0]
+    G00, dG00 = ev.G[:, :, 0, 0], ev.dG[:, :, 0, 0]
+    # nabla_U U = V0^2 Gamma^a_00 + delta^a_0 V0 d_0 V0, and V0^2 = u
+    accel = (G00 * u[:, None] + 0.5 * du[:, 0, None] * e0,
+             dG00 * u[:, None, None] + G00[:, :, None] * du[:, None, :]
+             + 0.5 * (e0[:, None] * ev.ddu[:, None, 0]))
+    return d_einsum("ab,b->a", (ev.P, ev.dP), accel)
+
+
+def vertical_trace_flat(ev):
+    """(trace Bv)-flat as (value, derivative)."""
+    return d_einsum("ab,b->a", (ev.gv, ev.dg), vertical_trace(ev))
+
+
+def horizontal_trace_flat(ev):
+    """(trace Bh)-flat as (value, derivative): the vertical part of
+    h^bc nabla_{W_b} W_c, h^bc being g^-1 less the unit vertical square."""
+    u, du = ev.u
+    g0, dg0 = ev.gv[:, 0], ev.dg[:, 0]
+    # ddw[b,e,f] = d_f d_e w_b, from w_b = -g_0b u
+    ddw = (-ev.ddg[:, 0] * u[:, None, None, None]
+           - np.einsum("...be,...f->...bef", dg0, du)
+           - np.einsum("...bf,...e->...bef", dg0, du)
+           - np.einsum("...b,...ef->...bef", g0, ev.ddu))
+    # (nabla_{W_b} W_c)^d = (P^T Gamma^d P)_bc + delta^d_0 W_b(w_c), one
+    # matrix product per d; d/dx^z (stacked on axis 1) by the product rule
+    P, Pt = ev.P[:, None], ev.P.swapaxes(-1, -2)[:, None]
+    dPz = np.moveaxis(ev.dP, -1, 1)[:, :, None]          # [n, z, 1, e, b]
+    GP, PtG = ev.G @ P, Pt @ ev.G
+    nab = Pt @ GP
+    dnab = np.moveaxis(Pt[:, None] @ np.moveaxis(ev.dG, -1, 1) @ P[:, None]
+                       + dPz.swapaxes(-1, -2) @ GP[:, None] + PtG[:, None] @ dPz, 1, -1)
+    lift, dlift = d_einsum("eb,ce->bc", (ev.P, ev.dP), (ev.dw, ddw))
+    nab[:, 0] += lift
+    dnab[:, 0] += dlift
+    GH, dGH = ev.ginv.copy(), ev.dginv.copy()
+    GH[:, 0, 0] -= u
+    dGH[:, 0, 0] -= du
+    s, ds = d_einsum("bc,bc->", (GH, dGH), d_einsum("d,dbc->bc", (g0, dg0), (nab, dnab)))
+    # t = U g(U, .) of the sum = d_0 s/g_00; lowered: g_a0 s/g_00
+    su, dsu = s * u, ds * u[:, None] + s[:, None] * du
+    return g0 * su[:, None], dg0 * su[:, None, None] + g0[:, :, None] * dsu[:, None, :]
+
+
+def integrability(ev):
+    """I(W_a, W_b) = -g(U, [W_a, W_b]) as a 4x4 antisymmetric array; the
+    bracket of two lifts is W_a(w_b) - W_b(w_a) along d_0."""
+    lift = np.einsum("...ea,...be->...ab", ev.P, ev.dw)
+    return (-ev.V0 * ev.gv[:, 0, 0])[:, None, None] * (lift - lift.swapaxes(-1, -2))
 
 
 # -- the curvature chain and its neighbours by einsum ---------------------------

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from sdharm import cli, constructions as con, geometry as geo, jets, morphism as mor, weyl3
 from sdharm.errors import DomainError, SingularEvaluationError
 
+import _oracles as O
 from _metrics import conformal_rescale, conformal_rescale_fibration, type4_normalize
 
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
@@ -544,14 +545,15 @@ def test_a_one_row_job_is_the_points_own_evaluation(name):
 
 
 # ---------------------------------------------------------------------------
-# the horizontal trace by matrix products against its einsum definition
+# the horizontal trace from the coframe against its einsum definition
 # ---------------------------------------------------------------------------
 
 def _einsum_horizontal_trace(ev, sign=-1.0):
-    """(trace Bh)-flat of a PointEval by its definition through three- and
-    four-operand einsums: Gamma^d_ef W_b^e W_c^f, contracted with h^bc and
-    g_0d, and lowered by g_a0 / g_00.  With ``sign=1`` on the absolute values
-    of its inputs, every term adds: the sum of the terms' absolute values."""
+    """(trace Bh)-flat by its definition through three- and four-operand
+    einsums, from a PointEval's ``_oracles.lift_inputs``: Gamma^d_ef W_b^e
+    W_c^f, contracted with h^bc and g_0d, and lowered by g_a0 / g_00.  With
+    ``sign=1`` on the absolute values of its inputs, every term adds: the sum
+    of the terms' absolute values."""
     u, du = ev.u
     g0, dg0 = ev.gv[:, 0], ev.dg[:, 0]
     ddw = sign * (ev.ddg[:, 0] * u[:, None, None, None]
@@ -559,36 +561,37 @@ def _einsum_horizontal_trace(ev, sign=-1.0):
                   + np.einsum("...bf,...e->...bef", dg0, du)
                   + np.einsum("...b,...ef->...bef", g0, ev.ddu))
     P = (ev.P, ev.dP)
-    nab, dnab = mor._d_einsum("def,eb,fc->dbc", (ev.G, ev.dG), P, P)
-    lift, dlift = mor._d_einsum("eb,ce->bc", P, (ev.dw, ddw))
+    nab, dnab = O.d_einsum("def,eb,fc->dbc", (ev.G, ev.dG), P, P)
+    lift, dlift = O.d_einsum("eb,ce->bc", P, (ev.dw, ddw))
     nab[:, 0] += lift
     dnab[:, 0] += dlift
     GH, dGH = ev.ginv.copy(), ev.dginv.copy()
     GH[:, 0, 0] += sign * u
     dGH[:, 0, 0] += sign * du
-    s = mor._d_einsum("bc,d,dbc->", (GH, dGH), (g0, dg0), (nab, dnab))
-    return mor._d_einsum("a,,->a", (g0, dg0), s, ev.u)
+    s = O.d_einsum("bc,d,dbc->", (GH, dGH), (g0, dg0), (nab, dnab))
+    return O.d_einsum("a,,->a", (g0, dg0), s, ev.u)
 
 
 _TRACE_INPUTS = ("u", "gv", "dg", "ddg", "ddu", "P", "dP", "G", "dG", "dw", "ginv", "dginv")
 
 
-def _inputs(ev, convert):
+def _inputs(lifts, convert):
     """The inputs of the trace, each array passed through ``convert``."""
     return types.SimpleNamespace(**{
         name: tuple(map(convert, value)) if isinstance(value, tuple) else convert(value)
-        for name, value in ((name, getattr(ev, name)) for name in _TRACE_INPUTS)})
+        for name, value in ((name, getattr(lifts, name)) for name in _TRACE_INPUTS)})
 
 
 def _trace_errors(fm, points):
-    """The PointEval at the points, its (matrix product) trace forms, the
+    """The PointEval at the points, its trace forms (from the coframe), the
     einsum definition's, the definition in extended precision (64-bit
     mantissa) from the same double inputs, and the sum of the absolute values
     of its terms."""
     ev = mor.PointEval(mor.SubmersionSetup(fm), points)
-    wide = _einsum_horizontal_trace(_inputs(ev, lambda x: np.asarray(x, np.longdouble)))
-    terms = _einsum_horizontal_trace(_inputs(ev, np.abs), sign=1.0)
-    return ev, ev.horizontal_trace_flat, _einsum_horizontal_trace(ev), wide, terms
+    lifts = O.lift_inputs(ev)
+    wide = _einsum_horizontal_trace(_inputs(lifts, lambda x: np.asarray(x, np.longdouble)))
+    terms = _einsum_horizontal_trace(_inputs(lifts, np.abs), sign=1.0)
+    return ev, ev.horizontal_trace_flat, _einsum_horizontal_trace(lifts), wide, terms
 
 
 def _per_point(x):
@@ -597,7 +600,7 @@ def _per_point(x):
 
 
 def assert_trace_matches_einsum(fm, points):
-    """Value and derivative of the matrix-product trace within
+    """Value and derivative of the coframe trace within
     1e-14 (1 + |einsum definition|) of it at each point, |.| the largest
     entry, and within the rounding bound of the definition in extended
     precision (see the ill-conditioned case below); the conformality norm
@@ -630,12 +633,12 @@ def test_horizontal_trace_matches_its_einsum_definition_where_ill_conditioned():
     assert fm.dilation_sq_inv.value(point) == pytest.approx(0.0779, abs=1e-4)
     # At rho = 0.075, |Gamma| reaches 3.4e3 and |g^-1| 1e2 against a trace of
     # 21, so any two summation orders differ by some 1e-12 of it (here the
-    # einsums and the matrix products by 4.0e-12 of 1 + |trace|).  On this
+    # einsums and the coframe formula by 1.9e-11 of 1 + |trace|).  On this
     # fibre each entry is held to the rounding bound of a sum, a small multiple
     # of eps times the sum of its terms' absolute values (Higham, *Accuracy and
     # Stability of Numerical Algorithms*, 2002, ch. 3), against the definition
-    # in extended precision from the same double inputs.  Both orders meet it
-    # with 4 eps: the einsums reach 0.37 eps, the matrix products 0.15 eps.
+    # in extended precision from the same double inputs.  Both routes meet it
+    # with 4 eps: the einsums reach 0.52 eps, the coframe formula 0.76 eps.
     points = [point] + mor.fibre_samples_about(fm, (0.3, 2.2, 1.0, 5.0), 4)
     _, new, old, exact, terms = _trace_errors(fm, points)
     eps = np.finfo(float).eps

@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdharm import cli, constructions as con, geometry as geo, jets, morphism as mor, weyl3
-from sdharm.errors import DomainError
+from sdharm.errors import DomainError, SingularEvaluationError
 
-from test_compare_outputs import load_tool as load_parity_tool
+from test_compare_outputs import load_tool as load_parity_tool, not_json
 
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -329,6 +329,10 @@ def _set_type2_f(ref):
     return lambda scene: scene["construction"]["params"].update(f=ref)
 
 
+def _set_alpha(ref):
+    return lambda scene: scene["construction"]["params"].update(alpha=ref)
+
+
 @pytest.mark.parametrize("name, edit, message", [
     ("type4_berger_ew.json", _set_base({"nu": 1}),
      "catalog entry 'berger_s3' does not take parameter 'nu'; it takes ['mu']"),
@@ -344,8 +348,18 @@ def _set_type2_f(ref):
      "fibre scalar 'fibre_power' needs parameter 'p'"),
     ("type4_berger_ew.json", lambda scene: scene["construction"]["params"].update(c=True),
      "family 'type4' parameter 'c' must be a number, got True"),
+    # a family's ref that is not a catalog ref fails the scene schema when loaded
+    ("type4_berger_ew.json", _set_alpha(5),
+     "scene invalid at /construction/params/alpha: 5 is not of type 'object'"),
+    ("type4_berger_ew.json", _set_alpha({"params": {}}),
+     "scene invalid at /construction/params/alpha: 'name' is a required property"),
+    ("type4_berger_ew.json", _set_alpha({"name": "berger_lee", "params": [1]}),
+     "scene invalid at /construction/params/alpha/params: [1] is not of type 'object'"),
+    ("type2_warped.json", _set_type2_f(2.0),
+     "scene invalid at /construction/params/f: 2.0 is not of type 'object'"),
 ], ids=["unknown", "string", "bool", "fibre-unknown", "fibre-string", "fibre-missing",
-        "type4-c-bool"])
+        "type4-c-bool", "alpha-number", "alpha-without-name", "alpha-params-list",
+        "type2-f-number"])
 def test_bad_ref_parameter_usage_error(name, edit, message, capsys, tmp_path):
     assert cli.main(["report", write_scene(tmp_path, name, edit)]) == 64
     assert message in capsys.readouterr().err
@@ -1512,6 +1526,52 @@ def test_verify_csv_writes_a_row_per_domain_error(capsys, tmp_path):
                                          ["1", "0.9 3.0 2.0 3.0", "domain_error"]]
     assert rows[2][3].startswith("point (0.9, 3.0, 2.0, 3.0) outside chart domain")
     assert rows[2][4:] == ["", "False"]
+
+
+NOT_FINITE = [(("construction", "params", "c"), 1e300, "beltrami"),
+              (("construction", "params", "alpha", "params", "scale"), -1e300, "einstein_weyl")]
+
+
+def _set_slot(keys, value):
+    return lambda scene: functools.reduce(lambda n, k: n[k], keys[:-1], scene).update(
+        {keys[-1]: value})
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("keys, value, check", NOT_FINITE, ids=["beltrami", "einstein_weyl"])
+def test_a_check_that_is_not_finite_is_the_points_domain_error(keys, value, check, capsys,
+                                                               tmp_path):
+    """Where a residual overflows (Infinity) or is NaN, verify records each
+    point as a domain error, so its JSON holds no NaN or Infinity and it exits
+    2; a sweep step records the same errors and writes no row."""
+    path = write_scene(tmp_path, "type4_berger_ew.json", _set_slot(keys, value))
+    assert cli.main(["verify", path, "--checks", check]) == 2
+    report = json.loads(capsys.readouterr().out, parse_constant=not_json)
+    errors = report["domain_errors"]
+    assert [e["index"] for e in errors] == list(range(5)) and report["summary"]["checks"] == {}
+    for e, record in zip(errors, report["records"]):
+        assert e["error"].startswith(f"check {check!r} is not finite (raw ")
+        assert e["error"].endswith(f" at point {tuple(e['point'])}") and record["checks"] == {}
+    param = ".".join(keys)
+    assert cli.main(["sweep", path, "--param", param, f"--range={value}:{value}", "--steps", "1",
+                     "--checks", check]) == 2
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == [param, f"{check}_max_normalized"] and len(rows) == 6
+    assert [(r[0], r[2]) for r in rows[1:]] == [("# domain_error", str(i)) for i in range(5)]
+    assert [r[4] for r in rows[1:]] == [e["error"] for e in errors]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_job_that_is_not_finite_names_its_first_such_point(tmp_path):
+    """A job of several points, or of one, raises at the first point where a
+    check is not finite; ``Run.each`` then evaluates each point alone."""
+    path = write_scene(tmp_path, "type4_berger_ew.json", _set_slot(*NOT_FINITE[0][:2]))
+    resolved = cli.ResolvedScene(cli.load_scene(path))
+    points = resolved.sample_points()[0]
+    for job in (points, points[2:3]):
+        with pytest.raises(SingularEvaluationError, match=re.escape(f"at point {job[0]}")):
+            cli._checks_at(job, ["beltrami"], resolved)
 
 
 def test_a_scene_file_that_cannot_be_read_is_a_usage_error(capsys, tmp_path):

@@ -5,6 +5,7 @@ differ.  This loads the tool, read only, and checks its reading of two
 
 import json
 import math
+import re
 import types
 from pathlib import Path
 
@@ -117,10 +118,20 @@ def test_the_record_runs_malformed_command_lines(tmp_path):
 
 
 def test_the_record_runs_scenes_that_do_not_resolve(tmp_path):
-    """Each edit of SCENE_ERRORS passes the scene schema, and its ``report``
-    is the usage error of the ref or family parameter that does not resolve."""
+    """Each edit of SCENE_ERRORS is a usage error of ``report``: the first six
+    pass the scene schema and name the ref or family parameter that does not
+    resolve; the construction refs that are not catalog refs fail the schema."""
     from sdharm import cli
     tool = load_tool()
+    malformed = {
+        "alpha_not_an_object": "scene invalid at /construction/params/alpha: "
+                               "5 is not of type 'object'",
+        "alpha_without_a_name": "scene invalid at /construction/params/alpha: "
+                                "'name' is a required property",
+        "alpha_params_not_an_object": "scene invalid at /construction/params/alpha/params: "
+                                      "[1] is not of type 'object'",
+        "type2_f_not_an_object": "scene invalid at /construction/params/f: "
+                                 "2.0 is not of type 'object'"}
     messages = {
         "unknown_catalog_entry": "unknown catalog entry 'berger_s4'; known: ",
         "ref_without_the_parameter": "catalog entry 'berger_s3' does not take parameter 'nu'",
@@ -131,10 +142,14 @@ def test_the_record_runs_scenes_that_do_not_resolve(tmp_path):
         "family_without_the_parameter": "family 'type4' does not take parameter 'u'"}
     jobs = {key: job for key, *job in tool._jobs(TOOL.parent.parent, cli)
             if key.startswith("unresolved/")}
-    assert sorted(jobs) == sorted(f"unresolved/{name}/report" for name in messages)
-    for name, message in messages.items():
+    assert sorted(jobs) == sorted(f"unresolved/{name}/report" for name in messages | malformed)
+    for name, message in (messages | malformed).items():
         command, scene, args = jobs[f"unresolved/{name}/report"]
-        cli.validate_scene(scene)
+        if name in messages:
+            cli.validate_scene(scene)
+        else:
+            with pytest.raises(cli.UsageError, match=re.escape(message)):
+                cli.validate_scene(scene)
         out = tool._run(cli, command, scene, args, tmp_path)
         assert out["code"] == 64 and out["stdout"] == "", name
         assert out["stderr"].startswith(f"error: {message}"), name
@@ -158,19 +173,28 @@ def test_the_record_runs_geometry_errors_of_far_fibre_samples(tmp_path):
         assert errors[1].startswith(f"metric is singular at point ({sample}, 0.1, 0.2, 0.3)")
 
 
+def not_json(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_the_record_runs_scenes_that_once_escaped_the_error_handling(tmp_path):
     """At warping rate 700 the sqrt of the warping underflows: ``report`` and
     ``classify`` exit 2 with a domain error at each point where it does.  At
-    c = 1e300 the type-4 evidence overflows to NaN, which fires the first
-    classifier gate: every point is ``nonstandard`` and ``classify`` exits 1."""
+    c = 1e300 g_00 is 1e-300: the anti-self-dual norm is its exact 0.0, as the
+    trace forms take no power of V0 = g_00^(-1/2) beyond the first, but the
+    twistorial_basic evidence overflows to NaN, which fires its gate: every
+    point is ``nonstandard`` and ``classify`` exits 1.  There the Beltrami
+    residual is infinite, and at a Lee-form scale of -1e300 the Einstein-Weyl
+    one is NaN: ``verify`` exits 2 with a domain error at each point, and its
+    JSON holds neither."""
     from sdharm import cli
     tool = load_tool()
     jobs = {key: job for key, *job in tool._jobs(TOOL.parent.parent, cli)
             if key.startswith("singular/")}
     assert sorted(jobs) == [f"singular/{name}/{command}"
-                            for name, (_, command, _) in sorted(tool.SINGULAR.items())]
+                            for name, (_, command, _, _) in sorted(tool.SINGULAR.items())]
     for key in ("singular/flat_product_rate_700/report",
                 "singular/type2_warped_rate_700/classify"):
         out = tool._run(cli, *jobs[key], tmp_path)
@@ -183,8 +207,18 @@ def test_the_record_runs_scenes_that_once_escaped_the_error_handling(tmp_path):
     classified = json.loads(out["stdout"])
     assert classified["label"] == "nonstandard"
     for result in classified["results"]:
-        assert math.isnan(result["evidence"]["twistorial_sd"][0])
-        assert result["evidence"]["decided_by"] == "SD_GATE_TOL: twistorial_sd"
+        assert result["evidence"]["twistorial_sd"] == [0.0] * 4
+        assert math.isnan(result["evidence"]["twistorial_basic"])
+        assert result["evidence"]["decided_by"] == "SPREAD_GATE_TOL: twistorial_basic"
+    for key, check in (("singular/type4_c_1e300_beltrami/verify", "beltrami"),
+                       ("singular/type4_scale_minus_1e300_einstein_weyl/verify",
+                        "einstein_weyl")):
+        out = tool._run(cli, *jobs[key], tmp_path)
+        assert out["code"] == 2, key
+        report = json.loads(out["stdout"], parse_constant=not_json)
+        errors = [e["error"] for e in report["domain_errors"]]
+        assert len(errors) == 5 and report["summary"]["checks"] == {}, key
+        assert all(e.startswith(f"check {check!r} is not finite (raw ") for e in errors), key
 
 
 def test_reach_counts_each_def_and_lambda_body(tmp_path):

@@ -215,6 +215,22 @@ def test_type4_negative_branch_rejected():
         fm.g.values((0.0, 0.1, 0.1, 0.1))   # e^0 - 2 < 0
 
 
+def test_a_batch_positivity_error_names_its_first_failing_row():
+    """A fibred metric on an ``(N, 4)`` array names one point where its
+    lam^-2 is not positive, its first such row, as ``metric_point`` names a
+    singular one: the message that point gives alone.  The type-2 warping
+    e^(700 tau) underflows to 0 at tau = -1.2 but not at tau = -1."""
+    fm = con.type2_warped(con.flat3(), con.fibre_exp(700.0)(None))
+    points = [[-1.0, 0.1, 0.2, 0.3], [-1.2, 0.1, 0.2, 0.3], [-1.3, 0.2, 0.2, 0.3]]
+    with pytest.raises(DomainError) as alone:
+        geo.metric_point(fm.g, tuple(points[1]))
+    for batch in (np.array(points), np.array(points[1:])):
+        with pytest.raises(DomainError) as error:
+            geo.metric_point(fm.g, batch)
+        assert str(error.value) == str(alone.value)
+    assert str(alone.value) == "f must be positive on the domain, got 0 at (-1.2, 0.1, 0.2, 0.3)"
+
+
 # ---------------------------------------------------------------------------
 # self-duality of the families (positive and negative controls)
 # ---------------------------------------------------------------------------

@@ -21,10 +21,11 @@ process on
   (``FAR_FIBRE``): the one point overflows, the other is named by a fibre
   sample whose metric is singular, so the geometry errors and the fallback
   of a failing hold are recorded;
-- ``report`` and ``classify`` of the edits of ``SINGULAR``: scenes whose
-  evaluation once escaped the commands' error handling, a warping whose
-  ``sqrt`` underflows (a domain error at each point) and a type-4
-  classification whose evidence is NaN (``nonstandard``);
+- ``report``, ``classify`` and ``verify`` of the edits of ``SINGULAR``:
+  scenes whose evaluation once escaped the commands' error handling, a
+  warping whose ``sqrt`` underflows (a domain error at each point), a type-4
+  classification whose evidence is NaN (``nonstandard``), and type-4 checks
+  that are infinite or NaN (a domain error at each point);
 - a few sweeps with total-space checks (``SWEEPS``);
 - ``report`` of each scene of ``INVALID_SCENES``, edits of a valid scene that
   break the scene schema, and a sweep into an invalid slot
@@ -32,7 +33,7 @@ process on
   recorded;
 - ``report`` of each edit of ``SCENE_ERRORS``: a valid scene whose refs or
   family parameters do not resolve, so the usage errors of scene resolution
-  are recorded too;
+  are recorded too, and construction refs that the scene schema rejects;
 - each malformed command line of ``USAGE_ERRORS`` (an unknown flag, a
   ``--steps`` that is not an integer, a ``--range`` without ``:``, no scene),
   so the usage errors of the command line are recorded too;
@@ -117,7 +118,9 @@ INVALID_SCENES = {
 INVALID_SWEEP = ["--param", "samples.random.count", "--range=0:1", "--steps", "2",
                  "--checks", "twistorial_sd"]
 
-# Edits of type4_berger_ew.json that pass the scene schema but do not resolve.
+# Edits of type4_berger_ew.json whose refs or family parameters do not resolve:
+# the first six pass the scene schema, and the construction refs that are not
+# catalog refs (once tracebacks at resolution) fail it.
 SCENE_ERRORS = {
     "unknown_catalog_entry": [(("base", "name"), "berger_s4")],
     "ref_without_the_parameter": [(("base", "params", "nu"), 0.8)],
@@ -125,6 +128,12 @@ SCENE_ERRORS = {
     "ref_on_another_chart": [(("construction", "params", "alpha"), {"name": "trkalian"})],
     "type4_c_not_a_number": [(("construction", "params", "c"), "one")],
     "family_without_the_parameter": [(("construction", "params", "u"), {"name": "gh_potential"})],
+    "alpha_not_an_object": [(("construction", "params", "alpha"), 5)],
+    "alpha_without_a_name": [(("construction", "params", "alpha"), {"params": {}})],
+    "alpha_params_not_an_object": [(("construction", "params", "alpha"),
+                                    {"name": "berger_lee", "params": [1]})],
+    "type2_f_not_an_object": [(("construction", "family"), "type2"),
+                              (("construction", "params"), {"f": 2.0})],
 }
 
 # A type-2 scene, warping e^(3 tau) on a fibre range of [0, 400]: e^900 overflows
@@ -136,17 +145,25 @@ FAR_FIBRE = {"schema": 1, "base": {"name": "flat3"},
              "samples": {"points": [[300, 0.1, 0.2, 0.3], [1, 0.1, 0.2, 0.3]]}}
 
 # Edits of scenes/ that once escaped the commands' error handling, each
-# (scene file, command, edits).  At a warping rate of 700 the sqrt of the
-# warping underflows at most points (a ZeroDivisionError once, a domain error
-# now); at c = 1e300 the type-4 evidence is NaN, which once passed every gate
-# (label type1) and now fires the first (nonstandard).
+# (scene file, command, arguments, edits).  At a warping rate of 700 the sqrt
+# of the warping underflows at most points (a ZeroDivisionError once, a domain
+# error now); at c = 1e300 the type-4 evidence is NaN, which once passed every
+# gate (label type1) and now fires one (nonstandard), and the Beltrami
+# residual overflows, as the Einstein-Weyl one is NaN at a Lee-form scale of
+# -1e300: verify once wrote them into its JSON as Infinity and NaN, and now
+# records a domain error at each point.
 SINGULAR = {
-    "flat_product_rate_700": ("flat_product.json", "report",
+    "flat_product_rate_700": ("flat_product.json", "report", [],
                               [(("construction", "params", "f", "params", "rate"), 700)]),
-    "type2_warped_rate_700": ("type2_warped.json", "classify",
+    "type2_warped_rate_700": ("type2_warped.json", "classify", [],
                               [(("construction", "params", "f", "params", "rate"), 700)]),
-    "type4_c_1e300": ("type4_berger_ew.json", "classify",
+    "type4_c_1e300": ("type4_berger_ew.json", "classify", [],
                       [(("construction", "params", "c"), 1e300)]),
+    "type4_c_1e300_beltrami": ("type4_berger_ew.json", "verify", ["--checks", "beltrami"],
+                               [(("construction", "params", "c"), 1e300)]),
+    "type4_scale_minus_1e300_einstein_weyl": (
+        "type4_berger_ew.json", "verify", ["--checks", "einstein_weyl"],
+        [(("construction", "params", "alpha", "params", "scale"), -1e300)]),
 }
 
 # Malformed command lines, each (command, whether it names type4_berger_ew.json,
@@ -230,8 +247,8 @@ def _jobs(root, cli):
         yield f"domain_error/{command}{''.join(args)}", command, bad, args
     for command, args in (("verify", ["--checks", "twistorial_basic"]), ("classify", [])):
         yield f"far_fibre/{command}{''.join(args)}", command, FAR_FIBRE, args
-    for name, (scene, command, edits) in SINGULAR.items():
-        yield f"singular/{name}/{command}", command, _edited(scenes[scene], edits), []
+    for name, (scene, command, args, edits) in SINGULAR.items():
+        yield f"singular/{name}/{command}", command, _edited(scenes[scene], edits), args
     for name, param, span, steps, checks, *locate in SWEEPS:
         args = ["--param", param, f"--range={span}", "--steps", str(steps), "--checks", checks]
         args += ["--locate", locate[0]] if locate else []
