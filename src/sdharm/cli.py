@@ -34,7 +34,7 @@ from . import constructions as con
 from . import geometry as geo
 from . import morphism as mor
 from . import weyl3
-from .errors import DomainError, GeometryError, SingularEvaluationError
+from .errors import GeometryError, SingularEvaluationError
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -46,6 +46,9 @@ TOL_ENV_VAR = "SDHARM_TOL"
 
 REPORT_SCALARS = ("riemann", "ricci", "scalar_curv", "einstein",
                   "weyl", "w_plus", "w_minus")
+
+# The most sample points a scene may ask for, refused before any is made.
+MAX_SAMPLE_POINTS = 100_000
 
 
 class UsageError(Exception):
@@ -111,7 +114,7 @@ SCENE_SCHEMA = {
                     "additionalProperties": False,
                     "required": ["count", "seed"],
                     "properties": {"count": {"type": "integer", "minimum": 1},
-                                   "seed": {"type": "integer"}},
+                                   "seed": {"type": "integer", "minimum": 0}},
                 },
             },
         },
@@ -122,10 +125,15 @@ SCENE_SCHEMA = {
 }
 
 
+def _not_a_number(name):
+    """NaN and the infinities, which JSON (RFC 8259) has no literal for."""
+    raise UsageError(f"scene is not valid JSON: {name} is not a JSON number")
+
+
 def load_scene(path):
     try:
         with open(path) as fh:
-            scene = json.load(fh)
+            scene = json.load(fh, parse_constant=_not_a_number)
     except OSError as exc:
         raise UsageError(f"cannot read scene file: {exc}")
     except json.JSONDecodeError as exc:
@@ -262,7 +270,7 @@ def slot_validator(keys):
 
 
 def canonical_json(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def scene_hash(scene):
@@ -287,8 +295,7 @@ def _resolve_ref(ref, default_name=None):
 
 
 def _fibre_scalar(ref):
-    """A fibre-coordinate scalar of a type2/bryant construction.  Only its
-    ``fn`` enters the metric, so it carries no chart."""
+    """A fibre-coordinate scalar of a type2/bryant construction."""
     factory = {"fibre_exp": con.fibre_exp, "fibre_power": con.fibre_power}.get(ref["name"])
     if factory is None:
         raise UsageError(f"unknown fibre scalar {ref['name']!r} (use fibre_exp or fibre_power)")
@@ -297,7 +304,7 @@ def _fibre_scalar(ref):
     missing = [n for n, p in names.items() if p.default is p.empty and n not in params]
     if missing:
         raise UsageError(f"{what} needs parameter {missing[0]!r}")
-    return factory(**params)(None)
+    return factory(**params)
 
 
 def _ref_params(ref, what, names):
@@ -373,14 +380,14 @@ class Run:
         error is the point's."""
         try:
             return batch(points), []
-        except (DomainError, GeometryError) as exc:
+        except GeometryError as exc:
             if len(points) == 1:
                 return [None], [{"index": 0, "point": list(points[0]), "error": str(exc)}]
         results, errors = [None] * len(points), []
         for idx, point in enumerate(points):
             try:
                 results[idx], = batch([point])
-            except (DomainError, GeometryError) as exc:
+            except GeometryError as exc:
                 errors.append({"index": idx, "point": list(point), "error": str(exc)})
         return results, errors
 
@@ -395,9 +402,11 @@ class ResolvedScene:
         self.run = run = run or Run()
         self.orientation = scene.get("orientation", 1)
         base_ref = scene.get("base")
-        self.h = h = run.resolve(base_ref, "flat3")
+        h = run.resolve(base_ref, "flat3")
         if not isinstance(h, geo.MetricField):
             raise UsageError(f"base entry {base_ref['name']!r} is not a 3-metric")
+        # the orientation of the base chart, which every construction's total chart copies
+        self.h = h if self.orientation == 1 else h.flipped()
         self.alpha = run.resolve(scene.get("alpha"))
         if "construction" in scene:
             self._build(scene["construction"])
@@ -408,10 +417,6 @@ class ResolvedScene:
             pair = scene["pair"]
             self.pair_u, self.pair_A = (self._on_base_chart(run.resolve(pair[k])) if k in pair
                                         else params.get(k) for k in "uA")
-        if self.orientation == -1:          # the base chart as well as the total one
-            self.h = h.flipped()
-            if self.fm is not None:
-                self.fm = self.fm.with_orientation(-1)
         self.setup = mor.SubmersionSetup(self.fm) if self.fm is not None else None
         # the Lee form of the base Weyl structure: the family's, the scene's, or zero
         self.lee_form = params.get("alpha") or self.alpha or geo.OneFormField(
@@ -476,6 +481,7 @@ class ResolvedScene:
             counts = [int(n) for n in spec["grid"]["counts"]]
             if len(counts) != chart.dim:
                 raise UsageError(f"grid counts must have {chart.dim} entries")
+            _require_sample_count(math.prod(counts))
             margin = spec["grid"].get("margin", 0.1)
             axes = [np.linspace(l + margin * (u - l), u - margin * (u - l), n)
                     for l, u, n in zip(lo, hi, counts)]
@@ -484,6 +490,7 @@ class ResolvedScene:
         else:
             # the schema admits integral floats such as a swept 1.0 as integers
             count, seed = int(spec["random"]["count"]), int(spec["random"]["seed"])
+            _require_sample_count(count)
             rng = np.random.default_rng(seed)     # PCG64, fixed by seed
             margin = 0.05 * (hi - lo)
             points = rng.uniform(lo + margin, hi - margin, (count, chart.dim))
@@ -492,6 +499,12 @@ class ResolvedScene:
     def tolerance_for(self, check):
         tols = self.scene.get("tolerances", {})
         return tols.get(check, tols.get("default", self.run.tol))
+
+
+def _require_sample_count(count):
+    if count > MAX_SAMPLE_POINTS:
+        raise UsageError(f"samples ask for {count:.6g} points, more than the "
+                         f"{MAX_SAMPLE_POINTS} allowed")
 
 
 # ---------------------------------------------------------------------------
@@ -598,11 +611,18 @@ def _require_checks(names, resolved):
 def _checks_at(points, checks, resolved):
     """{name: (raw, scale)} at every point of a list of sample points, as one
     job (each an array over the points).  The checks share the setup's
-    evaluations and the run's base.  A raw value or scale that is not finite
-    raises, naming the first point where it is not."""
+    evaluations and the run's base."""
     job = _Job(resolved, points, checks)
-    columns = {name: (CHECKS[name].residual(job), job.scale(CHECKS[name].space))
-               for name in checks}
+    return _finite({name: (CHECKS[name].residual(job), job.scale(CHECKS[name].space))
+                    for name in checks}, points)
+
+
+def _finite(columns, points):
+    """``columns`` {name: (raw, scale)}, arrays over the points, if each value
+    is finite; else a SingularEvaluationError naming the first point where the
+    first such column is not, which ``Run.each`` records as a domain error."""
+    if len(points) > 1 and np.isfinite(np.concatenate([*columns.values()])).all():
+        return columns              # many points: every column in one numpy call
     for name, (raw, scale) in columns.items():
         if len(points) == 1 and math.isfinite(raw.item()) and math.isfinite(scale.item()):
             continue                # one point: tested as floats, cheaply
@@ -612,6 +632,22 @@ def _checks_at(points, checks, resolved):
             raise SingularEvaluationError(f"check {name!r} is not finite (raw {float(raw[bad])!r}"
                                           f", scale {float(scale[bad])!r})", point=points[bad])
     return columns
+
+
+def _is_finite(value):
+    """Whether a number, or each number of a nested list of them, is finite."""
+    if isinstance(value, list):
+        return all(map(_is_finite, value))
+    return math.isfinite(value)
+
+
+def _finite_class(cls, point):
+    """The classification at ``point`` if each number of its evidence is finite
+    (its recovered c then is too), else a domain error naming the first that is not."""
+    for key, value in cls.evidence.items():
+        if not (isinstance(value, str) or _is_finite(value)):
+            raise SingularEvaluationError(f"classify evidence {key!r} is not finite", point=point)
+    return cls
 
 
 def _verify_records(points, checks, resolved):
@@ -754,8 +790,8 @@ def cmd_report(args):
         """The scalars' records from one curvature pass over the points; a scalar
         that is not a check is informational."""
         rep = geo.curvature_report(metric, metric.chart.point_array(pts))
-        return _check_records({name: (raw, rep.riemann_norm) for name, raw in rep.raw().items()},
-                              resolved.tolerance_for, checks)
+        columns = {name: (raw, rep.riemann_norm) for name, raw in rep.raw().items()}
+        return _check_records(_finite(columns, pts), resolved.tolerance_for, checks)
 
     return _emit_report(*build_report(resolved, points, seed, checks or REPORT_SCALARS, batch),
                         args)
@@ -787,7 +823,8 @@ def cmd_classify(args):
         """Each point's class from one evaluation of all their fibre samples."""
         fibres = [mor.fibre_samples_about(resolved.fm, p, 4) for p in pts]
         resolved.setup.hold([s for fibre in fibres for s in fibre])
-        return [mor.classify_type(resolved.setup, fibre) for fibre in fibres]
+        return [_finite_class(mor.classify_type(resolved.setup, fibre), p)
+                for p, fibre in zip(pts, fibres)]
 
     classes, domain_errors = resolved.run.each(points, batch)
     results = [{"point": list(point), "label": cls.label, "recovered_c": cls.recovered_c,
@@ -844,9 +881,10 @@ def with_slot(scene, keys, value):
 def cmd_sweep(args):
     scene = load_scene(args.scene)
     try:
-        lo_s, hi_s = args.range.split(":")
-        lo, hi = float(lo_s), float(hi_s)
+        lo, hi = map(float, args.range.split(":"))
     except ValueError:
+        lo = hi = math.nan
+    if not (math.isfinite(lo) and math.isfinite(hi)):      # a scene holds no NaN nor inf
         raise UsageError("range must be lo:hi")
     if args.steps < 1:
         raise UsageError("steps must be a positive integer")
@@ -986,7 +1024,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DomainError, GeometryError) as exc:
+    except GeometryError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

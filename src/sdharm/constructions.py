@@ -115,28 +115,12 @@ class FibrationMetric:
     """A 4-metric fibred over a 3-chart by dropping the first coordinate."""
 
     total_chart: geo.Chart
-    base_chart: geo.Chart
-    h: geo.MetricField                 # base 3-metric
+    h: geo.MetricField                 # base 3-metric, on the base chart
     g: geo.MetricField                 # total 4-metric
     theta: geo.OneFormField            # connection form on the total chart
     dilation_sq_inv: geo.ScalarField   # lam^-2 on the total chart
     family_tag: str
     family_params: dict = field(default_factory=dict)
-
-    def base_point(self, point):
-        return tuple(point[1:])
-
-    def with_orientation(self, orientation):
-        if orientation == self.total_chart.orientation:
-            return self
-        flipped = self.total_chart.flipped()
-        return FibrationMetric(
-            flipped, self.base_chart,
-            self.h,
-            self.g.flipped(),
-            geo.OneFormField(flipped, self.theta.fn, self.theta.name),
-            geo.ScalarField(flipped, self.dilation_sq_inv.fn, self.dilation_sq_inv.name),
-            self.family_tag, dict(self.family_params))
 
 
 def _total_chart(base_chart, fibre_range, fibre_name):
@@ -150,7 +134,7 @@ def _assemble(chart, h, lam_inv_sq_fn, theta_fn, tag, params, positivity_name, n
     """The fibration g = A phi*(h) + A^-1 theta^2 with A = lam^-2, from its parts."""
     name = name or tag
     return FibrationMetric(
-        chart, h.chart, h, FibredMetric(chart, h, lam_inv_sq_fn, theta_fn, name, positivity_name),
+        chart, h, FibredMetric(chart, h, lam_inv_sq_fn, theta_fn, name, positivity_name),
         geo.OneFormField(chart, theta_fn, name=f"{name}.theta"),
         geo.ScalarField(chart, lam_inv_sq_fn, name=f"{name}.lam_inv_sq"), tag, params)
 
@@ -380,19 +364,13 @@ def dirac_theta(m=1.0, sign=1):
 
 
 def fibre_exp(rate=2.0):
-    """e^{rate * tau} as a scalar on any total chart (depends on coordinate 0)."""
-    def make(chart):
-        return geo.ScalarField(chart, lambda c: jets.exp(float(rate) * c[0]),
-                               f"fibre_exp({rate})")
-    return make
+    """e^{rate * tau}, a scalar of the fibre coordinate; only its ``fn`` enters a metric."""
+    return geo.ScalarField(None, lambda c: jets.exp(float(rate) * c[0]), f"fibre_exp({rate})")
 
 
 def fibre_power(p):
-    """tau^p as a scalar of the fibre coordinate (for dilations like rho^-1/2)."""
-    def make(chart):
-        return geo.ScalarField(chart, lambda c: jets.powc(c[0], float(p)),
-                               f"fibre_power({p})")
-    return make
+    """tau^p, a fibre scalar as ``fibre_exp`` is (for dilations like rho^-1/2)."""
+    return geo.ScalarField(None, lambda c: jets.powc(c[0], float(p)), f"fibre_power({p})")
 
 
 def _flatness(h, params):

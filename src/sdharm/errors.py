@@ -2,34 +2,25 @@
 
 
 class GeometryError(Exception):
-    """Base class for all evaluation failures in this package."""
+    """Base class for all evaluation failures in this package.  The message
+    names ``point``, the evaluation point that failed if known, so that batch
+    drivers can report which sample broke, and then the subclass's ``note``."""
+
+    def __init__(self, message="", point=None, note=""):
+        self.point = None if point is None else tuple(point)
+        super().__init__(message + ("" if point is None else f" at point {self.point}") + note)
 
 
 class SingularEvaluationError(GeometryError):
-    """A field produced a non-finite value or hit a function-domain violation.
-
-    Carries the evaluation point so batch drivers can report which sample broke.
-    """
-
-    def __init__(self, message, point=None):
-        self.point = None if point is None else tuple(point)
-        if self.point is not None:
-            message = f"{message} at point {self.point}"
-        super().__init__(message)
+    """A field produced a non-finite value or hit a function-domain violation."""
 
 
 class DegenerateMetricError(GeometryError):
     """Metric is singular or not positive definite at an evaluated point."""
 
     def __init__(self, message, point=None, det=None):
-        self.point = None if point is None else tuple(point)
         self.det = det
-        extra = ""
-        if self.point is not None:
-            extra += f" at point {self.point}"
-        if det is not None:
-            extra += f" (det g = {det:.6g})"
-        super().__init__(message + extra)
+        super().__init__(message, point, "" if det is None else f" (det g = {det:.6g})")
 
 
 class DimensionError(GeometryError):
@@ -44,11 +35,6 @@ class NotHorizontallyConformalError(GeometryError):
     """Horizontal conformality certificate failed: dphi . dphi* deviates from a multiple of h^-1."""
 
     def __init__(self, message, point=None, anisotropy=None):
-        self.point = None if point is None else tuple(point)
         self.anisotropy = anisotropy
-        extra = ""
-        if self.point is not None:
-            extra += f" at point {self.point}"
-        if anisotropy is not None:
-            extra += f" (anisotropy {anisotropy:.3g})"
-        super().__init__(message + extra)
+        super().__init__(message, point,
+                         "" if anisotropy is None else f" (anisotropy {anisotropy:.3g})")

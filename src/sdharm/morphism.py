@@ -219,14 +219,9 @@ class PointEval:
 
     @cached_property
     def grad_log_lambda(self):
-        """grad log lam = -1/2 g^-1 d log(lam^-2), as (value, derivative)."""
-        L, dL, ddL = self.lam_inv_sq, self.dlam_inv_sq, self.ddlam_inv_sq
-        Lc = L[:, None]
-        dlog = (-0.5 * dL / Lc, -0.5 * (ddL / Lc[..., None]
-                                        - dL[:, :, None] * dL[:, None, :] / (Lc * Lc)[..., None]))
-        return (np.einsum("...ab,...b->...a", self.ginv, dlog[0]),
-                np.einsum("...abz,...b->...az", self.dginv, dlog[0])
-                + np.einsum("...ab,...bz->...az", self.ginv, dlog[1]))
+        """grad log lam = -1/2 g^-1 d log(lam^-2)."""
+        return np.einsum("...ab,...b->...a", self.ginv,
+                         -0.5 * self.dlam_inv_sq / self.lam_inv_sq[:, None])
 
     @cached_property
     def conformality(self):
@@ -292,7 +287,7 @@ class PointEval:
     @cached_property
     def harmonicity_defect(self):
         """dphi(trace Bv + grad log lam) in base coordinate components."""
-        return (self.vertical_trace + self.grad_log_lambda[0])[:, 1:]
+        return (self.vertical_trace + self.grad_log_lambda)[:, 1:]
 
     @cached_property
     def star_H_I(self):

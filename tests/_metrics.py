@@ -137,7 +137,7 @@ def type4_normalize(fm):
         raise ValueError("normalization applies to type-4 fibrations")
     c = fm.family_params["c"]
     alpha = fm.family_params["alpha"]
-    base = fm.base_chart
+    base = fm.h.chart
 
     if not isinstance(c, geo.ScalarField):
         c_num = float(c)

@@ -250,7 +250,7 @@ def test_criterion_7_type4_as_specified():
         tw = mor.twistorial_sd_residual(setup2, pt)
         if not tw < 1e-8:
             failures.append(f"twistorial_sd={tw:.3e}")
-        ew = weyl3.einstein_weyl_residual(w, fm2.base_point(pt))
+        ew = weyl3.einstein_weyl_residual(w, tuple(pt[1:]))
         if not abs(ew - np.sqrt(7.0 / 6.0)) < 1e-10:
             failures.append(f"einstein_weyl={ew:.3e} vs sqrt(7/6)")
         wm = geo.curvature_report(fm2.g, pt).w_minus_norm
@@ -264,7 +264,7 @@ def test_criterion_7_type4_as_specified():
     c3 = geo.ScalarField(h.chart, lambda x: 2.0 * mu + 0.0 * x[0])
     fm3 = con.type4_metric(h, w3.alpha, c=2.0 * mu)
     for pt in rand_pts(fm3.total_chart, 5, seed=73):
-        bp = fm3.base_point(pt)
+        bp = tuple(pt[1:])
         ew = weyl3.einstein_weyl_residual(w3, bp)
         if not ew < 1e-10:
             failures.append(f"berger einstein_weyl={ew:.3e}")

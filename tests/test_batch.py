@@ -384,12 +384,12 @@ def _fibred():
             "rescaled_type4": conformal_rescale_fibration(SETUPS["type4+1"], _W)}
     for name, fm in made.items():
         for orientation in (1, -1):
-            out[f"{name}{orientation:+d}"] = fm.with_orientation(orientation).g
+            out[f"{name}{orientation:+d}"] = fm.g if orientation == 1 else fm.g.flipped()
     return out
 
 
 # a positive basic factor on the Berger base of the type-4 family
-_W = geo.ScalarField(SETUPS["type4+1"].base_chart,
+_W = geo.ScalarField(SETUPS["type4+1"].h.chart,
                      lambda c: 1.5 + 0.5 * jets.sin(c[0]) * jets.cos(c[2]), "w")
 FIBRED = _fibred()
 

@@ -6,6 +6,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -546,6 +547,16 @@ def test_sweep_negative_range_bound(capsys):
     assert [float(l.split(",")[0]) for l in outs[0].splitlines()[1:]] == [-1.0, 0.0, 1.0]
 
 
+@pytest.mark.parametrize("bounds", ["nan:1", "0:inf", "-inf:1", "1.2", "a:b"])
+def test_a_sweep_range_of_two_finite_numbers_or_a_usage_error(bounds, capsys):
+    """A swept value goes into the scene, which holds no NaN nor infinity."""
+    assert cli.main(["sweep", scene_path("berger_ew_sweep.json"), "--param",
+                     "alpha.params.scale", f"--range={bounds}", "--steps", "2",
+                     "--checks", "einstein_weyl"]) == 64
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: range must be lo:hi\n")
+
+
 def test_sweep_locates_einstein_weyl_zero(capsys):
     code, out = run_cli(["sweep", scene_path("berger_ew_sweep.json"),
                          "--param", "alpha.params.scale", "--range", "0.5:1.4",
@@ -758,6 +769,8 @@ def test_a_sweep_seeds_its_base_point_once_per_run(capsys, monkeypatch):
      "0.0 is less than the minimum of 1"),
     ("samples.random.seed", "0.5:1", "/samples/random/seed",
      "0.5 is not of type 'integer'"),
+    ("samples.random.seed", "-1:0", "/samples/random/seed",
+     "-1.0 is less than the minimum of 0"),
     ("checks.0", "1:2", "/checks/0", "1.0 is not of type 'string'"),
     ("checks.-1", "1:2", "/checks/0", "1.0 is not of type 'string'"),
 ])
@@ -1611,8 +1624,128 @@ def test_catalog_describe_without_a_name_is_a_usage_error(capsys):
      "base entry 'berger_lee' is not a 3-metric"),
     ("type4_berger_ew.json", lambda scene: scene.update(samples={"grid": {"counts": [2, 2, 2]}}),
      "grid counts must have 4 entries"),
-], ids=["fibre-scalar", "base-not-a-metric", "grid-counts"])
+    ("type4_berger_ew.json", lambda scene: scene["samples"]["random"].update(count=1e300),
+     "samples ask for 1e+300 points, more than the 100000 allowed"),
+    ("type4_berger_ew.json",
+     lambda scene: scene["samples"]["random"].update(count=cli.MAX_SAMPLE_POINTS + 1),
+     "samples ask for 100001 points, more than the 100000 allowed"),
+    ("type4_berger_ew.json", lambda scene: scene.update(samples={"grid": {"counts": [
+        1e300, 1, 1, 1]}}), "samples ask for 1e+300 points, more than the 100000 allowed"),
+    ("type4_berger_ew.json", lambda scene: scene.update(samples={"grid": {"counts": [
+        cli.MAX_SAMPLE_POINTS + 1, 1, 1, 1]}}),
+     "samples ask for 100001 points, more than the 100000 allowed"),
+], ids=["fibre-scalar", "base-not-a-metric", "grid-counts", "random-count-1e300",
+        "random-count-over-the-limit", "grid-1e300", "grid-over-the-limit"])
 def test_a_scene_that_does_not_resolve_is_a_usage_error(name, edit, message, capsys, tmp_path):
     assert cli.main(["report", write_scene(tmp_path, name, edit)]) == 64
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", [["report"], ["verify", "--checks", "twistorial_sd"],
+                                     ["classify"], ["sweep", "--param", "construction.params.c",
+                                                    "--range", "1:2", "--steps", "2",
+                                                    "--checks", "twistorial_sd"]])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_a_scene_holding_a_non_json_number_is_a_usage_error(literal, command, capsys, tmp_path):
+    """JSON (RFC 8259) has no NaN or infinity: a scene that writes one, which
+    Python's json module would read, is not valid JSON."""
+    with open(scene_path("type4_berger_ew.json")) as fh:
+        text = fh.read().replace('"c": 1.6', f'"c": {literal}')
+    p = tmp_path / "scene.json"
+    p.write_text(text)
+    name, *args = command
+    assert cli.main([name, str(p), *args]) == 64
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: scene is not valid JSON: {literal} is not a JSON number\n")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, [1.0, math.nan]])
+def test_canonical_json_refuses_a_non_finite_number(value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli.canonical_json({"records": value})
+
+
+# The values the property below puts into one numeric slot of a scene.  A
+# sample count takes only those that fail before any point is made.
+FUZZ_VALUES = [0, 1e300, -1e300, 1e-300, -1e-300, 700, -1, 2.5]
+FUZZ_COUNT_VALUES = [v for v in FUZZ_VALUES if v != 700]
+
+
+def _is_sample_count(keys):
+    return keys[:3] in (("samples", "random", "count"), ("samples", "grid", "counts"))
+
+
+@functools.cache
+def _applicable_checks(name):
+    """Every verify check that applies to the scene file: the total-space
+    checks need a construction, pullback_sd and closure a potential."""
+    r = cli.ResolvedScene(cli.load_scene(scene_path(name)))
+    return ",".join(n for n, c in cli.CHECKS.items()
+                    if (c.space == "base" or r.fm is not None)
+                    and (n not in ("pullback_sd", "closure") or r.pair_u is not None))
+
+
+def _all_finite(node):
+    if isinstance(node, dict):
+        return all(map(_all_finite, node.values()))
+    if isinstance(node, list):
+        return all(map(_all_finite, node))
+    return not isinstance(node, float) or math.isfinite(node)
+
+
+def _main(argv):
+    """(exit code, stdout) of one in-process command."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+@st.composite
+def _fuzzed_slots(draw):
+    name = draw(st.sampled_from(sorted(os.listdir(scene_path("")))))
+    with open(scene_path(name)) as fh:
+        scene = json.load(fh)
+    keys = draw(st.sampled_from(_numeric_slots(scene)))
+    value = draw(st.sampled_from(FUZZ_COUNT_VALUES if _is_sample_count(keys) else FUZZ_VALUES))
+    return name, scene, keys, value
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_fuzzed_slots())
+def test_no_scene_number_escapes_the_commands_or_reaches_their_json(case):
+    """One numeric slot of a scene set to an extreme, tiny, negative or
+    fractional value: ``report``, ``verify`` with every check that applies,
+    ``classify`` and a one-step ``sweep`` of that slot exit 0, 1, 2 or 64
+    without an exception; their JSON holds only finite numbers (NaN or
+    Infinity fails the parse), so does each sweep row, and a report run twice
+    has one report_hash."""
+    name, scene, keys, value = case
+    checks = _applicable_checks(name)
+    with tempfile.TemporaryDirectory() as tmp:
+        edited, original = os.path.join(tmp, "edited.json"), os.path.join(tmp, "original.json")
+        with open(edited, "w") as fh:
+            json.dump(cli.with_slot(scene, list(keys), value), fh)
+        with open(original, "w") as fh:
+            json.dump(scene, fh)
+        hashes = []
+        for argv in (["report", edited], ["report", edited],
+                     ["verify", edited, "--checks", checks], ["classify", edited],
+                     ["sweep", original, "--param", ".".join(map(str, keys)),
+                      f"--range={value!r}:{value!r}", "--steps", "1", "--checks", checks]):
+            code, out = _main(argv)
+            assert code in (0, 1, 2, 64), argv
+            if code == 64 or not out:       # a usage error, or a domain error of the scene
+                assert code in (2, 64) and out == "", argv
+            elif argv[0] == "sweep":
+                rows = [row for row in csv.reader(io.StringIO(out)) if row[0] != "# domain_error"]
+                assert all(math.isfinite(float(x)) for row in rows[1:] for x in row), argv
+            else:
+                report = json.loads(out, parse_constant=not_json)
+                assert _all_finite(report), argv
+                hashes += [report["report_hash"]] if argv[0] == "report" else []
+        assert len(set(hashes)) <= 1

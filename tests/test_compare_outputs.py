@@ -118,9 +118,11 @@ def test_the_record_runs_malformed_command_lines(tmp_path):
 
 
 def test_the_record_runs_scenes_that_do_not_resolve(tmp_path):
-    """Each edit of SCENE_ERRORS is a usage error of ``report``: the first six
-    pass the scene schema and name the ref or family parameter that does not
-    resolve; the construction refs that are not catalog refs fail the schema."""
+    """Each edit of SCENE_ERRORS is a usage error of ``report``: the first seven
+    pass the scene schema and name the ref, family parameter or sample count
+    that does not resolve; the construction refs that are not catalog refs
+    fail the schema; a NaN, though the schema admits it as ``c``, is not
+    JSON."""
     from sdharm import cli
     tool = load_tool()
     malformed = {
@@ -139,7 +141,9 @@ def test_the_record_runs_scenes_that_do_not_resolve(tmp_path):
         "ref_on_another_chart": "catalog entry 'trkalian(1)' lives on chart ('x', 'y', 'z'), "
                                 "but the base chart is ('th', 'ps', 'ph')",
         "type4_c_not_a_number": "family 'type4' parameter 'c' must be a number, got 'one'",
-        "family_without_the_parameter": "family 'type4' does not take parameter 'u'"}
+        "family_without_the_parameter": "family 'type4' does not take parameter 'u'",
+        "random_count_1e300": "samples ask for 1e+300 points, more than the 100000 allowed",
+        "nan_literal": "scene is not valid JSON: NaN is not a JSON number"}
     jobs = {key: job for key, *job in tool._jobs(TOOL.parent.parent, cli)
             if key.startswith("unresolved/")}
     assert sorted(jobs) == sorted(f"unresolved/{name}/report" for name in messages | malformed)
@@ -153,6 +157,23 @@ def test_the_record_runs_scenes_that_do_not_resolve(tmp_path):
         out = tool._run(cli, command, scene, args, tmp_path)
         assert out["code"] == 64 and out["stdout"] == "", name
         assert out["stderr"].startswith(f"error: {message}"), name
+
+
+def test_the_record_runs_scene_errors_of_strict_json_and_sample_counts(tmp_path):
+    """The record's usage errors of loading and sampling: a NaN literal in the
+    scene, a negative random seed and a random count of 1e300 each exit 64
+    with their message on stderr and nothing on stdout."""
+    from sdharm import cli
+    tool = load_tool()
+    jobs = {key: job for key, *job in tool._jobs(TOOL.parent.parent, cli)}
+    for key, message in (
+            ("unresolved/nan_literal/report", "scene is not valid JSON: NaN is not a JSON number"),
+            ("invalid/minimum_seed/report",
+             "scene invalid at /samples/random/seed: -1 is less than the minimum of 0"),
+            ("unresolved/random_count_1e300/report",
+             "samples ask for 1e+300 points, more than the 100000 allowed")):
+        out = tool._run(cli, *jobs[key], tmp_path)
+        assert out == {"code": 64, "stdout": "", "stderr": f"error: {message}\n"}, key
 
 
 def test_the_record_runs_geometry_errors_of_far_fibre_samples(tmp_path):
@@ -184,12 +205,13 @@ def test_the_record_runs_scenes_that_once_escaped_the_error_handling(tmp_path):
     ``classify`` exit 2 with a domain error at each point where it does.  At
     c = 1e300 g_00 is 1e-300: the anti-self-dual norm is its exact 0.0, as the
     trace forms take no power of V0 = g_00^(-1/2) beyond the first, but the
-    twistorial_basic evidence overflows to NaN, which fires its gate: every
-    point is ``nonstandard`` and ``classify`` exits 1.  There the Beltrami
+    twistorial_basic evidence overflows to NaN, which fires its gate, and
+    ``classify`` exits 2 with a domain error at each point that names it; so
+    does ``report``, whose Weyl norms are NaN there.  There the Beltrami
     residual is infinite, and at a Lee-form scale of -1e300 the Einstein-Weyl
-    one is NaN: ``verify`` exits 2 with a domain error at each point, and its
-    JSON holds neither."""
-    from sdharm import cli
+    one is NaN: ``verify`` exits 2 with a domain error at each point.  No JSON
+    output holds a non-finite number."""
+    from sdharm import cli, morphism as mor
     tool = load_tool()
     jobs = {key: job for key, *job in tool._jobs(TOOL.parent.parent, cli)
             if key.startswith("singular/")}
@@ -202,14 +224,27 @@ def test_the_record_runs_scenes_that_once_escaped_the_error_handling(tmp_path):
         errors = [e["error"] for e in json.loads(out["stdout"])["domain_errors"]]
         assert any(e.startswith("sqrt's second derivative overflows") and " at point (" in e
                    for e in errors), key
-    out = tool._run(cli, *jobs["singular/type4_c_1e300/classify"], tmp_path)
-    assert out["code"] == 1
-    classified = json.loads(out["stdout"])
-    assert classified["label"] == "nonstandard"
-    for result in classified["results"]:
-        assert result["evidence"]["twistorial_sd"] == [0.0] * 4
-        assert math.isnan(result["evidence"]["twistorial_basic"])
-        assert result["evidence"]["decided_by"] == "SPREAD_GATE_TOL: twistorial_basic"
+    command, scene, args = jobs["singular/type4_c_1e300/classify"]
+    resolved = cli.ResolvedScene(cli.validate_scene(scene))
+    for point in resolved.sample_points()[0]:
+        evidence = mor.classify_type(resolved.setup,
+                                     mor.fibre_samples_about(resolved.fm, point, 4)).evidence
+        assert evidence["twistorial_sd"] == [0.0] * 4
+        assert math.isnan(evidence["twistorial_basic"])
+        assert evidence["decided_by"] == "SPREAD_GATE_TOL: twistorial_basic"
+    out = tool._run(cli, command, scene, args, tmp_path)
+    assert out["code"] == 2
+    classified = json.loads(out["stdout"], parse_constant=not_json)
+    assert classified["results"] == [] and len(classified["domain_errors"]) == 5
+    for e in classified["domain_errors"]:
+        assert e["error"] == ("classify evidence 'twistorial_basic' is not finite at point "
+                              f"{tuple(e['point'])}")
+    out = tool._run(cli, *jobs["singular/type4_c_1e300_report/report"], tmp_path)
+    assert out["code"] == 2
+    report = json.loads(out["stdout"], parse_constant=not_json)
+    assert [r["checks"] for r in report["records"]] == [{}] * 5
+    assert all(e["error"].startswith("check 'weyl' is not finite (raw nan, scale ")
+               for e in report["domain_errors"])
     for key, check in (("singular/type4_c_1e300_beltrami/verify", "beltrami"),
                        ("singular/type4_scale_minus_1e300_einstein_weyl/verify",
                         "einstein_weyl")):

@@ -23,17 +23,17 @@ process on
   of a failing hold are recorded;
 - ``report``, ``classify`` and ``verify`` of the edits of ``SINGULAR``:
   scenes whose evaluation once escaped the commands' error handling, a
-  warping whose ``sqrt`` underflows (a domain error at each point), a type-4
-  classification whose evidence is NaN (``nonstandard``), and type-4 checks
-  that are infinite or NaN (a domain error at each point);
+  warping whose ``sqrt`` underflows, and type-4 curvature scalars, checks and
+  classify evidence that are infinite or NaN (a domain error at each point);
 - a few sweeps with total-space checks (``SWEEPS``);
 - ``report`` of each scene of ``INVALID_SCENES``, edits of a valid scene that
   break the scene schema, and a sweep into an invalid slot
   (``INVALID_SWEEP``), so every usage-error message of scene validation is
   recorded;
 - ``report`` of each edit of ``SCENE_ERRORS``: a valid scene whose refs or
-  family parameters do not resolve, so the usage errors of scene resolution
-  are recorded too, and construction refs that the scene schema rejects;
+  family parameters do not resolve, or whose samples are too many, so the
+  usage errors of scene resolution are recorded too; construction refs that
+  the scene schema rejects; and a NaN, which is not JSON;
 - each malformed command line of ``USAGE_ERRORS`` (an unknown flag, a
   ``--steps`` that is not an integer, a ``--range`` without ``:``, no scene),
   so the usage errors of the command line are recorded too;
@@ -101,6 +101,7 @@ INVALID_SCENES = {
     "const": [(("schema",), 2)],
     "enum": [(("orientation",), 0)],
     "minimum": [(("samples", "random", "count"), 0)],
+    "minimum_seed": [(("samples", "random", "seed"), -1)],
     "properties": [(("base", "name"), 3)],
     "additionalProperties": [(("construction", "colour"), 1)],
     "additionalProperties_three": [(("construction", k), 1) for k in ("colour", "alpha", "shape")],
@@ -118,9 +119,11 @@ INVALID_SCENES = {
 INVALID_SWEEP = ["--param", "samples.random.count", "--range=0:1", "--steps", "2",
                  "--checks", "twistorial_sd"]
 
-# Edits of type4_berger_ew.json whose refs or family parameters do not resolve:
-# the first six pass the scene schema, and the construction refs that are not
-# catalog refs (once tracebacks at resolution) fail it.
+# Edits of type4_berger_ew.json that do not resolve: the first seven pass the
+# scene schema (refs or family parameters that do not resolve, and a random
+# count that once tried to allocate 1e300 points), the construction refs that
+# are not catalog refs (once tracebacks at resolution) fail it, and a NaN is
+# written as the literal NaN, which is not JSON.
 SCENE_ERRORS = {
     "unknown_catalog_entry": [(("base", "name"), "berger_s4")],
     "ref_without_the_parameter": [(("base", "params", "nu"), 0.8)],
@@ -128,12 +131,14 @@ SCENE_ERRORS = {
     "ref_on_another_chart": [(("construction", "params", "alpha"), {"name": "trkalian"})],
     "type4_c_not_a_number": [(("construction", "params", "c"), "one")],
     "family_without_the_parameter": [(("construction", "params", "u"), {"name": "gh_potential"})],
+    "random_count_1e300": [(("samples", "random", "count"), 1e300)],
     "alpha_not_an_object": [(("construction", "params", "alpha"), 5)],
     "alpha_without_a_name": [(("construction", "params", "alpha"), {"params": {}})],
     "alpha_params_not_an_object": [(("construction", "params", "alpha"),
                                     {"name": "berger_lee", "params": [1]})],
     "type2_f_not_an_object": [(("construction", "family"), "type2"),
                               (("construction", "params"), {"f": 2.0})],
+    "nan_literal": [(("construction", "params", "c"), float("nan"))],
 }
 
 # A type-2 scene, warping e^(3 tau) on a fibre range of [0, 400]: e^900 overflows
@@ -148,10 +153,10 @@ FAR_FIBRE = {"schema": 1, "base": {"name": "flat3"},
 # (scene file, command, arguments, edits).  At a warping rate of 700 the sqrt
 # of the warping underflows at most points (a ZeroDivisionError once, a domain
 # error now); at c = 1e300 the type-4 evidence is NaN, which once passed every
-# gate (label type1) and now fires one (nonstandard), and the Beltrami
-# residual overflows, as the Einstein-Weyl one is NaN at a Lee-form scale of
-# -1e300: verify once wrote them into its JSON as Infinity and NaN, and now
-# records a domain error at each point.
+# gate (label type1), the Weyl norms are NaN, and the Beltrami residual
+# overflows, as the Einstein-Weyl one is NaN at a Lee-form scale of -1e300:
+# classify, report and verify once wrote them into their JSON as NaN and
+# Infinity, and now record a domain error at each point.
 SINGULAR = {
     "flat_product_rate_700": ("flat_product.json", "report", [],
                               [(("construction", "params", "f", "params", "rate"), 700)]),
@@ -159,6 +164,8 @@ SINGULAR = {
                               [(("construction", "params", "f", "params", "rate"), 700)]),
     "type4_c_1e300": ("type4_berger_ew.json", "classify", [],
                       [(("construction", "params", "c"), 1e300)]),
+    "type4_c_1e300_report": ("type4_berger_ew.json", "report", [],
+                             [(("construction", "params", "c"), 1e300)]),
     "type4_c_1e300_beltrami": ("type4_berger_ew.json", "verify", ["--checks", "beltrami"],
                                [(("construction", "params", "c"), 1e300)]),
     "type4_scale_minus_1e300_einstein_weyl": (
