@@ -481,7 +481,7 @@ class ResolvedScene:
             counts = [int(n) for n in spec["grid"]["counts"]]
             if len(counts) != chart.dim:
                 raise UsageError(f"grid counts must have {chart.dim} entries")
-            _require_sample_count(math.prod(counts))
+            _require_sample_count(*counts)
             margin = spec["grid"].get("margin", 0.1)
             axes = [np.linspace(l + margin * (u - l), u - margin * (u - l), n)
                     for l, u, n in zip(lo, hi, counts)]
@@ -501,10 +501,13 @@ class ResolvedScene:
         return tols.get(check, tols.get("default", self.run.tol))
 
 
-def _require_sample_count(count):
-    if count > MAX_SAMPLE_POINTS:
-        raise UsageError(f"samples ask for {count:.6g} points, more than the "
-                         f"{MAX_SAMPLE_POINTS} allowed")
+def _require_sample_count(*counts):
+    """Refuse more sample points than MAX_SAMPLE_POINTS, the product of ``counts``,
+    before any is made; each count alone first, so that the message's fits a float."""
+    for count in (*counts, math.prod(counts)):
+        if count > MAX_SAMPLE_POINTS:
+            raise UsageError(f"samples ask for {count:.6g} points, more than the "
+                             f"{MAX_SAMPLE_POINTS} allowed")
 
 
 # ---------------------------------------------------------------------------
@@ -621,8 +624,6 @@ def _finite(columns, points):
     """``columns`` {name: (raw, scale)}, arrays over the points, if each value
     is finite; else a SingularEvaluationError naming the first point where the
     first such column is not, which ``Run.each`` records as a domain error."""
-    if len(points) > 1 and np.isfinite(np.concatenate([*columns.values()])).all():
-        return columns              # many points: every column in one numpy call
     for name, (raw, scale) in columns.items():
         if len(points) == 1 and math.isfinite(raw.item()) and math.isfinite(scale.item()):
             continue                # one point: tested as floats, cheaply
@@ -884,7 +885,7 @@ def cmd_sweep(args):
         lo, hi = map(float, args.range.split(":"))
     except ValueError:
         lo = hi = math.nan
-    if not (math.isfinite(lo) and math.isfinite(hi)):      # a scene holds no NaN nor inf
+    if not math.isfinite(hi - lo):   # so each swept value is finite, as a scene number must be
         raise UsageError("range must be lo:hi")
     if args.steps < 1:
         raise UsageError("steps must be a positive integer")

@@ -547,11 +547,13 @@ def test_sweep_negative_range_bound(capsys):
     assert [float(l.split(",")[0]) for l in outs[0].splitlines()[1:]] == [-1.0, 0.0, 1.0]
 
 
-@pytest.mark.parametrize("bounds", ["nan:1", "0:inf", "-inf:1", "1.2", "a:b"])
-def test_a_sweep_range_of_two_finite_numbers_or_a_usage_error(bounds, capsys):
+@pytest.mark.parametrize("bounds, steps", [
+    ("nan:1", 2), ("0:inf", 2), ("-inf:1", 2), ("1.2", 2), ("a:b", 2), ("0:inf", 1),
+    ("-1e308:1e308", 3)])           # finite bounds, but linspace steps through inf
+def test_a_sweep_range_of_two_finite_numbers_or_a_usage_error(bounds, steps, capsys):
     """A swept value goes into the scene, which holds no NaN nor infinity."""
     assert cli.main(["sweep", scene_path("berger_ew_sweep.json"), "--param",
-                     "alpha.params.scale", f"--range={bounds}", "--steps", "2",
+                     "alpha.params.scale", f"--range={bounds}", "--steps", str(steps),
                      "--checks", "einstein_weyl"]) == 64
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: range must be lo:hi\n")
@@ -1634,8 +1636,14 @@ def test_catalog_describe_without_a_name_is_a_usage_error(capsys):
     ("type4_berger_ew.json", lambda scene: scene.update(samples={"grid": {"counts": [
         cli.MAX_SAMPLE_POINTS + 1, 1, 1, 1]}}),
      "samples ask for 100001 points, more than the 100000 allowed"),
+    ("type4_berger_ew.json", lambda scene: scene.update(samples={"grid": {"counts": [
+        1e300, 1e300, 1, 1]}}), "samples ask for 1e+300 points, more than the 100000 allowed"),
+    ("type4_berger_ew.json", lambda scene: scene.update(samples={"grid": {"counts": [
+        11, (cli.MAX_SAMPLE_POINTS + 1) // 11, 1, 1]}}),      # 11 * 9091 = the limit + 1
+     "samples ask for 100001 points, more than the 100000 allowed"),
 ], ids=["fibre-scalar", "base-not-a-metric", "grid-counts", "random-count-1e300",
-        "random-count-over-the-limit", "grid-1e300", "grid-over-the-limit"])
+        "random-count-over-the-limit", "grid-1e300", "grid-over-the-limit",
+        "grid-two-1e300", "grid-product-over-the-limit"])
 def test_a_scene_that_does_not_resolve_is_a_usage_error(name, edit, message, capsys, tmp_path):
     assert cli.main(["report", write_scene(tmp_path, name, edit)]) == 64
     captured = capsys.readouterr()

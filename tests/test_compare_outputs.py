@@ -159,21 +159,20 @@ def test_the_record_runs_scenes_that_do_not_resolve(tmp_path):
         assert out["stderr"].startswith(f"error: {message}"), name
 
 
-def test_the_record_runs_scene_errors_of_strict_json_and_sample_counts(tmp_path):
-    """The record's usage errors of loading and sampling: a NaN literal in the
-    scene, a negative random seed and a random count of 1e300 each exit 64
-    with their message on stderr and nothing on stdout."""
+def test_the_record_runs_invalid_scenes_as_usage_errors(tmp_path):
+    """Each ``report`` of the record's invalid scenes, the negative seed among
+    them, exits 64 with the scene's schema error on stderr and nothing on
+    stdout."""
     from sdharm import cli
     tool = load_tool()
-    jobs = {key: job for key, *job in tool._jobs(TOOL.parent.parent, cli)}
-    for key, message in (
-            ("unresolved/nan_literal/report", "scene is not valid JSON: NaN is not a JSON number"),
-            ("invalid/minimum_seed/report",
-             "scene invalid at /samples/random/seed: -1 is less than the minimum of 0"),
-            ("unresolved/random_count_1e300/report",
-             "samples ask for 1e+300 points, more than the 100000 allowed")):
-        out = tool._run(cli, *jobs[key], tmp_path)
-        assert out == {"code": 64, "stdout": "", "stderr": f"error: {message}\n"}, key
+    jobs = {key: job for key, *job in tool._jobs(TOOL.parent.parent, cli)
+            if key.startswith("invalid/") and key.endswith("/report")}
+    assert sorted(jobs) == sorted(f"invalid/{name}/report" for name in tool.INVALID_SCENES)
+    for key, (command, scene, args) in jobs.items():
+        with pytest.raises(cli.UsageError) as error:
+            cli.validate_scene(scene)
+        out = tool._run(cli, command, scene, args, tmp_path)
+        assert out == {"code": 64, "stdout": "", "stderr": f"error: {error.value}\n"}, key
 
 
 def test_the_record_runs_geometry_errors_of_far_fibre_samples(tmp_path):
