@@ -47,7 +47,7 @@ TOL_ENV_VAR = "SDHARM_TOL"
 REPORT_SCALARS = ("riemann", "ricci", "scalar_curv", "einstein",
                   "weyl", "w_plus", "w_minus")
 
-# The most sample points a scene may ask for, refused before any is made.
+# The most sample points a scene, or sweep values --steps, may ask for; refused before any is made.
 MAX_SAMPLE_POINTS = 100_000
 
 
@@ -550,10 +550,8 @@ class _Job:
     def scale(self, space):
         """Riemann norm of the total space (from the setup's evaluations) or of
         the base (once per run), at each point."""
-        if space == "total":
-            return self.setup.rows(self.at).riemann_norm
-        return self.r.run.once(("scale", self.r.h.fn, self.base_points),
-                               lambda: geo.frame_norm(self.base.curvature[1], self.base.frame))
+        held = self.setup.rows(self.at) if space == "total" else self.base
+        return held.riemann_norm
 
 
 def _potential(job, check):
@@ -889,6 +887,9 @@ def cmd_sweep(args):
         raise UsageError("range must be lo:hi")
     if args.steps < 1:
         raise UsageError("steps must be a positive integer")
+    if args.steps > MAX_SAMPLE_POINTS:       # before np.linspace allocates them
+        raise UsageError(f"steps ask for {args.steps} sweep values, more than the "
+                         f"{MAX_SAMPLE_POINTS} allowed")
     checks = [c.strip() for c in (args.checks or "").split(",") if c.strip()] \
         or scene.get("checks", [])
     if not checks:

@@ -2,11 +2,11 @@
 
 Metric components are evaluated once in order-2 jet arithmetic and read into
 plain arrays g, dg, ddg (``metric_point``).  Everything else is closed-form
-array algebra: d(g^-1) = -g^-1 dg g^-1, the Christoffel symbols and their
-derivatives from g^-1, dg and ddg, and the Riemann tensor from those, so no
-finite differencing happens anywhere.  Pointwise norms are taken in an
-orthonormalized frame (Cholesky of the metric), which makes every reported
-residual a chart-independent scalar.
+array algebra: d(g^-1) = -g^-1 dg g^-1, the Christoffel symbols from g^-1 and
+dg, and the Riemann tensor R_abcd from ddg and Gamma (no derivative of Gamma
+is formed), so no finite differencing happens anywhere.  Pointwise norms are
+taken in an orthonormalized frame (Cholesky of the metric), which makes every
+reported residual a chart-independent scalar.
 
 The curvature path (``metric_point`` through ``curvature_report`` and
 ``sd_asd_split``) also takes an ``(N, d)`` array of points.  The metric jets
@@ -363,14 +363,14 @@ def _float(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-MetricPoint = namedtuple("MetricPoint", "g dg ddg ginv dginv G dG")
+MetricPoint = namedtuple("MetricPoint", "g dg ddg ginv dginv G")
 
 
 def metric_point(g, point):
     """The metric field g at the point with its Levi-Civita connection, from one
     evaluation of its arrays (``g.arrays``: g, dg, ddg), then (g^-1, dginv)
-    and (Gamma, dGamma).  At an ``(N, d)`` array of points each array has a
-    leading point axis.  Raises on a non-finite metric, or a singular one:
+    and Gamma.  At an ``(N, d)`` array of points each array has a leading
+    point axis.  Raises on a non-finite metric, or a singular one:
     |det g| below 1e-14 max|g_ab|^d, a bound that scales with the metric, so a
     homothety stays regular."""
     gv, dg, ddg = g.arrays(point)
@@ -384,7 +384,7 @@ def metric_point(g, point):
         raise DegenerateMetricError("metric is singular", point=_first(point, singular),
                                     det=np.ravel(det)[np.argmax(singular)])
     ginv, dginv = jet_matrix_inverse(gv, dg)
-    return MetricPoint(gv, dg, ddg, ginv, dginv, *christoffel_jets(ginv, dginv, dg, ddg))
+    return MetricPoint(gv, dg, ddg, ginv, dginv, christoffel_jets(ginv, dg))
 
 
 def jet_matrix_inverse(g, dg):
@@ -398,50 +398,39 @@ def jet_matrix_inverse(g, dg):
     return ginv, -(M.swapaxes(-1, -2) @ ginv[..., None, :, :]).swapaxes(-1, -2)
 
 
-def christoffel_jets(ginv, dginv, dg, ddg):
-    """Levi-Civita (Gamma, dGamma): Gamma[a,b,c] = Gamma^a_bc and
-    dGamma[a,b,c,d] = d_d Gamma^a_bc, exact from the metric arrays."""
+def christoffel_jets(ginv, dg):
+    """Levi-Civita Gamma[a,b,c] = Gamma^a_bc, exact from the metric arrays."""
     # low[e,b,c] = Gamma_ebc = 1/2 (d_b g_ec + d_c g_eb - d_e g_bc)
     low = 0.5 * (np.einsum("...ecb->...ebc", dg) + dg - np.einsum("...bce->...ebc", dg))
-    dlow = np.einsum("...ecbd->...ebcd", ddg) + ddg
-    dlow -= np.einsum("...bced->...ebcd", ddg)
-    dlow *= 0.5
     lead, n = ginv.shape[:-2], ginv.shape[-1]
-    G = (ginv @ low.reshape(lead + (n, n * n))).reshape(low.shape)
-    dG = (ginv @ dlow.reshape(lead + (n, n ** 3))).reshape(dlow.shape)
-    del dlow                                # a batch's largest temporary
-    # dginv_aed low_ebc with rows (a, d), then d moved last
-    dG += (dginv.swapaxes(-1, -2).reshape(lead + (n * n, n)) @ low.reshape(lead + (n, n * n))
-           ).reshape(dG.shape).swapaxes(-3, -2).swapaxes(-2, -1)
-    return G, dG
-
-
-def riemann_from_gamma(G, dG):
-    """R^a_bcd = d_c G^a_db - d_d G^a_cb + G^a_ce G^e_db - G^a_de G^e_cb."""
-    lead, n = G.shape[:-3], G.shape[-1]
-    # GG[a,c,d,b] = G^a_ce G^e_db, one matrix product; R is A less A with c, d
-    # swapped, for A^a_bcd = d_c G^a_db + G^a_ce G^e_db
-    GG = (G.reshape(lead + (n * n, n)) @ G.reshape(lead + (n, n * n))).reshape(G.shape + (n,))
-    A = np.einsum("...adbc->...abcd", dG) + np.einsum("...acdb->...abcd", GG)
-    return A - A.swapaxes(-1, -2)
+    return (ginv @ low.reshape(lead + (n, n * n))).reshape(low.shape)
 
 
 def _curvature(g, point):
-    """(g, Gamma, R^a_bcd, R_abcd, Ric_ab, scalar) from one metric evaluation."""
+    """(g, Gamma, R_abcd, Ric_ab, scalar) from one metric evaluation."""
     mp = metric_point(g, point)
     return (mp.g, mp.G) + curvature_from_gamma(mp, point)
 
 
 def curvature_from_gamma(mp, point=None):
-    """(R^a_bcd, R_abcd, Ric_ab, scalar) from a MetricPoint."""
-    R_up = riemann_from_gamma(mp.G, mp.dG)
-    if not np.all(np.isfinite(R_up)):
+    """(R_abcd, Ric_bd = g^ac R_abcd, scalar) from a MetricPoint, by
+    R_abcd = 1/2 (d_b d_c g_ad + d_a d_d g_bc - d_a d_c g_bd - d_b d_d g_ac)
+    + Gamma_fad Gamma^f_bc - Gamma_fac Gamma^f_bd (S. Weinberg, *Gravitation
+    and Cosmology*, Wiley 1972, ch. 6): the metric's second derivatives and
+    Gamma, no derivative of Gamma."""
+    G, lead, n = mp.G, mp.G.shape[:-3], mp.G.shape[-1]
+    # A[a,d,b,c] = Gamma^e_ad g_ef Gamma^f_bc + 1/2 (d_b d_c g_ad + d_a d_d g_bc),
+    # one (n^2, n^2) matrix product; R_abcd is A[a,d,b,c] less A[a,c,b,d]
+    Gf = G.reshape(lead + (n, n * n))
+    A = (Gf.swapaxes(-1, -2) @ (mp.g @ Gf)).reshape(G.shape + (n,))
+    A += 0.5 * (mp.ddg + np.einsum("...bcad->...adbc", mp.ddg))
+    A = np.einsum("...adbc->...abcd", A)
+    R = A - A.swapaxes(-1, -2)
+    if not np.all(np.isfinite(R)):
         raise SingularEvaluationError("curvature evaluation produced non-finite values",
                                       point=_at(point))
-    R_low = (mp.g @ R_up.reshape(R_up.shape[:-3] + (-1,))).reshape(R_up.shape)
-    ric = np.einsum("...abad->...bd", R_up)
-    scal = _float(np.einsum("...bd,...bd->...", mp.ginv, ric))
-    return R_up, R_low, ric, scal
+    ric = np.einsum("...ac,...abcd->...bd", mp.ginv, R)
+    return R, ric, _float(np.einsum("...bd,...bd->...", mp.ginv, ric))
 
 
 def laplacian(u, h, point):
@@ -458,7 +447,7 @@ def laplacian_from_gamma(mp, u):
 
 
 def riemann(g, point):
-    """(R^a_bcd, R_abcd, Ric_ab, scalar) with the unit round sphere positive."""
+    """(R_abcd, Ric_ab, scalar) with the unit round sphere positive."""
     return _curvature(g, point)[2:]
 
 
@@ -490,7 +479,7 @@ def weyl(g, point):
     if g.chart.dim != 4:
         raise DimensionError("Weyl tensor computed only on 4-charts; it vanishes "
                              "identically in dimension 3")
-    gv, _, _, R_low, ric, scal = _curvature(g, point)
+    gv, _, R_low, ric, scal = _curvature(g, point)
     return _weyl_low(gv, R_low, ric, scal)
 
 
@@ -719,7 +708,7 @@ def sectional_curvature(g, point, X, Y):
     """Sectional curvature of span(X, Y); unit round spheres give +k."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    gv, _, _, R_low, _, _ = _curvature(g, point)
+    gv, _, R_low, _, _ = _curvature(g, point)
     gram = (X @ gv @ X) * (Y @ gv @ Y) - (X @ gv @ Y) ** 2
     if gram < 1e-14:
         raise ValueError("plane spanned by X, Y is degenerate")
@@ -764,7 +753,7 @@ def curvature_report(g, point):
     orientation.
     """
     n = g.chart.dim
-    gv, _, _, R_low, ric, scal = _curvature(g, point)
+    gv, _, R_low, ric, scal = _curvature(g, point)
     E = orthonormal_frame(gv, point=point)
     report = CurvatureReport(
         riemann_low=R_low, ricci=ric, scalar=scal,

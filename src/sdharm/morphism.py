@@ -14,9 +14,9 @@ forms come from the unit vertical field U and its coframe eta = U-flat
 (Baird & Wood, *Harmonic Morphisms Between Riemannian Manifolds*, OUP 2003):
 the fibres' mean curvature is iota_U d eta, the horizontal one -(div U) eta,
 and the integrability form d eta on horizontal pairs, so none reads the
-Christoffel symbols, which only the Riemann scale does.  The trace forms are
-(value, derivative) arrays, by the product rule on the metric's jets (vector
-forward mode over the point axis, Griewank & Walther, *Evaluating
+Christoffel symbols, which only the Riemann scale does, with ddg.  The trace
+forms are (value, derivative) arrays, by the product rule on the metric's jets
+(vector forward mode over the point axis, Griewank & Walther, *Evaluating
 Derivatives*, ch. 3).  The induced Lee form (trace Bv)-flat - *_H I needs no
 horizontal frame: *_H I is contracted with vol_H = iota_U vol_g.
 A ``SubmersionSetup`` holds one ``PointEval`` at a time: ``hold`` evaluates a
@@ -141,7 +141,7 @@ class PointEval:
     """All data of one fibred metric at a batch of points.
 
     Every array has a leading point axis.  The metric arrays and the inverse
-    (with Gamma, which only ``riemann_norm`` reads) come from one
+    (with Gamma, which only ``riemann_norm`` reads, with ddg) come from one
     ``geo.metric_point`` over the batch, and lam^-2 from one batch jet;
     everything derived from them is computed on first use, for every point at
     once.  h and h^-1 are read once per distinct base point.  Derivative
@@ -267,7 +267,7 @@ class PointEval:
     @cached_property
     def riemann_norm(self):
         """Frame norm of the Riemann tensor, the scale residuals are normalized by."""
-        return geo.tensor_norm(geo.curvature_from_gamma(self.metric, self._at)[1], self.gv)
+        return geo.tensor_norm(geo.curvature_from_gamma(self.metric, self._at)[0], self.gv)
 
     @cached_property
     def lifted_dtheta(self):

@@ -46,12 +46,13 @@ class HeldBase:
     points, held by a caller that evaluates several residuals there.  Each part
     is evaluated on first use: ``mp`` (``geo.metric_point``: g, g^-1 and the
     Levi-Civita connection), ``curvature`` (``geo.curvature_from_gamma``: its
-    Riemann and Ricci tensors), ``frame`` (g's ``geo.orthonormal_frame``),
-    ``vol`` (sqrt det g), and ``arrays(field)``, a one-form's arrays at the
-    points, held until ``new_job``.  ``point`` is ``geo.hold_point`` of the
-    points, so h and every field read here start from one seeding of its
-    coordinate jets.  The residuals below take one as ``base``, or hold h at
-    the point themselves."""
+    Riemann tensor R_abcd from ddg and Gamma, Ricci tensor and scalar),
+    ``riemann_norm`` (the frame norm of R_abcd, the base checks' scale),
+    ``frame`` (g's ``geo.orthonormal_frame``), ``vol`` (sqrt det g), and
+    ``arrays(field)``, a one-form's arrays at the points, held until
+    ``new_job``.  ``point`` is ``geo.hold_point`` of the points, so h and
+    every field read here start from one seeding of its coordinate jets.  The
+    residuals below take one as ``base``, or hold h at the point themselves."""
 
     def __init__(self, h, point):
         self.h, self.point, self._arrays = h, geo.hold_point(point), {}
@@ -63,6 +64,11 @@ class HeldBase:
     @cached_property
     def curvature(self):
         return geo.curvature_from_gamma(self.mp, self.point)
+
+    @cached_property
+    def riemann_norm(self):
+        """Frame norm of the Riemann tensor, the scale residuals are normalized by."""
+        return geo.frame_norm(self.curvature[0], self.frame)
 
     @cached_property
     def frame(self):
@@ -130,7 +136,7 @@ def einstein_weyl_residual(w: WeylStructure3, point, base: HeldBase | None = Non
     h, (av, da) = base.mp, base.arrays(w.alpha)
     # da[..., b, a] = d_a alpha_b, the transpose of nabla's first term: symmetrized below
     nabla = da - np.einsum("...cab,...c->...ab", h.G, av)
-    T = base.curvature[2] - (0.5 * (nabla + nabla.swapaxes(-1, -2))
+    T = base.curvature[1] - (0.5 * (nabla + nabla.swapaxes(-1, -2))
                              - av[..., :, None] * av[..., None, :])
     trace = np.einsum("...ab,...ab->...", h.ginv, T) / 3.0
     return geo.frame_norm(T - trace[..., None, None] * h.g, base.frame)

@@ -150,10 +150,12 @@ def d_einsum(spec, *pairs):
 
 
 def lift_inputs(pe):
-    """The metric arrays of a PointEval with (Gamma, dGamma), and the lift
+    """The metric arrays of a PointEval with its Gamma, dGamma by the einsum of
+    ``christoffel_jets`` below, and the lift
     inputs: u = 1/g_00 with its first and second derivatives, d_e w_b, and the
     projector P = 1 + e_0 (x) w with dP, w_b = -g_0b/g_00."""
-    gv, dg, ddg, ginv, dginv, G, dG = pe.metric
+    gv, dg, ddg, ginv, dginv, G = pe.metric
+    dG = christoffel_jets(ginv, dginv, dg, ddg)[1]
     g00, dg00 = gv[:, 0, 0], dg[:, 0, 0]
     u = 1.0 / g00
     uc = u[:, None]
@@ -226,7 +228,8 @@ def integrability(ev):
 # -- the curvature chain and its neighbours by einsum ---------------------------
 # geometry and weyl3 contract these with matrix products; here each is the
 # einsum of its formula, as the package computed it before, to hold the
-# products to.
+# products to.  The Riemann tensor goes by way of dGamma and R^a_bcd, which
+# geometry's R_abcd from the metric's second derivatives and Gamma skips.
 
 def jet_matrix_inverse(g, dg):
     ginv = np.linalg.inv(g)
@@ -252,11 +255,13 @@ def riemann_from_gamma(G, dG):
 
 
 def curvature_from_gamma(mp):
-    R_up = riemann_from_gamma(mp.G, mp.dG)
+    """(R_abcd, Ric_bd, scalar) by way of dGamma and R^a_bcd, from the arrays
+    of a MetricPoint."""
+    R_up = riemann_from_gamma(*christoffel_jets(mp.ginv, mp.dginv, mp.dg, mp.ddg))
     R_low = np.einsum("...ae,...ebcd->...abcd", mp.g, R_up)
     ric = np.einsum("...abad->...bd", R_up)
     scal = geo._float(np.einsum("...bd,...bd->...", mp.ginv, ric))
-    return R_up, R_low, ric, scal
+    return R_low, ric, scal
 
 
 def kulkarni_nomizu(A, B):
@@ -282,7 +287,7 @@ def split_two_form(F, gv, orientation=1, point=None):
 def sectional_curvature(g, point, X, Y):
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    gv, _, _, R_low, _, _ = geo._curvature(g, point)
+    gv, _, R_low, _, _ = geo._curvature(g, point)
     gram = (X @ gv @ X) * (Y @ gv @ Y) - (X @ gv @ Y) ** 2
     num = np.einsum("abcd,a,b,c,d->", R_low, X, Y, X, Y)
     return float(num / gram)

@@ -94,10 +94,12 @@ ARRAY_SCALE = {"gamma": "gamma", "riemann_up": "riemann_up", "riemann_low": "rie
 
 
 def report_arrays(g, at):
-    """(report, {name: array}) at ``at``: the arrays of ARRAY_SCALE, Gamma and
-    R^a_bcd read from the metric point that the report is computed from."""
+    """(report, {name: array}) at ``at``: the arrays of ARRAY_SCALE, Gamma read
+    from the metric point that the report is computed from, and R^a_bcd from
+    its arrays by the oracle's route through dGamma."""
     rep, mp = geo.curvature_report(g, at), geo.metric_point(g, at)
-    return rep, {"gamma": mp.G, "riemann_up": geo.curvature_from_gamma(mp, at)[0],
+    riemann_up = O.riemann_from_gamma(*O.christoffel_jets(mp.ginv, mp.dginv, mp.dg, mp.ddg))
+    return rep, {"gamma": mp.G, "riemann_up": riemann_up,
                  "riemann_low": rep.riemann_low, "ricci": rep.ricci, "weyl_low": rep.weyl_low}
 
 

@@ -559,6 +559,20 @@ def test_a_sweep_range_of_two_finite_numbers_or_a_usage_error(bounds, steps, cap
     assert (captured.out, captured.err) == ("", "error: range must be lo:hi\n")
 
 
+@pytest.mark.parametrize("steps", [cli.MAX_SAMPLE_POINTS + 1, 10 ** 13])
+def test_sweep_steps_above_the_sample_limit_are_a_usage_error(steps, capsys, monkeypatch):
+    """More steps than MAX_SAMPLE_POINTS are refused before any swept value is
+    made (10^13 steps once let numpy's MemoryError escape)."""
+    monkeypatch.setattr(cli.np, "linspace", None)
+    assert cli.main(["sweep", scene_path("berger_ew_sweep.json"), "--param",
+                     "alpha.params.scale", "--range=0.5:1.0", "--steps", str(steps),
+                     "--checks", "einstein_weyl"]) == 64
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: steps ask for {steps} sweep values, more than the "
+            f"{cli.MAX_SAMPLE_POINTS} allowed\n")
+
+
 def test_sweep_locates_einstein_weyl_zero(capsys):
     code, out = run_cli(["sweep", scene_path("berger_ew_sweep.json"),
                          "--param", "alpha.params.scale", "--range", "0.5:1.4",

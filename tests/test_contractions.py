@@ -1,5 +1,7 @@
 """geometry's curvature chain and its neighbours contract with matrix products;
-the einsum of each formula (``_oracles``) is the reference.
+the einsum of each formula (``_oracles``) is the reference.  The Riemann
+tensor's, with its Ricci tensor and scalar, goes by way of dGamma and
+R^a_bcd, which ``curvature_from_gamma`` skips.
 
 Each function is held to its oracle within 1e-13 (1 + |ref|), entry by entry,
 on seeded random metric arrays and at every sample of every scene, the oracle
@@ -46,13 +48,12 @@ def chain(g, dg, ddg):
     """{name: (array, oracle's array)} along the chain from (g, dg, ddg), each
     oracle given the function's own inputs."""
     ginv, dginv = geo.jet_matrix_inverse(g, dg)
-    G, dG = geo.christoffel_jets(ginv, dginv, dg, ddg)
-    mp = geo.MetricPoint(g, dg, ddg, ginv, dginv, G, dG)
+    G = geo.christoffel_jets(ginv, dg)
+    mp = geo.MetricPoint(g, dg, ddg, ginv, dginv, G)
     curv = geo.curvature_from_gamma(mp)
     out = dict(zip(("ginv", "dginv"), zip((ginv, dginv), O.jet_matrix_inverse(g, dg))))
-    out.update(zip(("G", "dG"), zip((G, dG), O.christoffel_jets(ginv, dginv, dg, ddg))))
-    out.update(zip(("R_up", "R_low", "ric", "scal"), zip(curv, O.curvature_from_gamma(mp))))
-    out["riemann_from_gamma"] = geo.riemann_from_gamma(G, dG), O.riemann_from_gamma(G, dG)
+    out["G"] = G, O.christoffel_jets(ginv, dginv, dg, ddg)[0]
+    out.update(zip(("R_low", "ric", "scal"), zip(curv, O.curvature_from_gamma(mp))))
     return out
 
 

@@ -227,7 +227,7 @@ def test_riemann_vs_symbolic_oracle(g, monkeypatch):
     # which needs neither d Gamma nor d g^-1.
     points = sample_points(g.chart, 3, seed=17)
     gvals = [g.values(pt) for pt in points]
-    R_pipe = [geo.riemann(g, pt)[1] for pt in points]
+    R_pipe = [geo.riemann(g, pt)[0] for pt in points]
     derivs = _symbolic_metric_derivatives(g, monkeypatch)
     for pt, gv, R in zip(points, gvals, R_pipe):
         dg, ddg = derivs(pt)                   # dg[a,b,c] = d_c g_ab

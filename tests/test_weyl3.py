@@ -6,6 +6,7 @@ import pytest
 from sdharm import cli, constructions as con, geometry as geo, jets, weyl3
 from sdharm.errors import DimensionError
 
+import _oracles as O
 from _fieldgen import random_field
 from _metrics import berger_ew_scale, conformal_rescale, variable_c_background
 
@@ -293,8 +294,9 @@ def test_round_sphere_lee_scale_curve_zero_at_origin():
 
 def _weyl_connection(h, av, da):
     """(Gamma, dGamma) of D from the base ``geo.MetricPoint`` h, which holds
-    the Levi-Civita connection, and alpha's values and first derivatives:
-    dGamma[a,b,c,d] = d_d Gamma^a_bc, C being linear in alpha."""
+    the Levi-Civita Gamma (its dGamma by ``_oracles.christoffel_jets``), and
+    alpha's values and first derivatives: dGamma[a,b,c,d] = d_d Gamma^a_bc,
+    C being linear in alpha."""
     a_up = (h.ginv @ av[..., None])[..., 0]
     da_up = np.einsum("...abd,...b->...ad", h.dginv, av) + h.ginv @ da
     # outer products by broadcasting, an index per axis: [..., a, b, c(, d)]
@@ -305,19 +307,19 @@ def _weyl_connection(h, av, da):
           + delta[:, None, :, None] * da[..., None, :, None, :]
           - h.dg[..., None, :, :, :] * a_up[..., :, None, None, None]
           - h.g[..., None, :, :, None] * da_up[..., :, None, None, :])
-    return h.G + C, h.dG + dC
+    return h.G + C, O.christoffel_jets(h.ginv, h.dginv, h.dg, h.ddg)[1] + dC
 
 
 def _einstein_weyl_via_weyl_riemann(h, alpha, point):
     """The trace-free symmetrized Ricci tensor of D itself, in the frame norm:
     D's (Gamma, dGamma) from h's Levi-Civita data and alpha's jets, then D's
-    Riemann tensor (``geo.riemann_from_gamma``), its Ricci contraction,
+    Riemann tensor (``_oracles.riemann_from_gamma``), its Ricci contraction,
     symmetrized, with the trace taken out through h^-1."""
     mp = geo.metric_point(h, point)
     aj = alpha.jets(point)
     av = geo._lead(np.array([a.value for a in aj]), point)
     da = geo._lead(np.array([a.grad for a in aj]), point)       # da[b, d] = d_d alpha_b
-    ric = np.einsum("...abad->...bd", geo.riemann_from_gamma(*_weyl_connection(mp, av, da)))
+    ric = np.einsum("...abad->...bd", O.riemann_from_gamma(*_weyl_connection(mp, av, da)))
     sym = 0.5 * (ric + ric.swapaxes(-1, -2))
     trace = np.einsum("...ab,...ab->...", mp.ginv, sym) / 3.0
     tracefree = sym - trace[..., None, None] * mp.g

@@ -12,10 +12,13 @@ process on
 - every ``<checkout>/scenes/*.json`` under ``report``, ``verify``, ``verify``
   with every check of ``cli.CHECKS``, ``classify``, and ``report`` and
   ``verify`` with ``--format csv``;
-- ``report``, ``verify`` with every check that applies, ``classify``, and a
-  ``sweep`` of the first point's fibre coordinate (``DOMAIN_ERROR_SWEEP``) on
-  a scene with points outside its chart (``DOMAIN_ERROR_POINTS``), whose
-  ``domain_errors`` and good points come from the per-point fallback;
+- ``report``, ``verify`` with every check that applies, ``classify``, a
+  ``sweep`` of the first point's fibre coordinate (``DOMAIN_ERROR_SWEEP``),
+  and ``report`` and ``verify`` with ``--format csv`` on a scene with points
+  outside its chart (``DOMAIN_ERROR_POINTS``), whose ``domain_errors`` and
+  good points come from the per-point fallback;
+- ``verify`` of the scene ``pair`` edits of ``PAIRS``: a monopole pair in
+  place of the family's, a potential alone, and one on another chart;
 - ``verify --checks twistorial_basic`` and ``classify`` of a type-2 scene
   whose fibre range reaches far enough for its warping to overflow
   (``FAR_FIBRE``): the one point overflows, the other is named by a fibre
@@ -35,7 +38,8 @@ process on
   usage errors of scene resolution are recorded too; construction refs that
   the scene schema rejects; and a NaN, which is not JSON;
 - each malformed command line of ``USAGE_ERRORS`` (an unknown flag, a
-  ``--steps`` that is not an integer, a ``--range`` without ``:``, no scene),
+  ``--steps`` that is not an integer or is above ``cli.MAX_SAMPLE_POINTS``, a
+  ``--range`` without ``:``, no scene),
   so the usage errors of the command line are recorded too;
 - ``catalog list``, and ``catalog describe`` of each entry of the catalog,
   which runs the entry's validator.
@@ -90,6 +94,19 @@ DOMAIN_ERROR_CHECKS = ("fundamental_eq,twistorial_basic,twistorial_sd,monopole,e
                        "beltrami")
 DOMAIN_ERROR_SWEEP = ["--param", "samples.points.0.0", "--range=0.3:1.5", "--steps", "3",
                       "--checks", DOMAIN_ERROR_CHECKS]
+
+# Scene pairs, each (scene file, pair), verified with PAIR_CHECKS: the
+# Gibbons-Hawking monopole pair at m = 2 (passes), its potential alone beside
+# the family's A at m = 1 (fails), and a potential whose chart is not the
+# type-3 base's (a usage error).
+PAIR_CHECKS = ["--checks", "pullback_sd,closure"]
+GH_POTENTIAL_2 = {"name": "gh_potential", "params": {"m": 2.0}}
+PAIRS = {
+    "gh_m2": ("gibbons_hawking.json",
+              {"u": GH_POTENTIAL_2, "A": {"name": "dirac_A", "params": {"m": 2.0}}}),
+    "gh_u_alone": ("gibbons_hawking.json", {"u": GH_POTENTIAL_2}),
+    "trkalian_chart_mismatch": ("type3_trkalian.json", {"u": GH_POTENTIAL_2}),
+}
 
 # Edits of type4_berger_ew.json, each a list of (keys, value) put in place,
 # or deleted where the value is DELETE: one violation of each keyword of the
@@ -183,6 +200,8 @@ USAGE_ERRORS = {
     "range_without_colon": ("sweep", True, ["--param", "construction.params.c", "--range=1.2",
                                             "--steps", "3", "--checks", "twistorial_sd"]),
     "missing_scene": ("report", False, []),
+    "steps_above_max": ("sweep", True, ["--param", "construction.params.c", "--range=1.2:2.0",
+                                        "--steps", "10000000000000", "--checks", "twistorial_sd"]),
 }
 
 _TIMESTAMP = re.compile(r'"timestamp":"[^"]*"')
@@ -250,8 +269,11 @@ def _jobs(root, cli):
             yield f"scenes/{name}/{command}{''.join(args)}", command, scene, args
     bad = dict(scenes["type4_berger_ew.json"], samples={"points": DOMAIN_ERROR_POINTS})
     for command, args in (("report", []), ("verify", ["--checks", DOMAIN_ERROR_CHECKS]),
-                          ("classify", []), ("sweep", DOMAIN_ERROR_SWEEP)):
+                          ("classify", []), ("sweep", DOMAIN_ERROR_SWEEP), ("report", csv),
+                          ("verify", ["--checks", DOMAIN_ERROR_CHECKS, *csv])):
         yield f"domain_error/{command}{''.join(args)}", command, bad, args
+    for name, (scene, pair) in PAIRS.items():
+        yield f"pair/{name}/verify", "verify", dict(scenes[scene], pair=pair), PAIR_CHECKS
     for command, args in (("verify", ["--checks", "twistorial_basic"]), ("classify", [])):
         yield f"far_fibre/{command}{''.join(args)}", command, FAR_FIBRE, args
     for name, (scene, command, args, edits) in SINGULAR.items():
