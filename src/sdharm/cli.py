@@ -44,9 +44,6 @@ EXIT_USAGE = 64
 DEFAULT_TOL = 1e-8
 TOL_ENV_VAR = "SDHARM_TOL"
 
-REPORT_SCALARS = ("riemann", "ricci", "scalar_curv", "einstein",
-                  "weyl", "w_plus", "w_minus")
-
 # The most sample points a scene, or sweep values --steps, may ask for; refused before any is made.
 MAX_SAMPLE_POINTS = 100_000
 
@@ -335,25 +332,15 @@ def _env_tolerance():
     return tol
 
 
-_UNBUILT = object()
-
-
 class Run:
     """The state of one command, dropped when the command returns: the default
     tolerance, read from the environment once; what a sweep step leaves
-    unchanged (catalog refs, sample points, the base metric at the base points,
-    kept by ``once``), built once; and ``each``, every command's job loop."""
+    unchanged (catalog refs, sample points, the base metric at the base points),
+    each built once by ``keep``; and ``each``, every command's job loop."""
 
     def __init__(self):
         self.tol = _env_tolerance()
         self._built = {}
-
-    def once(self, key, build):
-        """build(), called only the first time the run meets ``key``."""
-        built = self._built.get(key, _UNBUILT)
-        if built is _UNBUILT:
-            built = self._built[key] = build()
-        return built
 
     def keep(self, key, obj, build, *args):
         """build(*args), called only the first time the run meets the scene
@@ -517,15 +504,24 @@ def _require_sample_count(*counts):
 class _Job:
     """A list of sample points that the checks read as one batch, where each
     residual and scale is an array with one value per point; one point is a
-    one-row batch.  The total-space checks read the setup's evaluations, held
-    here at once: every point and the fibre samples its checks read (each
-    check's computed once), in the order the checks read them, so that a hold
-    of one point that fails names the point that the first failing check
-    names.  The base checks read the run's ``weyl3.HeldBase`` at the base
-    points, with the one-forms' arrays held for this job."""
+    one-row batch.  A check is scaled by the ``riemann_norm`` of its space.
+    The curvature scalars read the ``raw()`` values (``scalars``) of one
+    ``geo.curvature_report`` of g, or else h, at the points (``metric``).
+    The total-space checks read the setup's evaluations (``total``), held
+    here at once: every point and the fibre samples its checks read, in the
+    order the checks read them, so that a hold of one point that fails names
+    the point that the first failing check names.  The base checks, and
+    ``monopole``, read the run's ``weyl3.HeldBase`` (``base``), whose parts
+    are evaluated on first use.  A job of scalars alone holds no base and no
+    total-space evaluation; a job without scalars makes no curvature report."""
 
     def __init__(self, resolved, points, checks):
         self.r, self.setup = resolved, resolved.setup
+        spaces = {CHECKS[name].space for name in checks}
+        if "metric" in spaces:
+            metric = resolved.fm.g if resolved.fm is not None else resolved.h
+            self.metric = geo.curvature_report(metric, metric.chart.point_array(points))
+            self.scalars = self.metric.raw()
         reads = [CHECKS[name].samples for name in checks if CHECKS[name].space == "total"]
         if reads:
             self.samples = {f: [f(resolved.fm, p) for p in points] for f in reads if f}
@@ -533,11 +529,13 @@ class _Job:
             resolved.setup.hold([s for i, p in enumerate(points) for f in reads
                                  for s in [*(self.samples[f][i] if f else ()), p]])
             self.at = resolved.chart.point_array(points)      # what the total space reads
-        h = resolved.h                  # a fibration's base points drop the fibre coordinate
-        self.base_points = tuple(points) if resolved.fm is None else tuple(p[1:] for p in points)
-        # once per run, keyed by h's closure (which an orientation flip keeps) and the points
-        self.base = resolved.run.once(("base", h.fn, self.base_points), lambda: weyl3.HeldBase(
-            h, h.chart.point_array(self.base_points))).new_job()
+            self.total = resolved.setup.rows(self.at)
+        if spaces != {"metric"}:
+            h = resolved.h              # a fibration's base points drop the fibre coordinate
+            base = tuple(points) if resolved.fm is None else tuple(p[1:] for p in points)
+            # keyed by h's closure (which an orientation flip keeps) and the points
+            self.base = resolved.run.keep(("base", base), h.fn, lambda: weyl3.HeldBase(
+                h, h.chart.point_array(base))).new_job()
 
     def fibres(self, read):
         """The samples ``read`` on each point's fibre, ``(N, k, 4)``: a shorter
@@ -546,12 +544,6 @@ class _Job:
         fibres = self.samples[read]
         k = max(map(len, fibres))
         return np.array([f + f[-1:] * (k - len(f)) for f in fibres])
-
-    def scale(self, space):
-        """Riemann norm of the total space (from the setup's evaluations) or of
-        the base (once per run), at each point."""
-        held = self.setup.rows(self.at) if space == "total" else self.base
-        return held.riemann_norm
 
 
 def _potential(job, check):
@@ -573,17 +565,22 @@ def _beltrami(job):
 
 
 class Check(NamedTuple):
-    space: str           # "total": needs a fibration, scaled by its Riemann norm; or "base"
+    space: str           # "total", "base" or "metric": the _Job attribute it is scaled by
     residual: Callable   # _Job -> raw residual, one per point
     samples: Callable = None   # (fm, point) -> the fibre samples it reads besides the point
+    weyl: bool = False   # a Weyl scalar: only a 4-metric has it, so it needs a construction
 
 
 def _basic_samples(fm, point):
     return mor.fibre_samples_about(fm, point, 3)
 
 
-# The verify checks; README.md describes each one.
+# The checks, the curvature scalars first in CurvatureReport.raw() order;
+# README.md describes each one.
 CHECKS = {
+    **{name: Check("metric", lambda j, name=name: j.scalars[name],
+                   weyl=name in ("weyl", "w_plus", "w_minus"))
+       for name in ("riemann", "ricci", "scalar_curv", "einstein", "weyl", "w_plus", "w_minus")},
     "fundamental_eq": Check("total", lambda j: mor.fundamental_eq_residual(j.setup, j.at)),
     "twistorial_basic": Check("total", lambda j: mor.twistorial_basic_residual(
         j.setup, j.fibres(_basic_samples)), _basic_samples),
@@ -600,12 +597,12 @@ CHECKS = {
 }
 
 
-def _require_checks(names, resolved):
+def _require_checks(names, scene):
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise UsageError(f"unknown check {unknown[0]!r}; known: {', '.join(CHECKS)}")
     for name in names:
-        if CHECKS[name].space == "total" and resolved.fm is None:
+        if (CHECKS[name].space == "total" or CHECKS[name].weyl) and "construction" not in scene:
             raise UsageError(f"check {name!r} needs a construction in the scene")
 
 
@@ -614,7 +611,8 @@ def _checks_at(points, checks, resolved):
     job (each an array over the points).  The checks share the setup's
     evaluations and the run's base."""
     job = _Job(resolved, points, checks)
-    return _finite({name: (CHECKS[name].residual(job), job.scale(CHECKS[name].space))
+    return _finite({name: (CHECKS[name].residual(job),
+                           getattr(job, CHECKS[name].space).riemann_norm)
                     for name in checks}, points)
 
 
@@ -649,11 +647,6 @@ def _finite_class(cls, point):
     return cls
 
 
-def _verify_records(points, checks, resolved):
-    """The check records of a ``verify`` job."""
-    return _check_records(_checks_at(points, checks, resolved), resolved.tolerance_for)
-
-
 def _sweep_values(points, checks, resolved):
     """Each point's normalized values of a ``sweep`` step's verify job, a
     tuple in the order of ``checks``, read from the check columns."""
@@ -675,16 +668,15 @@ def _normalized(raw, scale):
     return np.asarray(raw, dtype=float).tolist(), (np.abs(raw) / (1.0 + scale)).tolist()
 
 
-def _check_records(columns, tolerance, gated=None):
+def _check_records(columns, tolerance):
     """The check records {name: {raw, normalized, pass}} of each point, from
     ``columns`` {name: (raw, scale)} (``_normalized``).  normalized passes
-    below ``tolerance(name)``, read once per check; a name outside ``gated``,
-    when given, is informational and always passes."""
+    below ``tolerance(name)``, read once per check."""
     entries = []
     for name, (raw, scale) in columns.items():
         raw, normalized = _normalized(raw, scale)
-        tol = tolerance(name) if gated is None or name in gated else None
-        entries.append([{"raw": r, "normalized": n, "pass": tol is None or n < tol}
+        tol = tolerance(name)
+        entries.append([{"raw": r, "normalized": n, "pass": n < tol}
                         for r, n in zip(raw, normalized)])
     return [dict(zip(columns, point)) for point in zip(*entries)]
 
@@ -694,16 +686,29 @@ def _canonical_object(members):
     return "{" + ",".join(f"{json.dumps(k)}:{members[k]}" for k in sorted(members)) + "}"
 
 
-def build_report(resolved, points, seed, check_names, batch):
-    """(report, text): the report of the records ``batch`` gives over a job's
-    points (``Run.each``), and its canonical JSON.  Each member is encoded
-    once; ``report_hash`` is the sha256 of the members' canonical JSON, and
-    the text splices it and ``timestamp`` in."""
-    results, domain_errors = resolved.run.each(points, batch)
+def _evaluate(scene, batch, run=None):
+    """(points, seed, results, domain_errors): ``batch(resolved, points)`` over
+    the scene's sample points, by ``Run.each``; a domain error raised while
+    the scene resolves is the job's one domain error, {error}, with no points."""
+    try:
+        resolved = ResolvedScene(scene, run)
+        points, seed = resolved.sample_points()
+    except GeometryError as exc:
+        return [], None, [], [{"error": str(exc)}]
+    return points, seed, *resolved.run.each(points, functools.partial(batch, resolved))
+
+
+def build_report(scene, check_names, batch):
+    """(report, text): the report of the records ``batch(resolved, points)``
+    gives over the scene's sample points (``_evaluate``), and its canonical
+    JSON.  Each member is encoded once; ``report_hash`` is the sha256 of the
+    members' canonical JSON, and the text splices it and ``timestamp`` in."""
+    points, seed, results, domain_errors = _evaluate(scene, batch)
     records = [{"index": idx, "point": list(point), "checks": checks or {}}
                for idx, (point, checks) in enumerate(zip(points, results))]
     for e in domain_errors:
-        records[e["index"]]["error"] = e["error"]
+        if "index" in e:
+            records[e["index"]]["error"] = e["error"]
 
     summary = {"checks": {}, "num_points": len(points)}
     all_pass = True
@@ -724,9 +729,9 @@ def build_report(resolved, points, seed, check_names, batch):
     report = {
         "schema": 1,
         "tool": {"name": "sdharm", "version": __version__},
-        "scene_hash": scene_hash(resolved.scene),
+        "scene_hash": scene_hash(scene),
         "seed": seed,
-        "orientation": resolved.orientation,
+        "orientation": scene.get("orientation", 1),
         "records": records,
         "summary": summary,
     }
@@ -774,58 +779,53 @@ def _emit_report(report, text, args):
 # commands
 # ---------------------------------------------------------------------------
 
+def _verify(args, scene, checks, summary, gated):
+    """Emit the report of the verify job of ``checks`` on the scene, with
+    ``summary`` summarized; a check outside ``gated`` always passes."""
+    def records(resolved, points):
+        tolerance = lambda name: resolved.tolerance_for(name) if name in gated else math.inf
+        return _check_records(_checks_at(points, checks, resolved), tolerance)
+
+    return _emit_report(*build_report(scene, summary, records), args)
+
+
 def cmd_report(args):
+    """The verify job of every curvature scalar of the scene's metric, then
+    the scene's other checks; only the scene's checks are gated."""
     scene = load_scene(args.scene)
-    resolved = ResolvedScene(scene)
-    checks = scene.get("checks", [])
-    for name in checks:
-        if name not in REPORT_SCALARS:
-            raise UsageError(f"report check {name!r} is not a curvature scalar; "
-                             f"choose from {', '.join(REPORT_SCALARS)}")
-    points, seed = resolved.sample_points()
-    metric = resolved.fm.g if resolved.fm is not None else resolved.h
-
-    def batch(pts):
-        """The scalars' records from one curvature pass over the points; a scalar
-        that is not a check is informational."""
-        rep = geo.curvature_report(metric, metric.chart.point_array(pts))
-        columns = {name: (raw, rep.riemann_norm) for name, raw in rep.raw().items()}
-        return _check_records(_finite(columns, pts), resolved.tolerance_for, checks)
-
-    return _emit_report(*build_report(resolved, points, seed, checks or REPORT_SCALARS, batch),
-                        args)
+    gated = scene.get("checks", [])
+    _require_checks(gated, scene)
+    scalars = [name for name, check in CHECKS.items() if check.space == "metric"
+               and ("construction" in scene or not check.weyl)]
+    checks = scalars + [name for name in gated if name not in scalars]
+    return _verify(args, scene, checks, gated or scalars, gated)
 
 
 def cmd_verify(args):
     scene = load_scene(args.scene)
-    resolved = ResolvedScene(scene)
     if args.checks:
         checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     else:
         checks = scene.get("checks", [])
     if not checks:
         raise UsageError("no checks requested (scene 'checks' or --checks)")
-    _require_checks(checks, resolved)
-    points, seed = resolved.sample_points()
-    records = lambda pts: _verify_records(pts, checks, resolved)
-    return _emit_report(*build_report(resolved, points, seed, checks, records), args)
+    _require_checks(checks, scene)
+    return _verify(args, scene, checks, checks, checks)
 
 
 def cmd_classify(args):
     scene = load_scene(args.scene)
-    resolved = ResolvedScene(scene)
-    if resolved.fm is None:
+    if "construction" not in scene:
         raise UsageError("classify needs a construction in the scene")
-    points, seed = resolved.sample_points()
 
-    def batch(pts):
+    def batch(resolved, pts):
         """Each point's class from one evaluation of all their fibre samples."""
         fibres = [mor.fibre_samples_about(resolved.fm, p, 4) for p in pts]
         resolved.setup.hold([s for fibre in fibres for s in fibre])
         return [_finite_class(mor.classify_type(resolved.setup, fibre), p)
                 for p, fibre in zip(pts, fibres)]
 
-    classes, domain_errors = resolved.run.each(points, batch)
+    points, seed, classes, domain_errors = _evaluate(scene, batch)
     results = [{"point": list(point), "label": cls.label, "recovered_c": cls.recovered_c,
                 "evidence": cls.evidence}
                for point, cls in zip(points, classes) if cls is not None]
@@ -897,6 +897,7 @@ def cmd_sweep(args):
     if args.locate and args.locate not in checks:
         raise UsageError("--locate check must be one of the swept checks")
 
+    _require_checks(checks, scene)          # no swept number changes what they need
     run = Run()
     keys = scene_slot(scene, args.param)
     check_slot = slot_validator(keys)
@@ -904,15 +905,12 @@ def cmd_sweep(args):
     def run_at(value, errors):
         """Each check's maximum normalized value over the good points of the
         verify job at one parameter value (empty if no point is good); bad
-        points go to ``errors``.  The scene was validated when loaded, so only
-        the swept value is checked; the checks, which no swept number changes,
-        once per run."""
+        points, or the scene's own domain error, go to ``errors``.  The scene
+        was validated when loaded, so only the swept value is checked."""
         check_slot(value)
-        resolved = ResolvedScene(with_slot(scene, keys, value), run)
-        run.once("checks", lambda: _require_checks(checks, resolved))
-        points, _ = resolved.sample_points()
-        values, bad = run.each(points, lambda pts: _sweep_values(pts, checks, resolved))
-        errors.extend((value, e["index"], e["point"], e["error"]) for e in bad)
+        _, _, values, bad = _evaluate(with_slot(scene, keys, value),
+                                      lambda r, pts: _sweep_values(pts, checks, r), run)
+        errors.extend((value, e.get("index", ""), e.get("point", ()), e["error"]) for e in bad)
         good = [v for v in values if v is not None]
         return dict(zip(checks, map(max, zip(*good))))
 

@@ -407,9 +407,9 @@ def christoffel_jets(ginv, dg):
 
 
 def _curvature(g, point):
-    """(g, Gamma, R_abcd, Ric_ab, scalar) from one metric evaluation."""
+    """(g, R_abcd, Ric_ab, scalar) from one metric evaluation."""
     mp = metric_point(g, point)
-    return (mp.g, mp.G) + curvature_from_gamma(mp, point)
+    return (mp.g,) + curvature_from_gamma(mp, point)
 
 
 def curvature_from_gamma(mp, point=None):
@@ -448,7 +448,7 @@ def laplacian_from_gamma(mp, u):
 
 def riemann(g, point):
     """(R_abcd, Ric_ab, scalar) with the unit round sphere positive."""
-    return _curvature(g, point)[2:]
+    return _curvature(g, point)[1:]
 
 
 def _times(s, T):
@@ -479,7 +479,7 @@ def weyl(g, point):
     if g.chart.dim != 4:
         raise DimensionError("Weyl tensor computed only on 4-charts; it vanishes "
                              "identically in dimension 3")
-    gv, _, R_low, ric, scal = _curvature(g, point)
+    gv, R_low, ric, scal = _curvature(g, point)
     return _weyl_low(gv, R_low, ric, scal)
 
 
@@ -708,7 +708,7 @@ def sectional_curvature(g, point, X, Y):
     """Sectional curvature of span(X, Y); unit round spheres give +k."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    gv, _, R_low, _, _ = _curvature(g, point)
+    gv, R_low, _, _ = _curvature(g, point)
     gram = (X @ gv @ X) * (Y @ gv @ Y) - (X @ gv @ Y) ** 2
     if gram < 1e-14:
         raise ValueError("plane spanned by X, Y is degenerate")
@@ -753,7 +753,7 @@ def curvature_report(g, point):
     orientation.
     """
     n = g.chart.dim
-    gv, _, R_low, ric, scal = _curvature(g, point)
+    gv, R_low, ric, scal = _curvature(g, point)
     E = orthonormal_frame(gv, point=point)
     report = CurvatureReport(
         riemann_low=R_low, ricci=ric, scalar=scal,

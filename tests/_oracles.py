@@ -287,7 +287,7 @@ def split_two_form(F, gv, orientation=1, point=None):
 def sectional_curvature(g, point, X, Y):
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    gv, _, R_low, _, _ = geo._curvature(g, point)
+    gv, R_low, _, _ = geo._curvature(g, point)
     gram = (X @ gv @ X) * (Y @ gv @ Y) - (X @ gv @ Y) ** 2
     num = np.einsum("abcd,a,b,c,d->", R_low, X, Y, X, Y)
     return float(num / gram)

@@ -380,14 +380,10 @@ def test_criterion_11_determinism(tmp_path, capsys):
         run = {}
         for name in scenes:
             path = os.path.join(scene_dir, name)
-            with open(path) as fh:
-                checks = json.load(fh).get("checks", [])
-            if all(c in cli.REPORT_SCALARS for c in checks):
-                cli.main(["report", path])
-            else:
-                cli.main(["verify", path])
-            run[name] = json.loads(capsys.readouterr().out)["report_hash"]
+            for command in ("report", "verify"):
+                cli.main([command, path])
+                run[name, command] = json.loads(capsys.readouterr().out)["report_hash"]
         hashes.append(run)
-    ok = hashes[0] == hashes[1] and len(hashes[0]) == len(scenes)
+    ok = hashes[0] == hashes[1] and len(hashes[0]) == 2 * len(scenes)
     announce(11, "determinism: identical report hashes across runs", ok)
     assert ok

@@ -464,10 +464,10 @@ CHECK_SCENES = _check_scenes()
 
 
 def _applicable(resolved):
-    """The checks that apply to the scene: total-space ones need a
-    construction, pullback_sd and closure a potential."""
+    """The checks that apply to the scene: total-space ones and the Weyl
+    scalars need a construction, pullback_sd and closure a potential."""
     return [name for name, check in cli.CHECKS.items()
-            if (check.space == "base" or resolved.fm is not None)
+            if (resolved.fm is not None or not (check.space == "total" or check.weyl))
             and (name not in ("pullback_sd", "closure") or resolved.pair_u is not None)]
 
 
@@ -503,6 +503,9 @@ def _public_check(check, r, p):
     on_base = lambda raw: (raw, geo.curvature_report(r.h, base).riemann_norm)
     w = weyl3.WeylStructure3(r.h, r.lee_form)
     c = r.family_params.get("c")
+    if cli.CHECKS[check].space == "metric":       # a curvature scalar of g, or of h alone
+        rep = geo.curvature_report(r.fm.g, p) if r.fm is not None else geo.curvature_report(r.h, p)
+        return rep.raw()[check], rep.riemann_norm
     return {
         "fundamental_eq": lambda: total(mor.fundamental_eq_residual(setup, p)),
         "twistorial_basic": lambda: total(mor.twistorial_basic_residual(

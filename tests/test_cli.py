@@ -369,7 +369,8 @@ def test_bad_ref_parameter_usage_error(name, edit, message, capsys, tmp_path):
 def test_out_of_range_ref_parameter_stays_a_domain_error(capsys, tmp_path):
     path = write_scene(tmp_path, "type4_berger_ew.json", _set_base({"mu": -1}))
     assert cli.main(["report", path]) == 2
-    assert "berger parameter mu must be positive" in capsys.readouterr().err
+    assert json.loads(capsys.readouterr().out)["domain_errors"] == [
+        {"error": "berger parameter mu must be positive"}]
 
 
 def _scene_control(name, **fields):
@@ -397,6 +398,13 @@ def _r_squared_control():
 
 
 CONTROLS = {
+    "riemann": _scene_control("gibbons_hawking.json"),
+    "ricci": _scene_control("type2_warped.json"),           # Einstein, not Ricci-flat
+    "scalar_curv": _scene_control("berger_ew_sweep.json"),  # the Berger 3-sphere
+    "einstein": _scene_control("berger_ew_sweep.json"),     # squashed: not Einstein
+    "weyl": _scene_control("gibbons_hawking.json"),         # self-dual, not conformally flat
+    "w_plus": _scene_control("type4_berger_ew.json"),       # self-dual: W+ is all of W
+    "w_minus": _scene_control("type3_control_xdy.json"),    # not self-dual
     "fundamental_eq": _broken_dilation_control,
     "twistorial_basic": _scene_control("type3_control_xdy.json"),
     "twistorial_sd": _scene_control("type3_control_xdy.json"),
@@ -412,8 +420,9 @@ CONTROLS = {
 
 @pytest.mark.parametrize("check", list(cli.CHECKS))
 def test_total_space_check_fails_its_negative_control(check):
-    """Every check, run through the CHECKS table, total-space and base alike,
-    reads at least 1e3 times the default tolerance on a known-failing input."""
+    """Every check, run through the CHECKS table, total-space, base and
+    curvature scalar alike, reads at least 1e3 times the default tolerance on
+    a known-failing input."""
     assert check in CONTROLS, f"check {check!r} has no negative control"
     resolved, points = CONTROLS[check]()
     worst = max(abs(raw[0]) / (1.0 + scale[0]) for raw, scale in
@@ -450,10 +459,10 @@ def test_orientation_flip_swaps_w_plus_and_w_minus(seed):
 
 def test_readme_describes_every_verify_check():
     with open(README) as fh:
-        lines = re.findall(r"^- `(\w+)`: .+ Scaled by the (total space|base)\.$",
+        lines = re.findall(r"^- `(\w+)`: .+ Scaled by the (total space|base|metric)\.$",
                            fh.read(), re.M)
     assert len(lines) == len(cli.CHECKS)
-    assert dict(lines) == {name: "total space" if check.space == "total" else "base"
+    assert dict(lines) == {name: {"total": "total space"}.get(check.space, check.space)
                            for name, check in cli.CHECKS.items()}
 
 
@@ -477,15 +486,23 @@ def _raw_at_orientation(name, check, orientation):
                      for p in r.sample_points()[0]])
 
 
+# The checks that an orientation flip exchanges: W+ and W-.
+EXCHANGED = {"w_plus": "w_minus", "w_minus": "w_plus"}
+
+
 @pytest.mark.parametrize("name", sorted(ORIENTATION_ODD))
 def test_orientation_parity_of_every_check(name):
     """An orientation-odd check moves by more than 1e-3 (relative) at some
-    point; every other check keeps its value at every point to 1e-13."""
+    point; w_plus and w_minus exchange exactly; every other check keeps its
+    value at every point to 1e-13."""
     for check in cli.CHECKS:
         try:
             plus = _raw_at_orientation(name, check, 1)
         except cli.UsageError as exc:
             assert "needs a potential" in str(exc) and name != "gibbons_hawking.json"
+            continue
+        if check in EXCHANGED:
+            assert np.array_equal(_raw_at_orientation(name, EXCHANGED[check], -1), plus), check
             continue
         moved = np.max(np.abs(_raw_at_orientation(name, check, -1) - plus) / (1.0 + np.abs(plus)))
         if check in ORIENTATION_ODD[name]:
@@ -1702,10 +1719,11 @@ def _is_sample_count(keys):
 @functools.cache
 def _applicable_checks(name):
     """Every verify check that applies to the scene file: the total-space
-    checks need a construction, pullback_sd and closure a potential."""
+    checks and the Weyl scalars need a construction, pullback_sd and closure
+    a potential."""
     r = cli.ResolvedScene(cli.load_scene(scene_path(name)))
     return ",".join(n for n, c in cli.CHECKS.items()
-                    if (c.space == "base" or r.fm is not None)
+                    if (r.fm is not None or not (c.space == "total" or c.weyl))
                     and (n not in ("pullback_sd", "closure") or r.pair_u is not None))
 
 
@@ -1743,9 +1761,9 @@ def test_no_scene_number_escapes_the_commands_or_reaches_their_json(case):
     """One numeric slot of a scene set to an extreme, tiny, negative or
     fractional value: ``report``, ``verify`` with every check that applies,
     ``classify`` and a one-step ``sweep`` of that slot exit 0, 1, 2 or 64
-    without an exception; their JSON holds only finite numbers (NaN or
-    Infinity fails the parse), so does each sweep row, and a report run twice
-    has one report_hash."""
+    without an exception, and only a usage error (64) with an empty stdout;
+    their JSON holds only finite numbers (NaN or Infinity fails the parse), so
+    does each sweep row, and a report run twice has one report_hash."""
     name, scene, keys, value = case
     checks = _applicable_checks(name)
     with tempfile.TemporaryDirectory() as tmp:
@@ -1761,8 +1779,10 @@ def test_no_scene_number_escapes_the_commands_or_reaches_their_json(case):
                       f"--range={value!r}:{value!r}", "--steps", "1", "--checks", checks]):
             code, out = _main(argv)
             assert code in (0, 1, 2, 64), argv
-            if code == 64 or not out:       # a usage error, or a domain error of the scene
-                assert code in (2, 64) and out == "", argv
+            if code == 64:                  # a usage error
+                assert out == "", argv
+            elif not out:                   # every other exit, 2 included, emits its output
+                pytest.fail(f"exit {code} with an empty stdout: {argv}")
             elif argv[0] == "sweep":
                 rows = [row for row in csv.reader(io.StringIO(out)) if row[0] != "# domain_error"]
                 assert all(math.isfinite(float(x)) for row in rows[1:] for x in row), argv
@@ -1771,3 +1791,142 @@ def test_no_scene_number_escapes_the_commands_or_reaches_their_json(case):
                 assert _all_finite(report), argv
                 hashes += [report["report_hash"]] if argv[0] == "report" else []
         assert len(set(hashes)) <= 1
+
+
+# ---------------------------------------------------------------------------
+# one check table: report is the verify job of the curvature scalars
+# ---------------------------------------------------------------------------
+
+# Each shipped scene's exit code under verify of its own checks: the x dy
+# connection is not self-dual, and the sweep scene starts at the Lee form scale
+# 0.5, which is not Einstein-Weyl (its sweep finds the scale 0.96 that is).
+SHIPPED_VERIFY_EXIT = {"berger_ew_sweep.json": 1, "flat_product.json": 0,
+                       "gibbons_hawking.json": 0, "type2_warped.json": 0,
+                       "type3_control_xdy.json": 1, "type3_trkalian.json": 0,
+                       "type4_berger_ew.json": 0}
+
+
+def test_the_shipped_scenes_are_the_ones_named():
+    assert sorted(SHIPPED_VERIFY_EXIT) == sorted(os.listdir(SCENES))
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_VERIFY_EXIT))
+def test_every_shipped_scene_runs_as_shipped(name, capsys):
+    """verify of a scene's own checks gives a record of each at every point;
+    report gives the same records of those checks, the metric's other
+    curvature scalars beside them, and the same exit code."""
+    with open(scene_path(name)) as fh:
+        checks = json.load(fh)["checks"]
+    code, out = run_cli(["verify", scene_path(name)], capsys)
+    verified = json.loads(out)
+    assert code == SHIPPED_VERIFY_EXIT[name] and "domain_errors" not in verified
+    assert sorted(verified["summary"]["checks"]) == sorted(checks)
+    code, out = run_cli(["report", scene_path(name)], capsys)
+    reported = json.loads(out)
+    assert code == SHIPPED_VERIFY_EXIT[name]
+    assert reported["summary"] == verified["summary"]
+    scalars = ["riemann", "ricci", "scalar_curv", "einstein"]
+    scalars += ["weyl", "w_plus", "w_minus"] if name != "berger_ew_sweep.json" else []
+    for rec, ver in zip(reported["records"], verified["records"], strict=True):
+        assert set(rec["checks"]) == set(scalars) | set(checks)
+        assert {c: rec["checks"][c] for c in checks} == ver["checks"]
+
+
+def test_report_of_the_sweep_scene_reports_einstein_weyl(capsys):
+    code, out = run_cli(["report", scene_path("berger_ew_sweep.json")], capsys)
+    rep = json.loads(out)
+    assert code == 1 and list(rep["summary"]["checks"]) == ["einstein_weyl"]
+    (rec,) = rep["records"]
+    assert set(rec["checks"]) == {"riemann", "ricci", "scalar_curv", "einstein",
+                                  "einstein_weyl"}
+    # the scalars the scene does not name are informational: the Berger sphere
+    # is curved, yet they pass
+    assert rec["checks"]["riemann"]["normalized"] > 0.5 and rec["checks"]["riemann"]["pass"]
+
+
+@pytest.mark.parametrize("command", ["report", "verify"])
+@pytest.mark.parametrize("check", ["weyl", "w_plus", "w_minus"])
+def test_a_weyl_scalar_of_a_three_metric_is_a_usage_error(command, check, capsys, tmp_path):
+    """A scene without a construction reads h, whose Weyl tensor vanishes
+    identically: a gated Weyl scalar there would pass at no point."""
+    path = write_scene(tmp_path, "berger_ew_sweep.json",
+                       lambda scene: scene.update(checks=[check]))
+    assert cli.main([command, path]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: check {check!r} needs a construction in the scene\n"
+
+
+def test_a_report_job_evaluates_neither_the_base_nor_the_total_space(capsys, monkeypatch):
+    """A job does no work for spaces it does not read: a report holds no
+    HeldBase and no PointEval, and a base-only sweep step makes no curvature
+    report."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluated a space no check reads")
+
+    monkeypatch.setattr(weyl3, "HeldBase", refuse)
+    monkeypatch.setattr(mor, "PointEval", refuse)
+    code, out = run_cli(["report", scene_path("type4_berger_ew.json")], capsys)
+    assert code == 0 and len(json.loads(out)["records"]) == 5
+    monkeypatch.undo()
+    monkeypatch.setattr(geo, "curvature_report", refuse)
+    code, out = run_cli(["sweep", scene_path("berger_ew_sweep.json"), "--param",
+                         "alpha.params.scale", "--range=0.5:1.4", "--steps", "3",
+                         "--checks", "einstein_weyl"], capsys)
+    assert code == 0 and len(out.splitlines()) == 4
+
+
+# ---------------------------------------------------------------------------
+# a domain error while the scene resolves
+# ---------------------------------------------------------------------------
+
+MU_ERROR = [{"error": "berger parameter mu must be positive"}]
+
+
+@pytest.mark.parametrize("command", ["report", "verify", "classify"])
+def test_a_scene_that_does_not_resolve_still_gets_its_json(command, capsys, tmp_path):
+    path = write_scene(tmp_path, "type4_berger_ew.json", _set_base({"mu": 0}))
+    code, out = run_cli([command, path], capsys)
+    assert code == 2
+    rep = json.loads(out, parse_constant=not_json)
+    assert rep["domain_errors"] == MU_ERROR and rep["seed"] is None
+    with open(path) as fh:
+        assert rep["scene_hash"] == cli.scene_hash(json.load(fh))
+    if command == "classify":
+        assert rep["results"] == [] and rep["label"] == "nonstandard"
+    else:
+        assert rep["records"] == [] and rep["orientation"] == 1
+        assert rep["summary"] == {"checks": {}, "num_points": 0, "verdict": "fail"}
+        members = {k: v for k, v in rep.items() if k not in ("report_hash", "timestamp")}
+        assert rep["report_hash"] == hashlib.sha256(
+            cli.canonical_json(members).encode()).hexdigest()
+
+
+def test_a_swept_value_that_does_not_resolve_is_its_steps_domain_error(capsys):
+    args = ["sweep", scene_path("berger_ew_sweep.json"), "--param", "base.params.mu",
+            "--range=-0.2:0.8", "--steps", "3", "--checks", "einstein_weyl"]
+    code, out = run_cli(args, capsys)
+    assert code == 2
+    header, *rows, error = out.splitlines()
+    assert header == "base.params.mu,einstein_weyl_max_normalized"
+    assert [float(r.split(",")[0]) for r in rows] == [0.3, 0.8]
+    assert error == "# domain_error,-0.2,,,berger parameter mu must be positive"
+    # the other steps are those of a sweep that never meets the bad value
+    _, alone = run_cli(args[:4] + ["--range=0.3:0.8", "--steps", "2",
+                                   "--checks", "einstein_weyl"], capsys)
+    assert alone.splitlines()[1:] == rows
+
+
+def test_a_locate_probe_where_the_scene_does_not_resolve_reads_inf(capsys, monkeypatch):
+    probes = {}
+
+    def locate(f, a, b, tol):
+        probes.update(bad=f(-0.1), good=f(a))
+        return a, probes["good"]
+
+    monkeypatch.setattr(weyl3, "locate_residual_minimum", locate)
+    code, out = run_cli(["sweep", scene_path("berger_ew_sweep.json"), "--param",
+                         "base.params.mu", "--range=0.1:0.5", "--steps", "5",
+                         "--checks", "einstein_weyl", "--locate", "einstein_weyl"], capsys)
+    assert code == 0 and any(l.startswith("# minimum,") for l in out.splitlines())
+    assert probes["bad"] == math.inf and math.isfinite(probes["good"])

@@ -130,7 +130,7 @@ def test_chain_matches_its_einsums_at_every_scene_sample(name, g, points):
     gv, dg, ddg = g.arrays(points)
     assert_chain_matches_oracle(gv, dg, ddg)
     n = g.chart.dim
-    *_, ric, scal = geo._curvature(g, points)
+    _, _, ric, scal = geo._curvature(g, points)
     S = geo.schouten(gv, ric, scal, n)
     assert np.array_equal(geo.kulkarni_nomizu(S, gv), O.kulkarni_nomizu(S, gv))
     rng = np.random.default_rng(len(points))

@@ -10,8 +10,9 @@ process on
   ``<checkout>/perfbench/workloads.py``, at orientation +1 and -1, and every
   job of its ``sweep_locate`` pool;
 - every ``<checkout>/scenes/*.json`` under ``report``, ``verify``, ``verify``
-  with every check of ``cli.CHECKS``, ``classify``, and ``report`` and
-  ``verify`` with ``--format csv``;
+  with every check of ``cli.CHECKS`` (keyed ``verify--checks every``, so
+  that records of two check tables share the key), ``classify``, and
+  ``report`` and ``verify`` with ``--format csv``;
 - ``report``, ``verify`` with every check that applies, ``classify``, a
   ``sweep`` of the first point's fibre coordinate (``DOMAIN_ERROR_SWEEP``),
   and ``report`` and ``verify`` with ``--format csv`` on a scene with points
@@ -37,6 +38,9 @@ process on
   family parameters do not resolve, or whose samples are too many, so the
   usage errors of scene resolution are recorded too; construction refs that
   the scene schema rejects; and a NaN, which is not JSON;
+- ``report``, ``verify`` and ``classify`` of each edit of
+  ``RESOLVE_DOMAIN_ERRORS``, a scene that raises a domain error while it
+  resolves, and a sweep of the unedited scene through that value;
 - each malformed command line of ``USAGE_ERRORS`` (an unknown flag, a
   ``--steps`` that is not an integer or is above ``cli.MAX_SAMPLE_POINTS``, a
   ``--range`` without ``:``, no scene),
@@ -158,6 +162,19 @@ SCENE_ERRORS = {
     "nan_literal": [(("construction", "params", "c"), float("nan"))],
 }
 
+# Scenes that pass the scene schema but raise a domain error while they
+# resolve, each (scene file, edits, sweep arguments): report, verify and
+# classify of the edited scene, and a sweep of the original whose middle step
+# is that value, which a --locate probe reads too.
+RESOLVE_DOMAIN_ERRORS = {
+    "berger_mu_0": ("type4_berger_ew.json", [(("base", "params", "mu"), 0.0)],
+                    ["--param", "base.params.mu", "--range=-0.2:0.8", "--steps", "3",
+                     "--checks", "twistorial_sd,einstein_weyl"]),
+    "berger_ew_sweep_mu_0": ("berger_ew_sweep.json", [(("base", "params", "mu"), 0.0)],
+                             ["--param", "base.params.mu", "--range=-0.1:0.5", "--steps", "7",
+                              "--checks", "einstein_weyl", "--locate", "einstein_weyl"]),
+}
+
 # A type-2 scene, warping e^(3 tau) on a fibre range of [0, 400]: e^900 overflows
 # at the first point, and at the second (tau = 1) the fibre samples about it
 # reach tau = 31 for twistorial_basic and 11 for classify, where g is singular.
@@ -261,12 +278,14 @@ def _jobs(root, cli):
     for job in workloads.all_jobs("sweep_locate"):
         yield job["id"], job["command"], job["scene"], job["args"]
     scenes = {p.name: json.loads(p.read_text()) for p in sorted((root / "scenes").glob("*.json"))}
-    every_check = ["--checks", ",".join(cli.CHECKS)]
     csv = ["--format", "csv"]
     for name, scene in scenes.items():
-        for command, args in (("report", []), ("verify", []), ("verify", every_check),
-                              ("classify", []), ("report", csv), ("verify", csv)):
+        for command, args in (("report", []), ("verify", []), ("classify", []),
+                              ("report", csv), ("verify", csv)):
             yield f"scenes/{name}/{command}{''.join(args)}", command, scene, args
+        # keyed by a fixed name, so that records of tables that differ share it
+        yield (f"scenes/{name}/verify--checks every", "verify", scene,
+               ["--checks", ",".join(cli.CHECKS)])
     bad = dict(scenes["type4_berger_ew.json"], samples={"points": DOMAIN_ERROR_POINTS})
     for command, args in (("report", []), ("verify", ["--checks", DOMAIN_ERROR_CHECKS]),
                           ("classify", []), ("sweep", DOMAIN_ERROR_SWEEP), ("report", csv),
@@ -288,6 +307,11 @@ def _jobs(root, cli):
     yield f"invalid/sweep/{' '.join(INVALID_SWEEP)}", "sweep", valid, INVALID_SWEEP
     for name, edits in SCENE_ERRORS.items():
         yield f"unresolved/{name}/report", "report", _edited(valid, edits), []
+    for name, (scene, edits, sweep) in RESOLVE_DOMAIN_ERRORS.items():
+        edited = _edited(scenes[scene], edits)
+        for command in ("report", "verify", "classify"):
+            yield f"resolve_domain_error/{name}/{command}", command, edited, []
+        yield f"resolve_domain_error/{name}/sweep", "sweep", scenes[scene], sweep
     for name, (command, named, args) in USAGE_ERRORS.items():
         yield f"usage/{name}", command, valid if named else None, args
     yield "catalog/list", "catalog", None, ["list"]
