@@ -34,7 +34,7 @@ from . import constructions as con
 from . import geometry as geo
 from . import morphism as mor
 from . import weyl3
-from .errors import GeometryError, SingularEvaluationError
+from .errors import GeometryError, SingularEvaluationError, isolate
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -334,9 +334,9 @@ def _env_tolerance():
 
 class Run:
     """The state of one command, dropped when the command returns: the default
-    tolerance, read from the environment once; what a sweep step leaves
+    tolerance, read from the environment once, and what a sweep step leaves
     unchanged (catalog refs, sample points, the base metric at the base points),
-    each built once by ``keep``; and ``each``, every command's job loop."""
+    each built once by ``keep``."""
 
     def __init__(self):
         self.tol = _env_tolerance()
@@ -356,27 +356,6 @@ class Run:
     def resolve(self, ref, *defaults):
         """The catalog entry of a ref; the same ref object gives the same entry."""
         return self.keep(("ref", defaults), ref, _resolve_ref, ref, *defaults)
-
-    @staticmethod
-    def each(points, batch):
-        """(results, domain_errors): ``batch(points)``, every point's result from
-        one evaluation.  If that raises a domain error, each point is evaluated
-        alone, as the one-point job ``batch([point])``: None where that raises,
-        recorded as {index, point, error}, so the bad points are named and the
-        others still count.  A job of one point is not evaluated again: its
-        error is the point's."""
-        try:
-            return batch(points), []
-        except GeometryError as exc:
-            if len(points) == 1:
-                return [None], [{"index": 0, "point": list(points[0]), "error": str(exc)}]
-        results, errors = [None] * len(points), []
-        for idx, point in enumerate(points):
-            try:
-                results[idx], = batch([point])
-            except GeometryError as exc:
-                errors.append({"index": idx, "point": list(point), "error": str(exc)})
-        return results, errors
 
 
 class ResolvedScene:
@@ -619,7 +598,7 @@ def _checks_at(points, checks, resolved):
 def _finite(columns, points):
     """``columns`` {name: (raw, scale)}, arrays over the points, if each value
     is finite; else a SingularEvaluationError naming the first point where the
-    first such column is not, which ``Run.each`` records as a domain error."""
+    first such column is not, which ``_evaluate`` records as a domain error."""
     for name, (raw, scale) in columns.items():
         if len(points) == 1 and math.isfinite(raw.item()) and math.isfinite(scale.item()):
             continue                # one point: tested as floats, cheaply
@@ -631,18 +610,11 @@ def _finite(columns, points):
     return columns
 
 
-def _is_finite(value):
-    """Whether a number, or each number of a nested list of them, is finite."""
-    if isinstance(value, list):
-        return all(map(_is_finite, value))
-    return math.isfinite(value)
-
-
 def _finite_class(cls, point):
     """The classification at ``point`` if each number of its evidence is finite
     (its recovered c then is too), else a domain error naming the first that is not."""
     for key, value in cls.evidence.items():
-        if not (isinstance(value, str) or _is_finite(value)):
+        if not (isinstance(value, str) or np.isfinite(value).all()):
             raise SingularEvaluationError(f"classify evidence {key!r} is not finite", point=point)
     return cls
 
@@ -687,15 +659,20 @@ def _canonical_object(members):
 
 
 def _evaluate(scene, batch, run=None):
-    """(points, seed, results, domain_errors): ``batch(resolved, points)`` over
-    the scene's sample points, by ``Run.each``; a domain error raised while
-    the scene resolves is the job's one domain error, {error}, with no points."""
+    """(points, seed, results, domain_errors): ``batch(resolved, points)``, a
+    list of one result per point, over the scene's sample points.  A job that
+    raises a domain error is split (``isolate``) down to the one-point jobs of
+    its bad points: each such result is None, recorded as {index, point,
+    error}.  A domain error raised while the scene resolves is the job's one
+    domain error, {error}, with no points."""
     try:
         resolved = ResolvedScene(scene, run)
         points, seed = resolved.sample_points()
     except GeometryError as exc:
         return [], None, [], [{"error": str(exc)}]
-    return points, seed, *resolved.run.each(points, functools.partial(batch, resolved))
+    results, failures = isolate(points, functools.partial(batch, resolved))
+    return points, seed, results, [{"index": i, "point": list(points[i]), "error": str(exc)}
+                                   for i, exc in failures]
 
 
 def build_report(scene, check_names, batch):

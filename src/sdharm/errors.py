@@ -38,3 +38,20 @@ class NotHorizontallyConformalError(GeometryError):
         self.anisotropy = anisotropy
         super().__init__(message, point,
                          "" if anisotropy is None else f" (anisotropy {anisotropy:.3g})")
+
+
+def isolate(items, evaluate):
+    """(results, failures): ``evaluate(items)``, a list of one result per item
+    of a non-empty list; if that raises a GeometryError, each half isolated the
+    same way, down to one-item evaluations, so k failing items of N cost at most
+    2k ceil(log2 N) + 1 evaluations (Dorfman, Ann. Math. Statist. 14 (1943) 436).
+    An item that fails alone has the result None and its (index, error) in
+    ``failures``, in index order; a half's error has its batch's as context."""
+    try:
+        return evaluate(items), []
+    except GeometryError as exc:
+        if len(items) == 1:
+            return [None], [(0, exc)]
+        mid = len(items) // 2
+        left, right = isolate(items[:mid], evaluate), isolate(items[mid:], evaluate)
+    return left[0] + right[0], left[1] + [(mid + i, e) for i, e in right[1]]

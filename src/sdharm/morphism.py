@@ -20,7 +20,8 @@ forms are (value, derivative) arrays, by the product rule on the metric's jets
 Derivatives*, ch. 3).  The induced Lee form (trace Bv)-flat - *_H I needs no
 horizontal frame: *_H I is contracted with vol_H = iota_U vol_g.
 A ``SubmersionSetup`` holds one ``PointEval`` at a time: ``hold`` evaluates a
-job's fibre samples in one batch, and a read of a point outside it holds the
+job's fibre samples in one batch (one that fails is split by ``errors.isolate``
+to name its first failing sample), and a read of a point outside it holds the
 points read instead (one point as a one-row batch).  ``SubmersionSetup.ctx``
 reads a point's row and ``SubmersionSetup.rows`` the rows of an array of
 points at once.  Each quantity has one (setup, point) function, which takes
@@ -41,7 +42,7 @@ import numpy as np
 from . import geometry as geo
 from . import jets
 from .constructions import FibrationMetric
-from .errors import GeometryError, NotHorizontallyConformalError
+from .errors import NotHorizontallyConformalError, isolate
 
 __all__ = [
     "SubmersionSetup",
@@ -72,9 +73,10 @@ class SubmersionSetup:
     It holds one ``PointEval`` at a time, with a row index per point.
     ``hold(points)`` evaluates a job's sample points in one batch and replaces
     what was held; ``ctx`` or ``rows`` at points outside it holds the points
-    read.  A hold that fails evaluates its points one at a time, each as a
-    one-row batch, in order, and raises the error of the first that fails
-    alone, so the error names the first sample that fails."""
+    read.  A hold that fails is split by ``errors.isolate`` down to one-row
+    batches, and raises the error of the first point that fails alone, which
+    names the first sample that fails (chained, via its halves, to the
+    batch's error when no other error is being handled)."""
 
     def __init__(self, fm: FibrationMetric):
         self.fm = fm
@@ -83,13 +85,12 @@ class SubmersionSetup:
     def hold(self, points):
         """Evaluate every point in one batch, held in place of what was held."""
         points = list(dict.fromkeys(tuple(float(x) for x in p) for p in points))
-        try:
-            held = PointEval(self, points)
-        except GeometryError:
-            for p in points:            # the first point that fails alone raises
-                PointEval(self, [p])
-            raise
-        self._held, self._index = held, {p: i for i, p in enumerate(points)}
+        held, failures = isolate(points, lambda pts: [PointEval(self, pts)] * len(pts))
+        if failures:
+            raise failures[0][1]            # the first point that fails alone
+        if held[0] is not held[-1]:         # only the whole batch fails: raise its error
+            held = [PointEval(self, points)]
+        self._held, self._index = held[0], {p: i for i, p in enumerate(points)}
 
     def ctx(self, point):
         """The evaluation at ``point``: its row of the held batch, which holds
@@ -370,7 +371,12 @@ def twistorial_basic_residual(setup, samples):
     vertical contraction; zero means the form is basic at sample resolution.
     An ``(N, k, 4)`` array gives one residual per fibre.
     """
-    comps, vertical = setup.rows(_check_one_fibre(samples)).projected_lee
+    return _basic_residual(setup.rows(_check_one_fibre(samples)))
+
+
+def _basic_residual(rows):
+    """twistorial_basic_residual of the rows of one fibre's samples, or of several."""
+    comps, vertical = rows.projected_lee
     spread = np.max(comps.max(axis=-2) - comps.min(axis=-2), axis=-1)
     return geo._float(spread + vertical.max(axis=-1))
 
@@ -466,14 +472,13 @@ def classify_type(setup, samples):
         evidence["decided_by"] = gate
         return Classification(label, c, evidence)
 
-    try:
-        dilation(setup, samples)
-    except NotHorizontallyConformalError as exc:
-        evidence["anisotropy"] = exc.anisotropy
+    anisotropy = rows.conformality[1]
+    if np.any(anisotropy > H_CONFORMAL_TOL):        # as dilation tests it: the first above
+        evidence["anisotropy"] = float(anisotropy[anisotropy > H_CONFORMAL_TOL][0])
         return decided("nonstandard", "H_CONFORMAL_TOL: anisotropy")
 
     sd_res = rows.twistorial_sd
-    basic_res = twistorial_basic_residual(setup, samples)
+    basic_res = _basic_residual(rows)
     evidence["twistorial_sd"] = sd_res.tolist()
     evidence["twistorial_basic"] = basic_res
 

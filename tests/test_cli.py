@@ -647,27 +647,6 @@ def test_sweep_records_bad_point_and_keeps_going(capsys, tmp_path):
         assert "outside chart domain" in message
 
 
-def test_each_evaluates_a_failing_one_point_job_once():
-    """A one-point job that raises is recorded from that one evaluation (the
-    per-point fallback would run the same job again); a longer job falls back
-    to each point alone."""
-    calls = []
-
-    def batch(pts):
-        calls.append(list(pts))
-        if any(p[2] > 6.0 for p in pts):
-            raise DomainError(f"outside chart domain at point {tuple(pts[-1])}")
-        return [p[0] for p in pts]
-
-    bad = (1.2, 2.0, 9.0)
-    error = {"index": 0, "point": list(bad), "error": f"outside chart domain at point {bad}"}
-    assert cli.Run.each([bad], batch) == ([None], [error])
-    assert calls == [[bad]]
-    calls.clear()
-    assert cli.Run.each([(0.5, 1.0, 1.0), bad], batch)[0] == [0.5, None]
-    assert calls == [[(0.5, 1.0, 1.0), bad], [(0.5, 1.0, 1.0)], [bad]]
-
-
 def _sweep_rows(out):
     """{swept value: [each check's max normalized residual]} of a sweep's csv rows."""
     rows = [l.split(",") for l in out.splitlines()[1:] if not l.startswith("#")]
@@ -1214,8 +1193,8 @@ def _fallback_scene(tmp_path, points):
 
 def test_report_batch_with_bad_points_falls_back_to_each_point(capsys, tmp_path):
     """A point outside the chart and one with e^rho + c <= 0 fail the batch;
-    each point then runs alone, the two are named as one point at a time names
-    them, and the good points keep the batch's values."""
+    ``errors.isolate`` then splits the job down to them, they are named as one
+    point at a time names them, and the good points keep the batch's values."""
     good = [[0.5, 1.2, 2.0, 3.0], [1.1, 0.7, 4.0, 1.0], [0.3, 2.2, 1.0, 5.0]]
     mixed = [good[0], [0.9, 3.0, 2.0, 3.0], good[1], [-0.5, 1.2, 2.0, 3.0], good[2]]
     code, out = run_cli(["report", _fallback_scene(tmp_path, mixed)], capsys)
@@ -1278,9 +1257,9 @@ def test_fibre_batch_with_bad_points_falls_back_to_each_point(command, errors, c
                                                               tmp_path):
     """verify and classify evaluate a job's fibre samples in one batch.  A point
     outside the chart, one with e^rho + c <= 0, and one whose fibre neighbour
-    has e^rho + c <= 0 fail the batch; each point then runs alone, the bad ones
-    are named as one point at a time names them (the first sample that fails),
-    and the good points agree with a batched run over them alone."""
+    has e^rho + c <= 0 fail the batch; ``errors.isolate`` then splits the job
+    down to them, each named as one point at a time names it (the first sample
+    that fails), and the good points agree with a batched run over them alone."""
     good = [[0.5, 1.2, 2.0, 3.0], [1.1, 0.7, 4.0, 1.0], [0.3, 2.2, 1.0, 5.0]]
     bad = [[0.9, 3.0, 2.0, 3.0], [-0.5, 1.2, 2.0, 3.0], [0.1, 1.2, 2.0, 3.0]]
     mixed = [good[0], bad[0], good[1], bad[1], bad[2], good[2]]
@@ -1350,9 +1329,9 @@ def test_a_point_whose_metric_overflows_is_a_domain_error(command, capsys, tmp_p
 
 
 def test_a_failing_hold_raises_the_first_point_that_fails_alone(tmp_path):
-    """A hold whose batch fails evaluates its points one at a time, in order,
-    and raises the error of the first that fails alone: the fibre neighbour of
-    a bad point here, named as a run of that point alone names it."""
+    """A hold whose batch fails is split down to one-point batches, and raises
+    the error of the first point that fails alone: the fibre neighbour of a
+    bad point here, named as a run of that point alone names it."""
     good, bad = (0.5, 1.2, 2.0, 3.0), (-0.5, 1.2, 2.0, 3.0)
     neighbour = (-0.12499999999999997, 1.2, 2.0, 3.0)   # a fibre sample about (0.1, 1.2, 2, 3)
     scene = cli.load_scene(_fallback_scene(tmp_path, [list(good)]))
@@ -1611,7 +1590,7 @@ def test_a_check_that_is_not_finite_is_the_points_domain_error(keys, value, chec
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_a_job_that_is_not_finite_names_its_first_such_point(tmp_path):
     """A job of several points, or of one, raises at the first point where a
-    check is not finite; ``Run.each`` then evaluates each point alone."""
+    check is not finite; ``errors.isolate`` then splits the job down to it."""
     path = write_scene(tmp_path, "type4_berger_ew.json", _set_slot(*NOT_FINITE[0][:2]))
     resolved = cli.ResolvedScene(cli.load_scene(path))
     points = resolved.sample_points()[0]
@@ -1791,6 +1770,69 @@ def test_no_scene_number_escapes_the_commands_or_reaches_their_json(case):
                 assert _all_finite(report), argv
                 hashes += [report["report_hash"]] if argv[0] == "report" else []
         assert len(set(hashes)) <= 1
+
+
+# ---------------------------------------------------------------------------
+# a job's bad points, each named as its one-point job names it
+# ---------------------------------------------------------------------------
+
+with open(scene_path("type4_berger_ew.json")) as _fh:
+    _TYPE4 = json.load(_fh)
+_TYPE4_RESOLVED = cli.ResolvedScene(cli.validate_scene(dict(
+    _TYPE4, samples={"random": {"count": 12, "seed": 7}})))
+_TYPE4_POINTS = _TYPE4_RESOLVED.sample_points()[0]
+_TYPE4_COMMANDS = {"report": ["report"], "classify": ["classify"],
+                   "verify": ["verify", "--checks", _applicable_checks("type4_berger_ew.json")]}
+
+
+def _type4_job(command, points):
+    """The JSON of ``command`` on the type-4 Berger scene at ``points``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scene.json")
+        with open(path, "w") as fh:
+            json.dump(dict(_TYPE4, samples={"points": [list(p) for p in points]}), fh)
+        name, *args = _TYPE4_COMMANDS[command]
+        return json.loads(_main([name, path] + args)[1])
+
+
+@functools.cache
+def _type4_alone(command, point):
+    return _type4_job(command, [point])
+
+
+@st.composite
+def _jobs_with_bad_points(draw):
+    """(points, bad indices): at most 12 points of the type-4 Berger scene, a
+    random subset of them moved off the chart, in a base or the fibre
+    coordinate, below or above its range."""
+    points = [list(p) for p in _TYPE4_POINTS[:draw(st.integers(1, 12), label="count")]]
+    bad = draw(st.sets(st.integers(0, len(points) - 1)), label="bad")
+    lo, hi = _TYPE4_RESOLVED.chart.lo, _TYPE4_RESOLVED.chart.hi
+    for i in sorted(bad):
+        axis = draw(st.integers(0, 3), label=f"axis of {i}")
+        points[i][axis] = draw(st.sampled_from([lo[axis] - 0.1, hi[axis] + 0.1]))
+    return [tuple(p) for p in points], bad
+
+
+@settings(max_examples=25, deadline=None)
+@given(job=_jobs_with_bad_points())
+def test_every_bad_point_of_a_job_is_named_as_its_one_point_job_names_it(job):
+    """``report``, ``verify`` of every check that applies and ``classify`` of
+    a job with points off the chart: each bad point has the domain error of
+    its one-point job, and each good point agrees with its one-point job to
+    1e-13 (1 + |alone|), though its values come from a sub-batch."""
+    points, bad = job
+    for command in _TYPE4_COMMANDS:
+        out = _type4_job(command, points)
+        alone = [_type4_alone(command, p) for p in points]
+        assert out.get("domain_errors", []) == [dict(alone[i]["domain_errors"][0], index=i)
+                                                for i in sorted(bad)], command
+        if command == "classify":
+            assert_close(out["results"], [r for i, one in enumerate(alone) if i not in bad
+                                          for r in one["results"]])
+        else:
+            assert_close(out["records"], [dict(one["records"][0], index=i)
+                                          for i, one in enumerate(alone)])
 
 
 # ---------------------------------------------------------------------------

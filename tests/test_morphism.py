@@ -491,6 +491,58 @@ def test_a_failing_hold_names_one_point_in_its_chained_error():
         assert str(error).count("at point") == 1 and "array" not in str(error)
 
 
+def _chain(error):
+    """The error and its contexts, innermost first."""
+    return [error] + (_chain(error.__context__) if error.__context__ is not None else [])
+
+
+@pytest.mark.parametrize("first", ["off_chart", "singular"])
+def test_a_hold_with_failing_samples_in_both_halves_names_the_first(first):
+    """One sample off the chart and one whose metric is singular, one in each
+    half of the hold, in either order: the hold raises the error of the first
+    that fails alone, though the batch (which checks the chart first) names
+    the point off the chart, and its chain of contexts ends at the batch's
+    error."""
+    fm = con.type2_warped(con.flat3(), con.fibre_exp(3.0), fibre_range=(0.0, 400.0))
+    setup = mor.SubmersionSetup(fm)
+    off_chart, singular = (-1.0, 0.1, 0.2, 0.3), (11.0, 0.1, 0.2, 0.3)
+    bad = [off_chart, singular] if first == "off_chart" else [singular, off_chart]
+    points = [(1.0, 0.1, 0.2, 0.3), bad[0], (2.0, 0.1, 0.2, 0.3), bad[1]]
+    with pytest.raises(GeometryError) as batch:
+        mor.PointEval(setup, points)
+    with pytest.raises(GeometryError) as alone:
+        mor.PointEval(setup, [bad[0]])
+    with pytest.raises(GeometryError) as info:
+        setup.hold(points)
+    chain = _chain(info.value)
+    assert str(chain[0]) == str(alone.value)
+    assert str(chain[0]).startswith("point (-1.0, " if first == "off_chart"
+                                    else "metric is singular at point (11.0, ")
+    assert str(chain[-1]) == str(batch.value) and "outside chart domain" in str(batch.value)
+    assert len(chain) == 3           # the one-point job, its half, the batch
+
+
+def test_a_hold_that_fails_only_as_a_batch_raises_the_batchs_error(monkeypatch):
+    """A batch may fail where each of its points passes alone (a bound met
+    only by the batch's round-off): the hold then raises the batch's error,
+    and holds nothing of the halves that passed."""
+    fm = con.type2_warped(con.flat3(), con.fibre_exp(3.0), fibre_range=(0.0, 400.0))
+    points = [(1.0, 0.1, 0.2, 0.3), (2.0, 0.1, 0.2, 0.3), (3.0, 0.1, 0.2, 0.3)]
+
+    class Together(mor.PointEval):
+        def __init__(self, setup, batch):
+            if len(batch) == len(points):
+                raise GeometryError("fails together")
+            super().__init__(setup, batch)
+
+    monkeypatch.setattr(mor, "PointEval", Together)
+    setup = mor.SubmersionSetup(fm)
+    setup.hold(points[:1])
+    with pytest.raises(GeometryError, match="^fails together$"):
+        setup.hold(points)
+    assert list(setup._index) == points[:1]
+
+
 def test_classify_records_the_gate_that_decided():
     """evidence["decided_by"] names the deciding gate on every label."""
     expected = {"type1": "BRANCH_TOL: V_lam_inv_sq",
@@ -511,6 +563,22 @@ def test_classify_records_the_gate_that_decided():
     cls = mor.classify_type(broken, mor.fibre_samples_about(fm, (0.5, 1.0, 1.2, 1.5), 4))
     assert (cls.label, cls.evidence["decided_by"]) == ("nonstandard",
                                                        "H_CONFORMAL_TOL: anisotropy")
+
+
+def test_the_anisotropy_gate_records_the_first_sample_above_its_bound():
+    """A fibre whose anisotropy crosses H_CONFORMAL_TOL at its second sample:
+    the evidence is that sample's anisotropy, as dilation names it."""
+    class Rows:
+        conformality = (None, np.array([1e-9, 3e-8, 5e-8, 1e-9]), None)
+
+    class Setup:
+        def rows(self, samples):
+            return Rows()
+
+    cls = mor.classify_type(Setup(), [(t, 0.1, 0.2, 0.3) for t in (0.0, 0.1, 0.2, 0.3)])
+    assert (cls.label, cls.evidence["decided_by"]) == ("nonstandard",
+                                                       "H_CONFORMAL_TOL: anisotropy")
+    assert cls.evidence["anisotropy"] == 3e-8
 
 
 # gate -> (fibration and point, decided_by); each gate before it passes

@@ -17,14 +17,14 @@ process on
   ``sweep`` of the first point's fibre coordinate (``DOMAIN_ERROR_SWEEP``),
   and ``report`` and ``verify`` with ``--format csv`` on a scene with points
   outside its chart (``DOMAIN_ERROR_POINTS``), whose ``domain_errors`` and
-  good points come from the per-point fallback;
+  good points come from splitting the failing job (``errors.isolate``);
 - ``verify`` of the scene ``pair`` edits of ``PAIRS``: a monopole pair in
   place of the family's, a potential alone, and one on another chart;
 - ``verify --checks twistorial_basic`` and ``classify`` of a type-2 scene
   whose fibre range reaches far enough for its warping to overflow
   (``FAR_FIBRE``): the one point overflows, the other is named by a fibre
-  sample whose metric is singular, so the geometry errors and the fallback
-  of a failing hold are recorded;
+  sample whose metric is singular, so the geometry errors and the split of
+  a failing hold are recorded;
 - ``report``, ``classify`` and ``verify`` of the edits of ``SINGULAR``:
   scenes whose evaluation once escaped the commands' error handling, a
   warping whose ``sqrt`` underflows, and type-4 curvature scalars, checks and
