@@ -5,8 +5,8 @@ sample points, checks to run and tolerance overrides.  Reports are emitted as
 canonical JSON (sorted keys) or CSV; a report hash over everything except the
 timestamp makes runs comparable byte-for-byte.
 
-Exit codes: 0 all checks pass, 1 residual failure, 2 domain error,
-64 usage / malformed input.
+Exit codes (``_exit_code``): 2 domain error, else 1 residual failure,
+else 0; 64 usage / malformed input.
 """
 
 from __future__ import annotations
@@ -675,6 +675,22 @@ def _evaluate(scene, batch, run=None):
                                    for i, exc in failures]
 
 
+def _document(scene, seed, domain_errors, **body):
+    """The JSON document of a command on ``scene``: the header every command
+    shares, then ``body``, then ``domain_errors`` if there are any."""
+    if domain_errors:
+        body["domain_errors"] = domain_errors
+    return {"schema": 1, "tool": {"name": "sdharm", "version": __version__},
+            "scene_hash": scene_hash(scene), "seed": seed, **body}
+
+
+def _exit_code(domain_errors, passed=True):
+    """2 if there are domain errors, else 0 if the verdict ``passed``, else 1."""
+    if domain_errors:
+        return EXIT_DOMAIN
+    return EXIT_OK if passed else EXIT_RESIDUAL
+
+
 def build_report(scene, check_names, batch):
     """(report, text): the report of the records ``batch(resolved, points)``
     gives over the scene's sample points (``_evaluate``), and its canonical
@@ -688,32 +704,21 @@ def build_report(scene, check_names, batch):
             records[e["index"]]["error"] = e["error"]
 
     summary = {"checks": {}, "num_points": len(points)}
-    all_pass = True
     for name in check_names:
         vals = [r["checks"][name] for r in records if name in r["checks"]]
         if not vals:
             continue
-        max_norm = max(v["normalized"] for v in vals)
         summary["checks"][name] = {
             "max_raw": max(abs(v["raw"]) for v in vals),
-            "max_normalized": max_norm,
+            "max_normalized": max(v["normalized"] for v in vals),
             "mean_normalized": sum(v["normalized"] for v in vals) / len(vals),
             "pass": all(v["pass"] for v in vals),
         }
-        all_pass = all_pass and summary["checks"][name]["pass"]
-    summary["verdict"] = "pass" if (all_pass and not domain_errors) else "fail"
+    passed = all(c["pass"] for c in summary["checks"].values()) and not domain_errors
+    summary["verdict"] = "pass" if passed else "fail"
 
-    report = {
-        "schema": 1,
-        "tool": {"name": "sdharm", "version": __version__},
-        "scene_hash": scene_hash(scene),
-        "seed": seed,
-        "orientation": scene.get("orientation", 1),
-        "records": records,
-        "summary": summary,
-    }
-    if domain_errors:
-        report["domain_errors"] = domain_errors
+    report = _document(scene, seed, domain_errors, orientation=scene.get("orientation", 1),
+                       records=records, summary=summary)
     members = {key: canonical_json(value) for key, value in report.items()}
     report["report_hash"] = hashlib.sha256(_canonical_object(members).encode()).hexdigest()
     report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -745,25 +750,20 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _emit_report(report, text, args):
-    _emit(text + "\n" if args.format == "json" else report_to_csv(report), args.out)
-    if report.get("domain_errors"):
-        return EXIT_DOMAIN
-    return EXIT_OK if report["summary"]["verdict"] == "pass" else EXIT_RESIDUAL
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def _verify(args, scene, checks, summary, gated):
-    """Emit the report of the verify job of ``checks`` on the scene, with
-    ``summary`` summarized; a check outside ``gated`` always passes."""
+def _verify(args, scene, checks, gated):
+    """Emit the report of the verify job of ``checks`` on the scene, summarizing
+    ``gated``, or every check if none is; a check outside ``gated`` always passes."""
     def records(resolved, points):
         tolerance = lambda name: resolved.tolerance_for(name) if name in gated else math.inf
         return _check_records(_checks_at(points, checks, resolved), tolerance)
 
-    return _emit_report(*build_report(scene, summary, records), args)
+    report, text = build_report(scene, gated or checks, records)
+    _emit(text + "\n" if args.format == "json" else report_to_csv(report), args.out)
+    return _exit_code(report.get("domain_errors"), report["summary"]["verdict"] == "pass")
 
 
 def cmd_report(args):
@@ -775,7 +775,7 @@ def cmd_report(args):
     scalars = [name for name, check in CHECKS.items() if check.space == "metric"
                and ("construction" in scene or not check.weyl)]
     checks = scalars + [name for name in gated if name not in scalars]
-    return _verify(args, scene, checks, gated or scalars, gated)
+    return _verify(args, scene, checks, gated)
 
 
 def cmd_verify(args):
@@ -787,7 +787,7 @@ def cmd_verify(args):
     if not checks:
         raise UsageError("no checks requested (scene 'checks' or --checks)")
     _require_checks(checks, scene)
-    return _verify(args, scene, checks, checks, checks)
+    return _verify(args, scene, checks, checks)
 
 
 def cmd_classify(args):
@@ -808,20 +808,9 @@ def cmd_classify(args):
                for point, cls in zip(points, classes) if cls is not None]
     labels = {r["label"] for r in results}
     overall = labels.pop() if len(labels) == 1 else "nonstandard"
-    out = {
-        "schema": 1,
-        "tool": {"name": "sdharm", "version": __version__},
-        "scene_hash": scene_hash(scene),
-        "seed": seed,
-        "label": overall,
-        "results": results,
-    }
-    if domain_errors:
-        out["domain_errors"] = domain_errors
-    _emit(canonical_json(out) + "\n", args.out)
-    if domain_errors:
-        return EXIT_DOMAIN
-    return EXIT_OK if overall != "nonstandard" else EXIT_RESIDUAL
+    _emit(canonical_json(_document(scene, seed, domain_errors, label=overall,
+                                   results=results)) + "\n", args.out)
+    return _exit_code(domain_errors, overall != "nonstandard")
 
 
 def scene_slot(scene, path):
@@ -913,7 +902,7 @@ def cmd_sweep(args):
                     rows[i - 1][0], rows[i + 1][0], tol=1e-8)
                 buf.write(f"# minimum,{args.locate},{float(x)!r},{float(fx)!r}\n")
     _emit(buf.getvalue(), args.out)
-    return EXIT_DOMAIN if errors else EXIT_OK
+    return _exit_code(errors)
 
 
 def cmd_catalog(args):

@@ -121,7 +121,7 @@ class Chart:
         if _is_batch(point):
             if point.shape[-1] != self.dim or not np.all((np.asarray(self.lo) < point)
                                                          & (point < np.asarray(self.hi))):
-                for p in point:              # the first bad row names itself
+                for p in point.tolist():     # the first bad row names itself
                     self.require_inside(p)
             return
         if len(point) != self.dim:

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdharm import cli, constructions as con, geometry as geo, jets, morphism as mor, weyl3
+from sdharm import (__version__, cli, constructions as con, geometry as geo, jets,
+                    morphism as mor, weyl3)
 from sdharm.errors import DomainError, SingularEvaluationError
 
 from test_compare_outputs import load_tool as load_parity_tool, not_json
@@ -1942,6 +1943,30 @@ def test_a_scene_that_does_not_resolve_still_gets_its_json(command, capsys, tmp_
         members = {k: v for k, v in rep.items() if k not in ("report_hash", "timestamp")}
         assert rep["report_hash"] == hashlib.sha256(
             cli.canonical_json(members).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", ["report", "verify", "classify"])
+@pytest.mark.parametrize("bad", [False, True], ids=["residual", "residual_and_domain_error"])
+def test_a_domain_error_outranks_a_failing_residual(command, bad, capsys, tmp_path):
+    """The x dy control fails its residual (w_minus; classify's label is
+    nonstandard) and exits 1 with no domain_errors; with a point off the chart
+    beside its two points it still fails, exits 2 and carries that point's
+    domain error.  Each document opens with the header every command shares."""
+    off_chart = [[1.0, 0.2, 0.3, 9.0]] if bad else []
+    path = write_scene(tmp_path, "type3_control_xdy.json",
+                       lambda scene: scene["samples"]["points"].extend(off_chart))
+    code, out = run_cli([command, path], capsys)
+    doc = json.loads(out)
+    assert code == (cli.EXIT_DOMAIN if bad else cli.EXIT_RESIDUAL)
+    assert [e["index"] for e in doc.get("domain_errors", [])] == ([2] if bad else [])
+    with open(path) as fh:
+        assert {k: doc[k] for k in ("schema", "tool", "scene_hash", "seed")} == {
+            "schema": 1, "tool": {"name": "sdharm", "version": __version__},
+            "scene_hash": cli.scene_hash(json.load(fh)), "seed": None}
+    if command == "classify":
+        assert doc["label"] == "nonstandard" and len(doc["results"]) == 2
+    else:
+        assert doc["summary"]["checks"]["w_minus"]["pass"] is False
 
 
 def test_a_swept_value_that_does_not_resolve_is_its_steps_domain_error(capsys):

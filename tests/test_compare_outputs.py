@@ -193,6 +193,24 @@ def test_the_record_runs_geometry_errors_of_far_fibre_samples(tmp_path):
         assert errors[1].startswith(f"metric is singular at point ({sample}, 0.1, 0.2, 0.3)")
 
 
+def test_the_record_runs_a_failing_residual_with_a_domain_error(tmp_path):
+    """The precedence jobs' ``report``, ``verify`` and ``classify`` fail their
+    residual at the x dy control's points and name the point off the chart:
+    each exits 2."""
+    from sdharm import cli
+    tool = load_tool()
+    jobs = {key: job for key, *job in tool._jobs(TOOL.parent.parent, cli)
+            if key.startswith("precedence/")}
+    assert sorted(jobs) == ["precedence/classify", "precedence/report", "precedence/verify"]
+    for key, job in jobs.items():
+        out = tool._run(cli, *job, tmp_path)
+        doc = json.loads(out["stdout"])
+        assert out["code"] == 2, key
+        assert [e["point"] for e in doc["domain_errors"]] == [tool.PRECEDENCE_POINT], key
+        assert (doc["label"] == "nonstandard" if key == "precedence/classify"
+                else doc["summary"]["checks"]["w_minus"]["pass"] is False), key
+
+
 def not_json(name):
     raise AssertionError(f"{name} is not JSON")
 

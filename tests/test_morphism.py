@@ -522,6 +522,20 @@ def test_a_hold_with_failing_samples_in_both_halves_names_the_first(first):
     assert len(chain) == 3           # the one-point job, its half, the batch
 
 
+def test_a_batch_names_its_point_off_the_chart_as_that_point_alone(type2_setup):
+    """``Chart.require_inside`` names a batch's first row off the chart in
+    Python floats, with the message the one-point batch gives, not numpy
+    reprs."""
+    off_chart, good = (-2.0, 0.1, 0.2, 0.3), (0.5, 0.1, 0.2, 0.3)
+    with pytest.raises(GeometryError) as batch:
+        mor.PointEval(type2_setup, [off_chart, good])
+    with pytest.raises(GeometryError) as alone:
+        mor.PointEval(type2_setup, [off_chart])
+    assert str(batch.value) == str(alone.value)
+    assert str(alone.value).startswith("point (-2.0, 0.1, 0.2, 0.3) outside chart domain")
+    assert "np.float64" not in str(batch.value) + str(alone.value)
+
+
 def test_a_hold_that_fails_only_as_a_batch_raises_the_batchs_error(monkeypatch):
     """A batch may fail where each of its points passes alone (a bound met
     only by the batch's round-off): the hold then raises the batch's error,

@@ -18,6 +18,9 @@ process on
   and ``report`` and ``verify`` with ``--format csv`` on a scene with points
   outside its chart (``DOMAIN_ERROR_POINTS``), whose ``domain_errors`` and
   good points come from splitting the failing job (``errors.isolate``);
+- ``report``, ``verify`` and ``classify`` of the x dy control with a point
+  outside its chart beside its own (``PRECEDENCE_POINT``): a failing residual
+  and a domain error in one job, so the exit code's precedence is recorded;
 - ``verify`` of the scene ``pair`` edits of ``PAIRS``: a monopole pair in
   place of the family's, a potential alone, and one on another chart;
 - ``verify --checks twistorial_basic`` and ``classify`` of a type-2 scene
@@ -98,6 +101,11 @@ DOMAIN_ERROR_CHECKS = ("fundamental_eq,twistorial_basic,twistorial_sd,monopole,e
                        "beltrami")
 DOMAIN_ERROR_SWEEP = ["--param", "samples.points.0.0", "--range=0.3:1.5", "--steps", "3",
                       "--checks", DOMAIN_ERROR_CHECKS]
+
+# A point outside the chart of type3_control_xdy.json (z = 9.0 > 2.0), put
+# beside its two points, which fail w_minus: the job fails its residual and
+# has a domain error, and exits 2.
+PRECEDENCE_POINT = [1.0, 0.2, 0.3, 9.0]
 
 # Scene pairs, each (scene file, pair), verified with PAIR_CHECKS: the
 # Gibbons-Hawking monopole pair at m = 2 (passes), its potential alone beside
@@ -291,6 +299,10 @@ def _jobs(root, cli):
                           ("classify", []), ("sweep", DOMAIN_ERROR_SWEEP), ("report", csv),
                           ("verify", ["--checks", DOMAIN_ERROR_CHECKS, *csv])):
         yield f"domain_error/{command}{''.join(args)}", command, bad, args
+    xdy = scenes["type3_control_xdy.json"]
+    precedence = dict(xdy, samples={"points": [*xdy["samples"]["points"], PRECEDENCE_POINT]})
+    for command in ("report", "verify", "classify"):
+        yield f"precedence/{command}", command, precedence, []
     for name, (scene, pair) in PAIRS.items():
         yield f"pair/{name}/verify", "verify", dict(scenes[scene], pair=pair), PAIR_CHECKS
     for command, args in (("verify", ["--checks", "twistorial_basic"]), ("classify", [])):
