@@ -487,12 +487,14 @@ class _Job:
     The curvature scalars read the ``raw()`` values (``scalars``) of one
     ``geo.curvature_report`` of g, or else h, at the points (``metric``).
     The total-space checks read the setup's evaluations (``total``), held
-    here at once: every point and the fibre samples its checks read, in the
-    order the checks read them, so that a hold of one point that fails names
-    the point that the first failing check names.  The base checks, and
-    ``monopole``, read the run's ``weyl3.HeldBase`` (``base``), whose parts
-    are evaluated on first use.  A job of scalars alone holds no base and no
-    total-space evaluation; a job without scalars makes no curvature report."""
+    here at once: per point, what each check reads in check order (its
+    samples, ``fibres``, one ``fibre_samples_about`` of the job; or the
+    point), then the point, so that a one-point job that fails names the
+    point the first failing check names; ``_evaluate`` splits a failing job
+    by point.  The base checks, and ``monopole``, read the run's
+    ``weyl3.HeldBase`` (``base``), whose parts are evaluated on first use.
+    A job of scalars alone holds no base and no total-space evaluation; a
+    job without scalars makes no curvature report."""
 
     def __init__(self, resolved, points, checks):
         self.r, self.setup = resolved, resolved.setup
@@ -503,11 +505,12 @@ class _Job:
             self.scalars = self.metric.raw()
         reads = [CHECKS[name].samples for name in checks if CHECKS[name].space == "total"]
         if reads:
-            self.samples = {f: [f(resolved.fm, p) for p in points] for f in reads if f}
-            # a check's own samples, then the point its scale reads
-            resolved.setup.hold([s for i, p in enumerate(points) for f in reads
-                                 for s in [*(self.samples[f][i] if f else ()), p]])
             self.at = resolved.chart.point_array(points)      # what the total space reads
+            if any(reads):
+                self.fibres = mor.fibre_samples_about(resolved.fm, self.at, max(reads))
+            # per point, each check's samples (or the point) in check order, then the point
+            held = [self.fibres if n else self.at[:, None] for n in reads] + [self.at[:, None]]
+            resolved.setup.hold(np.concatenate(held, axis=1).reshape(-1, 4).tolist())
             self.total = resolved.setup.rows(self.at)
         if spaces != {"metric"}:
             h = resolved.h              # a fibration's base points drop the fibre coordinate
@@ -515,14 +518,6 @@ class _Job:
             # keyed by h's closure (which an orientation flip keeps) and the points
             self.base = resolved.run.keep(("base", base), h.fn, lambda: weyl3.HeldBase(
                 h, h.chart.point_array(base))).new_job()
-
-    def fibres(self, read):
-        """The samples ``read`` on each point's fibre, ``(N, k, 4)``: a shorter
-        fibre padded with its last sample, which leaves its spreads and maxima
-        as they are."""
-        fibres = self.samples[read]
-        k = max(map(len, fibres))
-        return np.array([f + f[-1:] * (k - len(f)) for f in fibres])
 
 
 def _potential(job, check):
@@ -546,12 +541,8 @@ def _beltrami(job):
 class Check(NamedTuple):
     space: str           # "total", "base" or "metric": the _Job attribute it is scaled by
     residual: Callable   # _Job -> raw residual, one per point
-    samples: Callable = None   # (fm, point) -> the fibre samples it reads besides the point
+    samples: int = 0     # the fibre samples about each point it reads (_Job.fibres)
     weyl: bool = False   # a Weyl scalar: only a 4-metric has it, so it needs a construction
-
-
-def _basic_samples(fm, point):
-    return mor.fibre_samples_about(fm, point, 3)
 
 
 # The checks, the curvature scalars first in CurvatureReport.raw() order;
@@ -562,7 +553,7 @@ CHECKS = {
        for name in ("riemann", "ricci", "scalar_curv", "einstein", "weyl", "w_plus", "w_minus")},
     "fundamental_eq": Check("total", lambda j: mor.fundamental_eq_residual(j.setup, j.at)),
     "twistorial_basic": Check("total", lambda j: mor.twistorial_basic_residual(
-        j.setup, j.fibres(_basic_samples)), _basic_samples),
+        j.setup, j.fibres), 3),
     "twistorial_sd": Check("total", lambda j: mor.twistorial_sd_residual(j.setup, j.at)),
     "monopole": Check("total", lambda j: mor.monopole_eq_residual(
         j.setup, j.r.family_params.get("alpha") or j.r.alpha, j.at, j.base)),
@@ -797,8 +788,8 @@ def cmd_classify(args):
 
     def batch(resolved, pts):
         """Each point's class from one evaluation of all their fibre samples."""
-        fibres = [mor.fibre_samples_about(resolved.fm, p, 4) for p in pts]
-        resolved.setup.hold([s for fibre in fibres for s in fibre])
+        fibres = mor.fibre_samples_about(resolved.fm, resolved.chart.point_array(pts), 4)
+        resolved.setup.hold(fibres.reshape(-1, 4).tolist())
         return [_finite_class(mor.classify_type(resolved.setup, fibre), p)
                 for p, fibre in zip(pts, fibres)]
 

@@ -20,14 +20,16 @@ forms are (value, derivative) arrays, by the product rule on the metric's jets
 Derivatives*, ch. 3).  The induced Lee form (trace Bv)-flat - *_H I needs no
 horizontal frame: *_H I is contracted with vol_H = iota_U vol_g.
 A ``SubmersionSetup`` holds one ``PointEval`` at a time: ``hold`` evaluates a
-job's fibre samples in one batch (one that fails is split by ``errors.isolate``
-to name its first failing sample), and a read of a point outside it holds the
-points read instead (one point as a one-row batch).  ``SubmersionSetup.ctx``
-reads a point's row and ``SubmersionSetup.rows`` the rows of an array of
-points at once.  Each quantity has one (setup, point) function, which takes
-one point (a float result) or an ``(N, 4)`` array of points (one result per
-point); the forms between them (mean curvature, integrability, induced Lee
-form) are ``PointEval`` attributes, read through ``ctx``.
+job's fibre samples in one batch (a failing one is split by ``errors.isolate``
+only within one fibre, to name its first failing sample), and a read of a
+point outside it holds the points read instead (one point as a one-row
+batch).  ``SubmersionSetup.ctx`` reads a point's row and
+``SubmersionSetup.rows`` the rows of an array of points at once.  Each
+quantity has one (setup, point) function, which takes one point (a float
+result) or an ``(N, 4)`` array of points (one result per point), as
+``fibre_samples_about`` takes them; the forms between them (mean curvature,
+integrability, induced Lee form) are ``PointEval`` attributes, read through
+``ctx``.
 
 The fibre direction is always coordinate 0; the projection drops it.
 """
@@ -73,10 +75,12 @@ class SubmersionSetup:
     It holds one ``PointEval`` at a time, with a row index per point.
     ``hold(points)`` evaluates a job's sample points in one batch and replaces
     what was held; ``ctx`` or ``rows`` at points outside it holds the points
-    read.  A hold that fails is split by ``errors.isolate`` down to one-row
-    batches, and raises the error of the first point that fails alone, which
-    names the first sample that fails (chained, via its halves, to the
-    batch's error when no other error is being handled)."""
+    read.  A failing hold over several fibres raises the batch's error, for
+    the caller to split by point (``cli._evaluate``); on one fibre (one base
+    point ``p[1:]``, a one-point job's samples) it is split by
+    ``errors.isolate`` down to one-row batches, and raises the error of the
+    first sample that fails alone (chained, via its halves, to the batch's
+    error when no other error is being handled)."""
 
     def __init__(self, fm: FibrationMetric):
         self.fm = fm
@@ -85,9 +89,12 @@ class SubmersionSetup:
     def hold(self, points):
         """Evaluate every point in one batch, held in place of what was held."""
         points = list(dict.fromkeys(tuple(float(x) for x in p) for p in points))
-        held, failures = isolate(points, lambda pts: [PointEval(self, pts)] * len(pts))
+        if len({p[1:] for p in points}) > 1:    # several fibres: the caller splits by point
+            held, failures = [PointEval(self, points)], []
+        else:                                   # one fibre: name its first failing sample
+            held, failures = isolate(points, lambda pts: [PointEval(self, pts)] * len(pts))
         if failures:
-            raise failures[0][1]            # the first point that fails alone
+            raise failures[0][1]            # the first sample that fails alone
         if held[0] is not held[-1]:         # only the whole batch fails: raise its error
             held = [PointEval(self, points)]
         self._held, self._index = held[0], {p: i for i, p in enumerate(points)}
@@ -435,18 +442,19 @@ class Classification:
     evidence: dict = field(default_factory=dict)
 
 
-def fibre_samples_about(fm, point, count=3):
-    """Points on the fibre through ``point``, spaced inside the chart box.  A
-    point off the chart's fibre range has none about it: ``require_inside``
-    names it."""
+def fibre_samples_about(fm, points, count=3):
+    """``count`` points on the fibre through a point, ``(count, 4)``, or through
+    each point of an ``(N, 4)`` array, ``(N, count, 4)``: spaced about it and
+    clipped inside the chart box, so a sample clipped at a fibre end repeats.
+    A point off the chart has none about it: ``require_inside`` names it."""
+    points = np.asarray(points, dtype=float)
+    fm.total_chart.require_inside(np.atleast_2d(points))
     lo, hi = fm.total_chart.lo[0], fm.total_chart.hi[0]
-    if not lo < point[0] < hi:
-        fm.total_chart.require_inside(point)
-    spacing = 0.15 * (hi - lo) / max(count - 1, 1)
-    t0 = point[0]
-    offsets = (np.arange(count) - (count - 1) / 2.0) * spacing
-    ts = np.clip(t0 + offsets, lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo))
-    return [(float(t),) + tuple(point[1:]) for t in sorted(set(ts))]
+    spacing, edge = 0.15 * (hi - lo) / max(count - 1, 1), 0.02 * (hi - lo)
+    samples = np.repeat(points[..., None, :], count, axis=-2)
+    samples[..., 0] += (np.arange(count) - (count - 1) / 2.0) * spacing
+    samples[..., 0] = np.clip(samples[..., 0], lo + edge, hi - edge)
+    return samples
 
 
 def classify_type(setup, samples):

@@ -644,7 +644,7 @@ def test_horizontal_trace_matches_its_einsum_definition_where_ill_conditioned():
     # Stability of Numerical Algorithms*, 2002, ch. 3), against the definition
     # in extended precision from the same double inputs.  Both routes meet it
     # with 4 eps: the einsums reach 0.52 eps, the coframe formula 0.76 eps.
-    points = [point] + mor.fibre_samples_about(fm, (0.3, 2.2, 1.0, 5.0), 4)
+    points = [point, *map(tuple, mor.fibre_samples_about(fm, (0.3, 2.2, 1.0, 5.0), 4).tolist())]
     _, new, old, exact, terms = _trace_errors(fm, points)
     eps = np.finfo(float).eps
     for trace in (new, old):

@@ -185,14 +185,16 @@ def test_sweep_holds_each_point_with_its_checks_samples(capsys, built):
 
 def test_verify_computes_each_points_fibre_samples_once(capsys, monkeypatch):
     """twistorial_basic's fibre samples about each of the 5 points are computed
-    once, for the hold and for the residual."""
+    once, for the hold and for the residual: one call on the job's ``(5, 4)``
+    array of points."""
     calls, real = [], mor.fibre_samples_about
     monkeypatch.setattr(mor, "fibre_samples_about", lambda fm, p, count=3: calls.append(p)
                         or real(fm, p, count))
     code, out = run_cli(["verify", scene_path("type4_berger_ew.json"), "--checks",
                          "fundamental_eq,twistorial_basic,twistorial_sd"], capsys)
-    assert code == 0 and len(json.loads(out)["records"]) == 5
-    assert len(calls) == len(set(calls)) == 5
+    rep = json.loads(out)
+    assert code == 0 and len(rep["records"]) == 5
+    assert len(calls) == 1 and calls[0].tolist() == [r["point"] for r in rep["records"]]
 
 
 def test_sweep_resolves_each_unchanged_ref_and_samples_once(capsys, monkeypatch):
@@ -1250,7 +1252,7 @@ def assert_close(one, many, path=""):
       "e^rho + c must be positive on the domain, got -0.393469 at (-0.5, 1.2, 2.0, 3.0)",
       _NEIGHBOUR]),
     (["classify"],
-     [f"point (0.675, 3.0, 2.0, 3.0) {_OUTSIDE}",
+     [f"point (0.9, 3.0, 2.0, 3.0) {_OUTSIDE}",
       "e^rho + c must be positive on the domain, got -0.515675 at (-0.725, 1.2, 2.0, 3.0)",
       _NEIGHBOUR]),
 ])
@@ -1967,6 +1969,53 @@ def test_a_domain_error_outranks_a_failing_residual(command, bad, capsys, tmp_pa
         assert doc["label"] == "nonstandard" and len(doc["results"]) == 2
     else:
         assert doc["summary"]["checks"]["w_minus"]["pass"] is False
+
+
+@pytest.mark.parametrize("command", [["report"], ["verify", "--checks", "twistorial_basic"],
+                                     ["classify"]])
+def test_every_command_names_a_point_off_the_chart_in_a_base_coordinate(command, capsys,
+                                                                        tmp_path):
+    """z = 9.0 lies off the x dy control's chart: every command names the
+    point [1.0, 0.2, 0.3, 9.0] itself, not a fibre sample about it, as the
+    samples are taken only about points inside the chart."""
+    point = [1.0, 0.2, 0.3, 9.0]
+    path = write_scene(tmp_path, "type3_control_xdy.json",
+                       lambda scene: scene["samples"]["points"].append(point))
+    name, *args = command
+    code, out = run_cli([name, path] + args, capsys)
+    assert code == cli.EXIT_DOMAIN
+    assert json.loads(out)["domain_errors"] == [{
+        "index": 2, "point": point,
+        "error": "point (1.0, 0.2, 0.3, 9.0) outside chart domain [('rho', 0.1, 5.0), "
+                 "('x', -2.0, 2.0), ('y', -2.0, 2.0), ('z', -2.0, 2.0)]"}]
+
+
+@pytest.mark.parametrize("command, leaf", [(["verify", "--checks", "fundamental_eq"], 1),
+                                           (["classify"], 4)])
+def test_a_job_with_one_bad_point_is_split_once(command, leaf, capsys, tmp_path, built):
+    """16 points of the type-4 Berger scene with c = -e^-0.5, so that
+    e^rho + c <= 0 where rho <= -0.5, inside the chart: only the point at
+    rho = -1.0 fails, with every fibre sample about it.  The job is split by
+    point, each failing job evaluated once over its several fibres, at most
+    2 ceil(log2 16) + 1 times; only the bad point's one-point job (its hold of
+    ``leaf`` samples, one fibre) is split further, to name its first failing
+    sample, beside the one-point job of its good neighbour."""
+    points = [[0.08 * i, 1.2, 2.0, 3.0 + 0.1 * i] for i in range(16)]
+    points[5][0] = -1.0
+    with open(scene_path("type4_berger_ew.json")) as fh:
+        scene = json.load(fh)
+    scene["construction"]["params"]["c"] = -math.exp(-0.5)
+    scene["samples"] = {"points": points}
+    path = tmp_path / "one_bad.json"
+    path.write_text(json.dumps(scene))
+    name, *args = command
+    code, out = run_cli([name, str(path)] + args, capsys)
+    assert code == cli.EXIT_DOMAIN
+    assert [e["index"] for e in json.loads(out)["domain_errors"]] == [5]
+    fibres = [len({p[1:] for p in batch}) for batch in built]
+    assert len([n for n in fibres if n > 1]) <= 2 * math.ceil(math.log2(16)) + 1
+    # the good neighbour's job, and the bad one's hold split down to its samples
+    assert len([n for n in fibres if n == 1]) <= 1 + 2 * leaf - 1
 
 
 def test_a_swept_value_that_does_not_resolve_is_its_steps_domain_error(capsys):

@@ -557,6 +557,66 @@ def test_a_hold_that_fails_only_as_a_batch_raises_the_batchs_error(monkeypatch):
     assert list(setup._index) == points[:1]
 
 
+def test_a_hold_of_several_fibres_raises_its_batchs_error_at_once(counted):
+    """A hold over several fibres is evaluated once: one failing sample
+    raises the batch's own error, with no context, and no half is evaluated;
+    ``cli._evaluate`` splits a failing job by point down to one-fibre holds."""
+    built, _ = counted
+    fm = con.type2_warped(con.flat3(), con.fibre_exp(3.0), fibre_range=(0.0, 400.0))
+    points = [(1.0, 0.1, 0.2, 0.3), (2.0, 0.5, 0.2, 0.3), (11.0, 0.1, 0.2, 0.3),
+              (3.0, 0.1, 0.6, 0.3)]
+    with pytest.raises(GeometryError) as batch:
+        mor.PointEval(mor.SubmersionSetup(fm), points)
+    built.clear()
+    with pytest.raises(GeometryError) as info:          # e^33 makes g singular at tau = 11
+        mor.SubmersionSetup(fm).hold(points)
+    assert built == [points]
+    assert str(info.value) == str(batch.value) and info.value.__context__ is None
+    assert str(info.value).startswith("metric is singular at point (11.0, 0.1, 0.2, 0.3)")
+
+
+def test_fibre_samples_of_an_array_stack_each_points_samples(type4_setup):
+    """The samples about an ``(N, 4)`` array are those about each row, bit for
+    bit, at the fibre coordinates t0 + (i - (count - 1)/2) spacing, spacing
+    15% of the fibre range over count - 1, and on the row's base point."""
+    fm = type4_setup.fm
+    points = np.array(pts(fm.total_chart, 5, seed=33))
+    lo, hi = fm.total_chart.lo[0], fm.total_chart.hi[0]
+    for count in (3, 4):
+        samples = mor.fibre_samples_about(fm, points, count)
+        assert samples.shape == (5, count, 4)
+        rows = [mor.fibre_samples_about(fm, p, count) for p in points.tolist()]
+        assert samples.tobytes() == np.stack(rows).tobytes()
+        spacing = 0.15 * (hi - lo) / (count - 1)
+        for p, fibre in zip(points.tolist(), samples):
+            ts = sorted(set(np.clip(p[0] + (np.arange(count) - (count - 1) / 2.0) * spacing,
+                                    lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo))))
+            assert fibre[:, 0].tolist() == ts and (fibre[:, 1:] == p[1:]).all()
+
+
+def test_a_sample_clipped_at_a_fibre_end_repeats(type4_setup):
+    """rho = 1.4 lies within 4.5% of the fibre range (-1.5, 1.5) of its end:
+    two of its four samples clip to rho = 1.44 and both are kept, and the
+    basic residual over the four rows is its value over the three distinct
+    ones, bit for bit."""
+    setup = mor.SubmersionSetup(type4_setup.fm)
+    samples = mor.fibre_samples_about(setup.fm, (1.4, 0.2, 0.3, 0.4), 4)
+    assert samples.shape == (4, 4)
+    assert samples[:, 0].tolist() == pytest.approx([1.175, 1.325, 1.44, 1.44], abs=1e-12)
+    assert samples[2].tolist() == samples[3].tolist()
+    both = mor.twistorial_basic_residual(setup, samples)
+    assert both == mor.twistorial_basic_residual(setup, samples[:3])
+
+
+def test_fibre_samples_name_a_point_off_the_chart_itself(type4_setup):
+    """A point off the chart in a base coordinate has no samples about it: the
+    chart's error names the point, the first such row of an array too."""
+    fm = type4_setup.fm
+    for points in ((0.5, 3.0, 0.2, 0.3), [(0.5, 0.1, 0.2, 0.3), (0.5, 3.0, 0.2, 0.3)]):
+        with pytest.raises(GeometryError, match=r"^point \(0\.5, 3\.0, 0\.2, 0\.3\) outside"):
+            mor.fibre_samples_about(fm, points, 4)
+
+
 def test_classify_records_the_gate_that_decided():
     """evidence["decided_by"] names the deciding gate on every label."""
     expected = {"type1": "BRANCH_TOL: V_lam_inv_sq",
@@ -748,16 +808,17 @@ def test_classify_reads_its_samples_as_one_batch(type4_setup, counted):
     gives the same classification."""
     built, shapes = counted
     samples = mor.fibre_samples_about(type4_setup.fm, (0.2, 0.3, -0.4, 1.0), 4)
+    held = [tuple(s) for s in samples.tolist()]      # the points a PointEval is given
     alone = mor.classify_type(mor.SubmersionSetup(type4_setup.fm), samples)
     assert alone.label == "type4"
     # the samples' metric, with h's jets at their base points, and nothing else
-    assert built == [samples] and shapes == [("arrays", (4, 4)), ("jets", (4, 3))]
+    assert built == [held] and shapes == [("arrays", (4, 4)), ("jets", (4, 3))]
     built.clear()
     shapes.clear()
     setup = mor.SubmersionSetup(type4_setup.fm)
     setup.hold(samples)
     assert mor.classify_type(setup, samples) == alone
-    assert built == [samples] and shapes == [("arrays", (4, 4)), ("jets", (4, 3))]
+    assert built == [held] and shapes == [("arrays", (4, 4)), ("jets", (4, 3))]
 
 
 _PT, _SAME_FIBRE, _OTHER = (0.2, 0.3, -0.4, 1.0), (0.5, 0.3, -0.4, 1.0), (0.2, 0.3, -0.4, 1.1)

@@ -6,9 +6,14 @@ It times ``report``, ``verify`` of six checks and ``classify`` on 1000
 random points (seed 5) of ``scenes/type4_berger_ew.json``: with no bad
 point, and with 1 or 10 points, spread evenly, moved off the chart in a base
 coordinate (th = 3.0, beyond 2.8) or in the fibre coordinate (rho = 1.6,
-beyond 1.5).  A pass runs every case once, in process, in a child process
-that imports ``sdharm`` from ``<checkout>/src``, after one warm-up run of each
-command on the scene as shipped.  The passes alternate between the
+beyond 1.5).  The case ``1 one-fibre`` puts the 1000 points on the first
+one's fibre, rho evenly from -0.9 to 1.4, with c = -e^-1.2, so that
+e^rho + c <= 0 where rho <= -1.2, and moves the middle point to rho = -1.35,
+inside the chart: a job on one fibre is the one whose failing hold of fibre
+samples is split to name its first failing sample.  A pass runs every case
+once, in process, in a child process that imports ``sdharm`` from
+``<checkout>/src``, after one warm-up run of each command on the scene as
+shipped.  The passes alternate between the
 checkouts, and each cell is the best of ``--repeat`` passes, in ms.  A pass
 of a checkout whose bad points each cost N one-point jobs takes about 25 s on
 a 2-core host; one that bisects, about 8 s.
@@ -20,6 +25,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -30,9 +36,10 @@ from pathlib import Path
 COUNT, SEED = 1000, 5
 CHECKS = "fundamental_eq,twistorial_basic,twistorial_sd,monopole,einstein_weyl,beltrami"
 COMMANDS = {"report": [], "verify": ["--checks", CHECKS], "classify": []}
-# case -> (bad points, coordinate axis, value off the chart)
-CASES = {"clean": (0, 0, None), "1 base": (1, 1, 3.0), "1 fibre": (1, 0, 1.6),
-         "10 base": (10, 1, 3.0), "10 fibre": (10, 0, 1.6)}
+# case -> (bad points, coordinate axis, value that fails there, c of the one-fibre job or None)
+CASES = {"clean": (0, 0, None, None), "1 base": (1, 1, 3.0, None), "1 fibre": (1, 0, 1.6, None),
+         "10 base": (10, 1, 3.0, None), "10 fibre": (10, 0, 1.6, None),
+         "1 one-fibre": (1, 0, -1.35, -math.exp(-1.2))}
 
 
 def _main(cli, argv):
@@ -60,13 +67,17 @@ def one_pass(root):
         _main(cli, [command, str(shipped), *args])
     times = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for case, (bad, axis, value) in CASES.items():
-            job = [list(p) for p in points]
+        for case, (bad, axis, value, c) in CASES.items():
+            job, edited = [list(p) for p in points], scene
+            if c is not None:
+                job = [[-0.9 + 2.3 * i / (COUNT - 1), *points[0][1:]] for i in range(COUNT)]
+                edited = json.loads(json.dumps(scene))
+                edited["construction"]["params"]["c"] = c
             for j in range(bad):
                 job[(2 * j + 1) * COUNT // (2 * bad)][axis] = value
             path = os.path.join(tmp, "scene.json")
             with open(path, "w") as fh:
-                json.dump(dict(scene, samples={"points": job}), fh)
+                json.dump(dict(edited, samples={"points": job}), fh)
             times[case] = {}
             for command, args in COMMANDS.items():
                 code, ms = _main(cli, [command, path, *args])
