@@ -18,6 +18,7 @@ import functools
 import hashlib
 import inspect
 import io
+import itertools
 import json
 import math
 import operator
@@ -449,17 +450,15 @@ class ResolvedScene:
                 raise UsageError(f"grid counts must have {chart.dim} entries")
             _require_sample_count(*counts)
             margin = spec["grid"].get("margin", 0.1)
-            axes = [np.linspace(l + margin * (u - l), u - margin * (u - l), n)
+            axes = [np.linspace(l + margin * (u - l), u - margin * (u - l), n).tolist()
                     for l, u, n in zip(lo, hi, counts)]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            points, seed = np.stack([m.ravel() for m in mesh], -1), None
-        else:
-            # the schema admits integral floats such as a swept 1.0 as integers
-            count, seed = int(spec["random"]["count"]), int(spec["random"]["seed"])
-            _require_sample_count(count)
-            rng = np.random.default_rng(seed)     # PCG64, fixed by seed
-            margin = 0.05 * (hi - lo)
-            points = rng.uniform(lo + margin, hi - margin, (count, chart.dim))
+            return list(itertools.product(*axes)), None      # C order: the last axis fastest
+        # the schema admits integral floats such as a swept 1.0 as integers
+        count, seed = int(spec["random"]["count"]), int(spec["random"]["seed"])
+        _require_sample_count(count)
+        rng = np.random.default_rng(seed)     # PCG64, fixed by seed
+        margin = 0.05 * (hi - lo)
+        points = rng.uniform(lo + margin, hi - margin, (count, chart.dim))
         return list(map(tuple, points.tolist())), seed
 
     def tolerance_for(self, check):

@@ -55,10 +55,15 @@ class FibredMetric(geo.MetricField):
     ``values`` read it.  ``arrays`` evaluates each part once, at a point or a
     batch: A and theta as jets, h's jets at the base points through
     ``geo.metric_jets``.  It then forms g by the jets' own product rule on
-    component jets (``jets.stack``): A h fills the 3x3 base block, and the
-    fibre row and column come from A^-1 theta (x) theta alone.  The products and
-    sums are those of ``fn`` in its order, so the arrays equal those of
-    ``geo.metric_jets`` of ``fn`` bit for bit (the sign of a zero aside).
+    component jets, each part one jet of its components: theta stacked once
+    as a (4, 1) column, whose (1, 4) row is a reshaped view of it, and A and
+    A^-1 reshaped to (1, 1).  A^-1 theta (x) theta fills g, and A h, with h's
+    jets stacked and lifted to the total chart, is added into its 3x3 base
+    block in place (``Jet.add_at``), so the fibre row and column come from
+    A^-1 theta (x) theta alone.  The products and sums are those of ``fn`` in
+    its order, so the arrays equal those of ``geo.metric_jets`` of ``fn`` bit
+    for bit (the sign of a zero aside).  Two transposes on fixed
+    permutations lay them out as ``geo.metric_jets``' arrays are.
     """
 
     def __init__(self, chart, h, lam_inv_sq_fn, theta_fn, name, positivity_name):
@@ -91,22 +96,21 @@ class FibredMetric(geo.MetricField):
         axis first, in the layout of ``geo.MetricField.arrays`` (a one-row batch
         in scalar jets, by geometry's one-row rule)."""
         at, coords, (A, Ainv, th) = geo._jets_at(self.chart, self._parts, point)
-        th = [coords[0].coerce(t) for t in th]
-        hj = geo.metric_jets(self.h, at[:, 1:] if geo._is_batch(at) else at[1:])
+        c0 = coords[0]
+        batch = np.shape(c0.value)
+        th = jets.stack([c0.coerce(t) for t in th], (4, 1))
+        hj = geo.metric_jets(self.h, at[:, 1:] if batch else at[1:])
         # (A^-1 theta_a) theta_b, then A h on the base block, which h's lift
         # to the total chart gives zero fibre derivatives
-        g = (jets.stack([coords[0].coerce(Ainv)], (1, 1)) * jets.stack(th, (4, 1))
-             * jets.stack(th, (1, 4)))
-        Ah = jets.stack([coords[0].coerce(A)], (1, 1)) * jets.stack(
-            [j for row in hj for j in row], (3, 3), dim=4)
-        gv, dg, ddg = g.value, g.grad, g.hess
-        gv[1:, 1:] += Ah.value
-        dg[:, 1:, 1:] += Ah.grad
-        ddg[:, :, 1:, 1:] += Ah.hess
-        geo._require_symmetric(gv, self.name, at)
+        one = (1, 1) + batch
+        g = c0.coerce(Ainv).reshape(one) * th * th.reshape((1, 4) + batch)
+        Ah = c0.coerce(A).reshape(one) * jets.stack([j for row in hj for j in row], (3, 3), dim=4)
+        g.add_at((slice(1, None), slice(1, None)), Ah)
+        geo._require_symmetric(g.value, self.name, at)
         # the layout of geo.metric_jets' arrays: component axes, derivative axes, points
-        out = (gv, np.ascontiguousarray(np.moveaxis(dg, 0, 2)),
-               np.ascontiguousarray(np.moveaxis(ddg, (0, 1), (2, 3))))
+        n = len(batch)
+        out = (g.value, np.ascontiguousarray(g.grad.transpose(1, 2, 0, *range(3, 3 + n))),
+               np.ascontiguousarray(g.hess.transpose(2, 3, 0, 1, *range(4, 4 + n))))
         return tuple(geo._lead(x, point) for x in out)
 
 
@@ -243,8 +247,8 @@ _EULER_CHART = geo.Chart(("th", "ps", "ph"), (0.3, 0.1, 0.1), (2.8, 6.0, 6.0))
 def flat3():
     """Euclidean metric on a Cartesian 3-chart."""
     return geo.MetricField(
-        _FLAT3_CHART, lambda c: [[(1.0 if a == b else 0.0) + 0.0 * c[0] for b in range(3)]
-                                 for a in range(3)], "flat3")
+        _FLAT3_CHART, lambda c: [[1.0 if a == b else 0.0 for b in range(3)] for a in range(3)],
+        "flat3")
 
 
 def flat3_spherical():
@@ -252,7 +256,7 @@ def flat3_spherical():
     def fn(c):
         r, th, _ = c
         s = jets.sin(th)
-        return [[1.0 + 0 * r, 0, 0], [0, r * r, 0], [0, 0, r * r * s * s]]
+        return [[1.0, 0.0, 0.0], [0.0, r * r, 0.0], [0.0, 0.0, r * r * s * s]]
     return geo.MetricField(_SPHERICAL_CHART, fn, "flat3_spherical")
 
 
@@ -286,28 +290,27 @@ def xdy():
     return geo.OneFormField(_FLAT3_CHART, lambda c: [0.0 * c[0], c[0], 0.0 * c[0]], "xdy")
 
 
-# The left-invariant coframe (s1, s2, s3) in the Euler chart, one function
-# per form, so that a field evaluates only the forms it needs; a constant
+# The left-invariant coframe (s1, s2, s3) in the Euler chart.  A constant
 # component is a number, which the field's ``coerce`` lifts.
 
-def _euler_s1(c):
+def _euler_coframe(c):
+    """(s1, s2, s3) at the coordinates, with sin ps, cos ps and sin th each
+    taken once."""
     th, ps, _ = c
-    return [0.5 * jets.cos(ps), 0.0, 0.5 * jets.sin(ps) * jets.sin(th)]
-
-
-def _euler_s2(c):
-    th, ps, _ = c
-    return [0.5 * jets.sin(ps), 0.0, -0.5 * jets.cos(ps) * jets.sin(th)]
+    sp, cp, st = jets.sin(ps), jets.cos(ps), jets.sin(th)
+    return [0.5 * cp, 0.0, 0.5 * sp * st], [0.5 * sp, 0.0, -0.5 * cp * st], _euler_s3(c)
 
 
 def _euler_s3(c):
+    """s3 alone, which takes one cosine (the Lee form ``berger_lee`` is s3's
+    multiple)."""
     return [0.0, 0.5, 0.5 * jets.cos(c[0])]
 
 
 def euler_s3_frame():
     """Left-invariant coframe (s1, s2, s3) with d s_i = 2 s_j ^ s_k (cyclic)."""
-    return tuple(geo.OneFormField(_EULER_CHART, s, f"sigma{i+1}")
-                 for i, s in enumerate((_euler_s1, _euler_s2, _euler_s3)))
+    return tuple(geo.OneFormField(_EULER_CHART, lambda c, i=i: _euler_coframe(c)[i],
+                                  f"sigma{i+1}") for i in range(3))
 
 
 def round_s3_euler():
@@ -321,7 +324,7 @@ def berger_s3(mu):
     if mu <= 0:
         raise DomainError("berger parameter mu must be positive")
     def fn(c):
-        s1, s2, s3 = _euler_s1(c), _euler_s2(c), _euler_s3(c)
+        s1, s2, s3 = _euler_coframe(c)
         return [[s1[a] * s1[b] + s2[a] * s2[b] + (mu * mu) * s3[a] * s3[b]
                  for b in range(3)] for a in range(3)]
     return geo.MetricField(_EULER_CHART, fn, f"berger_s3({mu})")
@@ -416,7 +419,7 @@ def _not_beltrami(alpha, params):
 def _curl_deviation(alpha, params):
     dev = 0.0
     for p in _probe(alpha.chart):
-        s1, s2 = np.array(_euler_s1(p)), np.array(_euler_s2(p))
+        s1, s2 = map(np.array, _euler_coframe(p)[:2])
         target = 2.0 * params["scale"] * (np.outer(s1, s2) - np.outer(s2, s1))
         dev = max(dev, float(np.max(np.abs(geo.exterior_derivative(alpha, p) - target))))
     return {"curl_deviation": dev}

@@ -304,9 +304,13 @@ def metric_jets(g, point):
 def _require_symmetric(v, name, point):
     """Raise unless the metric components ``v`` (a batch's point axis last)
     are symmetric, naming the first asymmetric pair (a, b), a < b."""
+    if (v == v.swapaxes(0, 1)).all():           # exactly symmetric, the common case
+        return
     with np.errstate(invalid="ignore"):         # inf - inf is not a finding here
         asym = np.abs(v - v.swapaxes(0, 1)) > 1e-12 * (1.0 + np.abs(v))
-    asym = np.triu(asym.reshape(asym.shape[:2] + (-1,)).any(-1), 1)
+    if not asym.any():
+        return
+    asym = np.triu(asym.reshape(asym.shape[:2] + (-1,)).any(-1), 1)   # a < b alone counts
     if asym.any():
         a, b = np.argwhere(asym)[0]
         raise SingularEvaluationError(
@@ -355,7 +359,7 @@ def _lead(x, point):
     (scalar jets, ``_at``), none at one point."""
     if not _is_batch(point):
         return x
-    return np.asarray(x)[None] if len(point) == 1 else np.moveaxis(x, -1, 0)
+    return np.asarray(x)[None] if len(point) == 1 else x.transpose((-1, *range(x.ndim - 1)))
 
 
 def _float(x):
@@ -577,9 +581,23 @@ PAIRS4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 _PAIR_I, _PAIR_J = (np.array(ix) for ix in zip(*PAIRS4))
 
 
+@functools.cache
 def star_matrix_flat4(orientation=1):
-    """Hodge star on 2-forms of flat oriented R^4 as a 6x6 matrix on PAIRS4."""
-    return levi_civita_symbol(4)[_PAIR_I[:, None], _PAIR_J[:, None], _PAIR_I, _PAIR_J] * orientation
+    """Hodge star on 2-forms of flat oriented R^4 as a 6x6 matrix on PAIRS4,
+    made once per orientation and read-only."""
+    S = levi_civita_symbol(4)[_PAIR_I[:, None], _PAIR_J[:, None], _PAIR_I, _PAIR_J] * orientation
+    S.flags.writeable = False
+    return S
+
+
+@functools.cache
+def _projectors(orientation):
+    """(P+, P-) = ((1 + *)/2, (1 - *)/2) on PAIRS4, made once and read-only."""
+    S = star_matrix_flat4(orientation)
+    P = 0.5 * (np.eye(6) + S), 0.5 * (np.eye(6) - S)
+    for x in P:
+        x.flags.writeable = False
+    return P
 
 
 def two_form_to_six(F):
@@ -621,9 +639,7 @@ def sd_asd_split(W, gv, orientation=1, point=None):
 
 def _split_operator(M, orientation):
     """``sd_asd_split`` of the Weyl endomorphism M, a 6x6 matrix per point."""
-    S = star_matrix_flat4(orientation)
-    P_plus = 0.5 * (np.eye(6) + S)
-    P_minus = 0.5 * (np.eye(6) - S)
+    P_plus, P_minus = _projectors(orientation)
     Wp = P_plus @ M @ P_plus
     Wm = P_minus @ M @ P_minus
     return Wp, Wm, _matrix_norm(Wp), _matrix_norm(Wm)

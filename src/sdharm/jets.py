@@ -23,8 +23,10 @@ broadcasts unchanged.  Seeding an ``(N, d)`` array of points gives batch
 jets; a single point gives the scalar jets, with a float value.  Each entry
 of a batch jet equals, bit for bit, the jet of its point alone.  A domain
 test fails the whole batch if it fails at any point.  ``stack`` puts jets on
-component axes before the batch axis, where the rules act entry by entry, and
-``arrays`` reads jets out as plain arrays: no other module reads the packing.
+component axes before the batch axis, where the rules act entry by entry,
+``Jet.reshape`` regroups those axes as views, ``Jet.add_at`` adds a jet into
+some components of another in place, and ``arrays`` reads jets out as plain
+arrays: no other module reads the packing.
 """
 
 from __future__ import annotations
@@ -98,6 +100,19 @@ class Jet:
         if type(self.value) is not float:       # one value per point of the batch
             value = np.full(self.value.shape, value)
         return Jet(value, np.zeros(self._d.shape), self.order)
+
+    def reshape(self, shape):
+        """This jet with its value reshaped to ``shape`` (the component axes
+        and then a batch's point axis, as numpy's reshape takes them) and its
+        derivatives alike: views of a jet's arrays, a new array of a float."""
+        return Jet(np.reshape(self.value, shape), self._d.reshape((len(self._d),) + shape),
+                   self.order)
+
+    def add_at(self, key, other):
+        """Add the jet ``other`` into this jet's components ``key`` (an index of
+        its component axes), value and derivatives alike, in place."""
+        self.value[key] += other.value
+        self._d[(slice(None),) + key] += other._d
 
     def deriv(self, axis):
         """Partial derivative along ``axis`` as a jet one order lower."""
@@ -212,10 +227,12 @@ def stack(js, shape, dim=None):
     axes ``shape``, which jets of equal component rank broadcast; grad is
     ``(d,) + shape + batch``.  With ``dim``, the jets are lifted to the last
     coordinates of a ``dim``-chart, with zero derivatives along the others."""
-    D = np.stack([j._d for j in js], 1)
+    D = np.array([j._d for j in js]).swapaxes(0, 1)       # (d + d*d, len(js)) + batch
     d, batch = math.isqrt(len(D)), D.shape[2:]
     value = np.array([j.value for j in js]).reshape(shape + batch)
-    if dim is not None:
+    if dim is None:
+        D = np.ascontiguousarray(D)
+    else:
         lead, lifted = dim - d, np.zeros((dim + dim * dim,) + D.shape[1:])
         lifted[lead:dim] = D[:d]
         _hess_rows(lifted, dim)[lead:, lead:] = _hess_rows(D, d)

@@ -2,8 +2,9 @@
 derivatives of a scalar field, the integrability form's cross-check against
 the connection form, *_H I in a Gram-Schmidt horizontal frame, the trace forms
 and the integrability form through the Christoffel symbols, the einsum
-formulas of the curvature chain, the index-at-a-time ``to_frame``, and the
-field closures with each constant component built as a jet."""
+formulas of the curvature chain, the index-at-a-time ``to_frame``, the
+field closures with each constant component built as a jet, and the base
+closures before their constants became numbers."""
 
 import types
 
@@ -353,6 +354,41 @@ def berger_lee(scale):
                             f"berger_lee({scale})")
 
 
+# -- base closures as they were before each constant became a number -----------
+# flat3 and flat3_spherical built their constant components as jets, and
+# berger_s3 took sin ps, cos ps and sin th once for each form that reads them;
+# the catalog's closures are held to these bit for bit.
+
+def flat3():
+    return geo.MetricField(
+        con._FLAT3_CHART, lambda c: [[(1.0 if a == b else 0.0) + 0.0 * c[0] for b in range(3)]
+                                     for a in range(3)], "flat3")
+
+
+def flat3_spherical():
+    def fn(c):
+        r, th, _ = c
+        s = jets.sin(th)
+        return [[1.0 + 0 * r, 0, 0], [0, r * r, 0], [0, 0, r * r * s * s]]
+    return geo.MetricField(con._SPHERICAL_CHART, fn, "flat3_spherical")
+
+
+def berger_s3_each_form(mu):
+    def s1(c):
+        th, ps, _ = c
+        return [0.5 * jets.cos(ps), 0.0, 0.5 * jets.sin(ps) * jets.sin(th)]
+
+    def s2(c):
+        th, ps, _ = c
+        return [0.5 * jets.sin(ps), 0.0, -0.5 * jets.cos(ps) * jets.sin(th)]
+
+    def fn(c):
+        f1, f2, f3 = s1(c), s2(c), [0.0, 0.5, 0.5 * jets.cos(c[0])]
+        return [[f1[a] * f1[b] + f2[a] * f2[b] + (mu * mu) * f3[a] * f3[b]
+                 for b in range(3)] for a in range(3)]
+    return geo.MetricField(con._EULER_CHART, fn, f"berger_s3({mu})")
+
+
 def theta_dtau_plus(A_fn):
     def fn(coords):
         one = 1.0 + 0.0 * coords[0]
@@ -398,3 +434,26 @@ def fibred(fm, h, theta_fn):
     g = con.FibredMetric(fm.total_chart, h, fm.g.lam_inv_sq_fn, theta_fn, fm.g.name,
                          fm.g.positivity_name)
     return g, geo.OneFormField(fm.total_chart, theta_fn, fm.theta.name)
+
+
+def stacked_arrays(g, point):
+    """A FibredMetric's arrays as the package assembled them before: A^-1, A
+    and each factor of theta (x) theta stacked into component jets of their
+    own, base block added into grad and hess one at a time, and laid out by
+    ``np.moveaxis``."""
+    at, coords, (A, Ainv, th) = geo._jets_at(g.chart, g._parts, point)
+    th = [coords[0].coerce(t) for t in th]
+    hj = geo.metric_jets(g.h, at[:, 1:] if geo._is_batch(at) else at[1:])
+    G = (jets.stack([coords[0].coerce(Ainv)], (1, 1)) * jets.stack(th, (4, 1))
+         * jets.stack(th, (1, 4)))
+    Ah = jets.stack([coords[0].coerce(A)], (1, 1)) * jets.stack(
+        [j for row in hj for j in row], (3, 3), dim=4)
+    gv, dg, ddg = G.value, G.grad, G.hess
+    gv[1:, 1:] += Ah.value
+    dg[:, 1:, 1:] += Ah.grad
+    ddg[:, :, 1:, 1:] += Ah.hess
+    out = (gv, np.ascontiguousarray(np.moveaxis(dg, 0, 2)),
+           np.ascontiguousarray(np.moveaxis(ddg, (0, 1), (2, 3))))
+    if not geo._is_batch(point):
+        return out
+    return tuple(x[None] if len(point) == 1 else np.moveaxis(x, -1, 0) for x in out)

@@ -1455,6 +1455,26 @@ def test_samples_equal_the_per_point_formulas(name, counts):
         assert all(type(x) is float for p in points for x in p)
 
 
+@settings(max_examples=40, deadline=None)
+@given(counts=st.lists(st.integers(1, 5), min_size=4, max_size=4),
+       margin=st.one_of(st.none(), st.floats(0.0, 0.45)),
+       orientation=st.sampled_from([1, -1]))
+def test_grid_samples_equal_the_meshgrid_construction_bit_for_bit(counts, margin, orientation):
+    """The grid, the product of its axes in C order, equals the meshgrid of the
+    same axes read point by point, bit for bit (signed zeros included), as
+    Python floats, on the type-4 chart and on the flat chart's negative
+    coordinates, at either orientation."""
+    grid = {"counts": counts} if margin is None else {"counts": counts, "margin": margin}
+    for name in ("type4_berger_ew.json", "type3_trkalian.json"):
+        with open(scene_path(name)) as fh:
+            scene = dict(json.load(fh), samples={"grid": grid}, orientation=orientation)
+        resolved = cli.ResolvedScene(cli.validate_scene(scene))
+        points, seed = resolved.sample_points()
+        expected = _old_grid(resolved.chart, counts, 0.1 if margin is None else margin)
+        assert seed is None and all(type(x) is float for p in points for x in p)
+        assert np.array(points).tobytes() == np.array(expected).tobytes()
+
+
 def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.TOL_ENV_VAR, "1e30")
     code, _ = run_cli(["report", scene_path("type3_control_xdy.json")], capsys)

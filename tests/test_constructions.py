@@ -499,6 +499,72 @@ def test_family_arrays_equal_their_jet_constant_closures_bit_for_bit(orientation
                             fm.total_chart, name + ".theta")
 
 
+def _bits(x):
+    """The bytes, shape and strides of an array: equal for two arrays that
+    hold the same floats, signed zeros included, in the same layout."""
+    x = np.asarray(x)
+    return x.shape, x.strides, x.tobytes()
+
+
+def _points(chart):
+    """At a chart's most negative corner (10% in from ``lo``), on a seeded
+    batch whose first row is that corner, and at the batch's one-row head."""
+    lo, hi = np.asarray(chart.lo), np.asarray(chart.hi)
+    batch = np.array([lo + 0.1 * (hi - lo)] + sample_points(chart, 5, seed=chart.dim))
+    return tuple(batch[0]), batch[:1], batch
+
+
+def _old_base_families():
+    """(name, fibration, its base metric by the closure it had before its
+    constants became numbers) of each family over each of the three bases."""
+    u, A = con.gh_potential(1.0), con.dirac_A(1.0)
+    flat, sph, berger = O.flat3(), O.flat3_spherical(), O.berger_s3_each_form(0.8)
+    h, lee = con.berger_s3(0.8), con.berger_lee(0.96)
+    return [
+        ("type1", con.jones_tod_metric(con.flat3_spherical(), u, A=A), sph),
+        ("type2", con.type2_warped(con.flat3(), con.fibre_exp(3.0)), flat),
+        ("type2_berger", con.type2_warped(h, con.fibre_exp(2.0)), berger),
+        ("type3", con.type3_metric(con.flat3(), con.trkalian(1)), flat),
+        ("type3_xdy", con.type3_metric(con.flat3(), con.xdy()), flat),
+        ("type4", con.type4_metric(h, lee, c=1.2), berger),
+        ("type4_flat", con.type4_metric(con.flat3(), con.trkalian(-1), c=1.0), flat),
+        ("bryant", con.bryant_metric(con.flat3(), con.fibre_power(-0.5), con.trkalian(1)), flat),
+    ]
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_base_metric_jets_equal_the_old_closures_bit_for_bit(orientation):
+    """metric_jets of flat3, flat3_spherical and the Berger sphere, whose
+    closures return constants as numbers and take each sine and cosine once,
+    equal those of the old closures bit for bit: values, gradients and
+    Hessians, signed zeros included, at a point, on a batch and a one-row
+    batch, with every coordinate negative too (metric_jets reads no chart)."""
+    pairs = [(con.flat3(), O.flat3()), (con.flat3_spherical(), O.flat3_spherical())]
+    pairs += [(con.berger_s3(mu), O.berger_s3_each_form(mu)) for mu in (0.8, 1.0)]
+    for new, old in pairs:
+        new, old = oriented(new, orientation), oriented(old, orientation)
+        batch = np.array(sample_points(new.chart, 4, seed=3))
+        for at in (*_points(new.chart), (-0.7, -1.3, -0.4), -batch, -batch[:1]):
+            at = geo._at(at)
+            for j, k in zip(sum(geo.metric_jets(new, at), []), sum(geo.metric_jets(old, at), [])):
+                assert [_bits(x) for x in (j.value, j.grad, j.hess)] == \
+                    [_bits(x) for x in (k.value, k.grad, k.hess)], (new.name, np.shape(at))
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_family_arrays_equal_the_old_closures_and_assembly_bit_for_bit(orientation):
+    """FibredMetric.arrays of every family equals, bit for bit and in the same
+    memory layout, the arrays that the old base closures give through the old
+    assembly (``_oracles.stacked_arrays``): at a point, on a batch and a
+    one-row batch, from the chart's most negative corner on."""
+    for name, fm, old_h in _old_base_families():
+        new = oriented(fm.g, orientation)
+        old = oriented(O.fibred(fm, old_h, fm.theta.fn)[0], orientation)
+        for at in _points(fm.total_chart):
+            got, ref = new.arrays(at), O.stacked_arrays(old, at)
+            assert [_bits(x) for x in got] == [_bits(x) for x in ref], (name, np.shape(at))
+
+
 @pytest.mark.parametrize("orientation", [1, -1])
 def test_cli_zero_lee_form_and_constant_c_equal_their_jet_forms(orientation):
     """cli's zero Lee form of a type-4 scene without alpha, and the generalized

@@ -474,6 +474,29 @@ def test_an_asymmetric_metric_names_its_first_pair():
             geo.metric_jets(g, point)
 
 
+def test_a_batch_asymmetric_in_its_last_row_alone_names_its_pair_and_a_lower_only_excess_passes():
+    """On a batch whose last row alone is asymmetric, metric_jets names the
+    pair (a, b), a < b, of an excess that lies below the diagonal; and an
+    excess of the test below the diagonal alone (g_12 infinite, g_21 finite:
+    |g_12 - g_21| is not above 1e-12 (1 + |g_12|)) raises nothing."""
+    ch = geo.Chart(("x", "y", "z"), (-1.0,) * 3, (1.0,) * 3)
+
+    def fn(c):
+        g = [[1.0 if a == b else 0.0 for b in range(3)] for a in range(3)]
+        g[2][1] = 1e-3 * (c[0] - 0.25)               # nonzero off x = 0.25
+        return g
+
+    g = geo.MetricField(ch, fn, "skew")
+    batch = np.array([[0.25, 0.1, 0.2], [0.25, -0.3, 0.4], [0.5, 0.0, 0.0]])
+    geo.metric_jets(g, batch[:2])
+    with pytest.raises(SingularEvaluationError,
+                       match=re.escape("metric skew not symmetric in components (1,2)")):
+        geo.metric_jets(g, batch)
+    v = np.repeat(np.eye(3)[..., None], 3, axis=-1)
+    v[1, 2, -1] = np.inf
+    geo._require_symmetric(v, "skew", batch)
+
+
 def test_a_batch_metric_error_names_its_first_failing_row():
     """metric_point on an ``(N, d)`` array names one point, its first failing
     row, as ``Chart.require_inside`` does: the message that point gives alone."""

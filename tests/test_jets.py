@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdharm import jets
+from sdharm import geometry as geo, jets
 from sdharm.errors import SingularEvaluationError
 
 from _fieldgen import random_field, random_point
@@ -446,7 +446,10 @@ def test_no_op_writes_into_a_jet_it_did_not_create(monkeypatch, batch):
     """Every jet made while evaluating each catalog field and fibration metric
     keeps, to the end of the evaluation, the arrays it was built with (the
     seeds among them), and its packed derivatives are C-contiguous, so the
-    rules' in-place Hessian updates write through their reshaped views."""
+    rules' in-place Hessian updates write through their reshaped views.  Each
+    field is evaluated through its jets path (``metric_jets``,
+    ``OneFormField.jets``, ``ScalarField.jet``), so the jets that ``coerce``
+    lifts from a closure's constant components count too."""
     made = []
     init = jets.Jet.__init__
 
@@ -460,8 +463,39 @@ def test_no_op_writes_into_a_jet_it_did_not_create(monkeypatch, batch):
         pts = lo + (hi - lo) * np.array([[0.31, 0.42, 0.53, 0.64], [0.6, 0.3, 0.7, 0.45]])[
             :, :len(lo)]
         made.clear()
-        field.fn(jets.seed_all(pts if batch else tuple(pts[0])))
+        at = pts if batch else tuple(pts[0])
+        if isinstance(field, geo.MetricField):
+            geo.metric_jets(field, at)
+        elif isinstance(field, geo.ScalarField):
+            field.jet(at)
+        else:
+            field.jets(at)
         assert len(made) > len(lo), name
         for j, value, d in made:
             assert j._d.flags.c_contiguous, name
             assert _bits(j.value) == _bits(value) and _bits(j._d) == _bits(d), name
+
+
+# Jet constructions in one FibredMetric.arrays call at one point: the seeds,
+# the closures' jets, the lifted constants and the assembly's stacks,
+# reshapes and products.
+ARRAYS_JET_BUDGET = {"type1": 37, "type2": 33, "type3": 30, "type4": 77, "bryant": 33}
+
+
+@pytest.mark.parametrize("family", sorted(ARRAYS_JET_BUDGET))
+def test_fibred_metric_arrays_stay_within_their_jet_budget(monkeypatch, family):
+    """One ``FibredMetric.arrays`` call at one point of each family of the
+    report workload constructs at most its budget of jets."""
+    g = _catalog_closures()[f"{family}.g"]
+    lo, hi = np.asarray(g.chart.lo), np.asarray(g.chart.hi)
+    point = tuple(lo + (hi - lo) * np.array([0.31, 0.42, 0.53, 0.64]))
+    count = [0]
+    init = jets.Jet.__init__
+
+    def counting_init(self, value, d, order=2):
+        count[0] += 1
+        init(self, value, d, order)
+
+    monkeypatch.setattr(jets.Jet, "__init__", counting_init)
+    g.arrays(point)
+    assert 0 < count[0] <= ARRAYS_JET_BUDGET[family], count[0]
