@@ -290,27 +290,39 @@ def xdy():
     return geo.OneFormField(_FLAT3_CHART, lambda c: [0.0 * c[0], c[0], 0.0 * c[0]], "xdy")
 
 
-# The left-invariant coframe (s1, s2, s3) in the Euler chart.  A constant
-# component is a number, which the field's ``coerce`` lifts.
+# The left-invariant coframe (s1, s2, s3) in the Euler chart.  s1 and s2 read
+# the trig jets sin ps, cos ps, sin th, taken once per call (``_euler_trig``);
+# s3 reads cos th alone.  A constant component is a number, which the field's
+# ``coerce`` lifts.
 
-def _euler_coframe(c):
-    """(s1, s2, s3) at the coordinates, with sin ps, cos ps and sin th each
-    taken once."""
+def _euler_trig(c):
     th, ps, _ = c
-    sp, cp, st = jets.sin(ps), jets.cos(ps), jets.sin(th)
-    return [0.5 * cp, 0.0, 0.5 * sp * st], [0.5 * sp, 0.0, -0.5 * cp * st], _euler_s3(c)
+    return jets.sin(ps), jets.cos(ps), jets.sin(th)
+
+
+def _euler_s1(sp, cp, st):
+    return [0.5 * cp, 0.0, 0.5 * sp * st]
+
+
+def _euler_s2(sp, cp, st):
+    return [0.5 * sp, 0.0, -0.5 * cp * st]
 
 
 def _euler_s3(c):
-    """s3 alone, which takes one cosine (the Lee form ``berger_lee`` is s3's
-    multiple)."""
     return [0.0, 0.5, 0.5 * jets.cos(c[0])]
+
+
+def _euler_coframe(c):
+    """(s1, s2, s3) at the coordinates, each trig jet taken once."""
+    t = _euler_trig(c)
+    return _euler_s1(*t), _euler_s2(*t), _euler_s3(c)
 
 
 def euler_s3_frame():
     """Left-invariant coframe (s1, s2, s3) with d s_i = 2 s_j ^ s_k (cyclic)."""
-    return tuple(geo.OneFormField(_EULER_CHART, lambda c, i=i: _euler_coframe(c)[i],
-                                  f"sigma{i+1}") for i in range(3))
+    return tuple(geo.OneFormField(_EULER_CHART, s, f"sigma{i+1}") for i, s in enumerate(
+        (lambda c: _euler_s1(*_euler_trig(c)), lambda c: _euler_s2(*_euler_trig(c)),
+         _euler_s3)))
 
 
 def round_s3_euler():

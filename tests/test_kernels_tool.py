@@ -49,11 +49,21 @@ def test_only_the_child_gets_the_kernel(monkeypatch):
     assert os.environ["OPENBLAS_CORETYPE"] == "Atom"
 
 
-def test_a_record_is_compared_output_by_output_with_the_worst_move_named():
+def test_the_table_counts_and_names_outputs_that_differ_in_more_than_their_numbers():
+    """A kernel that changes only an output's text, or whose record lacks or
+    adds a job, shows in its row and is named; a worst move of 0 names no
+    job."""
     k = load_tool()
     base = {"a": [0, "x 1.0 y", ""], "b": [0, "2.0", ""], "c": [2, "3.0", ""]}
-    record = {"a": [0, "x 1.0 y", ""], "b": [0, "2.5", ""], "c": [2, "3.0000001", ""]}
-    same, worst, where = k.compare(base, record)
-    assert (same, where) == (1, "b")
-    assert worst == 0.5 / 3.0
-    assert k.compare(base, base) == (3, 0.0, "-")
+    moved = {"a": [0, "x 1.0 y", ""], "b": [0, "2.5", ""], "c": [2, "3.0000001", ""]}
+    text = {"a": [0, "x 1.0 z", ""], "b": [0, "2.0", ""], "d": [0, "4.0", ""]}
+    lines = k.table({"default": (base, []), "Haswell": (moved, []),
+                     "Prescott": (text, ["tests/test_x.py::test_y"])})
+    assert lines[2:] == [
+        "| default | 3 of 3 | 0 | - | 0 | 0 |",
+        f"| Haswell | 1 of 3 | {0.5 / 3.0:.3g} | b | 0 | 0 |",
+        "| Prescott | 1 of 4 | 0 | - | 3 | 1 |",
+        "Prescott: a: 1 other tokens differ",
+        "Prescott: c: only in the default's record",
+        "Prescott: d: only in the kernel's record",
+        "Prescott: FAILED tests/test_x.py::test_y"]

@@ -373,30 +373,37 @@ def _compare(a, b):
     return worst, other + abs(len(na) - len(nb))
 
 
-def diff(a_path, b_path):
-    a, b = (json.loads(Path(p).read_text()) for p in (a_path, b_path))
-    keys = sorted(set(a) | set(b))
-    same, differ, worst_of_all = 0, [], None
-    for key in keys:
-        if key not in a or key not in b:
-            differ.append(f"{key}: only in {a_path if key in a else b_path}")
-        elif a[key] == b[key]:
+def differences(a, b):
+    """(count of identical outputs, {job: (worst relative difference, count of
+    other differing tokens)} of the outputs of both records that differ, in
+    job order, the sorted jobs of one record only) of two records."""
+    same, moved = 0, {}
+    for key in sorted(set(a) & set(b)):
+        if a[key] == b[key]:
             same += 1
         else:
-            worst, other = _compare(json.dumps(a[key], sort_keys=True),
-                                    json.dumps(b[key], sort_keys=True))
-            differ.append(f"{key}: worst relative difference {worst:.3g}, "
-                          f"{other} other tokens differ")
-            if worst_of_all is None or worst > worst_of_all[0]:
-                worst_of_all = worst, key
+            moved[key] = _compare(json.dumps(a[key], sort_keys=True),
+                                  json.dumps(b[key], sort_keys=True))
+    return same, moved, sorted(set(a) ^ set(b))
+
+
+def diff(a_path, b_path):
+    a, b = (json.loads(Path(p).read_text()) for p in (a_path, b_path))
+    same, moved, only = differences(a, b)
+    keys = sorted(set(a) | set(b))
     print(f"{same} of {len(keys)} outputs identical")
-    for line in differ:
-        print(line)
-    if worst_of_all is None:
+    for key in keys:
+        if key in moved:
+            print(f"{key}: worst relative difference {moved[key][0]:.3g}, "
+                  f"{moved[key][1]} other tokens differ")
+        elif key in only:
+            print(f"{key}: only in {a_path if key in a else b_path}")
+    if not moved:
         print("no output of both records differs")
     else:
-        print(f"worst relative difference of all: {worst_of_all[0]:.3g}, in {worst_of_all[1]}")
-    return 1 if differ else 0
+        worst = max(moved, key=lambda k: moved[k][0])
+        print(f"worst relative difference of all: {moved[worst][0]:.3g}, in {worst}")
+    return 1 if moved or only else 0
 
 
 def main(argv=None):

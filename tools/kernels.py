@@ -1,23 +1,26 @@
 """Run the parity record and Tier-1's reference, oracle and determinism tests
 under each OpenBLAS kernel, and compare each kernel's record with the default's.
 
-    python tools/kernels.py [--root <checkout>] [--kernel NAME ...]
+    python tools/kernels.py [--root <checkout>]
 
 numpy's ``matmul``, ``tensordot`` and ``linalg`` run on OpenBLAS, which picks
 its kernels from the CPU; ``OPENBLAS_CORETYPE`` picks another.  For the
-kernel OpenBLAS picks itself (``default``) and for each ``--kernel`` (by
-default ``Haswell`` and ``Prescott``), this tool runs two child processes
-whose environment alone sets ``OPENBLAS_CORETYPE``:
+kernel OpenBLAS picks itself (``default``) and for each of ``KERNELS``
+(``Haswell`` and ``Prescott``), this tool runs two child processes whose
+environment alone sets ``OPENBLAS_CORETYPE``:
 
 - ``tools/compare_outputs.py dump`` of ``<checkout>``;
 - ``pytest`` on ``<checkout>``'s reference tests (``REFERENCE``), oracle tests
   (every ``tests/test_*.py`` that imports ``_oracles``) and determinism tests
   (``DETERMINISM``), with ``<checkout>/src`` first on the path.
 
-It prints one row per kernel: how many outputs of its record are
-byte-identical to the default kernel's, the worst relative difference among
-the rest (``compare_outputs``' measure, |a - b| / (1 + |a|)) with its job, and
-how many tests failed; then the id of each failing test.  A pass over three
+It compares each kernel's record with the default kernel's by
+``compare_outputs.differences`` and prints one row per kernel: how many
+outputs are byte-identical, the worst relative difference of a number
+(``compare_outputs``' measure, |a - b| / (1 + |a|)) with its job, how many
+outputs differ in more than their numbers (a text, a token count) or are in
+one record only, and how many tests failed.  Then it names each such output
+and each failing test.  A pass over three
 kernels takes about 1.5 min on a 2-core host.
 """
 
@@ -34,7 +37,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
-from compare_outputs import _compare  # noqa: E402
+from compare_outputs import differences  # noqa: E402
 
 KERNELS = ("Haswell", "Prescott")
 REFERENCE = ["tests/test_sweep_reference.py"]
@@ -78,42 +81,38 @@ def run_kernel(root, kernel, tmp):
     return json.loads(out.read_text()), failed
 
 
-def compare(base, record):
-    """(byte-identical count, worst relative difference, its job) of a record
-    against the default kernel's."""
-    same, worst, where = 0, 0.0, "-"
-    for key in base:
-        if record.get(key) == base[key]:
-            same += 1
-            continue
-        w, _ = _compare(json.dumps(base[key], sort_keys=True),
-                        json.dumps(record.get(key), sort_keys=True))
-        if w >= worst:
-            worst, where = w, key
-    return same, worst, where
+def table(runs):
+    """The lines printed for ``runs``, {kernel: (its record, its failing
+    tests)} with the default kernel first: one row per kernel, against the
+    default's record, then each output that differs in more than its numbers
+    or is in one record only, and each failing test."""
+    base = runs["default"][0]
+    lines = ["| kernel | byte-identical | worst move | in | other differences "
+             "| failing tests |", "| --- | ---: | ---: | --- | ---: | ---: |"]
+    notes = []
+    for kernel, (record, failed) in runs.items():
+        same, moved, only = differences(base, record)
+        worst = max(moved, key=lambda k: moved[k][0], default=None)
+        move = moved[worst][0] if moved else 0.0
+        other = [f"{kernel}: {key}: {n} other tokens differ"
+                 for key, (_, n) in moved.items() if n]
+        other += [f"{kernel}: {key}: only in the "
+                  + ("default's record" if key in base else "kernel's record") for key in only]
+        lines.append(f"| {kernel} | {same} of {len(set(base) | set(record))} | {move:.3g} "
+                     f"| {worst if move else '-'} | {len(other)} | {len(failed)} |")
+        notes += other + [f"{kernel}: FAILED {test}" for test in failed]
+    return lines + notes
 
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--root", default=".", help="the checkout whose src/, scenes/ and tests/ "
                    "to run (default: the current directory)")
-    p.add_argument("--kernel", action="append", help="an OPENBLAS_CORETYPE to compare with "
-                   "the default kernel; give it once per kernel (default: "
-                   + ", ".join(KERNELS) + ")")
-    args = p.parse_args(argv)
-    root = Path(args.root).resolve()
+    root = Path(p.parse_args(argv).root).resolve()
     with tempfile.TemporaryDirectory() as tmp:
-        runs = {k: run_kernel(root, k, tmp) for k in ("default", *(args.kernel or KERNELS))}
-    base = runs["default"][0]
-    print(f"{root}: {len(base)} outputs, tests: {' '.join(tests_of(root))}")
-    print("| kernel | byte-identical | worst move | in | failing tests |")
-    print("| --- | ---: | ---: | --- | ---: |")
-    for kernel, (record, failed) in runs.items():
-        same, worst, where = compare(base, record)
-        print(f"| {kernel} | {same} of {len(base)} | {worst:.3g} | {where} | {len(failed)} |")
-    for kernel, (_, failed) in runs.items():
-        for test in failed:
-            print(f"{kernel}: FAILED {test}")
+        runs = {k: run_kernel(root, k, tmp) for k in ("default", *KERNELS)}
+    print(f"{root}: {len(runs['default'][0])} outputs, tests: {' '.join(tests_of(root))}")
+    print("\n".join(table(runs)))
     return 0
 
 
