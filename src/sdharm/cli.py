@@ -516,7 +516,7 @@ class _Job:
             base = tuple(points) if resolved.fm is None else tuple(p[1:] for p in points)
             # keyed by h's closure (which an orientation flip keeps) and the points
             self.base = resolved.run.keep(("base", base), h.fn, lambda: weyl3.HeldBase(
-                h, h.chart.point_array(base))).new_job()
+                h, h.chart.point_array(base)))
 
 
 def _potential(job, check):

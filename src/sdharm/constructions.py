@@ -318,11 +318,15 @@ def _euler_coframe(c):
     return _euler_s1(*t), _euler_s2(*t), _euler_s3(c)
 
 
+# sigma3, also the unit of every berger_lee: a run holds its arrays once for every scale
+_SIGMA3 = geo.OneFormField(_EULER_CHART, _euler_s3, "sigma3")
+
+
 def euler_s3_frame():
     """Left-invariant coframe (s1, s2, s3) with d s_i = 2 s_j ^ s_k (cyclic)."""
-    return tuple(geo.OneFormField(_EULER_CHART, s, f"sigma{i+1}") for i, s in enumerate(
-        (lambda c: _euler_s1(*_euler_trig(c)), lambda c: _euler_s2(*_euler_trig(c)),
-         _euler_s3)))
+    return (geo.OneFormField(_EULER_CHART, lambda c: _euler_s1(*_euler_trig(c)), "sigma1"),
+            geo.OneFormField(_EULER_CHART, lambda c: _euler_s2(*_euler_trig(c)), "sigma2"),
+            _SIGMA3)
 
 
 def round_s3_euler():
@@ -337,16 +341,14 @@ def berger_s3(mu):
         raise DomainError("berger parameter mu must be positive")
     def fn(c):
         s1, s2, s3 = _euler_coframe(c)
-        return [[s1[a] * s1[b] + s2[a] * s2[b] + (mu * mu) * s3[a] * s3[b]
-                 for b in range(3)] for a in range(3)]
+        return [[s1a * s1[b] + s2a * s2[b] + m3a * s3[b] for b in range(3)]
+                for s1a, s2a, m3a in zip(s1, s2, [(mu * mu) * x for x in s3])]
     return geo.MetricField(_EULER_CHART, fn, f"berger_s3({mu})")
 
 
 def berger_lee(scale):
     """alpha = scale * s3 on the Euler chart (d alpha = 2 * scale s1^s2)."""
-    return geo.OneFormField(
-        _EULER_CHART, lambda c: [float(scale) * x for x in _euler_s3(c)],
-        f"berger_lee({scale})")
+    return geo.ScaledOneForm(_SIGMA3, scale, f"berger_lee({scale})")
 
 
 def gh_potential(m=1.0):

@@ -52,6 +52,7 @@ __all__ = [
     "Chart",
     "ScalarField",
     "OneFormField",
+    "ScaledOneForm",
     "TwoFormField",
     "MetricField",
     "hold_point",
@@ -237,6 +238,20 @@ class OneFormField(_Field):
 
     def values(self, point):
         return self.arrays(point)[0]
+
+
+class ScaledOneForm(OneFormField):
+    """The number ``factor`` times the one-form ``unit``: ``fn`` multiplies the
+    unit's components, and the jets are the unit's times the factor, so
+    ``weyl3.HeldBase`` may hold the unit's arrays and scale them."""
+
+    def __init__(self, unit, factor, name=""):
+        k = float(factor)
+        super().__init__(unit.chart, lambda c: [k * x for x in unit.fn(c)], name)
+        self.unit, self.factor = unit, k
+
+    def jets(self, point):
+        return [self.factor * j for j in self.unit.jets(point)]
 
 
 class TwoFormField(_Field):

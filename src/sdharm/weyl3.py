@@ -49,8 +49,8 @@ class HeldBase:
     Riemann tensor R_abcd from ddg and Gamma, Ricci tensor and scalar),
     ``riemann_norm`` (the frame norm of R_abcd, the base checks' scale),
     ``frame`` (g's ``geo.orthonormal_frame``), ``vol`` (sqrt det g), and
-    ``arrays(field)``, a one-form's arrays at the points, held until
-    ``new_job``.  ``point`` is ``geo.hold_point`` of the points, so h and
+    ``arrays(field)``, a one-form's arrays at the points, held while the base
+    is.  ``point`` is ``geo.hold_point`` of the points, so h and
     every field read here start from one seeding of its coordinate jets.  The
     residuals below take one as ``base``, or hold h at the point themselves."""
 
@@ -81,18 +81,14 @@ class HeldBase:
 
     def arrays(self, field):
         """The one-form field's ``arrays`` at the points (alpha and dalpha[..., b,
-        d] = d_d alpha_b), evaluated once per field for the residuals of a job."""
-        out = self._arrays.get(field)
+        d] = d_d alpha_b), evaluated once per field; a ``geo.ScaledOneForm``'s
+        are its unit's, held, times its factor, so a sweep of the factor
+        evaluates the unit once."""
+        unit = getattr(field, "unit", field)
+        out = self._arrays.get(unit)
         if out is None:
-            out = self._arrays[field] = field.arrays(self.point)
-        return out
-
-    def new_job(self):
-        """This base for a new job: its metric parts stay, its one-forms' arrays
-        go (a sweep brings new forms every step; holding their arrays for the
-        run cost 3% of a ``sweep --locate`` step)."""
-        self._arrays = {}
-        return self
+            out = self._arrays[unit] = unit.arrays(self.point)
+        return out if unit is field else tuple(field.factor * a for a in out)
 
     def star(self, form, k, orientation):
         """The Hodge star of a k-form with h's held inverse and volume."""

@@ -166,8 +166,9 @@ def test_verify_shares_one_context_per_fibre_sample(capsys, tmp_path, built, met
     # (a one-row job: the base point's own scalar jets)
     n = len(built[0])
     assert metric_shapes == [("arrays", (n, 4)), ("jets", (n, 3)), ("jets", (3,))]
-    # alpha's jets once for einstein_weyl, beltrami and monopole; theta's once
-    assert form_jets == [("berger_lee(0.96)", (1, 3)), ("type4.theta", (n, 4))]
+    # alpha's jets once for einstein_weyl, beltrami and monopole (its unit's:
+    # berger_lee is a scaled sigma3); theta's once
+    assert form_jets == [("sigma3", (1, 3)), ("type4.theta", (n, 4))]
 
 
 def test_sweep_holds_each_point_with_its_checks_samples(capsys, built):
@@ -215,13 +216,14 @@ def test_sweep_resolves_each_unchanged_ref_and_samples_once(capsys, monkeypatch)
 
 
 def test_verify_evaluates_each_one_form_once_per_job(capsys, metric_shapes, form_jets):
-    """einstein_weyl, beltrami and monopole read one batch of alpha's jets at
-    the job's five base points, not one per point and check, and monopole one
-    of theta; the total and the base metric are evaluated once each."""
+    """einstein_weyl, beltrami and monopole read one batch of alpha's jets (its
+    unit's, sigma3) at the job's five base points, not one per point and
+    check, and monopole one of theta; the total and the base metric are
+    evaluated once each."""
     code, out = run_cli(["verify", scene_path("type4_berger_ew.json"),
                          "--checks", "einstein_weyl,beltrami,monopole"], capsys)
     assert code == 0 and len(json.loads(out)["records"]) == 5
-    assert form_jets == [("berger_lee(0.96)", (5, 3)), ("type4.theta", (5, 4))]
+    assert form_jets == [("sigma3", (5, 3)), ("type4.theta", (5, 4))]
     assert metric_shapes == [("arrays", (5, 4)), ("jets", (5, 3)), ("jets", (5, 3))]
 
 
@@ -760,22 +762,58 @@ def test_every_sweep_row_is_the_maximum_over_verify_records(name, scene_file, po
                 for e in report.get("domain_errors", [])]
 
 
-def test_a_sweep_seeds_its_base_point_once_per_run(capsys, monkeypatch):
+# A Lee form that is not a scaled unit: every step of a sweep of its m is a new form.
+DIRAC_SWEEP = {"schema": 1, "base": {"name": "flat3_spherical"},
+               "alpha": {"name": "dirac_A", "params": {"m": 1.0}},
+               "samples": {"points": [[1.2, 1.0, 2.0]]}, "checks": ["einstein_weyl"]}
+
+
+@pytest.mark.parametrize("scene, args, point, lee_forms", [
+    ("berger_ew_sweep.json", ["--param", "alpha.params.scale", "--locate", "einstein_weyl"],
+     [1.2, 2.0, 3.0], ["sigma3"]),
+    (DIRAC_SWEEP, ["--param", "alpha.params.m"], [1.2, 1.0, 2.0],
+     [f"dirac_A({float(m)},1)" for m in np.linspace(0.5, 1.4, 8)])],
+    ids=["scaled_locate", "dirac_A"])
+def test_a_sweep_seeds_its_base_point_once_per_run(scene, args, point, lee_forms, capsys,
+                                                   monkeypatch, tmp_path):
     """The run's base point is seeded in coordinate jets once: h and the Lee
-    form of every step, grid value or probe, start from those jets."""
+    form of every step, grid value or probe, start from those jets.  Every
+    step and golden-section probe of berger_lee scales the arrays of one unit,
+    sigma3, evaluated once; a dirac_A is a new form at each of the 8 steps."""
+    if isinstance(scene, dict):
+        (tmp_path / "sweep.json").write_text(json.dumps(scene))
+        scene = str(tmp_path / "sweep.json")
     seeded, real = [], jets.seed_all
     monkeypatch.setattr(jets, "seed_all", lambda point: seeded.append(
         np.asarray(point).tolist()) or real(point))
-    lee_forms, real_jets = [], geo.OneFormField.jets
-    monkeypatch.setattr(geo.OneFormField, "jets", lambda f, p: lee_forms.append(f.name) or
+    forms, real_jets = [], geo.OneFormField.jets
+    monkeypatch.setattr(geo.OneFormField, "jets", lambda f, p: forms.append(f.name) or
                         real_jets(f, p))
+    code, out = run_cli(["sweep", scene_path(scene), *args, "--range", "0.5:1.4",
+                         "--steps", "8", "--checks", "einstein_weyl"], capsys)
+    assert code == 0 and len(_sweep_rows(out)) == 8
+    assert ("# minimum,einstein_weyl," in out) == ("--locate" in args)
+    assert forms == lee_forms
+    assert seeded == [point]
+
+
+def test_sweep_locate_evaluates_the_lee_forms_unit_once(capsys, monkeypatch):
+    """Each of a berger_lee sweep's steps and golden-section probes reads the
+    Lee form as its unit's arrays, held for the run, times the swept scale:
+    the unit's closure runs once, at the one base point, not once per step."""
+    unit = con.berger_lee(1.0).unit
+    calls, real = [], unit.fn
+    monkeypatch.setattr(unit, "fn", lambda c: calls.append(c) or real(c))
+    steps, real_ew = [], weyl3.einstein_weyl_residual
+    monkeypatch.setattr(weyl3, "einstein_weyl_residual", lambda w, *a: steps.append(
+        w.alpha.factor) or real_ew(w, *a))
     code, out = run_cli(["sweep", scene_path("berger_ew_sweep.json"),
                          "--param", "alpha.params.scale", "--range", "0.5:1.4",
                          "--steps", "8", "--checks", "einstein_weyl",
                          "--locate", "einstein_weyl"], capsys)
     assert code == 0 and "# minimum,einstein_weyl," in out
-    assert len(lee_forms) > 8
-    assert seeded == [[1.2, 2.0, 3.0]]
+    assert len(set(steps)) == len(steps) > 8
+    assert len(calls) == 1 and [c.value for c in calls[0]] == [1.2, 2.0, 3.0]
 
 
 @pytest.mark.parametrize("param, value_range, pointer, message", [

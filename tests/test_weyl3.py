@@ -78,20 +78,22 @@ def test_residuals_read_a_held_base_as_they_evaluate_h():
         assert np.array_equal(weyl3.weyl_connection_coeffs(w, pt), G_held)
 
 
-@pytest.mark.parametrize("n", [3, 1], ids=["batch", "one_row"])
+@pytest.mark.parametrize("n", [3, 1, None], ids=["batch", "one_row", "point"])
 def test_a_field_read_through_a_held_base_is_its_own_arrays(n):
     """HeldBase.arrays and h's evaluation start from the held point's jets:
-    every array equals, to the bit and in shape, the field's own ``arrays``
-    (and h's ``metric_point``) at the points."""
+    every array equals, to the bit (the sign of a zero too) and in shape, the
+    field's own ``arrays`` (and h's ``metric_point``) at the points.  The
+    Lee forms after the first are their unit's held arrays times a scale."""
     h = con.berger_s3(0.8)
-    points = np.array(pts(h.chart, n, seed=9))
-    fields = [con.berger_lee(0.7),
+    points = pts(h.chart, 1, seed=9)[0] if n is None else np.array(pts(h.chart, n, seed=9))
+    fields = [con.berger_lee(0.7), con.berger_lee(-0.7), con.berger_lee(0.0),
               geo.OneFormField(h.chart, lambda c: [jets.sin(c[0]) * c[1], 0.5, c[2] * c[2]], "mix"),
               geo.ScalarField(h.chart, lambda c: 1.6 + jets.cos(c[1]) * c[2], "c")]
     base = weyl3.HeldBase(h, points)
     for field in fields:
         for held, own in zip(base.arrays(field), field.arrays(points)):
-            assert held.shape == own.shape and held.tobytes() == own.tobytes()
+            assert np.shape(held) == np.shape(own)
+            assert np.asarray(held).tobytes() == np.asarray(own).tobytes()
     for held, own in zip(base.mp, geo.metric_point(h, points)):
         assert held.shape == own.shape and held.tobytes() == own.tobytes()
 

@@ -32,7 +32,8 @@ process on
   scenes whose evaluation once escaped the commands' error handling, a
   warping whose ``sqrt`` underflows, and type-4 curvature scalars, checks and
   classify evidence that are infinite or NaN (a domain error at each point);
-- a few sweeps with total-space checks (``SWEEPS``);
+- a few sweeps (``SWEEPS``): with total-space checks, and of a Lee-form
+  scale through 0 with base checks alone;
 - ``report`` of each scene of ``INVALID_SCENES``, edits of a valid scene that
   break the scene schema, and a sweep into an invalid slot
   (``INVALID_SWEEP``), so every usage-error message of scene validation is
@@ -91,6 +92,10 @@ SWEEPS = [
      "fundamental_eq,twistorial_basic,twistorial_sd"),
     ("gibbons_hawking.json", "construction.params.u.params.m", "0.5:1.5", 3,
      "fundamental_eq,twistorial_sd,pullback_sd"),
+    # the Lee form's scale through 0, where beltrami has its minimum (einstein_weyl's,
+    # at about +-0.96, lie outside), so the probes scale held arrays by both signs
+    ("berger_ew_sweep.json", "alpha.params.scale", "-0.6:0.6", 7, "beltrami,einstein_weyl",
+     "beltrami"),
 ]
 
 # type4_berger_ew.json sampled at good points and at two points outside its
