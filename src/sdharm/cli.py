@@ -12,7 +12,6 @@ else 0; 64 usage / malformed input.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import functools
 import hashlib
@@ -285,11 +284,11 @@ def _resolve_ref(ref, default_name=None):
             return None
         ref = {"name": default_name}
     name = ref["name"]
-    if name not in con.CATALOG:
+    entry = con.CATALOG.get(name)
+    if entry is None:
         raise UsageError(f"unknown catalog entry {name!r}; "
                          f"known: {', '.join(con.catalog_names())}")
-    params = _ref_params(ref, f"catalog entry {name!r}", con.CATALOG[name].params)
-    return con.catalog(name, **params)
+    return entry.build(_ref_params(ref, f"catalog entry {name!r}", entry.params))
 
 
 def _fibre_scalar(ref):
@@ -333,61 +332,77 @@ def _env_tolerance():
     return tol
 
 
-class Run:
-    """The state of one command, dropped when the command returns: the default
-    tolerance, read from the environment once, and what a sweep step leaves
-    unchanged (catalog refs, sample points, the base metric at the base points),
-    each built once by ``keep``."""
-
-    def __init__(self):
-        self.tol = _env_tolerance()
-        self._built = {}
-
-    def keep(self, key, obj, build, *args):
-        """build(*args), called only the first time the run meets the scene
-        object ``obj`` under ``key``.  ``obj`` is matched by identity, as a
-        sweep step shares every part of the scene off the swept path; the run
-        keeps it, so that its id is not reused while the run lasts."""
-        key = key, id(obj)
-        kept = self._built.get(key)
-        if kept is None:
-            kept = self._built[key] = obj, build(*args)
-        return kept[1]
-
-    def resolve(self, ref, *defaults):
-        """The catalog entry of a ref; the same ref object gives the same entry."""
-        return self.keep(("ref", defaults), ref, _resolve_ref, ref, *defaults)
-
-
 class ResolvedScene:
     """A scene's fields, and one ``SubmersionSetup`` (or None without a
-    construction) that every check and the classifier read it through."""
-    fm = None
+    construction) that every check and the classifier read it through.  A
+    sweep step is ``step`` of the resolution it holds: what the swept slot
+    leaves unchanged (refs, h, the fibration and its setup, the sample points,
+    h held at them) is shared with it, not resolved again."""
+    fm = setup = None
 
-    def __init__(self, scene, run=None):
-        self.scene = scene
-        self.run = run = run or Run()
-        self.orientation = scene.get("orientation", 1)
-        base_ref = scene.get("base")
-        h = run.resolve(base_ref, "flat3")
-        if not isinstance(h, geo.MetricField):
-            raise UsageError(f"base entry {base_ref['name']!r} is not a 3-metric")
-        # the orientation of the base chart, which every construction's total chart copies
-        self.h = h if self.orientation == 1 else h.flipped()
-        self.alpha = run.resolve(scene.get("alpha"))
-        if "construction" in scene:
-            self._build(scene["construction"])
-        # the factory's record of u, A, alpha and c (absent: None)
-        params = self.family_params = {} if self.fm is None else self.fm.family_params
-        self.pair_u, self.pair_A = params.get("u"), params.get("A")
-        if "pair" in scene:                 # the monopole pair, else the family's
-            pair = scene["pair"]
-            self.pair_u, self.pair_A = (self._on_base_chart(run.resolve(pair[k])) if k in pair
-                                        else params.get(k) for k in "uA")
-        self.setup = mor.SubmersionSetup(self.fm) if self.fm is not None else None
-        # the Lee form of the base Weyl structure: the family's, the scene's, or zero
-        self.lee_form = params.get("alpha") or self.alpha or geo.OneFormField(
-            self.h.chart, lambda c: [0.0] * 3, "zero")
+    def __init__(self, scene, tol=None):
+        # the default tolerance, read from the environment once per command
+        self.tol = _env_tolerance() if tol is None else tol
+        self.scene, self._refs, self._samples = scene, {}, None
+        self._resolve(None)
+
+    def step(self, keys, value):
+        """The resolution of this scene with ``value`` at the slot ``keys`` (a
+        tuple, as ``scene_slot`` gives it): this one's parts, but those that
+        read the swept slot, and those made from them, resolved again."""
+        keys, step = tuple(keys), object.__new__(ResolvedScene)
+        # a shallow copy, with its own scene and refs
+        step.__dict__ = {**self.__dict__, "scene": with_slot(self.scene, keys, value),
+                         "_refs": dict(self._refs)}
+        step._resolve(keys)
+        return step
+
+    def _resolve(self, swept):
+        """Resolve the parts of the scene that read the slot ``swept`` (keys
+        from the scene's top; None, the whole scene): a ref if the slot lies in
+        it (``_ref``), any other part if the slot lies in a top-level key it
+        reads or a part it is made from was resolved again."""
+        scene, top = self.scene, None if swept is None else swept[0]
+        base = top in (None, "base", "orientation")
+        fibration = base or top == "construction"       # what is made from h
+        if base:
+            self.orientation = scene.get("orientation", 1)
+            h = self._ref(swept, ("base",), scene.get("base"), "flat3")
+            if not isinstance(h, geo.MetricField):
+                raise UsageError(f"base entry {scene['base']['name']!r} is not a 3-metric")
+            # the orientation of the base chart, which every construction's total chart copies
+            self.h = h if self.orientation == 1 else h.flipped()
+            self._bases = {}
+        if top in (None, "alpha"):
+            self.alpha = self._ref(swept, ("alpha",), scene.get("alpha"))
+        if fibration:
+            if "construction" in scene:
+                self._build(scene["construction"], swept)
+                self.setup = mor.SubmersionSetup(self.fm)
+            # the factory's record of u, A, alpha and c (absent: None)
+            self.family_params = {} if self.fm is None else self.fm.family_params
+        if fibration or top == "pair":
+            params = self.family_params
+            self.pair_u, self.pair_A = params.get("u"), params.get("A")
+            if "pair" in scene:                 # the monopole pair, else the family's
+                pair = scene["pair"]
+                self.pair_u, self.pair_A = (
+                    self._on_base_chart(self._ref(swept, ("pair", k), pair[k])) if k in pair
+                    else params.get(k) for k in "uA")
+        if fibration or top == "alpha":
+            # the Lee form of the base Weyl structure: the family's, the scene's, or zero
+            self.lee_form = self.family_params.get("alpha") or self.alpha or geo.OneFormField(
+                self.h.chart, lambda c: [0.0] * 3, "zero")
+        if top in (None, "samples"):
+            self._samples = None
+
+    def _ref(self, swept, keys, ref, *defaults):
+        """The catalog entry of ``ref``, the ref at the slot ``keys``: the one
+        held, unless the swept slot lies in it."""
+        if swept is not None and swept[:len(keys)] != keys:
+            return self._refs[keys]
+        entry = self._refs[keys] = _resolve_ref(ref, *defaults)
+        return entry
 
     def _on_base_chart(self, field):
         if field is not None and field.chart.names != self.h.chart.names:
@@ -395,13 +410,14 @@ class ResolvedScene:
                              f" but the base chart is {self.h.chart.names}")
         return field
 
-    def _build(self, spec):
+    def _build(self, spec, swept):
         family = spec["family"]
         params = spec.get("params", {})
         kwargs = {"fibre_range": tuple(spec["fibre_range"])} if "fibre_range" in spec else {}
 
         def ref(key, *defaults):
-            return self._on_base_chart(self.run.resolve(params.get(key), *defaults))
+            return self._on_base_chart(self._ref(swept, ("construction", "params", key),
+                                                 params.get(key), *defaults))
 
         if family in ("type1", "jones_tod"):
             self.fm = con.jones_tod_metric(self.h, ref("u", "gh_potential"),
@@ -433,9 +449,23 @@ class ResolvedScene:
         return self.fm.total_chart if self.fm is not None else self.h.chart
 
     def sample_points(self):
-        """(points, seed) of the scene's ``samples`` on its chart, once per run."""
-        return self.run.keep(("samples", self.chart), self.scene["samples"],
-                             self._sample_points)
+        """(points, seed) of the scene's ``samples`` on its chart, drawn once
+        for the samples and the chart that steps share."""
+        chart = self.chart
+        if self._samples is None or (self._samples[0] is not chart
+                                     and self._samples[0] != chart):
+            self._samples, self._bases = (chart, self._sample_points()), {}
+        return self._samples[1]
+
+    def held_base(self, points):
+        """h held at the base points of ``points`` (a fibration's drop the fibre
+        coordinate), a ``weyl3.HeldBase`` shared by the steps that share h and
+        the sample points."""
+        base = tuple(points) if self.fm is None else tuple(p[1:] for p in points)
+        held = self._bases.get(base)
+        if held is None:
+            held = self._bases[base] = weyl3.HeldBase(self.h, self.h.chart.point_array(base))
+        return held
 
     def _sample_points(self):
         spec = self.scene["samples"]
@@ -463,7 +493,7 @@ class ResolvedScene:
 
     def tolerance_for(self, check):
         tols = self.scene.get("tolerances", {})
-        return tols.get(check, tols.get("default", self.run.tol))
+        return tols.get(check, tols.get("default", self.tol))
 
 
 def _require_sample_count(*counts):
@@ -490,7 +520,7 @@ class _Job:
     samples, ``fibres``, one ``fibre_samples_about`` of the job; or the
     point), then the point, so that a one-point job that fails names the
     point the first failing check names; ``_evaluate`` splits a failing job
-    by point.  The base checks, and ``monopole``, read the run's
+    by point.  The base checks, and ``monopole``, read the resolution's
     ``weyl3.HeldBase`` (``base``), whose parts are evaluated on first use.
     A job of scalars alone holds no base and no total-space evaluation; a
     job without scalars makes no curvature report."""
@@ -512,11 +542,7 @@ class _Job:
             resolved.setup.hold(np.concatenate(held, axis=1).reshape(-1, 4).tolist())
             self.total = resolved.setup.rows(self.at)
         if spaces != {"metric"}:
-            h = resolved.h              # a fibration's base points drop the fibre coordinate
-            base = tuple(points) if resolved.fm is None else tuple(p[1:] for p in points)
-            # keyed by h's closure (which an orientation flip keeps) and the points
-            self.base = resolved.run.keep(("base", base), h.fn, lambda: weyl3.HeldBase(
-                h, h.chart.point_array(base)))
+            self.base = resolved.held_base(points)
 
 
 def _potential(job, check):
@@ -578,7 +604,7 @@ def _require_checks(names, scene):
 def _checks_at(points, checks, resolved):
     """{name: (raw, scale)} at every point of a list of sample points, as one
     job (each an array over the points).  The checks share the setup's
-    evaluations and the run's base."""
+    evaluations and the resolution's held base."""
     job = _Job(resolved, points, checks)
     return _finite({name: (CHECKS[name].residual(job),
                            getattr(job, CHECKS[name].space).riemann_norm)
@@ -648,15 +674,16 @@ def _canonical_object(members):
     return "{" + ",".join(f"{json.dumps(k)}:{members[k]}" for k in sorted(members)) + "}"
 
 
-def _evaluate(scene, batch, run=None):
+def _evaluate(resolve, batch):
     """(points, seed, results, domain_errors): ``batch(resolved, points)``, a
-    list of one result per point, over the scene's sample points.  A job that
-    raises a domain error is split (``isolate``) down to the one-point jobs of
-    its bad points: each such result is None, recorded as {index, point,
-    error}.  A domain error raised while the scene resolves is the job's one
-    domain error, {error}, with no points."""
+    list of one result per point, over the sample points of the scene
+    ``resolve()`` resolves.  A job that raises a domain error is split
+    (``isolate``) down to the one-point jobs of its bad points: each such
+    result is None, recorded as {index, point, error}.  A domain error raised
+    while the scene resolves is the job's one domain error, {error}, with no
+    points."""
     try:
-        resolved = ResolvedScene(scene, run)
+        resolved = resolve()
         points, seed = resolved.sample_points()
     except GeometryError as exc:
         return [], None, [], [{"error": str(exc)}]
@@ -686,7 +713,7 @@ def build_report(scene, check_names, batch):
     gives over the scene's sample points (``_evaluate``), and its canonical
     JSON.  Each member is encoded once; ``report_hash`` is the sha256 of the
     members' canonical JSON, and the text splices it and ``timestamp`` in."""
-    points, seed, results, domain_errors = _evaluate(scene, batch)
+    points, seed, results, domain_errors = _evaluate(lambda: ResolvedScene(scene), batch)
     records = [{"index": idx, "point": list(point), "checks": checks or {}}
                for idx, (point, checks) in enumerate(zip(points, results))]
     for e in domain_errors:
@@ -792,7 +819,7 @@ def cmd_classify(args):
         return [_finite_class(mor.classify_type(resolved.setup, fibre), p)
                 for p, fibre in zip(pts, fibres)]
 
-    points, seed, classes, domain_errors = _evaluate(scene, batch)
+    points, seed, classes, domain_errors = _evaluate(lambda: ResolvedScene(scene), batch)
     results = [{"point": list(point), "label": cls.label, "recovered_c": cls.recovered_c,
                 "evidence": cls.evidence}
                for point, cls in zip(points, classes) if cls is not None]
@@ -825,9 +852,9 @@ def with_slot(scene, keys, value):
     on the way to it are copied, the rest is shared with ``scene``."""
     if not keys:
         return value
-    out = node = copy.copy(scene)
+    out = node = scene.copy()           # a scene's dicts and lists
     for key in keys[:-1]:
-        node[key] = copy.copy(node[key])
+        node[key] = node[key].copy()
         node = node[key]
     node[keys[-1]] = value
     return out
@@ -854,9 +881,19 @@ def cmd_sweep(args):
         raise UsageError("--locate check must be one of the swept checks")
 
     _require_checks(checks, scene)          # no swept number changes what they need
-    run = Run()
-    keys = scene_slot(scene, args.param)
+    tol = _env_tolerance()
+    keys = tuple(scene_slot(scene, args.param))
     check_slot = slot_validator(keys)
+    held = None                 # the resolution of the last step that resolved
+
+    def resolve(value):             # a step of the held resolution, else a whole one
+        nonlocal held
+        held = (ResolvedScene(with_slot(scene, keys, value), tol) if held is None
+                else held.step(keys, value))
+        return held
+
+    def batch(resolved, points):
+        return _sweep_values(points, checks, resolved)
 
     def run_at(value, errors):
         """Each check's maximum normalized value over the good points of the
@@ -864,11 +901,12 @@ def cmd_sweep(args):
         points, or the scene's own domain error, go to ``errors``.  The scene
         was validated when loaded, so only the swept value is checked."""
         check_slot(value)
-        _, _, values, bad = _evaluate(with_slot(scene, keys, value),
-                                      lambda r, pts: _sweep_values(pts, checks, r), run)
-        errors.extend((value, e.get("index", ""), e.get("point", ()), e["error"]) for e in bad)
-        good = [v for v in values if v is not None]
-        return dict(zip(checks, map(max, zip(*good))))
+        _, _, values, bad = _evaluate(lambda: resolve(value), batch)
+        if bad:
+            errors.extend((value, e.get("index", ""), e.get("point", ()), e["error"])
+                          for e in bad)
+            values = [v for v in values if v is not None]
+        return dict(zip(checks, map(max, zip(*values))))
 
     values = np.linspace(lo, hi, args.steps) if args.steps > 1 else np.array([lo])
     errors = []
@@ -885,12 +923,15 @@ def cmd_sweep(args):
 
     if args.locate:
         series = [res[args.locate] for _, res in rows]
-        for i in range(1, len(series) - 1):
-            if series[i] <= series[i - 1] and series[i] <= series[i + 1]:
-                x, fx = weyl3.locate_residual_minimum(
-                    lambda t: run_at(t, []).get(args.locate, math.inf),
-                    rows[i - 1][0], rows[i + 1][0], tol=1e-8)
-                buf.write(f"# minimum,{args.locate},{float(x)!r},{float(fx)!r}\n")
+        minima = [i for i in range(1, len(series) - 1)
+                  if series[i] <= series[i - 1] and series[i] <= series[i + 1]]
+        for i in minima:
+            x, fx = weyl3.locate_residual_minimum(
+                lambda t: run_at(t, []).get(args.locate, math.inf),
+                rows[i - 1][0], rows[i + 1][0], tol=1e-8)
+            buf.write(f"# minimum,{args.locate},{float(x)!r},{float(fx)!r}\n")
+        if not minima:
+            buf.write(f"# no_minimum,{args.locate}\n")
     _emit(buf.getvalue(), args.out)
     return _exit_code(errors)
 

@@ -465,6 +465,10 @@ class CatalogEntry(NamedTuple):
     formula: str
     validate: Callable            # (object, params) -> {residual name: float}
 
+    def build(self, params):
+        """The factory's object at ``params`` over the defaults (names checked)."""
+        return self.factory(**{**self.params, **params})
+
 
 CATALOG = {
     "flat3": CatalogEntry(flat3, {}, "delta_ij on a Cartesian 3-chart", _flatness),
@@ -505,7 +509,7 @@ def catalog(name, **params):
     unknown = set(params) - set(entry.params)
     if unknown:
         raise DomainError(f"catalog entry {name!r} does not take parameters {sorted(unknown)}")
-    return entry.factory(**dict(entry.params, **params))
+    return entry.build(params)
 
 
 def catalog_describe(name):

@@ -3,14 +3,15 @@ derivatives of a scalar field, the integrability form's cross-check against
 the connection form, *_H I in a Gram-Schmidt horizontal frame, the trace forms
 and the integrability form through the Christoffel symbols, the einsum
 formulas of the curvature chain, the index-at-a-time ``to_frame``, the
-field closures with each constant component built as a jet, and the base
-closures before their constants became numbers."""
+field closures with each constant component built as a jet, the base
+closures before their constants became numbers, and a sweep step resolved
+whole."""
 
 import types
 
 import numpy as np
 
-from sdharm import constructions as con, geometry as geo, jets, weyl3
+from sdharm import cli, constructions as con, geometry as geo, jets, weyl3
 from sdharm.errors import SingularEvaluationError
 
 
@@ -457,3 +458,14 @@ def stacked_arrays(g, point):
     if not geo._is_batch(point):
         return out
     return tuple(x[None] if len(point) == 1 else np.moveaxis(x, -1, 0) for x in out)
+
+
+# -- a sweep step, resolved whole ----------------------------------------------
+
+def resolve_step_in_full(held, keys, value):
+    """In place of ``cli.ResolvedScene.step``: the step's scene, ``value`` at
+    the slot ``keys`` of the held one's, resolved whole, so that the step's
+    ``_evaluate`` is the one every sweep step made before steps shared the
+    held resolution's parts.  Only the tolerance, read once per command, is
+    the held one's."""
+    return cli.ResolvedScene(cli.with_slot(held.scene, keys, value), held.tol)

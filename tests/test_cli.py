@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import copy
 import csv
@@ -21,6 +22,7 @@ from sdharm import (__version__, cli, constructions as con, geometry as geo, jet
                     morphism as mor, weyl3)
 from sdharm.errors import DomainError, SingularEvaluationError
 
+import _oracles as O
 from test_compare_outputs import load_tool as load_parity_tool, not_json
 
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
@@ -199,8 +201,9 @@ def test_verify_computes_each_points_fibre_samples_once(capsys, monkeypatch):
 
 
 def test_sweep_resolves_each_unchanged_ref_and_samples_once(capsys, monkeypatch):
-    """A sweep step shares the refs and samples off the swept path; the run
-    resolves each of them once, and the swept ref at every step."""
+    """A sweep step shares the refs and samples off the swept path with the
+    held resolution: each is resolved once per run, and the swept ref at
+    every step."""
     names, real = [], cli._resolve_ref
     monkeypatch.setattr(cli, "_resolve_ref", lambda ref, *d: (
         ref and names.append(ref["name"])) or real(ref, *d))
@@ -713,7 +716,10 @@ def _sweep_cases():
     tool = load_parity_tool()
     cases = [("berger_ew_sweep", "berger_ew_sweep.json", None,
               ["--param", "alpha.params.scale", "--range=0.3:1.3", "--steps", "5",
-               "--checks", "einstein_weyl", "--locate", "einstein_weyl"])]
+               "--checks", "einstein_weyl", "--locate", "einstein_weyl"]),
+             ("located_second", "berger_ew_sweep.json", None,
+              ["--param", "alpha.params.scale", "--range=-0.6:0.6", "--steps", "7",
+               "--checks", "einstein_weyl,beltrami", "--locate", "beltrami"])]
     for name, param, span, steps, checks, *locate in tool.SWEEPS:
         args = ["--param", param, f"--range={span}", "--steps", str(steps), "--checks", checks]
         cases.append((f"{name}:{param}:{checks}", name, None,
@@ -731,8 +737,9 @@ SWEEP_CASES = _sweep_cases()
 def test_every_sweep_row_is_the_maximum_over_verify_records(name, scene_file, points, args,
                                                             capsys, tmp_path):
     """Each row, and each located minimum, is byte for byte the maximum
-    normalized value over the records of ``verify`` of that step's scene, and
-    the step's domain errors are verify's."""
+    normalized value over the records of ``verify`` of that step's scene (of
+    each swept check, or of the located one), and the step's domain errors
+    are verify's."""
     with open(scene_path(scene_file)) as fh:
         scene = json.load(fh)
     if points is not None:
@@ -744,19 +751,19 @@ def test_every_sweep_row_is_the_maximum_over_verify_records(name, scene_file, po
     lines = list(csv.reader(io.StringIO(out)))
     param, checks = args[1], [c[:-len("_max_normalized")] for c in lines[0][1:]]
     keys = cli.scene_slot(scene, param)
-    steps = [(row[0], row[1:]) for row in lines[1:] if not row[0].startswith("#")]
-    steps += [(row[2], [row[3]]) for row in lines if row[0] == "# minimum"]
+    steps = [(row[0], checks, row[1:]) for row in lines[1:] if not row[0].startswith("#")]
+    steps += [(row[2], [row[1]], [row[3]]) for row in lines if row[0] == "# minimum"]
     errors = [row[1:] for row in lines if row[0] == "# domain_error"]
     assert len(steps) == int(args[args.index("--steps") + 1]) + ("--locate" in args)
     assert (len(errors) > 0) == (points is not None)
-    for value, cells in steps:
+    for value, names, cells in steps:
         p.write_text(json.dumps(cli.with_slot(scene, keys, float(value))))
         _, out = run_cli(["verify", str(p), "--checks", ",".join(checks)], capsys)
         report = json.loads(out)
         good = [r["checks"] for r in report["records"] if "error" not in r]
         assert cells == [repr(max(c[name]["normalized"] for c in good))
-                         for name in checks[:len(cells)]], value
-        if len(cells) == len(checks):       # a grid row: its domain errors are verify's
+                         for name in names], value
+        if names is checks:                 # a grid row: its domain errors are verify's
             assert [e[1:] for e in errors if e[0] == value] == [
                 [str(e["index"]), " ".join(map(str, e["point"])), e["error"]]
                 for e in report.get("domain_errors", [])]
@@ -1026,6 +1033,124 @@ def test_sweep_step_copies_only_the_swept_path():
     assert edited["construction"]["params"]["alpha"]["params"]["scale"] == 0.5
     assert edited["samples"] is scene["samples"] and edited["base"] is scene["base"]
     assert edited["construction"]["params"] is not scene["construction"]["params"]
+
+
+def _scene_file(name, **fields):
+    """scenes/<name> with ``fields`` put in at its top."""
+    with open(scene_path(name)) as fh:
+        return dict(json.load(fh), **fields)
+
+
+def _sweep_args(param, span, steps, checks, locate=None):
+    return ["--param", param, f"--range={span}", "--steps", str(steps), "--checks", checks,
+            *(["--locate", locate] if locate else [])]
+
+
+# A sweep of each kind of slot, and of the domain errors a step can meet:
+# (scene, sweep arguments).  A step rebuilds what reads its slot: a ref and
+# what is made from it (alpha, a pair's, a construction's), the fibration
+# (construction), everything (base, orientation), the sample points (samples,
+# or a fibre range that moves the chart), or nothing (tolerances, the
+# Beltrami sign).
+STEP_SWEEPS = {
+    "alpha_scale": ("berger_ew_sweep.json", _sweep_args(
+        "alpha.params.scale", "0.5:1.4", 8, "einstein_weyl,beltrami", "einstein_weyl")),
+    "alpha_scale_bad_point": (_scene_file("berger_ew_sweep.json", samples={"points": [
+        [1.2, 2.0, 3.0], [1.2, 2.0, 9.0], [0.7, 1.0, 5.0]]}), _sweep_args(
+        "alpha.params.scale", "0.5:1.4", 4, "einstein_weyl", "einstein_weyl")),
+    "alpha_unscaled": (DIRAC_SWEEP, _sweep_args(
+        "alpha.params.m", "0.5:1.4", 5, "einstein_weyl,beltrami")),
+    "base_from_a_bad_value": ("berger_ew_sweep.json", _sweep_args(
+        "base.params.mu", "-0.4:0.8", 7, "einstein_weyl")),
+    "base_to_a_bad_value": ("type4_berger_ew.json", _sweep_args(
+        "base.params.mu", "0.9:-0.3", 5, "twistorial_sd,einstein_weyl", "einstein_weyl")),
+    "construction_number": ("type4_berger_ew.json", _sweep_args(
+        "construction.params.c", "1.0:2.2", 4, "twistorial_sd,monopole,einstein_weyl,w_minus")),
+    "construction_ref": ("gibbons_hawking.json", _sweep_args(
+        "construction.params.u.params.m", "0.5:1.5", 3, "fundamental_eq,pullback_sd,closure")),
+    "pair_ref": (_scene_file("gibbons_hawking.json", pair={
+        "u": {"name": "gh_potential", "params": {"m": 2.0}}}), _sweep_args(
+        "pair.u.params.m", "0.5:1.5", 3, "pullback_sd,closure")),
+    "samples": ("berger_ew_sweep.json", _sweep_args(
+        "samples.points.0.0", "0.4:2.6", 4, "einstein_weyl")),
+    "fibre_range": (ALL_SLOTS_SCENE, _sweep_args(
+        "construction.fibre_range.1", "0.5:2.0", 3, "twistorial_sd,einstein_weyl,ricci")),
+    "tolerances": (_scene_file("berger_ew_sweep.json", tolerances={"default": 1e-8}),
+                   _sweep_args("tolerances.default", "1e-9:1e-3", 3, "einstein_weyl")),
+    "orientation": (ALL_SLOTS_SCENE, _sweep_args(
+        "orientation", "-1:1", 2, "twistorial_sd,einstein_weyl,w_minus")),
+    "beltrami_sign": (_scene_file("berger_ew_sweep.json", beltrami_sign=1), _sweep_args(
+        "beltrami_sign", "-1:1", 2, "beltrami,einstein_weyl")),
+}
+
+
+@pytest.mark.parametrize("name", list(STEP_SWEEPS))
+def test_a_step_of_the_held_resolution_prints_what_a_whole_resolution_prints(
+        name, capsys, monkeypatch, tmp_path):
+    """A sweep resolves its scene once, and each step rebuilds only the parts
+    that read its slot; its output and exit code are byte for byte those of
+    the same sweep whose every step resolves its scene whole
+    (``_oracles.resolve_step_in_full``), domain errors and minima included."""
+    scene, args = STEP_SWEEPS[name]
+    if isinstance(scene, dict):
+        (tmp_path / "scene.json").write_text(json.dumps(scene))
+        scene = str(tmp_path / "scene.json")
+    argv = ["sweep", scene_path(scene), *args]
+    held = cli.main(argv), capsys.readouterr()
+    monkeypatch.setattr(cli.ResolvedScene, "step", O.resolve_step_in_full)
+    whole = cli.main(argv), capsys.readouterr()
+    assert held == whole
+    assert len(_sweep_rows(held[1].out)) >= 2
+    assert (held[0] == 2) == ("bad" in name)
+
+
+def test_a_located_scale_sweep_builds_what_the_scale_leaves_unchanged_once(capsys,
+                                                                          monkeypatch):
+    """Over the 8 steps and the golden-section probes of a sweep of
+    berger_lee's scale, the run resolves the scene whole once, and draws the
+    sample points and holds h at them once; the base ref is resolved once,
+    and the swept ref and the job once per step, grid value or probe."""
+    built = collections.Counter()
+
+    def count(owner, name):
+        real, key = getattr(owner, name), f"{owner.__name__}.{name}"
+        monkeypatch.setattr(owner, name, lambda *a, **k: built.update([key]) or real(*a, **k))
+
+    count(cli.ResolvedScene, "__init__")
+    count(cli.ResolvedScene, "_sample_points")
+    count(weyl3.HeldBase, "__init__")
+    count(cli._Job, "__init__")
+    refs, real_ref = [], cli._resolve_ref
+    monkeypatch.setattr(cli, "_resolve_ref", lambda ref, *d: refs.append(ref["name"]) or
+                        real_ref(ref, *d))
+    steps, real_ew = [], weyl3.einstein_weyl_residual
+    monkeypatch.setattr(weyl3, "einstein_weyl_residual", lambda w, *a: steps.append(
+        w.alpha.factor) or real_ew(w, *a))
+    code, out = run_cli(["sweep", scene_path("berger_ew_sweep.json"), *_sweep_args(
+        "alpha.params.scale", "0.5:1.4", 8, "einstein_weyl", "einstein_weyl")], capsys)
+    assert code == 0 and len(_sweep_rows(out)) == 8 and "# minimum,einstein_weyl," in out
+    assert len(set(steps)) == len(steps) > 8
+    assert built == {"ResolvedScene.__init__": 1, "ResolvedScene._sample_points": 1,
+                     "HeldBase.__init__": 1, "_Job.__init__": len(steps)}
+    assert refs == ["berger_s3"] + ["berger_lee"] * len(steps)
+
+
+@pytest.mark.parametrize("points", [[[1.2, 2.0, 3.0]], [[1.2, 2.0, 3.0], [1.2, 2.0, 9.0]]],
+                         ids=["clean", "bad_point"])
+def test_a_located_check_without_an_interior_minimum_says_so(points, capsys, tmp_path):
+    """einstein_weyl on berger_ew_sweep.json peaks at scale 0 and has its
+    minima at +-0.96, outside -0.6:0.6: after the rows and the domain errors,
+    one ``# no_minimum`` line names the check, and the exit code is the
+    sweep's."""
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(_scene_file("berger_ew_sweep.json", samples={"points": points})))
+    code, out = run_cli(["sweep", str(path), *_sweep_args(
+        "alpha.params.scale", "-0.6:0.6", 7, "einstein_weyl", "einstein_weyl")], capsys)
+    lines = out.splitlines()
+    errors = [l for l in lines if l.startswith("# domain_error,")]
+    assert code == (2 if errors else 0) and len(errors) == 7 * (len(points) - 1)
+    assert len(_sweep_rows(out)) == 7
+    assert lines[8:] == errors + ["# no_minimum,einstein_weyl"]
 
 
 @pytest.mark.parametrize("param", ["samples.random.seed", "samples.random.count"])

@@ -79,24 +79,60 @@ def test_pairs_alternate_the_sides_from_one_path_and_write_the_numbers(checkouts
     (path,) = {Path(path) for _, path, _ in runs}
     assert not path.is_relative_to(parent) and not path.is_relative_to(change)
     record = json.loads(out.read_text())
-    assert set(record) == {"workload", "pairs", "seconds", "seeds", "order", "blas",
-                           "correct", "metrics", "sides", "runs"}
+    assert set(record) == {"pairs", "seconds", "seeds", "blas", "correct", "sides", "workloads"}
     assert record["seeds"] == [11, 12, 13, 14] and record["correct"] is True
     assert record["seconds"] == tool.SECONDS
-    assert record["order"] == [["parent", "change"], ["change", "parent"]] * 2
-    cost = record["metrics"]["point_cost_cal"]
+    assert list(record["workloads"]) == ["w"]
+    workload = record["workloads"]["w"]
+    assert set(workload) == {"order", "correct", "metrics", "runs"}
+    assert workload["correct"] is True
+    assert workload["order"] == [["parent", "change"], ["change", "parent"]] * 2
+    cost = workload["metrics"]["point_cost_cal"]
     assert set(cost) == {"unit", "parent_median", "change_median", "parent_iqr",
                          "change_wins", "pairs"}
     assert cost["change_wins"] == 4 and cost["pairs"] == 4 and cost["unit"] == "cal"
     assert cost["parent_median"] - cost["change_median"] == pytest.approx(0.03)
-    assert record["metrics"]["peak_rss_mb"]["change_wins"] == 0
-    assert record["metrics"]["peak_rss_mb"]["parent_iqr"] == 0.0
+    assert workload["metrics"]["peak_rss_mb"]["change_wins"] == 0
+    assert workload["metrics"]["peak_rss_mb"]["parent_iqr"] == 0.0
     assert {s: v["host"]["src_sha256"] for s, v in record["sides"].items()} == {
         "parent": "parent", "change": "change"}
     assert record["sides"]["parent"]["host"] == {"nproc": "2", "python": "3",
                                                  "src_sha256": "parent"}
-    assert len(record["runs"]) == 4 and set(record["runs"][0]) == {"parent", "change"}
+    assert len(workload["runs"]) == 4 and set(workload["runs"][0]) == {"parent", "change"}
     assert "| point_cost_cal (cal) |" in capsys.readouterr().out
+
+
+def test_every_workload_runs_by_default_into_one_record(checkouts, tmp_path, capsys):
+    """Without --workload the tool runs each workload of the parent's
+    BENCHMARK.json, in turn, each in alternating pairs, and writes their rows
+    into one file; a repeated --workload runs the ones named."""
+    parent, change, log = checkouts
+    tool = load_tool()
+    (parent / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in json.loads((parent / "BENCHMARK.json").read_text())["workloads"]]
+    assert len(names) == 3
+    out = tmp_path / "BENCH.json"
+    code = tool.main(["--root", str(parent), "--root", str(change), "--pairs", "2",
+                      "--seed", "5", "--json", str(out)])
+    assert code == 0
+    runs = [json.loads(line)[::2] for line in log.read_text().splitlines()]
+    workload = [a[a.index("--workload") + 1] for _, a in runs]
+    assert workload == [w for w in names for _ in range(4)]
+    assert [side for side, _ in runs] == ["parent", "change", "change", "parent"] * 3
+    assert all(a[a.index("--seed") + 1] == s for (_, a), s in zip(runs, "5566" * 3))
+    record = json.loads(out.read_text())
+    assert list(record["workloads"]) == names and record["correct"] is True
+    for w in record["workloads"].values():
+        assert w["order"] == [["parent", "change"], ["change", "parent"]]
+        assert w["metrics"]["point_cost_cal"]["change_wins"] == 2 and len(w["runs"]) == 2
+    printed = capsys.readouterr().out
+    assert all(f"\n{w}: 2 pairs" in printed for w in names)
+    log.write_text("")
+    tool.main(["--root", str(parent), "--root", str(change), "--pairs", "1",
+               "--workload", "sweep_locate", "--workload", "report_grid"])
+    runs = [json.loads(line)[2] for line in log.read_text().splitlines()]
+    assert [a[a.index("--workload") + 1] for a in runs] == ["sweep_locate"] * 2 + [
+        "report_grid"] * 2
 
 
 def test_a_run_that_is_not_correct_makes_the_tool_exit_1(checkouts, capsys):

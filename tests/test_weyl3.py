@@ -362,10 +362,10 @@ def test_einstein_weyl_matches_the_weyl_riemann_oracle_along_the_berger_sweep():
     scene = _scene("berger_ew_sweep.json")
     keys = cli.scene_slot(scene, "alpha.params.scale")
     scales = list(np.linspace(0.5, 1.4, 10)) + [berger_ew_scale(0.8)]
-    run = cli.Run()
+    step = cli.ResolvedScene(scene)
     for scale in scales:
-        step = cli.with_slot(scene, keys, float(scale))
-        _assert_scene_matches_oracle(cli.ResolvedScene(step, run))
+        step = step.step(keys, float(scale))
+        _assert_scene_matches_oracle(step)
 
 
 @pytest.mark.parametrize("h, alpha", [

@@ -1,23 +1,25 @@
 """Run perfbench on two checkouts in alternating pairs, and compare each metric.
 
-    python tools/pairs.py --root <parent> --root <change> --workload W --pairs N
-        [--seed 7101] [--json BENCH.json]
+    python tools/pairs.py --root <parent> --root <change> --pairs N
+        [--workload W ...] [--seed 7101] [--json BENCH.json]
 
-Pair i runs ``perfbench/run.py --workload W --seed <seed + i> --seconds 6
---trace 0`` once on each checkout, each run in a child process.  The parent
-runs first in the even pairs and the change in the odd ones, so a slow stretch
-of a shared host falls on both sides alike.  Both sides run from one path:
-before each run the checkout (without ``.git`` and perfbench's ``out/``) is
-copied into one temporary directory, since ``peak_rss_mb`` moves with the
-length of the path its sources are imported from.
+For each workload (``--workload``, which may repeat; by default those the
+parent's ``BENCHMARK.json`` declares), pair i runs ``perfbench/run.py --workload W --seed <seed + i>
+--seconds 6 --trace 0`` once on each checkout, each run in a child process.
+The parent runs first in the even pairs and the change in the odd ones, so a
+slow stretch of a shared host falls on both sides alike.  Both sides run from
+one path: before each run the checkout (without ``.git`` and perfbench's
+``out/``) is copied into one temporary directory, since ``peak_rss_mb`` moves
+with the length of the path its sources are imported from.
 
-Per end-to-end metric it prints each side's median over the pairs, the
-parent's interquartile range, in how many pairs the change was lower (every
-end-to-end metric of perfbench is better lower), and the seeds.  Every run
-lasts ``SECONDS``, so that every claim is measured alike.  ``--json`` writes
-the same numbers with each run's metrics, both checkouts' commits, each side's
-host line as perfbench prints it (its ``src_sha256`` names the sources run)
-without the run's seed, and numpy's BLAS.  The tool claims nothing: perfbench
+Per workload and end-to-end metric it prints each side's median over the
+pairs, the parent's interquartile range, in how many pairs the change was
+lower (every end-to-end metric of perfbench is better lower), and the seeds.
+Every run lasts ``SECONDS``, so that every claim is measured alike.
+``--json`` writes the same numbers, per workload with each run's metrics, and
+both checkouts' commits, each side's host line as perfbench prints it (its
+``src_sha256`` names the sources run) without the run's seed and workload,
+and numpy's BLAS, into one file.  The tool claims nothing: perfbench
 keeps the bounds.  It exits 1 if a run is not ``correct`` or has failed jobs.
 A pair of 6 s runs takes about 30 s on a 2-core host.
 """
@@ -93,11 +95,36 @@ def summary(runs):
     return out
 
 
+def declared_workloads(root):
+    """The names of the workloads a checkout's BENCHMARK.json declares."""
+    return [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+
+
+def run_pairs(roots, work, workload, seeds, hosts):
+    """(runs, order) of ``workload``: a {side: result} per pair, and which
+    side ran first in each; ``hosts`` gets each side's host line."""
+    runs, order = [], []
+    for i, seed in enumerate(seeds):
+        sides = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {}
+        for side in sides:
+            hosts[side], pair[side] = run_once(roots[side], work, workload, seed)
+        runs.append(pair)
+        order.append(list(sides))
+        costs = [f"{s} {pair[s]['metrics']['point_cost_cal']['value']:.4g}"
+                 for s in SIDES if "point_cost_cal" in pair[s]["metrics"]]
+        print(f"{workload} pair {i + 1}/{len(seeds)} (seed {seed}, {sides[0]} first): "
+              + ", ".join(costs), flush=True)
+    return runs, order
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--root", action="append", required=True,
                    help="the parent checkout, then the change's")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", action="append",
+                   help="a workload to run; repeat for several (default: every workload "
+                        "of the parent's BENCHMARK.json)")
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seed", type=int, default=7101, help="the first pair's seed (default 7101)")
     p.add_argument("--json", help="write the numbers to this file")
@@ -106,36 +133,32 @@ def main(argv=None):
         p.error("give --root twice (the parent, then the change) and --pairs >= 1")
     roots = dict(zip(SIDES, (Path(r).resolve() for r in args.root)))
     seeds = [args.seed + i for i in range(args.pairs)]
+    workloads, hosts = {}, {}
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
-        work = Path(tmp) / "checkout"
-        runs, order, hosts = [], [], {}
-        for i, seed in enumerate(seeds):
-            sides = SIDES if i % 2 == 0 else SIDES[::-1]
-            pair = {}
-            for side in sides:
-                hosts[side], pair[side] = run_once(roots[side], work, args.workload, seed)
-            runs.append(pair)
-            order.append(list(sides))
-            print(f"pair {i + 1}/{args.pairs} (seed {seed}, {sides[0]} first): " + ", ".join(
-                f"{s} {pair[s]['metrics']['point_cost_cal']['value']:.4g}"
-                for s in SIDES if "point_cost_cal" in pair[s]["metrics"]), flush=True)
-    metrics = summary(runs)
-    correct = all(pair[s]["correct"] and not pair[s]["failed"] for pair in runs for s in SIDES)
-    print(f"\n{args.workload}: {args.pairs} pairs, --seconds {SECONDS:g}, seeds "
-          f"{seeds[0]}-{seeds[-1]}, correct: {correct}")
-    print("| metric | parent median | change median | parent IQR | change lower |")
-    print("| --- | ---: | ---: | ---: | ---: |")
-    for name, m in metrics.items():
-        print(f"| {name} ({m['unit']}) | {m['parent_median']:.6g} | {m['change_median']:.6g} "
-              f"| {m['parent_iqr']:.3g} | {m['change_wins']}/{m['pairs']} |")
+        for workload in args.workload or declared_workloads(roots["parent"]):
+            runs, order = run_pairs(roots, Path(tmp) / "checkout", workload, seeds, hosts)
+            workloads[workload] = {
+                "order": order, "metrics": summary(runs),
+                "correct": all(pair[s]["correct"] and not pair[s]["failed"]
+                               for pair in runs for s in SIDES),
+                "runs": [{s: {k: pair[s][k] for k in ("correct", "attempted", "failed",
+                                                      "metrics")} for s in SIDES}
+                         for pair in runs]}
+    for workload, w in workloads.items():
+        print(f"\n{workload}: {args.pairs} pairs, --seconds {SECONDS:g}, seeds "
+              f"{seeds[0]}-{seeds[-1]}, correct: {w['correct']}")
+        print("| metric | parent median | change median | parent IQR | change lower |")
+        print("| --- | ---: | ---: | ---: | ---: |")
+        for name, m in w["metrics"].items():
+            print(f"| {name} ({m['unit']}) | {m['parent_median']:.6g} | "
+                  f"{m['change_median']:.6g} | {m['parent_iqr']:.3g} | "
+                  f"{m['change_wins']}/{m['pairs']} |")
+    correct = all(w["correct"] for w in workloads.values())
     if args.json:
-        record = {"workload": args.workload, "pairs": args.pairs, "seconds": SECONDS,
-                  "seeds": seeds, "order": order, "blas": blas(), "correct": correct,
-                  "metrics": metrics,
+        record = {"pairs": args.pairs, "seconds": SECONDS, "seeds": seeds, "blas": blas(),
+                  "correct": correct,
                   "sides": {s: {"commit": commit(roots[s]), "host": hosts[s]} for s in SIDES},
-                  "runs": [{s: {k: pair[s][k] for k in ("correct", "attempted", "failed",
-                                                        "metrics")} for s in SIDES}
-                           for pair in runs]}
+                  "workloads": workloads}
         Path(args.json).write_text(json.dumps(record, indent=1) + "\n")
     return 0 if correct else 1
 
