@@ -20,7 +20,7 @@ from .geometry import (                                                     # no
     sectional_curvature,
 )
 from .weyl3 import (                                                         # noqa: F401
-    WeylStructure3,
+    HeldBase,
     einstein_weyl_residual,
     beltrami_residual,
     generalized_beltrami_residual,

@@ -556,11 +556,10 @@ def _potential(job, check):
 def _beltrami(job):
     r, c, base = job.r, job.r.family_params.get("c"), job.base
     if c is not None:
-        w = weyl3.WeylStructure3(r.h, r.lee_form)
         return weyl3.generalized_beltrami_residual(
-            w, geo.ScalarField(r.h.chart, lambda _c: c), base.point, base)
-    w = weyl3.WeylStructure3(r.h, r.family_params.get("A") or r.lee_form)
-    return weyl3.beltrami_residual(w, r.scene.get("beltrami_sign", -1), base.point, base)
+            base, r.lee_form, geo.ScalarField(r.h.chart, lambda _c: c))
+    return weyl3.beltrami_residual(base, r.family_params.get("A") or r.lee_form,
+                                   r.scene.get("beltrami_sign", -1))
 
 
 class Check(NamedTuple):
@@ -585,7 +584,7 @@ CHECKS = {
     "pullback_sd": Check("total", lambda j: mor.pullback_sd_residual(
         j.setup, _potential(j, "pullback_sd"), j.r.pair_A, j.at)),
     "einstein_weyl": Check("base", lambda j: weyl3.einstein_weyl_residual(
-        weyl3.WeylStructure3(j.r.h, j.r.lee_form), j.base.point, j.base)),
+        j.base, j.r.lee_form)),
     "beltrami": Check("base", _beltrami),
     "closure": Check("base", lambda j: abs(geo.laplacian_from_gamma(
         j.base.mp, _potential(j, "closure").arrays(j.base.point)))),

@@ -53,12 +53,12 @@ class FibredMetric(geo.MetricField):
 
     ``fn`` is the definition in jet arithmetic; the symbolic oracle and
     ``values`` read it.  ``arrays`` evaluates each part once, at a point or a
-    batch: A and theta as jets, h's jets at the base points through
-    ``geo.metric_jets``.  It then forms g by the jets' own product rule on
-    component jets, each part one jet of its components: theta stacked once
-    as a (4, 1) column, whose (1, 4) row is a reshaped view of it, and A and
-    A^-1 reshaped to (1, 1).  A^-1 theta (x) theta fills g, and A h, with h's
-    jets stacked and lifted to the total chart, is added into its 3x3 base
+    batch: A, theta and h as jets of the total chart's one seeding, h's
+    closure on the base coordinates as in ``fn``.  It then forms g by the
+    jets' own product rule on component jets, each part one jet of its
+    components: theta stacked once as a (4, 1) column, whose (1, 4) row is a
+    reshaped view of it, h stacked as (3, 3), and A and A^-1 reshaped to
+    (1, 1).  A^-1 theta (x) theta fills g, and A h is added into its 3x3 base
     block in place (``Jet.add_at``), so the fibre row and column come from
     A^-1 theta (x) theta alone.  The products and sums are those of ``fn`` in
     its order, so the arrays equal those of ``geo.metric_jets`` of ``fn`` bit
@@ -99,13 +99,15 @@ class FibredMetric(geo.MetricField):
         c0 = coords[0]
         batch = np.shape(c0.value)
         th = jets.stack([c0.coerce(t) for t in th], (4, 1))
-        hj = geo.metric_jets(self.h, at[:, 1:] if batch else at[1:])
-        # (A^-1 theta_a) theta_b, then A h on the base block, which h's lift
-        # to the total chart gives zero fibre derivatives
+        # h's closure on the base coordinates' own jets, as in ``fn``
+        base = at[:, 1:] if batch else at[1:]
+        h = jets.stack([c0.coerce(x) for row in geo._eval_at(self.h.fn, coords[1:], base)
+                        for x in row], (3, 3))
+        geo._require_symmetric(h.value, self.h.name, base)
+        # (A^-1 theta_a) theta_b, then A h on the base block
         one = (1, 1) + batch
         g = c0.coerce(Ainv).reshape(one) * th * th.reshape((1, 4) + batch)
-        Ah = c0.coerce(A).reshape(one) * jets.stack([j for row in hj for j in row], (3, 3), dim=4)
-        g.add_at((slice(1, None), slice(1, None)), Ah)
+        g.add_at((slice(1, None), slice(1, None)), c0.coerce(A).reshape(one) * h)
         geo._require_symmetric(g.value, self.name, at)
         # the layout of geo.metric_jets' arrays: component axes, derivative axes, points
         n = len(batch)
@@ -419,14 +421,14 @@ def _structure_equations(frame, params):
 
 
 def _beltrami_eigenform(alpha, params):
-    w = w3.WeylStructure3(flat3(), alpha)
-    return {"beltrami_residual": max(w3.beltrami_residual(w, -params["sign"], p)
+    h, sign = flat3(), -params["sign"]
+    return {"beltrami_residual": max(w3.beltrami_residual(w3.HeldBase(h, p), alpha, sign)
                                      for p in _probe(alpha.chart))}
 
 
 def _not_beltrami(alpha, params):
-    w = w3.WeylStructure3(flat3(), alpha)
-    return {"min_beltrami_residual": min(w3.beltrami_residual(w, s, (0.4, 0.2, -0.3))
+    base = w3.HeldBase(flat3(), (0.4, 0.2, -0.3))
+    return {"min_beltrami_residual": min(w3.beltrami_residual(base, alpha, s)
                                          for s in (1, -1))}
 
 

@@ -25,8 +25,8 @@ layout.  One rule holds at that jet-to-array boundary (``_at``, ``_lead``): a
 one-row ``(1, d)`` array is evaluated in the scalar jets of its row, a tuple
 of floats (a batch of one costs a third more); its arrays gain their point
 axis there, and its errors name that tuple, as an evaluation at the point
-itself does.  A point that ``hold_point`` holds keeps its coordinate jets,
-and every field evaluated there starts from them.
+itself does.  Each field seeds its own coordinate jets at the point it is
+evaluated at.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ __all__ = [
     "ScaledOneForm",
     "TwoFormField",
     "MetricField",
-    "hold_point",
     "metric_jets",
     "metric_point",
     "jet_matrix_inverse",
@@ -160,35 +159,8 @@ def _jets_at(chart, fn, point):
     point the jets are seeded at and every error names."""
     at = _at(point)
     chart.require_inside(at)
-    coords = _seeds(at)
+    coords = jets.seed_all(at)
     return at, coords, _eval_at(fn, coords, at)
-
-
-# The point ``hold_point`` last held: (point, _at(point), its coordinate jets).
-_held = (None, None, None)
-
-
-def hold_point(point):
-    """``point`` made immutable, a read-only copy of an ``(N, d)`` array or a
-    tuple of floats, with its coordinate jets seeded once, read-only too, and
-    kept until another point is held.  A field evaluated at the held point
-    starts from those jets (``_seeds``) instead of seeding its own: neither
-    the point nor its jets can change, so they are the jets it would seed."""
-    global _held
-    if _is_batch(point):
-        point = np.array(point, dtype=float)
-        point.flags.writeable = False
-    else:
-        point = tuple(map(float, point))
-    at = _at(point)
-    _held = point, at, jets.seed_all(at)
-    return point
-
-
-def _seeds(at):
-    """The order-2 coordinate jets at ``at`` (an ``_at`` point): the held
-    point's, else seeded now."""
-    return _held[2] if at is _held[1] else jets.seed_all(at)
 
 
 class _Field:
@@ -309,7 +281,7 @@ def metric_jets(g, point):
     """Evaluate metric components as order-2 jets (batch jets for an ``(N, d)``
     array of points); enforce symmetry."""
     d = g.chart.dim
-    coords = _seeds(point)
+    coords = jets.seed_all(point)
     comps = _eval_at(g.fn, coords, point)
     out = [[coords[0].coerce(comps[a][b]) for b in range(d)] for a in range(d)]
     _require_symmetric(jet_values(out), g.name, point)
@@ -354,10 +326,7 @@ def _is_batch(point):
 
 def _at(point):
     """The one-row rule: a ``(1, d)`` array is evaluated at its row, as a tuple
-    of floats, in scalar jets; every other point as it is.  The held point's
-    row is the tuple its jets were seeded at."""
-    if point is _held[0]:
-        return _held[1]
+    of floats, in scalar jets; every other point as it is."""
     return tuple(point[0].tolist()) if _is_batch(point) and len(point) == 1 else point
 
 

@@ -210,8 +210,9 @@ def seed(point, axis):
 def seed_all(point):
     """All coordinate jets at ``point`` (or an ``(N, d)`` batch of points),
     ready to feed into a field closure; their derivatives are the rows of one
-    zero block.  That block and a batch's values are read-only, so that one
-    seeding may serve several evaluations."""
+    zero block.  That block and a batch's values are read-only: every
+    coordinate jet views them, so an in-place write through one jet would
+    change the others, and a batch's values view the caller's point."""
     point = np.asarray(point, dtype=float).view()
     d, batch = point.shape[-1], point.shape[:-1]
     n = d + d * d
@@ -222,21 +223,13 @@ def seed_all(point):
     return [Jet(v, D) for v, D in zip(values, block)]
 
 
-def stack(js, shape, dim=None):
+def stack(js, shape):
     """One jet of the jets ``js`` (of one chart and batch) on the component
     axes ``shape``, which jets of equal component rank broadcast; grad is
-    ``(d,) + shape + batch``.  With ``dim``, the jets are lifted to the last
-    coordinates of a ``dim``-chart, with zero derivatives along the others."""
-    D = np.array([j._d for j in js]).swapaxes(0, 1)       # (d + d*d, len(js)) + batch
-    d, batch = math.isqrt(len(D)), D.shape[2:]
+    ``(d,) + shape + batch``."""
+    D = np.ascontiguousarray(np.array([j._d for j in js]).swapaxes(0, 1))
+    batch = D.shape[2:]                                   # D: (d + d*d, len(js)) + batch
     value = np.array([j.value for j in js]).reshape(shape + batch)
-    if dim is None:
-        D = np.ascontiguousarray(D)
-    else:
-        lead, lifted = dim - d, np.zeros((dim + dim * dim,) + D.shape[1:])
-        lifted[lead:dim] = D[:d]
-        _hess_rows(lifted, dim)[lead:, lead:] = _hess_rows(D, d)
-        D = lifted
     return Jet(value, D.reshape((len(D),) + shape + batch), min(j.order for j in js))
 
 

@@ -9,7 +9,6 @@ points, every array then carrying the point axis first (as ``geo.metric_point``)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -18,7 +17,6 @@ from . import geometry as geo
 from .errors import DimensionError
 
 __all__ = [
-    "WeylStructure3",
     "HeldBase",
     "weyl_connection_coeffs",
     "weyl_covariant_metric_residual",
@@ -31,16 +29,6 @@ __all__ = [
 ]
 
 
-@dataclass
-class WeylStructure3:
-    h: geo.MetricField
-    alpha: geo.OneFormField
-
-    def __post_init__(self):
-        if self.h.chart.dim != 3:
-            raise DimensionError("Weyl structures live on 3-charts")
-
-
 class HeldBase:
     """The metric h at a point, or at each row of an ``(N, 3)`` array of
     points, held by a caller that evaluates several residuals there.  Each part
@@ -50,12 +38,14 @@ class HeldBase:
     ``riemann_norm`` (the frame norm of R_abcd, the base checks' scale),
     ``frame`` (g's ``geo.orthonormal_frame``), ``vol`` (sqrt det g), and
     ``arrays(field)``, a one-form's arrays at the points, held while the base
-    is.  ``point`` is ``geo.hold_point`` of the points, so h and
-    every field read here start from one seeding of its coordinate jets.  The
-    residuals below take one as ``base``, or hold h at the point themselves."""
+    is; each field seeds its own coordinate jets at ``point``.  A Weyl
+    structure is the held h with a one-form alpha: each residual below takes
+    the base first and its forms after it."""
 
     def __init__(self, h, point):
-        self.h, self.point, self._arrays = h, geo.hold_point(point), {}
+        if h.chart.dim != 3:
+            raise DimensionError("Weyl structures live on 3-charts")
+        self.h, self.point, self._arrays = h, point, {}
 
     @cached_property
     def mp(self):
@@ -95,12 +85,11 @@ class HeldBase:
         return geo.hodge_star(form, self.mp.g, k, orientation, ginv=self.mp.ginv, vol=self.vol)
 
 
-def weyl_connection_coeffs(w: WeylStructure3, point, base: HeldBase | None = None):
+def weyl_connection_coeffs(base: HeldBase, alpha):
     """Gamma[a,b,c] = Gamma^a_bc of D, with a batch's point axis first:
     D = Levi-Civita + C with C^a_bc = delta^a_b alpha_c + delta^a_c alpha_b
     - h_bc alpha^a."""
-    base = HeldBase(w.h, point) if base is None else base
-    h, (av, _) = base.mp, base.arrays(w.alpha)
+    h, (av, _) = base.mp, base.arrays(alpha)
     a_up = (h.ginv @ av[..., None])[..., 0]
     # outer products by broadcasting, an index per axis: [..., a, b, c]
     delta = np.eye(3)
@@ -109,27 +98,25 @@ def weyl_connection_coeffs(w: WeylStructure3, point, base: HeldBase | None = Non
                   - h.g[..., None, :, :] * a_up[..., :, None, None])
 
 
-def weyl_covariant_metric_residual(w: WeylStructure3, point):
+def weyl_covariant_metric_residual(base: HeldBase, alpha):
     """Norm of D h + 2 alpha (x) h, the defining property of the connection."""
-    base = HeldBase(w.h, point)
     h = base.mp                                            # h.dg[a,b,c] = d_c h_ab
-    G = weyl_connection_coeffs(w, point, base)
+    G = weyl_connection_coeffs(base, alpha)
     Dh = (np.einsum("...abc->...cab", h.dg)
           - np.einsum("...eca,...eb->...cab", G, h.g)
           - np.einsum("...ecb,...ae->...cab", G, h.g))
-    target = -2.0 * np.einsum("...c,...ab->...cab", base.arrays(w.alpha)[0], h.g)
+    target = -2.0 * np.einsum("...c,...ab->...cab", base.arrays(alpha)[0], h.g)
     return geo.tensor_norm(Dh - target, h.g)
 
 
-def einstein_weyl_residual(w: WeylStructure3, point, base: HeldBase | None = None):
+def einstein_weyl_residual(base: HeldBase, alpha):
     """Norm of the trace-free symmetrized Ricci tensor of D at the point.  In
     dimension 3 it is |[Ric^h]_0 - [(nabla alpha)_sym - alpha (x) alpha]_0|
     (Jones & Tod, "Minitwistor spaces and Einstein-Weyl spaces", Class.
     Quantum Grav. 2 (1985) 565), with (nabla_a alpha)_b = d_a alpha_b
     - Gamma^c_ab alpha_c: from the base's held Ric^h and Levi-Civita Gamma,
     and alpha's first jets."""
-    base = HeldBase(w.h, point) if base is None else base
-    h, (av, da) = base.mp, base.arrays(w.alpha)
+    h, (av, da) = base.mp, base.arrays(alpha)
     # da[..., b, a] = d_a alpha_b, the transpose of nabla's first term: symmetrized below
     nabla = da - np.einsum("...cab,...c->...ab", h.G, av)
     T = base.curvature[1] - (0.5 * (nabla + nabla.swapaxes(-1, -2))
@@ -149,35 +136,31 @@ def _two_form_norm(F, frame):
     return geo._float(np.sqrt(np.add.reduce(upper ** 2, axis=-1)))
 
 
-def beltrami_residual(w: WeylStructure3, sign, point, base: HeldBase | None = None):
+def beltrami_residual(base: HeldBase, alpha, sign):
     """|| d alpha - sign * (*alpha) || in the orthonormalized 2-form norm."""
     if sign not in (1, -1, 1.0, -1.0):
         raise ValueError("sign must be +1 or -1")
-    base = HeldBase(w.h, point) if base is None else base
-    av, da = base.arrays(w.alpha)
-    star = base.star(av, 1, w.h.chart.orientation)
+    av, da = base.arrays(alpha)
+    star = base.star(av, 1, base.h.chart.orientation)
     return _two_form_norm(da.swapaxes(-1, -2) - da - sign * star, base.frame)
 
 
-def generalized_beltrami_residual(w: WeylStructure3, c: geo.ScalarField, point,
-                                  base: HeldBase | None = None):
+def generalized_beltrami_residual(base: HeldBase, alpha, c: geo.ScalarField):
     """|| d alpha - c * (*alpha) + *dc || at the point."""
-    base = HeldBase(w.h, point) if base is None else base
-    av, da = base.arrays(w.alpha)
-    ori = w.h.chart.orientation
+    av, da = base.arrays(alpha)
+    ori = base.h.chart.orientation
     cv, dc, _ = c.arrays(base.point)
     resid = (da.swapaxes(-1, -2) - da - geo._times(cv, base.star(av, 1, ori))
              + base.star(dc, 1, ori))
     return _two_form_norm(resid, base.frame)
 
 
-def monopole_residual(u: geo.ScalarField, w: WeylStructure3, F: geo.TwoFormField, point):
+def monopole_residual(base: HeldBase, u: geo.ScalarField, alpha, F: geo.TwoFormField):
     """|| (du - u alpha) - *F || in the h one-form norm."""
-    base = HeldBase(w.h, point)
-    uv, du, _ = u.arrays(point)
-    av, _ = base.arrays(w.alpha)
+    uv, du, _ = u.arrays(base.point)
+    av, _ = base.arrays(alpha)
     lhs = du - np.asarray(uv)[..., None] * av
-    diff = lhs - base.star(F.values(point), 2, w.h.chart.orientation)
+    diff = lhs - base.star(F.values(base.point), 2, base.h.chart.orientation)
     norm2 = (diff[..., None, :] @ base.mp.ginv @ diff[..., :, None])[..., 0, 0]
     return geo._float(np.sqrt(np.maximum(0.0, norm2)))
 

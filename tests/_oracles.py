@@ -11,7 +11,7 @@ import types
 
 import numpy as np
 
-from sdharm import cli, constructions as con, geometry as geo, jets, weyl3
+from sdharm import cli, constructions as con, geometry as geo, jets
 from sdharm.errors import SingularEvaluationError
 
 
@@ -295,12 +295,11 @@ def sectional_curvature(g, point, X, Y):
     return float(num / gram)
 
 
-def monopole_residual(u, w, F, point):
-    base = weyl3.HeldBase(w.h, point)
-    uv, du, _ = u.arrays(point)
-    av, _ = base.arrays(w.alpha)
+def monopole_residual(base, u, alpha, F):
+    uv, du, _ = u.arrays(base.point)
+    av, _ = base.arrays(alpha)
     lhs = du - np.asarray(uv)[..., None] * av
-    diff = lhs - base.star(F.values(point), 2, w.h.chart.orientation)
+    diff = lhs - base.star(F.values(base.point), 2, base.h.chart.orientation)
     norm2 = np.einsum("...a,...b,...ab->...", diff, diff, base.mp.ginv)
     return geo._float(np.sqrt(np.maximum(0.0, norm2)))
 
@@ -440,15 +439,20 @@ def fibred(fm, h, theta_fn):
 def stacked_arrays(g, point):
     """A FibredMetric's arrays as the package assembled them before: A^-1, A
     and each factor of theta (x) theta stacked into component jets of their
-    own, base block added into grad and hess one at a time, and laid out by
-    ``np.moveaxis``."""
+    own, h's jets seeded at the base point on its own chart and lifted to the
+    total chart with zero fibre derivatives, base block added into grad and
+    hess one at a time, and laid out by ``np.moveaxis``."""
     at, coords, (A, Ainv, th) = geo._jets_at(g.chart, g._parts, point)
     th = [coords[0].coerce(t) for t in th]
     hj = geo.metric_jets(g.h, at[:, 1:] if geo._is_batch(at) else at[1:])
+    h3 = jets.stack([j for row in hj for j in row], (3, 3))
+    lifted = np.zeros((4 + 16,) + h3._d.shape[1:])           # D rows of the 4-chart
+    lifted[1:4] = h3._d[:3]
+    lifted[4:].reshape((4, 4) + h3._d.shape[1:])[1:, 1:] = h3._d[3:].reshape(
+        (3, 3) + h3._d.shape[1:])
     G = (jets.stack([coords[0].coerce(Ainv)], (1, 1)) * jets.stack(th, (4, 1))
          * jets.stack(th, (1, 4)))
-    Ah = jets.stack([coords[0].coerce(A)], (1, 1)) * jets.stack(
-        [j for row in hj for j in row], (3, 3), dim=4)
+    Ah = jets.stack([coords[0].coerce(A)], (1, 1)) * jets.Jet(h3.value, lifted)
     gv, dg, ddg = G.value, G.grad, G.hess
     gv[1:, 1:] += Ah.value
     dg[:, 1:, 1:] += Ah.grad

@@ -162,9 +162,8 @@ def test_criterion_4_gibbons_hawking():
     A = con.dirac_A(1.0)
     zero = geo.OneFormField(h.chart, lambda c: [0.0 * c[0]] * 3)
     F = geo.TwoFormField(h.chart, lambda c: geo.ext_d(A.fn(c), 3))
-    w = weyl3.WeylStructure3(h, zero)
     for pt in rand_pts(h.chart, 6, seed=41):
-        ok &= weyl3.monopole_residual(u, w, F, pt) < 1e-9
+        ok &= weyl3.monopole_residual(weyl3.HeldBase(h, pt), u, zero, F) < 1e-9
     announce(4, "Gibbons-Hawking Ricci-flat self-dual + monopole hypothesis", ok)
     assert ok
 
@@ -242,15 +241,15 @@ def test_criterion_7_type4_as_specified():
     # (b) c = 1 over flat with the sign-matched Trkalian form (d alpha = + * alpha):
     # twistorial, but the base is not Einstein-Weyl, so not self-dual.
     alpha = con.trkalian(-1)
-    w = weyl3.WeylStructure3(con.flat3(), alpha)
-    assert weyl3.beltrami_residual(w, +1, (0.3, -0.5, 0.8)) < 1e-10
+    base = weyl3.HeldBase(con.flat3(), (0.3, -0.5, 0.8))
+    assert weyl3.beltrami_residual(base, alpha, +1) < 1e-10
     fm2 = con.type4_metric(con.flat3(), alpha, c=1.0)
     setup2 = mor.SubmersionSetup(fm2)
     for pt in rand_pts(fm2.total_chart, 5, seed=72):
         tw = mor.twistorial_sd_residual(setup2, pt)
         if not tw < 1e-8:
             failures.append(f"twistorial_sd={tw:.3e}")
-        ew = weyl3.einstein_weyl_residual(w, tuple(pt[1:]))
+        ew = weyl3.einstein_weyl_residual(weyl3.HeldBase(con.flat3(), tuple(pt[1:])), alpha)
         if not abs(ew - np.sqrt(7.0 / 6.0)) < 1e-10:
             failures.append(f"einstein_weyl={ew:.3e} vs sqrt(7/6)")
         wm = geo.curvature_report(fm2.g, pt).w_minus_norm
@@ -260,15 +259,15 @@ def test_criterion_7_type4_as_specified():
     # (c) the positive instance: Einstein-Weyl Berger sphere, c = 2 mu
     mu = 0.8
     h = con.berger_s3(mu)
-    w3 = weyl3.WeylStructure3(h, con.berger_lee(berger_ew_scale(mu)))
+    lee = con.berger_lee(berger_ew_scale(mu))
     c3 = geo.ScalarField(h.chart, lambda x: 2.0 * mu + 0.0 * x[0])
-    fm3 = con.type4_metric(h, w3.alpha, c=2.0 * mu)
+    fm3 = con.type4_metric(h, lee, c=2.0 * mu)
     for pt in rand_pts(fm3.total_chart, 5, seed=73):
-        bp = tuple(pt[1:])
-        ew = weyl3.einstein_weyl_residual(w3, bp)
+        bp = weyl3.HeldBase(h, tuple(pt[1:]))
+        ew = weyl3.einstein_weyl_residual(bp, lee)
         if not ew < 1e-10:
             failures.append(f"berger einstein_weyl={ew:.3e}")
-        gb = weyl3.generalized_beltrami_residual(w3, c3, bp)
+        gb = weyl3.generalized_beltrami_residual(bp, lee, c3)
         if not gb < 1e-10:
             failures.append(f"berger beltrami={gb:.3e}")
         rep = geo.curvature_report(fm3.g, pt)

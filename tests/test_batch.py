@@ -501,7 +501,6 @@ def _public_check(check, r, p):
     base = p[1:] if r.fm is not None else p
     total = lambda raw: (raw, geo.curvature_report(r.fm.g, p).riemann_norm)
     on_base = lambda raw: (raw, geo.curvature_report(r.h, base).riemann_norm)
-    w = weyl3.WeylStructure3(r.h, r.lee_form)
     c = r.family_params.get("c")
     if cli.CHECKS[check].space == "metric":       # a curvature scalar of g, or of h alone
         rep = geo.curvature_report(r.fm.g, p) if r.fm is not None else geo.curvature_report(r.h, p)
@@ -514,13 +513,15 @@ def _public_check(check, r, p):
         "monopole": lambda: total(mor.monopole_eq_residual(
             setup, r.family_params.get("alpha") or r.alpha, p, weyl3.HeldBase(r.h, base))),
         "pullback_sd": lambda: total(mor.pullback_sd_residual(setup, r.pair_u, r.pair_A, p)),
-        "einstein_weyl": lambda: on_base(weyl3.einstein_weyl_residual(w, base)),
+        "einstein_weyl": lambda: on_base(weyl3.einstein_weyl_residual(
+            weyl3.HeldBase(r.h, base), r.lee_form)),
         "beltrami": lambda: on_base(
             weyl3.generalized_beltrami_residual(
-                w, geo.ScalarField(r.h.chart, lambda x: c + 0.0 * x[0]), base)
+                weyl3.HeldBase(r.h, base), r.lee_form,
+                geo.ScalarField(r.h.chart, lambda x: c + 0.0 * x[0]))
             if c is not None else weyl3.beltrami_residual(
-                weyl3.WeylStructure3(r.h, r.family_params.get("A") or r.lee_form),
-                r.scene.get("beltrami_sign", -1), base)),
+                weyl3.HeldBase(r.h, base), r.family_params.get("A") or r.lee_form,
+                r.scene.get("beltrami_sign", -1))),
         "closure": lambda: on_base(abs(geo.laplacian(r.pair_u, r.h, base))),
     }[check]()
 

@@ -125,20 +125,6 @@ def built(monkeypatch):
 
 
 @pytest.fixture
-def metric_shapes(monkeypatch):
-    """("arrays", shape) for every fibration-metric evaluation and ("jets",
-    shape) for every metric_jets call while the test runs, in call order, with
-    the shape of the points: a fibration's evaluation lists h's jets at its
-    base points right after itself."""
-    shapes, arrays, jets = [], con.FibredMetric.arrays, geo.metric_jets
-    monkeypatch.setattr(con.FibredMetric, "arrays", lambda g, p: shapes.append(
-        ("arrays", np.shape(p))) or arrays(g, p))
-    monkeypatch.setattr(geo, "metric_jets", lambda g, p: shapes.append(
-        ("jets", np.shape(p))) or jets(g, p))
-    return shapes
-
-
-@pytest.fixture
 def form_jets(monkeypatch):
     """(name, shape of the points) for every one-form jets evaluation while
     the test runs, in call order."""
@@ -163,8 +149,8 @@ def test_verify_shares_one_context_per_fibre_sample(capsys, tmp_path, built, met
     assert len(built) == 1
     assert (0.2, 1.2, 2.0, 3.0) in built[0]
     assert len(built[0]) == len(set(built[0])) <= 3
-    # one total-space metric evaluation over those samples, with h's jets at
-    # their base points, and one evaluation of the base metric at the point
+    # one total-space metric evaluation over those samples, with h's closure
+    # at their base points, and one evaluation of the base metric at the point
     # (a one-row job: the base point's own scalar jets)
     n = len(built[0])
     assert metric_shapes == [("arrays", (n, 4)), ("jets", (n, 3)), ("jets", (3,))]
@@ -783,10 +769,11 @@ DIRAC_SWEEP = {"schema": 1, "base": {"name": "flat3_spherical"},
     ids=["scaled_locate", "dirac_A"])
 def test_a_sweep_seeds_its_base_point_once_per_run(scene, args, point, lee_forms, capsys,
                                                    monkeypatch, tmp_path):
-    """The run's base point is seeded in coordinate jets once: h and the Lee
-    form of every step, grid value or probe, start from those jets.  Every
-    step and golden-section probe of berger_lee scales the arrays of one unit,
-    sigma3, evaluated once; a dirac_A is a new form at each of the 8 steps."""
+    """The run's base point is seeded in coordinate jets once per field
+    evaluated at the held base: h once, and each Lee form read there once.
+    Every step and golden-section probe of berger_lee scales the arrays of one
+    unit, sigma3, evaluated once; a dirac_A is a new form at each of the 8
+    steps."""
     if isinstance(scene, dict):
         (tmp_path / "sweep.json").write_text(json.dumps(scene))
         scene = str(tmp_path / "sweep.json")
@@ -801,7 +788,7 @@ def test_a_sweep_seeds_its_base_point_once_per_run(scene, args, point, lee_forms
     assert code == 0 and len(_sweep_rows(out)) == 8
     assert ("# minimum,einstein_weyl," in out) == ("--locate" in args)
     assert forms == lee_forms
-    assert seeded == [point]
+    assert seeded == [point] * (1 + len(lee_forms))
 
 
 def test_sweep_locate_evaluates_the_lee_forms_unit_once(capsys, monkeypatch):
@@ -812,8 +799,8 @@ def test_sweep_locate_evaluates_the_lee_forms_unit_once(capsys, monkeypatch):
     calls, real = [], unit.fn
     monkeypatch.setattr(unit, "fn", lambda c: calls.append(c) or real(c))
     steps, real_ew = [], weyl3.einstein_weyl_residual
-    monkeypatch.setattr(weyl3, "einstein_weyl_residual", lambda w, *a: steps.append(
-        w.alpha.factor) or real_ew(w, *a))
+    monkeypatch.setattr(weyl3, "einstein_weyl_residual", lambda base, alpha: steps.append(
+        alpha.factor) or real_ew(base, alpha))
     code, out = run_cli(["sweep", scene_path("berger_ew_sweep.json"),
                          "--param", "alpha.params.scale", "--range", "0.5:1.4",
                          "--steps", "8", "--checks", "einstein_weyl",
@@ -1124,8 +1111,8 @@ def test_a_located_scale_sweep_builds_what_the_scale_leaves_unchanged_once(capsy
     monkeypatch.setattr(cli, "_resolve_ref", lambda ref, *d: refs.append(ref["name"]) or
                         real_ref(ref, *d))
     steps, real_ew = [], weyl3.einstein_weyl_residual
-    monkeypatch.setattr(weyl3, "einstein_weyl_residual", lambda w, *a: steps.append(
-        w.alpha.factor) or real_ew(w, *a))
+    monkeypatch.setattr(weyl3, "einstein_weyl_residual", lambda base, alpha: steps.append(
+        alpha.factor) or real_ew(base, alpha))
     code, out = run_cli(["sweep", scene_path("berger_ew_sweep.json"), *_sweep_args(
         "alpha.params.scale", "0.5:1.4", 8, "einstein_weyl", "einstein_weyl")], capsys)
     assert code == 0 and len(_sweep_rows(out)) == 8 and "# minimum,einstein_weyl," in out
@@ -1337,13 +1324,12 @@ def test_domain_violation_exit_two(tmp_path, capsys):
     assert rep["domain_errors"][0]["index"] == 1
 
 
-def test_report_evaluates_its_points_in_one_pass(capsys, monkeypatch):
-    calls = []
-    real = geo.metric_jets
-    monkeypatch.setattr(geo, "metric_jets", lambda g, p: calls.append(p) or real(g, p))
+def test_report_evaluates_its_points_in_one_pass(capsys, metric_shapes):
+    """One evaluation of the total metric over the 5 points, with h's closure
+    once at their base points."""
     code, out = run_cli(["report", scene_path("type4_berger_ew.json")], capsys)
     assert code == 0 and len(json.loads(out)["records"]) == 5
-    assert len(calls) == 1 and len(calls[0]) == 5
+    assert metric_shapes == [("arrays", (5, 4)), ("jets", (5, 3))]
 
 
 def _fallback_scene(tmp_path, points):

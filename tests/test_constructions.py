@@ -47,10 +47,10 @@ def test_constant_curvature_entry(k):
 def test_trkalian_entry(sign):
     alpha = con.trkalian(sign)
     h = con.flat3()
-    w = weyl3.WeylStructure3(h, alpha)
     for pt in sample_points(h.chart, 4, seed=4):
-        assert weyl3.beltrami_residual(w, -sign, pt) < 1e-12
-        assert weyl3.beltrami_residual(w, sign, pt) == pytest.approx(2.0, abs=1e-10)
+        base = weyl3.HeldBase(h, pt)
+        assert weyl3.beltrami_residual(base, alpha, -sign) < 1e-12
+        assert weyl3.beltrami_residual(base, alpha, sign) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_euler_frame_structure_equations():
@@ -111,11 +111,12 @@ def test_dirac_A_satisfies_monopole_closed_form():
 def test_berger_ew_scale_closed_form():
     mu = 0.8
     a_star = berger_ew_scale(mu)
-    w = weyl3.WeylStructure3(con.berger_s3(mu), con.berger_lee(a_star))
-    for pt in sample_points(w.h.chart, 3, seed=10):
-        assert weyl3.einstein_weyl_residual(w, pt) < 1e-10
-    w_off = weyl3.WeylStructure3(con.berger_s3(mu), con.berger_lee(a_star + 0.3))
-    assert weyl3.einstein_weyl_residual(w_off, (1.2, 2.0, 3.0)) > 1e-2
+    h = con.berger_s3(mu)
+    for pt in sample_points(h.chart, 3, seed=10):
+        assert weyl3.einstein_weyl_residual(weyl3.HeldBase(h, pt), con.berger_lee(a_star)) < 1e-10
+    off = weyl3.einstein_weyl_residual(weyl3.HeldBase(h, (1.2, 2.0, 3.0)),
+                                       con.berger_lee(a_star + 0.3))
+    assert off > 1e-2
 
 
 def test_catalog_registry_roundtrip():
@@ -250,10 +251,9 @@ def test_gibbons_hawking_monopole_hypothesis():
     h = con.flat3_spherical()
     A = con.dirac_A(1.0)
     alpha0 = geo.OneFormField(h.chart, lambda c: [0.0 * c[0]] * 3, "zero")
-    w = weyl3.WeylStructure3(h, alpha0)
     F = geo.TwoFormField(h.chart, lambda c: geo.ext_d(A.fn(c), 3), "dA")
     for pt in sample_points(h.chart, 4, seed=15):
-        assert weyl3.monopole_residual(u, w, F, pt) < 1e-9
+        assert weyl3.monopole_residual(weyl3.HeldBase(h, pt), u, alpha0, F) < 1e-9
         assert weyl3.closure_residual(F, pt, h) < 1e-9
 
 
@@ -312,10 +312,10 @@ def test_jones_tod_monopole_implies_self_dual_over_family():
         A = con.dirac_A(m)
         alpha0 = geo.OneFormField(h.chart, lambda c: [0.0 * c[0]] * 3)
         F = geo.TwoFormField(h.chart, lambda c: geo.ext_d(A.fn(c), 3))
-        w = weyl3.WeylStructure3(h, alpha0)
         fm = con.jones_tod_metric(h, u, A=A)
         for pt4 in sample_points(fm.total_chart, 3, seed=int(10 * m)):
-            assert weyl3.monopole_residual(u, w, F, tuple(pt4[1:])) < 1e-9
+            base = weyl3.HeldBase(h, tuple(pt4[1:]))
+            assert weyl3.monopole_residual(base, u, alpha0, F) < 1e-9
             assert geo.curvature_report(fm.g, pt4).w_minus_norm < 1e-7
 
 
@@ -335,25 +335,23 @@ def test_type4_normalize_constant_c():
 
 def test_type4_normalize_variable_c_beltrami_equivalence():
     h, alpha, c = variable_c_background()
-    w = weyl3.WeylStructure3(h, alpha)
     pts = sample_points(h.chart, 5, seed=22)
     for pt in pts:
-        assert weyl3.generalized_beltrami_residual(w, c, pt) < 1e-10
+        assert weyl3.generalized_beltrami_residual(weyl3.HeldBase(h, pt), alpha, c) < 1e-10
     fm = con.type4_metric(h, alpha, c=c)
     norm = type4_normalize(fm)
     assert norm.family_params["c"] == 1.0
-    wn = weyl3.WeylStructure3(norm.h, norm.family_params["alpha"])
     for pt in pts:
-        assert weyl3.beltrami_residual(wn, +1, pt) < 1e-9
+        base = weyl3.HeldBase(norm.h, pt)
+        assert weyl3.beltrami_residual(base, norm.family_params["alpha"], +1) < 1e-9
     # and a broken pair fails both sides of the equivalence
     alpha_bad = con.xdy()
-    w_bad = weyl3.WeylStructure3(h, alpha_bad)
     fm_bad = con.type4_metric(h, alpha_bad, c=c)
     norm_bad = type4_normalize(fm_bad)
-    wn_bad = weyl3.WeylStructure3(norm_bad.h, norm_bad.family_params["alpha"])
     for pt in pts[:2]:
-        assert weyl3.generalized_beltrami_residual(w_bad, c, pt) > 1e-3
-        assert weyl3.beltrami_residual(wn_bad, +1, pt) > 1e-3
+        assert weyl3.generalized_beltrami_residual(weyl3.HeldBase(h, pt), alpha_bad, c) > 1e-3
+        base = weyl3.HeldBase(norm_bad.h, pt)
+        assert weyl3.beltrami_residual(base, norm_bad.family_params["alpha"], +1) > 1e-3
 
 
 def test_type4_normalize_rejects_vanishing_c():
@@ -585,6 +583,5 @@ def test_cli_zero_lee_form_and_constant_c_equal_their_jet_forms(orientation):
         for at in (points[:1], points):
             job = cli._Job(r, at, ["beltrami"])
             ref = weyl3.generalized_beltrami_residual(
-                weyl3.WeylStructure3(r.h, lee), O.constant_scalar(r.h.chart, 1.6),
-                job.base.point)
+                weyl3.HeldBase(r.h, job.base.point), lee, O.constant_scalar(r.h.chart, 1.6))
             assert np.array_equal(cli._beltrami(job), ref), (s is no_alpha, len(at))

@@ -153,18 +153,19 @@ def test_monopole_residual_matches_its_einsum():
     s3 = con.constant_curvature3(1.0)
     u = geo.ScalarField(s3.chart, lambda c: 1.0 + 0.3 * jets.sin(c[0]) * jets.cos(c[1]))
     F = geo.TwoFormField(s3.chart, lambda c: geo.ext_d(con.trkalian(1).fn(c), 3))
-    cases = [(con.gh_potential(1.0), weyl3.WeylStructure3(h, zero_alpha), zero_F),
-             (u, weyl3.WeylStructure3(s3, con.trkalian(1)), F)]
-    for k, (u, w, F) in enumerate(cases):
-        lo, hi = np.asarray(w.h.chart.lo), np.asarray(w.h.chart.hi)
+    cases = [(con.gh_potential(1.0), h, zero_alpha, zero_F),
+             (u, s3, con.trkalian(1), F)]
+    for k, (u, h, alpha, F) in enumerate(cases):
+        lo, hi = np.asarray(h.chart.lo), np.asarray(h.chart.hi)
         points = np.random.default_rng(k).uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo),
                                                   size=(5, 3))
-        batch = weyl3.monopole_residual(u, w, F, points)
-        assert_close(batch, O.monopole_residual(u, w, F, points), ("monopole", k))
+        base = lambda p: weyl3.HeldBase(h, p)
+        batch = weyl3.monopole_residual(base(points), u, alpha, F)
+        assert_close(batch, O.monopole_residual(base(points), u, alpha, F), ("monopole", k))
         assert np.all(batch > 1e-3), k
         for p in map(tuple, points):
-            assert_close(weyl3.monopole_residual(u, w, F, p), O.monopole_residual(u, w, F, p),
-                         ("monopole", k, p))
+            assert_close(weyl3.monopole_residual(base(p), u, alpha, F),
+                         O.monopole_residual(base(p), u, alpha, F), ("monopole", k, p))
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -515,26 +515,3 @@ def test_a_batch_metric_error_names_its_first_failing_row():
             geo.metric_point(g, np.array(points))
         assert str(batch.value) == str(alone.value)
         assert f"at point {tuple(points[1])}" in str(batch.value)
-
-
-@pytest.mark.parametrize("point", [np.array([[0.3, -0.2, 0.5], [0.1, 0.4, -0.6]]),
-                                   np.array([[0.3, -0.2, 0.5]]), (0.3, -0.2, 0.5)],
-                         ids=["batch", "one_row", "point"])
-def test_a_held_points_seed_jets_are_read_only(point):
-    """hold_point seeds the point's coordinate jets once and keeps them, so
-    nothing may write to them, nor to the held point, which is a copy."""
-    held = geo.hold_point(point)
-    coords = geo._seeds(geo._at(held))
-    assert geo._seeds(geo._at(held)) is coords
-    for c in coords:
-        with pytest.raises(ValueError, match="read-only"):
-            c.grad[0] += 1.0
-    if geo._is_batch(held):
-        assert held is not point and np.array_equal(held, point) and point.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            held[0, 0] = 9.0
-    if len(held) > 1 and geo._is_batch(held):
-        with pytest.raises(ValueError, match="read-only"):
-            coords[0].value[0] = 9.0
-    geo.hold_point((0.0, 0.0, 0.0))
-    assert geo._seeds(geo._at(held)) is not coords         # another point is held now

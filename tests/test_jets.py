@@ -380,8 +380,8 @@ def test_deriv_equals_the_separate_array_formulas_bit_for_bit(batch):
 
 def test_stack_and_arrays_lay_the_jets_out_by_component():
     """``stack`` puts jets on component axes, where products act entry by
-    entry; ``dim`` adds leading coordinates with zero derivatives.
-    ``arrays`` reads the component axes first, the derivatives after."""
+    entry; ``arrays`` reads the component axes first, the derivatives
+    after."""
     pts = np.array([[0.3, 0.5, 0.7], [0.2, -0.4, 1.1]])
     for at in (tuple(pts[0]), pts):
         c = jets.seed_all(at)
@@ -398,11 +398,24 @@ def test_stack_and_arrays_lay_the_jets_out_by_component():
             a, b = divmod(k, 2)
             assert _bits(sq.value[a, b]) == _bits(want.value)
             assert _bits(sq.hess[:, :, a, b]) == _bits(want.hess)
-        lifted = jets.stack(js, (4,), dim=5)
-        assert lifted.dim == 5
-        assert not lifted.grad[:2].any() and not lifted.hess[:2].any() \
-            and not lifted.hess[:, :2].any()
-        assert _bits(lifted.hess[2:, 2:, 0]) == _bits(js[0].hess)
+
+
+@pytest.mark.parametrize("point", [np.array([[0.3, -0.2, 0.5], [0.1, 0.4, -0.6]]),
+                                   np.array([[0.3, -0.2, 0.5]]), (0.3, -0.2, 0.5)],
+                         ids=["batch", "one_row", "point"])
+def test_seeded_coordinate_jets_are_read_only(point):
+    """The coordinate jets of one seeding view one derivative block, and a
+    batch's values view the point: nothing may write through them, while
+    the caller's own array stays writable."""
+    coords = jets.seed_all(point)
+    for c in coords:
+        with pytest.raises(ValueError, match="read-only"):
+            c.grad[0] += 1.0
+    if isinstance(point, np.ndarray):
+        with pytest.raises(ValueError, match="read-only"):
+            coords[0].value[0] = 9.0
+        assert point.flags.writeable
+        point[0, 0] = 0.3
 
 
 def test_arrays_checks_the_carried_order():
@@ -479,7 +492,7 @@ def test_no_op_writes_into_a_jet_it_did_not_create(monkeypatch, batch):
 # Jet constructions in one FibredMetric.arrays call at one point: the seeds,
 # the closures' jets, the lifted constants and the assembly's stacks,
 # reshapes and products.
-ARRAYS_JET_BUDGET = {"type1": 37, "type2": 33, "type3": 30, "type4": 77, "bryant": 33}
+ARRAYS_JET_BUDGET = {"type1": 34, "type2": 30, "type3": 27, "type4": 74, "bryant": 30}
 
 
 @pytest.mark.parametrize("family", sorted(ARRAYS_JET_BUDGET))
@@ -499,3 +512,19 @@ def test_fibred_metric_arrays_stay_within_their_jet_budget(monkeypatch, family):
     monkeypatch.setattr(jets.Jet, "__init__", counting_init)
     g.arrays(point)
     assert 0 < count[0] <= ARRAYS_JET_BUDGET[family], count[0]
+
+
+@pytest.mark.parametrize("family", ["type3", "type4"])
+def test_fibred_metric_arrays_seed_the_coordinate_jets_once(monkeypatch, family):
+    """One ``FibredMetric.arrays`` call seeds the total chart's coordinate jets
+    once, and h's closure reads their base coordinates: at a point, a one-row
+    batch (its row's scalar jets) and a 5-row batch."""
+    g = _catalog_closures()[f"{family}.g"]
+    lo, hi = np.asarray(g.chart.lo), np.asarray(g.chart.hi)
+    rows = lo + (hi - lo) * np.random.default_rng(3).uniform(0.1, 0.9, (5, 4))
+    seeded, real = [], jets.seed_all
+    monkeypatch.setattr(jets, "seed_all", lambda p: seeded.append(np.shape(p)) or real(p))
+    for at, shape in ((tuple(rows[0]), (4,)), (rows[:1], (4,)), (rows, (5, 4))):
+        seeded.clear()
+        g.arrays(at)
+        assert seeded == [shape], (family, np.shape(at))

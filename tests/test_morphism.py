@@ -782,24 +782,20 @@ def test_trace_form_derivatives_match_finite_differences():
 
 
 @pytest.fixture
-def counted(monkeypatch):
+def counted(monkeypatch, metric_shapes):
     """(points of each PointEval built, shape of the points of each metric
     evaluation) while the test runs: ("arrays", shape) for the fibration's
-    metric, ("jets", shape) for each metric_jets call, in call order."""
-    built, shapes = [], []
+    metric, ("jets", shape) for each jet evaluation of h's closure, in call
+    order (``metric_shapes``)."""
+    built = []
 
     class Counting(mor.PointEval):
         def __init__(self, setup, points):
             built.append(list(points))
             super().__init__(setup, points)
 
-    arrays, jets_ = con.FibredMetric.arrays, geo.metric_jets
     monkeypatch.setattr(mor, "PointEval", Counting)
-    monkeypatch.setattr(con.FibredMetric, "arrays", lambda g, p: shapes.append(
-        ("arrays", np.shape(p))) or arrays(g, p))
-    monkeypatch.setattr(geo, "metric_jets", lambda g, p: shapes.append(
-        ("jets", np.shape(p))) or jets_(g, p))
-    return built, shapes
+    return built, metric_shapes
 
 
 def test_classify_reads_its_samples_as_one_batch(type4_setup, counted):
@@ -811,7 +807,7 @@ def test_classify_reads_its_samples_as_one_batch(type4_setup, counted):
     held = [tuple(s) for s in samples.tolist()]      # the points a PointEval is given
     alone = mor.classify_type(mor.SubmersionSetup(type4_setup.fm), samples)
     assert alone.label == "type4"
-    # the samples' metric, with h's jets at their base points, and nothing else
+    # the samples' metric, with h's closure at their base points, and nothing else
     assert built == [held] and shapes == [("arrays", (4, 4)), ("jets", (4, 3))]
     built.clear()
     shapes.clear()

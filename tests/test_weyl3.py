@@ -27,14 +27,13 @@ def test_weyl_structure_requires_dim3():
     g4 = geo.MetricField(ch4, lambda c: [[1.0 if i == j else 0.0 for j in range(4)]
                                          for i in range(4)])
     with pytest.raises(DimensionError):
-        weyl3.WeylStructure3(g4, None)
+        weyl3.HeldBase(g4, (0.0, 0.0, 0.0, 0.0))
 
 
 def test_weyl_connection_reduces_to_levi_civita():
     h = con.constant_curvature3(1.0)
-    w = weyl3.WeylStructure3(h, zero_form(h.chart))
     for pt in pts(h.chart, 3, seed=1):
-        G = weyl3.weyl_connection_coeffs(w, pt)
+        G = weyl3.weyl_connection_coeffs(weyl3.HeldBase(h, pt), zero_form(h.chart))
         gamma_lc = geo.metric_point(h, pt).G
         assert np.max(np.abs(G - gamma_lc)) < 1e-12
 
@@ -48,42 +47,41 @@ def test_weyl_connection_defining_property_random():
             h.chart,
             lambda c: [coef[0] * jets.sin(c[1]), coef[1] * c[0], coef[2] * jets.cos(c[2])],
             "rand")
-        w = weyl3.WeylStructure3(h, alpha)
         for pt in pts(h.chart, 4, seed=seed):
-            assert weyl3.weyl_covariant_metric_residual(w, pt) < 1e-10
+            assert weyl3.weyl_covariant_metric_residual(weyl3.HeldBase(h, pt), alpha) < 1e-10
 
 
 def test_weyl_covariant_metric_residual_evaluates_metric_once(monkeypatch):
     calls = []
     real = geo.metric_jets
     monkeypatch.setattr(geo, "metric_jets", lambda g, p: calls.append(p) or real(g, p))
-    w = weyl3.WeylStructure3(con.berger_s3(0.8), con.berger_lee(0.5))
-    assert weyl3.weyl_covariant_metric_residual(w, (1.2, 2.0, 3.0)) < 1e-10
+    base = weyl3.HeldBase(con.berger_s3(0.8), (1.2, 2.0, 3.0))
+    assert weyl3.weyl_covariant_metric_residual(base, con.berger_lee(0.5)) < 1e-10
     assert len(calls) == 1
 
 
 def test_residuals_read_a_held_base_as_they_evaluate_h():
-    """With the held base of h at the point, each residual that takes one
-    gives, to the bit, what it gives when it evaluates h itself."""
-    h = con.berger_s3(0.8)
-    w = weyl3.WeylStructure3(h, con.berger_lee(0.7))
+    """With one held base of h at the point, shared by every residual, each
+    gives, to the bit, what it gives on a base of its own that evaluates h
+    afresh."""
+    h, alpha = con.berger_s3(0.8), con.berger_lee(0.7)
     c = geo.ScalarField(h.chart, lambda x: 1.6 + 0.0 * x[0])
     for pt in pts(h.chart, 3, seed=5):
         base = weyl3.HeldBase(h, pt)
-        for residual in (lambda **kw: weyl3.einstein_weyl_residual(w, pt, **kw),
-                         lambda **kw: weyl3.beltrami_residual(w, -1, pt, **kw),
-                         lambda **kw: weyl3.generalized_beltrami_residual(w, c, pt, **kw)):
-            assert residual(base=base) == residual()
-        G_held = weyl3.weyl_connection_coeffs(w, pt, base)
-        assert np.array_equal(weyl3.weyl_connection_coeffs(w, pt), G_held)
+        for residual in (lambda b: weyl3.einstein_weyl_residual(b, alpha),
+                         lambda b: weyl3.beltrami_residual(b, alpha, -1),
+                         lambda b: weyl3.generalized_beltrami_residual(b, alpha, c)):
+            assert residual(base) == residual(weyl3.HeldBase(h, pt))
+        G_own = weyl3.weyl_connection_coeffs(weyl3.HeldBase(h, pt), alpha)
+        assert np.array_equal(G_own, weyl3.weyl_connection_coeffs(base, alpha))
 
 
 @pytest.mark.parametrize("n", [3, 1, None], ids=["batch", "one_row", "point"])
 def test_a_field_read_through_a_held_base_is_its_own_arrays(n):
-    """HeldBase.arrays and h's evaluation start from the held point's jets:
-    every array equals, to the bit (the sign of a zero too) and in shape, the
-    field's own ``arrays`` (and h's ``metric_point``) at the points.  The
-    Lee forms after the first are their unit's held arrays times a scale."""
+    """HeldBase.arrays and h's evaluation at the held point: every array
+    equals, to the bit (the sign of a zero too) and in shape, the field's own
+    ``arrays`` (and h's ``metric_point``) at the points.  The Lee forms after
+    the first are their unit's held arrays times a scale."""
     h = con.berger_s3(0.8)
     points = pts(h.chart, 1, seed=9)[0] if n is None else np.array(pts(h.chart, n, seed=9))
     fields = [con.berger_lee(0.7), con.berger_lee(-0.7), con.berger_lee(0.0),
@@ -102,8 +100,7 @@ def test_weyl_connection_correction_pattern_flat_dx():
     h = con.flat3()
     alpha = geo.OneFormField(h.chart, lambda c: [1.0 + 0.0 * c[0], 0.0 * c[0], 0.0 * c[0]],
                              "dx")
-    w = weyl3.WeylStructure3(h, alpha)
-    G = weyl3.weyl_connection_coeffs(w, (0.1, 0.2, 0.3))
+    G = weyl3.weyl_connection_coeffs(weyl3.HeldBase(h, (0.1, 0.2, 0.3)), alpha)
     # D_X Y - nabla_X Y = alpha(X) Y + alpha(Y) X - h(X,Y) alpha#
     expected = np.zeros((3, 3, 3))
     for a in range(3):
@@ -121,15 +118,13 @@ def test_weyl_connection_correction_pattern_flat_dx():
 @pytest.mark.parametrize("k", [-1.0, 0.0, 0.25, 1.0])
 def test_einstein_weyl_constant_curvature_zero_lee(k):
     h = con.flat3() if k == 0.0 else con.constant_curvature3(k)
-    w = weyl3.WeylStructure3(h, zero_form(h.chart))
     for pt in pts(h.chart, 4, seed=int(4 * abs(k) + 1)):
-        assert weyl3.einstein_weyl_residual(w, pt) < 1e-10
+        assert weyl3.einstein_weyl_residual(weyl3.HeldBase(h, pt), zero_form(h.chart)) < 1e-10
 
 
 def test_einstein_weyl_generic_lee_fails():
     h = con.flat3()
-    w = weyl3.WeylStructure3(h, con.xdy())
-    assert weyl3.einstein_weyl_residual(w, (0.3, -0.5, 0.8)) > 1e-2
+    assert weyl3.einstein_weyl_residual(weyl3.HeldBase(h, (0.3, -0.5, 0.8)), con.xdy()) > 1e-2
 
 
 def test_einstein_weyl_berger_family_and_bisection():
@@ -139,7 +134,7 @@ def test_einstein_weyl_berger_family_and_bisection():
     pt = (1.2, 2.0, 3.0)
 
     def resid(a):
-        return weyl3.einstein_weyl_residual(weyl3.WeylStructure3(h, con.berger_lee(a)), pt)
+        return weyl3.einstein_weyl_residual(weyl3.HeldBase(h, pt), con.berger_lee(a))
 
     assert resid(a_star) < 1e-10
     x, fx = weyl3.locate_residual_minimum(resid, 0.5, 1.4, tol=1e-8)
@@ -149,16 +144,17 @@ def test_einstein_weyl_berger_family_and_bisection():
 
 def test_beltrami_residual_zero_form():
     h = con.flat3()
-    w = weyl3.WeylStructure3(h, zero_form(h.chart))
-    assert weyl3.beltrami_residual(w, 1, (0.1, 0.2, 0.3)) == 0.0
+    base = weyl3.HeldBase(h, (0.1, 0.2, 0.3))
+    assert weyl3.beltrami_residual(base, zero_form(h.chart), 1) == 0.0
 
 
 def test_beltrami_trkalian_both_signs():
     h = con.flat3()
-    w = weyl3.WeylStructure3(h, con.trkalian(1))
+    alpha = con.trkalian(1)
     for pt in pts(h.chart, 3, seed=5):
-        assert weyl3.beltrami_residual(w, -1, pt) < 1e-10
-        assert weyl3.beltrami_residual(w, 1, pt) == pytest.approx(2.0, abs=1e-10)
+        base = weyl3.HeldBase(h, pt)
+        assert weyl3.beltrami_residual(base, alpha, -1) < 1e-10
+        assert weyl3.beltrami_residual(base, alpha, 1) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_beltrami_conformal_covariance():
@@ -181,25 +177,23 @@ def test_beltrami_conformal_covariance():
         # scaled star on 2-forms picks up 1/k
         star_da_scaled = geo.hodge_star(da, hv_scaled, 2)
         assert np.max(np.abs(star_da_scaled - av)) < 1e-12
-        w_scaled = weyl3.WeylStructure3(h_scaled, alpha)
-        assert weyl3.beltrami_residual(w_scaled, 1, pt) < 1e-12
+        assert weyl3.beltrami_residual(weyl3.HeldBase(h_scaled, pt), alpha, 1) < 1e-12
 
 
 def test_generalized_beltrami_constant_and_zero():
     h = con.flat3()
     zero = zero_form(h.chart)
     c = geo.ScalarField(h.chart, lambda c_: 3.0 + 0.0 * c_[0])
-    w = weyl3.WeylStructure3(h, zero)
-    assert weyl3.generalized_beltrami_residual(w, c, (0.1, 0.2, 0.3)) == 0.0
+    base = weyl3.HeldBase(h, (0.1, 0.2, 0.3))
+    assert weyl3.generalized_beltrami_residual(base, zero, c) == 0.0
 
 
 def test_generalized_beltrami_reduces_to_beltrami():
     h = con.flat3()
     alpha = con.trkalian(-1)       # d alpha = + * alpha
     one = geo.ScalarField(h.chart, lambda c: 1.0 + 0.0 * c[0])
-    w = weyl3.WeylStructure3(h, alpha)
     for pt in pts(h.chart, 3, seed=8):
-        assert weyl3.generalized_beltrami_residual(w, one, pt) < 1e-12
+        assert weyl3.generalized_beltrami_residual(weyl3.HeldBase(h, pt), alpha, one) < 1e-12
 
 
 def test_generalized_beltrami_closed_degenerate_branch():
@@ -207,16 +201,16 @@ def test_generalized_beltrami_closed_degenerate_branch():
     alpha = geo.OneFormField(h.chart, lambda c: [1.0 + 0.0 * c[0], 0.0 * c[0], 0.0 * c[0]],
                              "dx")
     zero_c = geo.ScalarField(h.chart, lambda c: 0.0 * c[0])
-    w = weyl3.WeylStructure3(h, alpha)
-    assert weyl3.generalized_beltrami_residual(w, zero_c, (0.4, 0.1, -0.2)) < 1e-14
+    base = weyl3.HeldBase(h, (0.4, 0.1, -0.2))
+    assert weyl3.generalized_beltrami_residual(base, alpha, zero_c) < 1e-14
 
 
 def test_monopole_residual_trivial():
     h = con.flat3()
     u = geo.ScalarField(h.chart, lambda c: 1.0 + 0.0 * c[0])
     F = geo.TwoFormField(h.chart, lambda c: [[0.0 * c[0]] * 3] * 3)
-    w = weyl3.WeylStructure3(h, zero_form(h.chart))
-    assert weyl3.monopole_residual(u, w, F, (0.1, 0.2, 0.3)) == 0.0
+    base = weyl3.HeldBase(h, (0.1, 0.2, 0.3))
+    assert weyl3.monopole_residual(base, u, zero_form(h.chart), F) == 0.0
 
 
 def test_monopole_gh_pair_and_norm_of_du():
@@ -224,12 +218,12 @@ def test_monopole_gh_pair_and_norm_of_du():
     u = con.gh_potential(1.0)
     A = con.dirac_A(1.0)
     F = geo.TwoFormField(h.chart, lambda c: geo.ext_d(A.fn(c), 3), "dA")
-    w = weyl3.WeylStructure3(h, zero_form(h.chart))
-    zero_F = geo.TwoFormField(h.chart, lambda c: [[0.0 * c[0]] * 3] * 3)
+    zero, zero_F = zero_form(h.chart), geo.TwoFormField(h.chart, lambda c: [[0.0 * c[0]] * 3] * 3)
     for pt in pts(h.chart, 4, seed=9):
-        assert weyl3.monopole_residual(u, w, F, pt) < 1e-9
+        base = weyl3.HeldBase(h, pt)
+        assert weyl3.monopole_residual(base, u, zero, F) < 1e-9
         r = pt[0]
-        assert weyl3.monopole_residual(u, w, zero_F, pt) == pytest.approx(
+        assert weyl3.monopole_residual(base, u, zero, zero_F) == pytest.approx(
             1.0 / (2.0 * r * r), rel=1e-9)
 
 
@@ -238,7 +232,6 @@ def test_monopole_star_involution_identity():
     h = con.constant_curvature3(1.0)
     u = geo.ScalarField(h.chart, lambda c: 1.0 + 0.3 * jets.sin(c[0]) * jets.cos(c[1]))
     alpha = con.trkalian(1)
-    w = weyl3.WeylStructure3(h, alpha)
 
     def F_fn(c):
         uj = u.fn(c)
@@ -252,7 +245,7 @@ def test_monopole_star_involution_identity():
 
     F = geo.TwoFormField(h.chart, F_fn, "star(du-ua)")
     for pt in pts(h.chart, 3, seed=10):
-        assert weyl3.monopole_residual(u, w, F, pt) < 1e-12
+        assert weyl3.monopole_residual(weyl3.HeldBase(h, pt), u, alpha, F) < 1e-12
 
 
 def test_closure_residual_cases():
@@ -282,7 +275,7 @@ def test_round_sphere_lee_scale_curve_zero_at_origin():
                            for i in range(3)], "scaled_s3")
 
     def resid(scale):
-        return weyl3.einstein_weyl_residual(weyl3.WeylStructure3(h, lee(scale)), pt)
+        return weyl3.einstein_weyl_residual(weyl3.HeldBase(h, pt), lee(scale))
 
     vals = [resid(s) for s in np.linspace(-0.5, 0.5, 5)]
     assert vals[2] < 1e-12 and vals[0] > 1e-2 and vals[-1] > 1e-2
@@ -341,10 +334,9 @@ def _scene(name):
 
 def _assert_scene_matches_oracle(r):
     points, _ = r.sample_points()
-    w = weyl3.WeylStructure3(r.h, r.lee_form)
     for p in points:
         base = tuple(p[1:]) if r.fm is not None else tuple(p)
-        _assert_close(weyl3.einstein_weyl_residual(w, base),
+        _assert_close(weyl3.einstein_weyl_residual(weyl3.HeldBase(r.h, base), r.lee_form),
                                _einstein_weyl_via_weyl_riemann(r.h, r.lee_form, base), base)
 
 
@@ -375,9 +367,8 @@ def test_einstein_weyl_matches_the_weyl_riemann_oracle_along_the_berger_sweep():
     variable_c_background()[:2],
 ], ids=["flat_trkalian", "cc3_xdy", "berger_ew", "variable_c"])
 def test_einstein_weyl_matches_the_weyl_riemann_oracle_on_catalog_pairs(h, alpha):
-    w = weyl3.WeylStructure3(h, alpha)
     for pt in pts(h.chart, 4, seed=9):
-        _assert_close(weyl3.einstein_weyl_residual(w, pt),
+        _assert_close(weyl3.einstein_weyl_residual(weyl3.HeldBase(h, pt), alpha),
                                _einstein_weyl_via_weyl_riemann(h, alpha, pt), pt)
 
 
@@ -399,11 +390,10 @@ def test_einstein_weyl_matches_the_weyl_riemann_oracle_on_random_forms(name, see
     transposed d alpha) shows in the comparison."""
     h = BASES[name]()
     alpha = _random_form(h.chart, 100 * seed + len(name))
-    w = weyl3.WeylStructure3(h, alpha)
     refs = []
     for pt in pts(h.chart, 3, seed=seed):
         ref = _einstein_weyl_via_weyl_riemann(h, alpha, pt)
-        _assert_close(weyl3.einstein_weyl_residual(w, pt), ref, pt)
+        _assert_close(weyl3.einstein_weyl_residual(weyl3.HeldBase(h, pt), alpha), ref, pt)
         refs.append(ref)
     assert max(refs) > 1e-2
 
@@ -413,7 +403,7 @@ def test_einstein_weyl_batch_matches_the_weyl_riemann_oracle_row_by_row(name):
     h = BASES[name]()
     alpha = _random_form(h.chart, 7)
     rows = pts(h.chart, 5, seed=11)
-    got = weyl3.einstein_weyl_residual(weyl3.WeylStructure3(h, alpha), np.array(rows))
+    got = weyl3.einstein_weyl_residual(weyl3.HeldBase(h, np.array(rows)), alpha)
     assert got.shape == (5,)
     for value, pt in zip(got, rows):
         _assert_close(value, _einstein_weyl_via_weyl_riemann(h, alpha, pt), pt)
