@@ -335,74 +335,53 @@ def _env_tolerance():
 class ResolvedScene:
     """A scene's fields, and one ``SubmersionSetup`` (or None without a
     construction) that every check and the classifier read it through.  A
-    sweep step is ``step`` of the resolution it holds: what the swept slot
-    leaves unchanged (refs, h, the fibration and its setup, the sample points,
-    h held at them) is shared with it, not resolved again."""
+    sweep resolves each step's scene with the resolution it ``held``: a part
+    is the held one's while the scene objects it is made from are the held
+    scene's own (``with_slot`` shares all but the path to the swept slot)."""
     fm = setup = None
 
-    def __init__(self, scene, tol=None):
+    def __init__(self, scene, tol=None, held=None):
         # the default tolerance, read from the environment once per command
         self.tol = _env_tolerance() if tol is None else tol
-        self.scene, self._refs, self._samples = scene, {}, None
-        self._resolve(None)
-
-    def step(self, keys, value):
-        """The resolution of this scene with ``value`` at the slot ``keys`` (a
-        tuple, as ``scene_slot`` gives it): this one's parts, but those that
-        read the swept slot, and those made from them, resolved again."""
-        keys, step = tuple(keys), object.__new__(ResolvedScene)
-        # a shallow copy, with its own scene and refs
-        step.__dict__ = {**self.__dict__, "scene": with_slot(self.scene, keys, value),
-                         "_refs": dict(self._refs)}
-        step._resolve(keys)
-        return step
-
-    def _resolve(self, swept):
-        """Resolve the parts of the scene that read the slot ``swept`` (keys
-        from the scene's top; None, the whole scene): a ref if the slot lies in
-        it (``_ref``), any other part if the slot lies in a top-level key it
-        reads or a part it is made from was resolved again."""
-        scene, top = self.scene, None if swept is None else swept[0]
-        base = top in (None, "base", "orientation")
-        fibration = base or top == "construction"       # what is made from h
-        if base:
-            self.orientation = scene.get("orientation", 1)
-            h = self._ref(swept, ("base",), scene.get("base"), "flat3")
+        self.scene, self.orientation = scene, scene.get("orientation", 1)
+        # each slot's (ref, catalog entry), the held resolution's to start with
+        self._refs = {} if held is None else dict(held._refs)
+        same = lambda key: held is not None and scene.get(key) is held.scene.get(key)
+        if same("base") and self.orientation == held.orientation:
+            self.h, self._zero, self._bases = held.h, held._zero, held._bases
+        else:
+            h = self._ref(("base",), scene.get("base"), "flat3")
             if not isinstance(h, geo.MetricField):
                 raise UsageError(f"base entry {scene['base']['name']!r} is not a 3-metric")
             # the orientation of the base chart, which every construction's total chart copies
             self.h = h if self.orientation == 1 else h.flipped()
-            self._bases = {}
-        if top in (None, "alpha"):
-            self.alpha = self._ref(swept, ("alpha",), scene.get("alpha"))
-        if fibration:
-            if "construction" in scene:
-                self._build(scene["construction"], swept)
-                self.setup = mor.SubmersionSetup(self.fm)
-            # the factory's record of u, A, alpha and c (absent: None)
-            self.family_params = {} if self.fm is None else self.fm.family_params
-        if fibration or top == "pair":
-            params = self.family_params
-            self.pair_u, self.pair_A = params.get("u"), params.get("A")
-            if "pair" in scene:                 # the monopole pair, else the family's
-                pair = scene["pair"]
-                self.pair_u, self.pair_A = (
-                    self._on_base_chart(self._ref(swept, ("pair", k), pair[k])) if k in pair
-                    else params.get(k) for k in "uA")
-        if fibration or top == "alpha":
-            # the Lee form of the base Weyl structure: the family's, the scene's, or zero
-            self.lee_form = self.family_params.get("alpha") or self.alpha or geo.OneFormField(
-                self.h.chart, lambda c: [0.0] * 3, "zero")
-        if top in (None, "samples"):
-            self._samples = None
+            self._zero = geo.OneFormField(self.h.chart, lambda c: [0.0] * 3, "zero")
+            self._bases = {}        # h held at each job's base points (``held_base``)
+        self.alpha = self._ref(("alpha",), scene.get("alpha"))
+        if same("construction") and self.h is held.h:
+            self.fm, self.setup = held.fm, held.setup
+        elif "construction" in scene:
+            self._build(scene["construction"])
+            self.setup = mor.SubmersionSetup(self.fm)
+        # the factory's record of u, A, alpha and c (absent: None)
+        params = self.family_params = {} if self.fm is None else self.fm.family_params
+        self.pair_u, self.pair_A = params.get("u"), params.get("A")
+        if "pair" in scene:                 # the monopole pair, else the family's
+            pair = scene["pair"]
+            self.pair_u, self.pair_A = (
+                self._on_base_chart(self._ref(("pair", k), pair[k])) if k in pair
+                else params.get(k) for k in "uA")
+        # the Lee form of the base Weyl structure: the family's, the scene's, or zero
+        self.lee_form = params.get("alpha") or self.alpha or self._zero
+        self._samples = held._samples if same("samples") else None
 
-    def _ref(self, swept, keys, ref, *defaults):
-        """The catalog entry of ``ref``, the ref at the slot ``keys``: the one
-        held, unless the swept slot lies in it."""
-        if swept is not None and swept[:len(keys)] != keys:
-            return self._refs[keys]
-        entry = self._refs[keys] = _resolve_ref(ref, *defaults)
-        return entry
+    def _ref(self, keys, ref, *defaults):
+        """The catalog entry of ``ref``, the ref at the slot ``keys``: the held
+        resolution's entry there if its ref is this same object."""
+        kept = self._refs.get(keys)
+        if kept is None or kept[0] is not ref:
+            kept = self._refs[keys] = ref, _resolve_ref(ref, *defaults)
+        return kept[1]
 
     def _on_base_chart(self, field):
         if field is not None and field.chart.names != self.h.chart.names:
@@ -410,13 +389,13 @@ class ResolvedScene:
                              f" but the base chart is {self.h.chart.names}")
         return field
 
-    def _build(self, spec, swept):
+    def _build(self, spec):
         family = spec["family"]
         params = spec.get("params", {})
         kwargs = {"fibre_range": tuple(spec["fibre_range"])} if "fibre_range" in spec else {}
 
         def ref(key, *defaults):
-            return self._on_base_chart(self._ref(swept, ("construction", "params", key),
+            return self._on_base_chart(self._ref(("construction", "params", key),
                                                  params.get(key), *defaults))
 
         if family in ("type1", "jones_tod"):
@@ -885,10 +864,9 @@ def cmd_sweep(args):
     check_slot = slot_validator(keys)
     held = None                 # the resolution of the last step that resolved
 
-    def resolve(value):             # a step of the held resolution, else a whole one
+    def resolve(value):
         nonlocal held
-        held = (ResolvedScene(with_slot(scene, keys, value), tol) if held is None
-                else held.step(keys, value))
+        held = ResolvedScene(with_slot(scene, keys, value), tol, held)
         return held
 
     def batch(resolved, points):

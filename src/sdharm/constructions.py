@@ -225,13 +225,8 @@ def type4_metric(h, alpha=None, c=1.0, fibre_range=(-1.5, 1.5)):
         cv = c_field.fn(coords[1:]) if c_field is not None else c_num
         return jets.exp(coords[0]) + cv
 
-    def theta_fn(coords):
-        if alpha is None:
-            return [1.0, 0.0, 0.0, 0.0]
-        ab = alpha.fn(coords[1:])
-        return [1.0, -1.0 * ab[0], -1.0 * ab[1], -1.0 * ab[2]]
-
-    return _assemble(chart, h, lam_inv_sq, theta_fn, "type4",
+    minus_alpha = None if alpha is None else lambda b: [-1.0 * x for x in alpha.fn(b)]
+    return _assemble(chart, h, lam_inv_sq, _theta_dtau_plus(minus_alpha), "type4",
                      {"alpha": alpha, "c": c}, positivity_name="e^rho + c")
 
 

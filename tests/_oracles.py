@@ -466,10 +466,12 @@ def stacked_arrays(g, point):
 
 # -- a sweep step, resolved whole ----------------------------------------------
 
-def resolve_step_in_full(held, keys, value):
-    """In place of ``cli.ResolvedScene.step``: the step's scene, ``value`` at
-    the slot ``keys`` of the held one's, resolved whole, so that the step's
-    ``_evaluate`` is the one every sweep step made before steps shared the
-    held resolution's parts.  Only the tolerance, read once per command, is
-    the held one's."""
-    return cli.ResolvedScene(cli.with_slot(held.scene, keys, value), held.tol)
+_resolve_scene = cli.ResolvedScene.__init__
+
+
+def resolve_step_in_full(resolved, scene, tol=None, held=None):
+    """In place of ``cli.ResolvedScene.__init__``: the step's scene resolved
+    whole, ``held=None``, so that the step's ``_evaluate`` is the one every
+    sweep step made before steps shared the held resolution's parts.  Only
+    the tolerance, read once per command, is the sweep's."""
+    _resolve_scene(resolved, scene, tol)

@@ -1033,12 +1033,18 @@ def _sweep_args(param, span, steps, checks, locate=None):
             *(["--locate", locate] if locate else [])]
 
 
+# type4_berger_ew.json without a Lee form: its fibration's and the base's is zero.
+CONSTRUCTION_WITHOUT_LEE_FORM = _scene_file("type4_berger_ew.json", construction={
+    "family": "type4", "params": {"c": 1.6}})
+
+
 # A sweep of each kind of slot, and of the domain errors a step can meet:
-# (scene, sweep arguments).  A step rebuilds what reads its slot: a ref and
-# what is made from it (alpha, a pair's, a construction's), the fibration
-# (construction), everything (base, orientation), the sample points (samples,
-# or a fibre range that moves the chart), or nothing (tolerances, the
-# Beltrami sign).
+# (scene, sweep arguments).  A step rebuilds what is made from the scene
+# objects on the path to its slot: a ref and what is made from it (alpha, a
+# pair's, a construction's), the fibration (construction, also without a Lee
+# form, whose zero form is h's), everything (base, orientation), the sample
+# points (samples, or a fibre range that moves the chart), or nothing
+# (tolerances, the Beltrami sign).
 STEP_SWEEPS = {
     "alpha_scale": ("berger_ew_sweep.json", _sweep_args(
         "alpha.params.scale", "0.5:1.4", 8, "einstein_weyl,beltrami", "einstein_weyl")),
@@ -1053,6 +1059,8 @@ STEP_SWEEPS = {
         "base.params.mu", "0.9:-0.3", 5, "twistorial_sd,einstein_weyl", "einstein_weyl")),
     "construction_number": ("type4_berger_ew.json", _sweep_args(
         "construction.params.c", "1.0:2.2", 4, "twistorial_sd,monopole,einstein_weyl,w_minus")),
+    "construction_without_lee_form": (CONSTRUCTION_WITHOUT_LEE_FORM, _sweep_args(
+        "construction.params.c", "1.0:2.2", 4, "einstein_weyl,twistorial_sd")),
     "construction_ref": ("gibbons_hawking.json", _sweep_args(
         "construction.params.u.params.m", "0.5:1.5", 3, "fundamental_eq,pullback_sd,closure")),
     "pair_ref": (_scene_file("gibbons_hawking.json", pair={
@@ -1074,17 +1082,18 @@ STEP_SWEEPS = {
 @pytest.mark.parametrize("name", list(STEP_SWEEPS))
 def test_a_step_of_the_held_resolution_prints_what_a_whole_resolution_prints(
         name, capsys, monkeypatch, tmp_path):
-    """A sweep resolves its scene once, and each step rebuilds only the parts
-    that read its slot; its output and exit code are byte for byte those of
-    the same sweep whose every step resolves its scene whole
-    (``_oracles.resolve_step_in_full``), domain errors and minima included."""
+    """A sweep resolves each step with the resolution it holds, and rebuilds
+    only the parts made from the scene objects on the path to its slot; its
+    output and exit code are byte for byte those of the same sweep whose
+    every step resolves its scene whole (``_oracles.resolve_step_in_full``),
+    domain errors and minima included."""
     scene, args = STEP_SWEEPS[name]
     if isinstance(scene, dict):
         (tmp_path / "scene.json").write_text(json.dumps(scene))
         scene = str(tmp_path / "scene.json")
     argv = ["sweep", scene_path(scene), *args]
     held = cli.main(argv), capsys.readouterr()
-    monkeypatch.setattr(cli.ResolvedScene, "step", O.resolve_step_in_full)
+    monkeypatch.setattr(cli.ResolvedScene, "__init__", O.resolve_step_in_full)
     whole = cli.main(argv), capsys.readouterr()
     assert held == whole
     assert len(_sweep_rows(held[1].out)) >= 2
@@ -1094,9 +1103,9 @@ def test_a_step_of_the_held_resolution_prints_what_a_whole_resolution_prints(
 def test_a_located_scale_sweep_builds_what_the_scale_leaves_unchanged_once(capsys,
                                                                           monkeypatch):
     """Over the 8 steps and the golden-section probes of a sweep of
-    berger_lee's scale, the run resolves the scene whole once, and draws the
-    sample points and holds h at them once; the base ref is resolved once,
-    and the swept ref and the job once per step, grid value or probe."""
+    berger_lee's scale, the run draws the sample points and holds h at them
+    once, and resolves the base ref once; each step, grid value or probe is
+    one resolution of its scene, with its swept ref and its job."""
     built = collections.Counter()
 
     def count(owner, name):
@@ -1117,9 +1126,24 @@ def test_a_located_scale_sweep_builds_what_the_scale_leaves_unchanged_once(capsy
         "alpha.params.scale", "0.5:1.4", 8, "einstein_weyl", "einstein_weyl")], capsys)
     assert code == 0 and len(_sweep_rows(out)) == 8 and "# minimum,einstein_weyl," in out
     assert len(set(steps)) == len(steps) > 8
-    assert built == {"ResolvedScene.__init__": 1, "ResolvedScene._sample_points": 1,
+    assert built == {"ResolvedScene.__init__": len(steps), "ResolvedScene._sample_points": 1,
                      "HeldBase.__init__": 1, "_Job.__init__": len(steps)}
     assert refs == ["berger_s3"] + ["berger_lee"] * len(steps)
+
+
+def test_a_fibration_sweep_without_a_lee_form_reads_one_zero_form(capsys, monkeypatch,
+                                                                  tmp_path):
+    """Each of 50 steps of type 4's c rebuilds the fibration, but the zero Lee
+    form is made with h, which the steps share: the held base evaluates one
+    form's arrays, not one per step."""
+    bases, real = [], weyl3.HeldBase.__init__
+    monkeypatch.setattr(weyl3.HeldBase, "__init__", lambda b, *a: bases.append(b) or real(b, *a))
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(CONSTRUCTION_WITHOUT_LEE_FORM))
+    code, out = run_cli(["sweep", str(path), *_sweep_args(
+        "construction.params.c", "1.0:2.2", 50, "einstein_weyl")], capsys)
+    assert code == 0 and len(_sweep_rows(out)) == 50
+    assert len(bases) == 1 and len(bases[0]._arrays) == 1
 
 
 @pytest.mark.parametrize("points", [[[1.2, 2.0, 3.0]], [[1.2, 2.0, 3.0], [1.2, 2.0, 9.0]]],

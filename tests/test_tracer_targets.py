@@ -23,8 +23,8 @@ def load_tracer():
 
 # A command, and what the traced run must count for some targets: a verify job
 # of the total space, and a located sweep of the Lee form's scale, whose grid
-# steps and golden-section probes reach einstein_weyl_residual as perfbench's
-# sweep_locate jobs do.
+# steps and golden-section probes each resolve their scene and reach
+# einstein_weyl_residual as perfbench's sweep_locate jobs do.
 COMMANDS = {
     "verify": (["verify", str(SCENES / "type4_berger_ew.json"), "--checks", "twistorial_basic"],
                {"morphism.SubmersionSetup.ctx": lambda n: n > 0,
@@ -33,6 +33,7 @@ COMMANDS = {
                       "alpha.params.scale", "--range=0.5:1.4", "--steps", "8", "--checks",
                       "einstein_weyl", "--locate", "einstein_weyl"],
                      {"weyl3.einstein_weyl_residual": lambda n: n > 8,
+                      "cli.ResolvedScene.__init__": lambda n: n > 8,
                       "weyl3.locate_residual_minimum": lambda n: n == 1}),
 }
 

@@ -356,7 +356,7 @@ def test_einstein_weyl_matches_the_weyl_riemann_oracle_along_the_berger_sweep():
     scales = list(np.linspace(0.5, 1.4, 10)) + [berger_ew_scale(0.8)]
     step = cli.ResolvedScene(scene)
     for scale in scales:
-        step = step.step(keys, float(scale))
+        step = cli.ResolvedScene(cli.with_slot(scene, keys, float(scale)), held=step)
         _assert_scene_matches_oracle(step)
 
 
